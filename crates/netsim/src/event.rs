@@ -185,6 +185,14 @@ impl CalendarQueue {
     }
 
     fn pop(&mut self) -> Option<Scheduled> {
+        self.pop_before(SimTime::MAX)
+    }
+
+    /// Remove the earliest event if it is due at or before `horizon`. One
+    /// day-walk serves both the lookup and the removal; a walk that stops
+    /// at an event past the horizon still advances the virtual clock over
+    /// the empty days it crossed.
+    fn pop_before(&mut self, horizon: SimTime) -> Option<Scheduled> {
         if self.len == 0 {
             return None;
         }
@@ -197,10 +205,7 @@ impl CalendarQueue {
                 let idx = (self.cur_day & self.mask) as usize;
                 if let Some(tail) = self.buckets[idx].last() {
                     if self.day_of(tail.time) == self.cur_day {
-                        let s = self.buckets[idx].pop().unwrap();
-                        self.len -= 1;
-                        self.maybe_shrink();
-                        return Some(s);
+                        return self.take_tail_before(idx, horizon);
                     }
                 }
                 self.cur_day += 1;
@@ -218,14 +223,23 @@ impl CalendarQueue {
             let before = (self.shift, self.buckets.len());
             self.resize();
             if (self.shift, self.buckets.len()) == before {
-                let (idx, _) = self.min_position().expect("non-empty queue has a minimum");
-                let s = self.buckets[idx].pop().unwrap();
-                self.cur_day = self.day_of(s.time);
-                self.len -= 1;
-                self.maybe_shrink();
-                return Some(s);
+                let (idx, (time, _)) = self.min_position().expect("non-empty queue has a minimum");
+                self.cur_day = self.day_of(time);
+                return self.take_tail_before(idx, horizon);
             }
         }
+    }
+
+    /// Pop bucket `idx`'s tail — the global minimum, on day `cur_day` —
+    /// unless it is due after `horizon`.
+    fn take_tail_before(&mut self, idx: usize, horizon: SimTime) -> Option<Scheduled> {
+        if self.buckets[idx].last()?.time > horizon {
+            return None;
+        }
+        let s = self.buckets[idx].pop();
+        self.len -= 1;
+        self.maybe_shrink();
+        s
     }
 
     /// Bucket index and key of the globally earliest event, by scanning
@@ -371,7 +385,7 @@ impl EventQueue {
     /// Remove and return the earliest event if it is due at or before
     /// `horizon`. The event loop's one-call combination of
     /// [`EventQueue::peek_time`] and [`EventQueue::pop`]: the calendar
-    /// queue locates its minimum once instead of twice.
+    /// queue locates its minimum with one day-walk instead of two.
     #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
         match &mut self.imp {
@@ -382,13 +396,7 @@ impl EventQueue {
                     None
                 }
             }
-            QueueImpl::Calendar(c) => {
-                if c.peek_time().is_some_and(|t| t <= horizon) {
-                    c.pop().map(|s| (s.time, s.event))
-                } else {
-                    None
-                }
-            }
+            QueueImpl::Calendar(c) => c.pop_before(horizon).map(|s| (s.time, s.event)),
         }
     }
 
@@ -487,10 +495,17 @@ mod tests {
 
     /// The heart of the fallback guarantee: both schedulers produce the
     /// exact same (time, flow) pop sequence for an arbitrary interleaving
-    /// of schedules and pops, including far-future spreads that force the
-    /// calendar queue through year-overflow scans and resizes.
+    /// of schedules, pops and horizon-bounded pops, including far-future
+    /// spreads that force the calendar queue through year-overflow scans
+    /// and resizes, and horizons that fall between events (where the
+    /// calendar's walk advances its clock without popping).
     #[test]
     fn calendar_and_heap_agree_on_ordering() {
+        let flow_of = |popped: Option<(SimTime, Event)>| match popped {
+            Some((tm, Event::FlowStart { flow })) => Some((tm, flow)),
+            Some(_) => panic!("unexpected event kind"),
+            None => None,
+        };
         for seed in [1u64, 2006, 42, 0xDEAD] {
             let mut cal = EventQueue::with_kind(SchedulerKind::Calendar);
             let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
@@ -501,25 +516,38 @@ mod tests {
                 state ^= state << 17;
                 state
             };
-            let mut popped_cal = Vec::new();
-            let mut popped_heap = Vec::new();
+            let mut bounded_hits = 0u32;
+            let mut bounded_misses = 0u32;
             let mut clock = 0u64;
             for i in 0..5000u32 {
                 let r = next();
-                if r % 5 == 0 {
-                    popped_cal.push(cal.pop().map(|(tm, _)| tm));
-                    popped_heap.push(heap.pop().map(|(tm, _)| tm));
-                } else {
-                    // Mostly near-future, occasionally seconds out: the
-                    // distribution a packet simulator actually produces.
-                    let delta = match r % 16 {
-                        0 => next() % 10_000_000_000,
-                        1..=3 => next() % 10_000_000,
-                        _ => next() % 20_000,
-                    };
-                    let at = t(clock + delta);
-                    cal.schedule(at, Event::FlowStart { flow: FlowId(i) });
-                    heap.schedule(at, Event::FlowStart { flow: FlowId(i) });
+                match r % 6 {
+                    0 => assert_eq!(flow_of(cal.pop()), flow_of(heap.pop()), "seed {seed}"),
+                    1 => {
+                        // Around the head of the queue: half the
+                        // horizons fall short of every pending event.
+                        let head = heap.peek_time().map_or(clock, |tm| tm.as_nanos());
+                        let horizon = t((head + next() % 20_000).saturating_sub(10_000));
+                        let got = flow_of(cal.pop_before(horizon));
+                        assert_eq!(got, flow_of(heap.pop_before(horizon)), "seed {seed}");
+                        assert!(got.is_none_or(|(tm, _)| tm <= horizon));
+                        match got {
+                            Some(_) => bounded_hits += 1,
+                            None => bounded_misses += 1,
+                        }
+                    }
+                    _ => {
+                        // Mostly near-future, occasionally seconds out: the
+                        // distribution a packet simulator actually produces.
+                        let delta = match r % 16 {
+                            0 => next() % 10_000_000_000,
+                            1..=3 => next() % 10_000_000,
+                            _ => next() % 20_000,
+                        };
+                        let at = t(clock + delta);
+                        cal.schedule(at, Event::FlowStart { flow: FlowId(i) });
+                        heap.schedule(at, Event::FlowStart { flow: FlowId(i) });
+                    }
                 }
                 if r % 97 == 0 {
                     // Advance the base clock like a running simulation.
@@ -527,17 +555,27 @@ mod tests {
                 }
             }
             assert_eq!(cal.len(), heap.len());
-            while let Some((tm, ev)) = heap.pop() {
-                let (ctm, cev) = cal.pop().expect("calendar ran dry early");
-                assert_eq!(ctm, tm, "times diverge (seed {seed})");
-                let (Event::FlowStart { flow: fh }, Event::FlowStart { flow: fc }) = (ev, cev)
-                else {
-                    panic!("unexpected event kind")
+            assert!(bounded_hits > 50 && bounded_misses > 50, "seed {seed}");
+            // Drain by horizon alone, as `run_until` does: each horizon is
+            // either just short of the next event (nothing may pop, even
+            // when that event is seconds away) or a random stretch past it.
+            while let Some(head) = heap.peek_time() {
+                let horizon = match next() % 3 {
+                    0 => t(head.as_nanos().saturating_sub(1)),
+                    1 => head,
+                    _ => t(head.as_nanos() + next() % 50_000_000),
                 };
-                assert_eq!(fc, fh, "tie-break order diverges (seed {seed})");
+                loop {
+                    let got = flow_of(heap.pop_before(horizon));
+                    assert_eq!(flow_of(cal.pop_before(horizon)), got, "seed {seed}");
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(cal.len(), heap.len());
+                assert_eq!(cal.peek_time(), heap.peek_time());
             }
             assert!(cal.pop().is_none());
-            assert_eq!(popped_cal, popped_heap);
         }
     }
 

@@ -231,6 +231,38 @@ mod tests {
         }
     }
 
+    /// The decoder passes SACK blocks through unchecked (any `u64` pair is
+    /// a well-formed frame); the sender must bound what it absorbs. A
+    /// forged `(0, u64::MAX)` block once meant one scoreboard insert per
+    /// claimed sequence.
+    #[test]
+    fn forged_sack_datagram_does_not_stall_the_sender() {
+        use lossburst_netsim::driver::HostDriver;
+        use lossburst_netsim::iface::Transport;
+        use lossburst_transport::config::TcpConfig;
+        use lossburst_transport::sender::Sender;
+
+        let (a, b) = (NodeId(0), NodeId(1));
+        let mut sender = Sender::cubic(a, b, TcpConfig::default());
+        let mut drv = HostDriver::new(1, FlowId(0));
+        let first_flight = drv.start(&mut sender, SimTime::ZERO).len() as u64;
+
+        let mut forged = Packet::ack(FlowId(0), b, a, 40, 0);
+        forged.sack = [(0, u64::MAX), (1, u64::MAX - 1), (u64::MAX - 1, u64::MAX)];
+        let mut buf = [0u8; WIRE_HEADER_BYTES];
+        encode_packet(&forged, &mut buf);
+        let on_wire = decode_packet(&buf).expect("well-formed frame");
+        assert_eq!(on_wire.sack[0], (0, u64::MAX));
+
+        let at = SimTime::from_nanos(20_000_000);
+        let out = drv.deliver(&mut sender, &on_wire, at);
+        // Only the first flight can have been SACKed: the sender answers
+        // with at most a window of new data, starting right behind it.
+        assert!(!out.is_empty() && out.len() as f64 <= sender.cwnd());
+        assert!(out.iter().all(|(_, p)| p.seq >= first_flight));
+        assert_eq!(sender.progress().retransmits, 0);
+    }
+
     #[test]
     fn encoding_is_deterministic() {
         let p = exemplar();

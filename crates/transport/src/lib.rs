@@ -54,7 +54,10 @@ pub mod config;
 pub mod delay;
 pub mod onoff;
 pub mod receiver;
+#[cfg(test)]
+mod reference;
 pub mod rtt;
+mod runset;
 pub mod sender;
 pub mod tcp;
 pub mod tcp_sack;

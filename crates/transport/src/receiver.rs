@@ -2,12 +2,12 @@
 //! generation for out-of-order arrivals, optional delayed ACKs, and ECN
 //! echo.
 
+use crate::runset::RunSet;
 use lossburst_netsim::packet::Packet;
 use lossburst_netsim::time::SimTime;
-use std::collections::BTreeSet;
 
 /// Instruction to emit one acknowledgment.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AckInfo {
     /// Cumulative acknowledgment (next expected sequence).
     pub ack: u64,
@@ -24,7 +24,9 @@ pub struct AckInfo {
 #[derive(Debug)]
 pub struct TcpReceiver {
     rcv_nxt: u64,
-    out_of_order: BTreeSet<u64>,
+    /// Sequences above `rcv_nxt` already received, as contiguous runs —
+    /// which are exactly the SACK blocks to advertise.
+    out_of_order: RunSet,
     ack_every: u32,
     unacked: u32,
     sack_rotation: usize,
@@ -39,7 +41,7 @@ impl TcpReceiver {
     pub fn new(ack_every: u32) -> TcpReceiver {
         TcpReceiver {
             rcv_nxt: 0,
-            out_of_order: BTreeSet::new(),
+            out_of_order: RunSet::new(),
             ack_every: ack_every.max(1),
             unacked: 0,
             sack_rotation: 0,
@@ -60,8 +62,8 @@ impl TcpReceiver {
         if in_order {
             self.rcv_nxt += 1;
             // Consume any buffered continuation.
-            while self.out_of_order.remove(&self.rcv_nxt) {
-                self.rcv_nxt += 1;
+            if let Some(end) = self.out_of_order.take_run_at(self.rcv_nxt) {
+                self.rcv_nxt = end;
             }
         } else if pkt.seq > self.rcv_nxt {
             self.out_of_order.insert(pkt.seq);
@@ -89,35 +91,17 @@ impl TcpReceiver {
         })
     }
 
-    /// All contiguous out-of-order ranges above `rcv_nxt`.
-    fn ooo_ranges(&self) -> Vec<(u64, u64)> {
-        let mut ranges = Vec::new();
-        let mut iter = self.out_of_order.iter().copied().peekable();
-        while let Some(start) = iter.next() {
-            let mut end = start + 1;
-            while iter.peek() == Some(&end) {
-                iter.next();
-                end += 1;
-            }
-            ranges.push((start, end));
-        }
-        ranges
-    }
-
     /// Up to three SACK blocks, RFC 2018 style: the block containing the
     /// most recently received segment first, then the remaining ranges in
     /// rotation — so over consecutive ACKs every range gets reported even
     /// when more than three holes exist.
     pub fn sack_blocks_for(&mut self, recent_seq: u64) -> [(u64, u64); 3] {
-        let ranges = self.ooo_ranges();
+        let ranges = self.out_of_order.runs();
         let mut blocks = [(0u64, 0u64); 3];
         if ranges.is_empty() {
             return blocks;
         }
-        let first = ranges
-            .iter()
-            .position(|&(a, b)| recent_seq >= a && recent_seq < b)
-            .unwrap_or(0);
+        let first = self.out_of_order.find(recent_seq).unwrap_or(0);
         blocks[0] = ranges[first];
         let mut n = 1;
         for k in 0..ranges.len() {
@@ -138,8 +122,8 @@ impl TcpReceiver {
     /// The lowest up-to-three ranges (stable view, used by tests).
     pub fn sack_blocks(&self) -> [(u64, u64); 3] {
         let mut blocks = [(0u64, 0u64); 3];
-        for (i, r) in self.ooo_ranges().into_iter().take(3).enumerate() {
-            blocks[i] = r;
+        for (slot, &run) in blocks.iter_mut().zip(self.out_of_order.runs()) {
+            *slot = run;
         }
         blocks
     }

@@ -28,6 +28,7 @@ use crate::cc::{
 use crate::config::TcpConfig;
 use crate::receiver::TcpReceiver;
 use crate::rtt::RttEstimator;
+use crate::runset::RunSet;
 use crate::timer::{token, untoken, TimerKind};
 use lossburst_netsim::event::TimerToken;
 use lossburst_netsim::iface::{Ctx, FlowProgress, Transport};
@@ -35,7 +36,6 @@ use lossburst_netsim::packet::{NodeId, Packet, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::trace::GoodputEvent;
 use std::any::Any;
-use std::collections::BTreeSet;
 
 /// Which fast-recovery algorithm a go-back-N sender runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,8 +76,9 @@ pub enum RepairKind {
 
 /// RFC 6675 scoreboard state (present only for SACK repair).
 pub(crate) struct SackState {
-    /// Sequences above `high_ack` known delivered.
-    pub(crate) sacked: BTreeSet<u64>,
+    /// Sequences above `high_ack` known delivered, as runs: every query
+    /// below costs O(holes), not O(SACKed packets).
+    pub(crate) sacked: RunSet,
     /// In loss recovery until `high_ack` reaches this.
     pub(crate) recovery_point: Option<u64>,
     /// Next hole candidate to retransmit within the current recovery.
@@ -85,9 +86,9 @@ pub(crate) struct SackState {
 }
 
 impl SackState {
-    fn new() -> SackState {
+    pub(crate) fn new() -> SackState {
         SackState {
-            sacked: BTreeSet::new(),
+            sacked: RunSet::new(),
             recovery_point: None,
             rtx_next: 0,
         }
@@ -98,15 +99,13 @@ impl SackState {
     /// that have not been retransmitted this recovery.
     pub(crate) fn pipe(&self, next_seq: u64, high_ack: u64) -> u64 {
         let outstanding = next_seq.saturating_sub(high_ack);
-        let sacked = self.sacked.len() as u64;
-        let lost = match self.sacked.iter().next_back() {
-            Some(&highest) if highest >= high_ack + 3 => {
+        let sacked = self.sacked.len();
+        let lost = match self.sacked.highest() {
+            Some(highest) if highest >= high_ack + 3 => {
                 let end = highest - 2; // seqs with >= 3 SACKed above
                 let start = self.rtx_next.max(high_ack);
                 if end > start {
-                    let total = end - start;
-                    let sacked_in = self.sacked.range(start..end).count() as u64;
-                    total - sacked_in
+                    (end - start) - self.sacked.count_in(start, end)
                 } else {
                     0
                 }
@@ -119,14 +118,36 @@ impl SackState {
     /// Next unsacked hole in `[rtx_next, recovery_point)`, if any.
     pub(crate) fn next_hole(&self, high_ack: u64) -> Option<u64> {
         let end = self.recovery_point?;
-        let mut s = self.rtx_next.max(high_ack);
-        while s < end {
-            if !self.sacked.contains(&s) {
-                return Some(s);
-            }
-            s += 1;
+        let s = self.rtx_next.max(high_ack);
+        // Runs never touch, so the end of the run holding `s` is a hole.
+        let hole = self.sacked.run_end(s).unwrap_or(s);
+        (hole < end).then_some(hole)
+    }
+
+    /// Absorb one ACK's SACK blocks; `true` if any sequence is newly
+    /// SACKed. Blocks are clamped to `[floor, ceiling)` — the cumulative
+    /// point and the highest sequence ever sent — because a block is peer
+    /// input: data never sent cannot have been received, and without the
+    /// bound one forged `(0, u64::MAX)` block would claim the whole
+    /// sequence space. An honest receiver never reports outside it.
+    pub(crate) fn absorb(
+        &mut self,
+        blocks: impl Iterator<Item = (u64, u64)>,
+        floor: u64,
+        ceiling: u64,
+    ) -> bool {
+        let mut new_sack_info = false;
+        for (a, b) in blocks {
+            new_sack_info |= self.sacked.insert_range(a.max(floor), b.min(ceiling));
         }
-        None
+        new_sack_info
+    }
+
+    /// The cumulative ACK reached `high_ack`: nothing below it needs
+    /// tracking or repair any more.
+    pub(crate) fn on_cumulative_ack(&mut self, high_ack: u64) {
+        self.rtx_next = self.rtx_next.max(high_ack);
+        self.sacked.remove_below(high_ack);
     }
 }
 
@@ -470,44 +491,36 @@ impl Sender {
     /// Pop the next sequence the repair layer wants on the wire, if the
     /// window allows one.
     fn take_next_send(&mut self) -> Option<(u64, bool)> {
-        if self.sack.is_some() {
-            let win = self.window();
-            let (next_seq, high_ack) = (self.next_seq, self.high_ack);
-            if let Some(sb) = self.sack.as_mut() {
-                if sb.pipe(next_seq, high_ack) >= win {
-                    return None;
-                }
-                if let Some(hole) = sb.next_hole(high_ack) {
-                    sb.rtx_next = hole + 1;
-                    return Some((hole, true));
-                }
+        let win = self.window();
+        let (next_seq, high_ack) = (self.next_seq, self.high_ack);
+        if let Some(sb) = self.sack.as_mut() {
+            if sb.pipe(next_seq, high_ack) >= win {
+                return None;
             }
-            if self.has_new_data() {
-                // Skip sequences the receiver already holds (possible after
-                // a pull-back).
-                while matches!(&self.sack, Some(sb) if sb.sacked.contains(&self.next_seq)) {
-                    self.next_seq += 1;
-                }
+            if let Some(hole) = sb.next_hole(high_ack) {
+                sb.rtx_next = hole + 1;
+                return Some((hole, true));
+            }
+            let held_until = sb.sacked.run_end(next_seq);
+            if !self.has_new_data() {
+                return None;
+            }
+            // Skip sequences the receiver already holds (possible after
+            // a pull-back).
+            if let Some(end) = held_until {
+                self.next_seq = end;
                 if !self.has_new_data() {
                     return None;
                 }
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let is_rtx = seq < self.max_seq_sent;
-                self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
-                return Some((seq, is_rtx));
             }
-            None
-        } else {
-            if !self.can_send_new() {
-                return None;
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let is_rtx = seq < self.max_seq_sent;
-            self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
-            Some((seq, is_rtx))
+        } else if !self.has_new_data() || self.pif() >= win {
+            return None;
         }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let is_rtx = seq < self.max_seq_sent;
+        self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
+        Some((seq, is_rtx))
     }
 
     /// Send whatever the window and mode allow right now.
@@ -789,31 +802,18 @@ impl Sender {
     fn on_ack_sack(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         self.on_ecn_echo(pkt, ctx);
 
-        // Absorb SACK blocks into the scoreboard.
-        let mut new_sack_info = false;
-        {
-            let high_ack = self.high_ack;
-            let sb = self.sack.as_mut().expect("SACK repair");
-            for (a, b) in pkt.sack_blocks() {
-                for s in a..b {
-                    if s >= high_ack.max(pkt.ack) && sb.sacked.insert(s) {
-                        new_sack_info = true;
-                    }
-                }
-            }
-        }
+        let (floor, ceiling) = (self.high_ack.max(pkt.ack), self.max_seq_sent);
+        let sb = self.sack.as_mut().expect("SACK repair");
+        let new_sack_info = sb.absorb(pkt.sack_blocks(), floor, ceiling);
 
         if pkt.ack > self.high_ack {
             let newly = pkt.ack - self.high_ack;
             self.high_ack = pkt.ack;
             self.next_seq = self.next_seq.max(self.high_ack);
-            {
-                let high_ack = self.high_ack;
-                let sb = self.sack.as_mut().expect("SACK repair");
-                sb.rtx_next = sb.rtx_next.max(high_ack);
-                // Drop scoreboard entries below the cumulative ack.
-                sb.sacked = sb.sacked.split_off(&high_ack);
-            }
+            self.sack
+                .as_mut()
+                .expect("SACK repair")
+                .on_cumulative_ack(self.high_ack);
             let rtt_sample = self.take_rtt_sample(pkt, ctx);
             ctx.trace.goodput(GoodputEvent {
                 time: ctx.now,
@@ -1061,6 +1061,81 @@ mod tests {
             "cwnd {} outside the expected stable band",
             s.cwnd()
         );
+    }
+
+    /// A SACK block is peer input. One forged `(0, u64::MAX)` block used to
+    /// be absorbed one sequence at a time, until memory ran out.
+    #[test]
+    fn forged_sack_block_is_clamped_to_what_was_sent() {
+        use lossburst_netsim::driver::HostDriver;
+        use lossburst_netsim::packet::FlowId;
+
+        let (a, b) = (NodeId(0), NodeId(1));
+        let mut s = Sender::cubic(a, b, TcpConfig::default());
+        let mut drv = HostDriver::new(1, FlowId(0));
+        let sent = drv.start(&mut s, SimTime::ZERO);
+        assert!(!sent.is_empty() && s.max_seq_sent == sent.len() as u64);
+
+        let mut forged = Packet::ack(FlowId(0), b, a, 40, 1);
+        forged.sack = [(0, u64::MAX), (5, u64::MAX - 1), (u64::MAX - 9, u64::MAX)];
+        let at = SimTime::ZERO + SimDuration::from_millis(20);
+        let sent_before = s.max_seq_sent;
+        let out = drv.deliver(&mut s, &forged, at);
+
+        let sb = s.sack.as_ref().unwrap();
+        assert_eq!(s.high_ack, 1);
+        // Exactly what was in flight when the forgery arrived — never
+        // more than `max_seq_sent - high_ack`.
+        assert_eq!(sb.sacked.len(), sent_before - s.high_ack);
+        assert_eq!(sb.sacked.highest(), Some(sent_before - 1));
+        // The sender carries on with new data from where it was.
+        assert!(out.iter().all(|(_, p)| p.seq >= sent_before));
+        assert!(out.len() as f64 <= s.cwnd());
+    }
+
+    /// The scoreboard's cost is its hole count: 5 489 SACKed sequences
+    /// around eleven holes are eleven runs, and `pipe` / `next_hole` only
+    /// ever walk runs.
+    #[test]
+    fn scoreboard_size_is_holes_not_sequences() {
+        let mut sb = SackState::new();
+        let high_ack = 100;
+        // Holes at 100 (the stuck cumulative ACK), then one every 500.
+        let mut blocks = Vec::new();
+        for k in 0..11u64 {
+            blocks.push((high_ack + 1 + 500 * k, high_ack + 500 * (k + 1)));
+        }
+        let next_seq = high_ack + 500 * 11 + 40;
+        assert!(sb.absorb(blocks.iter().copied(), high_ack, next_seq));
+        assert!(!sb.absorb(blocks.iter().copied(), high_ack, next_seq));
+        assert_eq!(sb.sacked.runs().len(), 11);
+        assert_eq!(sb.sacked.len(), 11 * 499);
+
+        sb.recovery_point = Some(next_seq);
+        sb.rtx_next = high_ack;
+        let holes: Vec<u64> = std::iter::from_fn(|| {
+            let hole = sb.next_hole(high_ack)?;
+            sb.rtx_next = hole + 1;
+            Some(hole)
+        })
+        .take(12)
+        .collect();
+        let mut want: Vec<u64> = (0..11).map(|k| high_ack + 500 * k).collect();
+        want.push(high_ack + 500 * 11); // first never-SACKed sequence
+        assert_eq!(holes, want);
+
+        // Outstanding 5 540, SACKed 5 489; with every hole below the
+        // highest SACK already retransmitted, only the unSACKed tail and
+        // the retransmissions' slots remain in the pipe.
+        sb.rtx_next = high_ack + 500 * 11;
+        assert_eq!(sb.pipe(next_seq, high_ack), 5_540 - 5_489);
+        sb.rtx_next = high_ack;
+        assert_eq!(sb.pipe(next_seq, high_ack), 5_540 - 5_489 - 11);
+
+        // A cumulative ACK into the middle of a run trims, not rebuilds.
+        sb.on_cumulative_ack(high_ack + 750);
+        assert_eq!(sb.sacked.runs().len(), 10);
+        assert_eq!(sb.sacked.runs()[0], (high_ack + 750, high_ack + 1_000));
     }
 
     #[test]

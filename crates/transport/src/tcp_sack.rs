@@ -135,7 +135,8 @@ mod tests {
         t.high_ack = 2;
         let sb: &mut SackState = t.sack.as_mut().unwrap();
         sb.rtx_next = 2;
-        sb.sacked.extend([4u64, 5, 7]);
+        sb.sacked.insert_range(4, 6);
+        sb.sacked.insert(7);
         // Outstanding 8, SACKed 3; highest SACK = 7, so seqs in [2, 5) with
         // 3 SACKed above and unsacked ({2, 3}) are judged lost: pipe = 3.
         assert_eq!(sb.pipe(10, 2), 8 - 3 - 2);

@@ -74,47 +74,42 @@ impl LossHistory {
         new_event
     }
 
-    /// Closed loss intervals in packets, most recent first (up to 8).
-    fn intervals(&self, highest_seq: u64) -> (Vec<f64>, f64) {
-        let n = self.event_starts.len();
-        let mut closed = Vec::with_capacity(8);
-        for i in (1..n).rev().take(8) {
-            closed.push((self.event_starts[i] - self.event_starts[i - 1]) as f64);
+    /// The open interval followed by the closed loss intervals, most recent
+    /// first, in packets: `buf[0]` is the open one, `buf[1..=n]` the `n ≤ 8`
+    /// closed ones; `None` before the first loss event. On the stack — this
+    /// runs for every feedback packet.
+    fn intervals(&self, highest_seq: u64) -> Option<([f64; 9], usize)> {
+        let starts = &self.event_starts;
+        let mut buf = [0.0; 9];
+        buf[0] = highest_seq.saturating_sub(*starts.last()?) as f64;
+        let mut n = 0;
+        for i in (1..starts.len()).rev().take(8) {
+            n += 1;
+            buf[n] = (starts[i] - starts[i - 1]) as f64;
         }
-        let open = if n == 0 {
-            0.0
-        } else {
-            (highest_seq.saturating_sub(self.event_starts[n - 1])) as f64
-        };
-        (closed, open)
+        Some((buf, n))
     }
 
     /// WALI loss-event rate estimate (0 if no loss yet).
     fn loss_event_rate(&self, highest_seq: u64) -> f64 {
-        if self.event_starts.is_empty() {
+        let Some((buf, n)) = self.intervals(highest_seq) else {
             return 0.0;
-        }
-        let (closed, open) = self.intervals(highest_seq);
+        };
         let avg = |ints: &[f64]| -> f64 {
             if ints.is_empty() {
                 return 0.0;
             }
             let mut num = 0.0;
             let mut den = 0.0;
-            for (i, v) in ints.iter().enumerate().take(8) {
-                num += WALI_WEIGHTS[i] * v;
-                den += WALI_WEIGHTS[i];
+            for (w, v) in WALI_WEIGHTS.iter().zip(ints) {
+                num += w * v;
+                den += w;
             }
             num / den
         };
         // Average of closed intervals vs. average including the open one as
         // most recent: take the larger mean interval (smaller p).
-        let a = avg(&closed);
-        let mut with_open = Vec::with_capacity(closed.len() + 1);
-        with_open.push(open);
-        with_open.extend_from_slice(&closed);
-        let b = avg(&with_open);
-        let mean = a.max(b).max(1.0);
+        let mean = avg(&buf[1..=n]).max(avg(&buf[..=n])).max(1.0);
         1.0 / mean
     }
 }
@@ -464,6 +459,63 @@ mod tests {
         assert_eq!(h.loss_event_rate(1000), 0.0);
     }
 
+    /// The WALI estimate as it was computed with two heap `Vec`s per call;
+    /// the stack-array version must reproduce it to the bit.
+    fn loss_event_rate_with_vecs(starts: &[u64], highest_seq: u64) -> f64 {
+        let n = starts.len();
+        if n == 0 {
+            return 0.0;
+        }
+        let closed: Vec<f64> = (1..n)
+            .rev()
+            .take(8)
+            .map(|i| (starts[i] - starts[i - 1]) as f64)
+            .collect();
+        let open = highest_seq.saturating_sub(starts[n - 1]) as f64;
+        let avg = |ints: &[f64]| -> f64 {
+            if ints.is_empty() {
+                return 0.0;
+            }
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for (i, v) in ints.iter().enumerate().take(8) {
+                num += WALI_WEIGHTS[i] * v;
+                den += WALI_WEIGHTS[i];
+            }
+            num / den
+        };
+        let mut with_open = vec![open];
+        with_open.extend_from_slice(&closed);
+        1.0 / avg(&closed).max(avg(&with_open)).max(1.0)
+    }
+
+    #[test]
+    fn stack_wali_is_bit_equal_to_the_vec_formula() {
+        use lossburst_testkit::sweep::{sweep, RngExt};
+        let rtt = SimDuration::from_millis(10);
+        sweep(0x7F2C, 200, |case, gen| {
+            // 0 and 1 events have no closed interval, 8 has seven, 16 fills
+            // the history (eight weighted, the rest ignored).
+            let events = [0usize, 1, 8, 16][case as usize % 4];
+            let mut h = LossHistory::default();
+            let mut seq = gen.random_range(0..1_000u64);
+            for k in 0..events {
+                let at = SimTime::ZERO + SimDuration::from_millis(100 * (k as u64 + 1));
+                assert!(h.on_loss(seq, at, rtt));
+                seq += gen.random_range(1..5_000u64);
+            }
+            // Below the last event (the open interval saturates to 0),
+            // shortly past it, and far past it.
+            for highest in [0, seq, seq + gen.random_range(0..100_000u64)] {
+                assert_eq!(
+                    h.loss_event_rate(highest).to_bits(),
+                    loss_event_rate_with_vecs(&h.event_starts, highest).to_bits(),
+                    "case {case}: {events} events, highest_seq {highest}"
+                );
+            }
+        });
+    }
+
     fn duplex_net(rate_bps: f64, buffer: usize) -> (Simulator, NodeId, NodeId) {
         let mut bld = SimBuilder::new(21).trace(TraceConfig::all());
         let a = bld.host();
@@ -541,9 +593,9 @@ mod tests {
         h.on_loss(0, SimTime::ZERO + SimDuration::from_millis(100), rtt);
         h.on_loss(100, SimTime::ZERO + SimDuration::from_millis(300), rtt);
         h.on_loss(150, SimTime::ZERO + SimDuration::from_millis(500), rtt);
-        let (closed, open) = h.intervals(160);
-        assert_eq!(closed, vec![50.0, 100.0]);
-        assert_eq!(open, 10.0);
+        let (buf, n) = h.intervals(160).unwrap();
+        assert_eq!(buf[0], 10.0, "open interval leads");
+        assert_eq!(buf[1..=n], [50.0, 100.0]);
     }
 
     #[test]
