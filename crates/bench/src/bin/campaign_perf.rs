@@ -34,7 +34,7 @@ use lossburst_analysis::burstiness;
 use lossburst_analysis::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use lossburst_analysis::poisson;
 use lossburst_inet::path::PathScenario;
-use lossburst_inet::probe::{run_probe, ProbeConfig};
+use lossburst_inet::probe::{run_probe_streaming, ProbeConfig};
 use lossburst_inet::sites::all_directed_pairs;
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
@@ -114,7 +114,7 @@ fn inet_skewed(
                 seed: seed ^ ((src as u64) << 32 | dst as u64),
                 background: BackgroundMode::Packet,
             };
-            let out = run_probe(&scenario, &probe);
+            let out = run_probe_streaming(&scenario, &probe);
             let mut h = FNV_SEED;
             fnv(&mut h, out.sent);
             fnv(&mut h, out.received);

@@ -27,10 +27,9 @@
 //! the fluid-mode wall time — how fast the hybrid run chews through
 //! packet-equivalent work. `--quick` caps the sweep at N=500 for CI.
 
-use lossburst_analysis::intervals::normalized_intervals;
 use lossburst_core::campaign::LossStudy;
 use lossburst_inet::path::{LoadTier, PathScenario};
-use lossburst_inet::probe::{run_probe, ProbeConfig, ProbeOutcome};
+use lossburst_inet::probe::{run_probe_streaming, ProbeConfig, StreamProbeOutcome};
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
@@ -81,7 +80,7 @@ fn scaled_path(n_flows: usize) -> PathScenario {
 /// One mode's run at one scale.
 struct ModeRun {
     wall_secs: f64,
-    out: ProbeOutcome,
+    out: StreamProbeOutcome,
     study: LossStudy,
 }
 
@@ -94,12 +93,9 @@ fn run_mode(n_flows: usize, duration: SimDuration, seed: u64, mode: BackgroundMo
         background: mode,
     };
     let t0 = Instant::now();
-    let out = run_probe(&scaled_path(n_flows), &cfg);
+    let out = run_probe_streaming(&scaled_path(n_flows), &cfg);
     let wall_secs = t0.elapsed().as_secs_f64();
-    let study = LossStudy::from_intervals(
-        "hybrid-perf",
-        normalized_intervals(&out.loss_times, RTT_SECS),
-    );
+    let study = LossStudy::from_intervals("hybrid-perf", out.intervals_rtt.clone());
     ModeRun {
         wall_secs,
         out,

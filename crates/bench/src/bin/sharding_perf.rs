@@ -39,7 +39,7 @@ fn config(seed: u64, paths: usize) -> (CampaignConfig, SupervisorConfig) {
 /// Worker mode: run one shard of one leg, then exit.
 fn worker(spec: ShardSpec, seed: u64, paths: usize, dir: &Path) {
     let (cfg, sup) = config(seed, paths);
-    run_shard(&cfg, &sup, spec, dir).expect("shard worker failed");
+    run_shard_streaming(&cfg, &sup, spec, dir).expect("shard worker failed");
 }
 
 struct Leg {
@@ -80,12 +80,12 @@ fn run_leg(seed: u64, paths: usize, shards: usize, scratch: &Path) -> Leg {
     let workers_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let merge = merge_shards(&cfg, &dir, shards).expect("merge failed");
+    let merge = merge_shards_streaming(&cfg, &dir, shards).expect("merge failed");
     let merge_secs = t1.elapsed().as_secs_f64();
     assert_eq!(merge.records, paths, "merge must cover every path");
 
     let t2 = Instant::now();
-    let campaign = collect_campaign(&cfg, &sup, &dir).expect("collect failed");
+    let campaign = collect_campaign_streaming(&cfg, &sup, &dir).expect("collect failed");
     let collect_secs = t2.elapsed().as_secs_f64();
     let counts = campaign.counts();
     assert_eq!(counts.ok, paths, "every path must finish Ok: {counts:?}");

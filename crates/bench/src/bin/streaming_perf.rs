@@ -1,15 +1,9 @@
 //! `streaming_perf` — buffered-batch vs streaming loss-analysis benchmark.
 //!
-//! Two workloads, each at a quick (CI smoke) and a full scale:
+//! One workload, at a quick (CI smoke) and a full scale:
 //!
-//! * `campaign` — the end-to-end Internet measurement campaign
-//!   ([`run_campaign`] vs [`run_campaign_streaming`], identical seeds, so
-//!   identical simulations). The packet-level simulator dominates wall
-//!   time here, so the streaming win is mostly *memory*: the batch
-//!   pipeline's arrival logs and trace buffers grow linearly in run
-//!   duration while the streaming pipeline's state is O(losses).
-//! * `trace-pipeline` — the measurement *pipeline* itself at the paper's
-//!   full campaign trace volume (650 directed paths, 5-minute runs):
+//! * `trace-pipeline` — the measurement *pipeline* at the paper's full
+//!   campaign trace volume (650 directed paths, 5-minute runs):
 //!   deterministic bursty loss records replayed through the production
 //!   [`TraceSet`] dispatch on both sides. The batch side buffers
 //!   `LossRecord`s and runs the repo's real multi-pass analysis
@@ -17,17 +11,19 @@
 //!   windowed-count autocorrelation, pooled re-analysis — several
 //!   allocating passes, some re-sorting); the streaming side attaches a
 //!   [`TraceSink`] that folds every record into [`LossStreamStats`] in a
-//!   single pass with O(bins + lags) state. This isolates the cost the
-//!   sink layer removes, which the simulator masks in the `campaign`
-//!   workload.
+//!   single pass with O(bins + lags) state. This is the layer where both
+//!   forms still exist: the batch analysis functions are the reference
+//!   implementation the accumulators are tested against.
 //!
-//! Both workloads assert the two pipelines agree: identical loss
-//! accounting and histogram bins, summary statistics within 1e-9. Results
-//! go to `BENCH_STREAMING.json` (override with `--out PATH`). The
-//! headline `speedup` is the trace-pipeline workload's full-scale
-//! end-to-end (replay + analysis) ratio; `campaign_speedup` reports the
-//! simulator-bound campaign ratio alongside it. `--quick` runs only the
-//! quick scales.
+//! (The simulator-bound `campaign` workload this bin used to time — the
+//! buffered campaign driver against the sink-driven one — went away with
+//! the buffered driver; its last measurements are kept in EXPERIMENTS.md.)
+//!
+//! The workload asserts the two pipelines agree: identical loss accounting
+//! and histogram bins, summary statistics within 1e-9. Results go to
+//! `BENCH_STREAMING.json` (override with `--out PATH`). The headline
+//! `speedup` is the largest scale's end-to-end (replay + analysis) ratio.
+//! `--quick` runs only the quick scale.
 
 use lossburst_analysis::autocorr::autocorrelation;
 use lossburst_analysis::burstiness::{self, counts_in_windows, BurstinessReport};
@@ -36,8 +32,6 @@ use lossburst_analysis::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use lossburst_analysis::intervals::normalized_intervals;
 use lossburst_analysis::poisson;
 use lossburst_analysis::streaming::LossStreamStats;
-use lossburst_inet::campaign::{run_campaign, run_campaign_streaming, CampaignConfig};
-use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::packet::{FlowId, LinkId};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::trace::{LossRecord, TraceConfig, TraceSet, TraceSink};
@@ -59,7 +53,7 @@ const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// One pipeline's run of one workload scale.
 struct PipeRun {
     wall_secs: f64,
-    /// Campaign: simulator events. Trace-pipeline: loss records replayed.
+    /// Loss records replayed.
     events: u64,
     peak_bytes: usize,
     /// Fingerprint over the exact per-path loss accounting.
@@ -112,83 +106,7 @@ fn check_agreement(name: &str, batch: &PipeRun, stream: &PipeRun) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Workload A: the simulator-bound Internet campaign.
-// ---------------------------------------------------------------------------
-
-fn campaign_batch(cfg: &CampaignConfig) -> PipeRun {
-    let t0 = Instant::now();
-    let res = run_campaign(cfg);
-    // End-to-end: the campaign's product is the pooled burstiness report.
-    let report = burstiness::analyze(&res.intervals_rtt);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let mut h = FNV_SEED;
-    let mut events = 0u64;
-    let mut path_reports = Vec::with_capacity(res.measurements.len());
-    for m in &res.measurements {
-        for out in [&m.small, &m.large] {
-            fnv(&mut h, out.sent);
-            fnv(&mut h, out.received);
-            fnv(&mut h, out.lost.len() as u64);
-            fnv(&mut h, out.loss_rate.to_bits());
-            events += out.events;
-        }
-        fnv(&mut h, m.validated as u64);
-        path_reports.push(burstiness::analyze(&m.small.intervals_rtt));
-    }
-    for &iv in &res.intervals_rtt {
-        fnv(&mut h, iv.to_bits());
-    }
-    PipeRun {
-        wall_secs,
-        events,
-        peak_bytes: res.peak_trace_bytes,
-        fingerprint: h,
-        report,
-        path_reports,
-    }
-}
-
-fn campaign_streaming(cfg: &CampaignConfig) -> PipeRun {
-    let t0 = Instant::now();
-    let res = run_campaign_streaming(cfg);
-    let report = res.pooled.report();
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let mut h = FNV_SEED;
-    let mut events = 0u64;
-    let mut path_reports = Vec::with_capacity(res.measurements.len());
-    for m in &res.measurements {
-        for out in [&m.small, &m.large] {
-            fnv(&mut h, out.sent);
-            fnv(&mut h, out.received);
-            fnv(&mut h, out.n_lost as u64);
-            fnv(&mut h, out.loss_rate.to_bits());
-            events += out.events;
-        }
-        fnv(&mut h, m.validated as u64);
-        path_reports.push(m.small.stats.report());
-    }
-    for m in &res.measurements {
-        if m.validated {
-            for &iv in &m.small.intervals_rtt {
-                fnv(&mut h, iv.to_bits());
-            }
-            for &iv in &m.large.intervals_rtt {
-                fnv(&mut h, iv.to_bits());
-            }
-        }
-    }
-    PipeRun {
-        wall_secs,
-        events,
-        peak_bytes: res.peak_trace_bytes,
-        fingerprint: h,
-        report,
-        path_reports,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workload B: the trace pipeline at paper campaign trace volume.
+// The trace pipeline at paper campaign trace volume.
 // ---------------------------------------------------------------------------
 
 /// One synthetic path: deterministic RTT, loss rate, and record stream.
@@ -447,9 +365,9 @@ fn pipeline_run(
 // Reporting.
 // ---------------------------------------------------------------------------
 
-fn json_pipe(run: &PipeRun, rate_label: &str) -> String {
+fn json_pipe(run: &PipeRun) -> String {
     format!(
-        "{{ \"wall_ms\": {:.1}, \"{rate_label}\": {:.0}, \"peak_bytes\": {} }}",
+        "{{ \"wall_ms\": {:.1}, \"records_per_sec\": {:.0}, \"peak_bytes\": {} }}",
         run.wall_secs * 1e3,
         run.events as f64 / run.wall_secs,
         run.peak_bytes,
@@ -462,16 +380,16 @@ struct ScaleReport {
     bytes_ratio: f64,
 }
 
+const WORKLOAD: &str = "trace-pipeline";
+
 fn digest_scale(
-    workload: &str,
     scale: &str,
     detail: &str,
-    rate_label: &str,
     batch: PipeRun,
     stream: PipeRun,
     extra_delta: f64,
 ) -> ScaleReport {
-    let delta = check_agreement(&format!("{workload}/{scale}"), &batch, &stream).max(extra_delta);
+    let delta = check_agreement(&format!("{WORKLOAD}/{scale}"), &batch, &stream).max(extra_delta);
     let speedup = batch.wall_secs / stream.wall_secs;
     let bytes_ratio = if stream.peak_bytes > 0 {
         batch.peak_bytes as f64 / stream.peak_bytes as f64
@@ -479,7 +397,7 @@ fn digest_scale(
         f64::INFINITY
     };
     println!(
-        "# {workload:<14} {scale:<5} batch {:>8.0} ms, peak {:>11} B | streaming {:>8.0} ms, peak {:>9} B | speedup {:.2}x, bytes {:.1}x, max delta {:.1e}",
+        "# {WORKLOAD:<14} {scale:<5} batch {:>8.0} ms, peak {:>11} B | streaming {:>8.0} ms, peak {:>9} B | speedup {:.2}x, bytes {:.1}x, max delta {:.1e}",
         batch.wall_secs * 1e3,
         batch.peak_bytes,
         stream.wall_secs * 1e3,
@@ -489,34 +407,15 @@ fn digest_scale(
         delta,
     );
     let json = format!(
-        "    {{ \"workload\": \"{workload}\", \"scale\": \"{scale}\", \"detail\": \"{detail}\",\n      \"batch\": {},\n      \"streaming\": {},\n      \"speedup\": {speedup:.3}, \"peak_bytes_ratio\": {bytes_ratio:.1}, \"max_stat_delta\": {delta:.3e} }}",
-        json_pipe(&batch, rate_label),
-        json_pipe(&stream, rate_label),
+        "    {{ \"workload\": \"{WORKLOAD}\", \"scale\": \"{scale}\", \"detail\": \"{detail}\",\n      \"batch\": {},\n      \"streaming\": {},\n      \"speedup\": {speedup:.3}, \"peak_bytes_ratio\": {bytes_ratio:.1}, \"max_stat_delta\": {delta:.3e} }}",
+        json_pipe(&batch),
+        json_pipe(&stream),
     );
     ScaleReport {
         json,
         speedup,
         bytes_ratio,
     }
-}
-
-fn bench_campaign(scale: &str, cfg: &CampaignConfig) -> ScaleReport {
-    let batch = campaign_batch(cfg);
-    let stream = campaign_streaming(cfg);
-    digest_scale(
-        "campaign",
-        scale,
-        &format!(
-            "{} simulated paths, {:.0} pps paired probes, {:.0} s runs (simulator-bound)",
-            cfg.n_paths,
-            cfg.probe_pps,
-            cfg.duration.as_secs_f64()
-        ),
-        "events_per_sec",
-        batch,
-        stream,
-        0.0,
-    )
 }
 
 fn bench_pipeline(scale: &str, n_paths: usize, duration_secs: f64, seed: u64) -> ScaleReport {
@@ -532,12 +431,10 @@ fn bench_pipeline(scale: &str, n_paths: usize, duration_secs: f64, seed: u64) ->
         extra = extra.max(path_products_delta(b, s));
     }
     digest_scale(
-        "trace-pipeline",
         scale,
         &format!(
             "{n_paths} replayed paths x {duration_secs:.0} s bursty loss records through TraceSet; batch buffers + multi-pass analysis vs sink + single-pass accumulators"
         ),
-        "records_per_sec",
         batch,
         stream,
         extra,
@@ -584,58 +481,21 @@ fn main() {
     println!("# streaming vs buffered-batch loss analysis");
     println!("# threads {threads} (LOSSBURST_THREADS), host cpus {host_cpus}, seed {seed}");
 
-    let quick_campaign = CampaignConfig {
-        seed,
-        n_paths: 4,
-        probe_pps: 2000.0,
-        duration: SimDuration::from_secs(12),
-        background: BackgroundMode::Packet,
-    };
-    // Full campaign: the paper's 5-minute paired runs on a path subset —
-    // long enough that the batch pipeline's O(packets) buffers dwarf the
-    // streaming pipeline's O(losses) state.
-    let full_campaign = CampaignConfig {
-        seed,
-        n_paths: 8,
-        probe_pps: 2000.0,
-        duration: SimDuration::from_secs(300),
-        background: BackgroundMode::Packet,
-    };
-
-    let mut entries = Vec::new();
-    entries.push(bench_campaign("quick", &quick_campaign));
-    let pipeline_quick = bench_pipeline("quick", 64, 60.0, seed);
-    let campaign_speedup;
-    let pipeline;
-    if quick {
-        campaign_speedup = entries[0].speedup;
-        entries.push(pipeline_quick);
-        pipeline = entries.len() - 1;
-    } else {
-        let full = bench_campaign("full", &full_campaign);
-        campaign_speedup = full.speedup;
-        entries.push(full);
-        entries.push(pipeline_quick);
+    let mut entries = vec![bench_pipeline("quick", 64, 60.0, seed)];
+    if !quick {
         // Paper-full trace volume: 650 directed paths, 5-minute runs.
         entries.push(bench_pipeline("full", 650, 300.0, seed));
-        pipeline = entries.len() - 1;
     }
-    let speedup = entries[pipeline].speedup;
-    let bytes_ratio = entries[pipeline].bytes_ratio;
-    let campaign_bytes_ratio = if quick {
-        entries[0].bytes_ratio
-    } else {
-        entries[1].bytes_ratio
-    };
+    let largest = entries.last().expect("at least the quick scale ran");
+    let speedup = largest.speedup;
+    let bytes_ratio = largest.bytes_ratio;
 
     let prov = lossburst_bench::provenance::capture().json_fields();
     let scales_json: Vec<String> = entries.iter().map(|r| r.json.clone()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"streaming\",\n  \"seed\": {seed},\n  {prov},\n  \"pipelines\": [\"batch\", \"streaming\"],\n  \"speedup_metric\": \"trace-pipeline workload, largest scale run: buffered TraceSet + multi-pass batch analysis vs TraceSink + single-pass accumulators, end to end (replay + analysis)\",\n  \"campaign_speedup_metric\": \"simulated campaign, largest scale run: identical event loops, so the delta is trace buffering + post-processing only\",\n  \"peak_bytes_metric\": \"largest simultaneous buffer commitment: per-path trace/receiver/analysis buffers at their max plus pooled materialization\",\n  \"workloads\": [\n{}\n  ],\n  \"speedup\": {speedup:.3},\n  \"trace_bytes_ratio\": {bytes_ratio:.1},\n  \"campaign_speedup\": {campaign_speedup:.3},\n  \"campaign_trace_bytes_ratio\": {campaign_bytes_ratio:.1}\n}}\n",
+        "{{\n  \"bench\": \"streaming\",\n  \"seed\": {seed},\n  {prov},\n  \"pipelines\": [\"batch\", \"streaming\"],\n  \"speedup_metric\": \"trace-pipeline workload, largest scale run: buffered TraceSet + multi-pass batch analysis vs TraceSink + single-pass accumulators, end to end (replay + analysis)\",\n  \"peak_bytes_metric\": \"largest simultaneous buffer commitment: per-path trace/analysis buffers at their max plus pooled materialization\",\n  \"workloads\": [\n{}\n  ],\n  \"speedup\": {speedup:.3},\n  \"trace_bytes_ratio\": {bytes_ratio:.1}\n}}\n",
         scales_json.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("cannot write results file");
-    println!(
-        "# wrote {out_path} (trace-pipeline speedup {speedup:.2}x / bytes {bytes_ratio:.1}x; campaign speedup {campaign_speedup:.2}x / bytes {campaign_bytes_ratio:.1}x)"
-    );
+    println!("# wrote {out_path} (trace-pipeline speedup {speedup:.2}x / bytes {bytes_ratio:.1}x)");
 }

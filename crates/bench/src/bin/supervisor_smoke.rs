@@ -36,7 +36,7 @@ fn parse_args() -> (PathBuf, u64) {
     (out, seed)
 }
 
-fn dump(run: &SupervisedCampaign) -> String {
+fn dump(run: &SupervisedStreamCampaign) -> String {
     let mut s = String::new();
     for e in &run.ledger {
         s.push_str(&format!("{} {:?}\n", e.index, e.outcome));
@@ -45,7 +45,7 @@ fn dump(run: &SupervisedCampaign) -> String {
         s.push_str(&m.encode());
         s.push('\n');
     }
-    for iv in &run.result.intervals_rtt {
+    for iv in run.result.intervals_rtt() {
         s.push_str(&format!("{:016x} ", iv.to_bits()));
     }
     s
@@ -82,7 +82,7 @@ fn main() {
     // readable while the campaign runs.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let run = run_campaign_supervised(&cfg, &sup);
+    let run = run_grid_streaming_supervised(&cfg, &sup);
     std::panic::set_hook(prev_hook);
     let run = run.expect("supervised campaign");
     for e in &run.ledger {
@@ -126,13 +126,13 @@ fn main() {
         "partial results cover the surviving paths"
     );
     assert!(
-        !run.result.intervals_rtt.is_empty(),
+        !run.result.intervals_rtt().is_empty(),
         "surviving paths still pool intervals for Fig 4"
     );
 
     // Resume from the checkpoint the run just wrote: everything restores,
     // nothing re-measures, and the product is byte-identical.
-    let resumed = run_campaign_supervised(&cfg, &sup).expect("resumed campaign");
+    let resumed = run_grid_streaming_supervised(&cfg, &sup).expect("resumed campaign");
     assert_eq!(resumed.restored, cfg.n_paths, "all paths restored");
     assert_eq!(dump(&resumed), dump(&run), "resume is byte-identical");
 
@@ -151,7 +151,7 @@ fn main() {
             counts.failed,
             run.result.validated,
             run.result.rejected,
-            run.result.intervals_rtt.len()
+            run.result.intervals_rtt().len()
         ),
     )
     .expect("write summary");

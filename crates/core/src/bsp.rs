@@ -43,8 +43,8 @@
 //!
 //! Worker `w`'s path alternatives are grid indices `w·MAX_ALTS + a` of the
 //! campaign [`GridSample`] — the identical identity rule
-//! `try_measure_path_grid` uses — and every random draw comes from a
-//! stream keyed by `(seed, superstep, worker, alt)` coordinates alone.
+//! `try_measure_path_grid_streaming` uses — and every random draw comes
+//! from a stream keyed by `(seed, superstep, worker, alt)` coordinates alone.
 //! Striping workers across shards therefore reproduces the 1-shard run
 //! byte-for-byte at any shard count; `run_superstep_sharded` and the
 //! `bsp_study` multi-process driver both rely on this.

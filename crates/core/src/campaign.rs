@@ -3,15 +3,16 @@
 //! RTT-normalized inter-loss intervals, their PDF on the paper's geometry,
 //! the rate-matched Poisson reference, and the burstiness report.
 
+use crate::supervisor::{LabCellRecord, PathFailure};
 use lossburst_analysis::burstiness::{self, BurstinessReport};
 use lossburst_analysis::histogram::Histogram;
 use lossburst_analysis::intervals;
 use lossburst_analysis::poisson;
-use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_emu::clock::ClockModel;
 use lossburst_emu::testbed::{self, TestbedConfig};
-use lossburst_inet::campaign::{run_campaign, run_campaign_streaming, CampaignConfig};
+use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig};
 use lossburst_netsim::fluid::BackgroundMode;
+use lossburst_netsim::sim::RunLimits;
 use lossburst_netsim::time::SimDuration;
 use lossburst_transport::cc::CcAlgorithm;
 
@@ -161,108 +162,57 @@ pub fn lab_cells(cfg: &LabCampaignConfig) -> Vec<(usize, usize, u64)> {
     cells
 }
 
+/// Run cell `index` of [`lab_cells`]: one sink-driven testbed run under
+/// `limits`, reduced to the RTT-normalized intervals it pools. The plain
+/// and the supervised lab sweeps both measure through this function, so a
+/// cell is the same experiment whichever sweep runs it.
+pub fn lab_cell(
+    cfg: &LabCampaignConfig,
+    dummynet: bool,
+    index: usize,
+    limits: RunLimits,
+) -> Result<LabCellRecord, PathFailure> {
+    let (flows, buffer, seed) = lab_cells(cfg)[index];
+    let mut tb = if dummynet {
+        TestbedConfig::dummynet_baseline(flows, buffer, seed)
+    } else {
+        TestbedConfig::ns2_baseline(flows, buffer, seed)
+    };
+    tb.duration = cfg.duration;
+    tb.background = cfg.background;
+    tb.cc = cfg.cc;
+    let res = testbed::run_streaming_limited(&tb, limits)?;
+    let rtt = res.mean_rtt.as_secs_f64();
+    Ok(LabCellRecord {
+        intervals_rtt: intervals::normalized_intervals(&res.loss_times, rtt),
+        trace_bytes: res.trace_bytes,
+    })
+}
+
+/// The lab sweeps' campaign label.
+pub(crate) fn lab_label(dummynet: bool) -> &'static str {
+    if dummynet {
+        "dummynet"
+    } else {
+        "ns2"
+    }
+}
+
 fn run_lab(cfg: &LabCampaignConfig, dummynet: bool) -> LossStudy {
     use rayon::prelude::*;
     // One independent, seeded cell per (flow count, buffer); cells fan out
     // over the persistent worker pool and land in input-order result
     // slots, so the pooled result is identical to a serial run.
-    let cells = lab_cells(cfg);
-    let per_cell: Vec<Vec<f64>> = cells
-        .par_iter()
-        .map(|&(flows, buffer, seed)| {
-            let mut tb = if dummynet {
-                TestbedConfig::dummynet_baseline(flows, buffer, seed)
-            } else {
-                TestbedConfig::ns2_baseline(flows, buffer, seed)
-            };
-            tb.duration = cfg.duration;
-            tb.background = cfg.background;
-            tb.cc = cfg.cc;
-            let res = testbed::run(&tb);
-            let rtt = res.mean_rtt.as_secs_f64();
-            intervals::normalized_intervals(&res.loss_times, rtt)
+    let per_cell: Vec<Vec<f64>> = (0..lab_cells(cfg).len())
+        .into_par_iter()
+        .map(|i| {
+            lab_cell(cfg, dummynet, i, RunLimits::NONE)
+                .expect("unlimited run cannot exhaust")
+                .intervals_rtt
         })
         .collect();
     let all_intervals: Vec<f64> = per_cell.into_iter().flatten().collect();
-    LossStudy::from_intervals(if dummynet { "dummynet" } else { "ns2" }, all_intervals)
-}
-
-/// A campaign's analysis product when produced by the streaming pipeline:
-/// one pooled constant-size accumulator instead of the pooled interval
-/// vector plus derived tables. The accessors mirror [`LossStudy`]'s
-/// fields; values agree with the batch study on the same configuration.
-#[derive(Debug)]
-pub struct StreamLossStudy {
-    /// Campaign label ("ns2", "dummynet", "internet").
-    pub label: String,
-    /// Pooled online statistics over every run's normalized intervals, fed
-    /// in the batch pipeline's pooling order.
-    pub stats: LossStreamStats,
-    /// Largest per-run buffer commitment observed across the campaign —
-    /// what a worker actually holds with trace buffering off.
-    pub peak_trace_bytes: usize,
-}
-
-impl StreamLossStudy {
-    /// Burstiness metrics — [`LossStudy::report`]'s twin.
-    pub fn report(&self) -> BurstinessReport {
-        self.stats.report()
-    }
-
-    /// PDF histogram on the paper's geometry.
-    pub fn histogram(&self) -> &Histogram {
-        self.stats.histogram()
-    }
-
-    /// Rate-matched Poisson reference PDF over the same bins.
-    pub fn poisson_pdf(&self) -> Vec<f64> {
-        self.stats.poisson_pdf()
-    }
-
-    /// Number of loss episodes at the accumulator's configured gap
-    /// (default 1 RTT — the `EPISODE_GAP_RTT` the golden fixtures use).
-    pub fn episode_count(&self) -> usize {
-        self.stats.episode_count()
-    }
-}
-
-fn run_lab_streaming(cfg: &LabCampaignConfig, dummynet: bool) -> StreamLossStudy {
-    use rayon::prelude::*;
-    let cells = lab_cells(cfg);
-    let per_cell: Vec<(Vec<f64>, usize)> = cells
-        .par_iter()
-        .map(|&(flows, buffer, seed)| {
-            let mut tb = if dummynet {
-                TestbedConfig::dummynet_baseline(flows, buffer, seed)
-            } else {
-                TestbedConfig::ns2_baseline(flows, buffer, seed)
-            };
-            tb.duration = cfg.duration;
-            tb.background = cfg.background;
-            tb.cc = cfg.cc;
-            let res = testbed::run_streaming(&tb);
-            let rtt = res.mean_rtt.as_secs_f64();
-            (
-                intervals::normalized_intervals(&res.loss_times, rtt),
-                res.trace_bytes,
-            )
-        })
-        .collect();
-    // rtt = 1.0: per-cell intervals are already RTT-normalized. Feeding
-    // them in flattened cell order replicates the batch pooling exactly.
-    let mut pooled = LossStreamStats::with_rtt(1.0);
-    let mut peak_trace_bytes = 0;
-    for (cell, trace_bytes) in per_cell {
-        peak_trace_bytes = peak_trace_bytes.max(trace_bytes);
-        for iv in cell {
-            pooled.push_interval(iv);
-        }
-    }
-    StreamLossStudy {
-        label: (if dummynet { "dummynet" } else { "ns2" }).to_string(),
-        stats: pooled,
-        peak_trace_bytes,
-    }
+    LossStudy::from_intervals(lab_label(dummynet), all_intervals)
 }
 
 /// The NS-2 simulation campaign (Fig 2): ideal DropTail bottleneck, random
@@ -280,32 +230,8 @@ pub fn dummynet_study(cfg: &LabCampaignConfig) -> LossStudy {
 /// The Internet campaign (Fig 4): CBR probes over synthetic heterogeneous
 /// paths with paired-packet-size validation.
 pub fn internet_study(cfg: &CampaignConfig) -> LossStudy {
-    let res = run_campaign(cfg);
-    LossStudy::from_intervals("internet", res.intervals_rtt)
-}
-
-/// [`ns2_study`] through the streaming pipeline: every cell runs with
-/// trace buffering off and per-event analysis, then pools into one
-/// constant-size accumulator.
-pub fn ns2_study_streaming(cfg: &LabCampaignConfig) -> StreamLossStudy {
-    run_lab_streaming(cfg, false)
-}
-
-/// [`dummynet_study`] through the streaming pipeline.
-pub fn dummynet_study_streaming(cfg: &LabCampaignConfig) -> StreamLossStudy {
-    run_lab_streaming(cfg, true)
-}
-
-/// [`internet_study`] through the streaming pipeline: probes detect losses
-/// online (no arrival logs, no trace buffers) and validated paths pool
-/// into one accumulator.
-pub fn internet_study_streaming(cfg: &CampaignConfig) -> StreamLossStudy {
     let res = run_campaign_streaming(cfg);
-    StreamLossStudy {
-        label: "internet".to_string(),
-        stats: res.pooled,
-        peak_trace_bytes: res.peak_trace_bytes,
-    }
+    LossStudy::from_intervals("internet", res.intervals_rtt())
 }
 
 /// Expose the Dummynet clock so callers can quantize custom traces.
@@ -351,36 +277,6 @@ mod tests {
             study.report.index_of_dispersion > 10.0,
             "index of dispersion {:.1}",
             study.report.index_of_dispersion
-        );
-    }
-
-    #[test]
-    fn streaming_lab_study_matches_batch() {
-        let cfg = tiny_lab();
-        let batch = ns2_study(&cfg);
-        let stream = ns2_study_streaming(&cfg);
-        let br = &batch.report;
-        let sr = stream.report();
-        assert_eq!(br.n_losses, sr.n_losses);
-        assert_eq!(br.n_intervals, sr.n_intervals);
-        assert_eq!(br.frac_below_001, sr.frac_below_001);
-        assert_eq!(br.frac_below_01, sr.frac_below_01);
-        assert_eq!(br.frac_below_025, sr.frac_below_025);
-        assert_eq!(br.frac_below_1, sr.frac_below_1);
-        assert!((br.mean_interval_rtt - sr.mean_interval_rtt).abs() <= 1e-9);
-        assert!((br.burstiness_ratio - sr.burstiness_ratio).abs() <= 1e-9);
-        assert!((br.index_of_dispersion - sr.index_of_dispersion).abs() <= 1e-9);
-        assert_eq!(batch.histogram.bins, stream.histogram().bins);
-        assert_eq!(batch.histogram.overflow, stream.histogram().overflow);
-        assert_eq!(batch.histogram.total, stream.histogram().total);
-        let spdf = stream.poisson_pdf();
-        assert_eq!(batch.poisson_pdf.len(), spdf.len());
-        for (a, b) in batch.poisson_pdf.iter().zip(&spdf) {
-            assert!((a - b).abs() <= 1e-12);
-        }
-        assert_eq!(
-            batch.episode_count(stream.stats.config().episode_gap_rtt),
-            stream.episode_count()
         );
     }
 

@@ -68,8 +68,8 @@ pub mod prelude {
         BspConfig, BspReport, Mitigation, SuperstepStats, WorkerOutcome,
     };
     pub use crate::campaign::{
-        dummynet_study, dummynet_study_streaming, internet_study, internet_study_streaming,
-        lab_cells, ns2_study, ns2_study_streaming, LabCampaignConfig, LossStudy, StreamLossStudy,
+        dummynet_study, internet_study, lab_cell, lab_cells, ns2_study, LabCampaignConfig,
+        LossStudy,
     };
     pub use crate::ecn::{ecn_vs_droptail, EcnComparison, EcnConfig, GroupStats};
     pub use crate::error::{Error, Result};
@@ -88,17 +88,15 @@ pub mod prelude {
     };
     pub use crate::registry::{find as find_experiment, registry_table, Experiment, EXPERIMENTS};
     pub use crate::shard::{
-        collect_campaign, collect_campaign_streaming, merge_shards, merge_shards_streaming,
-        run_campaign_sharded, run_campaign_sharded_streaming, run_grid_streaming_supervised,
-        run_grid_supervised, run_shard, run_shard_streaming, shard_indices, spawn_shards,
+        collect_campaign_streaming, merge_shards_streaming, run_campaign_sharded_streaming,
+        run_grid_streaming_supervised, run_shard_streaming, shard_indices, spawn_shards,
         ShardReport, ShardSpec,
     };
     pub use crate::supervisor::{
         backoff_delay, campaign_fingerprint, count_outcomes, dummynet_study_supervised,
-        ns2_study_supervised, run_campaign_streaming_supervised, run_campaign_supervised,
-        supervise, supervise_subset, CampaignCheckpoint, FaultKind, FaultPlan, FaultSpec,
-        LabCellRecord, LedgerEntry, MergeReport, OutcomeCounts, PathFailure, PathOutcome,
-        PathRecord, SupervisedCampaign, SupervisedRun, SupervisedStreamCampaign, SupervisedStudy,
+        ns2_study_supervised, supervise, supervise_subset, CampaignCheckpoint, FaultKind,
+        FaultPlan, FaultSpec, LabCellRecord, LedgerEntry, MergeReport, OutcomeCounts, PathFailure,
+        PathOutcome, PathRecord, SupervisedRun, SupervisedStreamCampaign, SupervisedStudy,
         SupervisorConfig,
     };
 }

@@ -13,16 +13,16 @@
 //! * **Determinism.** Path identity — the directed pair, the scenario, the
 //!   run seeds — derives from the path's *global grid coordinate* alone
 //!   ([`lossburst_inet::campaign::grid_pairs`] /
-//!   [`lossburst_inet::campaign::try_measure_path_grid`]), never from which
-//!   shard runs it or how many shards exist. A path measured under `K = 7`
+//!   [`lossburst_inet::campaign::try_measure_path_grid_streaming`]), never
+//!   from which shard runs it or how many shards exist. A path measured under `K = 7`
 //!   is bit-identical to the same path under `K = 1`.
 //! * **Interchange.** Each shard appends finished paths to its own
 //!   [`CampaignCheckpoint`] file, carrying global indices and the *same*
-//!   campaign fingerprint as a 1-process run. [`merge_shards`] folds the
-//!   shard files into one canonical checkpoint
+//!   campaign fingerprint as a 1-process run. [`merge_shards_streaming`]
+//!   folds the shard files into one canonical checkpoint
 //!   ([`CampaignCheckpoint::merge`]: fingerprint-checked, last record per
 //!   index wins, output in index order).
-//! * **Collection.** [`collect_campaign`] opens the merged checkpoint
+//! * **Collection.** [`collect_campaign_streaming`] opens the merged checkpoint
 //!   through the ordinary supervised-resume machinery and aggregates the
 //!   restored paths in path order — the same proven replay path PR 5's
 //!   resume tests pin down, which is what makes a K-shard campaign's final
@@ -31,27 +31,28 @@
 //!
 //! Process orchestration is deliberately thin: [`spawn_shards`] runs one
 //! worker per shard via `std::process::Command` (the `shard_campaign` CLI
-//! self-execs with `--shard i/N`), and [`run_campaign_sharded`] runs the
-//! same shard loop in-process for tests and library callers.
+//! self-execs with `--shard i/N`), and [`run_campaign_sharded_streaming`]
+//! runs the same shard loop in-process for tests and library callers.
+//!
+//! Every verb here measures through the one sink-driven path
+//! ([`lossburst_inet::campaign::try_measure_path_grid_streaming`]); the
+//! `_streaming` suffixes are historical (see the `lossburst-inet` crate
+//! docs).
 
 use crate::supervisor::{
     campaign_fingerprint, supervise_subset, CampaignCheckpoint, MergeReport, OutcomeCounts,
-    SupervisedCampaign, SupervisedStreamCampaign, SupervisorConfig,
+    SupervisedStreamCampaign, SupervisorConfig,
 };
 use lossburst_inet::campaign::{
-    aggregate, aggregate_streaming, grid_pairs, try_measure_path_grid,
-    try_measure_path_grid_streaming, CampaignConfig, PathMeasurement, StreamPathMeasurement,
+    aggregate_streaming, grid_pairs, try_measure_path_grid_streaming, CampaignConfig,
+    StreamPathMeasurement,
 };
-use lossburst_inet::probe::ProbeError;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::str::FromStr;
 
-/// Campaign fingerprint labels shared with the classic supervised entry
-/// points, so shard checkpoints at classic scale (≤ 650 paths) interchange
-/// with `run_campaign_supervised` / `run_campaign_streaming_supervised`
-/// files.
-const BATCH_LABEL: &str = "inet-batch";
+/// The campaign fingerprint label. Fixed since the first checkpoints were
+/// written, so files from earlier versions of this path still restore.
 const STREAM_LABEL: &str = "inet-stream";
 
 /// One shard's coordinate in a `count`-way split.
@@ -137,42 +138,11 @@ pub struct ShardReport {
     pub restored: usize,
 }
 
-fn probe_failure(e: ProbeError) -> crate::supervisor::PathFailure {
-    match e {
-        ProbeError::EventBudget { events } => {
-            crate::supervisor::PathFailure::EventBudget { events }
-        }
-    }
-}
-
-/// Run one shard of the batch campaign: measure this shard's slice of the
-/// grid under supervision, appending to the shard's own checkpoint file in
+/// Run one shard of the campaign: measure this shard's slice of the grid
+/// under supervision, appending to the shard's own checkpoint file in
 /// `dir`. Results live in the checkpoint; the in-memory measurements are
-/// dropped (the coordinator re-reads them via [`collect_campaign`]).
-pub fn run_shard(
-    cfg: &CampaignConfig,
-    sup: &SupervisorConfig,
-    spec: ShardSpec,
-    dir: &Path,
-) -> crate::error::Result<ShardReport> {
-    let pairs = grid_pairs(cfg);
-    let subset = shard_indices(pairs.len(), spec);
-    let fp = campaign_fingerprint(BATCH_LABEL, cfg.seed, pairs.len());
-    let mut sup = sup.clone();
-    sup.checkpoint = Some(shard_checkpoint_path(dir, spec));
-    let run = supervise_subset(pairs.len(), &subset, fp, &sup, |i, limits| {
-        let (src, dst) = pairs[i];
-        try_measure_path_grid(cfg, i, src, dst, limits).map_err(probe_failure)
-    })?;
-    Ok(ShardReport {
-        shard: spec,
-        owned: subset.len(),
-        counts: run.counts(),
-        restored: run.restored,
-    })
-}
-
-/// Streaming twin of [`run_shard`].
+/// dropped (the coordinator re-reads them via
+/// [`collect_campaign_streaming`]).
 pub fn run_shard_streaming(
     cfg: &CampaignConfig,
     sup: &SupervisorConfig,
@@ -186,7 +156,7 @@ pub fn run_shard_streaming(
     sup.checkpoint = Some(shard_checkpoint_path(dir, spec));
     let run = supervise_subset(pairs.len(), &subset, fp, &sup, |i, limits| {
         let (src, dst) = pairs[i];
-        try_measure_path_grid_streaming(cfg, i, src, dst, limits).map_err(probe_failure)
+        Ok(try_measure_path_grid_streaming(cfg, i, src, dst, limits)?)
     })?;
     Ok(ShardReport {
         shard: spec,
@@ -200,24 +170,6 @@ pub fn run_shard_streaming(
 /// [`merged_checkpoint_path`]. Strict: every shard file must exist, carry
 /// the campaign's fingerprint, and parse cleanly (see
 /// [`CampaignCheckpoint::merge`]).
-pub fn merge_shards(
-    cfg: &CampaignConfig,
-    dir: &Path,
-    count: usize,
-) -> std::io::Result<MergeReport> {
-    let fp = campaign_fingerprint(BATCH_LABEL, cfg.seed, cfg.n_paths);
-    let inputs: Vec<PathBuf> = (0..count)
-        .map(|i| shard_checkpoint_path(dir, ShardSpec::new(i, count)))
-        .collect();
-    CampaignCheckpoint::merge::<PathMeasurement>(
-        &inputs,
-        &merged_checkpoint_path(dir),
-        fp,
-        cfg.n_paths,
-    )
-}
-
-/// Streaming twin of [`merge_shards`].
 pub fn merge_shards_streaming(
     cfg: &CampaignConfig,
     dir: &Path,
@@ -235,33 +187,13 @@ pub fn merge_shards_streaming(
     )
 }
 
-/// The grid-scale supervised batch campaign: [`run_campaign_supervised`]
-/// generalized to [`grid_pairs`], so it handles any path count (and is
-/// byte-identical to the classic runner for ≤ 650 paths). With
-/// `sup.checkpoint` pointing at a merged shard file, every path restores
-/// and this is the sharded campaign's *collect* step.
-///
-/// [`run_campaign_supervised`]: crate::supervisor::run_campaign_supervised
-pub fn run_grid_supervised(
-    cfg: &CampaignConfig,
-    sup: &SupervisorConfig,
-) -> crate::error::Result<SupervisedCampaign> {
-    let pairs = grid_pairs(cfg);
-    let fp = campaign_fingerprint(BATCH_LABEL, cfg.seed, pairs.len());
-    let run = crate::supervisor::supervise(pairs.len(), fp, sup, |i, limits| {
-        let (src, dst) = pairs[i];
-        try_measure_path_grid(cfg, i, src, dst, limits).map_err(probe_failure)
-    })?;
-    let measurements: Vec<PathMeasurement> = run.results.into_iter().flatten().collect();
-    Ok(SupervisedCampaign {
-        result: aggregate(measurements),
-        ledger: run.ledger,
-        pairs,
-        restored: run.restored,
-    })
-}
-
-/// Streaming twin of [`run_grid_supervised`].
+/// The supervised Internet campaign (Fig 4) at any path count: the paths,
+/// seeds, and per-path measurements of `run_campaign_streaming` (extended
+/// past 650 paths by [`grid_pairs`]), but each path runs inside the fault
+/// boundary and the sweep checkpoints, retries, and degrades gracefully per
+/// [`SupervisorConfig`]. With `sup.checkpoint` pointing at a merged shard
+/// file, every path restores and this is the sharded campaign's *collect*
+/// step.
 pub fn run_grid_streaming_supervised(
     cfg: &CampaignConfig,
     sup: &SupervisorConfig,
@@ -270,7 +202,7 @@ pub fn run_grid_streaming_supervised(
     let fp = campaign_fingerprint(STREAM_LABEL, cfg.seed, pairs.len());
     let run = crate::supervisor::supervise(pairs.len(), fp, sup, |i, limits| {
         let (src, dst) = pairs[i];
-        try_measure_path_grid_streaming(cfg, i, src, dst, limits).map_err(probe_failure)
+        Ok(try_measure_path_grid_streaming(cfg, i, src, dst, limits)?)
     })?;
     let measurements: Vec<StreamPathMeasurement> = run.results.into_iter().flatten().collect();
     Ok(SupervisedStreamCampaign {
@@ -281,22 +213,11 @@ pub fn run_grid_streaming_supervised(
     })
 }
 
-/// Collect a sharded batch campaign: open the merged checkpoint through
-/// the ordinary supervised-resume machinery and aggregate the restored
-/// paths in path order. Any path no shard completed (a crashed shard, an
+/// Collect a sharded campaign: open the merged checkpoint through the
+/// ordinary supervised-resume machinery and aggregate the restored paths
+/// in path order. Any path no shard completed (a crashed shard, an
 /// interrupted run) is simply re-measured here — the merge/collect pair
 /// doubles as the recovery path.
-pub fn collect_campaign(
-    cfg: &CampaignConfig,
-    sup: &SupervisorConfig,
-    dir: &Path,
-) -> crate::error::Result<SupervisedCampaign> {
-    let mut sup = sup.clone();
-    sup.checkpoint = Some(merged_checkpoint_path(dir));
-    run_grid_supervised(cfg, &sup)
-}
-
-/// Streaming twin of [`collect_campaign`].
 pub fn collect_campaign_streaming(
     cfg: &CampaignConfig,
     sup: &SupervisorConfig,
@@ -307,24 +228,10 @@ pub fn collect_campaign_streaming(
     run_grid_streaming_supervised(cfg, &sup)
 }
 
-/// Run the whole sharded batch campaign in-process: each shard in turn
-/// (worker loop), then merge, then collect. Semantically identical to the
+/// Run the whole sharded campaign in-process: each shard in turn (worker
+/// loop), then merge, then collect. Semantically identical to the
 /// multi-process coordinator — the library form testkit pins byte-identity
 /// on, and the fallback when spawning processes is unavailable.
-pub fn run_campaign_sharded(
-    cfg: &CampaignConfig,
-    sup: &SupervisorConfig,
-    count: usize,
-    dir: &Path,
-) -> crate::error::Result<SupervisedCampaign> {
-    for i in 0..count {
-        run_shard(cfg, sup, ShardSpec::new(i, count), dir)?;
-    }
-    merge_shards(cfg, dir, count)?;
-    collect_campaign(cfg, sup, dir)
-}
-
-/// Streaming twin of [`run_campaign_sharded`].
 pub fn run_campaign_sharded_streaming(
     cfg: &CampaignConfig,
     sup: &SupervisorConfig,

@@ -26,20 +26,19 @@
 //!   empty-trace on chosen path indices) so all of the above is testable
 //!   byte-for-byte.
 //!
-//! The generic engine is [`supervise`]; [`run_campaign_supervised`],
-//! [`run_campaign_streaming_supervised`], and the
+//! The generic engine is [`supervise`]. [`crate::shard`] applies it to the
+//! Internet campaign ([`crate::shard::run_grid_streaming_supervised`] is
+//! the supervised campaign at any path count), and the
 //! [`ns2_study_supervised`]/[`dummynet_study_supervised`] wrappers apply it
-//! to the Internet campaign and the `emu::Testbed` lab sweeps.
+//! to the `emu::Testbed` lab sweeps. Each sweep has one measurement path —
+//! the sink-driven probe or testbed run — whether supervised or not.
 
-use crate::campaign::{lab_cells, LabCampaignConfig, LossStudy};
+use crate::campaign::{lab_cell, lab_cells, lab_label, LabCampaignConfig, LossStudy};
 use lossburst_analysis::intervals;
 use lossburst_analysis::streaming::LossStreamStats;
-use lossburst_emu::testbed::{self, TestbedConfig};
-use lossburst_inet::campaign::{
-    aggregate, aggregate_streaming, campaign_pairs, try_measure_path, try_measure_path_streaming,
-    CampaignConfig, CampaignResult, PathMeasurement, StreamCampaignResult, StreamPathMeasurement,
-};
-use lossburst_inet::probe::{validate, validate_streaming, ProbeError};
+use lossburst_emu::testbed::EventBudgetExceeded;
+use lossburst_inet::campaign::{StreamCampaignResult, StreamPathMeasurement};
+use lossburst_inet::probe::{validate_streaming, ProbeError};
 use lossburst_netsim::sim::RunLimits;
 use lossburst_netsim::time::SimDuration;
 use rayon::prelude::*;
@@ -178,6 +177,20 @@ impl std::fmt::Display for PathFailure {
             }
             PathFailure::NanTrace => write!(f, "NaN in loss trace"),
         }
+    }
+}
+
+impl From<ProbeError> for PathFailure {
+    fn from(e: ProbeError) -> PathFailure {
+        match e {
+            ProbeError::EventBudget { events } => PathFailure::EventBudget { events },
+        }
+    }
+}
+
+impl From<EventBudgetExceeded> for PathFailure {
+    fn from(e: EventBudgetExceeded) -> PathFailure {
+        PathFailure::EventBudget { events: e.events }
     }
 }
 
@@ -342,13 +355,6 @@ fn w_f64(out: &mut String, v: f64) {
     out.push_str(&format!("{:016x}", v.to_bits()));
 }
 
-fn w_vec_u64(out: &mut String, v: &[u64]) {
-    w_u64(out, v.len() as u64);
-    for &x in v {
-        w_u64(out, x);
-    }
-}
-
 fn w_vec_f64(out: &mut String, v: &[f64]) {
     w_u64(out, v.len() as u64);
     for &x in v {
@@ -385,96 +391,9 @@ impl<'a> Tokens<'a> {
         }
         u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
     }
-    fn vec_u64(&mut self) -> Option<Vec<u64>> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.u64()).collect()
-    }
     fn vec_f64(&mut self) -> Option<Vec<f64>> {
         let n = self.usize()?;
         (0..n).map(|_| self.f64()).collect()
-    }
-}
-
-fn encode_probe_outcome(out: &mut String, p: &lossburst_inet::probe::ProbeOutcome) {
-    w_u64(out, p.sent);
-    w_u64(out, p.received);
-    w_f64(out, p.loss_rate);
-    w_u64(out, p.events);
-    w_u64(out, p.trace_bytes as u64);
-    w_vec_u64(out, &p.lost);
-    w_vec_f64(out, &p.loss_times);
-    w_vec_f64(out, &p.intervals_rtt);
-}
-
-fn decode_probe_outcome(t: &mut Tokens<'_>) -> Option<lossburst_inet::probe::ProbeOutcome> {
-    Some(lossburst_inet::probe::ProbeOutcome {
-        sent: t.u64()?,
-        received: t.u64()?,
-        loss_rate: t.f64()?,
-        events: t.u64()?,
-        trace_bytes: t.u64()? as usize,
-        lost: t.vec_u64()?,
-        loss_times: t.vec_f64()?,
-        intervals_rtt: t.vec_f64()?,
-        // The per-kind event breakdown is benchmark accounting, not a
-        // measurement; it is not checkpointed and restores as zeros.
-        counts: Default::default(),
-    })
-}
-
-impl PathRecord for PathMeasurement {
-    fn encode(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("pm");
-        w_u64(&mut out, self.src as u64);
-        w_u64(&mut out, self.dst as u64);
-        w_u64(&mut out, self.rtt.as_nanos());
-        w_u64(&mut out, self.validated as u64);
-        encode_probe_outcome(&mut out, &self.small);
-        encode_probe_outcome(&mut out, &self.large);
-        out
-    }
-
-    fn decode(line: &str) -> Option<PathMeasurement> {
-        let mut t = Tokens::new(line);
-        if t.0.next()? != "pm" {
-            return None;
-        }
-        Some(PathMeasurement {
-            src: t.usize()?,
-            dst: t.usize()?,
-            rtt: SimDuration::from_nanos(t.u64()?),
-            validated: t.bool()?,
-            small: decode_probe_outcome(&mut t)?,
-            large: decode_probe_outcome(&mut t)?,
-        })
-    }
-
-    fn poison_nan(&mut self) {
-        // The injected-NaN route deliberately exercises the analysis
-        // crate's total_cmp sort path: a NaN timestamp must flow through
-        // interval derivation (not panic there) and be caught afterwards.
-        self.small.loss_times.push(f64::NAN);
-        let rtt = self.rtt.as_secs_f64();
-        self.small.intervals_rtt = intervals::normalized_intervals(&self.small.loss_times, rtt);
-    }
-
-    fn clear_losses(&mut self) {
-        for p in [&mut self.small, &mut self.large] {
-            p.lost.clear();
-            p.loss_times.clear();
-            p.intervals_rtt.clear();
-            p.loss_rate = 0.0;
-            p.received = p.sent;
-        }
-        self.validated = validate(&self.small, &self.large);
-    }
-
-    fn has_nan(&self) -> bool {
-        intervals::has_nan(&self.small.loss_times)
-            || intervals::has_nan(&self.small.intervals_rtt)
-            || intervals::has_nan(&self.large.loss_times)
-            || intervals::has_nan(&self.large.intervals_rtt)
     }
 }
 
@@ -522,7 +441,10 @@ fn decode_stream_outcome(
         trace_bytes,
         intervals_rtt,
         stats,
-        // Not checkpointed — see `decode_probe_outcome`.
+        // The lost sequence numbers and the per-kind event breakdown are
+        // fresh-run detail, not the measurement; neither is checkpointed,
+        // so they restore empty.
+        lost: Vec::new(),
         counts: Default::default(),
     })
 }
@@ -568,6 +490,7 @@ impl PathRecord for StreamPathMeasurement {
         let rtt_secs = self.rtt.as_secs_f64();
         for p in [&mut self.small, &mut self.large] {
             p.intervals_rtt.clear();
+            p.lost.clear();
             p.n_lost = 0;
             p.loss_rate = 0.0;
             p.received = p.sent;
@@ -1199,62 +1122,12 @@ where
 // Campaign entry points
 // ---------------------------------------------------------------------------
 
-fn probe_failure(e: ProbeError) -> PathFailure {
-    match e {
-        ProbeError::EventBudget { events } => PathFailure::EventBudget { events },
-    }
-}
-
 /// A supervised Internet campaign's complete product.
 #[derive(Debug)]
-pub struct SupervisedCampaign {
-    /// Aggregated result over the successfully measured paths, in path
-    /// order — exactly what `run_campaign` would produce restricted to
-    /// those paths.
-    pub result: CampaignResult,
-    /// Per-path outcome ledger (index-aligned with `pairs`).
-    pub ledger: Vec<LedgerEntry>,
-    /// The campaign's directed path sample, in execution order.
-    pub pairs: Vec<(usize, usize)>,
-    /// Paths restored from the checkpoint instead of re-measured.
-    pub restored: usize,
-}
-
-impl SupervisedCampaign {
-    /// Outcome totals over the path ledger.
-    pub fn counts(&self) -> OutcomeCounts {
-        count_outcomes(&self.ledger)
-    }
-}
-
-/// The supervised Internet campaign (Fig 4), batch pipeline: the same
-/// paths, seeds, and per-path measurements as `run_campaign`, but each
-/// path runs inside the fault boundary and the sweep checkpoints, retries,
-/// and degrades gracefully per [`SupervisorConfig`].
-pub fn run_campaign_supervised(
-    cfg: &CampaignConfig,
-    sup: &SupervisorConfig,
-) -> crate::error::Result<SupervisedCampaign> {
-    let pairs = campaign_pairs(cfg);
-    let fp = campaign_fingerprint("inet-batch", cfg.seed, pairs.len());
-    let run = supervise(pairs.len(), fp, sup, |i, limits| {
-        let (src, dst) = pairs[i];
-        try_measure_path(cfg, src, dst, limits).map_err(probe_failure)
-    })?;
-    let measurements: Vec<PathMeasurement> = run.results.into_iter().flatten().collect();
-    Ok(SupervisedCampaign {
-        result: aggregate(measurements),
-        ledger: run.ledger,
-        pairs,
-        restored: run.restored,
-    })
-}
-
-/// A supervised streaming campaign's complete product — the streaming twin
-/// of [`SupervisedCampaign`].
-#[derive(Debug)]
 pub struct SupervisedStreamCampaign {
-    /// Aggregated streaming result over the successfully measured paths.
+    /// Aggregated result over the successfully measured paths, in path
+    /// order — exactly what `run_campaign_streaming` would produce
+    /// restricted to those paths.
     pub result: StreamCampaignResult,
     /// Per-path outcome ledger (index-aligned with `pairs`).
     pub ledger: Vec<LedgerEntry>,
@@ -1269,26 +1142,6 @@ impl SupervisedStreamCampaign {
     pub fn counts(&self) -> OutcomeCounts {
         count_outcomes(&self.ledger)
     }
-}
-
-/// [`run_campaign_supervised`] through the streaming pipeline.
-pub fn run_campaign_streaming_supervised(
-    cfg: &CampaignConfig,
-    sup: &SupervisorConfig,
-) -> crate::error::Result<SupervisedStreamCampaign> {
-    let pairs = campaign_pairs(cfg);
-    let fp = campaign_fingerprint("inet-stream", cfg.seed, pairs.len());
-    let run = supervise(pairs.len(), fp, sup, |i, limits| {
-        let (src, dst) = pairs[i];
-        try_measure_path_streaming(cfg, src, dst, limits).map_err(probe_failure)
-    })?;
-    let measurements: Vec<StreamPathMeasurement> = run.results.into_iter().flatten().collect();
-    Ok(SupervisedStreamCampaign {
-        result: aggregate_streaming(measurements),
-        ledger: run.ledger,
-        pairs,
-        restored: run.restored,
-    })
 }
 
 /// A supervised lab sweep's product: the pooled study over surviving
@@ -1316,24 +1169,11 @@ fn lab_study_supervised(
     dummynet: bool,
     sup: &SupervisorConfig,
 ) -> crate::error::Result<SupervisedStudy> {
-    let cells = lab_cells(cfg);
-    let label = if dummynet { "dummynet" } else { "ns2" };
-    let fp = campaign_fingerprint(label, cfg.seed, cells.len());
-    let run = supervise(cells.len(), fp, sup, |i, limits| {
-        let (flows, buffer, seed) = cells[i];
-        let mut tb = if dummynet {
-            TestbedConfig::dummynet_baseline(flows, buffer, seed)
-        } else {
-            TestbedConfig::ns2_baseline(flows, buffer, seed)
-        };
-        tb.duration = cfg.duration;
-        let res = testbed::run_limited(&tb, limits)
-            .map_err(|e| PathFailure::EventBudget { events: e.events })?;
-        let rtt = res.mean_rtt.as_secs_f64();
-        Ok(LabCellRecord {
-            intervals_rtt: intervals::normalized_intervals(&res.loss_times, rtt),
-            trace_bytes: res.trace.buffer_bytes(),
-        })
+    let n_cells = lab_cells(cfg).len();
+    let label = lab_label(dummynet);
+    let fp = campaign_fingerprint(label, cfg.seed, n_cells);
+    let run = supervise(n_cells, fp, sup, |i, limits| {
+        lab_cell(cfg, dummynet, i, limits)
     })?;
     let pooled: Vec<f64> = run
         .results
@@ -1727,54 +1567,56 @@ mod tests {
 
     #[test]
     fn path_measurement_roundtrip_and_faults() {
-        use lossburst_inet::probe::ProbeOutcome;
-        let mk = |lost: Vec<u64>, times: Vec<f64>| ProbeOutcome {
-            sent: 1000,
-            received: 1000 - lost.len() as u64,
-            loss_rate: lost.len() as f64 / 1000.0,
-            intervals_rtt: times.windows(2).map(|w| (w[1] - w[0]) / 0.05).collect(),
-            lost,
-            loss_times: times,
-            events: 5000,
-            counts: Default::default(),
-            trace_bytes: 777,
+        use lossburst_inet::probe::StreamProbeOutcome;
+        let rtt = SimDuration::from_millis(50);
+        let mk = |lost: Vec<u64>, times: Vec<f64>| {
+            let mut stats = LossStreamStats::with_rtt(rtt.as_secs_f64());
+            times.iter().for_each(|&t| stats.push_loss_at(t));
+            StreamProbeOutcome {
+                sent: 1000,
+                received: 1000 - lost.len() as u64,
+                n_lost: lost.len(),
+                loss_rate: lost.len() as f64 / 1000.0,
+                intervals_rtt: times.windows(2).map(|w| (w[1] - w[0]) / 0.05).collect(),
+                lost,
+                stats,
+                events: 5000,
+                counts: Default::default(),
+                trace_bytes: 777,
+            }
         };
-        let m = PathMeasurement {
+        let m = StreamPathMeasurement {
             src: 3,
             dst: 17,
-            rtt: SimDuration::from_millis(50),
+            rtt,
             small: mk(vec![5, 9, 200], vec![0.005, 0.009, 0.2]),
             large: mk(vec![7, 11, 300], vec![0.007, 0.011, 0.3]),
             validated: true,
         };
-        let back = PathMeasurement::decode(&m.encode()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let back = StreamPathMeasurement::decode(&m.encode()).unwrap();
         assert_eq!((back.src, back.dst, back.rtt), (3, 17, m.rtt));
         assert!(back.validated);
-        assert_eq!(back.small.lost, m.small.lost);
+        assert_eq!(back.small.n_lost, 3);
+        assert_eq!(back.large.events, 5000);
         assert_eq!(
-            back.large
-                .loss_times
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            m.large
-                .loss_times
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
+            bits(&back.large.intervals_rtt),
+            bits(&m.large.intervals_rtt)
         );
-        // NaN poisoning flows through interval recomputation and is
-        // detected.
+        // The count is checkpointed; the sequence numbers are not.
+        assert!(back.small.lost.is_empty());
+        assert_eq!(back.small.stats.n_losses(), 3);
+        // NaN poisoning is detected.
         let mut poisoned = back;
         assert!(!poisoned.has_nan());
         poisoned.poison_nan();
         assert!(poisoned.has_nan());
-        assert!(intervals::has_nan(&poisoned.small.intervals_rtt));
         // Clearing yields a valid loss-free measurement.
-        let mut cleared = PathMeasurement::decode(&m.encode()).unwrap();
+        let mut cleared = m.clone();
         cleared.clear_losses();
         assert!(!cleared.has_nan());
         assert_eq!(cleared.small.received, cleared.small.sent);
+        assert!(cleared.small.lost.is_empty());
         assert!(cleared.validated, "two loss-free traces agree");
     }
 }

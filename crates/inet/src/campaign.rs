@@ -9,12 +9,12 @@
 //! every core busy where static chunking would straggle on the expensive
 //! paths. Each path's simulation stays single-threaded and deterministic,
 //! and results land in input-order slots, so scheduling is invisible in
-//! the output (see `run_campaign_serial` and tests/determinism.rs).
+//! the output (tests/determinism.rs pins the campaign under every
+//! execution policy).
 
 use crate::path::PathScenario;
 use crate::probe::{
-    run_probe_limited, run_probe_streaming_limited, validate, validate_streaming, ProbeConfig,
-    ProbeError, ProbeOutcome, StreamProbeOutcome,
+    run_probe_streaming_limited, validate_streaming, ProbeConfig, ProbeError, StreamProbeOutcome,
 };
 use crate::sites::{all_directed_pairs, DIRECTED_PATHS};
 use lossburst_analysis::streaming::LossStreamStats;
@@ -104,113 +104,6 @@ pub fn replica_seed(seed: u64, replica: usize) -> u64 {
     }
 }
 
-/// One path's paired measurement.
-#[derive(Clone, Debug)]
-pub struct PathMeasurement {
-    /// Source site index.
-    pub src: usize,
-    /// Destination site index.
-    pub dst: usize,
-    /// Path RTT used for normalization.
-    pub rtt: SimDuration,
-    /// The 48-byte run.
-    pub small: ProbeOutcome,
-    /// The 400-byte run.
-    pub large: ProbeOutcome,
-    /// Whether the two traces agreed (paper's validation).
-    pub validated: bool,
-}
-
-/// Aggregated campaign output.
-#[derive(Debug)]
-pub struct CampaignResult {
-    /// All per-path measurements, validated or not.
-    pub measurements: Vec<PathMeasurement>,
-    /// Pooled RTT-normalized inter-loss intervals from validated paths
-    /// (both packet sizes contribute, as both traces were accepted).
-    pub intervals_rtt: Vec<f64>,
-    /// Number of validated paths.
-    pub validated: usize,
-    /// Number of rejected paths.
-    pub rejected: usize,
-    /// Largest per-path buffer commitment observed (both runs' trace
-    /// streams plus receiver logs) — the campaign's per-worker memory
-    /// high-water mark.
-    pub peak_trace_bytes: usize,
-}
-
-impl CampaignResult {
-    /// Fraction of measured paths whose paired traces validated
-    /// (0 when nothing was measured).
-    pub fn validated_fraction(&self) -> f64 {
-        if self.measurements.is_empty() {
-            0.0
-        } else {
-            self.validated as f64 / self.measurements.len() as f64
-        }
-    }
-
-    /// Per-path loss rates of the small-packet probe runs, in measurement
-    /// order — the compact per-path series golden fixtures record.
-    pub fn loss_rates(&self) -> Vec<f64> {
-        self.measurements
-            .iter()
-            .map(|m| m.small.loss_rate)
-            .collect()
-    }
-}
-
-/// Measure one directed path: paired 48 B / 400 B runs plus validation.
-/// Seeding depends only on `(cfg.seed, src, dst)`, never on scheduling.
-pub fn measure_path(cfg: &CampaignConfig, src: usize, dst: usize) -> PathMeasurement {
-    try_measure_path(cfg, src, dst, RunLimits::NONE).expect("unlimited run cannot exhaust")
-}
-
-/// [`measure_path`] under execution limits. The limits apply to each of
-/// the paired runs independently; the first run to exhaust its event
-/// budget fails the whole path measurement. This is the per-path primitive
-/// the `core` campaign supervisor wraps in its fault boundary.
-pub fn try_measure_path(
-    cfg: &CampaignConfig,
-    src: usize,
-    dst: usize,
-    limits: RunLimits,
-) -> Result<PathMeasurement, ProbeError> {
-    let scenario = PathScenario::derive(cfg.seed, src, dst);
-    let base = (src as u64) << 32 | dst as u64;
-    let small = run_probe_limited(
-        &scenario,
-        &ProbeConfig {
-            packet_bytes: 48,
-            pps: cfg.probe_pps,
-            duration: cfg.duration,
-            seed: cfg.seed ^ base ^ 0x5A11,
-            background: cfg.background,
-        },
-        limits,
-    )?;
-    let large = run_probe_limited(
-        &scenario,
-        &ProbeConfig {
-            packet_bytes: 400,
-            pps: cfg.probe_pps,
-            duration: cfg.duration,
-            seed: cfg.seed ^ base ^ 0x1A46E,
-            background: cfg.background,
-        },
-        limits,
-    )?;
-    let validated = validate(&small, &large);
-    Ok(PathMeasurement {
-        src,
-        dst,
-        rtt: scenario.rtt,
-        small,
-        large,
-        validated,
-    })
-}
-
 /// The deterministic random path sample a campaign with this config will
 /// measure, in execution order. Exposed so external supervisors can
 /// enumerate the same work list the built-in runners use (index `i` here
@@ -226,9 +119,10 @@ pub fn campaign_pairs(cfg: &CampaignConfig) -> Vec<(usize, usize)> {
 /// The shuffled directed-pair sample a seed induces, queryable at any grid
 /// index without materializing the whole grid. This is the single source
 /// of path identity for grid consumers: [`grid_pairs`] renders its prefix,
-/// [`try_measure_path_grid`] measures through the same `(pair, replica
-/// seed)` rule, and the lossy-BSP engine derives per-worker path scenarios
-/// from it — all guaranteed to agree because they share this shuffle.
+/// [`try_measure_path_grid_streaming`] measures through the same `(pair,
+/// replica seed)` rule, and the lossy-BSP engine derives per-worker path
+/// scenarios from it — all guaranteed to agree because they share this
+/// shuffle.
 pub struct GridSample {
     seed: u64,
     base: Vec<(usize, usize)>,
@@ -253,7 +147,7 @@ impl GridSample {
 
     /// The fully derived path scenario of grid index `i`: the index's pair
     /// under its replica's effective seed — exactly the scenario
-    /// [`try_measure_path_grid`] probes. Identity depends only on
+    /// [`try_measure_path_grid_streaming`] probes. Identity depends only on
     /// `(seed, index)`, never on sharding.
     pub fn scenario(&self, index: usize) -> PathScenario {
         let (src, dst) = self.pair(index);
@@ -274,22 +168,9 @@ pub fn grid_pairs(cfg: &CampaignConfig) -> Vec<(usize, usize)> {
 }
 
 /// Measure grid path `index` (whose directed pair is `(src, dst)` from
-/// [`grid_pairs`]) under execution limits: [`try_measure_path`] with the
-/// index's replica seed. Replica 0 is bit-identical to the classic
+/// [`grid_pairs`]) under execution limits: [`try_measure_path_streaming`]
+/// with the index's replica seed. Replica 0 is bit-identical to the classic
 /// per-path measurement.
-pub fn try_measure_path_grid(
-    cfg: &CampaignConfig,
-    index: usize,
-    src: usize,
-    dst: usize,
-    limits: RunLimits,
-) -> Result<PathMeasurement, ProbeError> {
-    let mut sub = cfg.clone();
-    sub.seed = replica_seed(cfg.seed, index / DIRECTED_PATHS);
-    try_measure_path(&sub, src, dst, limits)
-}
-
-/// Streaming twin of [`try_measure_path_grid`].
 pub fn try_measure_path_grid_streaming(
     cfg: &CampaignConfig,
     index: usize,
@@ -302,57 +183,7 @@ pub fn try_measure_path_grid_streaming(
     try_measure_path_streaming(&sub, src, dst, limits)
 }
 
-/// Run the campaign, fanning paths out across the worker pool
-/// (`LOSSBURST_THREADS` overrides the fan-out width; `1` runs inline).
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let pairs = campaign_pairs(cfg);
-    let measurements: Vec<PathMeasurement> = pairs
-        .par_iter()
-        .map(|&(src, dst)| measure_path(cfg, src, dst))
-        .collect();
-    aggregate(measurements)
-}
-
-/// Run the campaign on the calling thread only. Exists to let tests pin
-/// down that [`run_campaign`]'s rayon fan-out changes nothing but wall
-/// time.
-pub fn run_campaign_serial(cfg: &CampaignConfig) -> CampaignResult {
-    let pairs = campaign_pairs(cfg);
-    let measurements: Vec<PathMeasurement> = pairs
-        .iter()
-        .map(|&(src, dst)| measure_path(cfg, src, dst))
-        .collect();
-    aggregate(measurements)
-}
-
-/// Fold per-path measurements (in path order) into a [`CampaignResult`].
-/// Public so supervised runs can aggregate a mix of freshly measured and
-/// checkpoint-restored measurements exactly as the built-in runners do.
-pub fn aggregate(measurements: Vec<PathMeasurement>) -> CampaignResult {
-    let mut intervals_rtt = Vec::new();
-    let mut validated = 0;
-    let mut rejected = 0;
-    let mut peak_trace_bytes = 0;
-    for m in &measurements {
-        peak_trace_bytes = peak_trace_bytes.max(m.small.trace_bytes + m.large.trace_bytes);
-        if m.validated {
-            validated += 1;
-            intervals_rtt.extend_from_slice(&m.small.intervals_rtt);
-            intervals_rtt.extend_from_slice(&m.large.intervals_rtt);
-        } else {
-            rejected += 1;
-        }
-    }
-    CampaignResult {
-        measurements,
-        intervals_rtt,
-        validated,
-        rejected,
-        peak_trace_bytes,
-    }
-}
-
-/// One path's paired measurement, streaming pipeline.
+/// One path's paired measurement.
 #[derive(Clone, Debug)]
 pub struct StreamPathMeasurement {
     /// Source site index.
@@ -369,29 +200,67 @@ pub struct StreamPathMeasurement {
     pub validated: bool,
 }
 
-/// Aggregated output of a streaming campaign: the pooled burstiness
-/// accumulator stands in for the batch pipeline's pooled interval vector.
+/// Aggregated campaign output.
 #[derive(Debug)]
 pub struct StreamCampaignResult {
     /// All per-path measurements, validated or not.
     pub measurements: Vec<StreamPathMeasurement>,
     /// Pooled accumulator over the validated paths' RTT-normalized
-    /// intervals (both packet sizes), fed in measurement order — the
-    /// streaming twin of [`CampaignResult::intervals_rtt`].
+    /// intervals (both packet sizes contribute, as both traces were
+    /// accepted), fed in measurement order — the online form of
+    /// [`StreamCampaignResult::intervals_rtt`].
     pub pooled: LossStreamStats,
     /// Number of validated paths.
     pub validated: usize,
     /// Number of rejected paths.
     pub rejected: usize,
-    /// Largest per-path buffer commitment observed — with trace buffering
-    /// off and gap-detecting receivers this stays near-constant in run
-    /// duration, where the batch pipeline's grows linearly.
+    /// Largest per-path buffer commitment observed (both runs' trace
+    /// streams plus receiver gap lists) — the campaign's per-worker memory
+    /// high-water mark. With trace buffering off and gap-detecting
+    /// receivers this stays near-constant in run duration.
     pub peak_trace_bytes: usize,
 }
 
-/// Measure one directed path with the streaming pipeline. Seeds are
-/// identical to [`measure_path`]'s, so the two pipelines simulate the very
-/// same runs.
+impl StreamCampaignResult {
+    /// Fraction of measured paths whose paired traces validated
+    /// (0 when nothing was measured).
+    pub fn validated_fraction(&self) -> f64 {
+        if self.measurements.is_empty() {
+            0.0
+        } else {
+            self.validated as f64 / self.measurements.len() as f64
+        }
+    }
+
+    /// Per-path loss rates of the small-packet probe runs, in measurement
+    /// order — the compact per-path series golden fixtures record.
+    pub fn loss_rates(&self) -> Vec<f64> {
+        self.measurements
+            .iter()
+            .map(|m| m.small.loss_rate)
+            .collect()
+    }
+
+    /// Pooled RTT-normalized inter-loss intervals from validated paths, in
+    /// the order [`aggregate_streaming`] fed them to `pooled` — the input
+    /// the batch analysis functions take.
+    pub fn intervals_rtt(&self) -> Vec<f64> {
+        pooled_intervals(&self.measurements).collect()
+    }
+}
+
+/// The campaign's pooling order: validated paths in measurement order, each
+/// contributing its 48 B run's intervals and then its 400 B run's.
+fn pooled_intervals(measurements: &[StreamPathMeasurement]) -> impl Iterator<Item = f64> + '_ {
+    measurements
+        .iter()
+        .filter(|m| m.validated)
+        .flat_map(|m| m.small.intervals_rtt.iter().chain(&m.large.intervals_rtt))
+        .copied()
+}
+
+/// Measure one directed path: paired 48 B / 400 B runs plus validation.
+/// Seeding depends only on `(cfg.seed, src, dst)`, never on scheduling.
 pub fn measure_path_streaming(
     cfg: &CampaignConfig,
     src: usize,
@@ -401,8 +270,10 @@ pub fn measure_path_streaming(
         .expect("unlimited run cannot exhaust")
 }
 
-/// [`measure_path_streaming`] under execution limits — the streaming twin
-/// of [`try_measure_path`], with identical budget semantics.
+/// [`measure_path_streaming`] under execution limits. The limits apply to
+/// each of the paired runs independently; the first run to exhaust its
+/// event budget fails the whole path measurement. This is the per-path
+/// primitive the `core` campaign supervisor wraps in its fault boundary.
 pub fn try_measure_path_streaming(
     cfg: &CampaignConfig,
     src: usize,
@@ -444,11 +315,11 @@ pub fn try_measure_path_streaming(
     })
 }
 
-/// Run the campaign through the streaming pipeline: same paths, same
-/// seeds, same fan-out as [`run_campaign`], but each run analyzes its loss
-/// process online with trace buffering off, and the aggregation step folds
-/// validated intervals into one pooled [`LossStreamStats`] instead of
-/// concatenating vectors.
+/// Run the campaign, fanning paths out across the worker pool
+/// (`LOSSBURST_THREADS` overrides the fan-out width; `1` runs inline).
+/// Each run analyzes its loss process online with trace buffering off, and
+/// the aggregation step folds validated intervals into one pooled
+/// [`LossStreamStats`].
 pub fn run_campaign_streaming(cfg: &CampaignConfig) -> StreamCampaignResult {
     let pairs = campaign_pairs(cfg);
     let measurements: Vec<StreamPathMeasurement> = pairs
@@ -458,33 +329,28 @@ pub fn run_campaign_streaming(cfg: &CampaignConfig) -> StreamCampaignResult {
     aggregate_streaming(measurements)
 }
 
-/// Streaming twin of [`aggregate`]: folds validated intervals into one
-/// pooled [`LossStreamStats`] in path order.
+/// Fold per-path measurements (in path order) into a
+/// [`StreamCampaignResult`], pooling validated intervals into one
+/// [`LossStreamStats`]. Public so supervised runs can aggregate a mix of
+/// freshly measured and checkpoint-restored measurements exactly as the
+/// built-in runner does.
 pub fn aggregate_streaming(measurements: Vec<StreamPathMeasurement>) -> StreamCampaignResult {
     // rtt = 1.0: campaign intervals are already RTT-normalized per path.
     let mut pooled = LossStreamStats::with_rtt(1.0);
-    let mut validated = 0;
-    let mut rejected = 0;
-    let mut peak_trace_bytes = 0;
-    for m in &measurements {
-        peak_trace_bytes = peak_trace_bytes.max(m.small.trace_bytes + m.large.trace_bytes);
-        if m.validated {
-            validated += 1;
-            for &iv in &m.small.intervals_rtt {
-                pooled.push_interval(iv);
-            }
-            for &iv in &m.large.intervals_rtt {
-                pooled.push_interval(iv);
-            }
-        } else {
-            rejected += 1;
-        }
+    for iv in pooled_intervals(&measurements) {
+        pooled.push_interval(iv);
     }
+    let validated = measurements.iter().filter(|m| m.validated).count();
+    let peak_trace_bytes = measurements
+        .iter()
+        .map(|m| m.small.trace_bytes + m.large.trace_bytes)
+        .max()
+        .unwrap_or(0);
     StreamCampaignResult {
+        rejected: measurements.len() - validated,
         measurements,
         pooled,
         validated,
-        rejected,
         peak_trace_bytes,
     }
 }
@@ -502,12 +368,16 @@ mod tests {
             duration: SimDuration::from_secs(10),
             background: BackgroundMode::Packet,
         };
-        let res = run_campaign(&cfg);
+        let res = run_campaign_streaming(&cfg);
         assert_eq!(res.measurements.len(), 6);
         assert_eq!(res.validated + res.rejected, 6);
         assert!(res.validated >= 1, "everything rejected");
         // Intervals must be non-negative and not absurd.
-        assert!(res.intervals_rtt.iter().all(|&x| x >= 0.0));
+        let intervals = res.intervals_rtt();
+        assert!(!intervals.is_empty(), "want a lossy fixture");
+        assert!(intervals.iter().all(|&x| x >= 0.0));
+        // The pooled accumulator consumed exactly the pooled interval vector.
+        assert_eq!(res.pooled.n_losses(), intervals.len() as u64 + 1);
         // Summary accessors agree with the raw fields.
         assert!((res.validated_fraction() - res.validated as f64 / 6.0).abs() < 1e-12);
         let rates = res.loss_rates();
@@ -516,43 +386,29 @@ mod tests {
     }
 
     #[test]
-    fn streaming_campaign_matches_batch_campaign() {
-        let cfg = CampaignConfig {
-            seed: 6,
-            n_paths: 6,
-            probe_pps: 1000.0,
-            duration: SimDuration::from_secs(10),
-            background: BackgroundMode::Packet,
-        };
-        let batch = run_campaign(&cfg);
-        let stream = run_campaign_streaming(&cfg);
-        assert_eq!(batch.validated, stream.validated);
-        assert_eq!(batch.rejected, stream.rejected);
-        assert_eq!(batch.measurements.len(), stream.measurements.len());
-        for (b, s) in batch.measurements.iter().zip(&stream.measurements) {
-            assert_eq!((b.src, b.dst), (s.src, s.dst));
-            assert_eq!(b.validated, s.validated);
-            assert_eq!(b.small.loss_rate, s.small.loss_rate);
-            assert_eq!(b.large.loss_rate, s.large.loss_rate);
-        }
-        // The pooled accumulator consumed exactly the batch interval pool.
-        assert_eq!(
-            stream.pooled.n_losses(),
-            if batch.intervals_rtt.is_empty() {
-                0
-            } else {
-                batch.intervals_rtt.len() as u64 + 1
+    fn per_path_buffers_do_not_grow_with_run_duration() {
+        // Constant-memory claim: at 10 s and at 20 s alike a path commits a
+        // few kB of finished-flow records plus its receivers' O(losses) gap
+        // lists — where a buffered arrival log alone would cost
+        // 16 B x pps x duration x 2 runs: 320 kB at 10 s, 640 kB at 20 s.
+        for secs in [10, 20] {
+            let res = run_campaign_streaming(&CampaignConfig {
+                seed: 6,
+                n_paths: 6,
+                probe_pps: 1000.0,
+                duration: SimDuration::from_secs(secs),
+                background: BackgroundMode::Packet,
+            });
+            for m in &res.measurements {
+                let bytes = m.small.trace_bytes + m.large.trace_bytes;
+                let lost = m.small.n_lost + m.large.n_lost;
+                assert!(
+                    bytes <= 16 * 1024 + 16 * lost,
+                    "{bytes} B held for {lost} losses over {secs} s"
+                );
+                assert!(bytes <= res.peak_trace_bytes);
             }
-        );
-        assert!(!batch.intervals_rtt.is_empty(), "want a lossy fixture");
-        // Constant-memory claim: the streaming campaign's per-path peak is
-        // far below the batch pipeline's buffered traces.
-        assert!(
-            stream.peak_trace_bytes * 10 <= batch.peak_trace_bytes,
-            "streaming peak {} vs batch peak {}",
-            stream.peak_trace_bytes,
-            batch.peak_trace_bytes
-        );
+        }
     }
 
     #[test]
@@ -583,7 +439,7 @@ mod tests {
         for (i, &pair) in pairs.iter().enumerate() {
             assert_eq!(sample.pair(i), pair, "index {i}");
         }
-        // scenario() uses the replica-seed rule try_measure_path_grid uses:
+        // scenario() uses the replica-seed rule the grid measurement uses:
         // replica 0 is the classic scenario, replica 1 a fresh one.
         let (src, dst) = sample.pair(0);
         let classic = PathScenario::derive(cfg.seed, src, dst);
@@ -613,14 +469,17 @@ mod tests {
             background: BackgroundMode::Packet,
         };
         let (src, dst) = campaign_pairs(&cfg)[0];
-        let classic = try_measure_path(&cfg, src, dst, RunLimits::NONE).unwrap();
-        let grid0 = try_measure_path_grid(&cfg, 0, src, dst, RunLimits::NONE).unwrap();
+        let grid = |index| {
+            try_measure_path_grid_streaming(&cfg, index, src, dst, RunLimits::NONE).unwrap()
+        };
+        let classic = measure_path_streaming(&cfg, src, dst);
+        let grid0 = grid(0);
         assert_eq!(classic.rtt, grid0.rtt);
         assert_eq!(classic.small.loss_rate, grid0.small.loss_rate);
         assert_eq!(classic.small.intervals_rtt, grid0.small.intervals_rtt);
         assert_eq!(classic.large.intervals_rtt, grid0.large.intervals_rtt);
         // The same pair one replica later is a different synthetic path.
-        let grid1 = try_measure_path_grid(&cfg, DIRECTED_PATHS, src, dst, RunLimits::NONE).unwrap();
+        let grid1 = grid(DIRECTED_PATHS);
         assert!(
             grid1.rtt != grid0.rtt || grid1.small.intervals_rtt != grid0.small.intervals_rtt,
             "replica 1 should derive a fresh scenario"
@@ -636,9 +495,9 @@ mod tests {
             duration: SimDuration::from_secs(6),
             background: BackgroundMode::Packet,
         };
-        let a = run_campaign(&cfg);
-        let b = run_campaign(&cfg);
-        assert_eq!(a.intervals_rtt, b.intervals_rtt);
+        let a = run_campaign_streaming(&cfg);
+        let b = run_campaign_streaming(&cfg);
+        assert_eq!(a.intervals_rtt(), b.intervals_rtt());
         assert_eq!(a.validated, b.validated);
         let pa: Vec<(usize, usize)> = a.measurements.iter().map(|m| (m.src, m.dst)).collect();
         let pb: Vec<(usize, usize)> = b.measurements.iter().map(|m| (m.src, m.dst)).collect();

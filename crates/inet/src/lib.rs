@@ -19,7 +19,13 @@
 //!   validation rule;
 //! * [`campaign`] — the randomized multi-path campaign, rayon-parallel
 //!   across paths.
-
+//!
+//! There is one measurement path: a probe runs sink-driven in constant
+//! memory (trace buffering off, a gap-detecting receiver, statistics folded
+//! online), and a campaign pools such runs. The surviving verbs keep the
+//! `_streaming` / `Stream` affixes from when each had a buffered twin —
+//! the repo's benchmark imports exactly these names, and dropping the affix
+//! is a mechanical rename left to a benchmark-side change.
 //!
 //! ```
 //! use lossburst_inet::prelude::*;
@@ -46,16 +52,15 @@ pub mod sites;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::campaign::{
-        aggregate, aggregate_streaming, campaign_pairs, grid_pairs, measure_path,
-        measure_path_streaming, replica_seed, run_campaign, run_campaign_serial, try_measure_path,
-        try_measure_path_grid, try_measure_path_streaming, CampaignConfig, CampaignResult,
-        GridSample, PathMeasurement, StreamPathMeasurement,
+        aggregate_streaming, campaign_pairs, grid_pairs, measure_path_streaming, replica_seed,
+        run_campaign_streaming, try_measure_path_grid_streaming, try_measure_path_streaming,
+        CampaignConfig, GridSample, StreamCampaignResult, StreamPathMeasurement,
     };
     pub use crate::geo::{base_rtt, distance_km};
     pub use crate::path::{LoadTier, PathScenario};
     pub use crate::probe::{
-        run_probe, run_probe_limited, run_probe_streaming, run_probe_streaming_limited, validate,
-        ProbeConfig, ProbeError, ProbeOutcome, StreamProbeOutcome,
+        run_probe_streaming, run_probe_streaming_limited, validate_streaming, ProbeConfig,
+        ProbeError, StreamProbeOutcome,
     };
     pub use crate::report::{by_region_pair, path_table, region_table, RegionPairStats};
     pub use crate::sites::{all_directed_pairs, Region, Site, DIRECTED_PATHS, SITES};

@@ -80,45 +80,19 @@ impl ProbeConfig {
     }
 }
 
-/// What one probe run measured.
-#[derive(Clone, Debug)]
-pub struct ProbeOutcome {
-    /// Probe packets sent (within the counted window).
-    pub sent: u64,
-    /// Probe packets received.
-    pub received: u64,
-    /// Lost probe sequence numbers.
-    pub lost: Vec<u64>,
-    /// Nominal emission times (seconds) of the lost packets.
-    pub loss_times: Vec<f64>,
-    /// Probe loss rate.
-    pub loss_rate: f64,
-    /// Inter-loss intervals normalized by the path RTT.
-    pub intervals_rtt: Vec<f64>,
-    /// Simulator events processed by the run (throughput accounting for
-    /// the campaign benchmark).
-    pub events: u64,
-    /// Per-kind breakdown of those events (timers, arrivals, transmit
-    /// completions, fluid rate changes) — the accounting behind the
-    /// hybrid-mode speedup claims.
-    pub counts: EventCounts,
-    /// Bytes committed to run-long buffers — trace record streams plus the
-    /// probe receiver's arrival log. The quantity the streaming pipeline
-    /// ([`run_probe_streaming`]) collapses to a constant.
-    pub trace_bytes: usize,
-}
-
-/// What one *streaming* probe run measured: the same accounting as
-/// [`ProbeOutcome`], but with burstiness statistics accumulated online by a
-/// [`LossStreamStats`] instead of reconstructed from buffered records.
+/// What one probe run measured: loss accounting plus burstiness statistics
+/// accumulated online by a [`LossStreamStats`] as losses surfaced.
 #[derive(Clone, Debug)]
 pub struct StreamProbeOutcome {
     /// Probe packets sent (within the counted window).
     pub sent: u64,
     /// Probe packets received.
     pub received: u64,
-    /// Lost probe packets.
+    /// Lost probe packets (the checkpointed count).
     pub n_lost: usize,
+    /// Lost probe sequence numbers. Like `counts`, a fresh-run field:
+    /// checkpoints carry only `n_lost`, so it restores empty.
+    pub lost: Vec<u64>,
     /// Probe loss rate.
     pub loss_rate: f64,
     /// Inter-loss intervals normalized by the path RTT (kept for campaign
@@ -127,27 +101,22 @@ pub struct StreamProbeOutcome {
     /// The online accumulator, ready to [`LossStreamStats::report`].
     pub stats: LossStreamStats,
     /// Bytes committed to run-long buffers (trace streams + receiver gap
-    /// list) — compare against [`ProbeOutcome::trace_bytes`].
+    /// list): a constant plus O(losses), independent of run duration.
     pub trace_bytes: usize,
-    /// Simulator events processed by the run.
+    /// Simulator events processed by the run (throughput accounting for
+    /// the campaign benchmark).
     pub events: u64,
-    /// Per-kind breakdown of those events.
+    /// Per-kind breakdown of those events (timers, arrivals, transmit
+    /// completions, fluid rate changes) — the accounting behind the
+    /// hybrid-mode speedup claims.
     pub counts: EventCounts,
 }
 
 /// Build the probe simulation: chain topology, cross traffic, and the CBR
-/// probe flow. `streaming` selects the constant-memory configuration: no
-/// trace record buffering and the gap-detecting probe receiver.
-fn build_probe(
-    scenario: &PathScenario,
-    probe: &ProbeConfig,
-    streaming: bool,
-) -> (Simulator, FlowId) {
-    let mut b = if streaming {
-        SimBuilder::new(probe.seed).trace(TraceConfig::none())
-    } else {
-        SimBuilder::new(probe.seed)
-    };
+/// probe flow, in the constant-memory configuration — no trace record
+/// buffering and the gap-detecting probe receiver.
+fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, FlowId) {
+    let mut b = SimBuilder::new(probe.seed).trace(TraceConfig::none());
 
     // Cross-flow access delays: each long flow i gets access segments that
     // bring its end-to-end RTT to scenario.long_flow_rtts[i].
@@ -300,13 +269,9 @@ fn build_probe(
     let interval = SimDuration::from_secs_f64(1.0 / probe.pps);
     let count = ((probe.duration - warmup - tail_guard).as_secs_f64() / interval.as_secs_f64())
         .max(0.0) as u64;
-    let cbr =
-        Cbr::with_interval(chain.src, chain.dst, probe.packet_bytes, interval).with_limit(count);
-    let cbr = if streaming {
-        cbr.streaming()
-    } else {
-        cbr.recording()
-    };
+    let cbr = Cbr::with_interval(chain.src, chain.dst, probe.packet_bytes, interval)
+        .with_limit(count)
+        .streaming();
     let probe_flow = b.flow(chain.src, chain.dst, SimTime::ZERO + warmup, Box::new(cbr));
 
     (b.build(), probe_flow)
@@ -346,82 +311,25 @@ impl std::fmt::Display for ProbeError {
 
 impl std::error::Error for ProbeError {}
 
-/// Run one CBR probe over one path scenario, buffering the arrival log and
-/// trace records and reconstructing loss timing afterwards (the batch
-/// pipeline).
-pub fn run_probe(scenario: &PathScenario, probe: &ProbeConfig) -> ProbeOutcome {
-    run_probe_limited(scenario, probe, RunLimits::NONE).expect("unlimited run cannot exhaust")
-}
-
-/// [`run_probe`] under execution limits: the event budget in `limits`
-/// aborts a runaway simulation and surfaces as [`ProbeError::EventBudget`];
-/// `panic_at_event` (fault injection) panics out of the event loop exactly
-/// as a genuine simulator bug would, for the supervisor's fault boundary to
-/// catch.
-pub fn run_probe_limited(
-    scenario: &PathScenario,
-    probe: &ProbeConfig,
-    limits: RunLimits,
-) -> Result<ProbeOutcome, ProbeError> {
-    let (mut sim, probe_flow) = build_probe(scenario, probe, false);
-    sim.set_run_limits(limits);
-    sim.run_until(SimTime::ZERO + probe.duration);
-    if sim.budget_exhausted() {
-        return Err(ProbeError::EventBudget {
-            events: sim.events_processed,
-        });
-    }
-
-    let cbr = probe_cbr(&sim, probe_flow);
-    let sent = cbr.sent();
-    let lost = cbr.lost_seqs();
-    let loss_times: Vec<f64> = lost
-        .iter()
-        .filter_map(|&s| cbr.nominal_send_time(s))
-        .map(|t| t.as_secs_f64())
-        .collect();
-    let rtt_s = scenario.rtt.as_secs_f64();
-    let intervals_rtt: Vec<f64> = loss_times
-        .windows(2)
-        .map(|w| (w[1] - w[0]) / rtt_s)
-        .collect();
-    let received = cbr.received();
-    let trace_bytes = sim.trace.buffer_bytes() + cbr.receiver_buffer_bytes();
-    Ok(ProbeOutcome {
-        sent,
-        received,
-        loss_rate: if sent == 0 {
-            0.0
-        } else {
-            lost.len() as f64 / sent as f64
-        },
-        lost,
-        loss_times,
-        intervals_rtt,
-        events: sim.events_processed,
-        counts: sim.event_counts(),
-        trace_bytes,
-    })
-}
-
 /// Run one CBR probe in constant memory: trace buffering off, the receiver
 /// detecting sequence gaps online, and burstiness statistics folded into a
-/// [`LossStreamStats`] as losses surface. Produces bit-identical loss
-/// accounting and intervals to [`run_probe`] on the same scenario/config.
+/// [`LossStreamStats`] as losses surface.
 pub fn run_probe_streaming(scenario: &PathScenario, probe: &ProbeConfig) -> StreamProbeOutcome {
     run_probe_streaming_limited(scenario, probe, RunLimits::NONE)
         .expect("unlimited run cannot exhaust")
 }
 
-/// [`run_probe_streaming`] under execution limits — the streaming twin of
-/// [`run_probe_limited`], with identical budget and fault-injection
-/// semantics.
+/// [`run_probe_streaming`] under execution limits: the event budget in
+/// `limits` aborts a runaway simulation and surfaces as
+/// [`ProbeError::EventBudget`]; `panic_at_event` (fault injection) panics
+/// out of the event loop exactly as a genuine simulator bug would, for the
+/// supervisor's fault boundary to catch.
 pub fn run_probe_streaming_limited(
     scenario: &PathScenario,
     probe: &ProbeConfig,
     limits: RunLimits,
 ) -> Result<StreamProbeOutcome, ProbeError> {
-    let (mut sim, probe_flow) = build_probe(scenario, probe, true);
+    let (mut sim, probe_flow) = build_probe(scenario, probe);
     sim.set_run_limits(limits);
     sim.run_until(SimTime::ZERO + probe.duration);
     if sim.budget_exhausted() {
@@ -458,6 +366,7 @@ pub fn run_probe_streaming_limited(
         } else {
             lost.len() as f64 / sent as f64
         },
+        lost,
         intervals_rtt,
         stats,
         trace_bytes,
@@ -471,29 +380,11 @@ pub fn run_probe_streaming_limited(
 /// loss rates (within a factor-of-2 band when both runs saw enough losses)
 /// and require that one run does not see substantial loss while the other
 /// sees none.
-pub fn validate(small: &ProbeOutcome, large: &ProbeOutcome) -> bool {
-    loss_patterns_agree(
-        small.loss_rate,
-        small.lost.len(),
-        large.loss_rate,
-        large.lost.len(),
-    )
-}
-
-/// [`validate`] for streaming runs — the identical rule on the identical
-/// inputs, so a streaming campaign accepts exactly the paths a batch
-/// campaign would.
 pub fn validate_streaming(small: &StreamProbeOutcome, large: &StreamProbeOutcome) -> bool {
-    loss_patterns_agree(small.loss_rate, small.n_lost, large.loss_rate, large.n_lost)
-}
-
-fn loss_patterns_agree(rate_a: f64, lost_a: usize, rate_b: f64, lost_b: usize) -> bool {
-    let enough_a = lost_a >= 5;
-    let enough_b = lost_b >= 5;
-    match (enough_a, enough_b) {
+    match (small.n_lost >= 5, large.n_lost >= 5) {
         (true, true) => {
-            let hi = rate_a.max(rate_b);
-            let lo = rate_a.min(rate_b);
+            let hi = small.loss_rate.max(large.loss_rate);
+            let lo = small.loss_rate.min(large.loss_rate);
             lo / hi > 0.33
         }
         (false, false) => true, // both effectively loss-free: consistent
@@ -506,25 +397,40 @@ mod tests {
     use super::*;
     use crate::path::PathScenario;
 
-    fn quick(seed: u64, src: usize, dst: usize) -> (PathScenario, ProbeOutcome) {
-        let sc = PathScenario::derive(seed, src, dst);
-        let probe = ProbeConfig {
+    fn config(duration_secs: u64, seed: u64) -> ProbeConfig {
+        ProbeConfig {
             packet_bytes: 48,
             pps: 1000.0,
-            duration: SimDuration::from_secs(8),
-            seed: seed ^ 0xAB,
+            duration: SimDuration::from_secs(duration_secs),
+            seed,
             background: BackgroundMode::Packet,
-        };
-        let out = run_probe(&sc, &probe);
-        (sc, out)
+        }
+    }
+
+    fn quick(seed: u64, src: usize, dst: usize) -> StreamProbeOutcome {
+        let sc = PathScenario::derive(seed, src, dst);
+        run_probe_streaming(&sc, &config(8, seed ^ 0xAB))
+    }
+
+    /// The first few heavy-tier paths of seed 11's scenario space.
+    fn heavy_paths(n: usize) -> Vec<PathScenario> {
+        let out: Vec<PathScenario> = crate::sites::all_directed_pairs()
+            .into_iter()
+            .map(|(s, d)| PathScenario::derive(11, s, d))
+            .filter(|sc| sc.tier == crate::path::LoadTier::Heavy)
+            .take(n)
+            .collect();
+        assert!(!out.is_empty(), "no heavy paths in the scenario space");
+        out
     }
 
     #[test]
     fn probe_accounting_is_consistent() {
-        let (_, out) = quick(3, 0, 15);
+        let out = quick(3, 0, 15);
         assert!(out.sent > 1000);
         assert_eq!(out.sent, out.received + out.lost.len() as u64);
-        assert_eq!(out.loss_times.len(), out.lost.len());
+        assert_eq!(out.n_lost, out.lost.len());
+        assert_eq!(out.stats.n_losses() as usize, out.n_lost);
         if out.lost.len() >= 2 {
             assert_eq!(out.intervals_rtt.len(), out.lost.len() - 1);
             assert!(out.intervals_rtt.iter().all(|&x| x >= 0.0));
@@ -533,126 +439,80 @@ mod tests {
 
     #[test]
     fn heavy_paths_lose_probe_packets() {
-        // Scan for heavy-tier paths and confirm at least one drops probe
-        // packets within a short run.
-        let mut tried = 0;
-        let mut hits = 0;
-        'outer: for s in 0..26usize {
-            for d in 0..26usize {
-                if s == d {
-                    continue;
-                }
-                let sc = PathScenario::derive(11, s, d);
-                if sc.tier != crate::path::LoadTier::Heavy {
-                    continue;
-                }
-                tried += 1;
-                let probe = ProbeConfig {
-                    packet_bytes: 48,
-                    pps: 1000.0,
-                    duration: SimDuration::from_secs(10),
-                    seed: 77,
-                    background: BackgroundMode::Packet,
-                };
-                let out = run_probe(&sc, &probe);
-                if !out.lost.is_empty() {
-                    hits += 1;
-                }
-                if tried >= 5 {
-                    break 'outer;
-                }
-            }
-        }
-        assert!(tried > 0, "no heavy paths in the scenario space");
-        assert!(hits > 0, "none of {tried} heavy paths produced probe loss");
+        // Confirm at least one heavy-tier path drops probe packets within a
+        // short run.
+        let paths = heavy_paths(5);
+        let hits = paths
+            .iter()
+            .filter(|sc| !run_probe_streaming(sc, &config(10, 77)).lost.is_empty())
+            .count();
+        assert!(
+            hits > 0,
+            "none of {} heavy paths produced probe loss",
+            paths.len()
+        );
     }
 
     #[test]
     fn validation_accepts_similar_rejects_disparate() {
-        let mk = |losses: usize, sent: u64| ProbeOutcome {
+        let mk = |losses: usize, sent: u64| StreamProbeOutcome {
             sent,
             received: sent - losses as u64,
+            n_lost: losses,
             lost: (0..losses as u64).collect(),
-            loss_times: vec![0.0; losses],
             loss_rate: losses as f64 / sent as f64,
             intervals_rtt: vec![],
+            stats: LossStreamStats::with_rtt(0.05),
             events: 0,
             counts: EventCounts::default(),
             trace_bytes: 0,
         };
-        assert!(validate(&mk(100, 10_000), &mk(80, 10_000)));
-        assert!(!validate(&mk(100, 10_000), &mk(10, 10_000)));
-        assert!(validate(&mk(0, 10_000), &mk(2, 10_000)));
-        assert!(!validate(&mk(0, 10_000), &mk(50, 10_000)));
+        assert!(validate_streaming(&mk(100, 10_000), &mk(80, 10_000)));
+        assert!(!validate_streaming(&mk(100, 10_000), &mk(10, 10_000)));
+        assert!(validate_streaming(&mk(0, 10_000), &mk(2, 10_000)));
+        assert!(!validate_streaming(&mk(0, 10_000), &mk(50, 10_000)));
     }
 
     #[test]
-    fn streaming_probe_matches_batch_probe() {
-        // Find a heavy path (so there are losses to compare) and run it
-        // both ways: identical accounting, bit-identical intervals, and a
-        // large buffer reduction on the streaming side.
-        let mut compared = 0;
-        for s in 0..26usize {
-            for d in 0..26usize {
-                if s == d {
-                    continue;
-                }
-                let sc = PathScenario::derive(11, s, d);
-                if sc.tier != crate::path::LoadTier::Heavy {
-                    continue;
-                }
-                let probe = ProbeConfig {
-                    packet_bytes: 48,
-                    pps: 1000.0,
-                    duration: SimDuration::from_secs(10),
-                    seed: 77,
-                    background: BackgroundMode::Packet,
-                };
-                let batch = run_probe(&sc, &probe);
-                let stream = run_probe_streaming(&sc, &probe);
-                assert_eq!(batch.sent, stream.sent);
-                assert_eq!(batch.received, stream.received);
-                assert_eq!(batch.lost.len(), stream.n_lost);
-                assert_eq!(batch.loss_rate, stream.loss_rate);
-                assert_eq!(batch.events, stream.events);
-                let b_bits: Vec<u64> = batch.intervals_rtt.iter().map(|x| x.to_bits()).collect();
-                let s_bits: Vec<u64> = stream.intervals_rtt.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(b_bits, s_bits);
-                assert_eq!(stream.stats.n_losses() as usize, stream.n_lost);
-                if !batch.lost.is_empty() {
-                    assert!(
-                        stream.trace_bytes * 10 <= batch.trace_bytes,
-                        "streaming buffers {} vs batch {} — expected >=10x reduction",
-                        stream.trace_bytes,
-                        batch.trace_bytes
-                    );
-                    compared += 1;
-                }
-                if compared >= 2 {
-                    return;
-                }
+    fn probe_buffers_are_constant_in_run_duration() {
+        // Nothing is buffered per packet, at 10 s or at 20 s: the trace
+        // keeps one record per finished cross flow, the receiver an
+        // O(losses) gap list. (A buffered arrival log alone would hold
+        // 16 B x pps x duration.)
+        use lossburst_netsim::trace::CompletionRecord;
+        let mut lossy = 0;
+        for sc in heavy_paths(3) {
+            for secs in [10, 20] {
+                let probe = config(secs, 77);
+                let (mut sim, flow) = build_probe(&sc, &probe);
+                sim.run_until(SimTime::ZERO + probe.duration);
+                assert_eq!(
+                    sim.trace.buffer_bytes(),
+                    sim.trace.completions.capacity() * std::mem::size_of::<CompletionRecord>()
+                );
+                assert!(sim.trace.completions.len() <= sim.flows.len());
+                let cbr = probe_cbr(&sim, flow);
+                let n_lost = cbr.lost_seqs().len();
+                assert!(
+                    cbr.receiver_buffer_bytes() <= 16 * n_lost.max(4),
+                    "receiver holds {} B for {n_lost} losses over {secs} s",
+                    cbr.receiver_buffer_bytes()
+                );
+                lossy += usize::from(n_lost > 0);
             }
         }
-        assert!(compared > 0, "no lossy heavy path found to compare");
+        assert!(lossy > 0, "no lossy heavy path exercised the gap list");
     }
 
     #[test]
     fn event_budget_surfaces_as_probe_error() {
         let sc = PathScenario::derive(3, 0, 15);
-        let probe = ProbeConfig {
-            packet_bytes: 48,
-            pps: 1000.0,
-            duration: SimDuration::from_secs(8),
-            seed: 3 ^ 0xAB,
-            background: BackgroundMode::Packet,
-        };
-        let out = run_probe_limited(&sc, &probe, RunLimits::max_events(500));
-        assert!(matches!(out, Err(ProbeError::EventBudget { events: 500 })));
+        let probe = config(8, 3 ^ 0xAB);
         let out = run_probe_streaming_limited(&sc, &probe, RunLimits::max_events(500));
         assert!(matches!(out, Err(ProbeError::EventBudget { events: 500 })));
         // A generous budget changes nothing about the measurement.
-        let unlimited = run_probe(&sc, &probe);
-        let limited = run_probe_limited(&sc, &probe, RunLimits::max_events(u64::MAX / 2))
+        let unlimited = run_probe_streaming(&sc, &probe);
+        let limited = run_probe_streaming_limited(&sc, &probe, RunLimits::max_events(u64::MAX / 2))
             .expect("budget never reached");
         assert_eq!(unlimited.lost, limited.lost);
         assert_eq!(unlimited.sent, limited.sent);
@@ -661,8 +521,8 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_probe_outcome() {
-        let (_, a) = quick(9, 5, 6);
-        let (_, b) = quick(9, 5, 6);
+        let a = quick(9, 5, 6);
+        let b = quick(9, 5, 6);
         assert_eq!(a.lost, b.lost);
         assert_eq!(a.sent, b.sent);
     }

@@ -1,7 +1,7 @@
 //! Campaign-level reporting: loss statistics aggregated by region pair,
 //! validation bookkeeping, and a per-path table.
 
-use crate::campaign::CampaignResult;
+use crate::campaign::StreamCampaignResult;
 use crate::sites::{Region, SITES};
 use std::collections::BTreeMap;
 
@@ -30,7 +30,9 @@ fn region_name(r: Region) -> &'static str {
 }
 
 /// Bucket a campaign's measurements by (source region, destination region).
-pub fn by_region_pair(result: &CampaignResult) -> BTreeMap<(String, String), RegionPairStats> {
+pub fn by_region_pair(
+    result: &StreamCampaignResult,
+) -> BTreeMap<(String, String), RegionPairStats> {
     let mut sums: BTreeMap<(String, String), (RegionPairStats, f64)> = BTreeMap::new();
     for m in &result.measurements {
         let key = (
@@ -56,7 +58,7 @@ pub fn by_region_pair(result: &CampaignResult) -> BTreeMap<(String, String), Reg
 }
 
 /// Render the region-pair table as text.
-pub fn region_table(result: &CampaignResult) -> String {
+pub fn region_table(result: &StreamCampaignResult) -> String {
     let buckets = by_region_pair(result);
     let mut out = String::new();
     out.push_str(&format!(
@@ -78,7 +80,7 @@ pub fn region_table(result: &CampaignResult) -> String {
 }
 
 /// One line per measured path.
-pub fn path_table(result: &CampaignResult) -> String {
+pub fn path_table(result: &StreamCampaignResult) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<26} {:<26} {:>8} {:>9} {:>9} {:>6}\n",
@@ -101,11 +103,11 @@ pub fn path_table(result: &CampaignResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::campaign::{run_campaign_streaming, CampaignConfig};
     use lossburst_netsim::time::SimDuration;
 
-    fn small_campaign() -> CampaignResult {
-        run_campaign(&CampaignConfig {
+    fn small_campaign() -> StreamCampaignResult {
+        run_campaign_streaming(&CampaignConfig {
             seed: 12,
             n_paths: 6,
             probe_pps: 800.0,

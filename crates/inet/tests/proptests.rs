@@ -4,7 +4,9 @@
 
 use lossburst_inet::geo::{base_rtt, distance_km};
 use lossburst_inet::path::PathScenario;
-use lossburst_inet::probe::{run_probe, validate, ProbeConfig, ProbeOutcome};
+use lossburst_inet::probe::{
+    run_probe_streaming, validate_streaming, ProbeConfig, StreamProbeOutcome,
+};
 use lossburst_inet::sites::SITES;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::sweep::{with_rng, RngExt};
@@ -61,13 +63,14 @@ fn geography_is_metric_like() {
 /// The validation rule is symmetric in its two runs.
 #[test]
 fn validation_is_symmetric() {
-    let mk = |losses: usize| ProbeOutcome {
+    let mk = |losses: usize| StreamProbeOutcome {
         sent: 10_000,
         received: 10_000 - losses as u64,
+        n_lost: losses,
         lost: (0..losses as u64).collect(),
-        loss_times: vec![0.0; losses],
         loss_rate: losses as f64 / 10_000.0,
         intervals_rtt: vec![],
+        stats: lossburst_analysis::streaming::LossStreamStats::with_rtt(0.05),
         events: 0,
         counts: Default::default(),
         trace_bytes: 0,
@@ -76,7 +79,10 @@ fn validation_is_symmetric() {
         for _ in 0..100 {
             let l1 = gen.random_range(0..200usize);
             let l2 = gen.random_range(0..200usize);
-            assert_eq!(validate(&mk(l1), &mk(l2)), validate(&mk(l2), &mk(l1)));
+            assert_eq!(
+                validate_streaming(&mk(l1), &mk(l2)),
+                validate_streaming(&mk(l2), &mk(l1))
+            );
         }
     });
 }
@@ -87,7 +93,7 @@ fn validation_is_symmetric() {
 fn probe_conservation_over_sampled_paths() {
     for (seed, src, dst) in [(1u64, 0usize, 13usize), (2, 5, 21), (3, 24, 7)] {
         let scenario = PathScenario::derive(seed, src, dst);
-        let out = run_probe(
+        let out = run_probe_streaming(
             &scenario,
             &ProbeConfig {
                 packet_bytes: 48,
@@ -99,12 +105,12 @@ fn probe_conservation_over_sampled_paths() {
         );
         assert_eq!(out.sent, out.received + out.lost.len() as u64);
         assert!(out.loss_rate >= 0.0 && out.loss_rate <= 1.0);
-        // Loss times are sorted and within the run window.
-        for w in out.loss_times.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        if let Some(&last) = out.loss_times.last() {
-            assert!(last <= 6.0);
-        }
+        // Losses are in emission order, of packets actually sent, and
+        // span no more than the run window.
+        assert!(out.lost.windows(2).all(|w| w[0] < w[1]));
+        assert!(out.lost.iter().all(|&s| s < out.sent));
+        assert!(out.intervals_rtt.iter().all(|&iv| iv >= 0.0));
+        let span_secs = out.intervals_rtt.iter().sum::<f64>() * scenario.rtt.as_secs_f64();
+        assert!(span_secs <= 6.0);
     }
 }

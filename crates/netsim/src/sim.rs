@@ -157,18 +157,7 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// A fresh simulator with the given RNG seed and trace gating.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use netsim::builder::SimBuilder, which stages construction \
-                and computes routes at build()"
-    )]
-    pub fn new(seed: u64, trace: TraceConfig) -> Simulator {
-        Simulator::empty(seed, trace, SchedulerKind::default())
-    }
-
-    /// Internal constructor used by [`crate::builder::SimBuilder`] (and the
-    /// deprecated [`Simulator::new`] shim).
+    /// Internal constructor used by [`crate::builder::SimBuilder`].
     pub(crate) fn empty(seed: u64, trace: TraceConfig, scheduler: SchedulerKind) -> Simulator {
         Simulator {
             now: SimTime::ZERO,
@@ -781,38 +770,6 @@ mod tests {
         for w in series.windows(2) {
             assert!((w[1].0 - w[0].0 - 0.001).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_still_constructs_a_working_simulator() {
-        // The one sanctioned call site of `Simulator::new` outside the
-        // builder: the shim must keep behaving until it is removed.
-        let mut sim = Simulator::new(1, TraceConfig::all());
-        let a = sim.add_node(NodeKind::Host);
-        let b = sim.add_node(NodeKind::Host);
-        sim.add_link(
-            a,
-            b,
-            8_000_000.0,
-            SimDuration::from_millis(1),
-            QueueDisc::drop_tail(10),
-        );
-        sim.compute_routes();
-        sim.add_flow(
-            a,
-            b,
-            SimTime::ZERO,
-            Box::new(Blaster {
-                src: a,
-                dst: b,
-                n: 3,
-                received: 0,
-                size: 1000,
-            }),
-        );
-        sim.run_to_quiescence();
-        assert_eq!(sim.trace.completions.len(), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use lossburst_core::impact::{
 };
 use lossburst_core::model::DetectionRow;
 use lossburst_emu::testbed::{self, TestbedConfig};
-use lossburst_inet::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig, StreamCampaignResult};
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use std::sync::OnceLock;
@@ -46,7 +46,7 @@ pub struct Fig2Data {
 #[derive(Debug)]
 pub struct Fig4Data {
     /// Raw campaign result.
-    pub campaign: CampaignResult,
+    pub campaign: StreamCampaignResult,
     /// Study assembled from the pooled validated intervals.
     pub study: LossStudy,
 }
@@ -115,8 +115,8 @@ pub fn fig4_campaign_config(seed: u64) -> CampaignConfig {
 /// intervals still show the paper's intermediate burstiness band.
 pub fn fig4_quick(seed: u64) -> Fig4Data {
     let cfg = fig4_campaign_config(seed);
-    let campaign = run_campaign(&cfg);
-    let study = LossStudy::from_intervals("internet", campaign.intervals_rtt.clone());
+    let campaign = run_campaign_streaming(&cfg);
+    let study = LossStudy::from_intervals("internet", campaign.intervals_rtt());
     Fig4Data { campaign, study }
 }
 

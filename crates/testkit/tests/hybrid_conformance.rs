@@ -12,11 +12,10 @@
 //! never leaked into the reference runs.
 
 use lossburst_analysis::gilbert::{self, GilbertParams};
-use lossburst_analysis::intervals::normalized_intervals;
 use lossburst_core::campaign::{dummynet_study, ns2_study, LossStudy};
-use lossburst_inet::campaign::run_campaign;
+use lossburst_inet::campaign::run_campaign_streaming;
 use lossburst_inet::path::{LoadTier, PathScenario};
-use lossburst_inet::probe::{run_probe, ProbeConfig, ProbeOutcome};
+use lossburst_inet::probe::{run_probe_streaming, ProbeConfig, StreamProbeOutcome};
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
@@ -96,19 +95,19 @@ fn hybrid_fig4_internet_campaign_passes_the_gate() {
     let packet = &fig4_data().study;
     let mut cfg = fig4_campaign_config(QUICK_SEED);
     cfg.background = BackgroundMode::Fluid;
-    let campaign = run_campaign(&cfg);
+    let campaign = run_campaign_streaming(&cfg);
     assert!(
         campaign.validated_fraction() >= 0.75,
         "fluid mode broke probe validation: {:.2}",
         campaign.validated_fraction()
     );
-    let fluid = LossStudy::from_intervals("internet-fluid", campaign.intervals_rtt.clone());
+    let fluid = LossStudy::from_intervals("internet-fluid", campaign.intervals_rtt());
     gate("fig4", packet, &fluid).unwrap();
     check_internet_shape(&fluid.report).unwrap();
 }
 
 /// Fit a Gilbert model to the probe's own loss indicator sequence.
-fn gilbert_fit_of(out: &ProbeOutcome) -> GilbertParams {
+fn gilbert_fit_of(out: &StreamProbeOutcome) -> GilbertParams {
     let mut indicator = vec![false; out.sent as usize];
     for &s in &out.lost {
         indicator[s as usize] = true;
@@ -133,7 +132,7 @@ fn heavy_path() -> PathScenario {
     unreachable!("no heavy path in the scenario space")
 }
 
-fn heavy_probe(background: BackgroundMode) -> ProbeOutcome {
+fn heavy_probe(background: BackgroundMode) -> StreamProbeOutcome {
     let cfg = ProbeConfig {
         packet_bytes: 48,
         pps: 2000.0,
@@ -141,7 +140,7 @@ fn heavy_probe(background: BackgroundMode) -> ProbeOutcome {
         seed: 77,
         background,
     };
-    run_probe(&heavy_path(), &cfg)
+    run_probe_streaming(&heavy_path(), &cfg)
 }
 
 /// Gilbert-fit parameters of the probe's loss process agree between the
@@ -200,12 +199,8 @@ fn noise_dominated_study(noise_fraction: f64, background: BackgroundMode) -> Los
         seed: QUICK_SEED,
         background,
     };
-    let out = run_probe(&noise_dominated_path(noise_fraction), &cfg);
-    let rtt = 0.05;
-    LossStudy::from_intervals("noise-dominated", {
-        let times: Vec<f64> = out.loss_times.clone();
-        normalized_intervals(&times, rtt)
-    })
+    let out = run_probe_streaming(&noise_dominated_path(noise_fraction), &cfg);
+    LossStudy::from_intervals("noise-dominated", out.intervals_rtt)
 }
 
 /// The gate can fail: a fluid background whose aggregate rate is

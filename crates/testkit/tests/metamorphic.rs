@@ -14,7 +14,7 @@ use lossburst_analysis::intervals::normalized_intervals;
 use lossburst_core::campaign::LossStudy;
 use lossburst_emu::testbed::{self, TestbedConfig};
 use lossburst_inet::path::PathScenario;
-use lossburst_inet::probe::{run_probe, ProbeConfig};
+use lossburst_inet::probe::{run_probe_streaming, ProbeConfig};
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::determinism::{assert_policies_agree, SEED_MATRIX};
@@ -103,7 +103,7 @@ fn sorted_path_dump(pairs: &[(usize, usize)], seed: u64) -> Vec<u8> {
         .par_iter()
         .map(|&(src, dst)| {
             let scenario = PathScenario::derive(seed, src, dst);
-            let out = run_probe(
+            let out = run_probe_streaming(
                 &scenario,
                 &ProbeConfig {
                     packet_bytes: 48,

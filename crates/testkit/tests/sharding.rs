@@ -10,7 +10,7 @@ use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_core::prelude::*;
 use lossburst_core::shard::{merged_checkpoint_path, shard_checkpoint_path};
 use lossburst_core::supervisor::PathRecord;
-use lossburst_inet::campaign::{CampaignConfig, CampaignResult};
+use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig, StreamCampaignResult};
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
@@ -32,25 +32,32 @@ fn grid_campaign(seed: u64, n_paths: usize) -> CampaignConfig {
 /// Render a supervised campaign to bytes (ledger + checkpoint-encoded
 /// measurements + pooled intervals as bit patterns): equal dumps mean
 /// bit-identical campaign products.
-fn campaign_bytes(run: &SupervisedCampaign) -> Vec<u8> {
+fn campaign_bytes(run: &SupervisedStreamCampaign) -> Vec<u8> {
     let mut out = String::new();
     out.push_str(&format!("pairs {:?}\n", run.pairs));
     for e in &run.ledger {
         out.push_str(&format!("{} {:?}\n", e.index, e.outcome));
     }
-    for m in &run.result.measurements {
+    out.push_str(&result_dump(&run.result));
+    out.into_bytes()
+}
+
+/// The measurement half of [`campaign_bytes`]: every path's checkpoint
+/// line, the verdict totals, and the pooled intervals as bit patterns.
+fn result_dump(r: &StreamCampaignResult) -> String {
+    let mut out = String::new();
+    for m in &r.measurements {
         out.push_str(&m.encode());
         out.push('\n');
     }
-    let r: &CampaignResult = &run.result;
     out.push_str(&format!(
         "validated {} rejected {} peak {}\n",
         r.validated, r.rejected, r.peak_trace_bytes
     ));
-    for iv in &r.intervals_rtt {
+    for iv in r.intervals_rtt() {
         out.push_str(&format!("{:016x} ", iv.to_bits()));
     }
-    out.into_bytes()
+    out
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -71,12 +78,12 @@ fn sharded_campaign_is_byte_identical_to_one_process() {
     for seed in SEED_MATRIX {
         let cfg = grid_campaign(seed, 10);
         let sup = SupervisorConfig::default();
-        let reference = run_grid_supervised(&cfg, &sup).unwrap();
+        let reference = run_grid_streaming_supervised(&cfg, &sup).unwrap();
         assert_eq!(reference.counts().ok, cfg.n_paths);
         let want = campaign_bytes(&reference);
         for shards in [2usize, 4, 7] {
             let dir = scratch_dir(&format!("ident_{seed}_{shards}"));
-            let sharded = run_campaign_sharded(&cfg, &sup, shards, &dir).unwrap();
+            let sharded = run_campaign_sharded_streaming(&cfg, &sup, shards, &dir).unwrap();
             assert_eq!(
                 sharded.restored, cfg.n_paths,
                 "collect must restore every path from the merged checkpoint"
@@ -91,16 +98,16 @@ fn sharded_campaign_is_byte_identical_to_one_process() {
     }
 }
 
-/// The grid runner is the classic supervised runner at classic scale:
-/// for n ≤ 650 both produce byte-identical campaigns (and therefore
-/// interchangeable checkpoints — same fingerprint, same records).
+/// The grid runner is the classic campaign at classic scale: for n ≤ 650
+/// the supervised grid measures the very paths `run_campaign_streaming`
+/// does, in the same order, to the same bits.
 #[test]
 fn grid_campaign_matches_classic_below_650() {
     let cfg = grid_campaign(2006, 8);
-    let sup = SupervisorConfig::default();
-    let grid = run_grid_supervised(&cfg, &sup).unwrap();
-    let classic = run_campaign_supervised(&cfg, &sup).unwrap();
-    assert_eq!(campaign_bytes(&grid), campaign_bytes(&classic));
+    let grid = run_grid_streaming_supervised(&cfg, &SupervisorConfig::default()).unwrap();
+    let classic = run_campaign_streaming(&cfg);
+    assert_eq!(grid.pairs, lossburst_inet::campaign::campaign_pairs(&cfg));
+    assert_eq!(result_dump(&grid.result), result_dump(&classic));
 }
 
 /// A shard killed mid-slice and resumed (same shard file) completes its
@@ -111,7 +118,7 @@ fn interrupted_shard_resumes_and_merges_identically() {
     let seed = 2006;
     let cfg = grid_campaign(seed, 10);
     let sup = SupervisorConfig::default();
-    let reference = run_grid_supervised(&cfg, &sup).unwrap();
+    let reference = run_grid_streaming_supervised(&cfg, &sup).unwrap();
 
     let shards = 4;
     let dir = scratch_dir("resume");
@@ -123,21 +130,21 @@ fn interrupted_shard_resumes_and_merges_identically() {
                 stop_after: Some(1),
                 ..sup.clone()
             };
-            let rep = run_shard(&cfg, &interrupted, spec, &dir).unwrap();
+            let rep = run_shard_streaming(&cfg, &interrupted, spec, &dir).unwrap();
             assert_eq!(rep.counts.ok, 1);
             assert!(rep.counts.skipped > 0, "interruption must leave work");
             // ...then resume it: the finished path restores from the shard
             // checkpoint, the rest of the slice runs now.
-            let resumed = run_shard(&cfg, &sup, spec, &dir).unwrap();
+            let resumed = run_shard_streaming(&cfg, &sup, spec, &dir).unwrap();
             assert_eq!(resumed.restored, 1, "one path restores after the kill");
             assert_eq!(resumed.counts.ok, rep.owned);
         } else {
-            run_shard(&cfg, &sup, spec, &dir).unwrap();
+            run_shard_streaming(&cfg, &sup, spec, &dir).unwrap();
         }
     }
-    let merge = merge_shards(&cfg, &dir, shards).unwrap();
+    let merge = merge_shards_streaming(&cfg, &dir, shards).unwrap();
     assert_eq!(merge.records, cfg.n_paths);
-    let collected = collect_campaign(&cfg, &sup, &dir).unwrap();
+    let collected = collect_campaign_streaming(&cfg, &sup, &dir).unwrap();
     assert_eq!(
         campaign_bytes(&collected),
         campaign_bytes(&reference),
@@ -267,10 +274,10 @@ fn shard_and_merged_checkpoints_coexist_in_one_dir() {
     let cfg = grid_campaign(1, 5);
     let sup = SupervisorConfig::default();
     for i in 0..2 {
-        run_shard(&cfg, &sup, ShardSpec::new(i, 2), &dir).unwrap();
+        run_shard_streaming(&cfg, &sup, ShardSpec::new(i, 2), &dir).unwrap();
         assert!(shard_checkpoint_path(&dir, ShardSpec::new(i, 2)).exists());
     }
-    merge_shards(&cfg, &dir, 2).unwrap();
+    merge_shards_streaming(&cfg, &dir, 2).unwrap();
     assert!(merged_checkpoint_path(&dir).exists());
     std::fs::remove_dir_all(&dir).ok();
 }

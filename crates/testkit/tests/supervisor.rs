@@ -5,7 +5,7 @@
 
 use lossburst_core::prelude::*;
 use lossburst_core::supervisor::PathRecord;
-use lossburst_inet::campaign::{CampaignConfig, CampaignResult};
+use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig, StreamCampaignResult};
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
 use std::path::PathBuf;
@@ -35,26 +35,33 @@ fn fault_plan(seed: u64) -> FaultPlan {
 
 /// Render a supervised campaign to bytes: the full ledger plus every
 /// measurement through its checkpoint encoding (floats as bit patterns),
-/// so equal dumps mean bit-identical results.
-fn campaign_bytes(run: &SupervisedCampaign) -> Vec<u8> {
+/// the pooled intervals and the pooled accumulator's report, so equal
+/// dumps mean bit-identical results.
+fn campaign_bytes(run: &SupervisedStreamCampaign) -> Vec<u8> {
     let mut out = String::new();
     out.push_str(&format!("pairs {:?}\n", run.pairs));
     for e in &run.ledger {
         out.push_str(&format!("{} {:?}\n", e.index, e.outcome));
     }
-    for m in &run.result.measurements {
+    out.push_str(&result_dump(&run.result));
+    out.into_bytes()
+}
+
+fn result_dump(r: &StreamCampaignResult) -> String {
+    let mut out = String::new();
+    for m in &r.measurements {
         out.push_str(&m.encode());
         out.push('\n');
     }
-    let r: &CampaignResult = &run.result;
     out.push_str(&format!(
         "validated {} rejected {} peak {}\n",
         r.validated, r.rejected, r.peak_trace_bytes
     ));
-    for iv in &r.intervals_rtt {
+    for iv in r.intervals_rtt() {
         out.push_str(&format!("{:016x} ", iv.to_bits()));
     }
-    out.into_bytes()
+    out.push_str(&format!("\n{:?}", r.pooled.report()));
+    out
 }
 
 fn scratch_checkpoint(tag: usize) -> PathBuf {
@@ -82,7 +89,7 @@ fn interrupted_campaign_resumes_byte_identically() {
             ..Default::default()
         };
 
-        let reference = run_campaign_supervised(&cfg, &base).unwrap();
+        let reference = run_grid_streaming_supervised(&cfg, &base).unwrap();
         let counts = reference.counts();
         assert_eq!(counts.retried, 2, "panic + NaN paths recover on retry");
         assert_eq!(counts.failed, 1, "persistent timeout path fails");
@@ -94,7 +101,7 @@ fn interrupted_campaign_resumes_byte_identically() {
         assert!(reference.ledger[4].outcome.is_ok(), "empty trace is valid");
 
         let ck = scratch_checkpoint(RUN.fetch_add(1, Ordering::Relaxed));
-        let interrupted = run_campaign_supervised(
+        let interrupted = run_grid_streaming_supervised(
             &cfg,
             &SupervisorConfig {
                 checkpoint: Some(ck.clone()),
@@ -105,7 +112,7 @@ fn interrupted_campaign_resumes_byte_identically() {
         .unwrap();
         assert_eq!(interrupted.counts().skipped, cfg.n_paths - 3);
 
-        let resumed = run_campaign_supervised(
+        let resumed = run_grid_streaming_supervised(
             &cfg,
             &SupervisorConfig {
                 checkpoint: Some(ck.clone()),
@@ -124,78 +131,16 @@ fn interrupted_campaign_resumes_byte_identically() {
     });
 }
 
-/// The streaming twin restores checkpointed paths into results whose
-/// pooled product matches a fresh uninterrupted streaming run.
-#[test]
-fn streaming_campaign_resumes_to_the_same_pooled_report() {
-    let cfg = tiny_campaign(2006);
-    let base = SupervisorConfig {
-        max_retries: 1,
-        faults: fault_plan(2006),
-        ..Default::default()
-    };
-    let reference = run_campaign_streaming_supervised(&cfg, &base).unwrap();
-
-    let ck = scratch_checkpoint(9000);
-    let interrupted = run_campaign_streaming_supervised(
-        &cfg,
-        &SupervisorConfig {
-            checkpoint: Some(ck.clone()),
-            stop_after: Some(2),
-            ..base.clone()
-        },
-    )
-    .unwrap();
-    assert!(interrupted.counts().skipped >= 1);
-    let resumed = run_campaign_streaming_supervised(
-        &cfg,
-        &SupervisorConfig {
-            checkpoint: Some(ck.clone()),
-            ..base
-        },
-    )
-    .unwrap();
-    assert_eq!(resumed.ledger, reference.ledger);
-    let dump = |r: &SupervisedStreamCampaign| {
-        let mut s = String::new();
-        for m in &r.result.measurements {
-            s.push_str(&m.encode());
-            s.push('\n');
-        }
-        s.push_str(&format!("{:?}", r.result.pooled.report()));
-        s
-    };
-    assert_eq!(dump(&resumed), dump(&reference));
-    std::fs::remove_file(&ck).ok();
-}
-
 /// A clean supervised campaign (empty fault plan, no budgets) must produce
-/// exactly what the unsupervised `run_campaign` produces — the supervisor
-/// layer is observationally free when nothing goes wrong.
+/// exactly what the unsupervised `run_campaign_streaming` produces — the
+/// supervisor layer is observationally free when nothing goes wrong.
 #[test]
 fn clean_supervised_campaign_matches_unsupervised() {
     let cfg = tiny_campaign(1);
-    let sup = run_campaign_supervised(&cfg, &SupervisorConfig::default()).unwrap();
+    let sup = run_grid_streaming_supervised(&cfg, &SupervisorConfig::default()).unwrap();
     assert_eq!(sup.counts().ok, cfg.n_paths);
-    let plain = lossburst_inet::campaign::run_campaign(&cfg);
-    assert_eq!(sup.result.validated, plain.validated);
-    assert_eq!(sup.result.rejected, plain.rejected);
-    assert_eq!(
-        sup.result
-            .intervals_rtt
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        plain
-            .intervals_rtt
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>()
-    );
-    let enc = |ms: &[lossburst_inet::campaign::PathMeasurement]| {
-        ms.iter().map(|m| m.encode()).collect::<Vec<_>>()
-    };
-    assert_eq!(enc(&sup.result.measurements), enc(&plain.measurements));
+    let plain = run_campaign_streaming(&cfg);
+    assert_eq!(result_dump(&sup.result), result_dump(&plain));
 }
 
 /// The supervised lab sweep pools exactly the cells that survive, and an
@@ -241,4 +186,37 @@ fn lab_sweep_degrades_cell_by_cell() {
     let c = starved.counts();
     assert_eq!((c.ok, c.failed), (1, 1));
     assert!(starved.study.intervals_rtt.len() < clean.study.intervals_rtt.len());
+}
+
+/// The supervised lab sweep measures the cells the plain sweep does — the
+/// configured congestion controller and background model included.
+#[test]
+fn supervised_lab_sweep_honours_cc_and_background() {
+    use lossburst_netsim::fluid::BackgroundMode;
+    use lossburst_transport::cc::CcAlgorithm;
+    for (cc, background) in [
+        (CcAlgorithm::Cubic, BackgroundMode::Packet),
+        (CcAlgorithm::NewReno, BackgroundMode::Fluid),
+    ] {
+        let lab = LabCampaignConfig {
+            flow_counts: vec![4],
+            buffer_bdp_fractions: vec![0.25],
+            reference_rtt: SimDuration::from_millis(100),
+            duration: SimDuration::from_secs(5),
+            seed: 42,
+            background,
+            cc,
+        };
+        let bits = |study: &LossStudy| -> Vec<u64> {
+            study.intervals_rtt.iter().map(|x| x.to_bits()).collect()
+        };
+        let plain = ns2_study(&lab);
+        let supervised = ns2_study_supervised(&lab, &SupervisorConfig::default()).unwrap();
+        assert!(!plain.intervals_rtt.is_empty(), "want a lossy cell");
+        assert_eq!(
+            bits(&supervised.study),
+            bits(&plain),
+            "supervised sweep diverges under {cc:?} / {background:?}"
+        );
+    }
 }

@@ -1,38 +1,16 @@
-//! Legacy entry point for delay-based congestion control (the paper's
-//! reference [23], FAST TCP).
+//! Behaviour tests for delay-based congestion control (the paper's
+//! reference [23], FAST TCP): [`Sender::fast`].
 //!
 //! The paper's closing suggestion is to sidestep the loss-burstiness problem
 //! entirely by using queueing *delay* as the congestion signal: every flow
 //! observes the queue continuously, so the signal is not a rare bursty event
-//! that only some flows witness. The FAST window law now lives in
+//! that only some flows witness. The FAST window law lives in
 //! [`crate::cc::fast`] and runs over the unified [`Sender`] core, which
 //! drives the once-per-RTT update through the controller's clock tick.
-//! `DelayTcp` remains as a deprecated constructor shim; new code should call
-//! [`Sender::fast`].
 
 use crate::config::TcpConfig;
 use crate::sender::Sender;
-use lossburst_netsim::packet::NodeId;
 
-/// Constructor shim for FAST-style delay-based TCP.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `lossburst_transport::sender::Sender::fast`"
-)]
-pub struct DelayTcp;
-
-#[allow(deprecated)]
-impl DelayTcp {
-    /// A delay-based flow with FAST parameters `alpha` (packets buffered)
-    /// and `gamma` (gain) — now a [`Sender`] with the FAST controller.
-    #[allow(clippy::new_ret_no_self)] // compatibility shim: `DelayTcp` is a unit tag
-    pub fn new(src: NodeId, dst: NodeId, cfg: TcpConfig, alpha: f64, gamma: f64) -> Sender {
-        Sender::fast(src, dst, cfg, alpha, gamma)
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::cc::fast::FastCc;
@@ -59,7 +37,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(DelayTcp::new(a, b, TcpConfig::default(), 10.0, 0.5)),
+            Box::new(Sender::fast(a, b, TcpConfig::default(), 10.0, 0.5)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
         let t = sim.flows[flow.index()]
@@ -98,7 +76,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(DelayTcp::new(a, b, TcpConfig::default(), 8.0, 0.5).with_limit_bytes(500_000)),
+            Box::new(Sender::fast(a, b, TcpConfig::default(), 8.0, 0.5).with_limit_bytes(500_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
         assert!(sim.flows[flow.index()].transport.is_done());

@@ -21,8 +21,6 @@
 //! | Exponential on-off noise | background load | [`onoff`] |
 //!
 //! TCP Pacing is [`sender::SendMode::Paced`] over any window controller.
-//! The legacy entry points `Tcp`, `SackTcp`, `DelayTcp`, and `Tfrc` remain
-//! as deprecated shims in [`tcp`], [`tcp_sack`], [`delay`], and [`tfrc`].
 //!
 //! The window/rate split is the paper's central axis: window-based senders
 //! emit sub-RTT bursts and therefore *under-sample* bursty loss, while
@@ -51,7 +49,8 @@
 pub mod cbr;
 pub mod cc;
 pub mod config;
-pub mod delay;
+#[cfg(test)]
+mod delay;
 pub mod onoff;
 pub mod receiver;
 #[cfg(test)]
@@ -59,8 +58,10 @@ mod reference;
 pub mod rtt;
 mod runset;
 pub mod sender;
-pub mod tcp;
-pub mod tcp_sack;
+#[cfg(test)]
+mod tcp;
+#[cfg(test)]
+mod tcp_sack;
 pub mod tfrc;
 pub mod timer;
 
@@ -76,13 +77,4 @@ pub mod prelude {
     pub use crate::rtt::RttEstimator;
     pub use crate::sender::{RenoVariant, RepairKind, SendMode, Sender};
     pub use crate::tfrc::{tcp_throughput_eq, TfrcSender};
-
-    #[allow(deprecated)]
-    pub use crate::delay::DelayTcp;
-    #[allow(deprecated)]
-    pub use crate::tcp::Tcp;
-    #[allow(deprecated)]
-    pub use crate::tcp_sack::SackTcp;
-    #[allow(deprecated)]
-    pub use crate::tfrc::Tfrc;
 }

@@ -1,32 +1,18 @@
-//! Legacy entry point for loss-based window TCP (Reno/NewReno/Tahoe and
-//! TCP Pacing).
+//! Behaviour tests for loss-based window TCP (Reno/NewReno/Tahoe and TCP
+//! Pacing) over the unified [`Sender`]: the [`crate::sender`] core owns the
+//! mechanics (sequencing, loss detection, timers) and a
+//! [`crate::cc::Controller`] owns the window law.
 //!
-//! The implementation moved to the [`crate::sender`] +
-//! [`crate::cc`] split: [`Sender`] owns the mechanics (sequencing,
-//! loss detection, timers) and a [`crate::cc::Controller`] owns the window
-//! law. `Tcp` remains as a deprecated alias so existing constructors,
-//! downcasts, and experiment code keep compiling; new code should call
-//! [`Sender::newreno`], [`Sender::pacing`], … directly.
-//!
-//! The window/rate distinction the paper draws (Section 4.1) is now the
-//! [`SendMode`] axis of the unified sender:
+//! The window/rate distinction the paper draws (Section 4.1) is the
+//! [`SendMode`] axis of the sender:
 //!
 //! * a **window-based** sender ([`SendMode::Burst`]) transmits
 //!   `w(t) − pif(t)` packets back-to-back the moment the window opens;
 //! * a **rate-based** sender ([`SendMode::Paced`]) spreads the same window
 //!   evenly over the RTT, releasing one packet every `srtt / cwnd`.
 
-pub use crate::sender::{RenoVariant, SendMode, Sender};
+use crate::sender::{RenoVariant, SendMode, Sender};
 
-/// A TCP flow (sender and receiver halves).
-#[deprecated(
-    since = "0.6.0",
-    note = "use `lossburst_transport::sender::Sender` (e.g. `Sender::newreno`)"
-)]
-pub type Tcp = Sender;
-
-#[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::config::TcpConfig;
@@ -61,7 +47,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Tcp::newreno(a, b, TcpConfig::default()).with_limit_bytes(200_000)),
+            Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(200_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
         let entry = &sim.flows[flow.index()];
@@ -79,14 +65,14 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Tcp::newreno(a, b, TcpConfig::default())),
+            Box::new(Sender::newreno(a, b, TcpConfig::default())),
         );
         // RTT ≈ 21 ms. After ~4 RTTs of slow start cwnd should be ≈ 2^5.
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(90));
         let tcp = sim.flows[flow.index()]
             .transport
             .as_any()
-            .downcast_ref::<Tcp>()
+            .downcast_ref::<Sender>()
             .unwrap();
         assert!(
             tcp.cwnd() >= 16.0 && tcp.cwnd() <= 64.0,
@@ -104,12 +90,12 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Tcp::newreno(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
+            Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
         let entry = &sim.flows[flow.index()];
         assert!(entry.transport.is_done());
-        let tcp = entry.transport.as_any().downcast_ref::<Tcp>().unwrap();
+        let tcp = entry.transport.as_any().downcast_ref::<Sender>().unwrap();
         assert!(sim.total_drops() > 0, "buffer should have overflowed");
         assert!(tcp.retransmits > 0);
         assert!(
@@ -132,7 +118,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Tcp::newreno(a, b, TcpConfig::default()).with_limit_bytes(4_000_000)),
+            Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(4_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
         let entry = &sim.flows[flow.index()];
@@ -175,7 +161,7 @@ mod tests {
                 a,
                 b,
                 SimTime::ZERO,
-                Box::new(Tcp::new(a, b, cfg, RenoVariant::NewReno, mode)),
+                Box::new(Sender::new(a, b, cfg, RenoVariant::NewReno, mode)),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
             let evs: Vec<f64> = sim
@@ -220,14 +206,14 @@ mod tests {
                 b,
                 SimTime::ZERO,
                 Box::new(
-                    Tcp::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
+                    Sender::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
                         .with_limit_bytes(1_000_000),
                 ),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
             let entry = &sim.flows[flow.index()];
             assert!(entry.transport.is_done(), "{variant:?} did not finish");
-            let tcp = entry.transport.as_any().downcast_ref::<Tcp>().unwrap();
+            let tcp = entry.transport.as_any().downcast_ref::<Sender>().unwrap();
             (tcp.timeouts(), entry.completed_at.unwrap())
         };
         let (nr_timeouts, _) = run(RenoVariant::NewReno);
@@ -245,12 +231,12 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Tcp::tahoe(a, b, TcpConfig::default()).with_limit_bytes(1_000_000)),
+            Box::new(Sender::tahoe(a, b, TcpConfig::default()).with_limit_bytes(1_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
         let entry = &sim.flows[flow.index()];
         assert!(entry.transport.is_done(), "Tahoe transfer stalled");
-        let tcp = entry.transport.as_any().downcast_ref::<Tcp>().unwrap();
+        let tcp = entry.transport.as_any().downcast_ref::<Sender>().unwrap();
         assert!(tcp.loss_events > 0);
         assert!(!tcp.in_recovery(), "Tahoe must never be in fast recovery");
         assert_eq!(entry.transport.progress().bytes_delivered, 1_000_000);
@@ -265,7 +251,7 @@ mod tests {
                 b,
                 SimTime::ZERO,
                 Box::new(
-                    Tcp::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
+                    Sender::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
                         .with_limit_bytes(1_500_000),
                 ),
             );
@@ -306,12 +292,12 @@ mod tests {
             ecn: true,
             ..Default::default()
         };
-        let flow = sim.add_flow(a, b, SimTime::ZERO, Box::new(Tcp::newreno(a, b, cfg)));
+        let flow = sim.add_flow(a, b, SimTime::ZERO, Box::new(Sender::newreno(a, b, cfg)));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
         let tcp = sim.flows[flow.index()]
             .transport
             .as_any()
-            .downcast_ref::<Tcp>()
+            .downcast_ref::<Sender>()
             .unwrap();
         assert!(tcp.loss_events > 0, "ECN echoes should cause back-off");
         assert_eq!(sim.total_drops(), 0, "no packets should be dropped");
@@ -330,7 +316,7 @@ mod tests {
                 a,
                 b,
                 SimTime::ZERO,
-                Box::new(Tcp::newreno(a, b, cfg).with_limit_bytes(500_000)),
+                Box::new(Sender::newreno(a, b, cfg).with_limit_bytes(500_000)),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
             assert!(sim.flows[f.index()].transport.is_done());
@@ -347,9 +333,9 @@ mod tests {
 
     #[test]
     fn bulk_limit_rounds_up_to_whole_segments() {
-        let t = Tcp::newreno(NodeId(0), NodeId(1), TcpConfig::default()).with_limit_bytes(1500);
+        let t = Sender::newreno(NodeId(0), NodeId(1), TcpConfig::default()).with_limit_bytes(1500);
         assert_eq!(t.limit, Some(2));
-        let t2 = Tcp::newreno(NodeId(0), NodeId(1), TcpConfig::default()).with_limit_bytes(1);
+        let t2 = Sender::newreno(NodeId(0), NodeId(1), TcpConfig::default()).with_limit_bytes(1);
         assert_eq!(t2.limit, Some(1));
     }
 }

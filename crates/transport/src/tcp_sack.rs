@@ -1,35 +1,12 @@
-//! Legacy entry point for SACK TCP (RFC 2018 blocks + an RFC 6675-style
-//! scoreboard sender).
-//!
-//! The implementation moved into the unified [`Sender`] core, which now
-//! hosts the scoreboard as its [`crate::sender::RepairKind::Sack`] repair
-//! path; the NewReno-style halving lives in
-//! [`crate::cc::reno::RenoConfig::sack`]. `SackTcp` remains as a deprecated
-//! constructor shim; new code should call [`Sender::sack`] (or compose any
-//! other controller over SACK repair via [`Sender::with_controller`]).
+//! Behaviour tests for SACK TCP (RFC 2018 blocks + an RFC 6675-style
+//! scoreboard sender): [`Sender::sack`], the unified sender core with its
+//! [`crate::sender::RepairKind::Sack`] repair path under the NewReno-style
+//! halving of [`crate::cc::reno::RenoConfig::sack`].
 
 use crate::config::TcpConfig;
 use crate::sender::Sender;
 use lossburst_netsim::packet::NodeId;
 
-/// Constructor shim for a TCP flow with selective acknowledgments.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `lossburst_transport::sender::Sender::sack`"
-)]
-pub struct SackTcp;
-
-#[allow(deprecated)]
-impl SackTcp {
-    /// A SACK TCP flow (now a [`Sender`] with SACK repair).
-    #[allow(clippy::new_ret_no_self)] // compatibility shim: `SackTcp` is a unit tag
-    pub fn new(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
-        Sender::sack(src, dst, cfg)
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::sender::SackState;
@@ -61,7 +38,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(SackTcp::new(a, b, TcpConfig::default()).with_limit_bytes(500_000)),
+            Box::new(Sender::sack(a, b, TcpConfig::default()).with_limit_bytes(500_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
         let e = &sim.flows[f.index()];
@@ -76,7 +53,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(SackTcp::new(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
+            Box::new(Sender::sack(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
         let e = &sim.flows[f.index()];
@@ -105,7 +82,7 @@ mod tests {
             let mut sim = bld.build();
             let bytes = 8 * 1024 * 1024;
             let transport = if sack {
-                SackTcp::new(a, b, TcpConfig::default())
+                Sender::sack(a, b, TcpConfig::default())
             } else {
                 Sender::newreno(a, b, TcpConfig::default())
             };
@@ -130,7 +107,7 @@ mod tests {
 
     #[test]
     fn scoreboard_pipe_math() {
-        let mut t = SackTcp::new(NodeId(0), NodeId(1), TcpConfig::default());
+        let mut t = Sender::sack(NodeId(0), NodeId(1), TcpConfig::default());
         t.next_seq = 10;
         t.high_ack = 2;
         let sb: &mut SackState = t.sack.as_mut().unwrap();

@@ -114,10 +114,6 @@ impl LossHistory {
     }
 }
 
-/// Legacy name for [`TfrcSender`].
-#[deprecated(since = "0.6.0", note = "use `lossburst_transport::tfrc::TfrcSender`")]
-pub type Tfrc = TfrcSender;
-
 /// A TFRC flow (sender and receiver halves).
 pub struct TfrcSender {
     src: NodeId,

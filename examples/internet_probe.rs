@@ -6,9 +6,8 @@
 //! cargo run --release --example internet_probe
 //! ```
 
-use lossburst::analysis::burstiness;
 use lossburst::inet::path::PathScenario;
-use lossburst::inet::probe::{run_probe, validate, ProbeConfig};
+use lossburst::inet::probe::{run_probe_streaming, validate_streaming, ProbeConfig};
 use lossburst::inet::sites::SITES;
 use lossburst::netsim::time::SimDuration;
 
@@ -35,18 +34,16 @@ fn main() {
     );
 
     let duration = SimDuration::from_secs(30);
-    let small = run_probe(&scenario, &ProbeConfig::small(duration, 1));
-    let large = run_probe(&scenario, &ProbeConfig::large(duration, 2));
+    let small = run_probe_streaming(&scenario, &ProbeConfig::small(duration, 1));
+    let large = run_probe_streaming(&scenario, &ProbeConfig::large(duration, 2));
 
     for (label, out) in [("48-byte", &small), ("400-byte", &large)] {
         println!(
             "\n  {label} probe: {} sent, {} lost (rate {:.4})",
-            out.sent,
-            out.lost.len(),
-            out.loss_rate
+            out.sent, out.n_lost, out.loss_rate
         );
         if out.intervals_rtt.len() > 2 {
-            let rep = burstiness::analyze(&out.intervals_rtt);
+            let rep = out.stats.report();
             println!(
                 "    inter-loss intervals: {:.0}% < 0.01 RTT, {:.0}% < 1 RTT",
                 rep.frac_below_001 * 100.0,
@@ -55,7 +52,7 @@ fn main() {
         }
     }
 
-    let ok = validate(&small, &large);
+    let ok = validate_streaming(&small, &large);
     println!(
         "\n  validation (similar loss patterns across packet sizes): {}",
         if ok { "ACCEPTED" } else { "REJECTED" }

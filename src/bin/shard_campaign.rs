@@ -26,7 +26,6 @@ struct Args {
     paths: usize,
     seed: u64,
     dir: PathBuf,
-    streaming: bool,
 }
 
 fn parse_args() -> Args {
@@ -36,7 +35,6 @@ fn parse_args() -> Args {
         paths: 1_000,
         seed: 2006,
         dir: PathBuf::from("shard-campaign"),
-        streaming: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -68,11 +66,10 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--seed requires an integer"));
             }
             "--dir" => args.dir = PathBuf::from(val("--dir")),
-            "--streaming" => args.streaming = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: shard_campaign [--shards N] [--paths N] [--seed S] \
-                     [--dir PATH] [--streaming]\n\
+                     [--dir PATH]\n\
                      worker form (spawned internally): shard_campaign --shard i/N ..."
                 );
                 exit(0);
@@ -102,11 +99,7 @@ fn config(args: &Args) -> (CampaignConfig, SupervisorConfig) {
 fn worker(args: &Args, spec: ShardSpec) -> lossburst::core::error::Result<()> {
     let (cfg, sup) = config(args);
     let started = Instant::now();
-    let report = if args.streaming {
-        run_shard_streaming(&cfg, &sup, spec, &args.dir)?
-    } else {
-        run_shard(&cfg, &sup, spec, &args.dir)?
-    };
+    let report = run_shard_streaming(&cfg, &sup, spec, &args.dir)?;
     eprintln!(
         "shard {spec}: {} paths ({} restored) in {:.1}s",
         report.owned,
@@ -122,7 +115,7 @@ fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
     let exe = std::env::current_exe().map_err(lossburst::core::error::Error::from)?;
     let started = Instant::now();
     spawn_shards(&exe, args.shards, |spec| {
-        let mut argv = vec![
+        vec![
             "--shard".to_string(),
             spec.to_string(),
             "--paths".to_string(),
@@ -131,33 +124,23 @@ fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
             args.seed.to_string(),
             "--dir".to_string(),
             args.dir.display().to_string(),
-        ];
-        if args.streaming {
-            argv.push("--streaming".to_string());
-        }
-        argv
+        ]
     })
     .map_err(lossburst::core::error::Error::from)?;
     let workers_done = started.elapsed();
 
-    let (merge, counts, restored) = if args.streaming {
-        let m = merge_shards_streaming(&cfg, &args.dir, args.shards)
-            .map_err(lossburst::core::error::Error::from)?;
-        let c = collect_campaign_streaming(&cfg, &sup, &args.dir)?;
-        (m, c.counts(), c.restored)
-    } else {
-        let m = merge_shards(&cfg, &args.dir, args.shards)
-            .map_err(lossburst::core::error::Error::from)?;
-        let c = collect_campaign(&cfg, &sup, &args.dir)?;
-        (m, c.counts(), c.restored)
-    };
+    let merge = merge_shards_streaming(&cfg, &args.dir, args.shards)
+        .map_err(lossburst::core::error::Error::from)?;
+    let collected = collect_campaign_streaming(&cfg, &sup, &args.dir)?;
     let elapsed = started.elapsed().as_secs_f64();
     println!(
         "campaign: {} paths x {} shards -> {} merged records ({} superseded)",
         args.paths, args.shards, merge.records, merge.superseded
     );
     println!(
-        "collect: {restored} restored, counts {counts:?}, checkpoint {}",
+        "collect: {} restored, counts {:?}, checkpoint {}",
+        collected.restored,
+        collected.counts(),
         lossburst::core::shard::merged_checkpoint_path(&args.dir).display()
     );
     println!(
