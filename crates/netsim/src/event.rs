@@ -5,12 +5,14 @@
 //!
 //! * [`SchedulerKind::Calendar`] (the default) — a calendar queue in the
 //!   style of Brown (CACM 1988): events hash into power-of-two-width time
-//!   buckets, the queue walks the current "day" forward, and bucket count
-//!   and width adapt to the live event population. Packet simulation
-//!   schedules overwhelmingly into the near future (serialization
-//!   completions, propagation arrivals, RTO timers), which is exactly the
-//!   access pattern calendar queues turn into O(1) amortized
-//!   enqueue/dequeue.
+//!   buckets, the queue walks the current "day" forward, the bucket count
+//!   follows the pending population and the day width follows the
+//!   separation of the events about to be dequeued. Packet simulation
+//!   dequeues from a dense near-term mode (serialization completions,
+//!   propagation arrivals) while hundreds of far-future events (flow
+//!   starts, stale RTO timers) wait; sized from its head, the calendar
+//!   turns that into O(1) amortized enqueue/dequeue, and
+//!   [`SchedulerStats`] reports whether it did.
 //! * [`SchedulerKind::Heap`] — the original `BinaryHeap` implementation,
 //!   kept as a fallback and as the reference ordering for equivalence
 //!   tests.
@@ -114,18 +116,130 @@ impl Ord for Scheduled {
     }
 }
 
+/// Read-only scheduler counters: "is this run's calendar tuned?" answered
+/// from the run itself. Always on (integer adds, like
+/// [`crate::sim::EventCounts`]); the heap scheduler reports all zeros.
+///
+/// A tuned calendar shifts about one element per insert and walks under
+/// one day per pop; either ratio in the tens means the day width does not
+/// match the events being dequeued, and the queue is working as a sorted
+/// array (many shifted) or a linear scan (many days).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedulerStats {
+    /// Events scheduled.
+    pub inserts: u64,
+    /// Bucket elements moved aside to keep buckets sorted, summed over all
+    /// inserts.
+    pub shifted: u64,
+    /// Events dequeued.
+    pub pops: u64,
+    /// Days the dequeue walk stepped over, summed over all pops.
+    pub days_walked: u64,
+    /// Times the calendar was rebuilt (re-bucketed with a new width or
+    /// bucket count).
+    pub rebuilds: u64,
+    /// Current bucket count.
+    pub buckets: usize,
+    /// Current day width in nanoseconds.
+    pub day_ns: u64,
+}
+
+impl SchedulerStats {
+    /// Mean bucket elements moved per insert (0 before the first insert).
+    pub fn shifted_per_insert(&self) -> f64 {
+        self.shifted as f64 / self.inserts.max(1) as f64
+    }
+
+    /// Mean days walked per pop (0 before the first pop).
+    pub fn days_per_pop(&self) -> f64 {
+        self.days_walked as f64 / self.pops.max(1) as f64
+    }
+}
+
+/// One day's events, ascending by `(time, seq)`, with the popped prefix
+/// left in place: `items[..head]` are gone, `items[head..]` are live. Both
+/// ends are O(1) — dequeue advances `head`, and an event later than
+/// everything in the bucket (every same-instant insert, since `seq` only
+/// grows) is a `push`.
+#[derive(Default)]
+struct Bucket {
+    items: Vec<Scheduled>,
+    head: usize,
+}
+
+impl Bucket {
+    #[inline]
+    fn front(&self) -> Option<&Scheduled> {
+        self.items.get(self.head)
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Option<Scheduled> {
+        let s = *self.items.get(self.head)?;
+        self.head += 1;
+        if self.head == self.items.len() {
+            self.items.clear();
+            self.head = 0;
+        }
+        Some(s)
+    }
+
+    /// Insert in key order; returns how many elements had to move.
+    #[inline]
+    fn insert(&mut self, s: Scheduled) -> usize {
+        // Out of room with half of it already popped: reclaim that half
+        // instead of growing (a bucket that always holds a far-future
+        // event never empties, and would otherwise creep through memory).
+        if self.items.len() == self.items.capacity() && self.head * 2 >= self.items.len() {
+            self.items.drain(..self.head);
+            self.head = 0;
+        }
+        let key = s.key();
+        let live = &self.items[self.head..];
+        if live.last().is_none_or(|last| last.key() < key) {
+            self.items.push(s);
+            return 0;
+        }
+        let pos = live.partition_point(|e| e.key() < key);
+        if pos == 0 && self.head > 0 {
+            self.head -= 1;
+            self.items[self.head] = s;
+            return 0;
+        }
+        let moved = live.len() - pos;
+        self.items.insert(self.head + pos, s);
+        moved
+    }
+
+    /// Empty the bucket, releasing its allocation, and yield what was live.
+    fn take(&mut self) -> impl Iterator<Item = Scheduled> {
+        let Bucket { items, head } = std::mem::take(self);
+        items.into_iter().skip(head)
+    }
+}
+
 /// Adaptive calendar queue.
 ///
-/// Buckets are `Vec`s kept sorted *descending* by `(time, seq)` so the
-/// bucket minimum is always at the tail: dequeue is `Vec::pop`, enqueue is
-/// a binary-search insert (near-future events land at or near the tail, so
-/// the memmove is short in the common case). Bucket index for time `t` is
-/// `(t >> shift) & (nbuckets - 1)`; one bucket therefore spans
-/// `2^shift` ns (a "day") and the whole wheel spans `nbuckets << shift` ns
-/// (a "year"). Events beyond the current year simply wait in their bucket
-/// until the wheel comes round to their day.
+/// Bucket index for time `t` is `(t >> shift) & (nbuckets - 1)`; one
+/// [`Bucket`] therefore spans `2^shift` ns (a "day") and the whole wheel
+/// spans `nbuckets << shift` ns (a "year"). Events beyond the current year
+/// simply wait in their bucket until the wheel comes round to their day.
+///
+/// The day width is sized from the events about to be dequeued (Brown's
+/// rule, see [`day_shift`]), not from the whole pending span: a packet
+/// simulation's pending set is bimodal — a few near-term tx/arrival events
+/// beside hundreds of far-future flow starts and stale RTO timers — and a
+/// width of `span / len` puts the whole near-term mode into one day, a
+/// sorted array with a calendar's overhead. Three things rebuild the
+/// calendar: the population doubling or quartering against the bucket
+/// count; a dequeue walk that crosses an empty year; and a window of
+/// inserts that wasted more than [`WASTE_THRESHOLD`] steps each — elements
+/// shifted (days too wide for the events arriving) plus days walked (too
+/// narrow for the events leaving) — so the width follows the head of the
+/// queue through regime changes instead of waiting for the population to
+/// change.
 struct CalendarQueue {
-    buckets: Vec<Vec<Scheduled>>,
+    buckets: Vec<Bucket>,
     /// log2 of the bucket width in nanoseconds.
     shift: u32,
     /// `buckets.len() - 1`; bucket count is always a power of two.
@@ -134,6 +248,16 @@ struct CalendarQueue {
     len: usize,
     /// Virtual clock in bucket-width units: no event lives below this day.
     cur_day: u64,
+    /// The counters of [`SchedulerStats`]; its geometry fields are filled
+    /// in on read.
+    counts: SchedulerStats,
+    /// Length in inserts of the current tuning window: [`TUNE_WINDOW`],
+    /// doubled for every wasteful window in a row.
+    window: u64,
+    /// `counts.inserts` value at which the current window closes.
+    window_end: u64,
+    /// [`CalendarQueue::waste`] when the current window opened.
+    window_waste: u64,
 }
 
 const MIN_BUCKETS: usize = 32;
@@ -141,15 +265,66 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// Default bucket width: 2^13 ns = 8.192 µs, a good match for the µs-scale
 /// serialization/propagation gaps of the Fig-1 dumbbell workloads.
 const DEFAULT_SHIFT: u32 = 13;
+/// How many of the earliest pending events size the day width.
+const HEAD_SAMPLE: usize = 32;
+/// Inserts per tuning window.
+const TUNE_WINDOW: u64 = 1024;
+/// Mean wasted steps per insert, over a window, above which the day width
+/// no longer fits. A calendar at Brown's width wastes about one (a day
+/// holds three head events: an insert shifts one of them, a pop walks a
+/// third of a day).
+const WASTE_THRESHOLD: u64 = 2;
+
+/// log2 of the day width for a pending set given in `(time, seq)` order.
+///
+/// Brown (CACM 1988): average the separations of the first few events,
+/// drop separations above twice that average (the jump from the near-term
+/// mode to the next one), and make a day three of the remaining average
+/// separations wide. When the sample says nothing — fewer than two events,
+/// or all of them at one instant — fall back to a year of twice the whole
+/// pending span.
+fn day_shift(sorted: &[Scheduled]) -> u32 {
+    let head = &sorted[..sorted.len().min(HEAD_SAMPLE)];
+    let gaps = || {
+        head.windows(2)
+            .map(|w| (w[1].time.as_nanos() - w[0].time.as_nanos()) as f64)
+    };
+    let mean = gaps().sum::<f64>() / gaps().count().max(1) as f64;
+    let (sum, n) = gaps()
+        .filter(|&g| g <= 2.0 * mean)
+        .fold((0.0, 0u32), |(sum, n), g| (sum + g, n + 1));
+    let width = if sum > 0.0 {
+        (3.0 * sum / n as f64) as u64
+    } else {
+        let span = match (sorted.first(), sorted.last()) {
+            (Some(first), Some(last)) => last.time.as_nanos() - first.time.as_nanos(),
+            _ => 0,
+        };
+        span.saturating_mul(2) / sorted.len().max(1) as u64
+    };
+    width.max(1).ilog2().min(40)
+}
 
 impl CalendarQueue {
     fn new() -> CalendarQueue {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: (0..MIN_BUCKETS).map(|_| Bucket::default()).collect(),
             shift: DEFAULT_SHIFT,
             mask: (MIN_BUCKETS - 1) as u64,
             len: 0,
             cur_day: 0,
+            counts: SchedulerStats::default(),
+            window: TUNE_WINDOW,
+            window_end: TUNE_WINDOW,
+            window_waste: 0,
+        }
+    }
+
+    fn stats(&self) -> SchedulerStats {
+        SchedulerStats {
+            buckets: self.buckets.len(),
+            day_ns: 1 << self.shift,
+            ..self.counts
         }
     }
 
@@ -172,16 +347,41 @@ impl CalendarQueue {
             self.cur_day = day;
         }
         let idx = self.bucket_of(s.time);
-        let bucket = &mut self.buckets[idx];
-        // Descending sort: find the first element with key < s.key() and
-        // insert before it. Near-future inserts hit the tail immediately.
-        let key = s.key();
-        let pos = bucket.partition_point(|e| e.key() > key);
-        bucket.insert(pos, s);
+        self.counts.shifted += self.buckets[idx].insert(s) as u64;
+        self.counts.inserts += 1;
         self.len += 1;
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.resize();
+            self.rebuild();
+        } else if self.counts.inserts >= self.window_end {
+            self.close_window();
         }
+    }
+
+    /// Steps spent beyond one per operation: elements shifted by inserts
+    /// plus days walked by pops.
+    fn waste(&self) -> u64 {
+        self.counts.shifted + self.counts.days_walked
+    }
+
+    /// End of a tuning window: rebuild if it was wasteful, and then judge
+    /// the result over a window twice as long — so that waste a rebuild
+    /// cannot relieve (crowding beyond the head sample, say) costs a
+    /// logarithmic number of rebuilds, not one per window. A quiet window
+    /// restores the base length.
+    #[cold]
+    fn close_window(&mut self) {
+        if self.waste() - self.window_waste > WASTE_THRESHOLD * self.window {
+            self.window = self.window.saturating_mul(2);
+            self.rebuild();
+        } else {
+            self.window = TUNE_WINDOW;
+            self.open_window();
+        }
+    }
+
+    fn open_window(&mut self) {
+        self.window_end = self.counts.inserts.saturating_add(self.window);
+        self.window_waste = self.waste();
     }
 
     fn pop(&mut self) -> Option<Scheduled> {
@@ -201,59 +401,41 @@ impl CalendarQueue {
             // matches the clock is the global minimum (no earlier day holds
             // anything).
             let nbuckets = self.buckets.len() as u64;
-            for _ in 0..nbuckets {
+            for walked in 0..nbuckets {
                 let idx = (self.cur_day & self.mask) as usize;
-                if let Some(tail) = self.buckets[idx].last() {
-                    if self.day_of(tail.time) == self.cur_day {
-                        return self.take_tail_before(idx, horizon);
+                if let Some(head) = self.buckets[idx].front() {
+                    if self.day_of(head.time) == self.cur_day {
+                        self.counts.days_walked += walked;
+                        return self.take_head_before(idx, horizon);
                     }
                 }
                 self.cur_day += 1;
             }
-            // A full year went by without an event: the bucket geometry no
-            // longer matches the pending population. This happens when the
-            // width was sized during a transient burst (e.g. hundreds of
-            // same-instant flow starts → span ≈ 0 → ns-wide buckets) and the
-            // population then settled into a deadband where neither the grow
-            // nor the shrink trigger fires — every pop would pay a full-year
-            // walk plus an O(nbuckets) scan. Rebuild around the live span so
-            // the next walk lands on an occupied day; if the rebuild leaves
-            // the geometry unchanged (events genuinely further apart than a
-            // maximal year), fall back to a direct minimum scan.
-            let before = (self.shift, self.buckets.len());
-            self.resize();
-            if (self.shift, self.buckets.len()) == before {
-                let (idx, (time, _)) = self.min_position().expect("non-empty queue has a minimum");
-                self.cur_day = self.day_of(time);
-                return self.take_tail_before(idx, horizon);
-            }
+            self.counts.days_walked += nbuckets;
+            // A full year went by without an event: the days are too
+            // narrow for what is pending now (the width was sized during a
+            // burst, or the near-term mode has drained and only far-future
+            // events remain). Rebuild around the current head; that also
+            // puts the clock on the earliest event's day, so the next walk
+            // finds it at its first step even when the geometry could not
+            // change (events genuinely further apart than a maximal year).
+            self.rebuild();
         }
     }
 
-    /// Pop bucket `idx`'s tail — the global minimum, on day `cur_day` —
+    /// Pop bucket `idx`'s head — the global minimum, on day `cur_day` —
     /// unless it is due after `horizon`.
-    fn take_tail_before(&mut self, idx: usize, horizon: SimTime) -> Option<Scheduled> {
-        if self.buckets[idx].last()?.time > horizon {
+    fn take_head_before(&mut self, idx: usize, horizon: SimTime) -> Option<Scheduled> {
+        if self.buckets[idx].front()?.time > horizon {
             return None;
         }
-        let s = self.buckets[idx].pop();
+        let s = self.buckets[idx].pop_front();
         self.len -= 1;
-        self.maybe_shrink();
-        s
-    }
-
-    /// Bucket index and key of the globally earliest event, by scanning
-    /// every bucket tail. O(nbuckets); used for peeks and year-overflow.
-    fn min_position(&self) -> Option<(usize, (SimTime, u64))> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if let Some(tail) = b.last() {
-                if best.is_none_or(|(_, k)| tail.key() < k) {
-                    best = Some((i, tail.key()));
-                }
-            }
+        self.counts.pops += 1;
+        if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
+            self.rebuild();
         }
-        best
+        s
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -261,59 +443,49 @@ impl CalendarQueue {
             return None;
         }
         // Fast path mirroring pop(): the first occupied day at or after the
-        // virtual clock. Fall back to the full scan after one year.
+        // virtual clock. Fall back to scanning every bucket head after one
+        // year.
         let nbuckets = self.buckets.len() as u64;
         for day in self.cur_day..self.cur_day + nbuckets {
             let idx = (day & self.mask) as usize;
-            if let Some(tail) = self.buckets[idx].last() {
-                if self.day_of(tail.time) == day {
-                    return Some(tail.time);
+            if let Some(head) = self.buckets[idx].front() {
+                if self.day_of(head.time) == day {
+                    return Some(head.time);
                 }
             }
         }
-        self.min_position().map(|(_, (t, _))| t)
+        self.buckets
+            .iter()
+            .filter_map(|b| b.front())
+            .map(|head| head.time)
+            .min()
     }
 
-    fn maybe_shrink(&mut self) {
-        if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-            self.resize();
-        }
-    }
-
-    /// Rebuild with a bucket count proportional to the population and a
-    /// bucket width matched to the current event span, so that a year
-    /// covers the whole pending horizon and days hold O(1) events.
-    fn resize(&mut self) {
-        let events: Vec<Scheduled> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
+    /// Re-bucket every pending event: bucket count proportional to the
+    /// population, day width from [`day_shift`], clock on the earliest
+    /// event's day. Opens a fresh tuning window.
+    fn rebuild(&mut self) {
+        let mut events: Vec<Scheduled> = self.buckets.iter_mut().flat_map(Bucket::take).collect();
+        events.sort_unstable_by_key(Scheduled::key);
+        // Sized for the population, so the grow condition cannot fire on
+        // the way back in.
         let target = events
             .len()
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let (min_t, max_t) = events.iter().fold((u64::MAX, 0u64), |(lo, hi), e| {
-            (lo.min(e.time.as_nanos()), hi.max(e.time.as_nanos()))
-        });
-        let span = max_t.saturating_sub(min_t).max(1);
-        // Width ≈ 2 * span / population, i.e. a year ≈ twice the span.
-        let width = (2 * span / events.len().max(1) as u64).max(1);
-        self.shift = width.ilog2().min(40);
-        self.mask = (target - 1) as u64;
-        self.buckets = (0..target).map(|_| Vec::new()).collect();
-        self.len = 0;
-        self.cur_day = if events.is_empty() {
-            0
-        } else {
-            min_t >> self.shift
-        };
-        for e in events {
-            // Re-insert without triggering a recursive resize: target was
-            // sized for the population, so the grow condition can't fire.
-            let idx = self.bucket_of(e.time);
-            let key = e.key();
-            let bucket = &mut self.buckets[idx];
-            let pos = bucket.partition_point(|x| x.key() > key);
-            bucket.insert(pos, e);
-            self.len += 1;
+        if target != self.buckets.len() {
+            self.buckets = (0..target).map(|_| Bucket::default()).collect();
+            self.mask = (target - 1) as u64;
         }
+        self.shift = day_shift(&events);
+        self.cur_day = events.first().map_or(0, |e| self.day_of(e.time));
+        // In key order, so every bucket fills in ascending order.
+        for e in events {
+            let idx = self.bucket_of(e.time);
+            self.buckets[idx].items.push(e);
+        }
+        self.counts.rebuilds += 1;
+        self.open_window();
     }
 }
 
@@ -423,11 +595,22 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The scheduler's tuning counters (all zeros for the heap).
+    pub fn stats(&self) -> SchedulerStats {
+        match &self.imp {
+            QueueImpl::Heap(_) => SchedulerStats::default(),
+            QueueImpl::Calendar(c) => c.stats(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lossburst_testkit::schedule::{
+        campaign_schedule, far_cluster_schedule, QueueOp, Schedule, SCHEDULES,
+    };
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -576,15 +759,114 @@ mod tests {
                 assert_eq!(cal.peek_time(), heap.peek_time());
             }
             assert!(cal.pop().is_none());
+
+            // The campaign-shaped and far-cluster schedules put the
+            // calendar's tuning inside the differential: head-sampled
+            // rebuilds through the regime changes, waste-triggered ones,
+            // and the back-off when re-sampling cannot help.
+            for schedule in SCHEDULES {
+                let mut cal = EventQueue::with_kind(SchedulerKind::Calendar);
+                let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
+                let mut id = 0u32;
+                schedule(seed, 30_000, &mut |op| match op {
+                    QueueOp::Schedule(at) => {
+                        id += 1;
+                        cal.schedule(t(at), Event::FlowStart { flow: FlowId(id) });
+                        heap.schedule(t(at), Event::FlowStart { flow: FlowId(id) });
+                        None
+                    }
+                    QueueOp::Pop => {
+                        let got = flow_of(cal.pop());
+                        assert_eq!(got, flow_of(heap.pop()), "seed {seed}");
+                        got.map(|(tm, _)| tm.as_nanos())
+                    }
+                });
+                assert!(cal.stats().rebuilds >= 3, "seed {seed}: tuning never ran");
+                while let Some(got) = flow_of(heap.pop()) {
+                    assert_eq!(flow_of(cal.pop()), Some(got), "seed {seed}");
+                }
+                assert!(cal.pop().is_none());
+            }
         }
+    }
+
+    /// Drive a calendar through `schedule` and return its counters.
+    fn calendar_stats(schedule: Schedule, seed: u64, churn: usize) -> SchedulerStats {
+        let mut q = EventQueue::with_kind(SchedulerKind::Calendar);
+        schedule(seed, churn, &mut |op| match op {
+            QueueOp::Schedule(at) => {
+                q.schedule(t(at), Event::Horizon);
+                None
+            }
+            QueueOp::Pop => q.pop().map(|(tm, _)| tm.as_nanos()),
+        });
+        q.stats()
+    }
+
+    /// The width follows the head of the queue: on a pending set shaped
+    /// like a campaign path simulation — a thin near-term mode under
+    /// hundreds of far-future events, with an idle spell mid-run — inserts
+    /// land in nearly empty buckets and pops find their day at once. (A
+    /// width of `span / len` puts the near-term mode into a single day:
+    /// ten elements shifted per insert on this schedule.)
+    #[test]
+    fn calendar_stays_tuned_on_a_campaign_shaped_schedule() {
+        for seed in [7u64, 2006, 12345] {
+            let s = calendar_stats(campaign_schedule, seed, 300_000);
+            assert_eq!((s.inserts, s.pops), (300_364, 300_000));
+            assert!(
+                s.shifted_per_insert() <= 2.0 && s.days_per_pop() <= 2.0,
+                "seed {seed}: {s:?}"
+            );
+            // A few rebuilds per regime change, not one per window.
+            assert!(s.rebuilds <= 12, "seed {seed}: {s:?}");
+        }
+    }
+
+    /// When the crowding is beyond the head sample a rebuild cannot fix
+    /// it, and the calendar must stop trying every window.
+    #[test]
+    fn calendar_backs_off_when_a_rebuild_cannot_help() {
+        let s = calendar_stats(far_cluster_schedule, 7, 200_000);
+        assert!(s.shifted_per_insert() > 20.0, "not adversarial: {s:?}");
+        // 199 windows of TUNE_WINDOW inserts, nearly all of them wasteful.
+        assert!(s.rebuilds <= 30, "no back-off: {s:?}");
+    }
+
+    /// A bucket that never empties (a far-future event sits at its back
+    /// while near-term events come and go in front) reuses its popped
+    /// space instead of growing with the traffic through it.
+    #[test]
+    fn bucket_reclaims_popped_space() {
+        let at = |time, seq| Scheduled {
+            time: t(time),
+            seq,
+            event: Event::Horizon,
+        };
+        let mut b = Bucket::default();
+        b.insert(at(u64::MAX, 0));
+        for i in 1..10_000u64 {
+            // One at the front (into popped space, once there is some),
+            // one between it and the far event.
+            assert!(b.insert(at(2 * i, i)) <= 1);
+            assert_eq!(b.insert(at(2 * i + 1, i)), 1);
+            assert_eq!(b.pop_front().map(|s| s.time), Some(t(2 * i)));
+            assert_eq!(b.pop_front().map(|s| s.time), Some(t(2 * i + 1)));
+        }
+        assert!(b.items.capacity() <= 8, "capacity {}", b.items.capacity());
+        assert_eq!(b.take().count(), 1);
     }
 
     #[test]
     fn calendar_survives_heavy_same_instant_bursts() {
+        const N: u32 = 100_000;
         let mut q = EventQueue::with_kind(SchedulerKind::Calendar);
-        for i in 0..10_000u32 {
+        for i in 0..N {
             q.schedule(t(7), Event::FlowStart { flow: FlowId(i) });
         }
+        // Each lands behind its predecessors without moving them (front
+        // insertion would have shifted N^2 / 2 elements).
+        assert_eq!(q.stats().shifted, 0);
         let mut prev = None;
         let mut n = 0u32;
         while let Some((tm, Event::FlowStart { flow })) = q.pop() {
@@ -595,6 +877,6 @@ mod tests {
             prev = Some(flow.0);
             n += 1;
         }
-        assert_eq!(n, 10_000);
+        assert_eq!(n, N);
     }
 }

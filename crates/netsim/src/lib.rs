@@ -62,7 +62,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::builder::SimBuilder;
     pub use crate::driver::HostDriver;
-    pub use crate::event::{SchedulerKind, TimerToken};
+    pub use crate::event::{SchedulerKind, SchedulerStats, TimerToken};
     pub use crate::fluid::{BackgroundMode, FluidState};
     pub use crate::iface::{Ctx, FlowProgress, Transport};
     pub use crate::link::{JitterModel, Link};

@@ -1,6 +1,6 @@
 //! The simulator: topology ownership, the event loop, and routing.
 
-use crate::event::{Event, EventQueue, SchedulerKind, TimerToken};
+use crate::event::{Event, EventQueue, SchedulerKind, SchedulerStats, TimerToken};
 use crate::iface::{Ctx, Transport};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
@@ -10,7 +10,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{CompletionRecord, LossRecord, MarkRecord, QueueSample, TraceConfig, TraceSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// One row of [`Simulator::flow_summaries`].
 #[derive(Clone, Copy, Debug)]
@@ -209,6 +209,12 @@ impl Simulator {
         self.events.len()
     }
 
+    /// The scheduler's tuning counters: elements shifted per insert, days
+    /// walked per pop, rebuilds (all zeros on the heap scheduler).
+    pub fn scheduler_stats(&self) -> SchedulerStats {
+        self.events.stats()
+    }
+
     /// Swap in an empty event queue of the given kind (builder-time only,
     /// before anything is scheduled).
     pub(crate) fn replace_event_queue(&mut self, kind: SchedulerKind) {
@@ -303,13 +309,22 @@ impl Simulator {
         for node in &mut self.nodes {
             node.clear_routes();
         }
-        // BFS from every destination over reversed edges would be cheaper,
-        // but topologies here are small; BFS from every source is clear.
-        for src in 0..n {
-            let mut dist = vec![u32::MAX; n];
-            let mut first_hop: Vec<Option<LinkId>> = vec![None; n];
+        // A node with one way out reaches its neighbour and whatever the
+        // neighbour reaches, all by that one link. When the neighbour runs
+        // its own search (it has another way out, or none) the node's
+        // routes follow from the neighbour's: no search from the node, and
+        // no per-destination fill.
+        let derives_from = |src: usize| match adj[src][..] {
+            [(link, nbr)] if adj[nbr.index()].len() != 1 => Some((link, nbr.index())),
+            _ => None,
+        };
+        let mut dist = vec![u32::MAX; n];
+        let mut first_hop: Vec<Option<LinkId>> = vec![None; n];
+        let mut q = VecDeque::new();
+        for src in (0..n).filter(|&src| derives_from(src).is_none()) {
+            dist.fill(u32::MAX);
+            first_hop.fill(None);
             dist[src] = 0;
-            let mut q = VecDeque::new();
             q.push_back(src);
             while let Some(u) = q.pop_front() {
                 for &(link, to) in &adj[u] {
@@ -326,6 +341,20 @@ impl Simulator {
                     self.nodes[src].set_route(NodeId(dst as u32), *link);
                 }
             }
+        }
+        let words = n.div_ceil(64);
+        let mut reached_by: HashMap<usize, Vec<u64>> = HashMap::new();
+        for src in 0..n {
+            let Some((link, nbr)) = derives_from(src) else {
+                continue;
+            };
+            let mut dsts = reached_by
+                .entry(nbr)
+                .or_insert_with(|| self.nodes[nbr].routed_dsts(words))
+                .clone();
+            dsts[nbr / 64] |= 1 << (nbr % 64);
+            dsts[src / 64] &= !(1 << (src % 64));
+            self.nodes[src].set_routes_via(link, dsts);
         }
     }
 

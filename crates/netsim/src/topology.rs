@@ -545,4 +545,131 @@ mod tests {
             }
         }
     }
+
+    /// The textbook dense table — BFS from every source, lower link id
+    /// first — that `compute_routes`' compact per-node forms and derived
+    /// single-homed routes must reproduce entry for entry.
+    fn reference_routes(sim: &crate::sim::Simulator) -> Vec<Vec<Option<LinkId>>> {
+        let n = sim.nodes.len();
+        (0..n)
+            .map(|src| {
+                let mut first_hop = vec![None; n];
+                let mut seen = vec![false; n];
+                seen[src] = true;
+                let mut q = std::collections::VecDeque::from([src]);
+                while let Some(u) = q.pop_front() {
+                    for l in sim.links.iter().filter(|l| l.from.index() == u) {
+                        let v = l.to.index();
+                        if !seen[v] {
+                            seen[v] = true;
+                            first_hop[v] = if u == src { Some(l.id) } else { first_hop[u] };
+                            q.push_back(v);
+                        }
+                    }
+                }
+                first_hop
+            })
+            .collect()
+    }
+
+    fn assert_routes_match(name: &str, sim: &crate::sim::Simulator, want: &[Vec<Option<LinkId>>]) {
+        for (src, row) in want.iter().enumerate() {
+            for (dst, hop) in row.iter().enumerate() {
+                assert_eq!(
+                    sim.nodes[src].route_to(NodeId(dst as u32)),
+                    *hop,
+                    "{name}: route {src} -> {dst}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn routes_match_a_dense_reference_on_every_topology() {
+        type Build = fn(&mut SimBuilder);
+        let topologies: [(&str, Build); 6] = [
+            ("dumbbell", |b| {
+                let rtt = RttAssignment::Fixed(SimDuration::from_millis(50));
+                build_dumbbell(b, &DumbbellConfig::paper_baseline(5, 100, rtt));
+            }),
+            ("chain", |b| {
+                let cfg = ChainConfig {
+                    bottleneck_bps: 10e6,
+                    access_bps: 1e9,
+                    bottleneck_disc: QueueDisc::drop_tail(50),
+                    one_way_delay: SimDuration::from_millis(40),
+                    cross_pairs: 3,
+                    cross_delays: vec![SimDuration::from_millis(5)],
+                };
+                build_chain(b, &cfg);
+            }),
+            ("star", |b| {
+                build_star(b, 6, 1e9, SimDuration::from_millis(1), 64);
+            }),
+            ("parking lot", |b| {
+                let disc = QueueDisc::drop_tail(64);
+                build_parking_lot(b, 3, 10e6, SimDuration::from_millis(5), disc);
+            }),
+            ("complete graph", |b| {
+                full_mesh(b, 5, 1e9, SimDuration::from_millis(1), 64);
+            }),
+            // A star beside an island it cannot reach: two hosts joined to
+            // each other (single-homed, each the other's only neighbour),
+            // a one-way stub that can send into the star but not be reached,
+            // and a node with no links at all.
+            ("island", |b| {
+                let star = build_star(b, 3, 1e9, SimDuration::from_millis(1), 64);
+                let (x, y) = (b.host(), b.host());
+                b.duplex(
+                    x,
+                    y,
+                    1e9,
+                    SimDuration::from_millis(1),
+                    QueueDisc::drop_tail(8),
+                );
+                let stub = b.host();
+                b.link(
+                    stub,
+                    star.core,
+                    1e9,
+                    SimDuration::from_millis(1),
+                    QueueDisc::drop_tail(8),
+                );
+                b.host();
+            }),
+        ];
+        for (name, build) in topologies {
+            let mut b = SimBuilder::new(11);
+            build(&mut b);
+            let sim = b.build();
+            let want = reference_routes(&sim);
+            if name == "island" {
+                assert!(want.iter().flatten().any(Option::is_none));
+                assert!(want[0][4].is_none() && want[4][5].is_some() && want[6][1].is_some());
+            }
+            assert_routes_match(name, &sim, &want);
+        }
+    }
+
+    #[test]
+    fn route_override_on_a_single_homed_host_takes_effect() {
+        let mut b = SimBuilder::new(12);
+        let star = build_star(&mut b, 4, 1e9, SimDuration::from_millis(1), 64);
+        let island = b.host();
+        let h = star.hosts[0];
+        let uplink = LinkId(0);
+        let foreign = LinkId(3);
+        // An unreachable destination pinned to the host's own link, and a
+        // reachable one pinned to a link the search would never pick.
+        b.route(h, island, uplink);
+        b.route(h, star.hosts[2], foreign);
+        let sim = b.build();
+        assert_eq!(sim.links[uplink.index()].from, h);
+        let mut want = reference_routes(&sim);
+        assert_eq!(want[h.index()][island.index()], None);
+        assert_eq!(want[h.index()][star.hosts[2].index()], Some(uplink));
+        want[h.index()][island.index()] = Some(uplink);
+        want[h.index()][star.hosts[2].index()] = Some(foreign);
+        assert_routes_match("override", &sim, &want);
+    }
 }

@@ -4,6 +4,7 @@
 
 use lossburst_netsim::event::{Event, EventQueue, SchedulerKind};
 use lossburst_netsim::prelude::*;
+use lossburst_testkit::schedule::{QueueOp, SCHEDULES};
 use lossburst_testkit::sweep::{sweep, with_rng, RngExt};
 
 /// The event queue is a stable priority queue: pops are sorted by time,
@@ -38,6 +39,50 @@ fn event_queue_is_a_stable_priority_queue() {
                     w[1]
                 );
             }
+        }
+    });
+}
+
+/// The same holds while the calendar retunes itself: on campaign-shaped
+/// and far-cluster schedules (head-sampled rebuilds across regime changes,
+/// waste-triggered rebuilds, back-off) both schedulers pop the identical
+/// `(time, id)` sequence, in stable priority order.
+#[test]
+fn schedulers_agree_while_the_calendar_retunes() {
+    sweep(0xCA1E, 6, |case, gen| {
+        let seed = gen.random_range(0..u64::MAX);
+        let churn = gen.random_range(5_000..40_000usize);
+        for schedule in SCHEDULES {
+            let popped = [SchedulerKind::Calendar, SchedulerKind::Heap].map(|kind| {
+                let mut q = EventQueue::with_kind(kind);
+                let mut next_id = 0u32;
+                let mut popped: Vec<(u64, u32)> = Vec::new();
+                schedule(seed, churn, &mut |op| match op {
+                    QueueOp::Schedule(at) => {
+                        let flow = FlowId(next_id);
+                        next_id += 1;
+                        q.schedule(SimTime::from_nanos(at), Event::FlowStart { flow });
+                        None
+                    }
+                    QueueOp::Pop => {
+                        let Some((t, Event::FlowStart { flow })) = q.pop() else {
+                            return None;
+                        };
+                        popped.push((t.as_nanos(), flow.0));
+                        Some(t.as_nanos())
+                    }
+                });
+                if kind == SchedulerKind::Calendar {
+                    assert!(q.stats().rebuilds >= 3, "case {case}: tuning never ran");
+                }
+                popped
+            });
+            assert_eq!(popped[0].len(), churn);
+            assert!(popped[0] == popped[1], "schedulers diverge (case {case})");
+            assert!(
+                popped[0].windows(2).all(|w| w[0] < w[1]),
+                "ordering violated (case {case})"
+            );
         }
     });
 }

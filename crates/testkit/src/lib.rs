@@ -18,6 +18,9 @@
 //!   lane, gated on statistical agreement of the loss processes.
 //! * [`scenarios`] — the seeded quick-scale scenario generator the
 //!   conformance and golden suites share, with process-wide memoization.
+//! * [`schedule`] — campaign-shaped and adversarial scheduler workloads as
+//!   plain op streams, shared by `netsim`'s calendar ≡ heap differentials,
+//!   its tuning-quality test and the `perf` bin.
 //! * [`sweep`] — the seeded-sweep driver behind the per-crate property
 //!   tests (replaces the copy-pasted `for case in 0..N` loops).
 //! * [`determinism`] — the seed/scheduler/execution-policy matrices and
@@ -30,6 +33,7 @@ pub mod cross_lane;
 pub mod determinism;
 pub mod golden;
 pub mod scenarios;
+pub mod schedule;
 pub mod sweep;
 
 /// Commonly used items.

@@ -1,0 +1,127 @@
+//! Scheduler workloads shaped like the simulations the campaigns run, as
+//! plain data: a driver feeds [`QueueOp`]s to whatever queue (or pair of
+//! queues) it holds, so `netsim`'s unit tests, its integration tests and
+//! the `perf` bin all exercise the one population.
+
+use crate::sweep::{with_rng, RngExt};
+
+/// One step of a schedule. Times are absolute nanoseconds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueueOp {
+    /// Schedule an event at this instant.
+    Schedule(u64),
+    /// Dequeue the earliest event and report its time.
+    Pop,
+}
+
+/// Performs one [`QueueOp`] on the queue under test; returns the popped
+/// time for [`QueueOp::Pop`] (`None` once empty), anything for a `Schedule`.
+pub type Apply<'a> = &'a mut dyn FnMut(QueueOp) -> Option<u64>;
+
+/// A schedule generator: `(seed, churn, apply)`.
+pub type Schedule = fn(u64, usize, Apply);
+
+/// Every schedule here, for differentials that should hold on all of them.
+pub const SCHEDULES: [Schedule; 2] = [campaign_schedule, far_cluster_schedule];
+
+/// The pending set of one campaign path simulation, as a hold model.
+///
+/// A block of far-future events goes in first (the short-flow
+/// `FlowStart`s a probe run schedules at build time), then `churn`
+/// pop-and-reschedule steps whose horizons are 70 % under 100 µs
+/// (serialization, propagation), 20 % 1–10 ms (RTT-scale) and 10 %
+/// 0.1–1 s (RTO timers, which lazy cancellation leaves behind) — so most
+/// of the few hundred pending events are far-future while nearly every
+/// dequeue comes from a thin near-term mode. The middle third of the run
+/// is an idle spell (nothing under 1 ms), a dense → sparse → dense
+/// regime change a calendar sized once would not survive.
+pub fn campaign_schedule(seed: u64, churn: usize, apply: Apply) {
+    with_rng(seed, |gen| {
+        for _ in 0..300 {
+            apply(QueueOp::Schedule(
+                gen.random_range(100_000_000..30_000_000_000u64),
+            ));
+        }
+        for _ in 0..64 {
+            apply(QueueOp::Schedule(gen.random_range(0..100_000u64)));
+        }
+        for step in 0..churn {
+            let now = apply(QueueOp::Pop).expect("a hold model never drains");
+            let idle = (churn / 3..2 * churn / 3).contains(&step);
+            let delta = match gen.random_range(0..10u32) {
+                0..=6 if !idle => gen.random_range(0..100_000u64),
+                0..=8 => gen.random_range(1_000_000..10_000_000u64),
+                _ => gen.random_range(100_000_000..1_000_000_000u64),
+            };
+            apply(QueueOp::Schedule(now + delta));
+        }
+    })
+}
+
+/// A pending set no single day width can serve: half of the reschedules
+/// form a well-separated head (1–64 ms out), the other half pile into one
+/// 64 µs window per simulated second, ten seconds out, in random order.
+/// Inserts into the far window crowd whatever bucket holds it, and
+/// re-sampling the head cannot help — the schedule that drives a
+/// self-tuning calendar into its back-off — until the window reaches the
+/// head ten seconds later and the width has to follow it down and back.
+pub fn far_cluster_schedule(seed: u64, churn: usize, apply: Apply) {
+    const SECOND: u64 = 1_000_000_000;
+    with_rng(seed, |gen| {
+        for _ in 0..4_000 {
+            apply(QueueOp::Schedule(gen.random_range(0..10 * SECOND)));
+        }
+        for _ in 0..churn {
+            let now = apply(QueueOp::Pop).expect("a hold model never drains");
+            let at = if gen.random() {
+                now + gen.random_range(1_000_000..64_000_000u64)
+            } else {
+                (now / SECOND + 10) * SECOND + gen.random_range(0..64_000u64)
+            };
+            apply(QueueOp::Schedule(at));
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Pops, peak population and final clock of a schedule run on a heap.
+    fn run(schedule: Schedule, churn: usize) -> (usize, usize, u64) {
+        let mut heap = BinaryHeap::new();
+        let (mut pops, mut peak, mut clock) = (0, 0, 0);
+        schedule(7, churn, &mut |op| match op {
+            QueueOp::Schedule(at) => {
+                heap.push(Reverse(at));
+                peak = peak.max(heap.len());
+                None
+            }
+            QueueOp::Pop => {
+                let Reverse(at) = heap.pop()?;
+                assert!(at >= clock, "scheduled into the past");
+                (pops, clock) = (pops + 1, at);
+                Some(at)
+            }
+        });
+        (pops, peak, clock)
+    }
+
+    #[test]
+    fn campaign_schedule_holds_a_few_hundred_events() {
+        let (pops, peak, _) = run(campaign_schedule, 10_000);
+        assert_eq!((pops, peak), (10_000, 364));
+    }
+
+    #[test]
+    fn far_cluster_schedule_runs_into_its_own_clusters() {
+        let (pops, peak, clock) = run(far_cluster_schedule, 40_000);
+        assert_eq!((pops, peak), (40_000, 4_000));
+        assert!(
+            clock > 20_000_000_000,
+            "clock {clock} never reached a cluster"
+        );
+    }
+}
