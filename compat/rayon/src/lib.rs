@@ -5,11 +5,10 @@
 //! `collection.par_iter().map(f).collect::<Vec<_>>()` (and the
 //! `into_par_iter` variant) — backed by a real parallel-execution engine
 //! in [`mod@pool`]: a persistent worker pool with dynamic, order-preserving
-//! work dealing (the default), plus the legacy static-chunk scheduler and
-//! a serial path, selectable through [`set_execution_policy`]. Input order
-//! is preserved exactly under every policy — the guarantee real rayon's
-//! indexed parallel iterators give, which the campaign determinism tests
-//! rely on.
+//! work dealing (the default), plus a serial path, selectable through
+//! [`set_execution_policy`]. Input order is preserved exactly under both
+//! policies — the guarantee real rayon's indexed parallel iterators give,
+//! which the campaign determinism tests rely on.
 //!
 //! Thread count honors the `LOSSBURST_THREADS` environment variable
 //! ([`THREADS_ENV`]); `LOSSBURST_THREADS=1` forces everything inline on
@@ -48,7 +47,6 @@ where
     }
     match pool::execution_policy() {
         ExecutionPolicy::Serial => items.into_iter().map(f).collect(),
-        ExecutionPolicy::StaticChunk => pool::static_chunk_map(items, f, workers),
         ExecutionPolicy::WorkStealing => pool::work_stealing_map(items, f, workers),
     }
 }

@@ -1,6 +1,6 @@
 //! The execution engine behind the `par_iter` shim.
 //!
-//! Three schedulers live here, selectable at runtime through
+//! Two execution policies live here, selectable at runtime through
 //! [`set_execution_policy`]:
 //!
 //! * [`ExecutionPolicy::WorkStealing`] (the default) — a lazily-initialized
@@ -13,11 +13,8 @@
 //!   nested `par_iter` calls deadlock-free: an inner `collect` issued from
 //!   a worker always makes progress on its own job even when every other
 //!   worker is busy.
-//! * [`ExecutionPolicy::StaticChunk`] — the legacy scheduler: fresh scoped
-//!   threads on every call, one contiguous pre-cut chunk per worker. Kept
-//!   as the benchmark baseline; on skewed workloads the worker holding the
-//!   expensive chunk stragglers exactly as the paper's Fig 8 warns.
-//! * [`ExecutionPolicy::Serial`] — the calling thread runs everything.
+//! * [`ExecutionPolicy::Serial`] — the calling thread runs everything: the
+//!   oracle the determinism tests compare the pool against.
 //!
 //! The thread count honors the `LOSSBURST_THREADS` environment variable
 //! (see [`current_num_threads`]); a value of `1` forces the inline serial
@@ -40,24 +37,21 @@ pub const THREADS_ENV: &str = "LOSSBURST_THREADS";
 pub enum ExecutionPolicy {
     /// Run every item on the calling thread, in order.
     Serial,
-    /// Fresh scoped threads per call, one contiguous chunk per worker.
-    StaticChunk,
     /// Persistent pool, dynamic cursor-based work dealing (the default).
     WorkStealing,
 }
 
 static POLICY: AtomicU8 = AtomicU8::new(ExecutionPolicy::WorkStealing as u8);
 
-/// Select the scheduler used by subsequent `collect` calls (process-wide).
+/// Select the policy used by subsequent `collect` calls (process-wide).
 pub fn set_execution_policy(policy: ExecutionPolicy) {
     POLICY.store(policy as u8, Ordering::SeqCst);
 }
 
-/// The scheduler currently in effect.
+/// The policy currently in effect.
 pub fn execution_policy() -> ExecutionPolicy {
     match POLICY.load(Ordering::SeqCst) {
         0 => ExecutionPolicy::Serial,
-        1 => ExecutionPolicy::StaticChunk,
         _ => ExecutionPolicy::WorkStealing,
     }
 }
@@ -87,8 +81,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Per-worker busy-time accounting (drives the bench's load-imbalance metric).
 // ---------------------------------------------------------------------------
 
-/// Busy slots: pool workers use their id, static-chunk workers their chunk
-/// index, and external submitting threads share the last slot.
+/// Busy slots: pool workers use their id, and external submitting threads
+/// share the last slot.
 const MAX_SLOTS: usize = 65;
 static BUSY: [AtomicU64; MAX_SLOTS] = [const { AtomicU64::new(0) }; MAX_SLOTS];
 static CPU: [AtomicU64; MAX_SLOTS] = [const { AtomicU64::new(0) }; MAX_SLOTS];
@@ -404,59 +398,4 @@ where
                 .expect("work-stealing map lost an item")
         })
         .collect()
-}
-
-/// The legacy scheduler: fresh scoped threads, one contiguous chunk each.
-pub(crate) fn static_chunk_map<T, R, F>(items: Vec<T>, f: &F, threads: usize) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    let chunk = n.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut rest = items;
-    while rest.len() > chunk {
-        let tail = rest.split_off(chunk);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    chunks.push(rest);
-    let outcome: Result<Vec<R>, Box<dyn Any + Send>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(slot, c)| {
-                scope.spawn(move || {
-                    let _busy = BusyTimer::start(slot);
-                    catch_unwind(AssertUnwindSafe(|| {
-                        c.into_iter().map(f).collect::<Vec<R>>()
-                    }))
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic = None;
-        for h in handles {
-            // The spawned closure catches all unwinds, so join itself
-            // cannot fail.
-            match h.join().expect("chunk worker thread died") {
-                Ok(v) => out.extend(v),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        match first_panic {
-            Some(p) => Err(p),
-            None => Ok(out),
-        }
-    });
-    match outcome {
-        Ok(v) => v,
-        Err(payload) => resume_unwind(payload),
-    }
 }

@@ -94,7 +94,7 @@ fn skewed_cost_map_preserves_order_and_spreads_load() {
 #[test]
 fn panic_payload_is_propagated_verbatim() {
     let _g = init();
-    for policy in [ExecutionPolicy::WorkStealing, ExecutionPolicy::StaticChunk] {
+    for policy in [ExecutionPolicy::WorkStealing, ExecutionPolicy::Serial] {
         set_execution_policy(policy);
         let caught = std::panic::catch_unwind(|| {
             let _: Vec<u64> = (0..32u64)
@@ -130,11 +130,7 @@ fn all_policies_agree_on_results() {
         .iter()
         .map(|x| x.wrapping_mul(0x9E3779B9) >> 7)
         .collect();
-    for policy in [
-        ExecutionPolicy::Serial,
-        ExecutionPolicy::StaticChunk,
-        ExecutionPolicy::WorkStealing,
-    ] {
+    for policy in [ExecutionPolicy::Serial, ExecutionPolicy::WorkStealing] {
         set_execution_policy(policy);
         let out: Vec<u64> = input
             .par_iter()

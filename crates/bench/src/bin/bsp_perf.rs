@@ -20,6 +20,7 @@
 //!
 //! Writes `BENCH_BSP.json` (override with `--out PATH`).
 
+use lossburst_bench::cli;
 use lossburst_core::bsp::{run_bsp, run_bsp_sharded, BspConfig, BspReport, Mitigation};
 use std::time::Instant;
 
@@ -71,28 +72,21 @@ fn run_leg(cfg: &BspConfig) -> Leg {
 }
 
 fn main() {
+    const USAGE: &str = "usage: bsp_perf [--quick] [--seed N] [--out PATH]";
     let mut out_path = String::from("BENCH_BSP.json");
     let mut quick = false;
     let mut seed = 2006u64;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out_path = it.next().expect("--out requires a path"),
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
             "--quick" => quick = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
+            "--seed" => seed = cli::value(&mut it, "--seed", "an integer", USAGE),
             "--help" | "-h" => {
-                eprintln!("usage: bsp_perf [--quick] [--seed N] [--out PATH]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            other => cli::unknown_flag(other, USAGE),
         }
     }
 

@@ -2,47 +2,41 @@
 //!
 //! The paper's headline numbers come from *campaigns*: hundreds of
 //! directional paths and ablation grids fanned out over `par_iter`. This
-//! bin runs two deliberately adversarial campaign workloads under all
-//! three schedulers of the vendored rayon shim — serial, static-chunk
-//! (the legacy fresh-threads-per-collect scheduler), and the persistent
-//! work-stealing pool — asserts the results are byte-identical, and
-//! writes `BENCH_CAMPAIGN.json` (override with `--out PATH`).
+//! bin runs two deliberately adversarial campaign workloads under both
+//! execution policies of the vendored rayon shim — serial and the
+//! persistent work-stealing pool — asserts the results are byte-identical,
+//! and writes `BENCH_CAMPAIGN.json` (override with `--out PATH`).
 //!
 //! Workloads:
 //!
 //! * `inet-skewed` — one big fan-out over inet campaign paths with
 //!   heterogeneous RTT/duration: a quarter of the paths run ~6x longer
-//!   and sit *contiguously* at the front, so static chunking hands one
-//!   worker the whole expensive block (the Fig 8 straggler, recreated in
-//!   the build farm). Work stealing deals those paths across workers.
+//!   and sit *contiguously* at the front, so a dealer that pre-cut
+//!   contiguous chunks would hand one worker the whole expensive block
+//!   (the Fig 8 straggler, recreated in the build farm). Work stealing
+//!   deals those paths across workers.
 //! * `grid-fanout` — the ablation-grid fan-out *pattern*: hundreds of
 //!   small `collect` calls over cheap analysis cells. Here the cost that
-//!   matters is per-collect scheduler overhead — fresh OS threads per
-//!   call versus waking the parked persistent pool.
+//!   matters is per-collect overhead: waking the parked persistent pool.
 //!
-//! Reported per scheduler: wall time, events/sec (inet workload), and the
+//! Reported per policy: wall time, events/sec (inet workload), and the
 //! load-imbalance metric max/mean of per-worker **CPU** time (1.0 = the
-//! schedule kept every worker equally busy). The max per-worker CPU time
-//! is the critical path: the wall time a machine with at least `threads`
-//! idle cores could not go below, so `critical_path_speedup` is the
-//! projected multicore wall-time gain even when the benchmarking host
-//! (like the 1-CPU container this repo is grown in) timeslices the
-//! workers; on such a host the wall-time speedup shows up only where
-//! scheduler overhead itself dominates (`grid-fanout`).
+//! pool kept every worker equally busy). The max per-worker CPU time is
+//! the critical path: the wall time a machine with at least `threads`
+//! idle cores could not go below, reported beside the wall time because
+//! a benchmarking host with fewer cores than workers timeslices them.
 
 use lossburst_analysis::burstiness;
 use lossburst_analysis::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use lossburst_analysis::poisson;
+use lossburst_bench::{cli, provenance};
 use lossburst_inet::path::PathScenario;
 use lossburst_inet::probe::{run_probe_streaming, ProbeConfig};
 use lossburst_inet::sites::all_directed_pairs;
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use rayon::prelude::*;
-use rayon::{
-    current_num_threads, reset_worker_busy, set_execution_policy, worker_cpu_nanos,
-    ExecutionPolicy, THREADS_ENV,
-};
+use rayon::{reset_worker_busy, set_execution_policy, worker_cpu_nanos, ExecutionPolicy};
 use std::time::Instant;
 
 /// FNV-1a accumulator: a cheap byte-identity fingerprint.
@@ -55,7 +49,7 @@ fn fnv(h: &mut u64, v: u64) {
 
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// One scheduler's run of one workload.
+/// One policy's run of one workload.
 struct SchedRun {
     wall_secs: f64,
     /// Per-worker CPU nanos (empty for the serial policy — it runs inline).
@@ -193,103 +187,60 @@ fn json_sched(run: &SchedRun, events_label: &str) -> String {
     )
 }
 
-struct WorkloadReport {
-    json: String,
-    wall_speedup: f64,
-    critical_speedup: f64,
-}
-
+/// Run one workload under both policies, check they agree, print its row;
+/// returns its JSON object and the serial / work-stealing wall-time ratio.
 fn bench_workload<F: Fn() -> (u64, u64)>(
     name: &str,
     detail: &str,
     events_label: &str,
     work: F,
-) -> WorkloadReport {
+) -> (String, f64) {
     let serial = run_under(ExecutionPolicy::Serial, &work);
-    let stat = run_under(ExecutionPolicy::StaticChunk, &work);
     let ws = run_under(ExecutionPolicy::WorkStealing, &work);
-    assert_eq!(
-        (serial.fingerprint, serial.events),
-        (stat.fingerprint, stat.events),
-        "{name}: static-chunk result diverged from serial"
-    );
     assert_eq!(
         (serial.fingerprint, serial.events),
         (ws.fingerprint, ws.events),
         "{name}: work-stealing result diverged from serial"
     );
-    let wall_speedup = stat.wall_secs / ws.wall_secs;
-    let crit_s = critical_path_nanos(&stat.cpu);
-    let crit_w = critical_path_nanos(&ws.cpu);
-    let critical_speedup = if crit_w > 0 {
-        crit_s as f64 / crit_w as f64
-    } else {
-        1.0
-    };
+    let wall_speedup = serial.wall_secs / ws.wall_secs;
     println!(
-        "# {:<12} serial {:>8.0} ms | static {:>8.0} ms (imb {:.2}) | steal {:>8.0} ms (imb {:.2}) | ws-vs-static wall {:.2}x crit {:.2}x",
+        "# {:<12} serial {:>8.0} ms | steal {:>8.0} ms (imb {:.2}, crit {:.0} ms) | ws-vs-serial wall {:.2}x",
         name,
         serial.wall_secs * 1e3,
-        stat.wall_secs * 1e3,
-        imbalance(&stat.cpu),
         ws.wall_secs * 1e3,
         imbalance(&ws.cpu),
+        critical_path_nanos(&ws.cpu) as f64 / 1e6,
         wall_speedup,
-        critical_speedup,
     );
-    let json = format!
-    (
-        "    {{ \"name\": \"{name}\", \"detail\": \"{detail}\",\n      \"serial\": {},\n      \"static\": {},\n      \"workstealing\": {},\n      \"ws_vs_static\": {{ \"wall_speedup\": {wall_speedup:.3}, \"critical_path_speedup\": {critical_speedup:.3} }} }}",
+    let json = format!(
+        "    {{ \"name\": \"{name}\", \"detail\": \"{detail}\",\n      \"serial\": {},\n      \"workstealing\": {},\n      \"ws_vs_serial_wall_speedup\": {wall_speedup:.3} }}",
         json_sched(&serial, events_label),
-        json_sched(&stat, events_label),
         json_sched(&ws, events_label),
     );
-    WorkloadReport {
-        json,
-        wall_speedup,
-        critical_speedup,
-    }
+    (json, wall_speedup)
 }
 
 fn main() {
+    const USAGE: &str = "usage: campaign_perf [--quick] [--seed N] [--threads N] [--out PATH]";
     let mut out_path = String::from("BENCH_CAMPAIGN.json");
     let mut quick = false;
     let mut seed = 2006u64;
-    let mut threads_flag: Option<String> = None;
+    let mut threads_flag: Option<usize> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out_path = it.next().expect("--out requires a path"),
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
             "--quick" => quick = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
-            "--threads" => threads_flag = Some(it.next().expect("--threads requires a count")),
+            "--seed" => seed = cli::value(&mut it, "--seed", "an integer", USAGE),
+            "--threads" => threads_flag = Some(cli::value(&mut it, "--threads", "a count", USAGE)),
             "--help" | "-h" => {
-                eprintln!("usage: campaign_perf [--quick] [--seed N] [--threads N] [--out PATH]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            other => cli::unknown_flag(other, USAGE),
         }
     }
-    // Pin the fan-out width before the pool's one-time initialization:
-    // --threads wins, then an existing LOSSBURST_THREADS, then 4 (so the
-    // scheduler comparison is meaningful even on a small host).
-    if let Some(t) = threads_flag {
-        std::env::set_var(THREADS_ENV, t);
-    } else if std::env::var(THREADS_ENV).is_err() {
-        std::env::set_var(THREADS_ENV, "4");
-    }
-    let threads = current_num_threads();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let prov = provenance::capture_with_threads(threads_flag);
 
     // Skewed path set: a quarter of the paths at ~6x duration, contiguous
     // at the front — the worst case for static contiguous chunks.
@@ -309,11 +260,14 @@ fn main() {
         .collect();
     let (collects, cells) = if quick { (60, 8) } else { (400, 8) };
 
-    println!("# campaign-engine perf: serial vs static-chunk vs work-stealing");
-    println!("# threads {threads} (LOSSBURST_THREADS), host cpus {host_cpus}, seed {seed}");
+    println!("# campaign-engine perf: serial vs work-stealing");
+    println!(
+        "# threads {} (LOSSBURST_THREADS), host cpus {}, seed {seed}",
+        prov.threads, prov.host_cpus
+    );
 
     let base = SimDuration::from_secs_f64(base_secs);
-    let inet = bench_workload(
+    let (inet_json, inet_speedup) = bench_workload(
         "inet-skewed",
         &format!(
             "{n_paths} campaign paths, first {} at 6x duration (base {base_secs}s, {pps} pps), contiguous",
@@ -322,24 +276,18 @@ fn main() {
         "events_per_sec",
         || inet_skewed(&paths, base, pps, seed),
     );
-    let grid = bench_workload(
+    let (grid_json, grid_speedup) = bench_workload(
         "grid-fanout",
         &format!("{collects} par_iter collects x {cells} analysis cells"),
         "cells_per_sec",
         || grid_fanout(collects, cells, seed),
     );
 
-    let prov = lossburst_bench::provenance::capture().json_fields();
-    let max_wall = inet.wall_speedup.max(grid.wall_speedup);
-    let max_crit = inet.critical_speedup.max(grid.critical_speedup);
-    let max_speedup = max_wall.max(max_crit);
-    let json = format!
-    (
-        "{{\n  \"bench\": \"campaign\",\n  \"seed\": {seed},\n  {prov},\n  \"schedulers\": [\"serial\", \"static\", \"workstealing\"],\n  \"imbalance_metric\": \"max/mean per-worker CPU time (1.0 = perfectly even)\",\n  \"critical_path_metric\": \"busiest worker's CPU time = wall-time floor on a >=threads-core machine\",\n  \"workloads\": [\n{},\n{}\n  ],\n  \"max_wall_speedup\": {max_wall:.3},\n  \"max_critical_path_speedup\": {max_crit:.3},\n  \"max_speedup\": {max_speedup:.3}\n}}\n",
-        inet.json, grid.json,
+    let prov = prov.json_fields();
+    let max_wall = inet_speedup.max(grid_speedup);
+    let json = format!(
+        "{{\n  \"bench\": \"campaign\",\n  \"seed\": {seed},\n  {prov},\n  \"schedulers\": [\"serial\", \"workstealing\"],\n  \"imbalance_metric\": \"max/mean per-worker CPU time (1.0 = perfectly even)\",\n  \"critical_path_metric\": \"busiest worker's CPU time = wall-time floor on a >=threads-core machine\",\n  \"workloads\": [\n{inet_json},\n{grid_json}\n  ],\n  \"max_wall_speedup\": {max_wall:.3}\n}}\n",
     );
     std::fs::write(&out_path, &json).expect("cannot write results file");
-    println!(
-        "# wrote {out_path} (ws-vs-static: wall {max_wall:.2}x, critical path {max_crit:.2}x)"
-    );
+    println!("# wrote {out_path} (ws-vs-serial wall {max_wall:.2}x)");
 }

@@ -6,10 +6,12 @@
 //! in `BENCH_FAIRNESS.json` (override with `--out PATH`, the CSV with
 //! `--csv PATH`); see EXPERIMENTS.md for the schema.
 
+use lossburst_bench::cli;
 use lossburst_core::fairness::{fairness_matrix, FairnessConfig};
 use std::time::Instant;
 
 fn main() {
+    const USAGE: &str = "usage: fairness_perf [--quick] [--out PATH] [--csv PATH]";
     let mut out_path = String::from("BENCH_FAIRNESS.json");
     let mut csv_path = String::from("fairness_matrix.csv");
     let mut quick = false;
@@ -17,24 +19,9 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path; usage: fairness_perf [--quick] [--out PATH] [--csv PATH]");
-                    std::process::exit(2);
-                }
-            },
-            "--csv" => match it.next() {
-                Some(p) => csv_path = p,
-                None => {
-                    eprintln!("--csv requires a path; usage: fairness_perf [--quick] [--out PATH] [--csv PATH]");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}; usage: fairness_perf [--quick] [--out PATH] [--csv PATH]");
-                std::process::exit(2);
-            }
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
+            "--csv" => csv_path = cli::value(&mut it, "--csv", "a path", USAGE),
+            other => cli::unknown_flag(other, USAGE),
         }
     }
 

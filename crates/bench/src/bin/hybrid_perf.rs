@@ -27,6 +27,7 @@
 //! the fluid-mode wall time — how fast the hybrid run chews through
 //! packet-equivalent work. `--quick` caps the sweep at N=500 for CI.
 
+use lossburst_bench::{cli, provenance};
 use lossburst_core::campaign::LossStudy;
 use lossburst_inet::path::{LoadTier, PathScenario};
 use lossburst_inet::probe::{run_probe_streaming, ProbeConfig, StreamProbeOutcome};
@@ -34,7 +35,6 @@ use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
 use lossburst_testkit::scenarios::EPISODE_GAP_RTT;
-use rayon::{current_num_threads, THREADS_ENV};
 use std::time::Instant;
 
 /// Baseline flow count: the scenario at `N = BASE_FLOWS` is a 10 Mbps
@@ -171,44 +171,32 @@ fn bench_scale(n_flows: usize, duration: SimDuration, seed: u64) -> ScaleReport 
 }
 
 fn main() {
+    const USAGE: &str = "usage: hybrid_perf [--quick] [--seed N] [--threads N] [--out PATH]";
     let mut out_path = String::from("BENCH_HYBRID.json");
     let mut quick = false;
     let mut seed = 2006u64;
-    let mut threads_flag: Option<String> = None;
+    let mut threads_flag: Option<usize> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out_path = it.next().expect("--out requires a path"),
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
             "--quick" => quick = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
-            "--threads" => threads_flag = Some(it.next().expect("--threads requires a count")),
+            "--seed" => seed = cli::value(&mut it, "--seed", "an integer", USAGE),
+            "--threads" => threads_flag = Some(cli::value(&mut it, "--threads", "a count", USAGE)),
             "--help" | "-h" => {
-                eprintln!("usage: hybrid_perf [--quick] [--seed N] [--threads N] [--out PATH]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            other => cli::unknown_flag(other, USAGE),
         }
     }
-    if let Some(t) = threads_flag {
-        std::env::set_var(THREADS_ENV, t);
-    } else if std::env::var(THREADS_ENV).is_err() {
-        std::env::set_var(THREADS_ENV, "4");
-    }
-    let threads = current_num_threads();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let prov = provenance::capture_with_threads(threads_flag);
 
     println!("# packet-level vs hybrid fluid/packet background traffic");
-    println!("# threads {threads} (LOSSBURST_THREADS), host cpus {host_cpus}, seed {seed}");
+    println!(
+        "# threads {} (LOSSBURST_THREADS), host cpus {}, seed {seed}",
+        prov.threads, prov.host_cpus
+    );
 
     let duration = SimDuration::from_secs(20);
     let scales: &[usize] = if quick { &[50, 500] } else { &[50, 500, 5000] };
@@ -220,7 +208,7 @@ fn main() {
     let speedup = last.speedup;
     let effective = last.effective_events_per_sec;
 
-    let prov = lossburst_bench::provenance::capture().json_fields();
+    let prov = prov.json_fields();
     let scales_json: Vec<String> = entries.iter().map(|r| r.json.clone()).collect();
     let json = format!(
         "{{\n  \"bench\": \"hybrid\",\n  \"seed\": {seed},\n  {prov},\n  \"modes\": [\"packet\", \"fluid\"],\n  \"scenario\": \"mean-field sweep: N on-off noise flows at {NOISE_FRACTION} x capacity over a bottleneck scaled 10 Mbps x N/{BASE_FLOWS} (buffer 60 x N/{BASE_FLOWS} pkts), 2 kpps CBR probe foreground\",\n  \"speedup_metric\": \"largest scale: packet-mode wall time / fluid-mode wall time, with the statistical-conformance gate (loss count, interval distribution, dispersion, episodes) enforced at every scale in this same run\",\n  \"effective_events_metric\": \"largest scale: packet-mode event count / fluid-mode wall time — packet-equivalent events the hybrid run delivers per second\",\n  \"scales\": [\n{}\n  ],\n  \"speedup\": {speedup:.3},\n  \"effective_events_per_sec\": {effective:.0}\n}}\n",

@@ -1,15 +1,14 @@
 //! `perf` — event-loop throughput benchmark.
 //!
-//! Runs the Fig-1 dumbbell at three scales under both schedulers (the
-//! calendar queue and the binary-heap fallback), reports events/second and
-//! wall time for each, cross-checks that both schedulers produced the
-//! byte-identical drop trace, and finishes with two microbenches that
-//! isolate the scheduler itself: queue-stress (one stationary hold model
-//! under a 200 000-event backlog) and path-shaped (the pending set of a
-//! campaign path simulation: a few hundred events, most of them
-//! far-future, with an idle spell mid-run).
+//! Runs the Fig-1 dumbbell at three scales, reports events/second and wall
+//! time for each, and finishes with two microbenches that isolate the
+//! event queue itself: queue-stress (one stationary hold model under a
+//! 200 000-event backlog) and path-shaped (the pending set of a campaign
+//! path simulation: a few hundred events, most of them far-future, with an
+//! idle spell mid-run). Each microbench is replayed, untimed, on
+//! [`HeapOracle`], and must pop the same time sequence.
 //!
-//! Next to each calendar wall time go its [`SchedulerStats`] — elements
+//! Next to each wall time go the queue's [`SchedulerStats`] — elements
 //! shifted per insert, days walked per pop, rebuilds — which are counts,
 //! identical on every host, and so are what CI gates on (`--quick` runs
 //! every case at a fraction of its length for that purpose).
@@ -17,50 +16,60 @@
 //! Results go to stdout and to `BENCH_EVENTLOOP.json` (override with
 //! `--out PATH`); see EXPERIMENTS.md for the schema.
 
-use lossburst_netsim::event::{Event, EventQueue, SchedulerKind};
+use lossburst_bench::cli;
+use lossburst_netsim::event::{Event, EventQueue};
 use lossburst_netsim::prelude::*;
-use lossburst_testkit::schedule::{campaign_schedule, QueueOp};
+use lossburst_testkit::schedule::{campaign_schedule, HeapOracle, QueueOp};
 use lossburst_transport::prelude::*;
 use std::time::Instant;
 
-struct RunStats {
+/// One row of the table: what ran, how fast, and how well tuned the
+/// calendar was while it did.
+struct Case {
+    name: String,
+    /// The case's own JSON fields (its size, and what it counted).
+    detail: String,
     events: u64,
     wall_secs: f64,
-    drops: u64,
-    loss_fingerprint: u64,
     sched: SchedulerStats,
 }
 
-impl RunStats {
+impl Case {
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_secs
     }
-}
 
-/// FNV-1a over the drop records: a cheap byte-identity fingerprint.
-fn fingerprint(losses: &[lossburst_netsim::trace::LossRecord]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    for l in losses {
-        eat(l.time.as_nanos());
-        eat(l.link.0 as u64);
-        eat(l.flow.0 as u64);
-        eat(l.seq);
+    fn print_row(&self) {
+        println!(
+            "# {:<18} {:>12} {:>14.0} {:>10.2} {:>9.2} {:>8}",
+            self.name,
+            self.events,
+            self.events_per_sec(),
+            self.sched.shifted_per_insert(),
+            self.sched.days_per_pop(),
+            self.sched.rebuilds
+        );
     }
-    h
+
+    fn json(&self) -> String {
+        format!(
+            "    {{ \"name\": \"{}\", {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \
+             \"shifted_per_insert\": {:.3}, \"days_per_pop\": {:.3}, \"rebuilds\": {} }}",
+            self.name,
+            self.detail,
+            self.wall_secs * 1e3,
+            self.events_per_sec(),
+            self.sched.shifted_per_insert(),
+            self.sched.days_per_pop(),
+            self.sched.rebuilds
+        )
+    }
 }
 
 /// One Fig-1 dumbbell run: `pairs` NewReno bulk flows plus `pairs` on-off
 /// noise flows over a 100 Mbps bottleneck, RTTs uniform in 2–200 ms.
-fn run_dumbbell(pairs: usize, sim_secs: u64, seed: u64, kind: SchedulerKind) -> RunStats {
-    let mut b = SimBuilder::new(seed)
-        .trace(TraceConfig::all())
-        .scheduler(kind);
+fn run_dumbbell(name: &str, pairs: usize, sim_secs: u64, seed: u64) -> Case {
+    let mut b = SimBuilder::new(seed).trace(TraceConfig::all());
     let cfg = DumbbellConfig::paper_baseline(
         pairs,
         500,
@@ -95,19 +104,51 @@ fn run_dumbbell(pairs: usize, sim_secs: u64, seed: u64, kind: SchedulerKind) -> 
     let t0 = Instant::now();
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(sim_secs));
     let wall_secs = t0.elapsed().as_secs_f64();
-    RunStats {
+    Case {
+        name: name.to_string(),
+        detail: format!(
+            "\"pairs\": {pairs}, \"sim_seconds\": {sim_secs}, \"events\": {}, \"drops\": {}",
+            sim.events_processed,
+            sim.total_drops()
+        ),
         events: sim.events_processed,
         wall_secs,
-        drops: sim.total_drops(),
-        loss_fingerprint: fingerprint(&sim.trace.losses),
         sched: sim.scheduler_stats(),
     }
 }
 
+/// What the microbenches ask of a queue: the product's, which they time,
+/// and the oracle's, which checks what it popped.
+trait Queue {
+    fn schedule_ns(&mut self, at: u64);
+    fn pop_ns(&mut self) -> Option<u64>;
+}
+
+impl Queue for EventQueue {
+    fn schedule_ns(&mut self, at: u64) {
+        self.schedule(
+            SimTime::from_nanos(at),
+            Event::FlowStart { flow: FlowId(0) },
+        );
+    }
+    fn pop_ns(&mut self) -> Option<u64> {
+        self.pop().map(|(t, _)| t.as_nanos())
+    }
+}
+
+impl Queue for HeapOracle {
+    fn schedule_ns(&mut self, at: u64) {
+        self.schedule(at, 0);
+    }
+    fn pop_ns(&mut self) -> Option<u64> {
+        self.pop().map(|(t, _)| t)
+    }
+}
+
 /// Scheduler microbench: hold a deep backlog and churn schedule/pop pairs.
-/// This isolates the queue: no links, no transports, no tracing.
-fn queue_stress(kind: SchedulerKind, backlog: usize, churn: u64) -> RunStats {
-    let mut q = EventQueue::with_kind(kind);
+/// This isolates the queue: no links, no transports, no tracing. Returns
+/// the churn's wall time and the wrapping sum of the popped times.
+fn queue_stress(q: &mut impl Queue, backlog: usize, churn: u64) -> (f64, u64) {
     let mut s = 0x1234_5678_9abc_def0u64;
     let mut rand = move || {
         s ^= s << 13;
@@ -115,20 +156,13 @@ fn queue_stress(kind: SchedulerKind, backlog: usize, churn: u64) -> RunStats {
         s ^= s << 17;
         s
     };
-    let mut now = 0u64;
-    for i in 0..backlog {
-        q.schedule(
-            SimTime::from_nanos(now + rand() % 10_000_000),
-            Event::FlowStart {
-                flow: FlowId(i as u32),
-            },
-        );
+    for _ in 0..backlog {
+        q.schedule_ns(rand() % 10_000_000);
     }
     let t0 = Instant::now();
     let mut acc = 0u64;
     for _ in 0..churn {
-        let (t, _) = q.pop().unwrap();
-        now = t.as_nanos();
+        let now = q.pop_ns().expect("a hold model never drains");
         acc = acc.wrapping_add(now);
         // Hold-model reinsertion: mixed near and far horizons, as a sim
         // with short timers and long RTO timers produces.
@@ -137,108 +171,40 @@ fn queue_stress(kind: SchedulerKind, backlog: usize, churn: u64) -> RunStats {
             7 | 8 => 1_000_000 + rand() % 10_000_000,  // RTT-scale
             _ => 100_000_000 + rand() % 1_000_000_000, // RTO-scale
         };
-        q.schedule(
-            SimTime::from_nanos(now + delta),
-            Event::FlowStart { flow: FlowId(0) },
-        );
+        q.schedule_ns(now + delta);
     }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    RunStats {
-        events: churn,
-        wall_secs,
-        drops: 0,
-        loss_fingerprint: acc,
-        sched: q.stats(),
-    }
+    (t0.elapsed().as_secs_f64(), acc)
 }
 
 /// Scheduler microbench on the pending set of one campaign path
 /// simulation ([`campaign_schedule`]): shallow where queue-stress is
-/// deep, bimodal where it is stationary.
-fn path_shaped(kind: SchedulerKind, churn: u64) -> RunStats {
-    let mut q = EventQueue::with_kind(kind);
+/// deep, bimodal where it is stationary. Returns as [`queue_stress`] does.
+fn path_shaped(q: &mut impl Queue, churn: u64) -> (f64, u64) {
     let mut acc = 0u64;
     let t0 = Instant::now();
     campaign_schedule(2006, churn as usize, &mut |op| match op {
         QueueOp::Schedule(at) => {
-            q.schedule(
-                SimTime::from_nanos(at),
-                Event::FlowStart { flow: FlowId(0) },
-            );
+            q.schedule_ns(at);
             None
         }
         QueueOp::Pop => {
-            let (t, _) = q.pop()?;
-            acc = acc.wrapping_add(t.as_nanos());
-            Some(t.as_nanos())
+            let t = q.pop_ns()?;
+            acc = acc.wrapping_add(t);
+            Some(t)
         }
     });
-    let wall_secs = t0.elapsed().as_secs_f64();
-    RunStats {
+    (t0.elapsed().as_secs_f64(), acc)
+}
+
+/// A microbench's table row.
+fn micro_case(name: &str, backlog: usize, churn: u64, wall_secs: f64, q: &EventQueue) -> Case {
+    Case {
+        name: name.to_string(),
+        detail: format!("\"backlog\": {backlog}, \"churn\": {churn}"),
         events: churn,
         wall_secs,
-        drops: 0,
-        loss_fingerprint: acc,
         sched: q.stats(),
     }
-}
-
-/// Wall time and rate, plus the tuning counters where the scheduler keeps
-/// them (the heap reports none).
-fn json_pair(stats: &RunStats) -> String {
-    let mut fields = format!(
-        "\"wall_ms\": {:.1}, \"events_per_sec\": {:.0}",
-        stats.wall_secs * 1e3,
-        stats.events_per_sec()
-    );
-    if stats.sched.inserts > 0 {
-        fields += &format!(
-            ", \"shifted_per_insert\": {:.3}, \"days_per_pop\": {:.3}, \"rebuilds\": {}",
-            stats.sched.shifted_per_insert(),
-            stats.sched.days_per_pop(),
-            stats.sched.rebuilds
-        );
-    }
-    format!("{{ {fields} }}")
-}
-
-/// Run one scheduler microbench under both schedulers, check they popped
-/// the same time sequence, print its table row and return its JSON object
-/// body and calendar/heap speedup.
-fn micro_pair(
-    name: &str,
-    backlog: usize,
-    churn: u64,
-    run: impl Fn(SchedulerKind) -> RunStats,
-) -> (String, f64) {
-    let cal = run(SchedulerKind::Calendar);
-    let heap = run(SchedulerKind::Heap);
-    assert_eq!(
-        cal.loss_fingerprint, heap.loss_fingerprint,
-        "{name}: schedulers popped different time sequences"
-    );
-    let speedup = cal.events_per_sec() / heap.events_per_sec();
-    print_row(name, churn, &cal, &heap, speedup);
-    let json = format!(
-        "{{ \"backlog\": {backlog}, \"churn\": {churn}, \"calendar\": {}, \"heap\": {}, \"speedup\": {speedup:.3} }}",
-        json_pair(&cal),
-        json_pair(&heap),
-    );
-    (json, speedup)
-}
-
-fn print_row(name: &str, events: u64, cal: &RunStats, heap: &RunStats, speedup: f64) {
-    println!(
-        "# {:<18} {:>12} {:>14.0} {:>14.0} {:>8.2}x {:>10.2} {:>9.2} {:>8}",
-        name,
-        events,
-        cal.events_per_sec(),
-        heap.events_per_sec(),
-        speedup,
-        cal.sched.shifted_per_insert(),
-        cal.sched.days_per_pop(),
-        cal.sched.rebuilds
-    );
 }
 
 fn main() {
@@ -249,17 +215,8 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path; {USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}; {USAGE}");
-                std::process::exit(2);
-            }
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
+            other => cli::unknown_flag(other, USAGE),
         }
     }
     // `--quick` keeps every case and its population, and cuts its length.
@@ -271,56 +228,40 @@ fn main() {
         ("dumbbell-large", 64, 40),
     ];
     let seed = 2006;
-    println!("# event-loop perf: Fig-1 dumbbell, calendar vs heap scheduler");
+    println!("# event-loop perf: Fig-1 dumbbell and queue microbenches");
     println!(
-        "# {:<18} {:>12} {:>14} {:>14} {:>9} {:>10} {:>9} {:>8}",
-        "scale", "events", "cal ev/s", "heap ev/s", "speedup", "shift/ins", "days/pop", "rebuilds"
+        "# {:<18} {:>12} {:>14} {:>10} {:>9} {:>8}",
+        "case", "events", "events/s", "shift/ins", "days/pop", "rebuilds"
     );
 
-    let mut entries = Vec::new();
-    let mut speedups = Vec::new();
+    let mut rows = Vec::new();
+    let mut done = |case: Case| {
+        case.print_row();
+        rows.push(case.json());
+    };
     for (name, pairs, sim_secs) in scales {
-        let sim_secs = (sim_secs / cut).max(2);
-        let cal = run_dumbbell(pairs, sim_secs, seed, SchedulerKind::Calendar);
-        let heap = run_dumbbell(pairs, sim_secs, seed, SchedulerKind::Heap);
-        assert_eq!(
-            cal.events, heap.events,
-            "{name}: schedulers processed different event counts"
-        );
-        assert_eq!(
-            (cal.drops, cal.loss_fingerprint),
-            (heap.drops, heap.loss_fingerprint),
-            "{name}: schedulers produced different drop traces"
-        );
-        let speedup = cal.events_per_sec() / heap.events_per_sec();
-        print_row(name, cal.events, &cal, &heap, speedup);
-        entries.push(format!(
-            "    {{ \"name\": \"{name}\", \"pairs\": {pairs}, \"sim_seconds\": {sim_secs}, \
-             \"events\": {}, \"drops\": {}, \"calendar\": {}, \"heap\": {}, \
-             \"speedup\": {speedup:.3} }}",
-            cal.events,
-            cal.drops,
-            json_pair(&cal),
-            json_pair(&heap),
-        ));
-        speedups.push(speedup);
+        done(run_dumbbell(name, pairs, (sim_secs / cut).max(2), seed));
     }
 
+    const DIVERGED: &str = "the queue and the heap oracle popped different time sequences";
     let (backlog, churn) = (200_000usize, 4_000_000 / cut);
-    let (stress_json, stress_speedup) = micro_pair("queue-stress", backlog, churn, |kind| {
-        queue_stress(kind, backlog, churn)
-    });
+    let mut q = EventQueue::new();
+    let (wall_secs, popped) = queue_stress(&mut q, backlog, churn);
+    let (_, expected) = queue_stress(&mut HeapOracle::new(), backlog, churn);
+    assert_eq!(popped, expected, "queue-stress: {DIVERGED}");
+    done(micro_case("queue-stress", backlog, churn, wall_secs, &q));
     // 300 far-future + 64 near-term events, held constant by the schedule.
-    let (path_json, path_speedup) =
-        micro_pair("path-shaped", 364, churn, |kind| path_shaped(kind, churn));
-    speedups.extend([stress_speedup, path_speedup]);
+    let mut q = EventQueue::new();
+    let (wall_secs, popped) = path_shaped(&mut q, churn);
+    let (_, expected) = path_shaped(&mut HeapOracle::new(), churn);
+    assert_eq!(popped, expected, "path-shaped: {DIVERGED}");
+    done(micro_case("path-shaped", 364, churn, wall_secs, &q));
 
-    let max_speedup = speedups.iter().cloned().fold(f64::MIN, f64::max);
     let prov = lossburst_bench::provenance::capture().json_fields();
     let json = format!(
-        "{{\n  \"bench\": \"event-loop\",\n  \"seed\": {seed},\n  \"quick\": {quick},\n  {prov},\n  \"schedulers\": [\"calendar\", \"heap\"],\n  \"scales\": [\n{}\n  ],\n  \"queue_stress\": {stress_json},\n  \"path_shaped\": {path_json},\n  \"max_speedup\": {max_speedup:.3}\n}}\n",
-        entries.join(",\n"),
+        "{{\n  \"bench\": \"event-loop\",\n  \"seed\": {seed},\n  \"quick\": {quick},\n  {prov},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("cannot write results file");
-    println!("# wrote {out_path} (max speedup {max_speedup:.2}x)");
+    println!("# wrote {out_path}");
 }

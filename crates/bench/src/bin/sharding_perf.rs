@@ -23,6 +23,7 @@
 //! Writes `BENCH_SHARDING.json` (override with `--out PATH`). The worker
 //! form (`--worker i/N`, spawned internally) runs one shard and exits.
 
+use lossburst_bench::cli;
 use lossburst_core::prelude::*;
 use lossburst_core::shard::merged_checkpoint_path;
 use lossburst_inet::campaign::CampaignConfig;
@@ -155,6 +156,7 @@ fn append_bench(n: usize, scratch: &Path) -> (f64, f64) {
 }
 
 fn main() {
+    const USAGE: &str = "usage: sharding_perf [--quick] [--seed N] [--out PATH]";
     let mut out_path = String::from("BENCH_SHARDING.json");
     let mut quick = false;
     let mut seed = 2006u64;
@@ -164,42 +166,23 @@ fn main() {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out_path = it.next().expect("--out requires a path"),
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
             "--quick" => quick = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
-            "--worker" => {
-                worker_spec = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--worker requires i/N"),
-                )
-            }
-            "--paths" => {
-                paths_flag = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--paths requires a count"),
-                )
-            }
-            "--dir" => dir_flag = Some(PathBuf::from(it.next().expect("--dir requires a path"))),
+            "--seed" => seed = cli::value(&mut it, "--seed", "an integer", USAGE),
+            "--worker" => worker_spec = Some(cli::value(&mut it, "--worker", "i/N", USAGE)),
+            "--paths" => paths_flag = Some(cli::value(&mut it, "--paths", "a count", USAGE)),
+            "--dir" => dir_flag = Some(cli::value(&mut it, "--dir", "a path", USAGE)),
             "--help" | "-h" => {
-                eprintln!("usage: sharding_perf [--quick] [--seed N] [--out PATH]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            other => cli::unknown_flag(other, USAGE),
         }
     }
     if let Some(spec) = worker_spec {
-        let paths = paths_flag.expect("--worker requires --paths");
-        let dir = dir_flag.expect("--worker requires --dir");
+        let (Some(paths), Some(dir)) = (paths_flag, dir_flag) else {
+            cli::usage_error("--worker requires --paths and --dir", USAGE)
+        };
         worker(spec, seed, paths, &dir);
         return;
     }

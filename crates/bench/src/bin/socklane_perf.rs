@@ -17,10 +17,10 @@
 //! NewReno only for CI. On runners that forbid loopback sockets the
 //! benchmark writes a `"skipped": true` report instead of failing.
 
+use lossburst_bench::{cli, provenance};
 use lossburst_sock::lane::socket_lane_available;
 use lossburst_testkit::prelude::*;
 use lossburst_transport::cc::CcAlgorithm;
-use rayon::{current_num_threads, THREADS_ENV};
 use std::time::Instant;
 
 struct CellReport {
@@ -108,47 +108,34 @@ fn run_sock_stats(sc: &CrossLaneScenario, res: &lossburst_sock::lane::SockLaneRe
 }
 
 fn main() {
+    const USAGE: &str = "usage: socklane_perf [--quick] [--seed N] [--threads N] [--out PATH]";
     let mut out_path = String::from("BENCH_SOCKLANE.json");
     let mut quick = false;
     let mut seed = 2006u64;
-    let mut threads_flag: Option<String> = None;
+    let mut threads_flag: Option<usize> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out_path = it.next().expect("--out requires a path"),
+            "--out" => out_path = cli::value(&mut it, "--out", "a path", USAGE),
             "--quick" => quick = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
-            "--threads" => threads_flag = Some(it.next().expect("--threads requires a count")),
+            "--seed" => seed = cli::value(&mut it, "--seed", "an integer", USAGE),
+            "--threads" => threads_flag = Some(cli::value(&mut it, "--threads", "a count", USAGE)),
             "--help" | "-h" => {
-                eprintln!("usage: socklane_perf [--quick] [--seed N] [--threads N] [--out PATH]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            other => cli::unknown_flag(other, USAGE),
         }
     }
-    if let Some(t) = threads_flag {
-        std::env::set_var(THREADS_ENV, t);
-    } else if std::env::var(THREADS_ENV).is_err() {
-        std::env::set_var(THREADS_ENV, "4");
-    }
-    let threads = current_num_threads();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let prov = lossburst_bench::provenance::capture().json_fields();
+    let prov = provenance::capture_with_threads(threads_flag);
 
     println!("# real-socket transport lane vs netsim vs emu");
-    println!("# threads {threads} (LOSSBURST_THREADS), host cpus {host_cpus}, seed {seed}");
+    println!(
+        "# threads {} (LOSSBURST_THREADS), host cpus {}, seed {seed}",
+        prov.threads, prov.host_cpus
+    );
 
+    let prov = prov.json_fields();
     if !socket_lane_available() {
         println!("# loopback UDP unavailable on this runner; writing a skip report");
         let json = format!(

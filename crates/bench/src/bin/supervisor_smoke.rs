@@ -8,6 +8,7 @@
 //! the ledger, and a summary under DIR (uploaded as a CI artifact) and
 //! exits non-zero if any expectation fails.
 
+use lossburst_bench::cli;
 use lossburst_core::prelude::*;
 use lossburst_core::supervisor::PathRecord;
 use lossburst_inet::campaign::CampaignConfig;
@@ -18,19 +19,15 @@ const PANIC_PATH: usize = 2;
 const TIMEOUT_PATH: usize = 5;
 
 fn parse_args() -> (PathBuf, u64) {
+    const USAGE: &str = "usage: supervisor_smoke [--out DIR] [--seed N]";
     let mut out = PathBuf::from("target/supervisor-smoke");
     let mut seed = 2006u64;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out = PathBuf::from(it.next().expect("--out requires a directory")),
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
-            other => panic!("unknown flag {other}"),
+            "--out" => out = cli::value(&mut it, "--out", "a directory", USAGE),
+            "--seed" => seed = cli::value(&mut it, "--seed", "an integer", USAGE),
+            other => cli::unknown_flag(other, USAGE),
         }
     }
     (out, seed)

@@ -3,14 +3,14 @@
 //! The benchmark harness: one binary per table/figure of the paper
 //! (`table1`, `fig2`, `fig3`, `fig4`, `fig56_model`, `fig7`, `fig8`) that
 //! regenerates the same rows/series the paper reports, plus the `perf`
-//! binary that benchmarks the event loop (calendar queue vs binary heap)
-//! and writes `BENCH_EVENTLOOP.json` at the repo root.
+//! binary that benchmarks the event loop (rate and calendar-queue tuning
+//! counts per case) and writes `BENCH_EVENTLOOP.json` at the repo root.
 //!
 //! Every binary accepts `--full` for paper-scale runs and prints a
 //! `paper-vs-measured` footer comparing the reproduction against the
 //! numbers the paper states.
 
-/// Minimal flag parsing shared by the figure binaries.
+/// Minimal flag parsing shared by the figure and bench binaries.
 pub mod cli {
     /// Parsed common flags.
     #[derive(Clone, Debug)]
@@ -23,9 +23,36 @@ pub mod cli {
         pub export: Option<std::path::PathBuf>,
     }
 
+    /// Reject the command line: `"<problem>; <usage>"` on stderr, exit 2.
+    pub fn usage_error(problem: &str, usage: &str) -> ! {
+        eprintln!("{problem}; {usage}");
+        std::process::exit(2)
+    }
+
+    /// Reject an argument no flag of this bin matches.
+    pub fn unknown_flag(flag: &str, usage: &str) -> ! {
+        usage_error(&format!("unknown flag {flag}"), usage)
+    }
+
+    /// The value that follows `flag`, parsed. A missing or unparsable one
+    /// is a [`usage_error`]: `"<flag> requires <what>; <usage>"`.
+    pub fn value<T: std::str::FromStr>(
+        args: &mut impl Iterator<Item = String>,
+        flag: &str,
+        what: &str,
+        usage: &str,
+    ) -> T {
+        match args.next().and_then(|v| v.parse().ok()) {
+            Some(v) => v,
+            None => usage_error(&format!("{flag} requires {what}"), usage),
+        }
+    }
+
     /// Parse `--full`, `--seed N` and `--export DIR` from the process
     /// arguments.
     pub fn parse() -> Args {
+        const USAGE: &str =
+            "flags: --full (paper-scale run), --seed N (default 2006), --export DIR (write TSV series)";
         let mut full = false;
         let mut seed = 2006; // the measurement year
         let mut export = None;
@@ -33,27 +60,13 @@ pub mod cli {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => full = true,
-                "--seed" => {
-                    seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed requires an integer");
-                }
-                "--export" => {
-                    export = Some(std::path::PathBuf::from(
-                        it.next().expect("--export requires a directory"),
-                    ));
-                }
+                "--seed" => seed = value(&mut it, "--seed", "an integer", USAGE),
+                "--export" => export = Some(value(&mut it, "--export", "a directory", USAGE)),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --full (paper-scale run), --seed N (default 2006), --export DIR (write TSV series)"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => {
-                    eprintln!("unknown flag {other}; try --help");
-                    std::process::exit(2);
-                }
+                other => unknown_flag(other, USAGE),
             }
         }
         Args { full, seed, export }
@@ -94,12 +107,24 @@ pub mod provenance {
         }
     }
 
+    /// Pin the pool width before the pool's one-time initialization, then
+    /// [`capture`]: a `--threads` flag wins, then an existing
+    /// `LOSSBURST_THREADS`, then 4 (so that a comparison across workers
+    /// means something even on a small host).
+    pub fn capture_with_threads(threads_flag: Option<usize>) -> Provenance {
+        if let Some(t) = threads_flag {
+            std::env::set_var(THREADS_ENV, t.to_string());
+        } else if std::env::var(THREADS_ENV).is_err() {
+            std::env::set_var(THREADS_ENV, "4");
+        }
+        capture()
+    }
+
     impl Provenance {
         /// The policy as the lowercase token the JSON headers use.
         pub fn policy_name(&self) -> &'static str {
             match self.policy {
                 ExecutionPolicy::Serial => "serial",
-                ExecutionPolicy::StaticChunk => "static",
                 ExecutionPolicy::WorkStealing => "workstealing",
             }
         }

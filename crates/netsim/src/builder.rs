@@ -21,7 +21,6 @@
 //! sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 //! ```
 
-use crate::event::SchedulerKind;
 use crate::iface::Transport;
 use crate::link::Link;
 use crate::node::NodeKind;
@@ -47,12 +46,11 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
-    /// Start building a simulation with the given RNG seed, the default
-    /// trace gating ([`TraceConfig::default`]) and the default scheduler
-    /// ([`SchedulerKind::Calendar`]).
+    /// Start building a simulation with the given RNG seed and the default
+    /// trace gating ([`TraceConfig::default`]).
     pub fn new(seed: u64) -> SimBuilder {
         SimBuilder {
-            sim: Simulator::empty(seed, TraceConfig::default(), SchedulerKind::default()),
+            sim: Simulator::empty(seed, TraceConfig::default()),
             pending_flows: Vec::new(),
             route_overrides: Vec::new(),
         }
@@ -93,17 +91,6 @@ impl SimBuilder {
     /// the simulator being built; see [`crate::sim::RunLimits`].
     pub fn limits(mut self, limits: crate::sim::RunLimits) -> SimBuilder {
         self.sim.set_run_limits(limits);
-        self
-    }
-
-    /// Select the event scheduler (calendar queue by default; the binary
-    /// heap remains available as a reference/fallback).
-    pub fn scheduler(mut self, kind: SchedulerKind) -> SimBuilder {
-        debug_assert!(
-            self.sim.events_pending() == 0,
-            "scheduler changed after events were scheduled"
-        );
-        self.sim.replace_event_queue(kind);
         self
     }
 
@@ -395,14 +382,5 @@ mod tests {
         b.route(a, c, ar);
         let sim = b.build();
         assert_eq!(sim.nodes[a.index()].route_to(c), Some(ar));
-    }
-
-    #[test]
-    fn scheduler_choice_is_respected() {
-        use crate::event::SchedulerKind;
-        let b = SimBuilder::new(1).scheduler(SchedulerKind::Heap);
-        assert_eq!(b.sim.scheduler_kind(), SchedulerKind::Heap);
-        let b2 = SimBuilder::new(1);
-        assert_eq!(b2.sim.scheduler_kind(), SchedulerKind::Calendar);
     }
 }

@@ -1,34 +1,26 @@
 //! The discrete-event queue.
 //!
-//! Two interchangeable schedulers live behind [`EventQueue`], selected by
-//! [`SchedulerKind`]:
+//! [`EventQueue`] is a calendar queue in the style of Brown (CACM 1988):
+//! events hash into power-of-two-width time buckets, the queue walks the
+//! current "day" forward, the bucket count follows the pending population
+//! and the day width follows the separation of the events about to be
+//! dequeued. Packet simulation dequeues from a dense near-term mode
+//! (serialization completions, propagation arrivals) while hundreds of
+//! far-future events (flow starts, stale RTO timers) wait; sized from its
+//! head, the calendar turns that into O(1) amortized enqueue/dequeue, and
+//! [`SchedulerStats`] reports whether it did.
 //!
-//! * [`SchedulerKind::Calendar`] (the default) — a calendar queue in the
-//!   style of Brown (CACM 1988): events hash into power-of-two-width time
-//!   buckets, the queue walks the current "day" forward, the bucket count
-//!   follows the pending population and the day width follows the
-//!   separation of the events about to be dequeued. Packet simulation
-//!   dequeues from a dense near-term mode (serialization completions,
-//!   propagation arrivals) while hundreds of far-future events (flow
-//!   starts, stale RTO timers) wait; sized from its head, the calendar
-//!   turns that into O(1) amortized enqueue/dequeue, and
-//!   [`SchedulerStats`] reports whether it did.
-//! * [`SchedulerKind::Heap`] — the original `BinaryHeap` implementation,
-//!   kept as a fallback and as the reference ordering for equivalence
-//!   tests.
-//!
-//! Both schedulers implement the same total order: events pop sorted by
-//! `(time, sequence)`, where the insertion sequence number breaks ties
-//! between events scheduled for the same instant. Event delivery order is
-//! therefore a deterministic function of scheduling order alone, two runs
-//! with identical inputs replay identically, and the two schedulers are
-//! byte-for-byte interchangeable (asserted by tests here and by the
-//! cross-crate determinism suite).
+//! Events pop sorted by `(time, sequence)`, where the insertion sequence
+//! number breaks ties between events scheduled for the same instant. Event
+//! delivery order is therefore a deterministic function of scheduling order
+//! alone, and two runs with identical inputs replay identically. That total
+//! order is the queue's whole contract: the tests here and in
+//! `tests/proptests.rs` check it operation for operation against
+//! `lossburst_testkit::schedule::HeapOracle`, a plain binary heap over
+//! `(time, seq, id)`.
 
 use crate::packet::{FlowId, LinkId, NodeId, PacketRef};
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Opaque timer payload interpreted by the transport that armed it.
 /// Transports typically encode a timer kind and a generation counter so that
@@ -74,16 +66,6 @@ pub enum Event {
     Horizon,
 }
 
-/// Which event scheduler backs the [`EventQueue`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Adaptive calendar queue (fast path, default).
-    #[default]
-    Calendar,
-    /// Binary heap (reference implementation / fallback).
-    Heap,
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Scheduled {
     time: SimTime,
@@ -98,27 +80,9 @@ impl Scheduled {
     }
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap and we want the earliest event.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// Read-only scheduler counters: "is this run's calendar tuned?" answered
 /// from the run itself. Always on (integer adds, like
-/// [`crate::sim::EventCounts`]); the heap scheduler reports all zeros.
+/// [`crate::sim::EventCounts`]).
 ///
 /// A tuned calendar shifts about one element per insert and walks under
 /// one day per pop; either ratio in the tens means the day width does not
@@ -218,7 +182,7 @@ impl Bucket {
     }
 }
 
-/// Adaptive calendar queue.
+/// Deterministic future-event list: an adaptive calendar queue.
 ///
 /// Bucket index for time `t` is `(t >> shift) & (nbuckets - 1)`; one
 /// [`Bucket`] therefore spans `2^shift` ns (a "day") and the whole wheel
@@ -238,7 +202,7 @@ impl Bucket {
 /// narrow for the events leaving) — so the width follows the head of the
 /// queue through regime changes instead of waiting for the population to
 /// change.
-struct CalendarQueue {
+pub struct EventQueue {
     buckets: Vec<Bucket>,
     /// log2 of the bucket width in nanoseconds.
     shift: u32,
@@ -246,6 +210,8 @@ struct CalendarQueue {
     mask: u64,
     /// Total events stored.
     len: usize,
+    /// Insertion sequence number of the next event scheduled.
+    next_seq: u64,
     /// Virtual clock in bucket-width units: no event lives below this day.
     cur_day: u64,
     /// The counters of [`SchedulerStats`]; its geometry fields are filled
@@ -256,7 +222,7 @@ struct CalendarQueue {
     window: u64,
     /// `counts.inserts` value at which the current window closes.
     window_end: u64,
-    /// [`CalendarQueue::waste`] when the current window opened.
+    /// [`EventQueue::waste`] when the current window opened.
     window_waste: u64,
 }
 
@@ -305,13 +271,21 @@ fn day_shift(sorted: &[Scheduled]) -> u32 {
     width.max(1).ilog2().min(40)
 }
 
-impl CalendarQueue {
-    fn new() -> CalendarQueue {
-        CalendarQueue {
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+impl EventQueue {
+    /// An empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Bucket::default()).collect(),
             shift: DEFAULT_SHIFT,
             mask: (MIN_BUCKETS - 1) as u64,
             len: 0,
+            next_seq: 0,
             cur_day: 0,
             counts: SchedulerStats::default(),
             window: TUNE_WINDOW,
@@ -320,7 +294,8 @@ impl CalendarQueue {
         }
     }
 
-    fn stats(&self) -> SchedulerStats {
+    /// The calendar's tuning counters and current geometry.
+    pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             buckets: self.buckets.len(),
             day_ns: 1 << self.shift,
@@ -338,7 +313,15 @@ impl CalendarQueue {
         (self.day_of(t) & self.mask) as usize
     }
 
-    fn insert(&mut self, s: Scheduled) {
+    /// Schedule `event` at absolute time `at`.
+    #[inline]
+    pub fn schedule(&mut self, at: SimTime, event: Event) {
+        let s = Scheduled {
+            time: at,
+            seq: self.next_seq,
+            event,
+        };
+        self.next_seq += 1;
         let day = self.day_of(s.time);
         // Defensive: scheduling below the virtual clock (can only happen if
         // a caller rewinds time) just rewinds the clock; correctness is
@@ -384,15 +367,19 @@ impl CalendarQueue {
         self.window_waste = self.waste();
     }
 
-    fn pop(&mut self) -> Option<Scheduled> {
+    /// Remove and return the earliest event.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.pop_before(SimTime::MAX)
     }
 
-    /// Remove the earliest event if it is due at or before `horizon`. One
-    /// day-walk serves both the lookup and the removal; a walk that stops
-    /// at an event past the horizon still advances the virtual clock over
-    /// the empty days it crossed.
-    fn pop_before(&mut self, horizon: SimTime) -> Option<Scheduled> {
+    /// Remove and return the earliest event if it is due at or before
+    /// `horizon`: the event loop's one-call combination of
+    /// [`EventQueue::peek_time`] and [`EventQueue::pop`]. One day-walk
+    /// serves both the lookup and the removal; a walk that stops at an
+    /// event past the horizon still advances the virtual clock over the
+    /// empty days it crossed.
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
         if self.len == 0 {
             return None;
         }
@@ -425,20 +412,33 @@ impl CalendarQueue {
 
     /// Pop bucket `idx`'s head — the global minimum, on day `cur_day` —
     /// unless it is due after `horizon`.
-    fn take_head_before(&mut self, idx: usize, horizon: SimTime) -> Option<Scheduled> {
+    fn take_head_before(&mut self, idx: usize, horizon: SimTime) -> Option<(SimTime, Event)> {
         if self.buckets[idx].front()?.time > horizon {
             return None;
         }
-        let s = self.buckets[idx].pop_front();
+        let s = self.buckets[idx].pop_front()?;
         self.len -= 1;
         self.counts.pops += 1;
         if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
             self.rebuild();
         }
-        s
+        Some((s.time, s.event))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
+    /// Number of pending events.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no events are pending.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Time of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
@@ -489,209 +489,82 @@ impl CalendarQueue {
     }
 }
 
-enum QueueImpl {
-    Heap(BinaryHeap<Scheduled>),
-    Calendar(CalendarQueue),
-}
-
-/// Deterministic future-event list.
-pub struct EventQueue {
-    imp: QueueImpl,
-    next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl EventQueue {
-    /// An empty queue backed by the default scheduler (calendar queue).
-    pub fn new() -> Self {
-        EventQueue::with_kind(SchedulerKind::Calendar)
-    }
-
-    /// An empty queue backed by the given scheduler.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
-        let imp = match kind {
-            SchedulerKind::Heap => QueueImpl::Heap(BinaryHeap::with_capacity(1024)),
-            SchedulerKind::Calendar => QueueImpl::Calendar(CalendarQueue::new()),
-        };
-        EventQueue { imp, next_seq: 0 }
-    }
-
-    /// Which scheduler backs this queue.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.imp {
-            QueueImpl::Heap(_) => SchedulerKind::Heap,
-            QueueImpl::Calendar(_) => SchedulerKind::Calendar,
-        }
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let s = Scheduled {
-            time: at,
-            seq,
-            event,
-        };
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.push(s),
-            QueueImpl::Calendar(c) => c.insert(s),
-        }
-    }
-
-    /// Remove and return the earliest event.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.pop().map(|s| (s.time, s.event)),
-            QueueImpl::Calendar(c) => c.pop().map(|s| (s.time, s.event)),
-        }
-    }
-
-    /// Remove and return the earliest event if it is due at or before
-    /// `horizon`. The event loop's one-call combination of
-    /// [`EventQueue::peek_time`] and [`EventQueue::pop`]: the calendar
-    /// queue locates its minimum with one day-walk instead of two.
-    #[inline]
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => {
-                if h.peek().is_some_and(|s| s.time <= horizon) {
-                    h.pop().map(|s| (s.time, s.event))
-                } else {
-                    None
-                }
-            }
-            QueueImpl::Calendar(c) => c.pop_before(horizon).map(|s| (s.time, s.event)),
-        }
-    }
-
-    /// Time of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            QueueImpl::Heap(h) => h.peek().map(|s| s.time),
-            QueueImpl::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Heap(h) => h.len(),
-            QueueImpl::Calendar(c) => c.len,
-        }
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The scheduler's tuning counters (all zeros for the heap).
-    pub fn stats(&self) -> SchedulerStats {
-        match &self.imp {
-            QueueImpl::Heap(_) => SchedulerStats::default(),
-            QueueImpl::Calendar(c) => c.stats(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lossburst_testkit::schedule::{
-        campaign_schedule, far_cluster_schedule, QueueOp, Schedule, SCHEDULES,
+        campaign_schedule, far_cluster_schedule, HeapOracle, QueueOp, Schedule, SCHEDULES,
     };
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
     }
 
-    fn both() -> [EventQueue; 2] {
-        [
-            EventQueue::with_kind(SchedulerKind::Calendar),
-            EventQueue::with_kind(SchedulerKind::Heap),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.schedule(t(30), Event::Horizon);
-            q.schedule(t(10), Event::Horizon);
-            q.schedule(t(20), Event::Horizon);
-            let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(tm, _)| tm.as_nanos())
-                .collect();
-            assert_eq!(times, vec![10, 20, 30]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(30), Event::Horizon);
+        q.schedule(t(10), Event::Horizon);
+        q.schedule(t(20), Event::Horizon);
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(tm, _)| tm.as_nanos())
+            .collect();
+        assert_eq!(times, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut q in both() {
-            q.schedule(t(5), Event::FlowStart { flow: FlowId(0) });
-            q.schedule(t(5), Event::FlowStart { flow: FlowId(1) });
-            q.schedule(t(5), Event::FlowStart { flow: FlowId(2) });
-            let mut order = Vec::new();
-            while let Some((_, ev)) = q.pop() {
-                if let Event::FlowStart { flow } = ev {
-                    order.push(flow.0);
-                }
+        let mut q = EventQueue::new();
+        q.schedule(t(5), Event::FlowStart { flow: FlowId(0) });
+        q.schedule(t(5), Event::FlowStart { flow: FlowId(1) });
+        q.schedule(t(5), Event::FlowStart { flow: FlowId(2) });
+        let mut order = Vec::new();
+        while let Some((_, ev)) = q.pop() {
+            if let Event::FlowStart { flow } = ev {
+                order.push(flow.0);
             }
-            assert_eq!(order, vec![0, 1, 2]);
         }
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
     fn peek_matches_pop() {
-        for mut q in both() {
-            q.schedule(t(42), Event::Horizon);
-            assert_eq!(q.peek_time(), Some(t(42)));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(42), Event::Horizon);
+        assert_eq!(q.peek_time(), Some(t(42)));
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn pop_before_respects_horizon() {
-        for mut q in both() {
-            q.schedule(t(100), Event::Horizon);
-            q.schedule(t(200), Event::Horizon);
-            assert!(q.pop_before(t(99)).is_none());
-            assert_eq!(q.pop_before(t(100)).map(|(tm, _)| tm), Some(t(100)));
-            assert_eq!(q.pop_before(t(1_000_000)).map(|(tm, _)| tm), Some(t(200)));
-            assert!(q.pop_before(SimTime::MAX).is_none());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(100), Event::Horizon);
+        q.schedule(t(200), Event::Horizon);
+        assert!(q.pop_before(t(99)).is_none());
+        assert_eq!(q.pop_before(t(100)).map(|(tm, _)| tm), Some(t(100)));
+        assert_eq!(q.pop_before(t(1_000_000)).map(|(tm, _)| tm), Some(t(200)));
+        assert!(q.pop_before(SimTime::MAX).is_none());
     }
 
-    /// The heart of the fallback guarantee: both schedulers produce the
-    /// exact same (time, flow) pop sequence for an arbitrary interleaving
-    /// of schedules, pops and horizon-bounded pops, including far-future
-    /// spreads that force the calendar queue through year-overflow scans
-    /// and resizes, and horizons that fall between events (where the
+    /// The queue's whole contract: it produces the exact `(time, id)` pop
+    /// sequence of [`HeapOracle`] for an arbitrary interleaving of
+    /// schedules, pops and horizon-bounded pops, including far-future
+    /// spreads that force the calendar through year-overflow scans and
+    /// resizes, and horizons that fall between events (where the
     /// calendar's walk advances its clock without popping).
     #[test]
-    fn calendar_and_heap_agree_on_ordering() {
+    fn calendar_agrees_with_the_heap_oracle() {
         let flow_of = |popped: Option<(SimTime, Event)>| match popped {
-            Some((tm, Event::FlowStart { flow })) => Some((tm, flow)),
+            Some((tm, Event::FlowStart { flow })) => Some((tm.as_nanos(), flow.0)),
             Some(_) => panic!("unexpected event kind"),
             None => None,
         };
         for seed in [1u64, 2006, 42, 0xDEAD] {
-            let mut cal = EventQueue::with_kind(SchedulerKind::Calendar);
-            let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
+            let mut cal = EventQueue::new();
+            let mut heap = HeapOracle::new();
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = move || {
                 state ^= state << 13;
@@ -705,14 +578,14 @@ mod tests {
             for i in 0..5000u32 {
                 let r = next();
                 match r % 6 {
-                    0 => assert_eq!(flow_of(cal.pop()), flow_of(heap.pop()), "seed {seed}"),
+                    0 => assert_eq!(flow_of(cal.pop()), heap.pop(), "seed {seed}"),
                     1 => {
                         // Around the head of the queue: half the
                         // horizons fall short of every pending event.
-                        let head = heap.peek_time().map_or(clock, |tm| tm.as_nanos());
-                        let horizon = t((head + next() % 20_000).saturating_sub(10_000));
-                        let got = flow_of(cal.pop_before(horizon));
-                        assert_eq!(got, flow_of(heap.pop_before(horizon)), "seed {seed}");
+                        let head = heap.peek_time().unwrap_or(clock);
+                        let horizon = (head + next() % 20_000).saturating_sub(10_000);
+                        let got = flow_of(cal.pop_before(t(horizon)));
+                        assert_eq!(got, heap.pop_before(horizon), "seed {seed}");
                         assert!(got.is_none_or(|(tm, _)| tm <= horizon));
                         match got {
                             Some(_) => bounded_hits += 1,
@@ -727,9 +600,8 @@ mod tests {
                             1..=3 => next() % 10_000_000,
                             _ => next() % 20_000,
                         };
-                        let at = t(clock + delta);
-                        cal.schedule(at, Event::FlowStart { flow: FlowId(i) });
-                        heap.schedule(at, Event::FlowStart { flow: FlowId(i) });
+                        cal.schedule(t(clock + delta), Event::FlowStart { flow: FlowId(i) });
+                        heap.schedule(clock + delta, i);
                     }
                 }
                 if r % 97 == 0 {
@@ -744,19 +616,19 @@ mod tests {
             // when that event is seconds away) or a random stretch past it.
             while let Some(head) = heap.peek_time() {
                 let horizon = match next() % 3 {
-                    0 => t(head.as_nanos().saturating_sub(1)),
+                    0 => head.saturating_sub(1),
                     1 => head,
-                    _ => t(head.as_nanos() + next() % 50_000_000),
+                    _ => head + next() % 50_000_000,
                 };
                 loop {
-                    let got = flow_of(heap.pop_before(horizon));
-                    assert_eq!(flow_of(cal.pop_before(horizon)), got, "seed {seed}");
+                    let got = heap.pop_before(horizon);
+                    assert_eq!(flow_of(cal.pop_before(t(horizon))), got, "seed {seed}");
                     if got.is_none() {
                         break;
                     }
                 }
                 assert_eq!(cal.len(), heap.len());
-                assert_eq!(cal.peek_time(), heap.peek_time());
+                assert_eq!(cal.peek_time().map(SimTime::as_nanos), heap.peek_time());
             }
             assert!(cal.pop().is_none());
 
@@ -765,24 +637,24 @@ mod tests {
             // rebuilds through the regime changes, waste-triggered ones,
             // and the back-off when re-sampling cannot help.
             for schedule in SCHEDULES {
-                let mut cal = EventQueue::with_kind(SchedulerKind::Calendar);
-                let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
+                let mut cal = EventQueue::new();
+                let mut heap = HeapOracle::new();
                 let mut id = 0u32;
                 schedule(seed, 30_000, &mut |op| match op {
                     QueueOp::Schedule(at) => {
                         id += 1;
                         cal.schedule(t(at), Event::FlowStart { flow: FlowId(id) });
-                        heap.schedule(t(at), Event::FlowStart { flow: FlowId(id) });
+                        heap.schedule(at, id);
                         None
                     }
                     QueueOp::Pop => {
                         let got = flow_of(cal.pop());
-                        assert_eq!(got, flow_of(heap.pop()), "seed {seed}");
-                        got.map(|(tm, _)| tm.as_nanos())
+                        assert_eq!(got, heap.pop(), "seed {seed}");
+                        got.map(|(tm, _)| tm)
                     }
                 });
                 assert!(cal.stats().rebuilds >= 3, "seed {seed}: tuning never ran");
-                while let Some(got) = flow_of(heap.pop()) {
+                while let Some(got) = heap.pop() {
                     assert_eq!(flow_of(cal.pop()), Some(got), "seed {seed}");
                 }
                 assert!(cal.pop().is_none());
@@ -792,7 +664,7 @@ mod tests {
 
     /// Drive a calendar through `schedule` and return its counters.
     fn calendar_stats(schedule: Schedule, seed: u64, churn: usize) -> SchedulerStats {
-        let mut q = EventQueue::with_kind(SchedulerKind::Calendar);
+        let mut q = EventQueue::new();
         schedule(seed, churn, &mut |op| match op {
             QueueOp::Schedule(at) => {
                 q.schedule(t(at), Event::Horizon);
@@ -860,7 +732,7 @@ mod tests {
     #[test]
     fn calendar_survives_heavy_same_instant_bursts() {
         const N: u32 = 100_000;
-        let mut q = EventQueue::with_kind(SchedulerKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..N {
             q.schedule(t(7), Event::FlowStart { flow: FlowId(i) });
         }

@@ -10,7 +10,7 @@
 //! Timer cancellation is *lazy*: the simulator never removes a scheduled
 //! timer. Transports encode a generation counter in their [`TimerToken`]s
 //! (or re-check state on fire) and ignore stale ones. This keeps the event
-//! queue a plain binary heap.
+//! queue insert-and-pop only.
 
 use crate::event::{Event, EventQueue, TimerToken};
 use crate::packet::{FlowId, LinkId, NodeId, Packet};

@@ -18,10 +18,9 @@
 //! * **traces**: per-drop records at router queues — the paper's core
 //!   instrumentation — plus goodput events and transfer completions.
 //!
-//! Determinism: integer-nanosecond time, a tie-broken event scheduler
-//! (calendar queue by default, binary-heap fallback — both implement the
-//! same total order), and a single seeded RNG make every run exactly
-//! replayable.
+//! Determinism: integer-nanosecond time, a tie-broken event scheduler (a
+//! calendar queue popping in `(time, insertion)` order), and a single
+//! seeded RNG make every run exactly replayable.
 //!
 //! Simulations are assembled with [`builder::SimBuilder`], which computes
 //! routes when [`builder::SimBuilder::build`] is called:
@@ -62,7 +61,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::builder::SimBuilder;
     pub use crate::driver::HostDriver;
-    pub use crate::event::{SchedulerKind, SchedulerStats, TimerToken};
+    pub use crate::event::{SchedulerStats, TimerToken};
     pub use crate::fluid::{BackgroundMode, FluidState};
     pub use crate::iface::{Ctx, FlowProgress, Transport};
     pub use crate::link::{JitterModel, Link};

@@ -1,6 +1,6 @@
 //! The simulator: topology ownership, the event loop, and routing.
 
-use crate::event::{Event, EventQueue, SchedulerKind, SchedulerStats, TimerToken};
+use crate::event::{Event, EventQueue, SchedulerStats, TimerToken};
 use crate::iface::{Ctx, Transport};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
@@ -158,7 +158,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// Internal constructor used by [`crate::builder::SimBuilder`].
-    pub(crate) fn empty(seed: u64, trace: TraceConfig, scheduler: SchedulerKind) -> Simulator {
+    pub(crate) fn empty(seed: u64, trace: TraceConfig) -> Simulator {
         Simulator {
             now: SimTime::ZERO,
             nodes: Vec::new(),
@@ -167,7 +167,7 @@ impl Simulator {
             trace: TraceSet::new(trace),
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
-            events: EventQueue::with_kind(scheduler),
+            events: EventQueue::new(),
             pool: PacketPool::new(),
             next_packet_id: 0,
             outbox: Vec::with_capacity(64),
@@ -199,26 +199,15 @@ impl Simulator {
         self.budget_exhausted
     }
 
-    /// Which event scheduler this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.events.kind()
-    }
-
     /// Number of events currently pending in the scheduler.
     pub fn events_pending(&self) -> usize {
         self.events.len()
     }
 
-    /// The scheduler's tuning counters: elements shifted per insert, days
-    /// walked per pop, rebuilds (all zeros on the heap scheduler).
+    /// The event queue's tuning counters: elements shifted per insert,
+    /// days walked per pop, rebuilds.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.events.stats()
-    }
-
-    /// Swap in an empty event queue of the given kind (builder-time only,
-    /// before anything is scheduled).
-    pub(crate) fn replace_event_queue(&mut self, kind: SchedulerKind) {
-        self.events = EventQueue::with_kind(kind);
     }
 
     /// Peak number of concurrently in-flight packets seen so far (the

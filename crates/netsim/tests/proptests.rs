@@ -2,85 +2,90 @@
 //! pseudo-random sweeps (deterministic: every case is a fixed function of
 //! its seed, so a failure reproduces exactly).
 
-use lossburst_netsim::event::{Event, EventQueue, SchedulerKind};
+use lossburst_netsim::event::{Event, EventQueue};
 use lossburst_netsim::prelude::*;
-use lossburst_testkit::schedule::{QueueOp, SCHEDULES};
+use lossburst_testkit::schedule::{HeapOracle, QueueOp, SCHEDULES};
 use lossburst_testkit::sweep::{sweep, with_rng, RngExt};
 
 /// The event queue is a stable priority queue: pops are sorted by time,
-/// and equal times preserve insertion order — for both schedulers.
+/// and equal times preserve insertion order — the sequence the heap
+/// oracle pops.
 #[test]
 fn event_queue_is_a_stable_priority_queue() {
     sweep(0xE0E0, 40, |case, gen| {
         let n = gen.random_range(1..200usize);
         let times: Vec<u64> = (0..n).map(|_| gen.random_range(0..1000u64)).collect();
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(
-                    SimTime::from_nanos(t),
-                    Event::FlowStart {
-                        flow: FlowId(i as u32),
-                    },
-                );
-            }
-            let mut popped: Vec<(u64, u32)> = Vec::new();
-            while let Some((t, ev)) = q.pop() {
-                if let Event::FlowStart { flow } = ev {
-                    popped.push((t.as_nanos(), flow.0));
-                }
-            }
-            assert_eq!(popped.len(), times.len());
-            for w in popped.windows(2) {
-                assert!(
-                    w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
-                    "ordering violated ({kind:?}, case {case}): {:?} then {:?}",
-                    w[0],
-                    w[1]
-                );
+        let mut q = EventQueue::new();
+        let mut oracle = HeapOracle::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(
+                SimTime::from_nanos(t),
+                Event::FlowStart {
+                    flow: FlowId(i as u32),
+                },
+            );
+            oracle.schedule(t, i as u32);
+        }
+        let mut popped: Vec<(u64, u32)> = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            if let Event::FlowStart { flow } = ev {
+                popped.push((t.as_nanos(), flow.0));
             }
         }
+        assert_eq!(popped.len(), times.len());
+        for w in popped.windows(2) {
+            assert!(
+                w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
+                "ordering violated (case {case}): {:?} then {:?}",
+                w[0],
+                w[1]
+            );
+        }
+        let expected: Vec<(u64, u32)> = std::iter::from_fn(|| oracle.pop()).collect();
+        assert!(popped == expected, "queue and oracle diverge (case {case})");
     });
 }
 
 /// The same holds while the calendar retunes itself: on campaign-shaped
 /// and far-cluster schedules (head-sampled rebuilds across regime changes,
-/// waste-triggered rebuilds, back-off) both schedulers pop the identical
+/// waste-triggered rebuilds, back-off) the queue pops the oracle's
 /// `(time, id)` sequence, in stable priority order.
 #[test]
-fn schedulers_agree_while_the_calendar_retunes() {
+fn queue_agrees_with_the_oracle_while_the_calendar_retunes() {
     sweep(0xCA1E, 6, |case, gen| {
         let seed = gen.random_range(0..u64::MAX);
         let churn = gen.random_range(5_000..40_000usize);
         for schedule in SCHEDULES {
-            let popped = [SchedulerKind::Calendar, SchedulerKind::Heap].map(|kind| {
-                let mut q = EventQueue::with_kind(kind);
-                let mut next_id = 0u32;
-                let mut popped: Vec<(u64, u32)> = Vec::new();
-                schedule(seed, churn, &mut |op| match op {
-                    QueueOp::Schedule(at) => {
-                        let flow = FlowId(next_id);
-                        next_id += 1;
-                        q.schedule(SimTime::from_nanos(at), Event::FlowStart { flow });
-                        None
-                    }
-                    QueueOp::Pop => {
-                        let Some((t, Event::FlowStart { flow })) = q.pop() else {
-                            return None;
-                        };
-                        popped.push((t.as_nanos(), flow.0));
-                        Some(t.as_nanos())
-                    }
-                });
-                if kind == SchedulerKind::Calendar {
-                    assert!(q.stats().rebuilds >= 3, "case {case}: tuning never ran");
+            let mut q = EventQueue::new();
+            let mut oracle = HeapOracle::new();
+            let mut next_id = 0u32;
+            let mut popped: Vec<(u64, u32)> = Vec::new();
+            schedule(seed, churn, &mut |op| match op {
+                QueueOp::Schedule(at) => {
+                    let flow = FlowId(next_id);
+                    q.schedule(SimTime::from_nanos(at), Event::FlowStart { flow });
+                    oracle.schedule(at, next_id);
+                    next_id += 1;
+                    None
                 }
-                popped
+                QueueOp::Pop => {
+                    let expected = oracle.pop();
+                    let Some((t, Event::FlowStart { flow })) = q.pop() else {
+                        assert!(expected.is_none(), "queue drained early (case {case})");
+                        return None;
+                    };
+                    assert!(
+                        expected == Some((t.as_nanos(), flow.0)),
+                        "queue and oracle diverge (case {case})"
+                    );
+                    popped.push((t.as_nanos(), flow.0));
+                    Some(t.as_nanos())
+                }
             });
-            assert_eq!(popped[0].len(), churn);
-            assert!(popped[0] == popped[1], "schedulers diverge (case {case})");
+            assert!(q.stats().rebuilds >= 3, "case {case}: tuning never ran");
+            assert_eq!(popped.len(), churn);
             assert!(
-                popped[0].windows(2).all(|w| w[0] < w[1]),
+                popped.windows(2).all(|w| w[0] < w[1]),
                 "ordering violated (case {case})"
             );
         }

@@ -1,31 +1,25 @@
-//! Reusable byte-identity helpers: the seed, scheduler, and execution-
-//! policy matrices that the determinism contract is checked over, plus the
-//! trace-dump encoding shared by the root `tests/determinism.rs` and the
-//! per-crate suites.
+//! Reusable byte-identity helpers: the seed and execution-policy matrices
+//! that the determinism contract is checked over, plus the trace-dump
+//! encoding shared by the root `tests/determinism.rs` and the per-crate
+//! suites.
 
 use lossburst_netsim::builder::SimBuilder;
-use lossburst_netsim::event::SchedulerKind;
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
 use lossburst_netsim::trace::{TraceConfig, TraceSet};
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::sender::Sender;
-use rayon::{set_execution_policy, ExecutionPolicy};
+use rayon::{execution_policy, set_execution_policy, ExecutionPolicy};
+use std::sync::Mutex;
 
 /// The canonical replay seeds: a small seed, the paper's year, and the
 /// everything seed. Every byte-identity matrix iterates these.
 pub const SEED_MATRIX: [u64; 3] = [1, 2006, 42];
 
-/// Both event-queue implementations; traces must not depend on the choice.
-pub const SCHEDULER_MATRIX: [SchedulerKind; 2] = [SchedulerKind::Calendar, SchedulerKind::Heap];
-
-/// All three campaign execution policies; results must not depend on the
-/// choice.
-pub const POLICY_MATRIX: [ExecutionPolicy; 3] = [
-    ExecutionPolicy::Serial,
-    ExecutionPolicy::StaticChunk,
-    ExecutionPolicy::WorkStealing,
-];
+/// Both campaign execution policies, the serial oracle first; results must
+/// not depend on the choice.
+pub const POLICY_MATRIX: [ExecutionPolicy; 2] =
+    [ExecutionPolicy::Serial, ExecutionPolicy::WorkStealing];
 
 /// Render every record stream to bytes. Records hold integers, ids, and
 /// f64s; Rust's shortest-round-trip Debug float formatting is injective,
@@ -38,13 +32,11 @@ pub fn trace_bytes(t: &TraceSet) -> Vec<u8> {
     .into_bytes()
 }
 
-/// The reference workload for scheduler byte-identity: a 6-pair
+/// The reference workload for event-loop byte-identity: a 6-pair
 /// paper-baseline dumbbell run for 10 simulated seconds with full tracing,
 /// dumped via [`trace_bytes`].
-pub fn dumbbell_trace(seed: u64, kind: SchedulerKind) -> Vec<u8> {
-    let mut b = SimBuilder::new(seed)
-        .trace(TraceConfig::all())
-        .scheduler(kind);
+pub fn dumbbell_trace(seed: u64) -> Vec<u8> {
+    let mut b = SimBuilder::new(seed).trace(TraceConfig::all());
     let cfg = DumbbellConfig::paper_baseline(
         6,
         200,
@@ -65,55 +57,40 @@ pub fn dumbbell_trace(seed: u64, kind: SchedulerKind) -> Vec<u8> {
     trace_bytes(&sim.trace)
 }
 
-/// Assert a workload is byte-identical under both event schedulers, for
-/// every seed in [`SEED_MATRIX`].
-pub fn assert_schedulers_agree(label: &str, workload: impl Fn(u64, SchedulerKind) -> Vec<u8>) {
-    for seed in SEED_MATRIX {
-        let dumps: Vec<Vec<u8>> = SCHEDULER_MATRIX
-            .into_iter()
-            .map(|kind| workload(seed, kind))
-            .collect();
-        assert!(
-            dumps[0] == dumps[1],
-            "{label}: seed {seed}: {:?} and {:?} traces diverge ({} vs {} bytes)",
-            SCHEDULER_MATRIX[0],
-            SCHEDULER_MATRIX[1],
-            dumps[0].len(),
-            dumps[1].len()
-        );
-        assert!(!dumps[0].is_empty(), "{label}: seed {seed}: empty dump");
-    }
-}
-
-/// Assert a workload is byte-identical under all three execution policies,
-/// for every seed in [`SEED_MATRIX`]. The policy is process-global, so the
-/// previous policy (work-stealing, the default) is restored afterwards
+/// Assert a workload is byte-identical under both execution policies, for
+/// every seed in [`SEED_MATRIX`]. The policy is process-global and the test
+/// harness runs callers on concurrent threads, so the whole comparison
+/// holds a lock, and each leg checks that the policy it set is the policy
+/// it finished under. The default (work-stealing) is restored afterwards
 /// even if the workload panics.
 pub fn assert_policies_agree(label: &str, workload: impl Fn(u64) -> Vec<u8>) {
+    static POLICY_LOCK: Mutex<()> = Mutex::new(());
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
             set_execution_policy(ExecutionPolicy::WorkStealing);
         }
     }
+    // A caller that failed its comparison poisons the lock; the policy it
+    // guards was still restored, so later callers go ahead.
+    let _serialized = POLICY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = Restore;
     for seed in SEED_MATRIX {
-        let dumps: Vec<Vec<u8>> = POLICY_MATRIX
-            .into_iter()
-            .map(|policy| {
-                set_execution_policy(policy);
-                workload(seed)
-            })
-            .collect();
+        let [serial, stealing] = POLICY_MATRIX.map(|policy| {
+            set_execution_policy(policy);
+            let dump = workload(seed);
+            assert_eq!(
+                execution_policy(),
+                policy,
+                "{label}: seed {seed}: policy changed under the {policy:?} leg"
+            );
+            dump
+        });
         assert!(
-            dumps[0] == dumps[1],
-            "{label}: seed {seed}: static-chunk diverges from serial"
-        );
-        assert!(
-            dumps[0] == dumps[2],
+            serial == stealing,
             "{label}: seed {seed}: work-stealing diverges from serial"
         );
-        assert!(!dumps[0].is_empty(), "{label}: seed {seed}: empty dump");
+        assert!(!serial.is_empty(), "{label}: seed {seed}: empty dump");
     }
 }
 
@@ -123,8 +100,8 @@ mod tests {
 
     #[test]
     fn dumbbell_trace_replays_bit_identically() {
-        let a = dumbbell_trace(42, SchedulerKind::Calendar);
-        let b = dumbbell_trace(42, SchedulerKind::Calendar);
+        let a = dumbbell_trace(42);
+        let b = dumbbell_trace(42);
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }

@@ -19,11 +19,12 @@
 //! * [`scenarios`] — the seeded quick-scale scenario generator the
 //!   conformance and golden suites share, with process-wide memoization.
 //! * [`schedule`] — campaign-shaped and adversarial scheduler workloads as
-//!   plain op streams, shared by `netsim`'s calendar ≡ heap differentials,
-//!   its tuning-quality test and the `perf` bin.
+//!   plain op streams, and the `HeapOracle` reference queue, shared by
+//!   `netsim`'s queue ≡ oracle differentials, its tuning-quality test and
+//!   the `perf` bin.
 //! * [`sweep`] — the seeded-sweep driver behind the per-crate property
 //!   tests (replaces the copy-pasted `for case in 0..N` loops).
-//! * [`determinism`] — the seed/scheduler/execution-policy matrices and
+//! * [`determinism`] — the seed and execution-policy matrices and
 //!   byte-identity helpers used by `tests/determinism.rs`.
 
 #![warn(missing_docs)]
@@ -49,8 +50,7 @@ pub mod prelude {
         CrossLaneScenario, CrossLaneTolerance, LaneStats,
     };
     pub use crate::determinism::{
-        assert_policies_agree, assert_schedulers_agree, dumbbell_trace, trace_bytes, POLICY_MATRIX,
-        SCHEDULER_MATRIX, SEED_MATRIX,
+        assert_policies_agree, dumbbell_trace, trace_bytes, POLICY_MATRIX, SEED_MATRIX,
     };
     pub use crate::golden::{check_or_bless, compare, GoldenSummary, Tolerance, BLESS_ENV};
     pub use crate::sweep::{sweep, with_rng, SmallRng};

@@ -1,9 +1,64 @@
 //! Scheduler workloads shaped like the simulations the campaigns run, as
 //! plain data: a driver feeds [`QueueOp`]s to whatever queue (or pair of
 //! queues) it holds, so `netsim`'s unit tests, its integration tests and
-//! the `perf` bin all exercise the one population.
+//! the `perf` bin all exercise the one population — and [`HeapOracle`],
+//! the reference queue they compare `netsim`'s event queue against.
 
 use crate::sweep::{with_rng, RngExt};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The reference future-event list: a binary heap over `(time_ns,
+/// insertion seq, id)`. An event queue's contract is that total order, so
+/// its pop sequence is a pure function of its operation sequence, and
+/// driving this model with the same operations predicts every pop. Plain
+/// integers, because `netsim`'s own unit tests use it.
+#[derive(Default)]
+pub struct HeapOracle {
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    next_seq: u64,
+}
+
+impl HeapOracle {
+    /// An empty queue.
+    pub fn new() -> HeapOracle {
+        HeapOracle::default()
+    }
+
+    /// Schedule event `id` at `at` nanoseconds.
+    pub fn schedule(&mut self, at: u64, id: u32) {
+        self.heap.push(Reverse((at, self.next_seq, id)));
+        self.next_seq += 1;
+    }
+
+    /// Remove the earliest event: `(time_ns, id)`.
+    pub fn pop(&mut self) -> Option<(u64, u32)> {
+        self.pop_before(u64::MAX)
+    }
+
+    /// Remove the earliest event if it is due at or before `horizon`.
+    pub fn pop_before(&mut self, horizon: u64) -> Option<(u64, u32)> {
+        if self.peek_time()? > horizon {
+            return None;
+        }
+        self.heap.pop().map(|Reverse((at, _, id))| (at, id))
+    }
+
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((at, ..))| *at)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
 
 /// One step of a schedule. Times are absolute nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,27 +141,41 @@ pub fn far_cluster_schedule(seed: u64, churn: usize, apply: Apply) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     /// Pops, peak population and final clock of a schedule run on a heap.
     fn run(schedule: Schedule, churn: usize) -> (usize, usize, u64) {
-        let mut heap = BinaryHeap::new();
+        let mut heap = HeapOracle::new();
         let (mut pops, mut peak, mut clock) = (0, 0, 0);
         schedule(7, churn, &mut |op| match op {
             QueueOp::Schedule(at) => {
-                heap.push(Reverse(at));
+                heap.schedule(at, 0);
                 peak = peak.max(heap.len());
                 None
             }
             QueueOp::Pop => {
-                let Reverse(at) = heap.pop()?;
+                let (at, _) = heap.pop()?;
                 assert!(at >= clock, "scheduled into the past");
                 (pops, clock) = (pops + 1, at);
                 Some(at)
             }
         });
         (pops, peak, clock)
+    }
+
+    #[test]
+    fn oracle_pops_by_time_then_insertion_and_respects_horizons() {
+        let mut q = HeapOracle::new();
+        for (id, at) in [30, 10, 10, 20].into_iter().enumerate() {
+            q.schedule(at, id as u32);
+        }
+        assert_eq!((q.len(), q.peek_time()), (4, Some(10)));
+        assert_eq!(q.pop_before(9), None);
+        assert_eq!(q.pop_before(10), Some((10, 1)));
+        assert_eq!(q.pop(), Some((10, 2)));
+        assert_eq!(q.pop_before(25), Some((20, 3)));
+        assert_eq!(q.pop_before(25), None);
+        assert_eq!(q.pop(), Some((30, 0)));
+        assert!(q.is_empty() && q.pop().is_none());
     }
 
     #[test]

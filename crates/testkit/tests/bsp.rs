@@ -47,7 +47,7 @@ fn bsp_bytes(cfg: &BspConfig) -> Vec<u8> {
 
 /// The determinism contract: for every seed in `SEED_MATRIX`, the full
 /// machine (outcomes, barrier stats, fingerprints) is byte-identical under
-/// serial, static-chunk, and work-stealing execution. Each mitigation has
+/// serial and work-stealing execution. Each mitigation has
 /// its own scheduling-sensitive code path, so all four run.
 #[test]
 fn bsp_is_byte_identical_across_execution_policies() {

@@ -4,7 +4,7 @@
 //! * doubling the bottleneck buffer must not increase the loss rate
 //!   (averaged over the seed matrix to wash out single-run noise);
 //! * permuting the order paths are measured in must not change any
-//!   per-path result, under all three execution policies;
+//!   per-path result, under both execution policies;
 //! * in fluid mode, doubling the background flow count at fixed aggregate
 //!   rate must leave the Fig 2 loss statistics within tolerance — the
 //!   mean-field substitution cares about the aggregate rate process, not

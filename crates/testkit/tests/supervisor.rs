@@ -1,7 +1,7 @@
 //! Supervisor determinism contract: a fault-injected campaign that is
 //! interrupted and resumed from its checkpoint must be byte-identical to
 //! the same campaign run uninterrupted — for every seed in `SEED_MATRIX`,
-//! under all three execution policies.
+//! under both execution policies.
 
 use lossburst_core::prelude::*;
 use lossburst_core::supervisor::PathRecord;
