@@ -12,8 +12,23 @@
 //! arbitrary `Write`/`BufRead` streams for tests and in-memory use.
 
 use crate::error::{Error, Result};
-use std::io::{BufRead, Write};
+use std::fs::File;
+use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
+
+/// Create `path` and hand `body` a buffered writer over it — the `*_to`
+/// bodies write line by line, which on a bare `File` is one `write(2)` per
+/// line. Flushes before returning, so a write error surfaces here rather
+/// than being dropped with the buffer.
+fn write_file(
+    path: impl AsRef<Path>,
+    body: impl FnOnce(&mut BufWriter<File>) -> Result<()>,
+) -> Result<()> {
+    let mut w = BufWriter::new(File::create(path)?);
+    body(&mut w)?;
+    w.flush()?;
+    Ok(())
+}
 
 /// Parse a loss trace: one timestamp (seconds, f64) per line. Empty lines
 /// and lines starting with `#` are skipped. Returns an error naming the
@@ -44,13 +59,13 @@ pub fn read_loss_trace<R: BufRead>(reader: R) -> Result<Vec<f64>> {
 
 /// Parse a loss trace from a file on disk; see [`read_loss_trace`].
 pub fn read_loss_trace_file(path: impl AsRef<Path>) -> Result<Vec<f64>> {
-    read_loss_trace(std::io::BufReader::new(std::fs::File::open(path)?))
+    read_loss_trace(std::io::BufReader::new(File::open(path)?))
 }
 
 /// Write a loss trace to `path`, one timestamp per line, with a header
 /// comment.
 pub fn write_loss_trace(path: impl AsRef<Path>, header: &str, times: &[f64]) -> Result<()> {
-    write_loss_trace_to(std::fs::File::create(path)?, header, times)
+    write_file(path, |w| write_loss_trace_to(w, header, times))
 }
 
 /// Write a loss trace to an arbitrary writer; see [`write_loss_trace`].
@@ -75,7 +90,7 @@ pub fn write_series(
     columns: &[&str],
     rows: &[Vec<f64>],
 ) -> Result<()> {
-    write_series_to(std::fs::File::create(path)?, header, columns, rows)
+    write_file(path, |w| write_series_to(w, header, columns, rows))
 }
 
 /// Write a multi-series table to an arbitrary writer; see [`write_series`].
@@ -103,7 +118,7 @@ pub fn write_series_columns(
     columns: &[&str],
     cols: &[&[f64]],
 ) -> Result<()> {
-    write_series_columns_to(std::fs::File::create(path)?, header, columns, cols)
+    write_file(path, |w| write_series_columns_to(w, header, columns, cols))
 }
 
 /// Write a multi-series table from column slices to an arbitrary writer;
@@ -208,6 +223,62 @@ mod tests {
             by_rows, by_cols,
             "the two writers must emit identical bytes"
         );
+    }
+
+    #[test]
+    fn path_writers_put_the_stream_writers_bytes_on_disk() {
+        // Long enough to fill the file writers' buffer several times over.
+        let times: Vec<f64> = (0..5_000).map(|i| i as f64 * 0.0123).collect();
+        let half = times.len() / 2;
+        let (a, b) = (&times[..half], &times[half..]);
+        let rows: Vec<Vec<f64>> = a.iter().zip(b).map(|(&x, &y)| vec![x, y]).collect();
+        let labels = ["a", "b"];
+        let path =
+            std::env::temp_dir().join(format!("lossburst_io_bytes_{}.txt", std::process::id()));
+        let on_disk = |write: &dyn Fn(&Path) -> Result<()>| {
+            write(&path).unwrap();
+            std::fs::read(&path).unwrap()
+        };
+
+        let mut expected = Vec::new();
+        write_loss_trace_to(&mut expected, "bytes", &times).unwrap();
+        assert_eq!(on_disk(&|p| write_loss_trace(p, "bytes", &times)), expected);
+
+        expected.clear();
+        write_series_to(&mut expected, "bytes", &labels, &rows).unwrap();
+        assert_eq!(
+            on_disk(&|p| write_series(p, "bytes", &labels, &rows)),
+            expected
+        );
+        assert_eq!(
+            on_disk(&|p| write_series_columns(p, "bytes", &labels, &[a, b])),
+            expected
+        );
+        std::fs::remove_file(&path).ok();
+
+        // An unwritable path is an error from every writer, not a panic.
+        let nowhere = "/nonexistent/lossburst/out.txt";
+        assert!(matches!(
+            write_loss_trace(nowhere, "x", &times),
+            Err(Error::Io(_))
+        ));
+        assert!(matches!(
+            write_series(nowhere, "x", &labels, &rows),
+            Err(Error::Io(_))
+        ));
+    }
+
+    /// A trace smaller than the buffer reaches the device only in the
+    /// final flush; `/dev/full` refuses every write, so this fails unless
+    /// the flush error is returned rather than dropped with the buffer.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_final_flush_is_reported() {
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        let err = write_loss_trace("/dev/full", "tiny", &[1.0, 2.0]).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
     }
 
     #[test]

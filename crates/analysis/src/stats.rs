@@ -77,29 +77,43 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// NaN-rejecting `q`-quantile: [`quantile`]'s interpolation rule, but the
-/// sort uses `f64::total_cmp` and any NaN in the sample makes the whole
-/// estimate `None` instead of panicking (or silently mis-sorting).
+/// NaN-rejecting quantiles, one per entry of `qs` and in that order:
+/// [`quantile`]'s interpolation rule, but the sort uses `f64::total_cmp`
+/// and any NaN in the sample makes the whole estimate `None` instead of
+/// panicking (or silently mis-sorting). The sample is scanned and sorted
+/// once however many quantiles are asked for.
 ///
 /// This is the estimator the straggler statistics are built on: a single
 /// NaN completion time must surface as a rejected estimate, never as a
 /// plausible-looking percentile.
-pub fn try_quantile(xs: &[f64], q: f64) -> Option<f64> {
+pub fn try_quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
     if xs.is_empty() || xs.iter().any(|x| x.is_nan()) {
         return None;
     }
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    Some(if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    })
+    // `total_cmp` calls two values equal only when their bits are, so the
+    // unstable sort yields the same sequence a stable one would.
+    sorted.sort_unstable_by(f64::total_cmp);
+    Some(
+        qs.iter()
+            .map(|q| {
+                let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+                let lo = pos.floor() as usize;
+                let hi = pos.ceil() as usize;
+                if lo == hi {
+                    sorted[lo]
+                } else {
+                    let frac = pos - lo as f64;
+                    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+                }
+            })
+            .collect(),
+    )
+}
+
+/// The single-quantile form of [`try_quantiles`].
+pub fn try_quantile(xs: &[f64], q: f64) -> Option<f64> {
+    try_quantiles(xs, &[q]).map(|v| v[0])
 }
 
 /// Straggler tail mass: the P99/median ratio of a sample of (positive)
@@ -107,8 +121,8 @@ pub fn try_quantile(xs: &[f64], q: f64) -> Option<f64> {
 /// mean the slowest 1% dominate the barrier. `None` on an empty sample,
 /// any NaN, or a non-positive median (the ratio would be meaningless).
 pub fn tail_mass(xs: &[f64]) -> Option<f64> {
-    let p99 = try_quantile(xs, 0.99)?;
-    let median = try_quantile(xs, 0.5)?;
+    let q = try_quantiles(xs, &[0.99, 0.5])?;
+    let (p99, median) = (q[0], q[1]);
     if median <= 0.0 {
         return None;
     }
@@ -254,6 +268,47 @@ mod tests {
         assert_eq!(try_quantile(&sh, 0.99), try_quantile(&xs, 0.99));
         // Agrees with the legacy estimator on clean data.
         assert_eq!(try_quantile(&xs, 0.37), Some(quantile(&xs, 0.37)));
+    }
+
+    #[test]
+    fn try_quantiles_equals_per_call_estimates_bit_for_bit() {
+        // One scan and one sort for many quantiles must change no bit of
+        // any of them. `quantile` sorts and interpolates on its own, one
+        // call per quantile; samples cover ties, length 1 and length 2.
+        let mut s = 2006u64;
+        let mut noisy: Vec<f64> = (0..997)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                // Coarse values, so the sample is full of ties.
+                ((s >> 40) % 64) as f64 / 7.0 + 0.5
+            })
+            .collect();
+        noisy.push(1e9);
+        let samples: [&[f64]; 5] = [
+            &[7.5],
+            &[3.0, 1.0],
+            &[2.0, 2.0, 2.0, 9.0, 2.0, 9.0],
+            &[4.0, 1.0, 3.0, 2.0],
+            &noisy,
+        ];
+        let qs = [0.0, 0.1, 0.37, 0.5, 0.9, 0.99, 0.999, 1.0, -1.0, 2.0];
+        for xs in samples {
+            let together = try_quantiles(xs, &qs).unwrap();
+            for (&q, &got) in qs.iter().zip(&together) {
+                assert_eq!(got.to_bits(), quantile(xs, q).to_bits(), "q = {q}");
+                assert_eq!(got.to_bits(), try_quantile(xs, q).unwrap().to_bits());
+            }
+            let tail = tail_mass(xs).unwrap();
+            assert_eq!(
+                tail.to_bits(),
+                (quantile(xs, 0.99) / quantile(xs, 0.5)).to_bits()
+            );
+        }
+        assert_eq!(try_quantiles(&[], &qs), None);
+        assert_eq!(try_quantiles(&[1.0, f64::NAN], &qs), None);
+        assert_eq!(try_quantiles(&[1.0], &[]), Some(vec![]));
     }
 
     #[test]

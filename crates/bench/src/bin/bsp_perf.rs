@@ -146,7 +146,7 @@ fn main() {
         let rep = run_bsp(&cfg).expect("valid mitigation config");
         let wall = t0.elapsed().as_secs_f64();
         println!(
-            "# mitigation {:>12}: tail {:>6.3} (baseline {:.3}) barrier {:>7.2}s in {:.1}s",
+            "# mitigation {:>12}: tail {:>6.3} (baseline {:.3}) barrier {:>7.2}s in {:.3}s",
             m.label(),
             rep.pooled_tail_mass,
             baseline_tail,
@@ -198,7 +198,7 @@ fn main() {
         .map(|l| {
             let s0 = &l.report.stats[0];
             format!(
-                "    {{ \"n_workers\": {}, \"mean_burst_pkts\": {:.0}, \"tail_mass\": {:.4}, \"barrier_secs\": {:.3}, \"median_secs\": {:.3}, \"p99_secs\": {:.3}, \"mean_secs\": {:.3}, \"wall_secs\": {:.2}, \"transfers_per_sec\": {:.0} }}",
+                "    {{ \"n_workers\": {}, \"mean_burst_pkts\": {:.0}, \"tail_mass\": {:.4}, \"barrier_secs\": {:.3}, \"median_secs\": {:.3}, \"p99_secs\": {:.3}, \"mean_secs\": {:.3}, \"wall_secs\": {:.4}, \"transfers_per_sec\": {:.0} }}",
                 l.n_workers,
                 l.burst,
                 l.report.pooled_tail_mass,

@@ -28,6 +28,19 @@
 //!   delivered since the last loss event or chunk boundary (chunks bound
 //!   the go-back window; that is the whole point of chunking).
 //!
+//! The walk is over the chain's *sojourns*, not its packets. The cost
+//! model above reads nothing of a Good run but its length and the chunk
+//! boundaries inside it, and nothing of a Bad run but its length, so the
+//! automaton asks the chain for whole runs ([`Chain::sojourn`], one draw
+//! each) and prices a Good run of `m` packets in closed form. A two-state
+//! Markov chain's run lengths are geometric and independent, so this is
+//! the per-packet process exactly, in distribution — at ~4 draws per 1 MiB
+//! transfer (1 % loss, 16-packet bursts: the state changes ~1.3 times in
+//! 1 049 packets) where stepping every packet took ~1 060. The automaton
+//! accumulates four integer counts (transmission attempts, RTTs, timeouts,
+//! go-back packets) and turns them into seconds once; a test-only
+//! per-packet walk fed the same runs must produce the same four integers.
+//!
 //! Burstiness enters *only* through the run-length distribution: at fixed
 //! mean loss rate, longer bursts turn many cheap fast recoveries into few
 //! expensive timeouts, which is exactly the overdispersion that fattens
@@ -50,7 +63,7 @@
 //! `bsp_study` multi-process driver both rely on this.
 
 use lossburst_analysis::gilbert::{Chain, GilbertParams};
-use lossburst_analysis::stats::try_quantile;
+use lossburst_analysis::stats::{tail_mass, try_quantile, try_quantiles};
 use lossburst_inet::campaign::GridSample;
 use lossburst_netsim::rng::Sampler;
 use rand::RngExt;
@@ -301,63 +314,126 @@ fn rto_secs(rtt: f64) -> f64 {
 /// Loss-free transfer time: every packet's wire time plus one RTT of
 /// handshake per chunk. This is the automaton with the chain forced Good.
 fn base_secs(bytes: u64, chunk_bytes: u64, path: &WorkerPath) -> f64 {
-    let n_pkts = bytes.div_ceil(MTU_BYTES);
-    let pkts_per_chunk = chunk_bytes.div_ceil(MTU_BYTES).max(1);
+    let (n_pkts, pkts_per_chunk) = packetize(bytes, chunk_bytes);
     let n_chunks = n_pkts.div_ceil(pkts_per_chunk);
     n_pkts as f64 * pkt_wire_secs(path.bps) + n_chunks as f64 * path.rtt
 }
 
-/// Walk the transfer automaton over a Gilbert chain seeded from `rng`.
+/// Packets in the transfer and packets per chunk (≥ 1).
+fn packetize(bytes: u64, chunk_bytes: u64) -> (u64, u64) {
+    (
+        bytes.div_ceil(MTU_BYTES),
+        chunk_bytes.div_ceil(MTU_BYTES).max(1),
+    )
+}
+
+/// What one transfer cost, in the automaton's four integer currencies.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct TransferCounts {
+    /// Packet transmissions, lost or delivered: one wire time each.
+    attempts: u64,
+    /// Chunk handshakes plus fast recoveries: one RTT each.
+    rtts: u64,
+    /// Retransmission timeouts: one RTO each.
+    rtos: u64,
+    /// Packets re-sent by go-back after timeouts: one wire time each.
+    goback_pkts: u64,
+}
+
+impl TransferCounts {
+    fn secs(&self, path: &WorkerPath) -> f64 {
+        self.attempts.saturating_add(self.goback_pkts) as f64 * pkt_wire_secs(path.bps)
+            + self.rtts as f64 * path.rtt
+            + self.rtos as f64 * rto_secs(path.rtt)
+    }
+}
+
+/// The transfer automaton: deliver `n_pkts` packets over a loss process
+/// given as alternating run lengths — `sojourn()` returns how many packets
+/// (≥ 1) share the current state, the first state being Bad iff
+/// `starts_bad`, each call flipping it.
+fn walk_sojourns(
+    n_pkts: u64,
+    pkts_per_chunk: u64,
+    starts_bad: bool,
+    mut sojourn: impl FnMut() -> u64,
+) -> TransferCounts {
+    let mut c = TransferCounts::default();
+    let mut delivered = 0u64;
+    // Delivered packets since the last loss event (or chunk boundary):
+    // the go-back window a timeout re-sends.
+    let mut since_event = 0u64;
+    // The loss run in front of the next delivered packet.
+    let mut lost_run = if starts_bad { sojourn() } else { 0 };
+    while delivered < n_pkts {
+        let mut good = sojourn().min(n_pkts - delivered);
+        if lost_run > 0 {
+            // The Good run's first packet is the one the lost attempts
+            // were for: it opens its chunk if it is the chunk's first,
+            // gets through, and pays for the run behind it.
+            if delivered.is_multiple_of(pkts_per_chunk) {
+                c.rtts += 1; // chunk handshake: request + completion
+                since_event = 0;
+            }
+            c.attempts = c.attempts.saturating_add(lost_run).saturating_add(1);
+            if lost_run <= DUPACK_RUN {
+                // Short run: duplicate ACKs trigger fast recovery.
+                c.rtts += 1;
+            } else {
+                // Long run: retransmission timeout, then go-back over the
+                // un-acked window. The window is everything delivered
+                // since the last ack point, so chunk size bounds it.
+                c.rtos += 1;
+                c.goback_pkts += since_event;
+            }
+            since_event = 0;
+            delivered += 1;
+            good -= 1;
+        }
+        if good > 0 {
+            // `good` first-try deliveries, a handshake at every chunk
+            // boundary among them. No delivery is un-acked going in (the
+            // transfer just began, or a loss event just cleared the
+            // window), so the go-back window opens at the run's first
+            // packet or at the last boundary inside it.
+            let end = delivered + good;
+            let last_boundary = (end - 1) / pkts_per_chunk * pkts_per_chunk;
+            c.attempts = c.attempts.saturating_add(good);
+            c.rtts += end.div_ceil(pkts_per_chunk) - delivered.div_ceil(pkts_per_chunk);
+            since_event = end - last_boundary.max(delivered);
+            delivered = end;
+        }
+        if delivered < n_pkts {
+            lost_run = sojourn();
+        }
+    }
+    c
+}
+
+/// Walk the automaton over a Gilbert chain drawn from `next_u01`: one draw
+/// for the initial state, one per run.
+fn transfer_counts(
+    n_pkts: u64,
+    pkts_per_chunk: u64,
+    gilbert: GilbertParams,
+    mut next_u01: impl FnMut() -> f64,
+) -> TransferCounts {
+    let mut chain = Chain::new(gilbert, &mut next_u01);
+    let starts_bad = chain.is_bad();
+    walk_sojourns(n_pkts, pkts_per_chunk, starts_bad, || {
+        chain.sojourn(&mut next_u01)
+    })
+}
+
+/// Completion time of one transfer over a chain seeded from `rng`.
 fn transfer_secs(
     bytes: u64,
     chunk_bytes: u64,
     path: &WorkerPath,
     rng: &mut rand::rngs::SmallRng,
 ) -> f64 {
-    let wire = pkt_wire_secs(path.bps);
-    let rto = rto_secs(path.rtt);
-    let n_pkts = bytes.div_ceil(MTU_BYTES);
-    let pkts_per_chunk = chunk_bytes.div_ceil(MTU_BYTES).max(1);
-    let mut u01 = || rng.random::<f64>();
-    let mut chain = Chain::new(path.gilbert, &mut u01);
-    let mut secs = 0.0;
-    let mut delivered = 0u64;
-    // Delivered packets since the last loss event (or chunk boundary):
-    // the go-back window a timeout re-sends.
-    let mut since_event = 0u64;
-    while delivered < n_pkts {
-        if delivered.is_multiple_of(pkts_per_chunk) {
-            secs += path.rtt; // chunk handshake: request + completion
-            since_event = 0;
-        }
-        // Transmit until this packet gets through; each attempt burns a
-        // wire time, lost attempts extend the current loss run.
-        let mut run = 0u64;
-        loop {
-            secs += wire;
-            if chain.step(&mut u01) {
-                run += 1;
-            } else {
-                break;
-            }
-        }
-        delivered += 1;
-        if run > 0 {
-            if run <= DUPACK_RUN {
-                // Short run: duplicate ACKs trigger fast recovery.
-                secs += path.rtt;
-            } else {
-                // Long run: retransmission timeout, then go-back over the
-                // un-acked window. The window is everything delivered
-                // since the last ack point, so chunk size bounds it.
-                secs += rto + since_event as f64 * wire;
-            }
-            since_event = 0;
-        } else {
-            since_event += 1;
-        }
-    }
-    secs
+    let (n_pkts, pkts_per_chunk) = packetize(bytes, chunk_bytes);
+    transfer_counts(n_pkts, pkts_per_chunk, path.gilbert, || rng.random::<f64>()).secs(path)
 }
 
 /// Closed-form pilot of the automaton's expected time, used by the
@@ -420,17 +496,22 @@ fn chunk_candidates(bytes: u64) -> Vec<u64> {
     out
 }
 
-/// Run one worker's primary transfer of one superstep. Pure in the
-/// coordinates `(cfg, superstep, worker)` — never in scheduling or
-/// sharding.
-fn run_worker(
-    book: &GridSample,
-    cfg: &BspConfig,
-    superstep: usize,
-    worker: usize,
-) -> WorkerOutcome {
+/// Everything about a worker's primary transfer that is decided before a
+/// chain draw: the path and chunking its mitigation chose, and what the
+/// cost model expects of them. Pure in `(cfg, worker)` — the superstep
+/// only keys the loss draws — so a run plans each worker once.
+#[derive(Clone, Copy, Debug)]
+struct WorkerPlan {
+    path: WorkerPath,
+    alt: usize,
+    chunk_bytes: u64,
+    /// Model-expected time of this plan: the slowdown denominator.
+    expected_secs: f64,
+}
+
+fn plan_worker(book: &GridSample, cfg: &BspConfig, worker: usize) -> WorkerPlan {
     let default_path = worker_path(book, cfg, worker, 0);
-    let (alt, path, chunk) = match cfg.mitigation {
+    let (alt, path, chunk_bytes) = match cfg.mitigation {
         Mitigation::None | Mitigation::Redundancy { .. } => (0, default_path, cfg.bytes_per_worker),
         Mitigation::Diversity { alts } => {
             let score = |p: &WorkerPath| {
@@ -462,21 +543,47 @@ fn run_worker(
             (0, default_path, chunk)
         }
     };
-    let mut rng = Sampler::child_rng(cfg.seed, walk_stream(superstep, worker, alt, 0));
-    let secs = transfer_secs(cfg.bytes_per_worker, chunk, &path, &mut rng);
+    WorkerPlan {
+        path,
+        alt,
+        chunk_bytes,
+        expected_secs: expected_secs(cfg.bytes_per_worker, chunk_bytes, &path),
+    }
+}
+
+/// Run one worker's primary transfer of one superstep. Pure in the
+/// coordinates `(cfg, superstep, worker)` — never in scheduling or
+/// sharding.
+fn run_worker(
+    book: &GridSample,
+    cfg: &BspConfig,
+    superstep: usize,
+    worker: usize,
+) -> WorkerOutcome {
+    run_planned(cfg, superstep, worker, &plan_worker(book, cfg, worker))
+}
+
+/// [`run_worker`] for a worker already planned.
+fn run_planned(
+    cfg: &BspConfig,
+    superstep: usize,
+    worker: usize,
+    plan: &WorkerPlan,
+) -> WorkerOutcome {
+    let mut rng = Sampler::child_rng(cfg.seed, walk_stream(superstep, worker, plan.alt, 0));
+    let secs = transfer_secs(cfg.bytes_per_worker, plan.chunk_bytes, &plan.path, &mut rng);
     // Denominator: the model-expected time of the plan the scheduler
     // actually executed (chosen path, chosen chunking). The ratio is then
     // pure residual unpredictability — exactly what a barrier converts
     // into straggler wait — and P99/median of it is scale-invariant, so a
     // mitigation is credited only for tightening the spread, never for a
     // uniform speed-up it already knew about when it planned.
-    let base = expected_secs(cfg.bytes_per_worker, chunk, &path);
     WorkerOutcome {
         worker,
         secs,
-        slowdown: secs / base,
-        alt,
-        chunk_bytes: chunk,
+        slowdown: secs / plan.expected_secs,
+        alt: plan.alt,
+        chunk_bytes: plan.chunk_bytes,
     }
 }
 
@@ -484,6 +591,9 @@ fn run_worker(
 /// superstep, fanning out over the worker pool. This is the shardable
 /// phase: outcomes depend only on `(cfg, superstep, worker)`, so any
 /// striping of indices across processes stitches back byte-identically.
+///
+/// Stateless, so it plans every worker it is given; [`run_bsp`] plans once
+/// per run instead.
 pub fn superstep_workers(
     cfg: &BspConfig,
     superstep: usize,
@@ -507,23 +617,32 @@ pub fn finalize_superstep(
     superstep: usize,
     outcomes: &mut [WorkerOutcome],
 ) -> Result<SuperstepStats> {
+    close_barrier(&GridSample::new(cfg.seed), cfg, superstep, outcomes)
+}
+
+/// [`finalize_superstep`] over a path book the caller already holds.
+fn close_barrier(
+    book: &GridSample,
+    cfg: &BspConfig,
+    superstep: usize,
+    outcomes: &mut [WorkerOutcome],
+) -> Result<SuperstepStats> {
     if outcomes.is_empty() {
         return Err(Error::Config(
             "0-worker superstep has no barrier to close".into(),
         ));
     }
+    let nan_secs = || Error::Config("completion times contain NaN".into());
+    let mut secs: Vec<f64> = outcomes.iter().map(|o| o.secs).collect();
     if let Mitigation::Redundancy { fraction } = cfg.mitigation {
-        let primary: Vec<f64> = outcomes.iter().map(|o| o.secs).collect();
-        let tau = try_quantile(&primary, 1.0 - fraction)
-            .ok_or_else(|| Error::Config("completion times contain NaN".into()))?;
-        let book = GridSample::new(cfg.seed);
-        for o in outcomes.iter_mut() {
+        let tau = try_quantile(&secs, 1.0 - fraction).ok_or_else(nan_secs)?;
+        for (o, secs) in outcomes.iter_mut().zip(&mut secs) {
             if o.secs <= tau {
                 continue;
             }
             // Straggler: start a duplicate on the backup path (alt 1) at
             // the quantile instant; the first copy to finish wins.
-            let backup_path = worker_path(&book, cfg, o.worker, 1);
+            let backup_path = worker_path(book, cfg, o.worker, 1);
             let mut rng = Sampler::child_rng(cfg.seed, walk_stream(superstep, o.worker, 1, 1));
             let backup = tau
                 + transfer_secs(
@@ -536,22 +655,20 @@ pub fn finalize_superstep(
                 let base = o.secs / o.slowdown;
                 o.secs = backup;
                 o.slowdown = backup / base;
+                *secs = backup;
             }
         }
     }
-    let secs: Vec<f64> = outcomes.iter().map(|o| o.secs).collect();
     let slow: Vec<f64> = outcomes.iter().map(|o| o.slowdown).collect();
-    let barrier = secs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let median = try_quantile(&secs, 0.5)
-        .ok_or_else(|| Error::Config("completion times contain NaN".into()))?;
-    let p99 = try_quantile(&secs, 0.99).expect("checked by median");
-    let tail = lossburst_analysis::stats::tail_mass(&slow)
-        .ok_or_else(|| Error::Config("slowdowns are degenerate".into()))?;
+    // One sorted copy answers every order statistic, the barrier's max
+    // included.
+    let q = try_quantiles(&secs, &[0.5, 0.99, 1.0]).ok_or_else(nan_secs)?;
+    let tail = tail_mass(&slow).ok_or_else(|| Error::Config("slowdowns are degenerate".into()))?;
     Ok(SuperstepStats {
         n_workers: outcomes.len(),
-        barrier_secs: barrier,
-        median_secs: median,
-        p99_secs: p99,
+        barrier_secs: q[2],
+        median_secs: q[0],
+        p99_secs: q[1],
         tail_mass: tail,
         mean_secs: secs.iter().sum::<f64>() / secs.len() as f64,
     })
@@ -578,25 +695,59 @@ pub fn run_superstep_sharded(
     superstep: usize,
     shard_count: usize,
 ) -> Result<(Vec<WorkerOutcome>, SuperstepStats)> {
-    cfg.validate()?;
-    if shard_count == 0 {
-        return Err(Error::Config("shard_count must be positive".into()));
-    }
-    let mut outcomes: Vec<Option<WorkerOutcome>> = vec![None; cfg.n_workers];
-    for i in 0..shard_count {
-        let spec = ShardSpec::new(i, shard_count);
-        let indices = shard_indices(cfg.n_workers, spec);
-        for o in superstep_workers(cfg, superstep, &indices)? {
-            let slot = o.worker;
-            outcomes[slot] = Some(o);
+    Machine::plan(cfg, shard_count)?.superstep(superstep)
+}
+
+/// A validated run with every worker planned: what the supersteps of one
+/// run share.
+struct Machine<'a> {
+    cfg: &'a BspConfig,
+    shard_count: usize,
+    book: GridSample,
+    plans: Vec<WorkerPlan>,
+}
+
+impl Machine<'_> {
+    fn plan(cfg: &BspConfig, shard_count: usize) -> Result<Machine<'_>> {
+        cfg.validate()?;
+        if shard_count == 0 {
+            return Err(Error::Config("shard_count must be positive".into()));
         }
+        let book = GridSample::new(cfg.seed);
+        let plans = (0..cfg.n_workers)
+            .into_par_iter()
+            .map(|w| plan_worker(&book, cfg, w))
+            .collect();
+        Ok(Machine {
+            cfg,
+            shard_count,
+            book,
+            plans,
+        })
     }
-    let mut outcomes: Vec<WorkerOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("shards partition the workers"))
-        .collect();
-    let stats = finalize_superstep(cfg, superstep, &mut outcomes)?;
-    Ok((outcomes, stats))
+
+    /// One superstep, shard by shard, stitched and closed.
+    fn superstep(&self, superstep: usize) -> Result<(Vec<WorkerOutcome>, SuperstepStats)> {
+        let cfg = self.cfg;
+        let mut outcomes: Vec<Option<WorkerOutcome>> = vec![None; cfg.n_workers];
+        for i in 0..self.shard_count {
+            let indices = shard_indices(cfg.n_workers, ShardSpec::new(i, self.shard_count));
+            let stripe: Vec<WorkerOutcome> = indices
+                .par_iter()
+                .map(|&w| run_planned(cfg, superstep, w, &self.plans[w]))
+                .collect();
+            for o in stripe {
+                let slot = o.worker;
+                outcomes[slot] = Some(o);
+            }
+        }
+        let mut outcomes: Vec<WorkerOutcome> = outcomes
+            .into_iter()
+            .map(|o| o.expect("shards partition the workers"))
+            .collect();
+        let stats = close_barrier(&self.book, cfg, superstep, &mut outcomes)?;
+        Ok((outcomes, stats))
+    }
 }
 
 /// Order-sensitive FNV-1a over the bit patterns of every completion time;
@@ -626,12 +777,12 @@ pub fn run_bsp(cfg: &BspConfig) -> Result<BspReport> {
 /// [`run_bsp`] with every superstep striped over `shard_count` in-process
 /// shards. Byte-identical to `run_bsp` for any shard count.
 pub fn run_bsp_sharded(cfg: &BspConfig, shard_count: usize) -> Result<BspReport> {
-    cfg.validate()?;
+    let machine = Machine::plan(cfg, shard_count)?;
     let mut stats = Vec::with_capacity(cfg.supersteps);
     let mut pooled: Vec<f64> = Vec::with_capacity(cfg.supersteps * cfg.n_workers);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for s in 0..cfg.supersteps {
-        let (outcomes, st) = run_superstep_sharded(cfg, s, shard_count)?;
+        let (outcomes, st) = machine.superstep(s)?;
         pooled.extend(outcomes.iter().map(|o| o.slowdown));
         // Chain the per-superstep fingerprints order-sensitively.
         let fp = fingerprint_outcomes(&outcomes);
@@ -641,7 +792,7 @@ pub fn run_bsp_sharded(cfg: &BspConfig, shard_count: usize) -> Result<BspReport>
         }
         stats.push(st);
     }
-    let pooled_tail = lossburst_analysis::stats::tail_mass(&pooled)
+    let pooled_tail = tail_mass(&pooled)
         .ok_or_else(|| Error::Config("pooled slowdowns are degenerate".into()))?;
     Ok(BspReport {
         stats,
@@ -746,6 +897,188 @@ mod tests {
                 o.slowdown
             );
         }
+    }
+
+    /// The per-packet walk the sojourn automaton replaced, kept as its
+    /// reference: one loss indicator per transmission attempt, the same
+    /// cost model, the same four counts.
+    fn reference_counts(
+        n_pkts: u64,
+        pkts_per_chunk: u64,
+        mut lost: impl Iterator<Item = bool>,
+    ) -> TransferCounts {
+        let mut c = TransferCounts::default();
+        let mut delivered = 0u64;
+        let mut since_event = 0u64;
+        while delivered < n_pkts {
+            if delivered.is_multiple_of(pkts_per_chunk) {
+                c.rtts += 1;
+                since_event = 0;
+            }
+            let mut run = 0u64;
+            loop {
+                c.attempts += 1;
+                if lost
+                    .next()
+                    .expect("the loss sequence outlasts the transfer")
+                {
+                    run += 1;
+                } else {
+                    break;
+                }
+            }
+            delivered += 1;
+            if run == 0 {
+                since_event += 1;
+                continue;
+            }
+            if run <= DUPACK_RUN {
+                c.rtts += 1;
+            } else {
+                c.rtos += 1;
+                c.goback_pkts += since_event;
+            }
+            since_event = 0;
+        }
+        c
+    }
+
+    /// Alternating run lengths holding at least `n_pkts` Good packets, so
+    /// any transfer of `n_pkts` ends inside them. `style` picks the mix:
+    /// short runs, runs sized around the chunk (to straddle boundaries),
+    /// or long runs that swallow chunks and the end of the transfer.
+    fn sojourn_sequence(
+        rng: &mut rand::rngs::SmallRng,
+        n_pkts: u64,
+        pkts_per_chunk: u64,
+        starts_bad: bool,
+        style: u64,
+    ) -> Vec<u64> {
+        let mut runs = Vec::new();
+        let mut bad = starts_bad;
+        let mut good_total = 0u64;
+        while good_total < n_pkts {
+            let len = if bad {
+                // Loss runs on both sides of DUPACK_RUN.
+                rng.random_range(1..=2 * DUPACK_RUN + 1)
+            } else {
+                match style {
+                    0 => rng.random_range(1..=3u64),
+                    1 => pkts_per_chunk.saturating_sub(1).max(1) + rng.random_range(0..=2u64),
+                    _ => rng.random_range(1..=2 * n_pkts + 2),
+                }
+            };
+            if !bad {
+                good_total += len;
+            }
+            runs.push(len);
+            bad = !bad;
+        }
+        runs
+    }
+
+    #[test]
+    fn sojourn_automaton_equals_the_per_packet_walk_exactly() {
+        let mut rng = Sampler::child_rng(2006, 0);
+        let mut cases = 0;
+        for n_pkts in [1u64, 2, 7, 8, 9, 26, 100, 257] {
+            for pkts_per_chunk in [1, 8, 13, n_pkts, n_pkts + 5] {
+                for starts_bad in [false, true] {
+                    for style in 0..3 {
+                        for _ in 0..8 {
+                            let runs = sojourn_sequence(
+                                &mut rng,
+                                n_pkts,
+                                pkts_per_chunk,
+                                starts_bad,
+                                style,
+                            );
+                            let mut next = runs.iter().copied();
+                            let fast = walk_sojourns(n_pkts, pkts_per_chunk, starts_bad, || {
+                                next.next().expect("the runs outlast the transfer")
+                            });
+                            let packets = runs.iter().enumerate().flat_map(|(i, &len)| {
+                                std::iter::repeat_n((i % 2 == 1) ^ starts_bad, len as usize)
+                            });
+                            let slow = reference_counts(n_pkts, pkts_per_chunk, packets);
+                            assert_eq!(
+                                fast, slow,
+                                "n {n_pkts} chunk {pkts_per_chunk} starts_bad {starts_bad} runs {runs:?}"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 8 * 5 * 2 * 3 * 8);
+    }
+
+    #[test]
+    fn chain_driven_transfers_equal_the_per_packet_walk_exactly() {
+        // The same identity through `transfer_counts`, on runs the chain
+        // itself draws: record the draws, replay them through a second
+        // chain to recover the runs, expand, and walk packet by packet.
+        let workload = GilbertParams {
+            p: 0.01 / 16.0,
+            r: 1.0 / 16.0,
+        };
+        let lossy = GilbertParams { p: 0.08, r: 0.4 };
+        for (gilbert, n_pkts, pkts_per_chunk) in [
+            (workload, 1049, 1049),
+            (workload, 1049, 33),
+            (lossy, 300, 8),
+        ] {
+            for seed in 0..200 {
+                let mut rng = Sampler::child_rng(seed, 1);
+                let mut draws = Vec::new();
+                let fast = transfer_counts(n_pkts, pkts_per_chunk, gilbert, || {
+                    draws.push(rng.random::<f64>());
+                    *draws.last().expect("just pushed")
+                });
+                let mut replay = draws.iter().copied();
+                let mut u01 = || replay.next().expect("one draw per run");
+                let mut chain = Chain::new(gilbert, &mut u01);
+                let mut packets = Vec::new();
+                for _ in 1..draws.len() {
+                    let lost = chain.is_bad();
+                    // The last Good run may be far longer than the transfer.
+                    let len = chain.sojourn(&mut u01).min(n_pkts);
+                    packets.extend(std::iter::repeat_n(lost, len as usize));
+                }
+                let slow = reference_counts(n_pkts, pkts_per_chunk, packets.into_iter());
+                assert_eq!(fast, slow, "seed {seed} chunk {pkts_per_chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn draws_scale_with_loss_runs_not_packets() {
+        // One draw for the initial state and one per run: a transfer with
+        // L loss runs has at most L + 1 Good runs around them. Stepping
+        // every packet would draw > 1 049 times here.
+        let gilbert = GilbertParams {
+            p: 0.01 / 16.0,
+            r: 1.0 / 16.0,
+        };
+        let (n_pkts, pkts_per_chunk) = packetize(1024 * 1024, 64 * 1024);
+        let mut most = 0;
+        for seed in 0..500 {
+            let mut rng = Sampler::child_rng(seed, 2);
+            let mut draws = 0u64;
+            let c = transfer_counts(n_pkts, pkts_per_chunk, gilbert, || {
+                draws += 1;
+                rng.random::<f64>()
+            });
+            let handshakes = n_pkts.div_ceil(pkts_per_chunk);
+            let loss_runs = c.rtts - handshakes + c.rtos;
+            assert!(
+                draws <= 2 + 2 * (loss_runs + 1),
+                "seed {seed}: {draws} draws for {loss_runs} loss runs"
+            );
+            most = most.max(draws);
+        }
+        assert!(most > 2, "some transfer must have met a loss run");
     }
 
     #[test]
