@@ -4,7 +4,7 @@
 //! vendors the one pattern it actually uses:
 //! `collection.par_iter().map(f).collect::<Vec<_>>()` (and the
 //! `into_par_iter` variant) — backed by a real parallel-execution engine
-//! in [`mod@pool`]: a persistent worker pool with dynamic, order-preserving
+//! in the private `pool` module: a persistent worker pool with dynamic, order-preserving
 //! work dealing (the default), plus a serial path, selectable through
 //! [`set_execution_policy`]. Input order is preserved exactly under both
 //! policies — the guarantee real rayon's indexed parallel iterators give,

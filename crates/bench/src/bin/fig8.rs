@@ -4,7 +4,7 @@
 //! {2,10,50,200 ms}.
 //!
 //! The paper: the bound (~5.39 s with its overheads) is approached at
-//! small RTTs, but "with 200ms RTT [latency] varies from 11 seconds to 50
+//! small RTTs, but "with 200ms RTT \[latency\] varies from 11 seconds to 50
 //! seconds, depending on how many flows enter the congestion avoidance
 //! phase prematurely" — and the variance at (RTT=200 ms, 4 flows) is too
 //! large to display.

@@ -48,9 +48,9 @@ pub enum Recommendation {
     DeployRed,
     /// RED would help but the scenario is too complex to tune safely.
     RedTooHardToTune,
-    /// Use the persistent-ECN signal instead of loss ([22]).
+    /// Use the persistent-ECN signal instead of loss (\[22\]).
     UsePersistentEcn,
-    /// Use a delay-based algorithm instead of loss ([23], FAST).
+    /// Use a delay-based algorithm instead of loss (\[23\], FAST).
     UseDelayBased,
     /// Expect high variance in parallel-transfer latency; provision for
     /// stragglers (Section 4.2; Fig 8).

@@ -1,4 +1,4 @@
-//! The persistent-ECN experiment (Section 5 / reference [22]).
+//! The persistent-ECN experiment (Section 5 / reference \[22\]).
 //!
 //! The paper's proposed escape from the loss-burstiness trap: have the
 //! router raise an ECN signal and *hold it up for one RTT*, so that every

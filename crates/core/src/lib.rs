@@ -12,7 +12,7 @@
 //!   intuition) with Monte-Carlo validation.
 //! * [`impact`] — Fig 7 (TCP Pacing vs NewReno competition) and Fig 8
 //!   (parallel 64 MB transfer latency).
-//! * [`ecn`] — the persistent-ECN remedy the paper proposes (ref [22]).
+//! * [`ecn`] — the persistent-ECN remedy the paper proposes (ref \[22\]).
 //! * [`fairness`] — the controller-pair fairness matrix: every
 //!   [`lossburst_transport::cc::CcAlgorithm`] pairing sharing a bursty
 //!   bottleneck, across queue disciplines and noise levels.

@@ -19,7 +19,7 @@
 //! `lossburst_testkit::schedule::HeapOracle`, a plain binary heap over
 //! `(time, seq, id)`.
 
-use crate::packet::{FlowId, LinkId, NodeId, PacketRef};
+use crate::packet::{FlowId, LinkId, NodeId, Packet};
 use crate::time::SimTime;
 
 /// Opaque timer payload interpreted by the transport that armed it.
@@ -30,11 +30,13 @@ pub struct TimerToken(pub u64);
 
 /// Something that will happen at a simulated instant.
 ///
-/// Kept deliberately small (a packet in flight is a 4-byte [`PacketRef`]
-/// into the simulator's pool, not an inline `Packet`): the scheduler moves
-/// `Scheduled` values around constantly, and narrow events keep that
-/// traffic inside cache lines.
-#[derive(Clone, Copy, Debug)]
+/// Kept deliberately small — a packet in flight rides in its event as the
+/// 8-byte owning [`Packet`] handle, so an event is 16 bytes whatever it
+/// carries: the scheduler moves `Scheduled` values around constantly, and
+/// narrow events keep that traffic inside cache lines. Owning the packet
+/// makes an event neither `Copy` nor `Clone`; dropping a queue with
+/// arrivals pending frees their packets.
+#[derive(Debug)]
 pub enum Event {
     /// A link finished serializing the packet it was transmitting.
     LinkTxComplete {
@@ -45,8 +47,8 @@ pub enum Event {
     Arrival {
         /// The node the packet arrives at.
         node: NodeId,
-        /// Handle to the arriving packet in the simulator's packet pool.
-        packet: PacketRef,
+        /// The arriving packet.
+        packet: Packet,
     },
     /// A transport timer fires.
     Timer {
@@ -66,12 +68,16 @@ pub enum Event {
     Horizon,
 }
 
-#[derive(Clone, Copy, Debug)]
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+
+#[derive(Debug)]
 struct Scheduled {
     time: SimTime,
     seq: u64,
     event: Event,
 }
+
+const _: () = assert!(std::mem::size_of::<Scheduled>() <= 32);
 
 impl Scheduled {
     #[inline]
@@ -121,7 +127,9 @@ impl SchedulerStats {
 }
 
 /// One day's events, ascending by `(time, seq)`, with the popped prefix
-/// left in place: `items[..head]` are gone, `items[head..]` are live. Both
+/// left in place: `items[..head]` are gone — each slot holds the
+/// [`Event::Horizon`] placeholder `pop_front` swapped in for the event it
+/// moved out, which nothing reads — and `items[head..]` are live. Both
 /// ends are O(1) — dequeue advances `head`, and an event later than
 /// everything in the bucket (every same-instant insert, since `seq` only
 /// grows) is a `push`.
@@ -139,7 +147,12 @@ impl Bucket {
 
     #[inline]
     fn pop_front(&mut self) -> Option<Scheduled> {
-        let s = *self.items.get(self.head)?;
+        let slot = self.items.get_mut(self.head)?;
+        let s = Scheduled {
+            time: slot.time,
+            seq: slot.seq,
+            event: std::mem::replace(&mut slot.event, Event::Horizon),
+        };
         self.head += 1;
         if self.head == self.items.len() {
             self.items.clear();
@@ -185,19 +198,19 @@ impl Bucket {
 /// Deterministic future-event list: an adaptive calendar queue.
 ///
 /// Bucket index for time `t` is `(t >> shift) & (nbuckets - 1)`; one
-/// [`Bucket`] therefore spans `2^shift` ns (a "day") and the whole wheel
+/// bucket therefore spans `2^shift` ns (a "day") and the whole wheel
 /// spans `nbuckets << shift` ns (a "year"). Events beyond the current year
 /// simply wait in their bucket until the wheel comes round to their day.
 ///
 /// The day width is sized from the events about to be dequeued (Brown's
-/// rule, see [`day_shift`]), not from the whole pending span: a packet
+/// rule, in `day_shift`), not from the whole pending span: a packet
 /// simulation's pending set is bimodal — a few near-term tx/arrival events
 /// beside hundreds of far-future flow starts and stale RTO timers — and a
 /// width of `span / len` puts the whole near-term mode into one day, a
 /// sorted array with a calendar's overhead. Three things rebuild the
 /// calendar: the population doubling or quartering against the bucket
 /// count; a dequeue walk that crosses an empty year; and a window of
-/// inserts that wasted more than [`WASTE_THRESHOLD`] steps each — elements
+/// inserts that wasted more than `WASTE_THRESHOLD` steps each — elements
 /// shifted (days too wide for the events arriving) plus days walked (too
 /// narrow for the events leaving) — so the width follows the head of the
 /// queue through regime changes instead of waiting for the population to
@@ -727,6 +740,99 @@ mod tests {
         }
         assert!(b.items.capacity() <= 8, "capacity {}", b.items.capacity());
         assert_eq!(b.take().count(), 1);
+    }
+
+    /// An `Arrival` owns its packet, so the queue moves events where it
+    /// used to copy them, and `pop_front` leaves an [`Event::Horizon`]
+    /// placeholder in the slot it emptied. Every packet scheduled must come
+    /// out exactly once, in `(time, seq)` order, and no placeholder ever:
+    /// not from a front insert over one, not past the `drain(..head)`
+    /// reclaim, not through `take` or the `rebuild` (and its `day_shift`)
+    /// built on it. Only arrivals go in, so anything else coming out is a
+    /// placeholder. (That dropping the queue frees the packets still in it
+    /// is counted by the root test `tests/packet_path.rs`.)
+    #[test]
+    fn arrivals_come_out_exactly_once_and_placeholders_never() {
+        fn arrival(id: u64) -> Event {
+            let mut packet = Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, 0);
+            packet.id = id;
+            Event::Arrival {
+                node: NodeId(1),
+                packet,
+            }
+        }
+        fn id_of(event: &Event) -> u64 {
+            match event {
+                Event::Arrival { packet, .. } => packet.id,
+                other => panic!("a placeholder escaped: {other:?}"),
+            }
+        }
+
+        // One bucket, as in `bucket_reclaims_popped_space`: a far event
+        // keeps it from emptying, so the popped prefix builds up, the next
+        // near event lands on the placeholder at `head - 1`, and a full
+        // vector sheds its prefix by `drain(..head)`.
+        let at = |id| Scheduled {
+            time: t(id),
+            seq: id,
+            event: arrival(id),
+        };
+        let mut b = Bucket::default();
+        b.insert(at(u64::MAX));
+        let (mut front_inserts, mut reclaims) = (0, 0);
+        for i in 1..1_000u64 {
+            let head = b.head;
+            b.insert(at(2 * i));
+            front_inserts += u32::from(head > 0 && b.head == head - 1);
+            reclaims += u32::from(head > 1 && b.head == 0);
+            b.insert(at(2 * i + 1));
+            assert_eq!(b.front().map(|s| id_of(&s.event)), Some(2 * i));
+            assert_eq!(b.pop_front().map(|s| id_of(&s.event)), Some(2 * i));
+            assert_eq!(b.pop_front().map(|s| id_of(&s.event)), Some(2 * i + 1));
+        }
+        assert!(front_inserts > 100 && reclaims > 100);
+        b.insert(at(5_000));
+        assert!(b.head > 0, "no popped prefix for `take` to skip");
+        let live: Vec<u64> = b.take().map(|s| id_of(&s.event)).collect();
+        assert_eq!(live, [5_000, u64::MAX]);
+
+        // The whole queue against the oracle, on the schedule that takes it
+        // through regime changes and their rebuilds.
+        let mut cal = EventQueue::new();
+        let mut heap = HeapOracle::new();
+        let mut out = Vec::new();
+        let mut pop = |cal: &mut EventQueue, heap: &mut HeapOracle| {
+            let got = cal.pop().map(|(tm, ev)| (tm.as_nanos(), id_of(&ev) as u32));
+            assert_eq!(got, heap.pop());
+            out.extend(got.map(|(_, id)| id));
+            got
+        };
+        let mut id = 0u32;
+        campaign_schedule(2006, 30_000, &mut |op| match op {
+            QueueOp::Schedule(at) => {
+                cal.schedule(t(at), arrival(id.into()));
+                heap.schedule(at, id);
+                id += 1;
+                None
+            }
+            QueueOp::Pop => pop(&mut cal, &mut heap).map(|(tm, _)| tm),
+        });
+        assert!(cal.stats().rebuilds >= 3, "tuning never ran");
+        // A rebuild with popped prefixes in place, then half of the rest.
+        assert!(cal.buckets.iter().any(|b| b.head > 0));
+        cal.rebuild();
+        assert_eq!(cal.len(), heap.len());
+        for _ in 0..heap.len() / 2 {
+            pop(&mut cal, &mut heap);
+        }
+        assert_eq!(cal.peek_time().map(SimTime::as_nanos), heap.peek_time());
+        let popped = out.len();
+        out.sort_unstable();
+        out.dedup();
+        assert_eq!(out.len(), popped, "a packet came out twice");
+        // The rest is dropped with the queue.
+        assert_eq!(popped + cal.len(), id as usize);
+        assert!(!cal.is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   optional per-packet processing jitter (used by the Dummynet-style
 //!   emulation substrate);
 //! * **queue disciplines**: DropTail, RED (gentle), and the persistent-ECN
-//!   scheme of the paper's reference [22];
+//!   scheme of the paper's reference \[22\];
 //! * **nodes** (hosts and routers) with static shortest-path routing;
 //! * **flows** driven by pluggable [`iface::Transport`] state machines (the
 //!   congestion-control protocols live in the `lossburst-transport` crate);
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::iface::{Ctx, FlowProgress, Transport};
     pub use crate::link::{JitterModel, Link};
     pub use crate::node::NodeKind;
-    pub use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketKind, PacketPool, PacketRef};
+    pub use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketKind};
     pub use crate::queue::{DropScript, QueueDisc, RedConfig, Verdict};
     pub use crate::rng::Sampler;
     pub use crate::sim::{EventCounts, FlowEntry, FlowSummary, RunLimits, Simulator};

@@ -83,6 +83,8 @@ pub struct TxOutcome {
     pub next_tx: Option<SimDuration>,
 }
 
+const _: () = assert!(std::mem::size_of::<TxOutcome>() <= 32);
+
 /// A unidirectional link between two nodes.
 #[derive(Debug)]
 pub struct Link {

@@ -1,7 +1,8 @@
 //! Packets and entity identifiers.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Identifies a node (host or router) in the topology.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -58,12 +59,10 @@ pub enum PacketKind {
     Feedback,
 }
 
-/// A simulated packet.
-///
-/// Packets are plain `Copy`-free value types moved through the event queue;
-/// there is no allocation per packet beyond its slot in a queue's `VecDeque`.
+/// The fields of a simulated packet; [`Packet`] is the owning handle that
+/// moves through the simulator and dereferences to this.
 #[derive(Clone, Debug)]
-pub struct Packet {
+pub struct PacketBody {
     /// Globally unique packet identity (assigned at send time).
     pub id: u64,
     /// Flow this packet belongs to.
@@ -90,7 +89,7 @@ pub struct Packet {
     /// The sender's current RTT estimate, carried in data packets (TFRC
     /// receivers use it to group losses into loss events and to pace
     /// feedback, exactly as RFC 5348 prescribes).
-    pub rtt_hint: crate::time::SimDuration,
+    pub rtt_hint: SimDuration,
     /// Whether the flow is ECN-capable (ECT codepoint set).
     pub ecn_capable: bool,
     /// Congestion-experienced mark set by a router.
@@ -107,87 +106,50 @@ pub struct Packet {
     pub sack: [(u64, u64); 3],
 }
 
-/// Handle to a packet parked in a [`PacketPool`].
+/// A simulated packet: an 8-byte owning handle to its [`PacketBody`].
 ///
-/// Events carry this 4-byte reference through the scheduler instead of the
-/// ~170-byte [`Packet`] itself, keeping the event queue's working set small.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PacketRef(pub(crate) u32);
+/// A packet is allocated once, when a transport builds it, and freed once,
+/// when it is delivered or dropped; every hand-off in between — into a
+/// link's queue, out of it, into the [`Arrival`](crate::event::Event::Arrival)
+/// event that carries it to the next node, through the outbox — moves the
+/// pointer. Moving the 136-byte body by value instead (about six copies a
+/// hop, three or more hops a packet) was a quarter of a 650-path campaign's
+/// run time; the `malloc`/`free` pair costs about a fifth of that. Fields
+/// are reached through `Deref`, so `pkt.seq` and `pkt.ecn_ce = true` read
+/// as they would on the body itself. `clone` is a deep copy, a second
+/// body: nothing on the simulator's packet path clones; tests and harnesses
+/// that offer one packet several times do.
+#[derive(Clone)]
+pub struct Packet(Box<PacketBody>);
 
-/// Slab/free-list pool for packets in flight between a link transmitter and
-/// their arrival event.
-///
-/// `insert` hands back a [`PacketRef`]; `take` retires the slot onto the
-/// free list. Steady-state simulation touches the allocator not at all: the
-/// slab grows to the peak number of concurrently propagating packets and
-/// every later insert reuses a freed slot.
-#[derive(Debug, Default)]
-pub struct PacketPool {
-    slots: Vec<Packet>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl PacketPool {
-    /// An empty pool.
-    pub fn new() -> PacketPool {
-        PacketPool::default()
-    }
-
-    /// Park `pkt` and return its handle.
-    #[inline]
-    pub fn insert(&mut self, pkt: Packet) -> PacketRef {
-        self.live += 1;
-        match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = pkt;
-                PacketRef(idx)
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(pkt);
-                PacketRef(idx)
-            }
-        }
-    }
-
-    /// Retire `r` and return its packet. A handle is valid for exactly one
-    /// `take`; the slot is then recycled.
-    #[inline]
-    pub fn take(&mut self, r: PacketRef) -> Packet {
-        self.live -= 1;
-        self.free.push(r.0);
-        self.slots[r.0 as usize].clone()
-    }
-
-    /// Packets currently parked.
-    #[inline]
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Slab capacity reached so far (peak concurrent in-flight packets).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
+const _: () = assert!(std::mem::size_of::<Packet>() == 8);
+const _: () = assert!(std::mem::size_of::<Option<Packet>>() == 8);
+const _: () = assert!(std::mem::size_of::<PacketBody>() <= 136);
 
 impl Packet {
-    /// A blank data packet; transports fill in what they need.
-    pub fn data(flow: FlowId, src: NodeId, dst: NodeId, size_bytes: u32, seq: u64) -> Packet {
-        Packet {
+    /// A blank packet of `kind` carrying `seq` / `ack`; transports fill in
+    /// what else they need.
+    fn blank(
+        kind: PacketKind,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        size_bytes: u32,
+        seq: u64,
+        ack: u64,
+    ) -> Packet {
+        PacketBody {
             id: 0,
             flow,
             src,
             dst,
             size_bytes,
             seq,
-            ack: 0,
-            kind: PacketKind::Data,
+            ack,
+            kind,
             sent_at: SimTime::ZERO,
             echo: SimTime::ZERO,
-            rtt_hint: crate::time::SimDuration::ZERO,
+            rtt_hint: SimDuration::ZERO,
             ecn_capable: false,
             ecn_ce: false,
             ecn_echo: false,
@@ -195,34 +157,51 @@ impl Packet {
             fb_recv_rate: 0.0,
             sack: [(0, 0); 3],
         }
+        .into()
+    }
+
+    /// A blank data packet; transports fill in what they need.
+    pub fn data(flow: FlowId, src: NodeId, dst: NodeId, size_bytes: u32, seq: u64) -> Packet {
+        Packet::blank(PacketKind::Data, flow, src, dst, size_bytes, seq, 0)
     }
 
     /// A blank acknowledgment from `src` back to `dst`.
     pub fn ack(flow: FlowId, src: NodeId, dst: NodeId, size_bytes: u32, ack: u64) -> Packet {
-        Packet {
-            id: 0,
-            flow,
-            src,
-            dst,
-            size_bytes,
-            seq: 0,
-            ack,
-            kind: PacketKind::Ack,
-            sent_at: SimTime::ZERO,
-            echo: SimTime::ZERO,
-            rtt_hint: crate::time::SimDuration::ZERO,
-            ecn_capable: false,
-            ecn_ce: false,
-            ecn_echo: false,
-            fb_loss_rate: 0.0,
-            fb_recv_rate: 0.0,
-            sack: [(0, 0); 3],
-        }
+        Packet::blank(PacketKind::Ack, flow, src, dst, size_bytes, 0, ack)
     }
 
     /// SACK blocks present on this packet (non-empty ranges).
     pub fn sack_blocks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.sack.iter().copied().filter(|&(a, b)| b > a)
+    }
+}
+
+impl From<PacketBody> for Packet {
+    /// Box `body`: the packet's one allocation.
+    fn from(body: PacketBody) -> Packet {
+        Packet(Box::new(body))
+    }
+}
+
+impl Deref for Packet {
+    type Target = PacketBody;
+
+    #[inline]
+    fn deref(&self) -> &PacketBody {
+        &self.0
+    }
+}
+
+impl DerefMut for Packet {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut PacketBody {
+        &mut self.0
+    }
+}
+
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -238,29 +217,6 @@ mod tests {
         let a = Packet::ack(FlowId(1), NodeId(5), NodeId(0), 40, 43);
         assert_eq!(a.kind, PacketKind::Ack);
         assert_eq!(a.ack, 43);
-    }
-
-    #[test]
-    fn packet_is_reasonably_small() {
-        // Packets move by value through the event heap; keep them compact.
-        // (SACK blocks cost 48 bytes; the budget reflects that.)
-        assert!(std::mem::size_of::<Packet>() <= 192);
-    }
-
-    #[test]
-    fn pool_recycles_slots() {
-        let mut pool = PacketPool::new();
-        let a = pool.insert(Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, 1));
-        let b = pool.insert(Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, 2));
-        assert_eq!(pool.live(), 2);
-        assert_eq!(pool.capacity(), 2);
-        assert_eq!(pool.take(a).seq, 1);
-        // The freed slot is reused: capacity stays flat.
-        let c = pool.insert(Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, 3));
-        assert_eq!(pool.capacity(), 2);
-        assert_eq!(pool.take(b).seq, 2);
-        assert_eq!(pool.take(c).seq, 3);
-        assert_eq!(pool.live(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper identifies DropTail FIFO routers as the principal source of
 //! sub-RTT loss burstiness, discusses RED as the classic randomizing
-//! counter-measure, and proposes (reference [22]) a persistent ECN marking
+//! counter-measure, and proposes (reference \[22\]) a persistent ECN marking
 //! scheme that holds the congestion signal up for a full RTT so that every
 //! flow sharing the bottleneck observes it. All three are implemented here.
 //!
@@ -121,7 +121,7 @@ impl Default for RedState {
 }
 
 /// Configuration for the persistent-ECN discipline proposed by the paper's
-/// reference [22]: once congestion is detected, keep marking every
+/// reference \[22\]: once congestion is detected, keep marking every
 /// ECN-capable packet for a whole epoch (about one RTT) so that the signal
 /// reaches *all* flows rather than only the unlucky ones whose packets sat
 /// at the overflow instant.
@@ -255,7 +255,7 @@ impl QueueDisc {
         }
     }
 
-    /// Persistent-ECN marking (paper reference [22]) over a DropTail buffer.
+    /// Persistent-ECN marking (paper reference \[22\]) over a DropTail buffer.
     /// `epoch` should be on the order of the flows' round-trip time.
     pub fn persistent_ecn(
         limit_pkts: usize,

@@ -4,7 +4,7 @@ use crate::event::{Event, EventQueue, SchedulerStats, TimerToken};
 use crate::iface::{Ctx, Transport};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
-use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketPool};
+use crate::packet::{FlowId, LinkId, NodeId, Packet};
 use crate::queue::{QueueDisc, Verdict};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CompletionRecord, LossRecord, MarkRecord, QueueSample, TraceConfig, TraceSet};
@@ -144,7 +144,6 @@ pub struct Simulator {
     /// Events processed so far.
     pub events_processed: u64,
     events: EventQueue,
-    pool: PacketPool,
     next_packet_id: u64,
     outbox: Vec<(NodeId, Packet)>,
     fluid_outbox: Vec<(LinkId, f64)>,
@@ -168,7 +167,6 @@ impl Simulator {
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
             events: EventQueue::new(),
-            pool: PacketPool::new(),
             next_packet_id: 0,
             outbox: Vec::with_capacity(64),
             fluid_outbox: Vec::new(),
@@ -208,12 +206,6 @@ impl Simulator {
     /// days walked per pop, rebuilds.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.events.stats()
-    }
-
-    /// Peak number of concurrently in-flight packets seen so far (the
-    /// packet pool's slab capacity; a telemetry aid for the perf bin).
-    pub fn peak_in_flight(&self) -> usize {
-        self.pool.capacity()
     }
 
     /// Sample the occupancy of `links` every `interval` into
@@ -399,8 +391,6 @@ impl Simulator {
             }
             Event::Arrival { node, packet } => {
                 self.event_counts.arrivals += 1;
-                // Reclaim the pooled slot; the packet continues by value.
-                let packet = self.pool.take(packet);
                 if packet.dst == node && self.nodes[node.index()].kind == NodeKind::Host {
                     let flow = packet.flow;
                     self.with_transport(flow, |tr, ctx| tr.on_packet(&packet, ctx));
@@ -412,14 +402,11 @@ impl Simulator {
                 self.event_counts.tx_completes += 1;
                 let out = self.links[link.index()].complete_tx(self.now, &mut self.rng);
                 let to = self.links[link.index()].to;
-                // Park the propagating packet in the pool so the event
-                // carries a 4-byte handle instead of the whole packet.
-                let handle = self.pool.insert(out.packet);
                 self.events.schedule(
                     self.now + out.arrival_in,
                     Event::Arrival {
                         node: to,
-                        packet: handle,
+                        packet: out.packet,
                     },
                 );
                 if let Some(next) = out.next_tx {
@@ -788,26 +775,6 @@ mod tests {
         for w in series.windows(2) {
             assert!((w[1].0 - w[0].0 - 0.001).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn pool_drains_with_the_event_queue() {
-        let (mut sim, a, b) = two_hosts_one_router();
-        sim.add_flow(
-            a,
-            b,
-            SimTime::ZERO,
-            Box::new(Blaster {
-                src: a,
-                dst: b,
-                n: 25,
-                received: 0,
-                size: 1000,
-            }),
-        );
-        sim.run_to_quiescence();
-        assert!(sim.peak_in_flight() >= 1, "pool never used");
-        assert_eq!(sim.events_pending(), 0);
     }
 
     #[test]

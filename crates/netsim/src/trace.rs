@@ -181,8 +181,8 @@ const DEFAULT_STREAM_CAPACITY: usize = 4096;
 
 impl TraceSet {
     /// A trace set with the given gating and default pre-sizing: enabled
-    /// streams get [`DEFAULT_STREAM_CAPACITY`] records up front, disabled
-    /// streams get no buffer at all.
+    /// streams get room for `DEFAULT_STREAM_CAPACITY` records up front,
+    /// disabled streams get no buffer at all.
     pub fn new(config: TraceConfig) -> TraceSet {
         TraceSet::with_capacity(config, DEFAULT_STREAM_CAPACITY)
     }

@@ -3,7 +3,7 @@
 //! [`run`] drives one congestion-controlled flow over real UDP loopback
 //! sockets: a harness loop on the calling thread owns the transport state
 //! machine (via netsim's [`HostDriver`]) and the two endpoint sockets,
-//! while the [`shim`](crate::shim) thread impairs the path between them
+//! while the [`shim`](mod@crate::shim) thread impairs the path between them
 //! according to a deterministic [`LossPlan`]. All timer-driven machinery
 //! (RTO, pacing, BBR's update clock) runs against the shared
 //! [`MonoClock`], so the transport experiences real elapsed time.

@@ -20,7 +20,7 @@
 //! sack [(u64,u64);3]
 //! ```
 
-use lossburst_netsim::packet::{FlowId, NodeId, Packet, PacketKind};
+use lossburst_netsim::packet::{FlowId, NodeId, Packet, PacketBody, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 
 /// Fixed encoded size of one packet header on the wire.
@@ -163,7 +163,7 @@ pub fn decode_packet(buf: &[u8]) -> Option<Packet> {
     for s in &mut sack {
         *s = (r.u64(), r.u64());
     }
-    Some(Packet {
+    Some(Packet::from(PacketBody {
         id,
         flow,
         src,
@@ -181,7 +181,7 @@ pub fn decode_packet(buf: &[u8]) -> Option<Packet> {
         fb_loss_rate,
         fb_recv_rate,
         sack,
-    })
+    }))
 }
 
 #[cfg(test)]

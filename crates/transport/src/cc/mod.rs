@@ -3,7 +3,7 @@
 //!
 //! The redesign follows the quinn-proto shape: a congestion controller is a
 //! trait object that owns *only* the window/rate law, while the
-//! [`Sender`](crate::sender::Sender) core owns everything mechanical —
+//! [`Sender`] core owns everything mechanical —
 //! sequencing, dupack/SACK loss detection, the RTT estimator, RTO and
 //! pacing timers. The core translates wire events into calls on the
 //! controller:

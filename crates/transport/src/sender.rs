@@ -1,5 +1,5 @@
 //! The unified reliable sender: one mechanical core, any
-//! [`Controller`](crate::cc::Controller).
+//! [`Controller`].
 //!
 //! [`Sender`] owns everything that is *not* a window law — sequencing,
 //! duplicate-ACK and SACK-scoreboard loss detection, the RTT estimator,
