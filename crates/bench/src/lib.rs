@@ -1,14 +1,15 @@
 //! # lossburst-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper
-//! (`table1`, `fig2`, `fig3`, `fig4`, `fig56_model`, `fig7`, `fig8`) that
-//! regenerates the same rows/series the paper reports, plus the `perf`
-//! binary that benchmarks the event loop (rate and calendar-queue tuning
-//! counts per case) and writes `BENCH_EVENTLOOP.json` at the repo root.
+//! The paper's regenerators: one binary per table/figure (`table1`,
+//! `fig2`, `fig3`, `fig4`, `fig56_model`, `fig7`, `fig8`) that prints the
+//! same rows/series the paper reports, plus `ablations` and
+//! `fairness_matrix` for the extensions. Each accepts `--full` for a
+//! paper-scale run and ends with a `paper-vs-measured` footer comparing
+//! the reproduction against the numbers the paper states.
 //!
-//! Every binary accepts `--full` for paper-scale runs and prints a
-//! `paper-vs-measured` footer comparing the reproduction against the
-//! numbers the paper states.
+//! `hybrid_perf` and `socklane_perf` time the two layers the repo's
+//! benchmark (`benchmark/`, its own package) has no workload for yet, and
+//! write `BENCH_HYBRID.json` / `BENCH_SOCKLANE.json`.
 
 /// Minimal flag parsing shared by the figure and bench binaries.
 pub mod cli {
@@ -73,8 +74,8 @@ pub mod cli {
     }
 }
 
-/// Host/scheduler provenance stamped into every `BENCH_*.json` header, so
-/// a committed bench artifact records the environment that produced it:
+/// Host/scheduler provenance stamped into the two `BENCH_*.json` headers,
+/// so a committed bench artifact records the environment that produced it:
 /// the host's CPU count, the effective worker-pool width, the raw
 /// `LOSSBURST_THREADS` override (if any), and the active scheduler policy.
 pub mod provenance {
@@ -93,22 +94,8 @@ pub mod provenance {
         pub policy: ExecutionPolicy,
     }
 
-    /// Snapshot the current environment. Capture **after** any `--threads`
-    /// flag has been applied to the environment, so the recorded width is
-    /// the one the benchmark actually ran with.
-    pub fn capture() -> Provenance {
-        Provenance {
-            host_cpus: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            threads: current_num_threads(),
-            threads_env: std::env::var(THREADS_ENV).ok(),
-            policy: execution_policy(),
-        }
-    }
-
     /// Pin the pool width before the pool's one-time initialization, then
-    /// [`capture`]: a `--threads` flag wins, then an existing
+    /// snapshot the environment: a `--threads` flag wins, then an existing
     /// `LOSSBURST_THREADS`, then 4 (so that a comparison across workers
     /// means something even on a small host).
     pub fn capture_with_threads(threads_flag: Option<usize>) -> Provenance {
@@ -117,7 +104,14 @@ pub mod provenance {
         } else if std::env::var(THREADS_ENV).is_err() {
             std::env::set_var(THREADS_ENV, "4");
         }
-        capture()
+        Provenance {
+            host_cpus: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            threads: current_num_threads(),
+            threads_env: std::env::var(THREADS_ENV).ok(),
+            policy: execution_policy(),
+        }
     }
 
     impl Provenance {
@@ -129,7 +123,7 @@ pub mod provenance {
             }
         }
 
-        /// The header fragment every `BENCH_*.json` embeds: four
+        /// The header fragment both `BENCH_*.json` files embed: four
         /// comma-separated JSON fields (no surrounding braces), e.g.
         /// `"host_cpus": 1, "threads": 4, "threads_env": "4",
         /// "scheduler_policy": "workstealing"`.

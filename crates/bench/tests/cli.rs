@@ -15,18 +15,20 @@ fn rejected(exe: &str, args: &[&str], problem: &str) {
 
 #[test]
 fn missing_and_garbled_flag_values_exit_2() {
-    let perf = env!("CARGO_BIN_EXE_perf");
-    let campaign = env!("CARGO_BIN_EXE_campaign_perf");
+    let socklane = env!("CARGO_BIN_EXE_socklane_perf");
+    let hybrid = env!("CARGO_BIN_EXE_hybrid_perf");
+    let fairness = env!("CARGO_BIN_EXE_fairness_matrix");
     let fig2 = env!("CARGO_BIN_EXE_fig2");
-    rejected(perf, &["--out"], "--out requires a path");
-    rejected(perf, &["--scheduler", "heap"], "unknown flag --scheduler");
-    rejected(campaign, &["--seed", "abc"], "--seed requires an integer");
-    rejected(campaign, &["--threads"], "--threads requires a count");
+    rejected(socklane, &["--out"], "--out requires a path");
+    rejected(
+        socklane,
+        &["--scheduler", "heap"],
+        "unknown flag --scheduler",
+    );
+    rejected(hybrid, &["--seed", "abc"], "--seed requires an integer");
+    rejected(hybrid, &["--threads"], "--threads requires a count");
     rejected(fig2, &["--seed", "abc"], "--seed requires an integer");
     rejected(fig2, &["--export"], "--export requires a directory");
-    rejected(
-        env!("CARGO_BIN_EXE_supervisor_smoke"),
-        &["--nope"],
-        "unknown flag --nope",
-    );
+    rejected(fairness, &["--seed", "abc"], "--seed requires an integer");
+    rejected(fairness, &["--nope"], "unknown flag --nope");
 }

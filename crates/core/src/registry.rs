@@ -26,7 +26,7 @@ pub struct Experiment {
     /// The module implementing it (rustdoc path).
     pub module: &'static str,
     /// The binary in `lossburst-bench` that regenerates it (None when the
-    /// regenerator is an example instead).
+    /// regenerator is an example or a bin of the root package instead).
     pub bench_bin: Option<&'static str>,
     /// The paper's headline claim, condensed.
     pub paper_claim: &'static str,
@@ -111,7 +111,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
         kind: Kind::Extension,
         description: "controller-pair fairness matrix over bursty bottlenecks",
         module: "lossburst_core::fairness",
-        bench_bin: Some("fairness_perf"),
+        bench_bin: Some("fairness_matrix"),
         paper_claim: "burst-senders outcompete spread-senders; Fig 7 generalized",
     },
     Experiment {
@@ -127,7 +127,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
         kind: Kind::Extension,
         description: "multi-process sharded campaigns with mergeable checkpoints",
         module: "lossburst_core::shard",
-        bench_bin: Some("sharding_perf"),
+        bench_bin: None,
         paper_claim: "the 650-path campaign scales to 10^5+ paths without changing results",
     },
 ];
@@ -152,7 +152,7 @@ pub fn registry_table() -> String {
             e.description,
             e.bench_bin
                 .map(|b| format!("--bin {b}"))
-                .unwrap_or_else(|| "example".into()),
+                .unwrap_or_else(|| "root package".into()),
         ));
     }
     out

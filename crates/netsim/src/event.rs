@@ -506,7 +506,8 @@ impl EventQueue {
 mod tests {
     use super::*;
     use lossburst_testkit::schedule::{
-        campaign_schedule, far_cluster_schedule, HeapOracle, QueueOp, Schedule, SCHEDULES,
+        campaign_schedule, far_cluster_schedule, hold_schedule, HeapOracle, QueueOp, Schedule,
+        HOLD_BACKLOG, SCHEDULES,
     };
 
     fn t(ns: u64) -> SimTime {
@@ -645,10 +646,11 @@ mod tests {
             }
             assert!(cal.pop().is_none());
 
-            // The campaign-shaped and far-cluster schedules put the
-            // calendar's tuning inside the differential: head-sampled
-            // rebuilds through the regime changes, waste-triggered ones,
-            // and the back-off when re-sampling cannot help.
+            // The campaign-shaped, far-cluster and deep-backlog schedules
+            // put the calendar's tuning inside the differential:
+            // head-sampled rebuilds through the regime changes,
+            // waste-triggered ones, the back-off when re-sampling cannot
+            // help, and growth to 2^18 buckets.
             for schedule in SCHEDULES {
                 let mut cal = EventQueue::new();
                 let mut heap = HeapOracle::new();
@@ -693,18 +695,25 @@ mod tests {
     /// hundreds of far-future events, with an idle spell mid-run — inserts
     /// land in nearly empty buckets and pops find their day at once. (A
     /// width of `span / len` puts the near-term mode into a single day:
-    /// ten elements shifted per insert on this schedule.)
+    /// ten elements shifted per insert on this schedule.) The same holds
+    /// at the other end of the depth range, on the stationary hold model
+    /// under a 200 000-event backlog.
     #[test]
     fn calendar_stays_tuned_on_a_campaign_shaped_schedule() {
-        for seed in [7u64, 2006, 12345] {
-            let s = calendar_stats(campaign_schedule, seed, 300_000);
-            assert_eq!((s.inserts, s.pops), (300_364, 300_000));
-            assert!(
-                s.shifted_per_insert() <= 2.0 && s.days_per_pop() <= 2.0,
-                "seed {seed}: {s:?}"
-            );
-            // A few rebuilds per regime change, not one per window.
-            assert!(s.rebuilds <= 12, "seed {seed}: {s:?}");
+        let cases: [(Schedule, usize); 2] =
+            [(campaign_schedule, 364), (hold_schedule, HOLD_BACKLOG)];
+        for (schedule, backlog) in cases {
+            for seed in [7u64, 2006, 12345] {
+                let s = calendar_stats(schedule, seed, 300_000);
+                assert_eq!((s.inserts, s.pops), (300_000 + backlog as u64, 300_000));
+                assert!(
+                    s.shifted_per_insert() <= 2.0 && s.days_per_pop() <= 2.0,
+                    "backlog {backlog}, seed {seed}: {s:?}"
+                );
+                // A few rebuilds per regime change (or while the backlog
+                // fills), not one per window.
+                assert!(s.rebuilds <= 12, "backlog {backlog}, seed {seed}: {s:?}");
+            }
         }
     }
 

@@ -20,8 +20,7 @@
 //!   conformance and golden suites share, with process-wide memoization.
 //! * [`schedule`] — campaign-shaped and adversarial scheduler workloads as
 //!   plain op streams, and the `HeapOracle` reference queue, shared by
-//!   `netsim`'s queue ≡ oracle differentials, its tuning-quality test and
-//!   the `perf` bin.
+//!   `netsim`'s queue ≡ oracle differentials and its tuning-quality test.
 //! * [`sweep`] — the seeded-sweep driver behind the per-crate property
 //!   tests (replaces the copy-pasted `for case in 0..N` loops).
 //! * [`determinism`] — the seed and execution-policy matrices and

@@ -1,8 +1,8 @@
 //! Scheduler workloads shaped like the simulations the campaigns run, as
 //! plain data: a driver feeds [`QueueOp`]s to whatever queue (or pair of
-//! queues) it holds, so `netsim`'s unit tests, its integration tests and
-//! the `perf` bin all exercise the one population — and [`HeapOracle`],
-//! the reference queue they compare `netsim`'s event queue against.
+//! queues) it holds, so `netsim`'s unit tests and its integration tests
+//! exercise the one population — and [`HeapOracle`], the reference queue
+//! they compare `netsim`'s event queue against.
 
 use crate::sweep::{with_rng, RngExt};
 use std::cmp::Reverse;
@@ -77,7 +77,7 @@ pub type Apply<'a> = &'a mut dyn FnMut(QueueOp) -> Option<u64>;
 pub type Schedule = fn(u64, usize, Apply);
 
 /// Every schedule here, for differentials that should hold on all of them.
-pub const SCHEDULES: [Schedule; 2] = [campaign_schedule, far_cluster_schedule];
+pub const SCHEDULES: [Schedule; 3] = [campaign_schedule, far_cluster_schedule, hold_schedule];
 
 /// The pending set of one campaign path simulation, as a hold model.
 ///
@@ -138,6 +138,31 @@ pub fn far_cluster_schedule(seed: u64, churn: usize, apply: Apply) {
     })
 }
 
+/// Events [`hold_schedule`] keeps pending.
+pub const HOLD_BACKLOG: usize = 200_000;
+
+/// One stationary hold model under a deep backlog: [`HOLD_BACKLOG`] events
+/// spread over the first 10 ms, then `churn` pop-and-reschedule steps with
+/// [`campaign_schedule`]'s mix of horizons (70 % under 100 µs, 20 %
+/// 1–10 ms, 10 % 0.1–1 s) and no regime change. Deep where the campaign
+/// schedule is shallow: the dense testbeds' pending set, and further.
+pub fn hold_schedule(seed: u64, churn: usize, apply: Apply) {
+    with_rng(seed, |gen| {
+        for _ in 0..HOLD_BACKLOG {
+            apply(QueueOp::Schedule(gen.random_range(0..10_000_000u64)));
+        }
+        for _ in 0..churn {
+            let now = apply(QueueOp::Pop).expect("a hold model never drains");
+            let delta = match gen.random_range(0..10u32) {
+                0..=6 => gen.random_range(0..100_000u64),
+                7 | 8 => gen.random_range(1_000_000..11_000_000u64),
+                _ => gen.random_range(100_000_000..1_100_000_000u64),
+            };
+            apply(QueueOp::Schedule(now + delta));
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +207,12 @@ mod tests {
     fn campaign_schedule_holds_a_few_hundred_events() {
         let (pops, peak, _) = run(campaign_schedule, 10_000);
         assert_eq!((pops, peak), (10_000, 364));
+    }
+
+    #[test]
+    fn hold_schedule_holds_its_backlog() {
+        let (pops, peak, _) = run(hold_schedule, 10_000);
+        assert_eq!((pops, peak), (10_000, HOLD_BACKLOG));
     }
 
     #[test]

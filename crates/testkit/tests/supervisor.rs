@@ -99,6 +99,12 @@ fn interrupted_campaign_resumes_byte_identically() {
             PathOutcome::Failed("wall-clock budget exceeded (injected)".into())
         );
         assert!(reference.ledger[4].outcome.is_ok(), "empty trace is valid");
+        assert_eq!(
+            reference.result.measurements.len(),
+            cfg.n_paths - 1,
+            "partial results cover the surviving paths"
+        );
+        assert!(!reference.result.intervals_rtt().is_empty());
 
         let ck = scratch_checkpoint(RUN.fetch_add(1, Ordering::Relaxed));
         let interrupted = run_grid_streaming_supervised(
@@ -126,6 +132,18 @@ fn interrupted_campaign_resumes_byte_identically() {
             campaign_bytes(&reference),
             "seed {seed}: resumed campaign diverges from uninterrupted"
         );
+        // On the finished checkpoint nothing is measured again, failures
+        // included.
+        let restored = run_grid_streaming_supervised(
+            &cfg,
+            &SupervisorConfig {
+                checkpoint: Some(ck.clone()),
+                ..base.clone()
+            },
+        )
+        .unwrap();
+        assert_eq!(restored.restored, cfg.n_paths);
+        assert_eq!(campaign_bytes(&restored), campaign_bytes(&reference));
         std::fs::remove_file(&ck).ok();
         campaign_bytes(&resumed)
     });

@@ -14,7 +14,8 @@ fn main() {
         println!("  {:<9} {}", e.id, e.paper_claim);
     }
     println!(
-        "\nRegenerate any entry with `cargo run --release -p lossburst-bench --bin <id>`;\n\
-         see EXPERIMENTS.md for measured-vs-paper results."
+        "\nThe regenerator column names a bench binary: `cargo run --release -p lossburst-bench\n\
+         --bin <name>`. A `root package` entry is regenerated by an example or binary of the\n\
+         root package; EXPERIMENTS.md names it, next to the measured-vs-paper results."
     );
 }
