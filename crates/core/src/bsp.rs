@@ -1099,7 +1099,8 @@ mod tests {
     #[test]
     fn burstier_loss_fattens_the_tail() {
         // Fixed mean loss, growing burst length: the pooled tail mass must
-        // grow. Small-scale version of the bsp_perf gate.
+        // grow. Small-scale version of `testkit/tests/bsp.rs`'s
+        // `tail_mass_grows_with_burst_length_at_fixed_mean_loss`.
         let mut cfg = tiny(42);
         cfg.n_workers = 150;
         cfg.mean_burst_pkts = 1.0;

@@ -344,7 +344,9 @@ impl Simulator {
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let start_count = self.events_processed;
         while let Some((t, ev)) = self.events.pop_before(horizon) {
-            debug_assert!(t >= self.now, "time went backwards");
+            // Checked in release builds too, where the campaigns run: one
+            // predictable compare, and what a scheduler bug looks like.
+            assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events_processed += 1;
             self.dispatch(ev);

@@ -46,12 +46,13 @@ fn event_queue_is_a_stable_priority_queue() {
     });
 }
 
-/// The same holds while the calendar retunes itself: on campaign-shaped
-/// and far-cluster schedules (head-sampled rebuilds across regime changes,
-/// waste-triggered rebuilds, back-off) the queue pops the oracle's
-/// `(time, id)` sequence, in stable priority order.
+/// The same holds with every tier of the wheel in play: on each `testkit`
+/// schedule, at a random seed and length, the queue pops the oracle's
+/// `(time, id)` sequence in stable priority order, through the churn and
+/// then down to empty — out of the sorted day, the unsorted days and
+/// years, and the heap beyond them.
 #[test]
-fn queue_agrees_with_the_oracle_while_the_calendar_retunes() {
+fn queue_agrees_with_the_oracle_on_every_schedule() {
     sweep(0xCA1E, 6, |case, gen| {
         let seed = gen.random_range(0..u64::MAX);
         let churn = gen.random_range(5_000..40_000usize);
@@ -60,6 +61,19 @@ fn queue_agrees_with_the_oracle_while_the_calendar_retunes() {
             let mut oracle = HeapOracle::new();
             let mut next_id = 0u32;
             let mut popped: Vec<(u64, u32)> = Vec::new();
+            let mut pop = |q: &mut EventQueue, oracle: &mut HeapOracle| {
+                let expected = oracle.pop();
+                let Some((t, Event::FlowStart { flow })) = q.pop() else {
+                    assert!(expected.is_none(), "queue drained early (case {case})");
+                    return None;
+                };
+                assert!(
+                    expected == Some((t.as_nanos(), flow.0)),
+                    "queue and oracle diverge (case {case})"
+                );
+                popped.push((t.as_nanos(), flow.0));
+                Some(t.as_nanos())
+            };
             schedule(seed, churn, &mut |op| match op {
                 QueueOp::Schedule(at) => {
                     let flow = FlowId(next_id);
@@ -68,22 +82,15 @@ fn queue_agrees_with_the_oracle_while_the_calendar_retunes() {
                     next_id += 1;
                     None
                 }
-                QueueOp::Pop => {
-                    let expected = oracle.pop();
-                    let Some((t, Event::FlowStart { flow })) = q.pop() else {
-                        assert!(expected.is_none(), "queue drained early (case {case})");
-                        return None;
-                    };
-                    assert!(
-                        expected == Some((t.as_nanos(), flow.0)),
-                        "queue and oracle diverge (case {case})"
-                    );
-                    popped.push((t.as_nanos(), flow.0));
-                    Some(t.as_nanos())
-                }
+                QueueOp::Pop => pop(&mut q, &mut oracle),
             });
-            assert!(q.stats().rebuilds >= 3, "case {case}: tuning never ran");
-            assert_eq!(popped.len(), churn);
+            while pop(&mut q, &mut oracle).is_some() {}
+            let s = q.stats();
+            assert!(
+                s.cascaded > 0 && s.beyond > 0 && s.rebuilds == 0,
+                "case {case}: a tier sat idle: {s:?}"
+            );
+            assert_eq!(popped.len(), next_id as usize);
             assert!(
                 popped.windows(2).all(|w| w[0] < w[1]),
                 "ordering violated (case {case})"

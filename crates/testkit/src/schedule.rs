@@ -77,7 +77,12 @@ pub type Apply<'a> = &'a mut dyn FnMut(QueueOp) -> Option<u64>;
 pub type Schedule = fn(u64, usize, Apply);
 
 /// Every schedule here, for differentials that should hold on all of them.
-pub const SCHEDULES: [Schedule; 3] = [campaign_schedule, far_cluster_schedule, hold_schedule];
+pub const SCHEDULES: [Schedule; 4] = [
+    campaign_schedule,
+    far_cluster_schedule,
+    hold_schedule,
+    dense_lab_schedule,
+];
 
 /// The pending set of one campaign path simulation, as a hold model.
 ///
@@ -116,10 +121,10 @@ pub fn campaign_schedule(seed: u64, churn: usize, apply: Apply) {
 /// A pending set no single day width can serve: half of the reschedules
 /// form a well-separated head (1–64 ms out), the other half pile into one
 /// 64 µs window per simulated second, ten seconds out, in random order.
-/// Inserts into the far window crowd whatever bucket holds it, and
-/// re-sampling the head cannot help — the schedule that drives a
-/// self-tuning calendar into its back-off — until the window reaches the
-/// head ten seconds later and the width has to follow it down and back.
+/// Every insert into the far window lies beyond a one-second timing
+/// wheel, so it waits in the overflow heap and is dealt down twice — and
+/// when the window reaches the head ten seconds later its events come
+/// due within eight 8 µs days of each other.
 pub fn far_cluster_schedule(seed: u64, churn: usize, apply: Apply) {
     const SECOND: u64 = 1_000_000_000;
     with_rng(seed, |gen| {
@@ -157,6 +162,41 @@ pub fn hold_schedule(seed: u64, churn: usize, apply: Apply) {
                 0..=6 => gen.random_range(0..100_000u64),
                 7 | 8 => gen.random_range(1_000_000..11_000_000u64),
                 _ => gen.random_range(100_000_000..1_100_000_000u64),
+            };
+            apply(QueueOp::Schedule(now + delta));
+        }
+    })
+}
+
+/// Events [`dense_lab_schedule`] keeps pending.
+pub const DENSE_LAB_BACKLOG: usize = 10_000;
+
+/// The pending set of the dense testbed (`lab_dense`: 1 024 TCP pairs +
+/// 1 024 noise flows), as a hold model: [`DENSE_LAB_BACKLOG`] events
+/// spread over the first second, then `churn` pop-and-reschedule steps
+/// under the insert horizons measured on that run (DESIGN.md §3) — 44 %
+/// under 16 µs, 28 % from there to 4 ms, 27.5 % to 1 s and 0.5 % beyond,
+/// log-uniform within each band as the measured histogram roughly is. A
+/// pop advances the clock by about 7 µs, as the testbed's does (7.5 µs),
+/// so the backlog is a second's worth of RTT- and RTO-scale timers over a
+/// head of about one event per 8 µs. Between [`campaign_schedule`]'s 364
+/// pending events and [`hold_schedule`]'s 200 000.
+pub fn dense_lab_schedule(seed: u64, churn: usize, apply: Apply) {
+    with_rng(seed, |gen| {
+        for _ in 0..DENSE_LAB_BACKLOG {
+            apply(QueueOp::Schedule(gen.random_range(0..1u64 << 30)));
+        }
+        for _ in 0..churn {
+            let now = apply(QueueOp::Pop).expect("a hold model never drains");
+            let octave = match gen.random_range(0..1000u32) {
+                0..=439 => None,
+                440..=719 => Some(gen.random_range(14..22u32)),
+                720..=994 => Some(gen.random_range(22..30u32)),
+                _ => Some(gen.random_range(30..32u32)),
+            };
+            let delta = match octave {
+                None => gen.random_range(0..1u64 << 14),
+                Some(k) => gen.random_range(1u64 << k..2 << k),
             };
             apply(QueueOp::Schedule(now + delta));
         }
@@ -210,9 +250,16 @@ mod tests {
     }
 
     #[test]
-    fn hold_schedule_holds_its_backlog() {
+    fn hold_schedules_hold_their_backlog() {
         let (pops, peak, _) = run(hold_schedule, 10_000);
         assert_eq!((pops, peak), (10_000, HOLD_BACKLOG));
+        // The dense lab's clock moves 5-10 µs a pop, like the testbed's.
+        let (pops, peak, clock) = run(dense_lab_schedule, 100_000);
+        assert_eq!((pops, peak), (100_000, DENSE_LAB_BACKLOG));
+        assert!(
+            (500_000_000..1_000_000_000).contains(&clock),
+            "clock {clock}"
+        );
     }
 
     #[test]

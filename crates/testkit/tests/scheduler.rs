@@ -1,18 +1,19 @@
-//! The calendar queue stays tuned under whole simulations, not only on
-//! the synthetic schedules `netsim::event`'s unit tests replay: its count
-//! ratios, read from a finished `Simulator`, are the same on every host.
+//! The event queue's fixed geometry fits whole simulations, not only the
+//! synthetic schedules `netsim::event`'s unit tests replay: its counts,
+//! read from a finished `Simulator`, are the same on every host.
 
 use lossburst_netsim::prelude::*;
 use lossburst_transport::prelude::*;
 
 /// The Fig 1 dumbbell at three scales: `pairs` NewReno bulk flows over a
 /// 100 Mbps bottleneck, RTTs uniform in 2–200 ms, each with a reverse-path
-/// on-off noise flow so that the ACK path carries events too. A day width
-/// that fits the traffic shifts about one element per insert and walks
-/// under one day per pop (0.57–0.65 and 0.36–0.38 here); a mistuned one
-/// reads tens.
+/// on-off noise flow so that the ACK path carries events too. A wheel
+/// that fits the traffic moves under one element of the day being
+/// dequeued per insert (a day too wide reads tens), deals an event down a
+/// tier at most once, sends under a percent of inserts to the heap, and
+/// never has to place the pending set again.
 #[test]
-fn calendar_stays_tuned_on_the_dumbbell_at_three_scales() {
+fn wheel_fits_the_dumbbell_at_three_scales() {
     for (pairs, sim_secs) in [(4usize, 2u64), (16, 3), (64, 4)] {
         let mut b = SimBuilder::new(2006).trace(TraceConfig::all());
         let cfg = DumbbellConfig::paper_baseline(
@@ -41,8 +42,11 @@ fn calendar_stays_tuned_on_the_dumbbell_at_three_scales() {
         let s = sim.scheduler_stats();
         assert!(s.pops > 100_000, "{pairs} pairs: too short to judge: {s:?}");
         assert!(
-            s.shifted_per_insert() <= 2.0 && s.days_per_pop() <= 2.0,
-            "{pairs} pairs: calendar mistuned: {s:?}"
+            s.shifted_per_insert() <= 2.0
+                && s.beyond * 100 <= s.inserts
+                && s.cascaded <= s.inserts
+                && s.rebuilds == 0,
+            "{pairs} pairs: the wheel does not fit: {s:?}"
         );
     }
 }

@@ -196,14 +196,17 @@ fn fairness_matrix_is_identical_under_all_execution_policies() {
 
 #[test]
 fn calendar_and_heap_schedulers_produce_identical_traces() {
-    // The calendar queue is an optimization, not a semantics change: for a
+    // The event queue is an optimization, not a semantics change: for a
     // fixed seed the entire trace — every drop, mark, goodput event, queue
     // sample, and completion — is the one a binary-heap scheduler produces.
     // The constants are the FNV-1a of `dumbbell_trace` captured at the last
     // commit that could still run the simulator on the heap (e139ad5),
     // where the heap-backed and calendar-backed runs gave these same three
-    // values; the queue-level differential against the heap now lives in
-    // `netsim` (`calendar_agrees_with_the_heap_oracle` and its proptests).
+    // values. The calendar queue of the test's name is gone too: since
+    // PR 20 it is the timing wheel of `netsim::event` that has to reproduce
+    // them, and the queue-level differential against the heap is
+    // `tests/scheduler.rs` here plus `netsim`'s
+    // `wheel_agrees_with_the_heap_oracle` and proptests.
     const HEAP_TRACE_FNV1A: [u64; 3] = [
         0xd044_f224_1769_3612,
         0x281c_0a15_b170_f14b,

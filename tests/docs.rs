@@ -1,8 +1,9 @@
 //! Doc-drift gate. README.md, DESIGN.md, EXPERIMENTS.md, the verify skill
-//! and the CI workflow name bins, examples, tests, packages and files by
-//! hand; a name that no longer resolves fails here, with its line, not
-//! in front of a reader.
+//! and the CI workflow name bins, examples, tests, packages, files,
+//! functions and metric keys by hand; a name that no longer resolves fails
+//! here, with its line, not in front of a reader.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 5] = [
@@ -13,9 +14,9 @@ const DOCS: [&str; 5] = [
     ".github/workflows/ci.yml",
 ];
 
-/// Names the docs quote as history: `(name, PR that deleted it)`. The only
-/// escape hatch — and each entry must itself stay true: quoted somewhere,
-/// and absent from the tree.
+/// Names the docs quote as history: `(name, PR that deleted or renamed
+/// it)`. The only escape hatch — and each entry must itself stay true:
+/// quoted somewhere, and absent from the tree.
 const GONE: &[(&str, u32)] = &[
     ("streaming_perf", 15),
     ("BENCH_STREAMING.json", 15),
@@ -24,17 +25,58 @@ const GONE: &[(&str, u32)] = &[
     ("supervisor_smoke", 18),
     ("BENCH_EVENTLOOP.json", 18),
     ("BENCH_FAIRNESS.json", 18),
+    ("try_measure_path_grid", 13),
+    ("calendar_agrees_with_the_heap_oracle", 20),
+    ("calendar_backs_off_when_a_rebuild_cannot_help", 20),
+    ("bucket_reclaims_popped_space", 20),
+    (
+        "queue_agrees_with_the_oracle_while_the_calendar_retunes",
+        20,
+    ),
+    ("calendar_stays_tuned_on_the_dumbbell_at_three_scales", 20),
 ];
+
+/// Parts (`_`-separated) from which a backticked snake_case name is taken
+/// for an identifier — a test, a function, a config field, a metric key —
+/// and has to occur in the code. Shorter ones are too often plain words.
+const IDENTIFIER_PARTS: usize = 4;
 
 /// A backticked word with a `/` and one of these extensions is a repo path.
 const PATH_EXTENSIONS: [&str; 10] = [
     "rs", "toml", "sh", "yml", "md", "json", "jsonl", "csv", "tsv", "txt",
 ];
 
-/// The repo root and its package directories (root, `crates/*`, `compat/*`).
+/// The repo root, its package directories (root, `crates/*`, `compat/*`)
+/// and every identifier its code uses.
 struct Repo {
     root: PathBuf,
     packages: Vec<PathBuf>,
+    /// Each maximal `[A-Za-z0-9_]+` run of every `.rs` file, `//` comments
+    /// aside (string literals count: metric keys and CSV headers live in
+    /// them), and of `BENCHMARK.json`.
+    identifiers: HashSet<String>,
+}
+
+/// The maximal `[A-Za-z0-9_]+` runs of `text`.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|run| !run.is_empty())
+}
+
+/// Add the identifiers of every `.rs` file under `dir` to `into` — but for
+/// this file, whose `GONE` list names what must not be found.
+fn collect_identifiers(dir: &Path, into: &mut HashSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("source directory") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() && !name.starts_with('.') && name != "target" {
+            collect_identifiers(&path, into);
+        } else if path.extension().is_some_and(|e| e == "rs") && !path.ends_with(file!()) {
+            let text = std::fs::read_to_string(&path).expect("source file");
+            let code = text.lines().map(|l| l.split("//").next().unwrap_or(l));
+            into.extend(code.flat_map(identifiers).map(str::to_string));
+        }
+    }
 }
 
 impl Repo {
@@ -46,7 +88,16 @@ impl Repo {
             packages.extend(dir.map(|e| e.expect("directory entry").path()));
         }
         packages.retain(|p| p.join("Cargo.toml").exists());
-        Repo { root, packages }
+        let mut names = HashSet::new();
+        collect_identifiers(&root, &mut names);
+        let manifest =
+            std::fs::read_to_string(root.join("BENCHMARK.json")).expect("BENCHMARK.json");
+        names.extend(identifiers(&manifest).map(str::to_string));
+        Repo {
+            root,
+            packages,
+            identifiers: names,
+        }
     }
 
     fn has_package(&self, name: &str) -> bool {
@@ -108,27 +159,52 @@ fn flag_args<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = (usize, &
 }
 
 /// Every whitespace-separated word inside backticks (code spans and
-/// fenced blocks alike), with its byte offset, stripped of the punctuation
-/// prose puts around it and of a `::item` or `:line` suffix.
-fn code_words(text: &str) -> Vec<(usize, &str)> {
+/// fenced blocks alike), as written, with its byte offset.
+fn raw_code_words(text: &str) -> Vec<(usize, &str)> {
     let mut words = Vec::new();
     let mut at = 0;
     for (i, span) in text.split('`').enumerate() {
         if i % 2 == 1 {
             for word in span.split_whitespace() {
                 let offset = at + (word.as_ptr() as usize - span.as_ptr() as usize);
-                let word = word.trim_matches(|c: char| "()[]\"',;".contains(c));
-                let word = word.split("::").next().unwrap_or(word);
-                let word = match word.rsplit_once(':') {
-                    Some((path, line)) if line.parse::<u32>().is_ok() => path,
-                    _ => word,
-                };
-                words.push((offset, word.trim_end_matches(['.', ':'])));
+                words.push((offset, word));
             }
         }
         at += span.len() + 1;
     }
     words
+}
+
+/// [`raw_code_words`] stripped of the punctuation prose puts around them
+/// and of a `::item` or `:line` suffix.
+fn code_words(text: &str) -> Vec<(usize, &str)> {
+    fn strip((offset, word): (usize, &str)) -> (usize, &str) {
+        let word = word.trim_matches(|c: char| "()[]\"',;".contains(c));
+        let word = word.split("::").next().unwrap_or(word);
+        let word = match word.rsplit_once(':') {
+            Some((path, line)) if line.parse::<u32>().is_ok() => path,
+            _ => word,
+        };
+        (offset, word.trim_end_matches(['.', ':']))
+    }
+    raw_code_words(text).into_iter().map(strip).collect()
+}
+
+/// The identifiers quoted in backticks in `text`, with their byte offsets:
+/// every snake_case run of [`IDENTIFIER_PARTS`] parts or more, wherever in
+/// a code word it sits (`mod::tests::a_test_by_name`, `layer.ns_per_op_deep`,
+/// `a_function_of_note(arg)`), except inside a file path.
+fn quoted_identifiers(text: &str) -> Vec<(usize, &str)> {
+    let snake = |run: &&str| {
+        run.starts_with(|c: char| c.is_ascii_lowercase())
+            && !run.contains(|c: char| c.is_ascii_uppercase())
+            && run.split('_').filter(|part| !part.is_empty()).count() >= IDENTIFIER_PARTS
+    };
+    raw_code_words(text)
+        .into_iter()
+        .filter(|(_, word)| !word.contains('/'))
+        .flat_map(|(at, word)| identifiers(word).filter(snake).map(move |run| (at, run)))
+        .collect()
 }
 
 fn is_repo_path(word: &str) -> bool {
@@ -174,6 +250,11 @@ fn docs_name_only_what_exists() {
                 report(at, format!("no `{word}` at the repo root"));
             }
         }
+        for (at, name) in quoted_identifiers(&text) {
+            if !repo.identifiers.contains(name) && !gone(name) {
+                report(at, format!("no identifier `{name}` in the code"));
+            }
+        }
         corpus.push_str(&text);
     }
     for &(name, pr) in GONE {
@@ -182,7 +263,8 @@ fn docs_name_only_what_exists() {
                 "GONE: `{name}` (PR {pr}) is quoted nowhere; drop it"
             ));
         }
-        if repo.has_target("--bin", name) || repo.has_path(name) {
+        if repo.has_target("--bin", name) || repo.has_path(name) || repo.identifiers.contains(name)
+        {
             findings.push(format!("GONE: `{name}` (PR {pr}) exists"));
         }
     }

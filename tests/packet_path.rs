@@ -13,7 +13,7 @@
 //! `allocations >= packets sent` whatever else happens, and the test
 //! asserts equality — a stray could only break it. That it does not was
 //! checked by the tests passing on three seeds and two window lengths, and
-//! by what a window allocates otherwise: calendar buckets (32-byte
+//! by what a window allocates otherwise: event-queue buckets (32-byte
 //! elements), the outbox (16), link queues (8, at power-of-two capacities)
 //! and scoreboard runs (16) cannot make 136 = 17 × 8 bytes. One thing
 //! outside the windows does: a boxed `Cbr` has a body's layout, so the
@@ -115,6 +115,13 @@ fn live_bodies() -> u64 {
 /// bottleneck overflows, so some packets end at a drop and the rest at an
 /// endpoint.
 fn chain(seed: u64) -> Simulator {
+    chain_beside(seed, &[]).0
+}
+
+/// [`chain`] and, beside it, one directly linked host pair per entry of
+/// `delays` with a CBR flow over that link: flow `2 + i` over the `i`th
+/// link returned.
+fn chain_beside(seed: u64, delays: &[SimDuration]) -> (Simulator, Vec<LinkId>) {
     let mut b = SimBuilder::new(seed);
     let c = build_chain(
         &mut b,
@@ -131,7 +138,17 @@ fn chain(seed: u64) -> Simulator {
     b.flow(c.src, c.dst, SimTime::ZERO, Box::new(tcp));
     let cbr = Cbr::new(c.src, c.dst, 1000, 4e6);
     b.flow(c.src, c.dst, SimTime::ZERO, Box::new(cbr));
-    b.build()
+    let links = delays
+        .iter()
+        .map(|&delay| {
+            let (from, to) = (b.host(), b.host());
+            let link = b.link(from, to, 100e6, delay, QueueDisc::drop_tail(100));
+            let cbr = Cbr::new(from, to, 1000, 4e6);
+            b.flow(from, to, SimTime::ZERO, Box::new(cbr));
+            link
+        })
+        .collect();
+    (b.build(), links)
 }
 
 /// One body per packet sent, none per hop, and every body freed when its
@@ -172,14 +189,25 @@ fn one_allocation_per_packet_and_none_per_hop() {
 
 /// A simulator stopped mid-run by its event budget holds packets in link
 /// queues (fresh from their transport on the access link, waiting at the
-/// bottleneck) and in `Arrival` events; dropping it frees them all.
+/// bottleneck) and in `Arrival` events in every tier of the event queue:
+/// 2 µs out on the `near` link (today's bucket or the next day's), 5–10 ms
+/// out on the chain's links (a year or two ahead: the year wheel) and
+/// 100 s out on the `far` link (the heap, for the whole run). Dropping it
+/// frees them all.
 #[test]
 fn dropping_a_simulator_mid_run_frees_every_packet() {
     let _guard = exclusive();
     let before_build = live_bodies();
-    let mut sim = chain(2006);
+    let delays = [SimDuration::from_micros(2), SimDuration::from_secs(100)];
+    let (mut sim, beside) = chain_beside(2006, &delays);
     let built = live_bodies();
-    // The first stop past 40 000 events that has packets in all three
+    // Packets in propagation on the `i`th link beside the chain: those it
+    // has transmitted less those its CBR flow has received.
+    let propagating = |sim: &Simulator, i: usize| {
+        let received = sim.flows[2 + i].transport.progress().bytes_delivered / 1000;
+        sim.links[beside[i].index()].stats.transmitted - received
+    };
+    // The first stop past 40 000 events that has packets in all those
     // places; the budget counts lifetime events, so raising it by one
     // dispatches one more.
     let mut budget = 40_000;
@@ -190,7 +218,8 @@ fn dropping_a_simulator_mid_run_frees_every_packet() {
         let t = tally(&sim);
         let access = sim.links.iter().find(|l| l.from == sim.flows[0].src);
         let fresh = access.map_or(0, Link::occupancy) as u64;
-        if fresh > 0 && t.queued > fresh && t.in_events > 0 {
+        let (near, far) = (propagating(&sim, 0), propagating(&sim, 1));
+        if fresh > 0 && t.queued > fresh && near > 0 && far > 0 && t.in_events > near + far {
             break t.queued + t.in_events;
         }
         budget += 1;
