@@ -7,9 +7,9 @@
 //! paper-scale run and ends with a `paper-vs-measured` footer comparing
 //! the reproduction against the numbers the paper states.
 //!
-//! `hybrid_perf` and `socklane_perf` time the two layers the repo's
-//! benchmark (`benchmark/`, its own package) has no workload for yet, and
-//! write `BENCH_HYBRID.json` / `BENCH_SOCKLANE.json`.
+//! `hybrid_perf` times the one layer the repo's benchmark (`benchmark/`,
+//! its own package) has no workload for yet, the fluid background, and
+//! writes `BENCH_HYBRID.json`.
 
 /// Minimal flag parsing shared by the figure and bench binaries.
 pub mod cli {

@@ -8,7 +8,6 @@ use lossburst_analysis::burstiness::{self, BurstinessReport};
 use lossburst_analysis::histogram::Histogram;
 use lossburst_analysis::intervals;
 use lossburst_analysis::poisson;
-use lossburst_emu::clock::ClockModel;
 use lossburst_emu::testbed::{self, TestbedConfig};
 use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig};
 use lossburst_netsim::fluid::BackgroundMode;
@@ -232,11 +231,6 @@ pub fn dummynet_study(cfg: &LabCampaignConfig) -> LossStudy {
 pub fn internet_study(cfg: &CampaignConfig) -> LossStudy {
     let res = run_campaign_streaming(cfg);
     LossStudy::from_intervals("internet", res.intervals_rtt())
-}
-
-/// Expose the Dummynet clock so callers can quantize custom traces.
-pub fn dummynet_clock() -> ClockModel {
-    ClockModel::freebsd_1ms()
 }
 
 #[cfg(test)]

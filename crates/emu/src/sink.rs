@@ -53,11 +53,6 @@ impl ClockedLossSink {
     pub fn times(&self) -> &[f64] {
         &self.times
     }
-
-    /// Consume the sink, returning the accumulator and the stamped times.
-    pub fn into_parts(self) -> (LossStreamStats, Vec<f64>) {
-        (self.stats, self.times)
-    }
 }
 
 impl TraceSink for ClockedLossSink {

@@ -67,18 +67,6 @@ impl SimBuilder {
         self
     }
 
-    /// Like [`SimBuilder::trace`], with the enabled streams pre-sized for
-    /// about `records` entries each (long campaign runs avoid mid-run
-    /// reallocation this way).
-    pub fn trace_with_capacity(mut self, config: TraceConfig, records: usize) -> SimBuilder {
-        let sinks = self.sim.trace.take_sinks();
-        self.sim.trace = TraceSet::with_capacity(config, records);
-        for s in sinks {
-            self.sim.trace.add_sink(s);
-        }
-        self
-    }
-
     /// Attach a streaming [`TraceSink`] observer; returns its index for
     /// post-run retrieval via [`TraceSet::sink`]. Combine with
     /// [`TraceConfig::none`] to analyze a run in constant memory, with no
@@ -179,16 +167,6 @@ impl SimBuilder {
     /// old free-form API.
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.sim.rng
-    }
-
-    /// Nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.sim.nodes.len()
-    }
-
-    /// Links added so far.
-    pub fn link_count(&self) -> usize {
-        self.sim.links.len()
     }
 
     /// Finish construction: compute shortest-path routes over the complete

@@ -128,12 +128,6 @@ impl HostDriver {
     fn fire_one(&mut self, t: &mut dyn Transport, at: SimTime, token: TimerToken) {
         self.with_ctx(at, t, |t, ctx| t.on_timer(token, ctx));
     }
-
-    /// Timers currently pending (stale generations included — transports
-    /// cancel lazily).
-    pub fn pending_timers(&self) -> usize {
-        self.events.len()
-    }
 }
 
 #[cfg(test)]

@@ -160,11 +160,6 @@ impl SchedulerStats {
     pub fn shifted_per_insert(&self) -> f64 {
         self.shifted as f64 / self.inserts.max(1) as f64
     }
-
-    /// Mean days entered per pop (0 before the first pop).
-    pub fn days_per_pop(&self) -> f64 {
-        self.days_walked as f64 / self.pops.max(1) as f64
-    }
 }
 
 /// log2 of the day width in nanoseconds: 8.192 µs, the scale of the

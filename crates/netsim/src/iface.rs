@@ -70,7 +70,7 @@ impl Ctx<'_> {
 
 /// Progress counters every transport exposes, used for completion records
 /// and end-of-run summaries.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowProgress {
     /// Application bytes confirmed delivered (acked for TCP, received for UDP).
     pub bytes_delivered: u64,

@@ -2,7 +2,7 @@
 //!
 //! The transport state machines keep time as [`SimTime`] (integer
 //! nanoseconds from an arbitrary zero). In simulation that zero is the
-//! run's start; on the socket lane it is the instant the harness started.
+//! run's start; on the socket lane it is the instant `lane::run` started.
 //! [`MonoClock`] pins an [`Instant`] at construction and converts every
 //! later reading into the same nanosecond timeline, so RTO backoff,
 //! pacing intervals, and BBR's update clock run against real elapsed time
@@ -25,25 +25,9 @@ impl MonoClock {
         }
     }
 
-    /// A clock anchored at an externally chosen epoch, so several actors
-    /// (harness thread, shim thread) share one timeline.
-    pub fn at_epoch(epoch: Instant) -> MonoClock {
-        MonoClock { epoch }
-    }
-
-    /// The shared epoch.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// Current time on the lane's timeline.
     pub fn now(&self) -> SimTime {
-        self.stamp(Instant::now())
-    }
-
-    /// Convert an externally taken [`Instant`] onto the timeline.
-    pub fn stamp(&self, at: Instant) -> SimTime {
-        SimTime::from_nanos(at.saturating_duration_since(self.epoch).as_nanos() as u64)
+        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 }
 
@@ -60,16 +44,5 @@ mod tests {
         let b = c.now();
         assert!(b > a, "time went backwards: {a:?} -> {b:?}");
         assert!(b.as_nanos() >= 2_000_000, "slept 2 ms, read {b:?}");
-    }
-
-    #[test]
-    fn shared_epoch_gives_one_timeline() {
-        let epoch = Instant::now();
-        let c1 = MonoClock::at_epoch(epoch);
-        let c2 = MonoClock::at_epoch(epoch);
-        let at = Instant::now();
-        assert_eq!(c1.stamp(at), c2.stamp(at));
-        // An instant before the epoch saturates to zero, never panics.
-        assert_eq!(c1.stamp(epoch), SimTime::ZERO);
     }
 }

@@ -1,27 +1,39 @@
-//! The socket-lane harness.
+//! The socket lane: one I/O-free state machine, and the loop that gives
+//! it sockets and a clock.
 //!
-//! [`run`] drives one congestion-controlled flow over real UDP loopback
-//! sockets: a harness loop on the calling thread owns the transport state
-//! machine (via netsim's [`HostDriver`]) and the two endpoint sockets,
-//! while the [`shim`](mod@crate::shim) thread impairs the path between them
-//! according to a deterministic [`LossPlan`]. All timer-driven machinery
-//! (RTO, pacing, BBR's update clock) runs against the shared
-//! [`MonoClock`], so the transport experiences real elapsed time.
+//! [`Lane`] owns one congestion-controlled flow (both endpoints, driven
+//! through netsim's [`HostDriver`]) and the [`ImpairedPath`] between them.
+//! It never reads a clock or touches a socket: its caller passes `now` to
+//! every call, hands it the datagrams that arrived
+//! ([`Lane::on_datagram`]), tells it when a deadline it asked for has
+//! come ([`Lane::poll_timeout`], [`Lane::on_timeout`]) and puts on the
+//! wire the frames it releases ([`Lane::poll_transmit`]). What the path
+//! has delayed waits inside the lane until its instant comes, so every
+//! surviving packet still crosses the wire as a datagram.
 //!
-//! The harness never inspects the plan itself — losses happen to it, just
-//! as they happen to a sender in the simulator — which is what makes the
+//! [`run`] is that caller for real: one thread, two loopback UDP sockets
+//! connected to each other, a [`MonoClock`] — the only function in this
+//! crate that touches a socket, reads the time or sleeps. Tests drive the
+//! same `Lane` on a stepped clock and hand each released frame straight
+//! back to it (`lossburst_testkit::cross_lane::run_stepped_lane`), which is
+//! deterministic and equals the simulator drop for drop.
+//!
+//! The transport never inspects the plan — losses happen to it, just as
+//! they happen to a sender in the simulator — which is what makes the
 //! resulting loss process comparable across lanes.
 
 use crate::clock::MonoClock;
+use crate::path::{ImpairedPath, Side, Verdict};
 use crate::plan::LossPlan;
-use crate::shim::{self, ShimConfig, ShimReport};
 use crate::wire::{decode_packet, encode_packet, WIRE_HEADER_BYTES};
 use lossburst_netsim::driver::HostDriver;
-use lossburst_netsim::iface::FlowProgress;
+use lossburst_netsim::iface::{FlowProgress, Transport};
 use lossburst_netsim::packet::{FlowId, NodeId, Packet};
-use lossburst_netsim::time::SimDuration;
+use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::config::TcpConfig;
+use std::collections::VecDeque;
+use std::io;
 use std::net::UdpSocket;
 use std::time::Duration;
 
@@ -32,20 +44,16 @@ pub struct SockLaneConfig {
     pub controller: CcAlgorithm,
     /// Seed for the transport's RNG stream (timer fuzz, etc.).
     pub seed: u64,
-    /// Drop schedule applied to forward data arrivals at the shim.
+    /// Drop schedule the path applies to forward data arrivals.
     pub plan: LossPlan,
-    /// Bottleneck rate the shim serializes at, bits/second.
+    /// Bottleneck rate the path serializes at, bits/second.
     pub rate_bps: f64,
     /// Two-way propagation delay of the emulated path.
     pub rtt: SimDuration,
     /// TCP-level configuration (segment size, windows, timers).
     pub tcp: TcpConfig,
-    /// Wall-clock run length.
+    /// Run length (wall-clock under [`run`]).
     pub duration: SimDuration,
-    /// Optional extra path jitter (seeded from `seed`).
-    pub jitter: SimDuration,
-    /// Shim ledger cap; see [`ShimConfig::ledger_horizon`].
-    pub ledger_horizon: usize,
 }
 
 impl SockLaneConfig {
@@ -60,32 +68,155 @@ impl SockLaneConfig {
             rtt: SimDuration::from_millis(10),
             tcp: TcpConfig::default(),
             duration: SimDuration::from_secs(4),
-            jitter: SimDuration::ZERO,
-            ledger_horizon: usize::MAX,
         }
     }
 }
 
 /// What a socket-lane run produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SockLaneResult {
     /// Lane-timeline instants (seconds) of each plan-scheduled drop,
-    /// stamped by the shim at decision time.
+    /// stamped by the path at decision time.
     pub loss_times: Vec<f64>,
-    /// Forward data datagrams the shim observed.
+    /// Forward data packets the path was offered.
     pub forward_arrivals: u64,
     /// Of those, how many were dropped.
     pub forward_drops: u64,
-    /// The shim's byte-per-verdict drop ledger.
+    /// Reverse (ack/feedback) packets the path carried.
+    pub reverse_relayed: u64,
+    /// The path's byte-per-verdict drop ledger.
     pub ledger: Vec<u8>,
     /// Transport-reported progress at the end of the run.
     pub progress: FlowProgress,
-    /// Datagrams the harness sent into the path (both directions).
+    /// Datagrams the lane released onto the wire (both directions).
     pub datagrams_sent: u64,
-    /// Wall-clock seconds the lane actually ran.
+    /// Seconds the lane ran.
     pub elapsed_secs: f64,
-    /// The raw shim report, for diagnostics.
-    pub shim: ShimReport,
+}
+
+/// The lane's flow and its two endpoints.
+const FLOW: FlowId = FlowId(0);
+const SENDER: NodeId = NodeId(0);
+const RECEIVER: NodeId = NodeId(1);
+
+/// One flow, the impaired path under it, and the packets in flight on that
+/// path; see the [module docs](self).
+pub struct Lane {
+    transport: Box<dyn Transport>,
+    driver: HostDriver,
+    path: ImpairedPath,
+    /// Per [`Side`], what the path has delayed, with its release instant.
+    /// FIFO serialization and a fixed delay keep each direction in
+    /// release order.
+    held: [VecDeque<(SimTime, Packet)>; 2],
+    datagrams_sent: u64,
+}
+
+impl Lane {
+    /// A lane for `cfg`, not yet started. A `rate_bps` that cannot
+    /// serialize a packet (zero, negative, not finite) is
+    /// [`io::ErrorKind::InvalidInput`].
+    pub fn new(cfg: &SockLaneConfig) -> io::Result<Lane> {
+        if !(cfg.rate_bps.is_finite() && cfg.rate_bps > 0.0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("rate_bps must be finite and positive, got {}", cfg.rate_bps),
+            ));
+        }
+        let spec = FlowSpec {
+            tcp: cfg.tcp.clone(),
+            rtt_hint: cfg.rtt,
+            limit_bytes: None,
+        };
+        Ok(Lane {
+            transport: cfg.controller.build_flow(SENDER, RECEIVER, &spec),
+            driver: HostDriver::new(cfg.seed, FLOW),
+            path: ImpairedPath::new(cfg.plan.clone(), cfg.rate_bps, cfg.rtt / 2),
+            held: [VecDeque::new(), VecDeque::new()],
+            datagrams_sent: 0,
+        })
+    }
+
+    /// Offer what the transport just emitted to the path; hold survivors.
+    fn emit(&mut self, now: SimTime, out: Vec<(NodeId, Packet)>) {
+        for (_, pkt) in out {
+            if let Verdict::DeliverAt(release) = self.path.offer(now, &pkt) {
+                self.held[Side::of(&pkt) as usize].push_back((release, pkt));
+            }
+        }
+    }
+
+    /// Start the flow.
+    pub fn start(&mut self, now: SimTime) {
+        let out = self.driver.start(self.transport.as_mut(), now);
+        self.emit(now, out);
+    }
+
+    /// Fire every transport timer due at or before `now`.
+    pub fn on_timeout(&mut self, now: SimTime) {
+        let out = self.driver.fire_timers_until(self.transport.as_mut(), now);
+        self.emit(now, out);
+    }
+
+    /// A datagram arrived at one of the endpoints. Anything that is not a
+    /// well-formed frame of this lane's flow, travelling between its two
+    /// endpoints, is ignored.
+    pub fn on_datagram(&mut self, now: SimTime, bytes: &[u8]) {
+        let Some(pkt) = decode_packet(bytes) else {
+            return;
+        };
+        let ends = match Side::of(&pkt) {
+            Side::Sender => (SENDER, RECEIVER),
+            Side::Receiver => (RECEIVER, SENDER),
+        };
+        if pkt.flow != FLOW || (pkt.src, pkt.dst) != ends {
+            return;
+        }
+        let out = self.driver.deliver(self.transport.as_mut(), &pkt, now);
+        self.emit(now, out);
+    }
+
+    /// The earliest head-of-line release among the held queues, and its
+    /// side (the sender's on a tie).
+    fn next_release(&self) -> Option<(SimTime, Side)> {
+        [Side::Sender, Side::Receiver]
+            .into_iter()
+            .filter_map(|side| self.held[side as usize].front().map(|&(t, _)| (t, side)))
+            .min_by_key(|&(t, _)| t)
+    }
+
+    /// The next frame whose release instant has come, and the side whose
+    /// socket sends it.
+    pub fn poll_transmit(&mut self, now: SimTime) -> Option<(Side, [u8; WIRE_HEADER_BYTES])> {
+        let (_, side) = self.next_release().filter(|&(t, _)| t <= now)?;
+        let (_, pkt) = self.held[side as usize].pop_front()?;
+        let mut frame = [0u8; WIRE_HEADER_BYTES];
+        encode_packet(&pkt, &mut frame);
+        self.datagrams_sent += 1;
+        Some((side, frame))
+    }
+
+    /// When the lane next needs [`Lane::on_timeout`] or
+    /// [`Lane::poll_transmit`]: the earlier of the transport's next timer
+    /// and the earliest held release.
+    pub fn poll_timeout(&self) -> Option<SimTime> {
+        let release = self.next_release().map(|(t, _)| t);
+        self.driver.next_timer_at().into_iter().chain(release).min()
+    }
+
+    /// End the run after `elapsed` on the caller's clock.
+    pub fn finish(self, elapsed: SimDuration) -> SockLaneResult {
+        SockLaneResult {
+            loss_times: self.path.loss_times,
+            forward_arrivals: self.path.forward_arrivals,
+            forward_drops: self.path.forward_drops,
+            reverse_relayed: self.path.reverse_relayed,
+            ledger: self.path.ledger,
+            progress: self.transport.progress(),
+            datagrams_sent: self.datagrams_sent,
+            elapsed_secs: elapsed.as_secs_f64(),
+        }
+    }
 }
 
 /// Whether this environment lets us bind and exchange loopback UDP
@@ -113,115 +244,71 @@ pub fn socket_lane_available() -> bool {
     matches!(b.recv_from(&mut buf), Ok((1, _))) && buf[0] == 0xA5
 }
 
-/// How long the harness parks when there is nothing to do right now.
+/// Longest park while a datagram this loop sent may still be in the kernel.
 const IDLE_PARK: Duration = Duration::from_micros(100);
 
-/// Run the lane to completion. Blocks the calling thread for roughly
-/// `cfg.duration` wall-clock time.
-pub fn run(cfg: &SockLaneConfig) -> std::io::Result<SockLaneResult> {
-    let sock_a = UdpSocket::bind("127.0.0.1:0")?; // sender-side endpoint
-    let sock_b = UdpSocket::bind("127.0.0.1:0")?; // receiver-side endpoint
-    let shim_sock = UdpSocket::bind("127.0.0.1:0")?;
-    let shim_addr = shim_sock.local_addr()?;
-    sock_a.set_nonblocking(true)?;
-    sock_b.set_nonblocking(true)?;
+/// Run the lane over loopback UDP to completion. Blocks the calling
+/// thread for `cfg.duration` of wall-clock time.
+pub fn run(cfg: &SockLaneConfig) -> io::Result<SockLaneResult> {
+    let mut lane = Lane::new(cfg)?;
+    // Connected to each other: the kernel discards any other source.
+    let sender = UdpSocket::bind("127.0.0.1:0")?;
+    let receiver = UdpSocket::bind("127.0.0.1:0")?;
+    sender.connect(receiver.local_addr()?)?;
+    receiver.connect(sender.local_addr()?)?;
+    sender.set_nonblocking(true)?;
+    receiver.set_nonblocking(true)?;
 
     let clock = MonoClock::start();
-    let shim_handle = shim::spawn(
-        shim_sock,
-        sock_a.local_addr()?,
-        sock_b.local_addr()?,
-        ShimConfig {
-            plan: cfg.plan.clone(),
-            rate_bps: cfg.rate_bps,
-            one_way_delay: SimDuration::from_nanos(cfg.rtt.as_nanos() / 2),
-            jitter: cfg.jitter,
-            jitter_seed: cfg.seed,
-            ledger_horizon: cfg.ledger_horizon,
-        },
-        clock,
-    )?;
-
-    let (src, dst) = (NodeId(0), NodeId(1));
-    let spec = FlowSpec {
-        tcp: cfg.tcp.clone(),
-        rtt_hint: cfg.rtt,
-        limit_bytes: None,
-    };
-    let mut transport = cfg.controller.build_flow(src, dst, &spec);
-    let mut driver = HostDriver::new(cfg.seed, FlowId(0));
-
-    let mut datagrams_sent = 0u64;
-    let mut frame = [0u8; WIRE_HEADER_BYTES];
-    let mut send_out = |out: Vec<(NodeId, Packet)>, n_sent: &mut u64| -> std::io::Result<()> {
-        for (origin, pkt) in out {
-            encode_packet(&pkt, &mut frame);
-            let from = if origin == src { &sock_a } else { &sock_b };
-            match from.send_to(&frame, shim_addr) {
-                Ok(_) => *n_sent += 1,
-                // A full socket buffer drops the datagram — exactly what a
-                // congested real path does; the transport will recover.
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    };
-
     let started = clock.now();
     let deadline = started + cfg.duration;
-    let out = driver.start(transport.as_mut(), started);
-    send_out(out, &mut datagrams_sent)?;
+    lane.start(started);
 
+    // Sent minus received. This loop is the only sender, so a socket can
+    // become readable only while this is positive; a datagram the kernel
+    // drops leaves it positive, which costs polling, never a hang.
+    let mut in_kernel = 0u64;
     let mut rx = [0u8; 2048];
     loop {
         let now = clock.now();
         if now >= deadline {
             break;
         }
-
-        // Fire due timers (each replayed at its own due time).
-        let out = driver.fire_timers_until(transport.as_mut(), now);
-        send_out(out, &mut datagrams_sent)?;
-
-        // Drain both endpoints; deliveries may emit more packets.
-        let mut delivered_any = false;
-        for endpoint in [&sock_a, &sock_b] {
-            while let Ok((n, _)) = endpoint.recv_from(&mut rx) {
-                if let Some(pkt) = decode_packet(&rx[..n]) {
-                    delivered_any = true;
-                    let out = driver.deliver(transport.as_mut(), &pkt, clock.now());
-                    send_out(out, &mut datagrams_sent)?;
-                }
+        lane.on_timeout(now);
+        while let Some((side, frame)) = lane.poll_transmit(now) {
+            let from = match side {
+                Side::Sender => &sender,
+                Side::Receiver => &receiver,
+            };
+            match from.send(&frame) {
+                Ok(_) => in_kernel += 1,
+                // A full socket buffer drops the datagram — exactly what a
+                // congested real path does; the transport will recover.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
             }
         }
-        if delivered_any {
+
+        let mut received = false;
+        for endpoint in [&sender, &receiver] {
+            while let Ok(n) = endpoint.recv(&mut rx) {
+                received = true;
+                in_kernel = in_kernel.saturating_sub(1);
+                lane.on_datagram(clock.now(), &rx[..n]);
+            }
+        }
+        if received {
             continue; // more may be queued; poll again before sleeping
         }
 
-        // Nothing arrived: park until the next timer or the poll tick.
-        let park = match driver.next_timer_at() {
-            Some(due) if due > now => {
-                Duration::from_nanos(due.since(now).as_nanos()).min(IDLE_PARK)
-            }
-            Some(_) => continue, // already due; fire on next iteration
-            None => IDLE_PARK,
-        };
+        let wake = lane.poll_timeout().map_or(deadline, |t| t.min(deadline));
+        let mut park = Duration::from_nanos(wake.since(now).as_nanos());
+        if in_kernel > 0 {
+            park = park.min(IDLE_PARK);
+        }
         std::thread::sleep(park);
     }
-
-    let elapsed_secs = clock.now().since(started).as_secs_f64();
-    let shim_report = shim_handle.finish();
-    Ok(SockLaneResult {
-        loss_times: shim_report.loss_times.clone(),
-        forward_arrivals: shim_report.forward_arrivals,
-        forward_drops: shim_report.forward_drops,
-        ledger: shim_report.ledger.clone(),
-        progress: transport.progress(),
-        datagrams_sent,
-        elapsed_secs,
-        shim: shim_report,
-    })
+    Ok(lane.finish(clock.now().since(started)))
 }
 
 #[cfg(test)]
@@ -237,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn newreno_moves_data_through_the_shim() {
+    fn newreno_moves_data_over_loopback() {
         if !socket_lane_available() {
             eprintln!("skipping: loopback UDP unavailable in this environment");
             return;
@@ -273,5 +360,72 @@ mod tests {
             res.progress.loss_events > 0,
             "the controller should have noticed losses"
         );
+    }
+
+    /// The lane after its first flight reached the receiver and the ACKs
+    /// are on their way back: both held queues and the timer set are live.
+    fn lane_in_flight() -> (Lane, SimTime) {
+        let mut lane = Lane::new(&quick_cfg(CcAlgorithm::NewReno, 1)).expect("valid config");
+        let mut now = SimTime::ZERO;
+        lane.start(now);
+        for _ in 0..4 {
+            now = lane.poll_timeout().expect("a started lane has work");
+            lane.on_timeout(now);
+            while let Some((_, frame)) = lane.poll_transmit(now) {
+                lane.on_datagram(now, &frame);
+            }
+        }
+        (lane, now)
+    }
+
+    #[test]
+    fn forged_and_truncated_datagrams_are_ignored() {
+        let (mut lane, now) = lane_in_flight();
+        let before = (
+            lane.poll_timeout(),
+            lane.path.clone(),
+            lane.transport.progress(),
+        );
+        assert!(before.0.is_some() && lane.path.reverse_relayed > 0);
+
+        let frame_of = |pkt: &Packet| {
+            let mut frame = [0u8; WIRE_HEADER_BYTES];
+            encode_packet(pkt, &mut frame);
+            frame
+        };
+        // Well-formed, but not this lane's flow, endpoints or direction.
+        let forged = [
+            Packet::data(FlowId(7), SENDER, RECEIVER, u32::MAX, 0),
+            Packet::data(FLOW, NodeId(9), RECEIVER, u32::MAX, 0),
+            Packet::data(FLOW, RECEIVER, SENDER, 1000, 0),
+            Packet::ack(FLOW, SENDER, RECEIVER, 40, u64::MAX),
+            Packet::ack(FLOW, RECEIVER, NodeId(9), 40, u64::MAX),
+        ];
+        for pkt in &forged {
+            lane.on_datagram(now, &frame_of(pkt));
+        }
+        // Not frames at all.
+        let good = frame_of(&Packet::ack(FLOW, RECEIVER, SENDER, 40, 1));
+        lane.on_datagram(now, &good[..WIRE_HEADER_BYTES - 1]);
+        lane.on_datagram(now, &[]);
+        lane.on_datagram(now, &[0xA5; 2048]);
+
+        let after = (
+            lane.poll_timeout(),
+            lane.path.clone(),
+            lane.transport.progress(),
+        );
+        assert_eq!(after, before);
+        assert!(lane.poll_transmit(now).is_none());
+    }
+
+    #[test]
+    fn a_rate_that_cannot_serialize_is_invalid_input() {
+        for rate_bps in [0.0, -40e6, f64::INFINITY, f64::NAN] {
+            let mut cfg = quick_cfg(CcAlgorithm::NewReno, 1);
+            cfg.rate_bps = rate_bps;
+            let err = run(&cfg).expect_err("no run at an impossible rate");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rate_bps}");
+        }
     }
 }

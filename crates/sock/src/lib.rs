@@ -2,8 +2,8 @@
 //!
 //! The real-socket transport lane: the same [`Transport`] state machines
 //! the simulator drives (`lossburst-transport`'s NewReno, CUBIC, BBR, …)
-//! running over `std::net::UdpSocket` on loopback, with real threads and a
-//! monotonic clock — no async runtime, per the workspace's offline
+//! running over `std::net::UdpSocket` on loopback against a monotonic
+//! clock — one thread, no async runtime, per the workspace's offline
 //! vendoring policy.
 //!
 //! The lane exists for *cross-validation*: simulator-only conclusions
@@ -24,12 +24,15 @@
 //!   decisions generated from a seeded Gilbert process, convertible to
 //!   the [`DropScript`] the simulated lanes replay at their bottleneck
 //!   queues;
-//! * [`shim`] — the impairment shim that sits in the datagram path and
-//!   applies the plan (drop), a bottleneck serialization model (delay),
-//!   and optional seeded jitter, writing a replayable decision ledger;
-//! * [`lane`] — the harness tying it together: one thread drives the
-//!   `Transport` over two endpoint sockets, the shim thread impairs the
-//!   path between them.
+//! * [`path`] — the impaired path as a value: per offered packet, the
+//!   plan's verdict (drop) or a bottleneck serialization model plus
+//!   propagation delay (deliver at), and a replayable decision ledger;
+//! * [`lane`] — [`lane::Lane`], the I/O-free state machine that owns the
+//!   `Transport`, the path and the packets the path has delayed, advanced
+//!   by its caller with an explicit `now`; and [`lane::run`], the one
+//!   function that gives it two connected loopback sockets and a clock.
+//!   Tests drive the same `Lane` on a stepped clock, where it equals the
+//!   simulator drop for drop.
 //!
 //! [`Transport`]: lossburst_netsim::iface::Transport
 //! [`Packet`]: lossburst_netsim::packet::Packet
@@ -40,15 +43,14 @@
 
 pub mod clock;
 pub mod lane;
+pub mod path;
 pub mod plan;
-pub mod shim;
 pub mod wire;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::clock::MonoClock;
-    pub use crate::lane::{socket_lane_available, SockLaneConfig, SockLaneResult};
+    pub use crate::lane::{socket_lane_available, Lane, SockLaneConfig, SockLaneResult};
     pub use crate::plan::LossPlan;
-    pub use crate::shim::{ShimConfig, ShimReport};
     pub use crate::wire::{decode_packet, encode_packet, WIRE_HEADER_BYTES};
 }

@@ -5,8 +5,8 @@
 //! space* is "forward data packets arriving at the bottleneck", which is
 //! identical across lanes even though arrival *times* differ: the netsim
 //! and emu lanes replay the plan through a scripted [`QueueDisc`]
-//! ([`LossPlan::to_drop_script`]), and the socket lane's impairment shim
-//! consults [`LossPlan::decide`] for each forward datagram it relays.
+//! ([`LossPlan::to_drop_script`]), and the socket lane's impaired path
+//! consults [`LossPlan::decide`] for each forward packet it is offered.
 //! Same (seed, parameters) → same decisions in every lane, which is what
 //! makes the cross-lane conformance gate meaningful.
 //!

@@ -5,7 +5,7 @@
 //! flags, TFRC feedback rates — crosses the wire, so the `Sender` state
 //! machines behave identically whether a packet arrived through the
 //! simulator's links or through a socket. The declared `size_bytes` also
-//! crosses: the impairment shim serializes *that* size at the bottleneck
+//! crosses: the impaired path serializes *that* size at the bottleneck
 //! rate (the datagram itself stays header-sized, which keeps loopback
 //! cheap while the emulated path behaves like full-MTU packets).
 //!

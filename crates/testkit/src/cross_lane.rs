@@ -10,7 +10,8 @@
 //! * **emu** — the Fig 1 [`Testbed`](lossburst_emu::testbed) dumbbell,
 //!   stripped to one flow and the same scripted bottleneck;
 //! * **sock** — the real-socket lane: the identical transport state
-//!   machine over UDP loopback, the plan applied by the impairment shim.
+//!   machine over UDP loopback, the plan applied by the lane's impaired
+//!   path.
 //!
 //! Each lane yields a loss process; [`check_cross_lane_agreement`] gates
 //! on pairwise statistical agreement (the PR 7 hybrid machinery: loss
@@ -18,6 +19,12 @@
 //! per-lane Gilbert fit that must recover the plan's generating
 //! parameters — so a lane that replays the wrong plan, mis-scales its
 //! path, or mangles burst structure fails loudly.
+//!
+//! The socket lane is one I/O-free state machine, so it also runs on a
+//! stepped clock ([`run_stepped_lane`]: no socket, no sleep). There it is
+//! held to the netsim lane *exactly* — [`check_stepped_lane_equals_netsim`]
+//! — which pins `HostDriver`, the wire codec's round trip and the path
+//! model against `Simulator`, `Link` and the scripted queue, bit for bit.
 
 use crate::conformance::{check_hybrid_agreement, HybridTolerance};
 use crate::scenarios::EPISODE_GAP_RTT;
@@ -31,7 +38,7 @@ use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::RttAssignment;
 use lossburst_netsim::trace::TraceConfig;
-use lossburst_sock::lane::{self, SockLaneConfig};
+use lossburst_sock::lane::{self, Lane, SockLaneConfig, SockLaneResult};
 use lossburst_sock::plan::LossPlan;
 use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::config::TcpConfig;
@@ -177,11 +184,17 @@ fn arrivals_for_drops(plan: &LossPlan, drops: u64) -> u64 {
     plan.len() as u64
 }
 
+/// What the netsim lane observed, unreduced.
+struct NetsimRun {
+    loss_times: Vec<f64>,
+    arrivals: u64,
+    bytes_delivered: u64,
+}
+
 /// Run the scenario on the discrete-event simulator: two hosts, a
 /// scripted forward bottleneck, a clean reverse path.
-pub fn run_netsim_lane(sc: &CrossLaneScenario) -> LaneStats {
-    let plan = sc.plan();
-    let owd = SimDuration::from_nanos(sc.rtt.as_nanos() / 2);
+fn simulate_netsim_lane(sc: &CrossLaneScenario, plan: &LossPlan) -> NetsimRun {
+    let owd = sc.rtt / 2;
     let mut b = SimBuilder::new(sc.seed).trace(TraceConfig::default());
     let src = b.host();
     let dst = b.host();
@@ -202,9 +215,24 @@ pub fn run_netsim_lane(sc: &CrossLaneScenario) -> LaneStats {
     b.flow(src, dst, SimTime::ZERO, t);
     let mut sim = b.build();
     sim.run_until(SimTime::ZERO + sc.duration);
-    let loss_times = sim.trace.loss_times_on(fwd);
-    let arrivals = sim.links[fwd.index()].stats.arrived;
-    lane_stats("netsim", &loss_times, sc.rtt.as_secs_f64(), arrivals, &plan)
+    NetsimRun {
+        loss_times: sim.trace.loss_times_on(fwd),
+        arrivals: sim.links[fwd.index()].stats.arrived,
+        bytes_delivered: sim.flow_summaries()[0].bytes_delivered,
+    }
+}
+
+/// The netsim lane: [`LaneStats`] of the two-host simulation.
+pub fn run_netsim_lane(sc: &CrossLaneScenario) -> LaneStats {
+    let plan = sc.plan();
+    let run = simulate_netsim_lane(sc, &plan);
+    lane_stats(
+        "netsim",
+        &run.loss_times,
+        sc.rtt.as_secs_f64(),
+        run.arrivals,
+        &plan,
+    )
 }
 
 /// Run the scenario through the Fig 1 testbed, stripped to one flow and
@@ -231,20 +259,78 @@ pub fn run_emu_lane(sc: &CrossLaneScenario) -> LaneStats {
     )
 }
 
-/// Run the scenario on the real-socket lane. Blocks for roughly the
-/// scenario duration in wall-clock time; call
+/// Run the scenario on the real-socket lane. Blocks for the scenario
+/// duration in wall-clock time; call
 /// [`socket_lane_available`](lossburst_sock::lane::socket_lane_available)
 /// first on environments that may forbid socket binds.
 pub fn run_sock_lane(sc: &CrossLaneScenario) -> std::io::Result<LaneStats> {
-    let plan = sc.plan();
     let res = lane::run(&sc.sock_config())?;
     Ok(lane_stats(
         "sock",
         &res.loss_times,
         sc.rtt.as_secs_f64(),
         res.forward_arrivals,
-        &plan,
+        &sc.plan(),
     ))
+}
+
+/// Drive the socket lane's state machine on a stepped clock: the clock
+/// jumps to each instant the lane asks for and a released frame is handed
+/// straight back to it, still through the wire codec. No socket, no
+/// sleep; equal inputs give equal results.
+pub fn run_stepped_lane(cfg: &SockLaneConfig) -> SockLaneResult {
+    let mut lane = Lane::new(cfg).expect("the scenario's rate serializes");
+    let deadline = SimTime::ZERO + cfg.duration;
+    let mut now = SimTime::ZERO;
+    lane.start(now);
+    while let Some(t) = lane.poll_timeout().filter(|&t| t < deadline) {
+        now = now.max(t); // a zero-delay timer must not walk the clock back
+        lane.on_timeout(now);
+        while let Some((_, frame)) = lane.poll_transmit(now) {
+            lane.on_datagram(now, &frame);
+        }
+    }
+    lane.finish(cfg.duration)
+}
+
+/// The exact oracle: the stepped socket lane and the netsim lane must
+/// agree bit for bit — drop instants, forward arrivals, drops and bytes
+/// delivered — the stepped ledger must be the plan's prefix, and a second
+/// stepped run must equal the first.
+pub fn check_stepped_lane_equals_netsim(sc: &CrossLaneScenario) -> Result<(), String> {
+    let label = format!("{}:{}", sc.controller.name(), sc.seed);
+    let cfg = sc.sock_config();
+    let stepped = run_stepped_lane(&cfg);
+    let netsim = simulate_netsim_lane(sc, &cfg.plan);
+    if stepped.loss_times != netsim.loss_times {
+        let at = stepped
+            .loss_times
+            .iter()
+            .zip(&netsim.loss_times)
+            .position(|(a, b)| a != b);
+        return Err(format!(
+            "{label}: drop instants differ (stepped {} drops, netsim {}, first mismatch at {at:?})",
+            stepped.loss_times.len(),
+            netsim.loss_times.len()
+        ));
+    }
+    let ours = (stepped.forward_arrivals, stepped.progress.bytes_delivered);
+    let theirs = (netsim.arrivals, netsim.bytes_delivered);
+    if ours != theirs {
+        return Err(format!(
+            "{label}: (forward arrivals, bytes delivered) stepped {ours:?} vs netsim {theirs:?}"
+        ));
+    }
+    if stepped.forward_drops as usize != stepped.loss_times.len() {
+        return Err(format!("{label}: drop count and drop instants disagree"));
+    }
+    if stepped.ledger != cfg.plan.ledger_prefix(stepped.forward_arrivals as usize) {
+        return Err(format!("{label}: the ledger is not the plan's prefix"));
+    }
+    if run_stepped_lane(&cfg) != stepped {
+        return Err(format!("{label}: two stepped runs differ"));
+    }
+    Ok(())
 }
 
 /// The cross-lane agreement envelope.

@@ -45,8 +45,9 @@ pub mod prelude {
         HybridTolerance,
     };
     pub use crate::cross_lane::{
-        check_cross_lane_agreement, run_emu_lane, run_netsim_lane, run_sock_lane,
-        CrossLaneScenario, CrossLaneTolerance, LaneStats,
+        check_cross_lane_agreement, check_stepped_lane_equals_netsim, run_emu_lane,
+        run_netsim_lane, run_sock_lane, run_stepped_lane, CrossLaneScenario, CrossLaneTolerance,
+        LaneStats,
     };
     pub use crate::determinism::{
         assert_policies_agree, dumbbell_trace, trace_bytes, POLICY_MATRIX, SEED_MATRIX,

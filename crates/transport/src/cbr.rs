@@ -2,10 +2,10 @@
 //!
 //! The paper's key methodological move is to probe paths with CBR traffic
 //! instead of TCP, so that the measured loss pattern is not contaminated by
-//! TCP's own sub-RTT burstiness. The receiver half records every arrival
-//! `(sequence, time)`; post-processing reconstructs which packets were lost
-//! and when (a lost packet's nominal send time is known exactly because the
-//! source is constant-rate).
+//! TCP's own sub-RTT burstiness. The receiver half detects sequence gaps
+//! as packets arrive ([`Cbr::streaming`]); post-processing reconstructs
+//! when each lost packet was sent (its nominal send time is known exactly
+//! because the source is constant-rate).
 
 use crate::timer::{token, untoken, TimerKind};
 use lossburst_netsim::event::TimerToken;
@@ -13,15 +13,6 @@ use lossburst_netsim::iface::{Ctx, FlowProgress, Transport};
 use lossburst_netsim::packet::{NodeId, Packet, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use std::any::Any;
-
-/// One recorded arrival at the probe receiver.
-#[derive(Clone, Copy, Debug)]
-pub struct Arrival {
-    /// Sequence number of the packet.
-    pub seq: u64,
-    /// Arrival instant.
-    pub time: SimTime,
-}
 
 /// A CBR flow: fixed-size packets at fixed intervals.
 pub struct Cbr {
@@ -31,14 +22,12 @@ pub struct Cbr {
     interval: SimDuration,
     /// Stop after this many packets (None = run until the horizon).
     limit: Option<u64>,
-    record_arrivals: bool,
 
     seq: u64,
     send_gen: u64,
     first_send: Option<SimTime>,
 
     received: u64,
-    arrivals: Vec<Arrival>,
 
     // Streaming gap detection (see [`Cbr::streaming`]).
     track_gaps: bool,
@@ -71,12 +60,10 @@ impl Cbr {
             packet_bytes,
             interval,
             limit: None,
-            record_arrivals: false,
             seq: 0,
             send_gen: 0,
             first_send: None,
             received: 0,
-            arrivals: Vec::new(),
             track_gaps: false,
             next_expected: 0,
             gap_lost: Vec::new(),
@@ -89,19 +76,11 @@ impl Cbr {
         self
     }
 
-    /// Keep the per-arrival log (probe receivers need it; noise flows don't).
-    pub fn recording(mut self) -> Cbr {
-        self.record_arrivals = true;
-        self
-    }
-
-    /// Streaming receiver mode: detect sequence gaps online instead of
-    /// logging every arrival. Delivery over this simulator's FIFO queues is
-    /// in sequence order, so each arrival whose sequence number jumps past
-    /// `next_expected` reveals the skipped packets as losses, in exactly
-    /// the order [`Cbr::lost_seqs`] would report them after a recording
-    /// run. Receiver state becomes O(losses) instead of O(packets
-    /// received) — the dominant per-run buffer on long probe runs.
+    /// Probe receiver mode (noise flows don't need it): detect sequence
+    /// gaps online. Delivery over this simulator's FIFO queues is in
+    /// sequence order, so each arrival whose sequence number jumps past
+    /// `next_expected` reveals the skipped packets as losses, in increasing
+    /// order. Receiver state is O(losses), not O(packets received).
     pub fn streaming(mut self) -> Cbr {
         self.track_gaps = true;
         self
@@ -127,47 +106,25 @@ impl Cbr {
         self.first_send
     }
 
-    /// The arrival log (empty unless [`Cbr::recording`]).
-    pub fn arrivals(&self) -> &[Arrival] {
-        &self.arrivals
-    }
-
-    /// Sequence numbers sent but missing from the arrival log — the lost
-    /// packets, assuming the run has fully drained. Works in both receiver
-    /// modes: a [`Cbr::recording`] run scans the arrival log, a
-    /// [`Cbr::streaming`] run returns the gaps detected online plus the
-    /// tail of packets never seen (`next_expected..sent`); both yield the
-    /// same increasing sequence.
+    /// Sequence numbers sent but never received — the lost packets,
+    /// assuming the run has fully drained: the gaps a [`Cbr::streaming`]
+    /// receiver detected online plus the tail of packets never seen
+    /// (`next_expected..sent`), in increasing order. Empty for a receiver
+    /// that is not streaming.
     pub fn lost_seqs(&self) -> Vec<u64> {
-        if self.track_gaps {
-            return self
-                .gap_lost
-                .iter()
-                .copied()
-                .chain(self.next_expected..self.seq)
-                .collect();
-        }
-        if !self.record_arrivals {
+        if !self.track_gaps {
             return Vec::new();
         }
-        let mut seen = vec![false; self.seq as usize];
-        for a in &self.arrivals {
-            if (a.seq as usize) < seen.len() {
-                seen[a.seq as usize] = true;
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|(_, s)| !**s)
-            .map(|(i, _)| i as u64)
+        self.gap_lost
+            .iter()
+            .copied()
+            .chain(self.next_expected..self.seq)
             .collect()
     }
 
-    /// Bytes committed to receiver-side buffers (capacities): the arrival
-    /// log in recording mode, the much smaller gap list in streaming mode.
+    /// Bytes committed to the receiver-side gap list (its capacity).
     pub fn receiver_buffer_bytes(&self) -> usize {
-        self.arrivals.capacity() * std::mem::size_of::<Arrival>()
-            + self.gap_lost.capacity() * std::mem::size_of::<u64>()
+        self.gap_lost.capacity() * std::mem::size_of::<u64>()
     }
 
     /// The nominal emission time of packet `seq` (CBR makes this exact).
@@ -197,15 +154,9 @@ impl Transport for Cbr {
         self.fire(ctx);
     }
 
-    fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
+    fn on_packet(&mut self, pkt: &Packet, _ctx: &mut Ctx) {
         if pkt.kind == PacketKind::Data {
             self.received += 1;
-            if self.record_arrivals {
-                self.arrivals.push(Arrival {
-                    seq: pkt.seq,
-                    time: ctx.now,
-                });
-            }
             if self.track_gaps && pkt.seq >= self.next_expected {
                 for missed in self.next_expected..pkt.seq {
                     self.gap_lost.push(missed);
@@ -273,7 +224,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(20).recording()),
+            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(20).streaming()),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
         let cbr = sim.flows[flow.index()]
@@ -285,12 +236,6 @@ mod tests {
         assert_eq!(cbr.sent(), 20);
         assert_eq!(cbr.received(), 20);
         assert!(cbr.lost_seqs().is_empty());
-        // Arrivals evenly spaced by 50 ms.
-        let arr = cbr.arrivals();
-        for w in arr.windows(2) {
-            let gap = w[1].time - w[0].time;
-            assert_eq!(gap, SimDuration::from_millis(50));
-        }
     }
 
     #[test]
@@ -300,7 +245,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(5).recording()),
+            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(5)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
         let cbr = sim.flows[flow.index()]
@@ -330,7 +275,7 @@ mod tests {
             a,
             b,
             SimTime::ZERO,
-            Box::new(Cbr::new(a, b, 400, 1_000_000.0).with_limit(50).recording()),
+            Box::new(Cbr::new(a, b, 400, 1_000_000.0).with_limit(50).streaming()),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
         let cbr = sim.flows[flow.index()]
@@ -344,50 +289,6 @@ mod tests {
         assert_eq!(lost.len() as u64 + cbr.received(), 50);
         // Drop trace agrees with receiver-side inference.
         assert_eq!(sim.total_drops() as usize, lost.len());
-    }
-
-    #[test]
-    fn streaming_mode_matches_recording_mode() {
-        // A low-loss path (the probe regime the paper measures), run twice:
-        // once logging every arrival, once detecting gaps online. The two
-        // receivers must infer the identical loss set, and the streaming
-        // one must hold strictly less buffer (O(losses) vs O(received)).
-        let run = |streaming: bool| {
-            let mut bld = SimBuilder::new(2).trace(TraceConfig::all());
-            let a = bld.host();
-            let b = bld.host();
-            bld.link(
-                a,
-                b,
-                1_000_000.0,
-                SimDuration::from_millis(5),
-                QueueDisc::scripted(64, DropScript::at([3, 7, 8, 120, 199])),
-            );
-            let mut sim = bld.build();
-            let cbr = Cbr::new(a, b, 400, 64_000.0).with_limit(200);
-            let cbr = if streaming {
-                cbr.streaming()
-            } else {
-                cbr.recording()
-            };
-            let flow = sim.add_flow(a, b, SimTime::ZERO, Box::new(cbr));
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(15));
-            let cbr = sim.flows[flow.index()]
-                .transport
-                .as_any()
-                .downcast_ref::<Cbr>()
-                .unwrap();
-            (cbr.lost_seqs(), cbr.received(), cbr.receiver_buffer_bytes())
-        };
-        let (lost_rec, recv_rec, bytes_rec) = run(false);
-        let (lost_str, recv_str, bytes_str) = run(true);
-        assert!(!lost_rec.is_empty());
-        assert_eq!(lost_rec, lost_str);
-        assert_eq!(recv_rec, recv_str);
-        assert!(
-            bytes_str < bytes_rec,
-            "streaming receiver should buffer less ({bytes_str} vs {bytes_rec})"
-        );
     }
 
     #[test]
@@ -430,7 +331,7 @@ mod tests {
             a,
             b,
             start,
-            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(3).recording()),
+            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(3)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         let cbr = sim.flows[flow.index()]

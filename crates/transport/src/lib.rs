@@ -67,7 +67,7 @@ pub mod timer;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::cbr::{Arrival, Cbr};
+    pub use crate::cbr::Cbr;
     pub use crate::cc::{
         AckEvent, AckPhase, CcAlgorithm, CcConfig, CongestionEvent, CongestionKind, Controller,
         ControllerFactory, FlowSpec,

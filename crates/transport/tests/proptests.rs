@@ -197,7 +197,7 @@ fn cbr_accounting() {
             Box::new(
                 Cbr::new(src, dst, 200, pps * 200.0 * 8.0)
                     .with_limit(200)
-                    .recording(),
+                    .streaming(),
             ),
         );
         let mut sim = b.build();

@@ -34,6 +34,8 @@ const GONE: &[(&str, u32)] = &[
         20,
     ),
     ("calendar_stays_tuned_on_the_dumbbell_at_three_scales", 20),
+    ("socklane_perf", 21),
+    ("BENCH_SOCKLANE.json", 21),
 ];
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
