@@ -8,7 +8,6 @@
 //! for: the ratio against the Poisson process with the same rate, and the
 //! index of dispersion for counts.
 
-use crate::intervals;
 use crate::poisson;
 use crate::stats;
 
@@ -66,12 +65,6 @@ pub fn analyze(intervals_rtt: &[f64]) -> BurstinessReport {
     }
 }
 
-/// Compute the report straight from loss timestamps (seconds) and the path
-/// RTT (seconds).
-pub fn analyze_times(times: &[f64], rtt_secs: f64) -> BurstinessReport {
-    analyze(&intervals::normalized_intervals(times, rtt_secs))
-}
-
 /// Event counts in consecutive windows of `window` (same unit as `times`).
 pub fn counts_in_windows(times: &[f64], window: f64) -> Vec<u64> {
     assert!(window > 0.0);
@@ -93,7 +86,7 @@ pub fn counts_in_windows(times: &[f64], window: f64) -> Vec<u64> {
 
 /// Index of dispersion for counts: variance/mean of per-window counts.
 /// Equals 1 for a Poisson process; ≫ 1 for clustered (bursty) processes.
-pub fn index_of_dispersion(counts: &[u64]) -> f64 {
+pub(crate) fn index_of_dispersion(counts: &[u64]) -> f64 {
     if counts.len() < 2 {
         return 0.0;
     }

@@ -27,7 +27,7 @@ pub struct Episode {
 
 impl Episode {
     /// Episode duration (0 for single-loss episodes).
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.end - self.start
     }
 }

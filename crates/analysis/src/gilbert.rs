@@ -31,24 +31,6 @@ impl GilbertParams {
             self.p / (self.p + self.r)
         }
     }
-
-    /// Mean loss-burst length in packets, `1 / r`.
-    pub fn mean_burst(&self) -> f64 {
-        if self.r <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / self.r
-        }
-    }
-
-    /// Burstiness factor `(1 − p) / r` (1 ⇒ memoryless).
-    pub fn burstiness(&self) -> f64 {
-        if self.r <= 0.0 {
-            f64::INFINITY
-        } else {
-            (1.0 - self.p) / self.r
-        }
-    }
 }
 
 /// Maximum-likelihood fit from a per-packet loss sequence
@@ -192,8 +174,6 @@ mod tests {
     fn derived_quantities() {
         let g = GilbertParams { p: 0.01, r: 0.25 };
         assert!((g.loss_rate() - 0.01 / 0.26).abs() < 1e-12);
-        assert!((g.mean_burst() - 4.0).abs() < 1e-12);
-        assert!((g.burstiness() - 0.99 / 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -207,11 +187,12 @@ mod tests {
 
     #[test]
     fn memoryless_sequence_has_burstiness_near_one() {
-        // Bernoulli(0.1) losses: r should be ≈ 0.9, burstiness ≈ 1.
+        // Bernoulli(0.1) losses: r should be ≈ 0.9, (1 − p) / r ≈ 1.
         let mut u = rng(7);
         let seq: Vec<bool> = (0..200_000).map(|_| u() < 0.1).collect();
         let g = fit(&seq).unwrap();
-        assert!((g.burstiness() - 1.0).abs() < 0.1, "b {}", g.burstiness());
+        let b = (1.0 - g.p) / g.r;
+        assert!((b - 1.0).abs() < 0.1, "b {b}");
     }
 
     #[test]

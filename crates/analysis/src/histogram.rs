@@ -16,9 +16,9 @@ pub const PAPER_RANGE: f64 = 2.0;
 #[derive(Clone, Debug)]
 pub struct Histogram {
     /// Bin width.
-    pub bin_width: f64,
+    pub(crate) bin_width: f64,
     /// Upper edge of the binned range.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Raw counts per bin.
     pub bins: Vec<u64>,
     /// Observations ≥ `max`.
@@ -41,11 +41,6 @@ impl Histogram {
         }
     }
 
-    /// The paper's geometry: 0.02 RTT bins over 0–2 RTT.
-    pub fn paper_geometry() -> Histogram {
-        Histogram::new(PAPER_BIN_WIDTH, PAPER_RANGE)
-    }
-
     /// Build from a sample.
     pub fn from_values(values: &[f64], bin_width: f64, max: f64) -> Histogram {
         let mut h = Histogram::new(bin_width, max);
@@ -56,7 +51,7 @@ impl Histogram {
     }
 
     /// Add one observation (negative values clamp into the first bin).
-    pub fn add(&mut self, v: f64) {
+    pub(crate) fn add(&mut self, v: f64) {
         self.total += 1;
         if v >= self.max {
             self.overflow += 1;
@@ -74,7 +69,7 @@ impl Histogram {
     /// the merge is exact: merging per-shard histograms yields bit-for-bit
     /// the histogram a single pass over the concatenated observations
     /// builds. Panics if the two histograms' geometries differ.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         assert!(
             self.bin_width == other.bin_width
                 && self.max == other.max
@@ -161,13 +156,6 @@ mod tests {
         let h = Histogram::from_values(&values, 0.02, 2.0);
         let mass: f64 = h.pdf().iter().sum();
         assert!((mass + h.overflow_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_geometry_has_100_bins() {
-        let h = Histogram::paper_geometry();
-        assert_eq!(h.bins.len(), 100);
-        assert_eq!(h.bin_width, 0.02);
     }
 
     #[test]

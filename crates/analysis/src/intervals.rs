@@ -39,15 +39,8 @@ pub fn has_nan(values: &[f64]) -> bool {
     values.iter().any(|v| v.is_nan())
 }
 
-/// Normalize raw intervals (seconds) by a path RTT (seconds), yielding
-/// intervals in RTT units.
-pub fn normalize_by_rtt(intervals: &[f64], rtt_secs: f64) -> Vec<f64> {
-    let mut out = intervals.to_vec();
-    normalize_by_rtt_in_place(&mut out, rtt_secs);
-    out
-}
-
-/// In-place variant of [`normalize_by_rtt`] for callers that own the
+/// Normalize raw intervals (seconds) by a path RTT (seconds) in place,
+/// yielding intervals in RTT units; for callers that own the
 /// interval buffer and don't need the raw seconds afterwards.
 pub fn normalize_by_rtt_in_place(intervals: &mut [f64], rtt_secs: f64) {
     assert!(rtt_secs > 0.0, "RTT must be positive");
@@ -99,28 +92,16 @@ mod tests {
     }
 
     #[test]
+    fn normalization_divides_by_rtt() {
+        let mut iv = [0.05, 0.1];
+        normalize_by_rtt_in_place(&mut iv, 0.05);
+        assert_eq!(iv, [1.0, 2.0]);
+    }
+
+    #[test]
     fn degenerate_inputs() {
         assert!(inter_event_intervals(&[]).is_empty());
         assert!(inter_event_intervals(&[5.0]).is_empty());
-    }
-
-    #[test]
-    fn normalization_divides_by_rtt() {
-        let iv = [0.05, 0.1];
-        let norm = normalize_by_rtt(&iv, 0.05);
-        assert_eq!(norm, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn in_place_normalization_matches_allocating_variant() {
-        let iv = [0.05, 0.1, 0.003, 7.25];
-        let allocated = normalize_by_rtt(&iv, 0.007);
-        let mut owned = iv.to_vec();
-        normalize_by_rtt_in_place(&mut owned, 0.007);
-        assert_eq!(
-            allocated.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            owned.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     /// The pre-refactor implementation: unconditional clone + sort, then a

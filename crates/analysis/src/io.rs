@@ -123,7 +123,7 @@ pub fn write_series_columns(
 
 /// Write a multi-series table from column slices to an arbitrary writer;
 /// see [`write_series_columns`].
-pub fn write_series_columns_to<W: Write>(
+pub(crate) fn write_series_columns_to<W: Write>(
     mut w: W,
     header: &str,
     columns: &[&str],

@@ -38,30 +38,13 @@ pub mod streaming;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::autocorr::autocorrelation;
-    pub use crate::burstiness::{
-        analyze, analyze_times, counts_in_windows, index_of_dispersion, BurstinessReport,
-    };
-    pub use crate::episodes::{
-        conditional_loss_probability, episode_report, episodes, Episode, EpisodeReport,
-    };
-    pub use crate::error::{Error, Result};
+    pub use crate::burstiness::analyze;
+    pub use crate::episodes::{conditional_loss_probability, episode_report, episodes};
     pub use crate::gilbert::{fit as gilbert_fit, generate as gilbert_generate, GilbertParams};
     pub use crate::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
-    pub use crate::intervals::{
-        inter_event_intervals, normalize_by_rtt, normalize_by_rtt_in_place, normalized_intervals,
-    };
-    pub use crate::io::{
-        read_loss_trace, read_loss_trace_file, write_loss_trace, write_loss_trace_to, write_series,
-        write_series_to,
-    };
+    pub use crate::intervals::normalized_intervals;
+    pub use crate::io::{read_loss_trace, write_series_to};
     pub use crate::poisson::{rate_from_intervals, reference_cdf, reference_pdf};
-    pub use crate::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-    pub use crate::stats::{
-        bootstrap_ci, ci95_halfwidth, fraction_below, jain_fairness, ks_statistic, mean, quantile,
-        summarize, variance, Summary,
-    };
-    pub use crate::streaming::{
-        AutocorrRing, EpisodeTracker, GilbertFit, IntervalHist, LossStreamStats, StreamConfig,
-        Welford, WindowCounter,
-    };
+    pub use crate::report::{ascii_pdf_plot, burstiness_summary};
+    pub use crate::stats::{bootstrap_ci, mean};
 }

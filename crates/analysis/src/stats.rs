@@ -1,22 +1,5 @@
 //! Basic descriptive statistics used throughout the analysis toolkit.
 
-/// Summary statistics of a sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Unbiased sample variance.
-    pub var: f64,
-    /// Sample standard deviation.
-    pub stddev: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
 /// Mean of a sample (0 for an empty one).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -34,32 +17,8 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Full summary of a sample.
-pub fn summarize(xs: &[f64]) -> Summary {
-    let n = xs.len();
-    let m = mean(xs);
-    let v = variance(xs);
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &x in xs {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    if n == 0 {
-        lo = 0.0;
-        hi = 0.0;
-    }
-    Summary {
-        n,
-        mean: m,
-        var: v,
-        stddev: v.sqrt(),
-        min: lo,
-        max: hi,
-    }
-}
-
 /// `q`-quantile (0 ≤ q ≤ 1) by linear interpolation on the sorted sample.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -78,7 +37,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// NaN-rejecting quantiles, one per entry of `qs` and in that order:
-/// [`quantile`]'s interpolation rule, but the sort uses `f64::total_cmp`
+/// `quantile`'s interpolation rule, but the sort uses `f64::total_cmp`
 /// and any NaN in the sample makes the whole estimate `None` instead of
 /// panicking (or silently mis-sorting). The sample is scanned and sorted
 /// once however many quantiles are asked for.
@@ -129,15 +88,6 @@ pub fn tail_mass(xs: &[f64]) -> Option<f64> {
     Some(p99 / median)
 }
 
-/// Half-width of the 95% normal-approximation confidence interval on the
-/// mean.
-pub fn ci95_halfwidth(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    1.96 * variance(xs).sqrt() / (xs.len() as f64).sqrt()
-}
-
 /// Jain's fairness index `(Σx)² / (n·Σx²)`: 1 when all shares are equal,
 /// `1/n` when one member takes everything.
 pub fn jain_fairness(xs: &[f64]) -> f64 {
@@ -154,7 +104,7 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 }
 
 /// Fraction of observations strictly below `threshold`.
-pub fn fraction_below(xs: &[f64], threshold: f64) -> f64 {
+pub(crate) fn fraction_below(xs: &[f64], threshold: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -237,9 +187,6 @@ mod tests {
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(quantile(&[], 0.5), 0.0);
         assert_eq!(fraction_below(&[], 1.0), 0.0);
-        let s = summarize(&[]);
-        assert_eq!(s.n, 0);
-        assert_eq!(s.min, 0.0);
     }
 
     #[test]
@@ -397,13 +344,6 @@ mod tests {
         assert_eq!((lo, hi), again);
         // Degenerate inputs.
         assert_eq!(bootstrap_ci(&[], 0.95, 100, 1, frac), (0.0, 0.0));
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let few: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let many: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
-        assert!(ci95_halfwidth(&many) < ci95_halfwidth(&few));
     }
 
     #[test]

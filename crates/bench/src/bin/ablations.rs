@@ -4,7 +4,9 @@
 //! 2. neither can multiplexing level (§4.1, citing Jiang & Dovrolis);
 //! 3. slow start of short flows is an independent burstiness source (§3.3);
 //! 4. RED de-bursts the loss process but its parameters are touchy (§5);
-//! 5. the Fig 8 straggler problem under different recovery mechanics
+//! 5. it survives a path that crosses several congested hops, where the
+//!    paper measured a single bottleneck (parking-lot topology);
+//! 6. the Fig 8 straggler problem under different recovery mechanics
 //!    (NewReno vs SACK vs delay-based, and the minimum RTO).
 
 use lossburst_bench::{cli, verdict};
@@ -13,6 +15,7 @@ use lossburst_core::impact::predictability;
 use lossburst_emu::clock::clock_ablation;
 use lossburst_emu::testbed::{self, TestbedConfig};
 use lossburst_netsim::time::SimDuration;
+use lossburst_transport::cc::CcAlgorithm;
 
 fn print_rows(title: &str, rows: &[BurstinessRow]) {
     println!("\n## {title}");
@@ -52,12 +55,15 @@ fn main() {
     let red = red_sensitivity(dur, args.seed ^ 3);
     print_rows("RED parameter sensitivity", &red);
 
+    let hops = multi_bottleneck(dur, args.seed ^ 5);
+    print_rows("Multi-bottleneck paths (parking lot)", &hops);
+
     // Clock-resolution ablation: re-record one NS-2 trace under coarser
     // clocks (the Fig 2 -> Fig 3 methodology difference, isolated).
     println!("\n## Recording-clock resolution (one 16-flow trace re-recorded)");
     let mut tb = TestbedConfig::ns2_baseline(16, 312, args.seed ^ 4);
     tb.duration = dur;
-    let res = testbed::run(&tb);
+    let res = testbed::run_streaming(&tb);
     let rows = clock_ablation(
         &res.loss_times,
         res.mean_rtt.as_secs_f64(),
@@ -89,7 +95,8 @@ fn main() {
     let seeds: Vec<u64> = (0..if args.full { 6 } else { 3 })
         .map(|i| args.seed + i)
         .collect();
-    let stragglers = straggler_ablation(64 * 1024 * 1024, 4, &seeds);
+    let stragglers =
+        straggler_ablation(64 * 1024 * 1024, 4, &seeds).expect("4 flows is a valid cell");
     for r in &stragglers {
         println!(
             "{:<22} {:>8.1}s {:>10.2} {:>9.2}",
@@ -145,11 +152,11 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     let delay_row = stragglers
         .iter()
-        .find(|r| r.sender == SenderKind::Delay)
+        .find(|r| r.sender == CcAlgorithm::Fast)
         .unwrap();
     let newreno_row = stragglers
         .iter()
-        .find(|r| r.sender == SenderKind::NewReno && r.min_rto == SimDuration::from_secs(1))
+        .find(|r| r.sender == CcAlgorithm::NewReno && r.min_rto == SimDuration::from_secs(1))
         .unwrap();
     verdict(
         "ablations",

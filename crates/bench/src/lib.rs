@@ -116,7 +116,7 @@ pub mod provenance {
 
     impl Provenance {
         /// The policy as the lowercase token the JSON headers use.
-        pub fn policy_name(&self) -> &'static str {
+        fn policy_name(&self) -> &'static str {
             match self.policy {
                 ExecutionPolicy::Serial => "serial",
                 ExecutionPolicy::WorkStealing => "workstealing",

@@ -7,6 +7,7 @@
 //! reproduction, and add two modern ablations: what SACK and what the
 //! minimum RTO do to the Fig 8 straggler problem.
 
+use crate::impact::{completion_times, even_chunk, ChunkedTransfer};
 use lossburst_analysis::intervals;
 use lossburst_emu::testbed::{self, ShortFlowConfig, TestbedConfig};
 use lossburst_netsim::builder::SimBuilder;
@@ -14,6 +15,7 @@ use lossburst_netsim::queue::{QueueDisc, RedConfig};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::bdp_packets;
 use lossburst_netsim::trace::TraceConfig;
+use lossburst_transport::cc::CcAlgorithm;
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::sender::Sender;
 use rayon::prelude::*;
@@ -34,7 +36,7 @@ pub struct BurstinessRow {
 }
 
 fn testbed_row(cfg: &TestbedConfig, label: String) -> BurstinessRow {
-    let res = testbed::run(cfg);
+    let res = testbed::run_streaming(cfg);
     let iv = intervals::normalized_intervals(&res.loss_times, res.mean_rtt.as_secs_f64());
     let rep = lossburst_analysis::burstiness::analyze(&iv);
     BurstinessRow {
@@ -214,22 +216,11 @@ pub fn multi_bottleneck(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> 
         .collect()
 }
 
-/// Which sender the straggler ablation uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SenderKind {
-    /// Window-based NewReno (the paper's subject).
-    NewReno,
-    /// SACK scoreboard sender.
-    Sack,
-    /// FAST-style delay-based sender.
-    Delay,
-}
-
 /// One row of the straggler ablation.
 #[derive(Clone, Debug)]
 pub struct StragglerRow {
-    /// Protocol used.
-    pub sender: SenderKind,
+    /// Protocol used (delay-based is [`CcAlgorithm::Fast`]).
+    pub sender: CcAlgorithm,
     /// Minimum RTO configured.
     pub min_rto: SimDuration,
     /// Completion latencies over the seeds, seconds.
@@ -242,21 +233,44 @@ pub struct StragglerRow {
 
 /// The Fig 8 worst cell (parallel transfer at 200 ms RTT), re-run with
 /// different senders and minimum RTOs: how much of the straggler problem is
-/// the congestion controller's recovery mechanics?
-pub fn straggler_ablation(total_bytes: u64, flows: usize, seeds: &[u64]) -> Vec<StragglerRow> {
+/// the congestion controller's recovery mechanics? Zero `flows` is a
+/// configuration error.
+pub fn straggler_ablation(
+    total_bytes: u64,
+    flows: usize,
+    seeds: &[u64],
+) -> crate::error::Result<Vec<StragglerRow>> {
+    let chunk_bytes = even_chunk(total_bytes, flows)?;
     let rtt = SimDuration::from_millis(200);
-    let cases: Vec<(SenderKind, SimDuration)> = vec![
-        (SenderKind::NewReno, SimDuration::from_secs(1)),
-        (SenderKind::NewReno, SimDuration::from_millis(200)),
-        (SenderKind::Sack, SimDuration::from_secs(1)),
-        (SenderKind::Delay, SimDuration::from_secs(1)),
+    let cases = [
+        (CcAlgorithm::NewReno, SimDuration::from_secs(1)),
+        (CcAlgorithm::NewReno, SimDuration::from_millis(200)),
+        (CcAlgorithm::Sack, SimDuration::from_secs(1)),
+        (CcAlgorithm::Fast, SimDuration::from_secs(1)),
     ];
-    cases
-        .into_par_iter()
-        .map(|(sender, min_rto)| {
+    Ok(cases
+        .par_iter()
+        .map(|&(sender, min_rto)| {
+            let cell = ChunkedTransfer {
+                flows,
+                chunk_bytes,
+                rtt,
+                bottleneck_bps: 100e6,
+                buffer_pkts: 625,
+                cc: sender,
+                tcp: TcpConfig {
+                    min_rto,
+                    ..Default::default()
+                },
+                stagger: (0xAB1A, rtt),
+                horizon: SimDuration::from_secs(600),
+            };
             let latencies: Vec<f64> = seeds
                 .iter()
-                .map(|&seed| run_parallel(total_bytes, flows, rtt, sender, min_rto, seed))
+                .map(|&seed| {
+                    let times = completion_times(&cell, seed);
+                    times.into_iter().fold(0.0, f64::max)
+                })
                 .collect();
             let mean = lossburst_analysis::stats::mean(&latencies);
             let stddev = lossburst_analysis::stats::variance(&latencies).sqrt();
@@ -268,64 +282,7 @@ pub fn straggler_ablation(total_bytes: u64, flows: usize, seeds: &[u64]) -> Vec<
                 stddev,
             }
         })
-        .collect()
-}
-
-fn run_parallel(
-    total_bytes: u64,
-    flows: usize,
-    rtt: SimDuration,
-    sender: SenderKind,
-    min_rto: SimDuration,
-    seed: u64,
-) -> f64 {
-    use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
-    let mut b = SimBuilder::new(seed);
-    let dcfg = DumbbellConfig {
-        pairs: flows,
-        bottleneck_bps: 100e6,
-        access_bps: 1e9,
-        bottleneck_disc: QueueDisc::drop_tail(625),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
-    let chunk = total_bytes / flows as u64;
-    let cfg = TcpConfig {
-        min_rto,
-        ..Default::default()
-    };
-    let mut stagger = lossburst_netsim::rng::Sampler::child_rng(seed, 0xAB1A);
-    for i in 0..flows {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start = SimTime::ZERO
-            + lossburst_netsim::rng::Sampler::uniform_duration(
-                &mut stagger,
-                SimDuration::ZERO,
-                rtt,
-            );
-        let t: Box<dyn lossburst_netsim::iface::Transport> = match sender {
-            SenderKind::NewReno => {
-                Box::new(Sender::newreno(s, r, cfg.clone()).with_limit_bytes(chunk))
-            }
-            SenderKind::Sack => Box::new(Sender::sack(s, r, cfg.clone()).with_limit_bytes(chunk)),
-            SenderKind::Delay => {
-                Box::new(Sender::fast(s, r, cfg.clone(), 20.0, 0.5).with_limit_bytes(chunk))
-            }
-        };
-        b.flow(s, r, start, t);
-    }
-    let horizon = SimTime::ZERO + SimDuration::from_secs(600);
-    let mut sim = b.build();
-    sim.run_until(horizon);
-    sim.flows
-        .iter()
-        .map(|f| {
-            f.completed_at
-                .map(|t| t.as_secs_f64())
-                .unwrap_or(horizon.as_secs_f64())
-        })
-        .fold(0.0f64, f64::max)
+        .collect())
 }
 
 #[cfg(test)]
@@ -441,24 +398,30 @@ mod tests {
 
     #[test]
     fn straggler_ablation_delay_based_wins() {
-        let rows = straggler_ablation(8 * 1024 * 1024, 4, &[1, 2]);
+        let rows = straggler_ablation(8 * 1024 * 1024, 4, &[1, 2]).unwrap();
         let newreno = rows
             .iter()
-            .find(|r| r.sender == SenderKind::NewReno && r.min_rto == SimDuration::from_secs(1))
+            .find(|r| r.sender == CcAlgorithm::NewReno && r.min_rto == SimDuration::from_secs(1))
             .unwrap();
-        let delay = rows.iter().find(|r| r.sender == SenderKind::Delay).unwrap();
+        let delay = rows.iter().find(|r| r.sender == CcAlgorithm::Fast).unwrap();
         assert!(
             delay.mean < newreno.mean,
             "delay-based ({:.1}s) should beat NewReno ({:.1}s) at 200 ms",
             delay.mean,
             newreno.mean
         );
-        let sack = rows.iter().find(|r| r.sender == SenderKind::Sack).unwrap();
+        let sack = rows.iter().find(|r| r.sender == CcAlgorithm::Sack).unwrap();
         assert!(
             sack.mean <= newreno.mean * 1.25,
             "SACK ({:.1}s) should be competitive with NewReno ({:.1}s)",
             sack.mean,
             newreno.mean
         );
+    }
+
+    #[test]
+    fn straggler_ablation_rejects_zero_flows() {
+        let err = straggler_ablation(8 * 1024 * 1024, 0, &[1]).unwrap_err();
+        assert!(matches!(err, crate::error::Error::Config(_)), "{err}");
     }
 }

@@ -22,7 +22,7 @@
 //! * every packet costs one wire time (`MTU · 8 · 1.04 / bottleneck_bps`,
 //!   the same 4% header overhead as [`crate::impact::theoretic_lower_bound`]);
 //! * each chunk costs one RTT of handshake (request + completion);
-//! * a loss run of ≤ [`DUPACK_RUN`] packets is repaired by fast recovery
+//! * a loss run of ≤ `DUPACK_RUN` packets is repaired by fast recovery
 //!   (one extra RTT); a longer run forces a timeout —
 //!   `max(0.2 s, 4·RTT)` plus go-back retransmission of everything
 //!   delivered since the last loss event or chunk boundary (chunks bound
@@ -59,7 +59,7 @@
 //! `try_measure_path_grid_streaming` uses — and every random draw comes
 //! from a stream keyed by `(seed, superstep, worker, alt)` coordinates alone.
 //! Striping workers across shards therefore reproduces the 1-shard run
-//! byte-for-byte at any shard count; `run_superstep_sharded` and the
+//! byte-for-byte at any shard count; [`run_bsp_sharded`] and the
 //! `bsp_study` multi-process driver both rely on this.
 
 use lossburst_analysis::gilbert::{Chain, GilbertParams};
@@ -74,20 +74,20 @@ use crate::shard::{shard_indices, ShardSpec};
 
 /// Path alternatives derived per worker (alternative 0 is the default
 /// path; diversity and redundancy may use the others).
-pub const MAX_ALTS: usize = 4;
+pub(crate) const MAX_ALTS: usize = 4;
 
 /// Packet size of the automaton, matching the netsim MTU.
-pub const MTU_BYTES: u64 = 1000;
+pub(crate) const MTU_BYTES: u64 = 1000;
 
 /// Header overhead multiplier, matching `theoretic_lower_bound`'s 4%.
-pub const WIRE_OVERHEAD: f64 = 1.04;
+pub(crate) const WIRE_OVERHEAD: f64 = 1.04;
 
 /// Loss runs up to this length are repaired by fast recovery (one RTT);
 /// longer runs force a retransmission timeout.
-pub const DUPACK_RUN: u64 = 2;
+pub(crate) const DUPACK_RUN: u64 = 2;
 
 /// Floor of the retransmission timeout, seconds (RFC-style minimum RTO).
-pub const MIN_RTO_SECS: f64 = 0.2;
+pub(crate) const MIN_RTO_SECS: f64 = 0.2;
 
 /// Smallest chunk the burst-aware scheduler will consider.
 pub const MIN_CHUNK_BYTES: u64 = 8 * MTU_BYTES;
@@ -151,19 +151,6 @@ pub struct BspConfig {
 }
 
 impl BspConfig {
-    /// A seconds-scale default: 100 workers, 2 supersteps, 256 KiB each.
-    pub fn quick(seed: u64) -> BspConfig {
-        BspConfig {
-            n_workers: 100,
-            supersteps: 2,
-            bytes_per_worker: 256 * 1024,
-            mean_loss_rate: 0.01,
-            mean_burst_pkts: 4.0,
-            seed,
-            mitigation: Mitigation::None,
-        }
-    }
-
     /// Reject configurations the engine cannot run: a 0-worker superstep
     /// has no barrier max, a 0-byte transfer no wire time, and loss
     /// parameters outside their domains would produce a degenerate chain.
@@ -686,18 +673,6 @@ pub fn run_superstep(
     Ok((outcomes, stats))
 }
 
-/// Run one superstep striped over `shard_count` in-process shards and
-/// stitch the outcomes back into global worker order — the single-process
-/// proof of the sharding identity `bsp_study` exercises across OS
-/// processes. Byte-identical to [`run_superstep`] for any shard count.
-pub fn run_superstep_sharded(
-    cfg: &BspConfig,
-    superstep: usize,
-    shard_count: usize,
-) -> Result<(Vec<WorkerOutcome>, SuperstepStats)> {
-    Machine::plan(cfg, shard_count)?.superstep(superstep)
-}
-
 /// A validated run with every worker planned: what the supersteps of one
 /// run share.
 struct Machine<'a> {
@@ -1079,21 +1054,6 @@ mod tests {
             most = most.max(draws);
         }
         assert!(most > 2, "some transfer must have met a loss run");
-    }
-
-    #[test]
-    fn sharded_superstep_is_byte_identical() {
-        let cfg = tiny(2006);
-        let (whole, stats1) = run_superstep(&cfg, 0).unwrap();
-        for k in [2, 3, 4] {
-            let (sharded, statsk) = run_superstep_sharded(&cfg, 0, k).unwrap();
-            assert_eq!(whole, sharded, "shard count {k}");
-            assert_eq!(stats1.barrier_secs.to_bits(), statsk.barrier_secs.to_bits());
-        }
-        assert_eq!(
-            fingerprint_outcomes(&whole),
-            fingerprint_outcomes(&run_superstep_sharded(&cfg, 0, 4).unwrap().0)
-        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl LossStudy {
     /// (the first loss anchors t = 0). Summary accessors like
     /// [`LossStudy::episode_count`] and the testkit's golden fixtures work
     /// off this pooled event sequence.
-    pub fn loss_times_rtt(&self) -> Vec<f64> {
+    pub(crate) fn loss_times_rtt(&self) -> Vec<f64> {
         let mut times = Vec::with_capacity(self.intervals_rtt.len() + 1);
         let mut t = 0.0;
         times.push(t);
@@ -165,7 +165,7 @@ pub fn lab_cells(cfg: &LabCampaignConfig) -> Vec<(usize, usize, u64)> {
 /// `limits`, reduced to the RTT-normalized intervals it pools. The plain
 /// and the supervised lab sweeps both measure through this function, so a
 /// cell is the same experiment whichever sweep runs it.
-pub fn lab_cell(
+pub(crate) fn lab_cell(
     cfg: &LabCampaignConfig,
     dummynet: bool,
     index: usize,

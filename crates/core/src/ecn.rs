@@ -19,22 +19,22 @@ use lossburst_transport::sender::Sender;
 #[derive(Clone, Debug)]
 pub struct EcnConfig {
     /// Number of NewReno flows.
-    pub flows: usize,
+    pub(crate) flows: usize,
     /// Smallest per-flow RTT (flows get diverse RTTs, as in the paper's
     /// setups; with identical RTTs DropTail synchronizes globally and the
     /// coverage asymmetry disappears).
-    pub min_rtt: SimDuration,
+    pub(crate) min_rtt: SimDuration,
     /// Largest per-flow RTT; also the persistent-ECN epoch and the episode
     /// clustering gap.
-    pub max_rtt: SimDuration,
+    pub(crate) max_rtt: SimDuration,
     /// Bottleneck capacity.
-    pub bottleneck_bps: f64,
+    pub(crate) bottleneck_bps: f64,
     /// Buffer, packets.
-    pub buffer_pkts: usize,
+    pub(crate) buffer_pkts: usize,
     /// Run length.
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl EcnConfig {
@@ -74,7 +74,7 @@ pub struct GroupStats {
 /// Cluster `(time, flow)` signal records into episodes separated by more
 /// than `gap_secs`, and return the mean fraction of the `n_flows` flows
 /// touched per episode.
-pub fn signal_coverage(mut records: Vec<(f64, u32)>, n_flows: usize, gap_secs: f64) -> f64 {
+pub(crate) fn signal_coverage(mut records: Vec<(f64, u32)>, n_flows: usize, gap_secs: f64) -> f64 {
     if records.is_empty() || n_flows == 0 {
         return 0.0;
     }

@@ -61,14 +61,14 @@ pub struct FairnessConfig {
     /// noise makes overflow episodes burstier and less predictable.
     pub noise_levels: Vec<f64>,
     /// Foreground flows per controller class.
-    pub flows_per_class: usize,
+    pub(crate) flows_per_class: usize,
     /// Bottleneck capacity.
-    pub bottleneck_bps: f64,
+    pub(crate) bottleneck_bps: f64,
     /// Path RTT (both classes get the same RTT: any goodput asymmetry is
     /// then attributable to the controllers, not the paths).
-    pub rtt: SimDuration,
+    pub(crate) rtt: SimDuration,
     /// Bottleneck buffer, packets.
-    pub buffer_pkts: usize,
+    pub(crate) buffer_pkts: usize,
     /// Run length per cell.
     pub duration: SimDuration,
     /// Base seed; each cell derives its own deterministic child seed.

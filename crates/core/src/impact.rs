@@ -4,9 +4,11 @@
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::packet::FlowId;
 use lossburst_netsim::queue::QueueDisc;
+use lossburst_netsim::rng::Sampler;
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
 use lossburst_netsim::trace::TraceConfig;
+use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::sender::Sender;
 use rayon::prelude::*;
@@ -16,19 +18,19 @@ use rayon::prelude::*;
 #[derive(Clone, Debug)]
 pub struct CompetitionConfig {
     /// Flows per class (the paper: 16 + 16).
-    pub flows_per_class: usize,
+    pub(crate) flows_per_class: usize,
     /// Bottleneck capacity (paper: 100 Mbps).
-    pub bottleneck_bps: f64,
+    pub(crate) bottleneck_bps: f64,
     /// Path RTT (paper: 50 ms).
-    pub rtt: SimDuration,
+    pub(crate) rtt: SimDuration,
     /// Bottleneck buffer in packets (paper-era default: one BDP).
-    pub buffer_pkts: usize,
+    pub(crate) buffer_pkts: usize,
     /// Run length (paper plots 0–40 s).
     pub duration: SimDuration,
     /// Throughput-series bin, seconds.
-    pub bin_secs: f64,
+    pub(crate) bin_secs: f64,
     /// Seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl CompetitionConfig {
@@ -168,44 +170,24 @@ pub fn predictability(
     rtt: SimDuration,
     seed: u64,
 ) -> PredictabilityResult {
-    let mut b = SimBuilder::new(seed);
-    let dcfg = DumbbellConfig {
-        pairs: flows,
-        bottleneck_bps: 100e6,
-        access_bps: 1e9,
-        bottleneck_disc: QueueDisc::drop_tail(625),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
-    let mut stagger = lossburst_netsim::rng::Sampler::child_rng(seed, 0x93ED);
-    for i in 0..flows {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start = SimTime::ZERO
-            + lossburst_netsim::rng::Sampler::uniform_duration(
-                &mut stagger,
-                SimDuration::ZERO,
-                rtt,
-            );
-        let t: Box<dyn lossburst_netsim::iface::Transport> = if paced {
-            Box::new(Sender::pacing(s, r, TcpConfig::default(), rtt).with_limit_bytes(chunk_bytes))
-        } else {
-            Box::new(Sender::newreno(s, r, TcpConfig::default()).with_limit_bytes(chunk_bytes))
-        };
-        b.flow(s, r, start, t);
-    }
-    let horizon = SimTime::ZERO + SimDuration::from_secs(900);
-    let mut sim = b.build();
-    sim.run_until(horizon);
-    let times: Vec<f64> = sim
-        .flows
-        .iter()
-        .map(|f| {
-            f.completed_at
-                .map(|t| t.as_secs_f64())
-                .unwrap_or(horizon.as_secs_f64())
-        })
-        .collect();
+    let times = completion_times(
+        &ChunkedTransfer {
+            flows,
+            chunk_bytes,
+            rtt,
+            bottleneck_bps: 100e6,
+            buffer_pkts: 625,
+            cc: if paced {
+                CcAlgorithm::Pacing
+            } else {
+                CcAlgorithm::NewReno
+            },
+            tcp: TcpConfig::default(),
+            stagger: (0x93ED, rtt),
+            horizon: SimDuration::from_secs(900),
+        },
+        seed,
+    );
     let mean = lossburst_analysis::stats::mean(&times);
     let cv = if mean > 0.0 {
         lossburst_analysis::stats::variance(&times).sqrt() / mean
@@ -223,19 +205,19 @@ pub fn predictability(
 #[derive(Clone, Debug)]
 pub struct MixConfig {
     /// Flows per class.
-    pub flows_per_class: usize,
+    pub(crate) flows_per_class: usize,
     /// Whether the TCP class paces (the paper's remedy) or bursts.
-    pub paced_tcp: bool,
+    pub(crate) paced_tcp: bool,
     /// Bottleneck capacity.
-    pub bottleneck_bps: f64,
+    pub(crate) bottleneck_bps: f64,
     /// Path RTT.
-    pub rtt: SimDuration,
+    pub(crate) rtt: SimDuration,
     /// Bottleneck buffer, packets.
-    pub buffer_pkts: usize,
+    pub(crate) buffer_pkts: usize,
     /// Run length.
     pub duration: SimDuration,
     /// Seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl MixConfig {
@@ -361,7 +343,7 @@ impl ParallelConfig {
     /// or reduce an empty axis — the same contract `RedConfig::validate`
     /// gives the queue layer. `bsp` drives this path with generated
     /// configs, so the failure has to be an error, not a NaN.
-    pub fn validate(&self) -> crate::error::Result<()> {
+    pub(crate) fn validate(&self) -> crate::error::Result<()> {
         let fail = |msg: String| Err(crate::error::Error::Config(msg));
         if self.total_bytes == 0 {
             return fail("total_bytes must be positive".into());
@@ -455,11 +437,7 @@ pub fn try_parallel_once(
     buffer_pkts: usize,
     seed: u64,
 ) -> crate::error::Result<f64> {
-    if flows == 0 {
-        return Err(crate::error::Error::Config(
-            "flows must be positive (a 0-flow transfer has no straggler to time)".into(),
-        ));
-    }
+    let chunk_bytes = even_chunk(total_bytes, flows)?;
     if total_bytes == 0 {
         return Err(crate::error::Error::Config(
             "total_bytes must be positive".into(),
@@ -468,45 +446,90 @@ pub fn try_parallel_once(
     // Validate the bandwidth before the topology is built: the link layer
     // panics on a non-positive rate, and the bound divides by it.
     let bound = try_theoretic_lower_bound(total_bytes, bottleneck_bps)?;
-    let mut b = SimBuilder::new(seed);
-    let dcfg = DumbbellConfig {
-        pairs: flows,
-        bottleneck_bps,
-        access_bps: 1e9,
-        bottleneck_disc: QueueDisc::drop_tail(buffer_pkts),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
-    let chunk = total_bytes / flows as u64;
-    // Start jitter within one RTT: real cluster nodes never launch in the
-    // same microsecond, and without it every replication is identical.
-    let mut stagger = lossburst_netsim::rng::Sampler::child_rng(seed, 0xF168);
-    for i in 0..flows {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start = SimTime::ZERO
-            + lossburst_netsim::rng::Sampler::uniform_duration(
-                &mut stagger,
-                SimDuration::ZERO,
-                rtt.max(SimDuration::from_millis(10)),
-            );
-        let t = Sender::newreno(s, r, TcpConfig::default()).with_limit_bytes(chunk);
-        b.flow(s, r, start, Box::new(t));
-    }
-    let horizon = SimTime::ZERO + SimDuration::from_secs_f64(bound * 60.0);
-    let mut sim = b.build();
-    sim.run_until(horizon);
+    let times = completion_times(
+        &ChunkedTransfer {
+            flows,
+            chunk_bytes,
+            rtt,
+            bottleneck_bps,
+            buffer_pkts,
+            cc: CcAlgorithm::NewReno,
+            tcp: TcpConfig::default(),
+            // Start jitter within one RTT: real cluster nodes never launch
+            // in the same microsecond, and without it every replication is
+            // identical.
+            stagger: (0xF168, rtt.max(SimDuration::from_millis(10))),
+            horizon: SimDuration::from_secs_f64(bound * 60.0),
+        },
+        seed,
+    );
     // `flows > 0` was checked above, so this max is over a non-empty set
     // and cannot silently report a 0-second transfer.
-    Ok(sim
-        .flows
+    Ok(times.into_iter().fold(0.0f64, f64::max))
+}
+
+/// `total_bytes` split evenly over `flows`. Zero flows is a configuration
+/// error: the split would divide by zero, and the straggler `max` would
+/// reduce an empty set to a 0-second transfer.
+pub(crate) fn even_chunk(total_bytes: u64, flows: usize) -> crate::error::Result<u64> {
+    if flows == 0 {
+        return Err(crate::error::Error::Config(
+            "flows must be positive (a 0-flow transfer has no straggler to time)".into(),
+        ));
+    }
+    Ok(total_bytes / flows as u64)
+}
+
+/// One replication of the Fig 8 experiment: `flows` senders of one
+/// algorithm each move `chunk_bytes` across a fixed-RTT dumbbell.
+pub(crate) struct ChunkedTransfer {
+    pub(crate) flows: usize,
+    pub(crate) chunk_bytes: u64,
+    pub(crate) rtt: SimDuration,
+    pub(crate) bottleneck_bps: f64,
+    pub(crate) buffer_pkts: usize,
+    pub(crate) cc: CcAlgorithm,
+    pub(crate) tcp: TcpConfig,
+    /// Starts are drawn uniformly from `[0, .1)` on child stream `.0` of
+    /// the seed.
+    pub(crate) stagger: (u64, SimDuration),
+    pub(crate) horizon: SimDuration,
+}
+
+/// Run `x` and return each flow's completion time in seconds (the horizon
+/// for a flow that never finished) — what [`try_parallel_once`],
+/// [`predictability`] and [`crate::ablation::straggler_ablation`] each
+/// reduce their own way.
+pub(crate) fn completion_times(x: &ChunkedTransfer, seed: u64) -> Vec<f64> {
+    let mut b = SimBuilder::new(seed);
+    let dcfg = DumbbellConfig {
+        pairs: x.flows,
+        bottleneck_bps: x.bottleneck_bps,
+        access_bps: 1e9,
+        bottleneck_disc: QueueDisc::drop_tail(x.buffer_pkts),
+        access_buffer_pkts: 10_000,
+        rtt: RttAssignment::Fixed(x.rtt),
+    };
+    let db = build_dumbbell(&mut b, &dcfg);
+    let spec = FlowSpec {
+        tcp: x.tcp.clone(),
+        rtt_hint: x.rtt,
+        limit_bytes: Some(x.chunk_bytes),
+    };
+    let mut stagger = Sampler::child_rng(seed, x.stagger.0);
+    for i in 0..x.flows {
+        let (s, r) = (db.senders[i], db.receivers[i]);
+        let start =
+            SimTime::ZERO + Sampler::uniform_duration(&mut stagger, SimDuration::ZERO, x.stagger.1);
+        b.flow(s, r, start, x.cc.build_flow(s, r, &spec));
+    }
+    let horizon = SimTime::ZERO + x.horizon;
+    let mut sim = b.build();
+    sim.run_until(horizon);
+    sim.flows
         .iter()
-        .map(|f| {
-            f.completed_at
-                .map(|t| t.as_secs_f64())
-                .unwrap_or(horizon.as_secs_f64())
-        })
-        .fold(0.0f64, f64::max))
+        .map(|f| f.completed_at.unwrap_or(horizon).as_secs_f64())
+        .collect()
 }
 
 /// Run the full Fig 8 grid (cells × seeds over the worker pool; the inner

@@ -58,45 +58,15 @@ pub mod supervisor;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::ablation::{
-        buffer_sweep, flow_sweep, multi_bottleneck, red_sensitivity, source_decomposition,
-        straggler_ablation, BurstinessRow, SenderKind, StragglerRow,
-    };
     pub use crate::advisor::{advise, AppProfile, Recommendation};
-    pub use crate::bsp::{
-        run_bsp, run_bsp_sharded, run_superstep, run_superstep_sharded, superstep_workers,
-        BspConfig, BspReport, Mitigation, SuperstepStats, WorkerOutcome,
-    };
-    pub use crate::campaign::{
-        dummynet_study, internet_study, lab_cell, lab_cells, ns2_study, LabCampaignConfig,
-        LossStudy,
-    };
-    pub use crate::ecn::{ecn_vs_droptail, EcnComparison, EcnConfig, GroupStats};
-    pub use crate::error::{Error, Result};
-    pub use crate::fairness::{
-        fairness_cell, fairness_matrix, write_fairness_csv, Discipline, FairnessCell,
-        FairnessConfig, FairnessMatrix,
-    };
-    pub use crate::impact::{
-        competition, parallel_once, parallel_study, predictability, protocol_mix,
-        theoretic_lower_bound, try_parallel_once, try_theoretic_lower_bound, CompetitionConfig,
-        CompetitionResult, MixConfig, MixResult, ParallelCell, ParallelConfig,
-        PredictabilityResult,
-    };
-    pub use crate::model::{
-        rate_based_detections, simulate_detections, window_based_detections, DetectionRow,
-    };
-    pub use crate::registry::{find as find_experiment, registry_table, Experiment, EXPERIMENTS};
+    pub use crate::campaign::{lab_cells, ns2_study, LabCampaignConfig, LossStudy};
+    pub use crate::model::{rate_based_detections, window_based_detections};
     pub use crate::shard::{
         collect_campaign_streaming, merge_shards_streaming, run_campaign_sharded_streaming,
-        run_grid_streaming_supervised, run_shard_streaming, shard_indices, spawn_shards,
-        ShardReport, ShardSpec,
+        run_grid_streaming_supervised, run_shard_streaming, spawn_shards, ShardSpec,
     };
     pub use crate::supervisor::{
-        backoff_delay, campaign_fingerprint, count_outcomes, dummynet_study_supervised,
-        ns2_study_supervised, supervise, supervise_subset, CampaignCheckpoint, FaultKind,
-        FaultPlan, FaultSpec, LabCellRecord, LedgerEntry, MergeReport, OutcomeCounts, PathFailure,
-        PathOutcome, PathRecord, SupervisedRun, SupervisedStreamCampaign, SupervisedStudy,
-        SupervisorConfig,
+        ns2_study_supervised, CampaignCheckpoint, FaultKind, FaultPlan, LabCellRecord, PathOutcome,
+        SupervisedStreamCampaign, SupervisorConfig,
     };
 }

@@ -35,7 +35,7 @@ pub fn window_based_detections(m: u64, k: u64) -> f64 {
 /// `interleaved = true` models rate-based senders (round-robin arrival
 /// order); `false` models window-based senders (contiguous per-flow
 /// trunks). The drop window starts at a uniformly random arrival slot.
-pub fn simulate_detections(
+pub(crate) fn simulate_detections(
     m: u64,
     n: u64,
     k: u64,

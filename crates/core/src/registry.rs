@@ -5,7 +5,7 @@
 
 /// Which part of the paper an experiment reproduces.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// A table.
     Table,
     /// A figure.
@@ -20,14 +20,14 @@ pub struct Experiment {
     /// Identifier, e.g. "fig2".
     pub id: &'static str,
     /// Table, figure, or extension.
-    pub kind: Kind,
+    pub(crate) kind: Kind,
     /// What the paper shows there.
     pub description: &'static str,
     /// The module implementing it (rustdoc path).
     pub module: &'static str,
     /// The binary in `lossburst-bench` that regenerates it (None when the
     /// regenerator is an example or a bin of the root package instead).
-    pub bench_bin: Option<&'static str>,
+    pub(crate) bench_bin: Option<&'static str>,
     /// The paper's headline claim, condensed.
     pub paper_claim: &'static str,
 }
@@ -132,11 +132,6 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     },
 ];
 
-/// Look up an experiment by id.
-pub fn find(id: &str) -> Option<&'static Experiment> {
-    EXPERIMENTS.iter().find(|e| e.id == id)
-}
-
 /// Render the registry as a text table.
 pub fn registry_table() -> String {
     let mut out = String::new();
@@ -167,7 +162,10 @@ mod tests {
         for id in [
             "table1", "fig1", "fig2", "fig3", "fig4", "fig56", "fig7", "fig8",
         ] {
-            assert!(find(id).is_some(), "missing experiment {id}");
+            assert!(
+                EXPERIMENTS.iter().any(|e| e.id == id),
+                "missing experiment {id}"
+            );
         }
     }
 

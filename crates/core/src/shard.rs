@@ -74,11 +74,6 @@ impl ShardSpec {
         );
         ShardSpec { index, count }
     }
-
-    /// The trivial 1-way split (a plain single-process run).
-    pub fn whole() -> ShardSpec {
-        ShardSpec { index: 0, count: 1 }
-    }
 }
 
 impl std::fmt::Display for ShardSpec {
@@ -109,7 +104,7 @@ impl FromStr for ShardSpec {
 
 /// The striped path-index slice shard `spec` owns: global indices
 /// `{ j : j mod count == index }`, strictly increasing — exactly the form
-/// [`supervise_subset`] requires.
+/// `supervise_subset` requires.
 pub fn shard_indices(n_paths: usize, spec: ShardSpec) -> Vec<usize> {
     (spec.index..n_paths).step_by(spec.count).collect()
 }
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn shard_spec_parses_and_rejects() {
-        assert_eq!("0/1".parse::<ShardSpec>().unwrap(), ShardSpec::whole());
+        assert_eq!("0/1".parse::<ShardSpec>().unwrap(), ShardSpec::new(0, 1));
         assert_eq!("3/7".parse::<ShardSpec>().unwrap(), ShardSpec::new(3, 7));
         assert_eq!(ShardSpec::new(3, 7).to_string(), "3/7");
         for bad in ["", "3", "7/3", "3/0", "a/b", "1/2/3"] {
@@ -331,8 +326,8 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c == 1), "partition is exact: {seen:?}");
-        // The whole-split owns everything.
-        assert_eq!(shard_indices(5, ShardSpec::whole()), vec![0, 1, 2, 3, 4]);
+        // The 1-way split owns everything.
+        assert_eq!(shard_indices(5, ShardSpec::new(0, 1)), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

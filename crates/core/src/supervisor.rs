@@ -28,10 +28,10 @@
 //!
 //! The generic engine is [`supervise`]. [`crate::shard`] applies it to the
 //! Internet campaign ([`crate::shard::run_grid_streaming_supervised`] is
-//! the supervised campaign at any path count), and the
-//! [`ns2_study_supervised`]/[`dummynet_study_supervised`] wrappers apply it
-//! to the `emu::Testbed` lab sweeps. Each sweep has one measurement path —
-//! the sink-driven probe or testbed run — whether supervised or not.
+//! the supervised campaign at any path count), and
+//! [`ns2_study_supervised`] applies it to the `emu::testbed` lab sweep.
+//! Each sweep has one measurement path — the sink-driven probe or testbed
+//! run — whether supervised or not.
 
 use crate::campaign::{lab_cell, lab_cells, lab_label, LabCampaignConfig, LossStudy};
 use lossburst_analysis::intervals;
@@ -76,14 +76,14 @@ pub enum FaultKind {
 
 /// How a fault applies to one path index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSpec {
+pub(crate) struct FaultSpec {
     /// Which fault to inject.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// How many leading attempts it strikes: `1` makes the first attempt
     /// fail and the retry succeed (outcome `Retried(1)`), [`u32::MAX`]
     /// makes the fault persistent (outcome `Failed` once retries are
     /// spent).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
 }
 
 /// A seeded, per-path-index fault schedule. Empty by default; campaigns
@@ -92,7 +92,7 @@ pub struct FaultSpec {
 pub struct FaultPlan {
     /// Seed for everything randomized under supervision (currently the
     /// retry backoff jitter).
-    pub seed: u64,
+    pub(crate) seed: u64,
     faults: BTreeMap<usize, FaultSpec>,
 }
 
@@ -106,7 +106,7 @@ impl FaultPlan {
     }
 
     /// Inject `kind` at path `index` for the first `attempts` attempts.
-    pub fn inject(mut self, index: usize, kind: FaultKind, attempts: u32) -> FaultPlan {
+    pub(crate) fn inject(mut self, index: usize, kind: FaultKind, attempts: u32) -> FaultPlan {
         self.faults.insert(index, FaultSpec { kind, attempts });
         self
     }
@@ -121,11 +121,6 @@ impl FaultPlan {
     /// up `Failed`).
     pub fn always(self, index: usize, kind: FaultKind) -> FaultPlan {
         self.inject(index, kind, u32::MAX)
-    }
-
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 
     /// The fault active for `index` on 0-based `attempt`, if any.
@@ -238,7 +233,7 @@ pub struct OutcomeCounts {
 }
 
 /// Tally a ledger.
-pub fn count_outcomes(ledger: &[LedgerEntry]) -> OutcomeCounts {
+pub(crate) fn count_outcomes(ledger: &[LedgerEntry]) -> OutcomeCounts {
     let mut c = OutcomeCounts::default();
     for e in ledger {
         match e.outcome {
@@ -308,7 +303,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// The deterministic backoff before retry `attempt` (1-based) of `path`:
 /// exponential in the attempt with seeded sub-base jitter, so identical
 /// campaigns sleep identically. Zero when `base_ms` is zero.
-pub fn backoff_delay(base_ms: u64, seed: u64, path: usize, attempt: u32) -> Duration {
+pub(crate) fn backoff_delay(base_ms: u64, seed: u64, path: usize, attempt: u32) -> Duration {
     if base_ms == 0 {
         return Duration::ZERO;
     }
@@ -800,7 +795,7 @@ impl CampaignCheckpoint {
     }
 
     /// Record a failed path with its reason (best-effort).
-    pub fn record_failed(&self, index: usize, retries: u32, reason: &str) {
+    pub(crate) fn record_failed(&self, index: usize, retries: u32, reason: &str) {
         self.append(&format!(
             "failed {index} {retries} {}",
             hex_encode(reason.as_bytes())
@@ -894,16 +889,16 @@ impl CampaignCheckpoint {
 pub struct SupervisedRun<T> {
     /// Per-path results, index-aligned; `None` where the path failed or
     /// was skipped.
-    pub results: Vec<Option<T>>,
+    pub(crate) results: Vec<Option<T>>,
     /// Per-path outcomes, index-aligned with the campaign's path order.
-    pub ledger: Vec<LedgerEntry>,
+    pub(crate) ledger: Vec<LedgerEntry>,
     /// How many paths were restored from the checkpoint instead of run.
     pub restored: usize,
 }
 
 impl<T> SupervisedRun<T> {
     /// Outcome totals.
-    pub fn counts(&self) -> OutcomeCounts {
+    pub(crate) fn counts(&self) -> OutcomeCounts {
         count_outcomes(&self.ledger)
     }
 }
@@ -948,7 +943,7 @@ where
 /// [`supervise`]. Paths outside `subset` that the checkpoint does not
 /// restore are marked [`PathOutcome::Skipped`]. `subset` must be strictly
 /// increasing and in range.
-pub fn supervise_subset<T, F>(
+pub(crate) fn supervise_subset<T, F>(
     n_paths: usize,
     subset: &[usize],
     fingerprint: u64,
@@ -1152,7 +1147,7 @@ pub struct SupervisedStudy {
     pub study: LossStudy,
     /// Per-cell outcome ledger (index-aligned with
     /// [`crate::campaign::lab_cells`]).
-    pub ledger: Vec<LedgerEntry>,
+    pub(crate) ledger: Vec<LedgerEntry>,
     /// Cells restored from the checkpoint instead of re-run.
     pub restored: usize,
 }
@@ -1164,16 +1159,17 @@ impl SupervisedStudy {
     }
 }
 
-fn lab_study_supervised(
+/// The supervised NS-2 lab sweep (Fig 2): `ns2_study` with per-cell fault
+/// isolation, budgets, and checkpoint/resume.
+pub fn ns2_study_supervised(
     cfg: &LabCampaignConfig,
-    dummynet: bool,
     sup: &SupervisorConfig,
 ) -> crate::error::Result<SupervisedStudy> {
     let n_cells = lab_cells(cfg).len();
-    let label = lab_label(dummynet);
+    let label = lab_label(false);
     let fp = campaign_fingerprint(label, cfg.seed, n_cells);
     let run = supervise(n_cells, fp, sup, |i, limits| {
-        lab_cell(cfg, dummynet, i, limits)
+        lab_cell(cfg, false, i, limits)
     })?;
     let pooled: Vec<f64> = run
         .results
@@ -1186,23 +1182,6 @@ fn lab_study_supervised(
         ledger: run.ledger,
         restored: run.restored,
     })
-}
-
-/// The supervised NS-2 lab sweep (Fig 2): `ns2_study` with per-cell fault
-/// isolation, budgets, and checkpoint/resume.
-pub fn ns2_study_supervised(
-    cfg: &LabCampaignConfig,
-    sup: &SupervisorConfig,
-) -> crate::error::Result<SupervisedStudy> {
-    lab_study_supervised(cfg, false, sup)
-}
-
-/// The supervised Dummynet lab sweep (Fig 3).
-pub fn dummynet_study_supervised(
-    cfg: &LabCampaignConfig,
-    sup: &SupervisorConfig,
-) -> crate::error::Result<SupervisedStudy> {
-    lab_study_supervised(cfg, true, sup)
 }
 
 #[cfg(test)]

@@ -17,14 +17,14 @@ pub struct ClockModel {
 
 impl ClockModel {
     /// The paper's FreeBSD Dummynet clock: 1 ms ticks.
-    pub fn freebsd_1ms() -> ClockModel {
+    pub(crate) fn freebsd_1ms() -> ClockModel {
         ClockModel {
             tick: SimDuration::from_millis(1),
         }
     }
 
     /// An ideal (infinite-resolution) clock.
-    pub fn ideal() -> ClockModel {
+    pub(crate) fn ideal() -> ClockModel {
         ClockModel {
             tick: SimDuration::ZERO,
         }
@@ -39,7 +39,7 @@ impl ClockModel {
     /// sinks apply as losses surface. Bitwise-identical to what
     /// [`ClockModel::stamp_secs`] does to the same element.
     #[inline]
-    pub fn stamp_one_secs(&self, t: f64) -> f64 {
+    pub(crate) fn stamp_one_secs(&self, t: f64) -> f64 {
         if self.tick == SimDuration::ZERO {
             return t;
         }

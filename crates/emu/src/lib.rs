@@ -16,15 +16,14 @@
 //!
 //! [`testbed`] also hosts the shared Fig 1 dumbbell workload runner used by
 //! both the simulation and the emulation campaigns.
-
 //!
 //! ```
-//! use lossburst_emu::prelude::*;
+//! use lossburst_emu::testbed::{run_streaming, TestbedConfig};
 //! use lossburst_netsim::time::SimDuration;
 //!
 //! let mut cfg = TestbedConfig::dummynet_baseline(4, 128, 3);
 //! cfg.duration = SimDuration::from_secs(5);
-//! let res = run(&cfg);
+//! let res = run_streaming(&cfg);
 //! // Every recorded loss timestamp sits on a 1 ms FreeBSD clock tick.
 //! assert!(res.loss_times.iter().all(|t| (t * 1000.0).fract().abs() < 1e-6));
 //! ```
@@ -32,15 +31,5 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod sink;
+pub(crate) mod sink;
 pub mod testbed;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::clock::{clock_ablation, ClockAblationRow, ClockModel};
-    pub use crate::sink::ClockedLossSink;
-    pub use crate::testbed::{
-        run, run_limited, run_streaming, run_streaming_limited, EventBudgetExceeded,
-        ShortFlowConfig, StreamTestbedResult, TestbedConfig, TestbedResult,
-    };
-}

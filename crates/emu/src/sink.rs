@@ -18,7 +18,7 @@ use std::any::Any;
 /// A [`TraceSink`] that streams one link's drop timeline through a
 /// recording clock into an online burstiness accumulator.
 #[derive(Debug)]
-pub struct ClockedLossSink {
+pub(crate) struct ClockedLossSink {
     link: LinkId,
     clock: ClockModel,
     stats: LossStreamStats,
@@ -30,7 +30,7 @@ pub struct ClockedLossSink {
 impl ClockedLossSink {
     /// Observe drops on `link`, stamping through `clock` and normalizing
     /// intervals by `rtt_secs`.
-    pub fn new(link: LinkId, clock: ClockModel, rtt_secs: f64) -> ClockedLossSink {
+    pub(crate) fn new(link: LinkId, clock: ClockModel, rtt_secs: f64) -> ClockedLossSink {
         ClockedLossSink {
             link,
             clock,
@@ -39,18 +39,13 @@ impl ClockedLossSink {
         }
     }
 
-    /// Losses observed so far on the watched link.
-    pub fn count(&self) -> usize {
-        self.times.len()
-    }
-
     /// The accumulated statistics.
-    pub fn stats(&self) -> &LossStreamStats {
+    pub(crate) fn stats(&self) -> &LossStreamStats {
         &self.stats
     }
 
     /// The clock-stamped drop times recorded so far.
-    pub fn times(&self) -> &[f64] {
+    pub(crate) fn times(&self) -> &[f64] {
         &self.times
     }
 }
@@ -94,7 +89,6 @@ mod tests {
         s.on_loss(&rec(3, 1_700_000)); // 1.7 ms -> 1 ms
         s.on_loss(&rec(9, 2_000_000)); // other link: ignored
         s.on_loss(&rec(3, 2_300_000)); // 2.3 ms -> 2 ms
-        assert_eq!(s.count(), 2);
         assert_eq!(s.times(), &[0.001, 0.002]);
         assert_eq!(s.stats().n_losses(), 2);
     }

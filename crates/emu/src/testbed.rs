@@ -9,6 +9,12 @@
 //! * the **Dummynet emulation** campaign uses the FreeBSD 1 ms clock and
 //!   per-packet processing jitter — the two non-idealities that distinguish
 //!   the paper's emulation data from its simulation data.
+//!
+//! There is one run path, [`run_streaming`] / [`run_streaming_limited`]:
+//! the trace is never buffered, a `ClockedLossSink` stamps each
+//! forward-bottleneck drop as it happens. (The `_streaming` suffix is
+//! history — a buffered twin existed until PR 24 — and stays until the
+//! benchmark that imports these names can be renamed with them.)
 
 use crate::clock::ClockModel;
 use crate::sink::ClockedLossSink;
@@ -23,7 +29,7 @@ use lossburst_netsim::rng::Sampler;
 use lossburst_netsim::sim::{RunLimits, Simulator};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_dumbbell, Dumbbell, DumbbellConfig, RttAssignment};
-use lossburst_netsim::trace::{TraceConfig, TraceSet};
+use lossburst_netsim::trace::TraceConfig;
 use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::onoff::{FluidOnOff, OnOff};
@@ -51,7 +57,7 @@ pub struct TestbedConfig {
     /// Bottleneck capacity, bits/second.
     pub bottleneck_bps: f64,
     /// Access capacity, bits/second.
-    pub access_bps: f64,
+    pub(crate) access_bps: f64,
     /// Bottleneck queue discipline.
     pub bottleneck_disc: QueueDisc,
     /// Number of on-off noise flows (half forward, half reverse).
@@ -59,9 +65,9 @@ pub struct TestbedConfig {
     /// Aggregate average noise rate as a fraction of bottleneck capacity.
     pub noise_fraction: f64,
     /// Mean ON period of a noise flow.
-    pub noise_mean_on: SimDuration,
+    pub(crate) noise_mean_on: SimDuration,
     /// Mean OFF period of a noise flow.
-    pub noise_mean_off: SimDuration,
+    pub(crate) noise_mean_off: SimDuration,
     /// Optional short-flow stream.
     pub short_flows: Option<ShortFlowConfig>,
     /// Simulated duration.
@@ -73,15 +79,15 @@ pub struct TestbedConfig {
     /// conformance suite also sweeps CUBIC and BBR through the same gate.
     pub cc: CcAlgorithm,
     /// Recording clock applied to the loss trace.
-    pub clock: ClockModel,
+    pub(crate) clock: ClockModel,
     /// Per-packet processing jitter at the bottleneck router.
-    pub jitter: JitterModel,
+    pub(crate) jitter: JitterModel,
     /// How the noise flows are simulated: packet by packet (the reference
     /// model, default) or as a fluid aggregate at the two bottleneck links
     /// (the hybrid engine; see `lossburst_netsim::fluid`).
     pub background: BackgroundMode,
     /// RNG seed (controls RTT draws, noise phases, flow start stagger).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TestbedConfig {
@@ -109,22 +115,6 @@ impl TestbedConfig {
         }
     }
 
-    /// A laptop-scale smoke-test preset: few flows, small buffer, a short
-    /// run. Finishes in well under a second; useful in tests and examples.
-    pub fn quick(seed: u64) -> TestbedConfig {
-        let mut cfg = TestbedConfig::ns2_baseline(6, 200, seed);
-        cfg.duration = SimDuration::from_secs(10);
-        cfg
-    }
-
-    /// The paper-scale preset: 16 long flows, a bandwidth-delay-product
-    /// buffer, and the paper's full 5-minute measurement window.
-    pub fn full(seed: u64) -> TestbedConfig {
-        let mut cfg = TestbedConfig::ns2_baseline(16, 500, seed);
-        cfg.duration = SimDuration::from_secs(300);
-        cfg
-    }
-
     /// The paper's Dummynet setup: 4 fixed RTT classes (2/10/50/200 ms),
     /// 1 ms recording clock, and processing-time noise in the router.
     pub fn dummynet_baseline(tcp_flows: usize, buffer_pkts: usize, seed: u64) -> TestbedConfig {
@@ -141,14 +131,16 @@ impl TestbedConfig {
     }
 }
 
-/// What a testbed run produced.
-#[derive(Debug)]
-pub struct TestbedResult {
+/// What a testbed run produced: online burstiness statistics plus the
+/// O(losses) stamped drop timeline; no trace is buffered.
+#[derive(Clone, Debug)]
+pub struct StreamTestbedResult {
+    /// Online burstiness statistics over the forward-bottleneck drops,
+    /// clock-stamped and normalized by the mean TCP RTT.
+    pub stats: LossStreamStats,
     /// Drop timestamps (seconds) at the forward bottleneck, through the
-    /// recording clock.
+    /// recording clock; kept for cross-run pooling.
     pub loss_times: Vec<f64>,
-    /// Same for the reverse bottleneck (ACK path).
-    pub reverse_loss_times: Vec<f64>,
     /// RTT assigned to each TCP pair.
     pub pair_rtts: Vec<SimDuration>,
     /// Mean of the TCP pairs' RTTs — the normalization constant for the
@@ -160,44 +152,14 @@ pub struct TestbedResult {
     pub utilization: f64,
     /// Progress of each long TCP flow.
     pub tcp_progress: Vec<FlowProgress>,
-    /// Flow ids of the long TCP flows (index-aligned with `tcp_progress`).
-    pub tcp_flow_ids: Vec<FlowId>,
-    /// The full trace set for custom analysis.
-    pub trace: TraceSet,
-}
-
-/// What a streaming testbed run produced: the batch result's statistics
-/// without the batch result's buffers. The full [`TraceSet`] is replaced
-/// by an online accumulator plus the O(losses) stamped drop timeline.
-#[derive(Clone, Debug)]
-pub struct StreamTestbedResult {
-    /// Online burstiness statistics over the forward-bottleneck drops,
-    /// clock-stamped and normalized by the mean TCP RTT.
-    pub stats: LossStreamStats,
-    /// Clock-stamped forward drop times (seconds) — identical to the
-    /// batch [`TestbedResult::loss_times`]; kept for cross-run pooling.
-    pub loss_times: Vec<f64>,
-    /// RTT assigned to each TCP pair.
-    pub pair_rtts: Vec<SimDuration>,
-    /// Mean of the TCP pairs' RTTs.
-    pub mean_rtt: SimDuration,
-    /// Forward-bottleneck drop count.
-    pub drops: u64,
-    /// Bottleneck utilization over the run (0..=1).
-    pub utilization: f64,
-    /// Bytes still committed to trace buffers (near zero: buffering is
-    /// off; compare with `TestbedResult::trace.buffer_bytes()`).
+    /// Bytes still committed to trace buffers (near zero: buffering is off).
     pub trace_bytes: usize,
 }
 
 /// Build the testbed simulation — topology, jitter, and the full workload
-/// — ready to run. `trace_cfg` selects between buffered-batch recording
-/// and the streaming (no-buffer) configuration.
-fn build_testbed(
-    cfg: &TestbedConfig,
-    trace_cfg: TraceConfig,
-) -> (Simulator, Dumbbell, Vec<FlowId>) {
-    let mut b = SimBuilder::new(cfg.seed).trace(trace_cfg);
+/// — ready to run, with trace buffering off (drops reach a sink instead).
+fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowId>) {
+    let mut b = SimBuilder::new(cfg.seed).trace(TraceConfig::none());
     let pairs = cfg.tcp_flows + cfg.noise_flows + cfg.short_flows.as_ref().map(|_| 1).unwrap_or(0);
     let dcfg = DumbbellConfig {
         pairs,
@@ -351,73 +313,21 @@ impl std::fmt::Display for EventBudgetExceeded {
 
 impl std::error::Error for EventBudgetExceeded {}
 
-/// Run one testbed experiment (the batch pipeline: buffer the trace, then
-/// stamp and analyze it afterwards).
-pub fn run(cfg: &TestbedConfig) -> TestbedResult {
-    run_limited(cfg, RunLimits::NONE).expect("unlimited run cannot exhaust")
-}
-
-/// [`run`] under execution limits: the event budget aborts a runaway
-/// configuration, and `panic_at_event` injects a deterministic mid-run
-/// panic for supervisor fault-boundary testing.
-pub fn run_limited(
-    cfg: &TestbedConfig,
-    limits: RunLimits,
-) -> Result<TestbedResult, EventBudgetExceeded> {
-    let (mut sim, db, tcp_flow_ids) = build_testbed(cfg, TraceConfig::default());
-    sim.set_run_limits(limits);
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    if sim.budget_exhausted() {
-        return Err(EventBudgetExceeded {
-            events: sim.events_processed,
-        });
-    }
-    settle_fluid(&mut sim, &db);
-
-    let loss_times = cfg
-        .clock
-        .stamp_secs(&sim.trace.loss_times_on(db.bottleneck));
-    let reverse_loss_times = cfg
-        .clock
-        .stamp_secs(&sim.trace.loss_times_on(db.reverse_bottleneck));
-    let pair_rtts: Vec<SimDuration> = db.pair_rtts[..cfg.tcp_flows].to_vec();
-    let mean_rtt = mean_pair_rtt(&pair_rtts);
-    let utilization = bottleneck_utilization(&sim, &db, cfg);
-    let drops = sim.links[db.bottleneck.index()].stats.dropped;
-    let tcp_progress: Vec<FlowProgress> = tcp_flow_ids
-        .iter()
-        .map(|id| sim.flows[id.index()].transport.progress())
-        .collect();
-
-    Ok(TestbedResult {
-        loss_times,
-        reverse_loss_times,
-        pair_rtts,
-        mean_rtt,
-        drops,
-        utilization,
-        tcp_progress,
-        tcp_flow_ids,
-        trace: sim.trace,
-    })
-}
-
-/// Run one testbed experiment with streaming loss analysis: trace
-/// buffering off, a [`ClockedLossSink`] stamping and folding each
-/// forward-bottleneck drop into a [`LossStreamStats`] as it happens.
-/// Statistics and the stamped drop timeline are identical to what
-/// [`run`]'s batch pipeline reconstructs afterwards.
+/// Run one testbed experiment: trace buffering off, a `ClockedLossSink`
+/// stamping and folding each forward-bottleneck drop into a
+/// [`LossStreamStats`] as it happens.
 pub fn run_streaming(cfg: &TestbedConfig) -> StreamTestbedResult {
     run_streaming_limited(cfg, RunLimits::NONE).expect("unlimited run cannot exhaust")
 }
 
-/// [`run_streaming`] under execution limits — the streaming twin of
-/// [`run_limited`], with identical budget and fault-injection semantics.
+/// [`run_streaming`] under execution limits: the event budget aborts a
+/// runaway configuration, and `panic_at_event` injects a deterministic
+/// mid-run panic for supervisor fault-boundary testing.
 pub fn run_streaming_limited(
     cfg: &TestbedConfig,
     limits: RunLimits,
 ) -> Result<StreamTestbedResult, EventBudgetExceeded> {
-    let (mut sim, db, _tcp_flow_ids) = build_testbed(cfg, TraceConfig::none());
+    let (mut sim, db, tcp_flow_ids) = build_testbed(cfg);
     let pair_rtts: Vec<SimDuration> = db.pair_rtts[..cfg.tcp_flows].to_vec();
     let mean_rtt = mean_pair_rtt(&pair_rtts);
     let sink_idx = sim.trace.add_sink(Box::new(ClockedLossSink::new(
@@ -438,6 +348,10 @@ pub fn run_streaming_limited(
     let utilization = bottleneck_utilization(&sim, &db, cfg);
     let drops = sim.links[db.bottleneck.index()].stats.dropped;
     let trace_bytes = sim.trace.buffer_bytes();
+    let tcp_progress: Vec<FlowProgress> = tcp_flow_ids
+        .iter()
+        .map(|id| sim.flows[id.index()].transport.progress())
+        .collect();
     let sink = sim
         .trace
         .sink::<ClockedLossSink>(sink_idx)
@@ -449,6 +363,7 @@ pub fn run_streaming_limited(
         mean_rtt,
         drops,
         utilization,
+        tcp_progress,
         trace_bytes,
     })
 }
@@ -461,7 +376,7 @@ mod tests {
     fn ns2_baseline_produces_bursty_losses() {
         let mut cfg = TestbedConfig::ns2_baseline(8, 200, 42);
         cfg.duration = SimDuration::from_secs(20);
-        let res = run(&cfg);
+        let res = run_streaming(&cfg);
         assert!(res.drops > 20, "only {} drops", res.drops);
         assert_eq!(res.loss_times.len() as u64, res.drops);
         // With a 0.16-BDP buffer and 2–200 ms RTTs, 8 NewReno flows leave
@@ -486,7 +401,7 @@ mod tests {
     fn dummynet_clock_quantizes_trace() {
         let mut cfg = TestbedConfig::dummynet_baseline(8, 200, 43);
         cfg.duration = SimDuration::from_secs(15);
-        let res = run(&cfg);
+        let res = run_streaming(&cfg);
         assert!(res.drops > 0);
         for t in &res.loss_times {
             let ms = t * 1000.0;
@@ -498,52 +413,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_run_matches_batch_run() {
-        // NS-2-style (ideal clock) and Dummynet-style (1 ms clock +
-        // jitter): the sink-driven run must reproduce the batch-stamped
-        // drop timeline bit for bit, with the trace buffers gone.
-        for cfg in [
-            {
-                let mut c = TestbedConfig::ns2_baseline(6, 150, 21);
-                c.duration = SimDuration::from_secs(12);
-                c
-            },
-            {
-                let mut c = TestbedConfig::dummynet_baseline(6, 150, 22);
-                c.duration = SimDuration::from_secs(12);
-                c
-            },
-        ] {
-            let batch = run(&cfg);
-            let stream = run_streaming(&cfg);
-            assert!(batch.drops > 0, "fixture produced no drops");
-            assert_eq!(batch.drops, stream.drops);
-            assert_eq!(batch.mean_rtt, stream.mean_rtt);
-            let b_bits: Vec<u64> = batch.loss_times.iter().map(|t| t.to_bits()).collect();
-            let s_bits: Vec<u64> = stream.loss_times.iter().map(|t| t.to_bits()).collect();
-            assert_eq!(b_bits, s_bits);
-            assert_eq!(stream.stats.n_losses(), batch.loss_times.len() as u64);
-            assert_eq!(batch.utilization, stream.utilization);
-            assert!(
-                stream.trace_bytes < batch.trace.buffer_bytes(),
-                "streaming kept {} bytes of trace, batch {}",
-                stream.trace_bytes,
-                batch.trace.buffer_bytes()
-            );
-        }
-    }
-
-    #[test]
     fn event_budget_aborts_testbed_run() {
         let mut cfg = TestbedConfig::ns2_baseline(4, 100, 7);
         cfg.duration = SimDuration::from_secs(5);
-        let err = run_limited(&cfg, RunLimits::max_events(1_000)).unwrap_err();
-        assert_eq!(err, EventBudgetExceeded { events: 1_000 });
         let err = run_streaming_limited(&cfg, RunLimits::max_events(1_000)).unwrap_err();
-        assert_eq!(err.events, 1_000);
+        assert_eq!(err, EventBudgetExceeded { events: 1_000 });
         // A generous budget reproduces the unlimited run exactly.
-        let unlimited = run(&cfg);
-        let limited = run_limited(&cfg, RunLimits::max_events(u64::MAX / 2)).unwrap();
+        let unlimited = run_streaming(&cfg);
+        let limited = run_streaming_limited(&cfg, RunLimits::max_events(u64::MAX / 2)).unwrap();
         assert_eq!(unlimited.drops, limited.drops);
         assert_eq!(unlimited.loss_times, limited.loss_times);
     }
@@ -552,8 +429,8 @@ mod tests {
     fn deterministic_given_seed() {
         let mut cfg = TestbedConfig::ns2_baseline(4, 100, 7);
         cfg.duration = SimDuration::from_secs(5);
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = run_streaming(&cfg);
+        let b = run_streaming(&cfg);
         assert_eq!(a.drops, b.drops);
         assert_eq!(a.loss_times, b.loss_times);
     }
@@ -562,13 +439,13 @@ mod tests {
     fn short_flows_add_losses() {
         let mut cfg = TestbedConfig::ns2_baseline(2, 100, 11);
         cfg.duration = SimDuration::from_secs(10);
-        let base = run(&cfg).drops;
+        let base = run_streaming(&cfg).drops;
         cfg.short_flows = Some(ShortFlowConfig {
             rate_per_sec: 20.0,
             min_bytes: 20_000.0,
             alpha: 1.3,
         });
-        let with_short = run(&cfg).drops;
+        let with_short = run_streaming(&cfg).drops;
         assert!(
             with_short > base,
             "short flows should add pressure: {with_short} vs {base}"
@@ -579,9 +456,9 @@ mod tests {
     fn fluid_background_keeps_the_testbed_in_the_same_regime() {
         let mut cfg = TestbedConfig::ns2_baseline(8, 200, 42);
         cfg.duration = SimDuration::from_secs(20);
-        let packet = run(&cfg);
+        let packet = run_streaming(&cfg);
         cfg.background = BackgroundMode::Fluid;
-        let fluid = run(&cfg);
+        let fluid = run_streaming(&cfg);
         // Same TCP population over the same bottleneck: the fluid noise
         // model must leave the run in the same loss/utilization regime as
         // the packet noise model, not reproduce it sample for sample.
@@ -600,7 +477,7 @@ mod tests {
             packet.drops
         );
         // And the fluid run is itself deterministic.
-        let again = run(&cfg);
+        let again = run_streaming(&cfg);
         assert_eq!(fluid.drops, again.drops);
         assert_eq!(fluid.loss_times, again.loss_times);
     }

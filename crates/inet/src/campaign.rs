@@ -96,7 +96,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// [`campaign_pairs`] sample — and each later replica derives a fresh seed,
 /// turning the same 650 directed pairs into new synthetic paths (new
 /// scenarios, new run seeds).
-pub fn replica_seed(seed: u64, replica: usize) -> u64 {
+pub(crate) fn replica_seed(seed: u64, replica: usize) -> u64 {
     if replica == 0 {
         seed
     } else {
@@ -141,7 +141,7 @@ impl GridSample {
 
     /// The directed pair of grid index `i` (the sample cycles past
     /// [`DIRECTED_PATHS`]).
-    pub fn pair(&self, index: usize) -> (usize, usize) {
+    pub(crate) fn pair(&self, index: usize) -> (usize, usize) {
         self.base[index % DIRECTED_PATHS]
     }
 
@@ -158,7 +158,7 @@ impl GridSample {
 /// The synthetic path grid for campaigns beyond the [`DIRECTED_PATHS`]
 /// directed pairs: the shuffled pair sample cycles, and path index `i`
 /// belongs to replica `i / 650`, whose scenarios and run seeds derive from
-/// [`replica_seed`]. For `cfg.n_paths ≤ 650` this IS [`campaign_pairs`] —
+/// `replica_seed`. For `cfg.n_paths ≤ 650` this IS [`campaign_pairs`] —
 /// same shuffle, same truncation — so grid campaigns at classic scale stay
 /// byte-identical to the classic runners. Path identity depends only on
 /// `(cfg.seed, i)`, never on how the grid is sharded.
@@ -168,7 +168,7 @@ pub fn grid_pairs(cfg: &CampaignConfig) -> Vec<(usize, usize)> {
 }
 
 /// Measure grid path `index` (whose directed pair is `(src, dst)` from
-/// [`grid_pairs`]) under execution limits: [`try_measure_path_streaming`]
+/// [`grid_pairs`]) under execution limits: `try_measure_path_streaming`
 /// with the index's replica seed. Replica 0 is bit-identical to the classic
 /// per-path measurement.
 pub fn try_measure_path_grid_streaming(
@@ -261,7 +261,7 @@ fn pooled_intervals(measurements: &[StreamPathMeasurement]) -> impl Iterator<Ite
 
 /// Measure one directed path: paired 48 B / 400 B runs plus validation.
 /// Seeding depends only on `(cfg.seed, src, dst)`, never on scheduling.
-pub fn measure_path_streaming(
+pub(crate) fn measure_path_streaming(
     cfg: &CampaignConfig,
     src: usize,
     dst: usize,
@@ -274,7 +274,7 @@ pub fn measure_path_streaming(
 /// each of the paired runs independently; the first run to exhaust its
 /// event budget fails the whole path measurement. This is the per-path
 /// primitive the `core` campaign supervisor wraps in its fault boundary.
-pub fn try_measure_path_streaming(
+pub(crate) fn try_measure_path_streaming(
     cfg: &CampaignConfig,
     src: usize,
     dst: usize,

@@ -28,7 +28,9 @@
 //! is a mechanical rename left to a benchmark-side change.
 //!
 //! ```
-//! use lossburst_inet::prelude::*;
+//! use lossburst_inet::geo::base_rtt;
+//! use lossburst_inet::path::PathScenario;
+//! use lossburst_inet::sites::{DIRECTED_PATHS, SITES};
 //!
 //! // Table 1 and the derived geography.
 //! assert_eq!(SITES.len(), 26);
@@ -46,22 +48,4 @@ pub mod campaign;
 pub mod geo;
 pub mod path;
 pub mod probe;
-pub mod report;
 pub mod sites;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::campaign::{
-        aggregate_streaming, campaign_pairs, grid_pairs, measure_path_streaming, replica_seed,
-        run_campaign_streaming, try_measure_path_grid_streaming, try_measure_path_streaming,
-        CampaignConfig, GridSample, StreamCampaignResult, StreamPathMeasurement,
-    };
-    pub use crate::geo::{base_rtt, distance_km};
-    pub use crate::path::{LoadTier, PathScenario};
-    pub use crate::probe::{
-        run_probe_streaming, run_probe_streaming_limited, validate_streaming, ProbeConfig,
-        ProbeError, StreamProbeOutcome,
-    };
-    pub use crate::report::{by_region_pair, path_table, region_table, RegionPairStats};
-    pub use crate::sites::{all_directed_pairs, Region, Site, DIRECTED_PATHS, SITES};
-}

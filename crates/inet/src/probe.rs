@@ -66,18 +66,6 @@ impl ProbeConfig {
             background: BackgroundMode::Packet,
         }
     }
-
-    /// A laptop-scale smoke-test preset: the 48-byte probe over a
-    /// 20-second window.
-    pub fn quick(seed: u64) -> ProbeConfig {
-        ProbeConfig::small(SimDuration::from_secs(20), seed)
-    }
-
-    /// The paper-scale preset: the 48-byte probe over the paper's full
-    /// 5-minute measurement window.
-    pub fn full(seed: u64) -> ProbeConfig {
-        ProbeConfig::small(SimDuration::from_secs(300), seed)
-    }
 }
 
 /// What one probe run measured: loss accounting plus burstiness statistics

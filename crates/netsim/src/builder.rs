@@ -4,11 +4,11 @@
 //! stages construction in the only order that makes sense — nodes, then
 //! links between them, then flows across them — and finishes the job at
 //! [`SimBuilder::build`]: routes are computed from the complete topology
-//! (shortest path by hop count), explicit route overrides are applied, and
-//! every flow's start event is scheduled. The classic footgun of the old
-//! free-form API (computing routes before the last link existed, or
-//! forgetting to compute them at all) is unrepresentable: you cannot run a
-//! simulator you haven't built, and building routes it for you.
+//! (shortest path by hop count) and every flow's start event is
+//! scheduled. The classic footgun of the old free-form API (computing
+//! routes before the last link existed, or forgetting to compute them at
+//! all) is unrepresentable: you cannot run a simulator you haven't built,
+//! and building routes it for you.
 //!
 //! ```
 //! use lossburst_netsim::prelude::*;
@@ -28,7 +28,7 @@ use crate::packet::{FlowId, LinkId, NodeId};
 use crate::queue::QueueDisc;
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceConfig, TraceSet, TraceSink};
+use crate::trace::{TraceConfig, TraceSet};
 use rand::rngs::SmallRng;
 
 struct PendingFlow {
@@ -42,7 +42,6 @@ struct PendingFlow {
 pub struct SimBuilder {
     sim: Simulator,
     pending_flows: Vec<PendingFlow>,
-    route_overrides: Vec<(NodeId, NodeId, LinkId)>,
 }
 
 impl SimBuilder {
@@ -52,38 +51,17 @@ impl SimBuilder {
         SimBuilder {
             sim: Simulator::empty(seed, TraceConfig::default()),
             pending_flows: Vec::new(),
-            route_overrides: Vec::new(),
         }
     }
 
-    /// Select which record streams the run keeps. Sinks attached earlier
-    /// carry over.
+    /// Select which record streams the run keeps.
     pub fn trace(mut self, config: TraceConfig) -> SimBuilder {
-        let sinks = self.sim.trace.take_sinks();
         self.sim.trace = TraceSet::new(config);
-        for s in sinks {
-            self.sim.trace.add_sink(s);
-        }
-        self
-    }
-
-    /// Attach a streaming [`TraceSink`] observer; returns its index for
-    /// post-run retrieval via [`TraceSet::sink`]. Combine with
-    /// [`TraceConfig::none`] to analyze a run in constant memory, with no
-    /// record buffering at all.
-    pub fn sink(&mut self, sink: Box<dyn TraceSink>) -> usize {
-        self.sim.trace.add_sink(sink)
-    }
-
-    /// Install execution limits (event budget / injected panic point) on
-    /// the simulator being built; see [`crate::sim::RunLimits`].
-    pub fn limits(mut self, limits: crate::sim::RunLimits) -> SimBuilder {
-        self.sim.set_run_limits(limits);
         self
     }
 
     /// Add a node of the given kind; returns its id.
-    pub fn node(&mut self, kind: NodeKind) -> NodeId {
+    pub(crate) fn node(&mut self, kind: NodeKind) -> NodeId {
         self.sim.add_node(kind)
     }
 
@@ -123,7 +101,7 @@ impl SimBuilder {
 
     /// Mutable access to an already-added link, for pre-run tweaks like
     /// the emulation substrate's processing-jitter model.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
+    pub(crate) fn link_mut(&mut self, id: LinkId) -> &mut Link {
         &mut self.sim.links[id.index()]
     }
 
@@ -153,30 +131,19 @@ impl SimBuilder {
         id
     }
 
-    /// Override the next-hop link at `at` towards `dst`. Overrides are
-    /// applied after the automatic shortest-path computation in
-    /// [`SimBuilder::build`], so a topology can pin selected paths while
-    /// the rest stay shortest-path.
-    pub fn route(&mut self, at: NodeId, dst: NodeId, via: LinkId) {
-        self.route_overrides.push((at, dst, via));
-    }
-
     /// The simulation RNG, for topology builders that draw randomized
     /// parameters (e.g. per-pair RTTs) during construction. Draws consume
     /// the same stream the simulation itself will use, exactly like the
     /// old free-form API.
-    pub fn rng(&mut self) -> &mut SmallRng {
+    pub(crate) fn rng(&mut self) -> &mut SmallRng {
         &mut self.sim.rng
     }
 
     /// Finish construction: compute shortest-path routes over the complete
-    /// topology, apply route overrides, schedule every flow's start event,
-    /// and hand over a ready-to-run [`Simulator`].
+    /// topology, schedule every flow's start event, and hand over a
+    /// ready-to-run [`Simulator`].
     pub fn build(mut self) -> Simulator {
         self.sim.compute_routes();
-        for (at, dst, via) in self.route_overrides.drain(..) {
-            self.sim.nodes[at.index()].set_route(dst, via);
-        }
         for f in self.pending_flows.drain(..) {
             self.sim.add_flow(f.src, f.dst, f.start_at, f.transport);
         }
@@ -326,39 +293,5 @@ mod tests {
         assert_eq!((f0, f1), (FlowId(0), FlowId(1)));
         let sim = b.build();
         assert_eq!(sim.flows.len(), 2);
-    }
-
-    #[test]
-    fn route_overrides_apply_after_shortest_path() {
-        // Triangle a-r1-c with a direct a-c link: shortest path a->c is the
-        // direct link, but an override can pin the detour via r1.
-        let mut b = SimBuilder::new(1);
-        let a = b.host();
-        let r1 = b.router();
-        let c = b.host();
-        let (ar, _) = b.duplex(
-            a,
-            r1,
-            8e6,
-            SimDuration::from_millis(1),
-            QueueDisc::drop_tail(32),
-        );
-        b.duplex(
-            r1,
-            c,
-            8e6,
-            SimDuration::from_millis(1),
-            QueueDisc::drop_tail(32),
-        );
-        b.duplex(
-            a,
-            c,
-            8e6,
-            SimDuration::from_millis(1),
-            QueueDisc::drop_tail(32),
-        );
-        b.route(a, c, ar);
-        let sim = b.build();
-        assert_eq!(sim.nodes[a.index()].route_to(c), Some(ar));
     }
 }

@@ -38,8 +38,7 @@ pub struct HostDriver {
 
 impl HostDriver {
     /// A driver for `flow` with its own RNG stream seeded by `seed`.
-    /// Traces are kept unbuffered ([`TraceConfig::none`]); attach a sink
-    /// via [`HostDriver::trace_mut`] if a caller wants goodput events.
+    /// Traces are kept unbuffered ([`TraceConfig::none`]).
     pub fn new(seed: u64, flow: FlowId) -> HostDriver {
         HostDriver {
             flow,
@@ -50,11 +49,6 @@ impl HostDriver {
             fluid_outbox: Vec::new(),
             next_packet_id: 0,
         }
-    }
-
-    /// The trace set transports record into.
-    pub fn trace_mut(&mut self) -> &mut TraceSet {
-        &mut self.trace
     }
 
     fn with_ctx<R>(

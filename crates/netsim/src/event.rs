@@ -135,11 +135,11 @@ pub struct SchedulerStats {
     pub inserts: u64,
     /// Elements of the day being dequeued moved aside to keep it sorted,
     /// summed over all inserts.
-    pub shifted: u64,
+    pub(crate) shifted: u64,
     /// Events dequeued.
     pub pops: u64,
     /// Days the clock entered (each is sorted once, on entry).
-    pub days_walked: u64,
+    pub(crate) days_walked: u64,
     /// Times the whole pending set was placed again because an event was
     /// scheduled below the clock. No simulation does that: 0 on every
     /// workload.

@@ -54,16 +54,16 @@ pub enum BackgroundMode {
 #[derive(Clone, Debug)]
 pub struct FluidState {
     /// Current aggregate background arrival rate in bits/second.
-    pub rate_bps: f64,
+    pub(crate) rate_bps: f64,
     /// Current virtual backlog in bytes.
-    pub backlog_bytes: f64,
+    pub(crate) backlog_bytes: f64,
     /// Mean background packet size in bytes; converts the byte backlog to
     /// the packet-denominated occupancy queue disciplines reason in.
-    pub mean_pkt_bytes: f64,
+    pub(crate) mean_pkt_bytes: f64,
     /// Total fluid bytes that arrived (integrated rate).
     pub arrived_bytes: f64,
     /// Total fluid bytes clipped at the buffer boundary (fluid drops).
-    pub dropped_bytes: f64,
+    pub(crate) dropped_bytes: f64,
     /// Total fluid bytes drained through the link.
     pub drained_bytes: f64,
     last_update: SimTime,
@@ -74,7 +74,7 @@ impl FluidState {
     ///
     /// # Panics
     /// Panics if `mean_pkt_bytes` is not positive and finite.
-    pub fn new(mean_pkt_bytes: f64) -> FluidState {
+    pub(crate) fn new(mean_pkt_bytes: f64) -> FluidState {
         assert!(
             mean_pkt_bytes > 0.0 && mean_pkt_bytes.is_finite(),
             "fluid mean_pkt_bytes must be positive and finite, got {mean_pkt_bytes}"
@@ -92,7 +92,7 @@ impl FluidState {
 
     /// Current backlog expressed in mean-sized packets.
     #[inline]
-    pub fn backlog_pkts(&self) -> f64 {
+    pub(crate) fn backlog_pkts(&self) -> f64 {
         self.backlog_bytes / self.mean_pkt_bytes
     }
 
@@ -105,7 +105,7 @@ impl FluidState {
     /// the backlog moves at `rate - drain`, saturating at zero from below
     /// (fluid drains no more than arrives) and at `cap_bytes` from above
     /// (the excess is dropped, exactly the integral of the overflow).
-    pub fn advance(&mut self, now: SimTime, drain_bps: f64, cap_bytes: f64) {
+    pub(crate) fn advance(&mut self, now: SimTime, drain_bps: f64, cap_bytes: f64) {
         let dt = (now - self.last_update).as_secs_f64();
         self.last_update = now;
         if dt > 0.0 {
@@ -127,7 +127,7 @@ impl FluidState {
     /// Apply a rate change (ON/OFF toggle). The caller must have advanced
     /// the state to the current time first; rates never go below zero
     /// (float drift from paired ± deltas is clamped away).
-    pub fn add_rate(&mut self, delta_bps: f64) {
+    pub(crate) fn add_rate(&mut self, delta_bps: f64) {
         self.rate_bps = (self.rate_bps + delta_bps).max(0.0);
     }
 }

@@ -48,7 +48,7 @@ pub mod event;
 pub mod fluid;
 pub mod iface;
 pub mod link;
-pub mod node;
+pub(crate) mod node;
 pub mod packet;
 pub mod queue;
 pub mod rng;
@@ -60,23 +60,17 @@ pub mod trace;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::builder::SimBuilder;
-    pub use crate::driver::HostDriver;
-    pub use crate::event::{SchedulerStats, TimerToken};
-    pub use crate::fluid::{BackgroundMode, FluidState};
+    pub use crate::event::TimerToken;
     pub use crate::iface::{Ctx, FlowProgress, Transport};
-    pub use crate::link::{JitterModel, Link};
+    pub use crate::link::Link;
     pub use crate::node::NodeKind;
-    pub use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketKind};
-    pub use crate::queue::{DropScript, QueueDisc, RedConfig, Verdict};
+    pub use crate::packet::{FlowId, LinkId, NodeId, Packet};
+    pub use crate::queue::{DropScript, QueueDisc, Verdict};
     pub use crate::rng::Sampler;
-    pub use crate::sim::{EventCounts, FlowEntry, FlowSummary, RunLimits, Simulator};
+    pub use crate::sim::{RunLimits, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{
-        bdp_packets, build_chain, build_dumbbell, build_parking_lot, build_star, full_mesh, Chain,
-        ChainConfig, Dumbbell, DumbbellConfig, ParkingLot, RttAssignment, Star,
+        build_chain, build_dumbbell, build_star, ChainConfig, DumbbellConfig, RttAssignment,
     };
-    pub use crate::trace::{
-        CompletionRecord, GoodputEvent, LossRecord, MarkRecord, QueueSample, TraceConfig, TraceSet,
-        TraceSink,
-    };
+    pub use crate::trace::TraceConfig;
 }

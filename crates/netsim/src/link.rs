@@ -50,7 +50,7 @@ pub struct LinkStats {
     /// Packets offered to the queue.
     pub arrived: u64,
     /// Packets admitted (marked or not).
-    pub enqueued: u64,
+    pub(crate) enqueued: u64,
     /// Packets discarded by the discipline.
     pub dropped: u64,
     /// Packets admitted with an ECN mark.
@@ -75,10 +75,10 @@ pub struct EnqueueOutcome {
 #[derive(Debug)]
 pub struct TxOutcome {
     /// The packet now on the wire; it arrives at [`Link::to`] after
-    /// [`TxOutcome::arrival_in`].
+    /// `TxOutcome::arrival_in`.
     pub packet: Packet,
     /// Propagation delay until arrival at the downstream node.
-    pub arrival_in: SimDuration,
+    pub(crate) arrival_in: SimDuration,
     /// If more packets are queued, the serialization time of the next one.
     pub next_tx: Option<SimDuration>,
 }
@@ -89,17 +89,17 @@ const _: () = assert!(std::mem::size_of::<TxOutcome>() <= 32);
 #[derive(Debug)]
 pub struct Link {
     /// This link's identity.
-    pub id: LinkId,
+    pub(crate) id: LinkId,
     /// Upstream node.
     pub from: NodeId,
     /// Downstream node.
     pub to: NodeId,
     /// Capacity in bits per second.
-    pub bandwidth_bps: f64,
+    pub(crate) bandwidth_bps: f64,
     /// Propagation delay.
-    pub delay: SimDuration,
+    pub(crate) delay: SimDuration,
     /// Queue discipline guarding the buffer.
-    pub disc: QueueDisc,
+    pub(crate) disc: QueueDisc,
     /// Per-packet processing jitter model.
     pub jitter: JitterModel,
     /// Counters.
@@ -192,12 +192,6 @@ impl Link {
     #[inline]
     pub fn occupancy(&self) -> usize {
         self.buffer.len()
-    }
-
-    /// Current buffer occupancy in bytes (including the packet in service).
-    #[inline]
-    pub fn occupancy_bytes(&self) -> usize {
-        self.buffered_bytes
     }
 
     /// Drain rate in mean-sized packets/second (the discipline's configured
@@ -311,7 +305,7 @@ impl Link {
     }
 
     /// Conservation check: everything offered is accounted for.
-    pub fn conserves_packets(&self) -> bool {
+    pub(crate) fn conserves_packets(&self) -> bool {
         self.stats.arrived == self.stats.dropped + self.stats.transmitted + self.buffer.len() as u64
     }
 }
@@ -400,23 +394,23 @@ mod tests {
             NodeId(1),
             8_000_000.0,
             SimDuration::from_millis(5),
-            QueueDisc::drop_tail_bytes(2048),
+            QueueDisc::DropTailBytes { limit_bytes: 2048 },
         );
         let mut rng = SmallRng::seed_from_u64(1);
         let mut small = pkt(0);
         small.size_bytes = 500;
         l.enqueue(SimTime::ZERO, small.clone(), &mut rng);
-        assert_eq!(l.occupancy_bytes(), 500);
+        assert_eq!(l.buffered_bytes, 500);
         l.enqueue(SimTime::ZERO, small.clone(), &mut rng);
         l.enqueue(SimTime::ZERO, small.clone(), &mut rng);
         l.enqueue(SimTime::ZERO, small.clone(), &mut rng);
-        assert_eq!(l.occupancy_bytes(), 2000);
+        assert_eq!(l.buffered_bytes, 2000);
         // 2000 + 500 > 2048: dropped.
         let out = l.enqueue(SimTime::ZERO, small, &mut rng);
         assert_eq!(out.verdict, Verdict::Drop);
         // Draining restores the byte count.
         l.complete_tx(SimTime::from_nanos(500_000), &mut rng);
-        assert_eq!(l.occupancy_bytes(), 1500);
+        assert_eq!(l.buffered_bytes, 1500);
         assert!(l.conserves_packets());
     }
 

@@ -40,7 +40,7 @@ enum Routes {
 
 impl Node {
     /// Create a node with an empty routing table.
-    pub fn new(id: NodeId, kind: NodeKind) -> Node {
+    pub(crate) fn new(id: NodeId, kind: NodeKind) -> Node {
         Node {
             id,
             kind,
@@ -49,7 +49,7 @@ impl Node {
     }
 
     /// Set the next-hop link towards `dst`.
-    pub fn set_route(&mut self, dst: NodeId, link: LinkId) {
+    pub(crate) fn set_route(&mut self, dst: NodeId, link: LinkId) {
         let idx = dst.index();
         match &mut self.routes {
             Routes::Table(table) if table.is_empty() => {
@@ -112,7 +112,7 @@ impl Node {
     }
 
     /// Remove all routes (used when recomputing).
-    pub fn clear_routes(&mut self) {
+    pub(crate) fn clear_routes(&mut self) {
         self.routes = Routes::Table(Vec::new());
     }
 }

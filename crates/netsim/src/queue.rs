@@ -50,7 +50,7 @@ pub struct RedConfig {
 impl RedConfig {
     /// The conventional auto-configuration for a buffer of `limit` packets:
     /// `min_th = limit/4`, `max_th = 3*limit/4`, `max_p = 0.1`, `w_q = 0.002`.
-    pub fn for_buffer(limit_pkts: usize) -> RedConfig {
+    pub(crate) fn for_buffer(limit_pkts: usize) -> RedConfig {
         let lim = limit_pkts as f64;
         RedConfig {
             min_th: (lim / 4.0).max(1.0),
@@ -69,7 +69,7 @@ impl RedConfig {
     /// (`min_th < max_th` — equal thresholds make the early-drop ramp
     /// `max_p * (avg - min_th) / (max_th - min_th)` divide by zero), and
     /// both `w_q` and `max_p` must lie in `(0, 1]`.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.min_th.is_finite() || !self.max_th.is_finite() || self.min_th < 0.0 {
             return Err(format!(
                 "RED thresholds must be finite and non-negative (min_th {}, max_th {})",
@@ -103,7 +103,7 @@ impl RedConfig {
 #[derive(Clone, Debug)]
 pub struct RedState {
     /// EWMA of the queue length in packets.
-    pub avg: f64,
+    pub(crate) avg: f64,
     /// Packets admitted since the last early drop (−1 right after a drop).
     count: i64,
     /// When the queue went idle (empty), if it is currently idle.
@@ -128,9 +128,9 @@ impl Default for RedState {
 #[derive(Clone, Debug)]
 pub struct PersistentEcnConfig {
     /// Occupancy (packets) at which a marking epoch begins.
-    pub mark_threshold: usize,
+    pub(crate) mark_threshold: usize,
     /// How long a marking epoch lasts once triggered.
-    pub epoch: SimDuration,
+    pub(crate) epoch: SimDuration,
 }
 
 /// Deterministic drop script for failure injection: drops the packets at
@@ -141,12 +141,12 @@ pub struct PersistentEcnConfig {
 #[derive(Clone, Debug, Default)]
 pub struct DropScript {
     /// Arrival indices to drop.
-    pub drop_arrivals: std::collections::BTreeSet<u64>,
+    pub(crate) drop_arrivals: std::collections::BTreeSet<u64>,
     /// For each data sequence number, how many of its first copies to drop
     /// (2 = drop the original *and* the first retransmission).
-    pub drop_seq_copies: std::collections::BTreeMap<u64, u32>,
+    pub(crate) drop_seq_copies: std::collections::BTreeMap<u64, u32>,
     /// Packets seen so far.
-    pub seen: u64,
+    pub(crate) seen: u64,
 }
 
 impl DropScript {
@@ -215,11 +215,6 @@ impl QueueDisc {
         QueueDisc::DropTail { limit: limit_pkts }
     }
 
-    /// DropTail limited by buffered bytes.
-    pub fn drop_tail_bytes(limit_bytes: usize) -> QueueDisc {
-        QueueDisc::DropTailBytes { limit_bytes }
-    }
-
     /// DropTail with a deterministic drop script (failure injection).
     pub fn scripted(limit_pkts: usize, script: DropScript) -> QueueDisc {
         QueueDisc::Scripted {
@@ -241,7 +236,7 @@ impl QueueDisc {
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message when [`RedConfig::validate`]
+    /// Panics with a descriptive message when `RedConfig::validate`
     /// rejects the configuration (for example `min_th == max_th`, which
     /// would otherwise yield a NaN marking probability mid-run).
     pub fn red_with(limit_pkts: usize, config: RedConfig) -> QueueDisc {
@@ -274,7 +269,7 @@ impl QueueDisc {
 
     /// Hard buffer capacity in packets (`usize::MAX` for byte-limited
     /// queues, which have no packet cap).
-    pub fn limit(&self) -> usize {
+    pub(crate) fn limit(&self) -> usize {
         match self {
             QueueDisc::DropTail { limit } => *limit,
             QueueDisc::Scripted { limit, .. } => *limit,
@@ -288,7 +283,7 @@ impl QueueDisc {
     /// convert packet-denominated limits. Byte-limited queues answer
     /// exactly; the others scale their packet cap. Used by the fluid model
     /// to clip the virtual backlog at the buffer boundary.
-    pub fn capacity_bytes(&self, mean_pkt_bytes: f64) -> f64 {
+    pub(crate) fn capacity_bytes(&self, mean_pkt_bytes: f64) -> f64 {
         match self {
             QueueDisc::DropTailBytes { limit_bytes } => *limit_bytes as f64,
             _ => self.limit() as f64 * mean_pkt_bytes,
@@ -299,7 +294,7 @@ impl QueueDisc {
     /// `mean_pkt_bytes`; 1000 bytes — the campaign-wide data-segment size —
     /// for the others). The link derives its RED idle-aging service rate
     /// from this instead of a hard-coded 1000 bytes.
-    pub fn mean_pkt_bytes(&self) -> f64 {
+    pub(crate) fn mean_pkt_bytes(&self) -> f64 {
         match self {
             QueueDisc::Red { config, .. } => config.mean_pkt_bytes,
             _ => 1000.0,
@@ -340,7 +335,7 @@ impl QueueDisc {
     /// comparisons become exact `f64` comparisons on integer values), which
     /// keeps packet-mode golden fixtures byte-identical.
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_hybrid(
+    pub(crate) fn decide_hybrid(
         &mut self,
         now: SimTime,
         pkt: &Packet,
@@ -413,7 +408,7 @@ impl QueueDisc {
 
     /// Inform the discipline that the buffer has drained to empty (RED ages
     /// its average over idle time from this point).
-    pub fn on_idle(&mut self, now: SimTime) {
+    pub(crate) fn on_idle(&mut self, now: SimTime) {
         if let QueueDisc::Red { state, .. } = self {
             state.idle_since = Some(now);
         }
@@ -547,7 +542,7 @@ mod tests {
 
     #[test]
     fn droptail_bytes_limits_by_size() {
-        let mut q = QueueDisc::drop_tail_bytes(2500);
+        let mut q = QueueDisc::DropTailBytes { limit_bytes: 2500 };
         let mut r = rng();
         let big = pkt(); // 1000 bytes
         let mut small = Packet::data(FlowId(0), NodeId(0), NodeId(1), 100, 0);
@@ -937,7 +932,7 @@ mod tests {
 
     #[test]
     fn hybrid_droptail_bytes_adds_fluid_bytes() {
-        let mut q = QueueDisc::drop_tail_bytes(2500);
+        let mut q = QueueDisc::DropTailBytes { limit_bytes: 2500 };
         let mut r = rng();
         let p = pkt(); // 1000 bytes
                        // 1000 buffered + 499.9 fluid + 1000 arriving = 2499.9 <= 2500.
@@ -1035,7 +1030,7 @@ mod tests {
     fn capacity_and_mean_pkt_helpers() {
         assert_eq!(QueueDisc::drop_tail(7).capacity_bytes(1000.0), 7000.0);
         assert_eq!(
-            QueueDisc::drop_tail_bytes(4096).capacity_bytes(1000.0),
+            QueueDisc::DropTailBytes { limit_bytes: 4096 }.capacity_bytes(1000.0),
             4096.0
         );
         assert_eq!(QueueDisc::red(10).capacity_bytes(500.0), 5000.0);

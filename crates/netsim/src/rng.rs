@@ -16,7 +16,7 @@ pub struct Sampler;
 impl Sampler {
     /// Exponential variate with the given mean, by inverse transform.
     #[inline]
-    pub fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
+    pub(crate) fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
         debug_assert!(mean >= 0.0);
         // Avoid ln(0); u is in (0, 1].
         let u: f64 = 1.0 - rng.random::<f64>();

@@ -86,7 +86,7 @@ impl RunLimits {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Flow start events.
-    pub flow_starts: u64,
+    pub(crate) flow_starts: u64,
     /// Transport timer fires (sends, RTOs, ON/OFF toggles, ...).
     pub timers: u64,
     /// Packet arrivals at a node (delivery or forwarding).
@@ -94,7 +94,7 @@ pub struct EventCounts {
     /// Link serialization completions.
     pub tx_completes: u64,
     /// Periodic queue-occupancy samples.
-    pub queue_samples: u64,
+    pub(crate) queue_samples: u64,
     /// Fluid background rate changes applied (these arrive inside timer
     /// events, so they are *in addition to* the loop's event total).
     pub rate_changes: u64,
@@ -140,7 +140,7 @@ pub struct Simulator {
     /// Collected traces.
     pub trace: TraceSet,
     /// The simulation RNG (all randomness flows through this).
-    pub rng: SmallRng,
+    pub(crate) rng: SmallRng,
     /// Events processed so far.
     pub events_processed: u64,
     events: EventQueue,
@@ -186,20 +186,10 @@ impl Simulator {
         self.limit_at = limits.trip_point();
     }
 
-    /// The currently installed execution limits.
-    pub fn run_limits(&self) -> RunLimits {
-        self.limits
-    }
-
     /// Whether a previous [`Simulator::run_until`] aborted because the
     /// event budget in [`RunLimits::max_events`] was spent.
     pub fn budget_exhausted(&self) -> bool {
         self.budget_exhausted
-    }
-
-    /// Number of events currently pending in the scheduler.
-    pub fn events_pending(&self) -> usize {
-        self.events.len()
     }
 
     /// The event queue's tuning counters: elements shifted per insert,
@@ -221,14 +211,14 @@ impl Simulator {
     }
 
     /// Add a node; returns its id.
-    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+    pub(crate) fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, kind));
         id
     }
 
     /// Add a unidirectional link; returns its id.
-    pub fn add_link(
+    pub(crate) fn add_link(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -244,7 +234,7 @@ impl Simulator {
 
     /// Add a pair of symmetric links between `a` and `b`; returns
     /// `(a->b, b->a)`.
-    pub fn add_duplex(
+    pub(crate) fn add_duplex(
         &mut self,
         a: NodeId,
         b: NodeId,
@@ -280,7 +270,7 @@ impl Simulator {
 
     /// Fill every node's next-hop table with shortest (hop-count) paths.
     /// Ties are broken toward the lower link id so routing is deterministic.
-    pub fn compute_routes(&mut self) {
+    pub(crate) fn compute_routes(&mut self) {
         let n = self.nodes.len();
         // Adjacency: for each node, outgoing (link, to) in link-id order.
         let mut adj: Vec<Vec<(LinkId, NodeId)>> = vec![Vec::new(); n];
@@ -815,8 +805,8 @@ mod tests {
                 SimDuration::from_millis(1),
                 QueueDisc::drop_tail(2),
             );
-            let idx = bld.sink(Box::<DropTimes>::default());
             let mut sim = bld.build();
+            let idx = sim.trace.add_sink(Box::<DropTimes>::default());
             sim.add_flow(
                 a,
                 b,
@@ -871,10 +861,7 @@ mod tests {
         let processed = sim.run_until(SimTime::MAX);
         assert_eq!(processed, 7, "stops exactly at the budget");
         assert!(sim.budget_exhausted());
-        assert!(
-            sim.events_pending() > 0,
-            "an aborted run leaves work queued"
-        );
+        assert!(!sim.events.is_empty(), "an aborted run leaves work queued");
         // The clock stays at the last dispatched event, not the horizon.
         assert!(sim.now < SimTime::MAX);
     }
@@ -894,7 +881,6 @@ mod tests {
                 size: 1000,
             }),
         );
-        assert_eq!(sim.run_limits(), RunLimits::NONE);
         sim.run_to_quiescence();
         assert!(!sim.budget_exhausted());
     }

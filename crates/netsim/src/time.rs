@@ -62,8 +62,6 @@ impl SimTime {
 impl SimDuration {
     /// A zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The longest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -71,19 +69,19 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Construct from microseconds, saturating at [`SimDuration::MAX`].
+    /// Construct from microseconds, saturating at `u64::MAX` nanoseconds.
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us.saturating_mul(1_000))
     }
 
-    /// Construct from milliseconds, saturating at [`SimDuration::MAX`].
+    /// Construct from milliseconds, saturating at `u64::MAX` nanoseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms.saturating_mul(1_000_000))
     }
 
-    /// Construct from whole seconds, saturating at [`SimDuration::MAX`].
+    /// Construct from whole seconds, saturating at `u64::MAX` nanoseconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s.saturating_mul(1_000_000_000))
@@ -128,26 +126,6 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
-
-    /// Larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -299,24 +277,30 @@ mod tests {
         // saturating semantics before).
         assert_eq!(
             SimDuration::from_micros(u64::MAX / 1_000 + 1),
-            SimDuration::MAX
+            SimDuration::from_nanos(u64::MAX)
         );
         assert_eq!(
             SimDuration::from_millis(u64::MAX / 1_000_000 + 1),
-            SimDuration::MAX
+            SimDuration::from_nanos(u64::MAX)
         );
         assert_eq!(
             SimDuration::from_secs(u64::MAX / 1_000_000_000 + 1),
-            SimDuration::MAX
+            SimDuration::from_nanos(u64::MAX)
         );
-        assert_eq!(SimDuration::from_secs(u64::MAX), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_secs(u64::MAX),
+            SimDuration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]
     fn from_secs_f64_clamps_bad_input() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::INFINITY),
+            SimDuration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //!   one bottleneck, with per-pair access latencies that set each flow's RTT.
 //! * [`ChainConfig`] — a single end-to-end path with a bottleneck hop, used
 //!   by the synthetic-Internet substrate (one instance per PlanetLab path).
-//! * [`full_mesh`] — a complete graph of hosts, the MapReduce-style
-//!   shuffle scenario the paper lists as future work.
 
 use crate::builder::SimBuilder;
 use crate::packet::{LinkId, NodeId};
@@ -287,33 +285,6 @@ pub fn build_star(
     Star { core, hosts }
 }
 
-/// Build a complete graph over `n` hosts: every ordered pair gets a direct
-/// link of the given rate/delay/buffer. Returns the host ids. This is the
-/// all-to-all shuffle substrate (MapReduce scenario).
-pub fn full_mesh(
-    b: &mut SimBuilder,
-    n: usize,
-    bandwidth_bps: f64,
-    delay: SimDuration,
-    buffer_pkts: usize,
-) -> Vec<NodeId> {
-    let hosts: Vec<NodeId> = (0..n).map(|_| b.host()).collect();
-    for &x in &hosts {
-        for &y in &hosts {
-            if x != y {
-                b.link(
-                    x,
-                    y,
-                    bandwidth_bps,
-                    delay,
-                    QueueDisc::drop_tail(buffer_pkts),
-                );
-            }
-        }
-    }
-    hosts
-}
-
 /// A parking-lot topology: a chain of `hops + 1` routers with one
 /// long-haul pair crossing every hop and one local pair per hop — the
 /// canonical multi-bottleneck extension of the paper's single-bottleneck
@@ -528,24 +499,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_mesh_has_direct_links() {
-        let mut b = SimBuilder::new(3);
-        let hosts = full_mesh(&mut b, 4, 1e9, SimDuration::from_millis(1), 64);
-        let sim = b.build();
-        assert_eq!(hosts.len(), 4);
-        assert_eq!(sim.links.len(), 12);
-        for &a in &hosts {
-            for &b in &hosts {
-                if a != b {
-                    let l = sim.nodes[a.index()].route_to(b).unwrap();
-                    assert_eq!(sim.links[l.index()].from, a);
-                    assert_eq!(sim.links[l.index()].to, b);
-                }
-            }
-        }
-    }
-
     /// The textbook dense table — BFS from every source, lower link id
     /// first — that `compute_routes`' compact per-node forms and derived
     /// single-homed routes must reproduce entry for entry.
@@ -611,7 +564,13 @@ mod tests {
                 build_parking_lot(b, 3, 10e6, SimDuration::from_millis(5), disc);
             }),
             ("complete graph", |b| {
-                full_mesh(b, 5, 1e9, SimDuration::from_millis(1), 64);
+                let hosts: Vec<NodeId> = (0..5).map(|_| b.host()).collect();
+                for (i, &x) in hosts.iter().enumerate() {
+                    for &y in &hosts[i + 1..] {
+                        let disc = QueueDisc::drop_tail(64);
+                        b.duplex(x, y, 1e9, SimDuration::from_millis(1), disc);
+                    }
+                }
             }),
             // A star beside an island it cannot reach: two hosts joined to
             // each other (single-homed, each the other's only neighbour),
@@ -649,27 +608,5 @@ mod tests {
             }
             assert_routes_match(name, &sim, &want);
         }
-    }
-
-    #[test]
-    fn route_override_on_a_single_homed_host_takes_effect() {
-        let mut b = SimBuilder::new(12);
-        let star = build_star(&mut b, 4, 1e9, SimDuration::from_millis(1), 64);
-        let island = b.host();
-        let h = star.hosts[0];
-        let uplink = LinkId(0);
-        let foreign = LinkId(3);
-        // An unreachable destination pinned to the host's own link, and a
-        // reachable one pinned to a link the search would never pick.
-        b.route(h, island, uplink);
-        b.route(h, star.hosts[2], foreign);
-        let sim = b.build();
-        assert_eq!(sim.links[uplink.index()].from, h);
-        let mut want = reference_routes(&sim);
-        assert_eq!(want[h.index()][island.index()], None);
-        assert_eq!(want[h.index()][star.hosts[2].index()], Some(uplink));
-        want[h.index()][island.index()] = Some(uplink);
-        want[h.index()][star.hosts[2].index()] = Some(foreign);
-        assert_routes_match("override", &sim, &want);
     }
 }

@@ -51,11 +51,11 @@ pub struct GoodputEvent {
 #[derive(Clone, Copy, Debug)]
 pub struct QueueSample {
     /// Sample instant.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Sampled link.
-    pub link: LinkId,
+    pub(crate) link: LinkId,
     /// Buffer occupancy in packets (including the packet in service).
-    pub occupancy: u32,
+    pub(crate) occupancy: u32,
 }
 
 /// A bulk transfer finishing (Fig 8).
@@ -73,11 +73,11 @@ pub struct CompletionRecord {
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Keep per-drop records.
-    pub losses: bool,
+    pub(crate) losses: bool,
     /// Keep per-mark records.
-    pub marks: bool,
+    pub(crate) marks: bool,
     /// Keep goodput events.
-    pub goodput: bool,
+    pub(crate) goodput: bool,
 }
 
 impl Default for TraceConfig {
@@ -144,7 +144,7 @@ pub trait TraceSink {
 #[derive(Default)]
 pub struct TraceSet {
     /// Gating configuration.
-    pub config: TraceConfig,
+    pub(crate) config: TraceConfig,
     /// Drop records (if enabled).
     pub losses: Vec<LossRecord>,
     /// Mark records (if enabled).
@@ -190,7 +190,7 @@ impl TraceSet {
     /// A trace set with the given gating whose enabled streams are
     /// pre-sized for about `records` entries each, so the hot path appends
     /// without touching the allocator. Disabled streams allocate nothing.
-    pub fn with_capacity(config: TraceConfig, records: usize) -> TraceSet {
+    pub(crate) fn with_capacity(config: TraceConfig, records: usize) -> TraceSet {
         fn sized<T>(enabled: bool, records: usize) -> Vec<T> {
             if enabled {
                 Vec::with_capacity(records)
@@ -210,31 +210,16 @@ impl TraceSet {
     }
 
     /// Attach an observer; returns its index for post-run retrieval via
-    /// [`TraceSet::sink`] / [`TraceSet::sink_mut`]. Sinks are driven in
-    /// attachment order, before the record is buffered.
+    /// [`TraceSet::sink`]. Sinks are driven in attachment order, before the
+    /// record is buffered.
     pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) -> usize {
         self.sinks.push(sink);
         self.sinks.len() - 1
     }
 
-    /// Number of attached sinks.
-    pub fn sink_count(&self) -> usize {
-        self.sinks.len()
-    }
-
     /// Downcast the sink at `idx` to its concrete type.
     pub fn sink<T: TraceSink + 'static>(&self, idx: usize) -> Option<&T> {
         self.sinks.get(idx)?.as_any().downcast_ref()
-    }
-
-    /// Mutable downcast of the sink at `idx`.
-    pub fn sink_mut<T: TraceSink + 'static>(&mut self, idx: usize) -> Option<&mut T> {
-        self.sinks.get_mut(idx)?.as_any_mut().downcast_mut()
-    }
-
-    /// Detach and return all sinks (ownership transfer after a run).
-    pub fn take_sinks(&mut self) -> Vec<Box<dyn TraceSink>> {
-        std::mem::take(&mut self.sinks)
     }
 
     /// Record a drop.
@@ -250,7 +235,7 @@ impl TraceSet {
 
     /// Record an ECN mark.
     #[inline]
-    pub fn mark(&mut self, rec: MarkRecord) {
+    pub(crate) fn mark(&mut self, rec: MarkRecord) {
         for s in &mut self.sinks {
             s.on_mark(&rec);
         }
@@ -273,7 +258,7 @@ impl TraceSet {
     /// Record a queue-occupancy sample (the monitor's opt-in is enabling
     /// sampling on the simulator; the buffer is not gated).
     #[inline]
-    pub fn queue_sample(&mut self, rec: QueueSample) {
+    pub(crate) fn queue_sample(&mut self, rec: QueueSample) {
         for s in &mut self.sinks {
             s.on_queue_sample(&rec);
         }
@@ -282,7 +267,7 @@ impl TraceSet {
 
     /// Record a completed transfer.
     #[inline]
-    pub fn complete(&mut self, rec: CompletionRecord) {
+    pub(crate) fn complete(&mut self, rec: CompletionRecord) {
         for s in &mut self.sinks {
             s.on_complete(&rec);
         }
@@ -456,7 +441,6 @@ mod tests {
     fn sinks_see_every_record_even_with_buffering_off() {
         let mut t = TraceSet::new(TraceConfig::none());
         let idx = t.add_sink(Box::<Counter>::default());
-        assert_eq!(t.sink_count(), 1);
         t.loss(LossRecord {
             time: SimTime::ZERO,
             link: LinkId(0),
@@ -497,15 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_mut_and_take_sinks_round_trip() {
-        let mut t = TraceSet::new(TraceConfig::default());
-        let idx = t.add_sink(Box::<Counter>::default());
-        t.sink_mut::<Counter>(idx).unwrap().losses = 7;
-        let sinks = t.take_sinks();
-        assert_eq!(t.sink_count(), 0);
-        let c = sinks[0].as_any().downcast_ref::<Counter>().unwrap();
-        assert_eq!(c.losses, 7);
-        // Wrong-type downcast yields None, not a panic.
+    fn wrong_type_sink_downcast_is_none() {
         let mut t2 = TraceSet::new(TraceConfig::default());
         let i2 = t2.add_sink(Box::<Counter>::default());
         struct Other;

@@ -13,20 +13,20 @@ use std::time::Instant;
 
 /// Wall-free monotonic clock anchored at its construction instant.
 #[derive(Clone, Copy, Debug)]
-pub struct MonoClock {
+pub(crate) struct MonoClock {
     epoch: Instant,
 }
 
 impl MonoClock {
     /// A clock whose [`SimTime::ZERO`] is now.
-    pub fn start() -> MonoClock {
+    pub(crate) fn start() -> MonoClock {
         MonoClock {
             epoch: Instant::now(),
         }
     }
 
     /// Current time on the lane's timeline.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 }

@@ -2,7 +2,7 @@
 //! it sockets and a clock.
 //!
 //! [`Lane`] owns one congestion-controlled flow (both endpoints, driven
-//! through netsim's [`HostDriver`]) and the [`ImpairedPath`] between them.
+//! through netsim's [`HostDriver`]) and the `ImpairedPath` between them.
 //! It never reads a clock or touches a socket: its caller passes `now` to
 //! every call, hands it the datagrams that arrived
 //! ([`Lane::on_datagram`]), tells it when a deadline it asked for has
@@ -12,7 +12,7 @@
 //! surviving packet still crosses the wire as a datagram.
 //!
 //! [`run`] is that caller for real: one thread, two loopback UDP sockets
-//! connected to each other, a [`MonoClock`] — the only function in this
+//! connected to each other, a `MonoClock` — the only function in this
 //! crate that touches a socket, reads the time or sleeps. Tests drive the
 //! same `Lane` on a stepped clock and hand each released frame straight
 //! back to it (`lossburst_testkit::cross_lane::run_stepped_lane`), which is
@@ -41,9 +41,9 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct SockLaneConfig {
     /// Congestion controller under test.
-    pub controller: CcAlgorithm,
+    pub(crate) controller: CcAlgorithm,
     /// Seed for the transport's RNG stream (timer fuzz, etc.).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Drop schedule the path applies to forward data arrivals.
     pub plan: LossPlan,
     /// Bottleneck rate the path serializes at, bits/second.
@@ -83,15 +83,15 @@ pub struct SockLaneResult {
     /// Of those, how many were dropped.
     pub forward_drops: u64,
     /// Reverse (ack/feedback) packets the path carried.
-    pub reverse_relayed: u64,
+    pub(crate) reverse_relayed: u64,
     /// The path's byte-per-verdict drop ledger.
     pub ledger: Vec<u8>,
     /// Transport-reported progress at the end of the run.
     pub progress: FlowProgress,
     /// Datagrams the lane released onto the wire (both directions).
-    pub datagrams_sent: u64,
+    pub(crate) datagrams_sent: u64,
     /// Seconds the lane ran.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
 }
 
 /// The lane's flow and its two endpoints.

@@ -15,16 +15,16 @@
 //!
 //! Pieces:
 //!
-//! * [`wire`] — a frame codec mapping the in-sim [`Packet`] 1:1 onto UDP
+//! * `wire` — a frame codec mapping the in-sim [`Packet`] 1:1 onto UDP
 //!   datagrams (range-set SACK blocks, timestamps, ECN flags included),
 //!   so `Sender` hooks see exactly what they see in simulation;
-//! * [`clock`] — the monotonic clock adapter translating `Instant`s into
+//! * `clock` — the monotonic clock adapter translating `Instant`s into
 //!   the [`SimTime`] the transport's RTO/pacing/update timers expect;
 //! * [`plan`] — the deterministic loss plan: per-arrival-index drop
 //!   decisions generated from a seeded Gilbert process, convertible to
 //!   the [`DropScript`] the simulated lanes replay at their bottleneck
 //!   queues;
-//! * [`path`] — the impaired path as a value: per offered packet, the
+//! * `path` — the impaired path as a value: per offered packet, the
 //!   plan's verdict (drop) or a bottleneck serialization model plus
 //!   propagation delay (deliver at), and a replayable decision ledger;
 //! * [`lane`] — [`lane::Lane`], the I/O-free state machine that owns the
@@ -41,16 +41,8 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
+pub(crate) mod clock;
 pub mod lane;
-pub mod path;
+pub(crate) mod path;
 pub mod plan;
-pub mod wire;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::clock::MonoClock;
-    pub use crate::lane::{socket_lane_available, Lane, SockLaneConfig, SockLaneResult};
-    pub use crate::plan::LossPlan;
-    pub use crate::wire::{decode_packet, encode_packet, WIRE_HEADER_BYTES};
-}
+pub(crate) mod wire;

@@ -34,7 +34,7 @@ pub enum Side {
 
 impl Side {
     /// The side `pkt` leaves from.
-    pub fn of(pkt: &Packet) -> Side {
+    pub(crate) fn of(pkt: &Packet) -> Side {
         match pkt.kind {
             PacketKind::Data => Side::Sender,
             PacketKind::Ack | PacketKind::Feedback => Side::Receiver,
@@ -53,7 +53,7 @@ pub enum Verdict {
 
 /// The emulated path and what it has observed so far.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ImpairedPath {
+pub(crate) struct ImpairedPath {
     plan: LossPlan,
     rate_bps: f64,
     one_way_delay: SimDuration,
@@ -74,7 +74,7 @@ pub struct ImpairedPath {
 impl ImpairedPath {
     /// A path replaying `plan`, serializing at `rate_bps` (which must be
     /// finite and positive) in both directions, `one_way_delay` each way.
-    pub fn new(plan: LossPlan, rate_bps: f64, one_way_delay: SimDuration) -> ImpairedPath {
+    pub(crate) fn new(plan: LossPlan, rate_bps: f64, one_way_delay: SimDuration) -> ImpairedPath {
         ImpairedPath {
             plan,
             rate_bps,
@@ -89,7 +89,7 @@ impl ImpairedPath {
     }
 
     /// Offer `pkt` to the path at `now`.
-    pub fn offer(&mut self, now: SimTime, pkt: &Packet) -> Verdict {
+    pub(crate) fn offer(&mut self, now: SimTime, pkt: &Packet) -> Verdict {
         let side = Side::of(pkt);
         match side {
             Side::Sender => {

@@ -6,7 +6,7 @@
 //! identical across lanes even though arrival *times* differ: the netsim
 //! and emu lanes replay the plan through a scripted [`QueueDisc`]
 //! ([`LossPlan::to_drop_script`]), and the socket lane's impaired path
-//! consults [`LossPlan::decide`] for each forward packet it is offered.
+//! consults `LossPlan::decide` for each forward packet it is offered.
 //! Same (seed, parameters) → same decisions in every lane, which is what
 //! makes the cross-lane conformance gate meaningful.
 //!
@@ -54,16 +54,11 @@ impl LossPlan {
 
     /// The verdict for the `index`-th forward arrival. Arrivals beyond the
     /// plan's horizon pass untouched.
-    pub fn decide(&self, index: u64) -> bool {
+    pub(crate) fn decide(&self, index: u64) -> bool {
         usize::try_from(index)
             .ok()
             .and_then(|i| self.decisions.get(i).copied())
             .unwrap_or(false)
-    }
-
-    /// Number of drop decisions in the plan.
-    pub fn drop_count(&self) -> usize {
-        self.decisions.iter().filter(|&&d| d).count()
     }
 
     /// The plan as the [`DropScript`] the simulated lanes replay at their
@@ -117,7 +112,8 @@ mod tests {
     #[test]
     fn stationary_loss_rate_is_respected() {
         let plan = LossPlan::gilbert(42, params(), 200_000);
-        let rate = plan.drop_count() as f64 / plan.len() as f64;
+        let drops = plan.decisions.iter().filter(|&&d| d).count();
+        let rate = drops as f64 / plan.len() as f64;
         let expect = params().loss_rate();
         assert!(
             (rate - expect).abs() < 0.01,

@@ -24,7 +24,7 @@ use lossburst_netsim::packet::{FlowId, NodeId, Packet, PacketBody, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 
 /// Fixed encoded size of one packet header on the wire.
-pub const WIRE_HEADER_BYTES: usize = 140;
+pub(crate) const WIRE_HEADER_BYTES: usize = 140;
 
 const MAGIC: u16 = 0x4C42; // "LB"
 const VERSION: u8 = 1;
@@ -104,7 +104,7 @@ impl Reader<'_> {
 
 /// Encode `pkt` into `buf` (must hold [`WIRE_HEADER_BYTES`]); returns the
 /// encoded length.
-pub fn encode_packet(pkt: &Packet, buf: &mut [u8]) -> usize {
+pub(crate) fn encode_packet(pkt: &Packet, buf: &mut [u8]) -> usize {
     assert!(buf.len() >= WIRE_HEADER_BYTES, "encode buffer too small");
     let mut w = Writer { buf, at: 0 };
     w.u16(MAGIC);
@@ -136,7 +136,7 @@ pub fn encode_packet(pkt: &Packet, buf: &mut [u8]) -> usize {
 /// Decode a datagram back into a [`Packet`]. `None` for anything that is
 /// not a well-formed frame of this codec's version (stray datagrams on a
 /// reused port must not crash the lane).
-pub fn decode_packet(buf: &[u8]) -> Option<Packet> {
+pub(crate) fn decode_packet(buf: &[u8]) -> Option<Packet> {
     if buf.len() < WIRE_HEADER_BYTES {
         return None;
     }

@@ -22,7 +22,7 @@ fn fail(msg: String) -> Result<(), String> {
 /// the Poisson (exponential-interval) process with the same rate — the
 /// paper's "≫ Poisson" claim as one number (0 = indistinguishable,
 /// → 1 = completely clustered).
-pub fn ks_vs_rate_matched_poisson(intervals_rtt: &[f64]) -> f64 {
+pub(crate) fn ks_vs_rate_matched_poisson(intervals_rtt: &[f64]) -> f64 {
     let lambda = poisson::rate_from_intervals(intervals_rtt);
     if lambda <= 0.0 {
         return 0.0;
@@ -136,15 +136,15 @@ pub fn check_internet_shape(report: &BurstinessReport) -> Result<(), String> {
 pub struct HybridTolerance {
     /// Largest allowed multiplicative disagreement in loss-event counts
     /// (equal horizons, so this is a loss-rate band).
-    pub loss_count_ratio: f64,
+    pub(crate) loss_count_ratio: f64,
     /// Largest allowed additive disagreement in the interval-distribution
     /// fractions (below 0.01/0.1/0.25/1 RTT).
-    pub frac_delta: f64,
+    pub(crate) frac_delta: f64,
     /// Largest allowed multiplicative disagreement in the index of
     /// dispersion (a variance ratio — noisier than the fractions).
-    pub dispersion_ratio: f64,
+    pub(crate) dispersion_ratio: f64,
     /// Largest allowed multiplicative disagreement in episode counts.
-    pub episode_ratio: f64,
+    pub(crate) episode_ratio: f64,
 }
 
 impl Default for HybridTolerance {

@@ -47,22 +47,22 @@ use lossburst_transport::config::TcpConfig;
 #[derive(Clone, Debug)]
 pub struct CrossLaneScenario {
     /// Congestion controller under test.
-    pub controller: CcAlgorithm,
+    pub(crate) controller: CcAlgorithm,
     /// Seed for the loss plan and every lane's RNG stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Bottleneck rate, bits/second.
     pub rate_bps: f64,
     /// Two-way propagation delay.
-    pub rtt: SimDuration,
+    pub(crate) rtt: SimDuration,
     /// Run length (simulated in the sim lanes, wall-clock on the socket
     /// lane).
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Gilbert process generating the loss plan.
     pub gilbert: GilbertParams,
     /// Plan horizon in forward arrivals (generous: arrivals past it pass).
-    pub plan_len: usize,
+    pub(crate) plan_len: usize,
     /// TCP knobs shared by every lane's sender.
-    pub tcp: TcpConfig,
+    pub(crate) tcp: TcpConfig,
 }
 
 impl CrossLaneScenario {
@@ -112,18 +112,18 @@ impl CrossLaneScenario {
 #[derive(Clone, Debug)]
 pub struct LaneStats {
     /// Lane name ("netsim", "emu", "sock").
-    pub lane: &'static str,
+    pub(crate) lane: &'static str,
     /// Burstiness metrics over the RTT-normalized inter-loss intervals.
-    pub report: BurstinessReport,
+    pub(crate) report: BurstinessReport,
     /// Loss episodes at the standard 1-RTT gap.
-    pub episodes: usize,
+    pub(crate) episodes: usize,
     /// Forward data arrivals the lane's bottleneck observed (exact where
     /// the lane exposes it, reconstructed from the plan otherwise).
-    pub arrivals: u64,
+    pub(crate) arrivals: u64,
     /// Drops the lane observed.
-    pub drops: u64,
+    pub(crate) drops: u64,
     /// Gilbert fit of the loss sequence the lane experienced.
-    pub fit: Option<GilbertParams>,
+    pub(crate) fit: Option<GilbertParams>,
 }
 
 /// Shared recording-clock period applied to every lane's loss trace
@@ -134,10 +134,10 @@ pub struct LaneStats {
 /// signal. Quantizing all three lanes to the same 1 ms grid (the paper's
 /// Dummynet testbed records through exactly this clock) makes the
 /// interval distributions comparable.
-pub const RECORDING_CLOCK_SECS: f64 = 1e-3;
+pub(crate) const RECORDING_CLOCK_SECS: f64 = 1e-3;
 
 /// Reduce a lane's raw observations to [`LaneStats`].
-pub fn lane_stats(
+pub(crate) fn lane_stats(
     lane: &'static str,
     loss_times: &[f64],
     rtt_secs: f64,
@@ -222,7 +222,7 @@ fn simulate_netsim_lane(sc: &CrossLaneScenario, plan: &LossPlan) -> NetsimRun {
     }
 }
 
-/// The netsim lane: [`LaneStats`] of the two-host simulation.
+/// The netsim lane: `LaneStats` of the two-host simulation.
 pub fn run_netsim_lane(sc: &CrossLaneScenario) -> LaneStats {
     let plan = sc.plan();
     let run = simulate_netsim_lane(sc, &plan);
@@ -248,7 +248,7 @@ pub fn run_emu_lane(sc: &CrossLaneScenario) -> LaneStats {
     cfg.duration = sc.duration;
     cfg.cc = sc.controller;
     cfg.tcp = sc.tcp.clone();
-    let res = testbed::run(&cfg);
+    let res = testbed::run_streaming(&cfg);
     let arrivals = arrivals_for_drops(&plan, res.drops);
     lane_stats(
         "emu",
@@ -278,7 +278,7 @@ pub fn run_sock_lane(sc: &CrossLaneScenario) -> std::io::Result<LaneStats> {
 /// jumps to each instant the lane asks for and a released frame is handed
 /// straight back to it, still through the wire codec. No socket, no
 /// sleep; equal inputs give equal results.
-pub fn run_stepped_lane(cfg: &SockLaneConfig) -> SockLaneResult {
+pub(crate) fn run_stepped_lane(cfg: &SockLaneConfig) -> SockLaneResult {
     let mut lane = Lane::new(cfg).expect("the scenario's rate serializes");
     let deadline = SimTime::ZERO + cfg.duration;
     let mut now = SimTime::ZERO;
@@ -338,11 +338,11 @@ pub fn check_stepped_lane_equals_netsim(sc: &CrossLaneScenario) -> Result<(), St
 pub struct CrossLaneTolerance {
     /// Pairwise statistical gate (loss counts, interval fractions,
     /// dispersion, episodes) — the PR 7 hybrid machinery.
-    pub pairwise: HybridTolerance,
+    pub(crate) pairwise: HybridTolerance,
     /// Absolute band on each lane's fitted Gilbert `p` vs the plan's.
-    pub gilbert_p: f64,
+    pub(crate) gilbert_p: f64,
     /// Absolute band on each lane's fitted Gilbert `r` vs the plan's.
-    pub gilbert_r: f64,
+    pub(crate) gilbert_r: f64,
 }
 
 impl Default for CrossLaneTolerance {

@@ -18,13 +18,13 @@ pub const SEED_MATRIX: [u64; 3] = [1, 2006, 42];
 
 /// Both campaign execution policies, the serial oracle first; results must
 /// not depend on the choice.
-pub const POLICY_MATRIX: [ExecutionPolicy; 2] =
+pub(crate) const POLICY_MATRIX: [ExecutionPolicy; 2] =
     [ExecutionPolicy::Serial, ExecutionPolicy::WorkStealing];
 
 /// Render every record stream to bytes. Records hold integers, ids, and
 /// f64s; Rust's shortest-round-trip Debug float formatting is injective,
 /// so equal dumps mean bit-identical traces.
-pub fn trace_bytes(t: &TraceSet) -> Vec<u8> {
+pub(crate) fn trace_bytes(t: &TraceSet) -> Vec<u8> {
     format!(
         "{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
         t.losses, t.marks, t.goodput, t.queue_samples, t.completions
@@ -34,7 +34,7 @@ pub fn trace_bytes(t: &TraceSet) -> Vec<u8> {
 
 /// The reference workload for event-loop byte-identity: a 6-pair
 /// paper-baseline dumbbell run for 10 simulated seconds with full tracing,
-/// dumped via [`trace_bytes`].
+/// dumped via `trace_bytes`.
 pub fn dumbbell_trace(seed: u64) -> Vec<u8> {
     let mut b = SimBuilder::new(seed).trace(TraceConfig::all());
     let cfg = DumbbellConfig::paper_baseline(

@@ -17,15 +17,15 @@ use std::path::{Path, PathBuf};
 
 /// Environment variable that switches golden checks into "bless"
 /// (regenerate-fixtures) mode.
-pub const BLESS_ENV: &str = "LOSSBURST_BLESS";
+pub(crate) const BLESS_ENV: &str = "LOSSBURST_BLESS";
 
 /// Environment variable overriding where drift reports are written
 /// (default: `target/golden-diff/` at the workspace root).
-pub const DIFF_DIR_ENV: &str = "LOSSBURST_GOLDEN_DIFF_DIR";
+pub(crate) const DIFF_DIR_ENV: &str = "LOSSBURST_GOLDEN_DIFF_DIR";
 
 /// Format version stamped into every fixture; bump on layout changes so
 /// stale fixtures fail loudly instead of mis-parsing.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// A compact summary of one reference run: named scalars plus named series
 /// (e.g. a coarse loss-interval PDF, per-flow throughputs). Everything a
@@ -33,11 +33,11 @@ pub const FORMAT_VERSION: u32 = 1;
 #[derive(Clone, Debug, PartialEq)]
 pub struct GoldenSummary {
     /// Fixture name (also the file stem under `fixtures/`).
-    pub name: String,
+    pub(crate) name: String,
     /// Named scalar statistics, in insertion order.
-    pub scalars: Vec<(String, f64)>,
+    pub(crate) scalars: Vec<(String, f64)>,
     /// Named series, in insertion order.
-    pub series: Vec<(String, Vec<f64>)>,
+    pub(crate) series: Vec<(String, Vec<f64>)>,
 }
 
 impl GoldenSummary {
@@ -142,9 +142,9 @@ impl GoldenSummary {
 #[derive(Clone, Copy, Debug)]
 pub struct Tolerance {
     /// Relative component.
-    pub rel: f64,
+    pub(crate) rel: f64,
     /// Absolute component.
-    pub abs: f64,
+    pub(crate) abs: f64,
 }
 
 impl Tolerance {
@@ -165,22 +165,22 @@ impl Tolerance {
     }
 
     /// Whether `actual` is within tolerance of `expected`.
-    pub fn accepts(&self, expected: f64, actual: f64) -> bool {
+    pub(crate) fn accepts(&self, expected: f64, actual: f64) -> bool {
         (actual - expected).abs() <= self.abs + self.rel * expected.abs()
     }
 }
 
 /// One drifted value in a golden comparison.
 #[derive(Clone, Debug)]
-pub struct Drift {
+pub(crate) struct Drift {
     /// Scalar or series key.
-    pub key: String,
+    pub(crate) key: String,
     /// Bin index within the series (`None` for scalars).
-    pub bin: Option<usize>,
+    pub(crate) bin: Option<usize>,
     /// Value the fixture expects.
-    pub expected: f64,
+    pub(crate) expected: f64,
     /// Value the current code produced.
-    pub actual: f64,
+    pub(crate) actual: f64,
 }
 
 impl fmt::Display for Drift {
@@ -210,14 +210,14 @@ impl fmt::Display for Drift {
 #[derive(Clone, Debug, Default)]
 pub struct GoldenDiff {
     /// Values present in both but outside tolerance.
-    pub drifted: Vec<Drift>,
+    pub(crate) drifted: Vec<Drift>,
     /// Structural mismatches (missing/extra keys, length changes).
-    pub structural: Vec<String>,
+    pub(crate) structural: Vec<String>,
 }
 
 impl GoldenDiff {
     /// True when nothing differs.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.drifted.is_empty() && self.structural.is_empty()
     }
 }
@@ -315,13 +315,13 @@ pub fn compare(
 }
 
 /// Directory holding the blessed fixtures (inside this crate, committed).
-pub fn fixtures_dir() -> PathBuf {
+pub(crate) fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
 }
 
 /// Where drift reports go: `$LOSSBURST_GOLDEN_DIFF_DIR` or
 /// `target/golden-diff/` at the workspace root.
-pub fn diff_report_dir() -> PathBuf {
+pub(crate) fn diff_report_dir() -> PathBuf {
     match std::env::var_os(DIFF_DIR_ENV) {
         Some(d) => PathBuf::from(d),
         None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/golden-diff"),
@@ -329,7 +329,7 @@ pub fn diff_report_dir() -> PathBuf {
 }
 
 /// Whether this process runs in bless (fixture-regeneration) mode.
-pub fn blessing() -> bool {
+pub(crate) fn blessing() -> bool {
     std::env::var_os(BLESS_ENV).is_some_and(|v| !v.is_empty() && v != "0")
 }
 

@@ -8,11 +8,11 @@
 //!   summaries of reference runs (coarse loss-interval PDFs, per-flow
 //!   throughputs, episode counts) with tolerance-aware diffs that name the
 //!   drifted bin. Regenerate with `LOSSBURST_BLESS=1`.
-//! * [`conformance`] — every EXPERIMENTS.md shape verdict as a reusable
+//! * `conformance` — every EXPERIMENTS.md shape verdict as a reusable
 //!   assertion over plain data (KS distance vs rate-matched Poisson,
 //!   dispersion bounds, Gilbert recovery, the `min(M,N)` vs `max(M/K,1)`
 //!   detection asymmetry, pacing deficit, straggler latency).
-//! * [`cross_lane`] — three-way sim/emu/socket cross-validation: the
+//! * `cross_lane` — three-way sim/emu/socket cross-validation: the
 //!   same (controller, seed, loss-plan) triple through the netsim
 //!   dumbbell, the `emu::Testbed`, and the `lossburst-sock` loopback
 //!   lane, gated on statistical agreement of the loss processes.
@@ -28,8 +28,8 @@
 
 #![warn(missing_docs)]
 
-pub mod conformance;
-pub mod cross_lane;
+pub(crate) mod conformance;
+pub(crate) mod cross_lane;
 pub mod determinism;
 pub mod golden;
 pub mod scenarios;
@@ -41,17 +41,12 @@ pub mod prelude {
     pub use crate::conformance::{
         check_competition, check_detection_asymmetry, check_detection_row, check_gilbert_recovery,
         check_hybrid_agreement, check_internet_shape, check_lab_clustering, check_parallel_grid,
-        check_poisson_divergence, check_table1, hybrid_max_frac_delta, ks_vs_rate_matched_poisson,
-        HybridTolerance,
+        check_poisson_divergence, check_table1, hybrid_max_frac_delta, HybridTolerance,
     };
     pub use crate::cross_lane::{
         check_cross_lane_agreement, check_stepped_lane_equals_netsim, run_emu_lane,
-        run_netsim_lane, run_sock_lane, run_stepped_lane, CrossLaneScenario, CrossLaneTolerance,
-        LaneStats,
+        run_netsim_lane, run_sock_lane, CrossLaneScenario, CrossLaneTolerance,
     };
-    pub use crate::determinism::{
-        assert_policies_agree, dumbbell_trace, trace_bytes, POLICY_MATRIX, SEED_MATRIX,
-    };
-    pub use crate::golden::{check_or_bless, compare, GoldenSummary, Tolerance, BLESS_ENV};
-    pub use crate::sweep::{sweep, with_rng, SmallRng};
+    pub use crate::determinism::{assert_policies_agree, SEED_MATRIX};
+    pub use crate::sweep::{sweep, with_rng};
 }

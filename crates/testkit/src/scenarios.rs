@@ -38,7 +38,7 @@ pub struct Fig2Data {
     pub study: LossStudy,
     /// Per-flow goodput (Mbps) of an 8-flow baseline run — the fairness
     /// fingerprint the golden fixture pins.
-    pub flow_throughputs_mbps: Vec<f64>,
+    pub(crate) flow_throughputs_mbps: Vec<f64>,
 }
 
 /// Fig 4 reference data: the raw campaign (validation counts, per-path
@@ -64,13 +64,13 @@ pub fn fig2_lab_config(seed: u64) -> LabCampaignConfig {
 
 /// Quick-scale NS-2 campaign (Fig 2): two flow counts, one buffer, 10 s
 /// runs, plus an 8-flow baseline for per-flow throughput.
-pub fn fig2_quick(seed: u64) -> Fig2Data {
+pub(crate) fn fig2_quick(seed: u64) -> Fig2Data {
     let cfg = fig2_lab_config(seed);
     let study = ns2_study(&cfg);
 
     let mut tb = TestbedConfig::ns2_baseline(8, 200, seed);
     tb.duration = SimDuration::from_secs(10);
-    let res = testbed::run(&tb);
+    let res = testbed::run_streaming(&tb);
     let secs = tb.duration.as_secs_f64();
     let flow_throughputs_mbps = res
         .tcp_progress
@@ -94,7 +94,7 @@ pub fn fig3_lab_config(seed: u64) -> LabCampaignConfig {
 
 /// Quick-scale Dummynet campaign (Fig 3): one 8-flow cell through the
 /// 1 ms recording clock and processing jitter.
-pub fn fig3_quick(seed: u64) -> LossStudy {
+pub(crate) fn fig3_quick(seed: u64) -> LossStudy {
     dummynet_study(&fig3_lab_config(seed))
 }
 
@@ -113,7 +113,7 @@ pub fn fig4_campaign_config(seed: u64) -> CampaignConfig {
 /// Quick-scale Internet campaign (Fig 4): 16 paths, paired 48 B / 400 B
 /// probes at 2000 pps for 12 s each — the smallest sweep whose pooled
 /// intervals still show the paper's intermediate burstiness band.
-pub fn fig4_quick(seed: u64) -> Fig4Data {
+pub(crate) fn fig4_quick(seed: u64) -> Fig4Data {
     let cfg = fig4_campaign_config(seed);
     let campaign = run_campaign_streaming(&cfg);
     let study = LossStudy::from_intervals("internet", campaign.intervals_rtt());
@@ -121,15 +121,15 @@ pub fn fig4_quick(seed: u64) -> Fig4Data {
 }
 
 /// The burst sizes the detection-model grid sweeps (Figs 5/6).
-pub const FIG56_BURSTS: [u64; 5] = [4, 16, 32, 64, 140];
+pub(crate) const FIG56_BURSTS: [u64; 5] = [4, 16, 32, 64, 140];
 /// Flows sharing the bottleneck in the detection model.
-pub const FIG56_FLOWS: u64 = 16;
+pub(crate) const FIG56_FLOWS: u64 = 16;
 /// Packets per flow per RTT in the detection model.
-pub const FIG56_PKTS_PER_RTT: u64 = 50;
+pub(crate) const FIG56_PKTS_PER_RTT: u64 = 50;
 
 /// Detection-model grid (Figs 5/6): Monte-Carlo rows across burst sizes at
 /// the paper's N=16, K=50 operating point.
-pub fn fig56_quick(seed: u64) -> Vec<DetectionRow> {
+pub(crate) fn fig56_quick(seed: u64) -> Vec<DetectionRow> {
     FIG56_BURSTS
         .iter()
         .map(|&m| DetectionRow::compute(m, FIG56_FLOWS, FIG56_PKTS_PER_RTT, 2000, seed))
@@ -138,7 +138,7 @@ pub fn fig56_quick(seed: u64) -> Vec<DetectionRow> {
 
 /// Quick-scale competition run (Fig 7): the paper's 16 + 16 setup cut to
 /// 20 simulated seconds.
-pub fn fig7_quick(seed: u64) -> CompetitionResult {
+pub(crate) fn fig7_quick(seed: u64) -> CompetitionResult {
     let mut cfg = CompetitionConfig::paper(seed);
     cfg.duration = SimDuration::from_secs(20);
     competition(&cfg)
@@ -147,18 +147,18 @@ pub fn fig7_quick(seed: u64) -> CompetitionResult {
 /// Seeds pinned by the legacy Reno-vs-TFRC pairing fixture. The golden
 /// summary must stay byte-identical across transport-internal refactors
 /// for every one of these seeds.
-pub const MIX_SEEDS: [u64; 3] = [1, 2006, 42];
+pub(crate) const MIX_SEEDS: [u64; 3] = [1, 2006, 42];
 
 /// Quick-scale protocol-mix run (the Fig 7 rate-vs-window pairing with
 /// TFRC): 4 + 4 flows on 50 Mbps / 50 ms cut to 10 simulated seconds.
-pub fn fig7_mix_quick(paced_tcp: bool, seed: u64) -> MixResult {
+pub(crate) fn fig7_mix_quick(paced_tcp: bool, seed: u64) -> MixResult {
     let mut cfg = MixConfig::default_setup(paced_tcp, seed);
     cfg.duration = SimDuration::from_secs(10);
     protocol_mix(&cfg)
 }
 
 /// Golden summary pinning the legacy Reno-vs-TFRC (and Pacing-vs-TFRC)
-/// pairing across [`MIX_SEEDS`]: per-class goodput and the TFRC share.
+/// pairing across `MIX_SEEDS`: per-class goodput and the TFRC share.
 pub fn fig7_mix_summary() -> GoldenSummary {
     let mut sum = GoldenSummary::new("fig7_mix");
     for &seed in &MIX_SEEDS {
@@ -176,7 +176,7 @@ pub fn fig7_mix_summary() -> GoldenSummary {
 
 /// Quick-scale parallel-transfer grid (Fig 8): 8 MB over {2, 8} flows ×
 /// {10, 200 ms} RTT, two replications.
-pub fn fig8_quick(seed: u64) -> Vec<ParallelCell> {
+pub(crate) fn fig8_quick(seed: u64) -> Vec<ParallelCell> {
     parallel_study(&ParallelConfig {
         total_bytes: 8 * 1024 * 1024,
         flow_counts: vec![2, 8],
@@ -188,37 +188,37 @@ pub fn fig8_quick(seed: u64) -> Vec<ParallelCell> {
     .expect("fig8 quick grid is valid")
 }
 
-/// Memoized [`fig2_quick`] at [`QUICK_SEED`].
+/// Memoized `fig2_quick` at [`QUICK_SEED`].
 pub fn fig2_data() -> &'static Fig2Data {
     static CACHE: OnceLock<Fig2Data> = OnceLock::new();
     CACHE.get_or_init(|| fig2_quick(QUICK_SEED))
 }
 
-/// Memoized [`fig3_quick`] at [`QUICK_SEED`].
+/// Memoized `fig3_quick` at [`QUICK_SEED`].
 pub fn fig3_study() -> &'static LossStudy {
     static CACHE: OnceLock<LossStudy> = OnceLock::new();
     CACHE.get_or_init(|| fig3_quick(QUICK_SEED))
 }
 
-/// Memoized [`fig4_quick`] at [`QUICK_SEED`].
+/// Memoized `fig4_quick` at [`QUICK_SEED`].
 pub fn fig4_data() -> &'static Fig4Data {
     static CACHE: OnceLock<Fig4Data> = OnceLock::new();
     CACHE.get_or_init(|| fig4_quick(QUICK_SEED))
 }
 
-/// Memoized [`fig56_quick`] at [`QUICK_SEED`].
+/// Memoized `fig56_quick` at [`QUICK_SEED`].
 pub fn fig56_rows() -> &'static Vec<DetectionRow> {
     static CACHE: OnceLock<Vec<DetectionRow>> = OnceLock::new();
     CACHE.get_or_init(|| fig56_quick(QUICK_SEED))
 }
 
-/// Memoized [`fig7_quick`] at [`QUICK_SEED`].
+/// Memoized `fig7_quick` at [`QUICK_SEED`].
 pub fn fig7_result() -> &'static CompetitionResult {
     static CACHE: OnceLock<CompetitionResult> = OnceLock::new();
     CACHE.get_or_init(|| fig7_quick(QUICK_SEED))
 }
 
-/// Memoized [`fig8_quick`] at [`QUICK_SEED`].
+/// Memoized `fig8_quick` at [`QUICK_SEED`].
 pub fn fig8_cells() -> &'static Vec<ParallelCell> {
     static CACHE: OnceLock<Vec<ParallelCell>> = OnceLock::new();
     CACHE.get_or_init(|| fig8_quick(QUICK_SEED))
@@ -226,7 +226,7 @@ pub fn fig8_cells() -> &'static Vec<ParallelCell> {
 
 /// The golden summary of one loss study: cluster fractions, dispersion,
 /// KS-vs-Poisson, episode count, and the coarse interval PDF.
-pub fn study_summary(name: &str, study: &LossStudy) -> GoldenSummary {
+pub(crate) fn study_summary(name: &str, study: &LossStudy) -> GoldenSummary {
     GoldenSummary::new(name)
         .scalar("n_losses", study.report.n_losses as f64)
         .scalar("frac_below_001", study.report.frac_below_001)

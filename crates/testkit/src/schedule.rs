@@ -71,7 +71,7 @@ pub enum QueueOp {
 
 /// Performs one [`QueueOp`] on the queue under test; returns the popped
 /// time for [`QueueOp::Pop`] (`None` once empty), anything for a `Schedule`.
-pub type Apply<'a> = &'a mut dyn FnMut(QueueOp) -> Option<u64>;
+pub(crate) type Apply<'a> = &'a mut dyn FnMut(QueueOp) -> Option<u64>;
 
 /// A schedule generator: `(seed, churn, apply)`.
 pub type Schedule = fn(u64, usize, Apply);
@@ -125,7 +125,7 @@ pub fn campaign_schedule(seed: u64, churn: usize, apply: Apply) {
 /// wheel, so it waits in the overflow heap and is dealt down twice — and
 /// when the window reaches the head ten seconds later its events come
 /// due within eight 8 µs days of each other.
-pub fn far_cluster_schedule(seed: u64, churn: usize, apply: Apply) {
+pub(crate) fn far_cluster_schedule(seed: u64, churn: usize, apply: Apply) {
     const SECOND: u64 = 1_000_000_000;
     with_rng(seed, |gen| {
         for _ in 0..4_000 {

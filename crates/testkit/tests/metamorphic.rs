@@ -26,7 +26,7 @@ use rayon::prelude::*;
 fn testbed_loss_rate(buffer_pkts: usize, seed: u64) -> f64 {
     let mut cfg = TestbedConfig::ns2_baseline(16, buffer_pkts, seed);
     cfg.duration = SimDuration::from_secs(8);
-    let res = testbed::run(&cfg);
+    let res = testbed::run_streaming(&cfg);
     let sent: u64 = res.tcp_progress.iter().map(|p| p.packets_sent).sum();
     assert!(sent > 0, "no packets sent at buffer {buffer_pkts}");
     res.drops as f64 / sent as f64
@@ -67,7 +67,7 @@ fn fluid_pooled_study(noise_flows: usize) -> LossStudy {
         cfg.background = BackgroundMode::Fluid;
         cfg.noise_flows = noise_flows;
         cfg.noise_fraction = 0.30;
-        let res = testbed::run(&cfg);
+        let res = testbed::run_streaming(&cfg);
         intervals.extend(normalized_intervals(
             &res.loss_times,
             res.mean_rtt.as_secs_f64(),

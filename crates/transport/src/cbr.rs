@@ -101,11 +101,6 @@ impl Cbr {
         self.received
     }
 
-    /// When the first packet left the source.
-    pub fn first_send(&self) -> Option<SimTime> {
-        self.first_send
-    }
-
     /// Sequence numbers sent but never received — the lost packets,
     /// assuming the run has fully drained: the gaps a [`Cbr::streaming`]
     /// receiver detected online plus the tail of packets never seen

@@ -23,27 +23,27 @@ use std::any::Any;
 use std::collections::VecDeque;
 
 /// The ProbeBW pacing-gain cycle (RFC-draft BBR v1).
-pub const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+pub(crate) const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
 /// Config (and [`ControllerFactory`]) for BBR.
 #[derive(Clone, Copy, Debug)]
-pub struct BbrConfig {
+pub(crate) struct BbrConfig {
     /// Startup pacing gain (2/ln 2 ≈ 2.885: doubles the rate each round).
-    pub startup_gain: f64,
+    pub(crate) startup_gain: f64,
     /// Drain pacing gain (the reciprocal: empties the startup queue).
-    pub drain_gain: f64,
+    pub(crate) drain_gain: f64,
     /// Window gain over the estimated BDP.
-    pub cwnd_gain: f64,
+    pub(crate) cwnd_gain: f64,
     /// Rounds of < 25 % bandwidth growth that declare the pipe full.
-    pub full_bw_rounds: u32,
+    pub(crate) full_bw_rounds: u32,
     /// Rounds the bottleneck-bandwidth max filter spans.
-    pub btlbw_filter_rounds: u64,
+    pub(crate) btlbw_filter_rounds: u64,
     /// Age after which the rtprop estimate is considered stale.
-    pub rtprop_filter: SimDuration,
+    pub(crate) rtprop_filter: SimDuration,
     /// Floor window during ProbeRTT (and after an RTO), packets.
-    pub min_pipe_cwnd: f64,
+    pub(crate) min_pipe_cwnd: f64,
     /// How long ProbeRTT sits at the floor window.
-    pub probe_rtt_duration: SimDuration,
+    pub(crate) probe_rtt_duration: SimDuration,
 }
 
 impl Default for BbrConfig {
@@ -69,7 +69,7 @@ impl ControllerFactory for BbrConfig {
 
 /// The probing state machine's current state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BbrState {
+pub(crate) enum BbrState {
     /// Exponential rate growth until the bandwidth estimate plateaus.
     Startup,
     /// Drain the queue built during startup.
@@ -81,18 +81,6 @@ pub enum BbrState {
     },
     /// Periodically shrink the window to re-measure propagation delay.
     ProbeRtt,
-}
-
-impl BbrState {
-    /// Short state name for tests and traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            BbrState::Startup => "startup",
-            BbrState::Drain => "drain",
-            BbrState::ProbeBw { .. } => "probe_bw",
-            BbrState::ProbeRtt => "probe_rtt",
-        }
-    }
 }
 
 /// BBR-v1-style bandwidth/RTT probing controller.
@@ -121,7 +109,7 @@ pub struct BbrCc {
 
 impl BbrCc {
     /// A fresh controller seeded from the flow config.
-    pub fn new(cfg: BbrConfig, cc: &CcConfig) -> BbrCc {
+    pub(crate) fn new(cfg: BbrConfig, cc: &CcConfig) -> BbrCc {
         BbrCc {
             cfg,
             state: BbrState::Startup,
@@ -142,11 +130,6 @@ impl BbrCc {
         }
     }
 
-    /// Current state (for tests and traces).
-    pub fn state(&self) -> BbrState {
-        self.state
-    }
-
     /// Bottleneck-bandwidth estimate, packets/second (0 until sampled).
     pub fn btlbw(&self) -> f64 {
         self.btlbw_samples
@@ -155,13 +138,8 @@ impl BbrCc {
             .fold(0.0, f64::max)
     }
 
-    /// Round-trip propagation estimate.
-    pub fn rtprop(&self) -> Option<SimDuration> {
-        self.rtprop
-    }
-
     /// Estimated bandwidth-delay product, packets.
-    pub fn bdp(&self) -> f64 {
+    pub(crate) fn bdp(&self) -> f64 {
         match self.rtprop {
             Some(rt) => self.btlbw() * rt.as_secs_f64(),
             None => 0.0,
@@ -349,7 +327,7 @@ mod tests {
     #[test]
     fn startup_drain_probe_bw_transitions() {
         let mut b = BbrCc::new(BbrConfig::default(), &CcConfig::default());
-        assert_eq!(b.state().name(), "startup");
+        assert_eq!(b.state, BbrState::Startup);
 
         // Rounds of growing bandwidth: stay in startup. Each ack delivers
         // more than a flight's worth so every ack advances the packet-timed
@@ -360,7 +338,7 @@ mod tests {
             now += 50;
             delivered += 150;
             b.on_ack(&sample(now, delivered, 100, rate, 50));
-            assert_eq!(b.state().name(), "startup", "bw still growing");
+            assert_eq!(b.state, BbrState::Startup, "bw still growing");
         }
         assert!(b.btlbw() >= 800.0);
 
@@ -368,24 +346,24 @@ mod tests {
         // growth the pipe is declared full and the state drops to drain.
         let mut flight = 100;
         for _ in 0..BbrConfig::default().full_bw_rounds {
-            assert_eq!(b.state().name(), "startup");
+            assert_eq!(b.state, BbrState::Startup);
             now += 50;
             delivered += 150; // enough to advance the packet-timed round
             b.on_ack(&sample(now, delivered, flight, 810.0, 50));
         }
-        assert_eq!(b.state().name(), "drain", "plateau must end startup");
+        assert_eq!(b.state, BbrState::Drain, "plateau must end startup");
 
         // Drain holds until the flight drops to the estimated BDP
         // (810 pps × 50 ms ≈ 40 packets), then probe_bw begins.
         now += 50;
         delivered += 150;
         b.on_ack(&sample(now, delivered, flight, 810.0, 50));
-        assert_eq!(b.state().name(), "drain", "flight still above BDP");
+        assert_eq!(b.state, BbrState::Drain, "flight still above BDP");
         flight = 30;
         now += 50;
         delivered += 150;
         b.on_ack(&sample(now, delivered, flight, 810.0, 50));
-        assert_eq!(b.state().name(), "probe_bw");
+        assert!(matches!(b.state, BbrState::ProbeBw { .. }));
 
         // The steady-state window is cwnd_gain × BDP.
         let bdp = b.bdp();
@@ -405,13 +383,13 @@ mod tests {
         b.rtprop_stamp = SimTime::ZERO + SimDuration::from_millis(1);
         b.btlbw_samples.push_back((0, 1000.0));
         b.on_ack(&sample(20, 10, 5, 1000.0, 10));
-        assert_eq!(b.state().name(), "probe_bw");
+        assert!(matches!(b.state, BbrState::ProbeBw { .. }));
 
         let mut seen = std::collections::HashSet::new();
         let mut now = 20;
         let mut delivered = 10;
         for _ in 0..40 {
-            if let BbrState::ProbeBw { phase } = b.state() {
+            if let BbrState::ProbeBw { phase } = b.state {
                 seen.insert(phase);
             }
             now += 11; // just over one rtprop per ack
@@ -434,13 +412,16 @@ mod tests {
         let mut ev = sample(11_000, 100, 50, 1000.0, 10);
         ev.rtt_sample = None; // no fresh sample on this ack
         b.on_ack(&ev);
-        assert_eq!(b.state().name(), "probe_rtt");
+        assert_eq!(b.state, BbrState::ProbeRtt);
         assert_eq!(b.window(), BbrConfig::default().min_pipe_cwnd);
 
         // Flight drains to the floor; 200 ms at the floor ends the probe.
         b.on_ack(&sample(11_100, 104, 4, 1000.0, 10));
         b.on_ack(&sample(11_400, 108, 4, 1000.0, 10));
-        assert_eq!(b.state().name(), "probe_bw", "returns to steady state");
+        assert!(
+            matches!(b.state, BbrState::ProbeBw { .. }),
+            "returns to steady state"
+        );
     }
 
     #[test]

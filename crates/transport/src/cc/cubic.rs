@@ -19,14 +19,14 @@ use std::any::Any;
 
 /// Config (and [`ControllerFactory`]) for CUBIC.
 #[derive(Clone, Copy, Debug)]
-pub struct CubicConfig {
+pub(crate) struct CubicConfig {
     /// The cubic scaling constant `C` (RFC 8312: 0.4).
-    pub c: f64,
+    pub(crate) c: f64,
     /// Multiplicative decrease factor `β` (RFC 8312: 0.7).
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// Enable fast convergence (shrink `W_max` when losses repeat below
     /// the previous plateau).
-    pub fast_convergence: bool,
+    pub(crate) fast_convergence: bool,
 }
 
 impl Default for CubicConfig {
@@ -64,7 +64,7 @@ pub struct CubicCc {
 
 impl CubicCc {
     /// A fresh controller seeded from the flow config.
-    pub fn new(cfg: CubicConfig, cc: &CcConfig) -> CubicCc {
+    pub(crate) fn new(cfg: CubicConfig, cc: &CcConfig) -> CubicCc {
         CubicCc {
             cfg,
             cwnd: cc.initial_cwnd,
@@ -78,20 +78,15 @@ impl CubicCc {
     }
 
     /// The closed-form cubic window at `t` seconds into the current epoch.
-    pub fn w_cubic(&self, t: f64) -> f64 {
+    pub(crate) fn w_cubic(&self, t: f64) -> f64 {
         self.cfg.c * (t - self.k) * (t - self.k) * (t - self.k) + self.w_max
     }
 
     /// The TCP-friendly (AIMD-equivalent) window at `t` seconds into the
     /// epoch (RFC 8312 §4.2).
-    pub fn w_est(&self, t: f64) -> f64 {
+    pub(crate) fn w_est(&self, t: f64) -> f64 {
         let b = self.cfg.beta;
         self.w_max * b + 3.0 * (1.0 - b) / (1.0 + b) * (t / self.rtt_secs.max(1e-6))
-    }
-
-    /// Time-to-plateau `K` for the current epoch, seconds.
-    pub fn k(&self) -> f64 {
-        self.k
     }
 
     /// The current cubic plateau `W_max`, packets.
@@ -220,9 +215,9 @@ mod tests {
         c.on_ack(&ack_at(now, 500)); // starts the epoch
         let expected_k = (100.0 * 0.3 / 0.4f64).cbrt();
         assert!(
-            (c.k() - expected_k).abs() < 1e-9,
+            (c.k - expected_k).abs() < 1e-9,
             "K = {} expected {expected_k}",
-            c.k()
+            c.k
         );
 
         // Ack-clock it forward (one ACK per 10 ms); at each point the
@@ -241,7 +236,7 @@ mod tests {
             c.window()
         );
         // At t = K the closed form returns exactly the plateau.
-        assert!((c.w_cubic(c.k()) - c.w_max()).abs() < 1e-9);
+        assert!((c.w_cubic(c.k) - c.w_max()).abs() < 1e-9);
         // And the plateau was genuinely crossed by the end of the run.
         assert!(c.window() > c.w_max(), "convex probing beyond W_max");
     }

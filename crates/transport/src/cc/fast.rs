@@ -17,11 +17,11 @@ use std::any::Any;
 
 /// Config (and [`ControllerFactory`]) for FAST.
 #[derive(Clone, Copy, Debug)]
-pub struct FastConfig {
+pub(crate) struct FastConfig {
     /// Target number of packets queued at the bottleneck.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Smoothing gain `γ` of the per-RTT update.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
 }
 
 impl Default for FastConfig {
@@ -41,7 +41,7 @@ impl ControllerFactory for FastConfig {
 
 /// FAST window law: periodic delay-driven multiplicative smoothing.
 #[derive(Clone, Debug)]
-pub struct FastCc {
+pub(crate) struct FastCc {
     cfg: FastConfig,
     cwnd: f64,
     initial_cwnd: f64,
@@ -53,7 +53,7 @@ pub struct FastCc {
 
 impl FastCc {
     /// A fresh controller seeded from the flow config.
-    pub fn new(cfg: FastConfig, cc: &CcConfig) -> FastCc {
+    pub(crate) fn new(cfg: FastConfig, cc: &CcConfig) -> FastCc {
         FastCc {
             cfg,
             cwnd: cc.initial_cwnd,
@@ -63,16 +63,6 @@ impl FastCc {
             base_rtt: None,
             srtt: None,
         }
-    }
-
-    /// Lowest RTT observed (the propagation-delay estimate).
-    pub fn base_rtt(&self) -> Option<SimDuration> {
-        self.base_rtt
-    }
-
-    /// Most recent RTT sample (propagation + queueing).
-    pub fn last_rtt(&self) -> Option<SimDuration> {
-        self.last_rtt
     }
 }
 

@@ -21,17 +21,17 @@
 //! participates in recovery, the recovery hook
 //! ([`Controller::on_partial_ack`] or [`Controller::on_recovery_exit`])
 //! fires *before* `on_ack`, and `on_ack` carries the matching
-//! [`AckPhase`] so window-law controllers can ignore in-recovery ACKs while
+//! `AckPhase` so window-law controllers can ignore in-recovery ACKs while
 //! model-based controllers still absorb every delivery sample.
 //!
-//! Controllers are built per flow through [`ControllerFactory`], which every
-//! `Clone`-able config type (e.g. [`cubic::CubicConfig`],
-//! [`bbr::BbrConfig`]) implements.
+//! Controllers are built per flow through `ControllerFactory`, which every
+//! `Clone`-able config type (e.g. `cubic::CubicConfig`,
+//! `bbr::BbrConfig`) implements.
 
 pub mod bbr;
 pub mod cubic;
-pub mod fast;
-pub mod reno;
+pub(crate) mod fast;
+pub(crate) mod reno;
 
 use lossburst_netsim::iface::Transport;
 use lossburst_netsim::packet::NodeId;
@@ -43,28 +43,24 @@ use crate::sender::{RenoVariant, Sender};
 use crate::tfrc::TfrcSender;
 
 /// The slice of [`TcpConfig`] a controller is allowed to see: window seeds
-/// and clamps, plus the segment size for rate conversions. `Clone`-able so
-/// factories can stamp one per flow.
+/// and clamps. `Clone`-able so factories can stamp one per flow.
 #[derive(Clone, Debug)]
-pub struct CcConfig {
+pub(crate) struct CcConfig {
     /// Initial congestion window, packets.
-    pub initial_cwnd: f64,
+    pub(crate) initial_cwnd: f64,
     /// Initial slow-start threshold, packets.
-    pub initial_ssthresh: f64,
+    pub(crate) initial_ssthresh: f64,
     /// Hard window clamp, packets.
-    pub max_cwnd: f64,
-    /// Segment payload size, bytes.
-    pub mss: u32,
+    pub(crate) max_cwnd: f64,
 }
 
 impl CcConfig {
     /// Extract the controller-visible slice of a [`TcpConfig`].
-    pub fn from_tcp(cfg: &TcpConfig) -> CcConfig {
+    pub(crate) fn from_tcp(cfg: &TcpConfig) -> CcConfig {
         CcConfig {
             initial_cwnd: cfg.initial_cwnd,
             initial_ssthresh: cfg.initial_ssthresh,
             max_cwnd: cfg.max_cwnd,
-            mss: cfg.mss,
         }
     }
 }
@@ -77,7 +73,7 @@ impl Default for CcConfig {
 
 /// Where an acknowledged advance sits relative to loss recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AckPhase {
+pub(crate) enum AckPhase {
     /// No recovery in progress: the normal growth path.
     Open,
     /// A partial ACK inside an ongoing recovery.
@@ -90,29 +86,29 @@ pub enum AckPhase {
 #[derive(Clone, Copy, Debug)]
 pub struct AckEvent {
     /// Simulation time of the ACK.
-    pub now: SimTime,
+    pub(crate) now: SimTime,
     /// Packets newly acknowledged by this ACK.
     pub newly_acked: u64,
     /// RTT sample carried by this ACK, if it echoed a send timestamp.
-    pub rtt_sample: Option<SimDuration>,
+    pub(crate) rtt_sample: Option<SimDuration>,
     /// Smoothed RTT after absorbing this sample.
-    pub srtt: Option<SimDuration>,
+    pub(crate) srtt: Option<SimDuration>,
     /// Minimum RTT observed over the flow's lifetime.
     pub min_rtt: Option<SimDuration>,
     /// Packets in flight *after* this ACK.
-    pub flight: u64,
+    pub(crate) flight: u64,
     /// Cumulative packets delivered over the flow's lifetime.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Delivery-rate sample in packets/second (newly acked over the gap
     /// since the previous cumulative advance), when measurable.
-    pub delivery_rate: Option<f64>,
+    pub(crate) delivery_rate: Option<f64>,
     /// Recovery phase of this ACK.
-    pub phase: AckPhase,
+    pub(crate) phase: AckPhase,
 }
 
 /// What signalled congestion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CongestionKind {
+pub(crate) enum CongestionKind {
     /// Three duplicate ACKs (or three SACKed segments above a hole).
     DupAck,
     /// An ECN congestion-experienced echo (no packet was lost).
@@ -125,9 +121,9 @@ pub struct CongestionEvent {
     /// Simulation time of the detection.
     pub now: SimTime,
     /// What signalled the congestion.
-    pub kind: CongestionKind,
+    pub(crate) kind: CongestionKind,
     /// Packets in flight when the event was detected.
-    pub flight: f64,
+    pub(crate) flight: f64,
 }
 
 /// A congestion-control algorithm: owns the window/rate law and nothing
@@ -197,7 +193,7 @@ pub trait Controller {
 
 /// Builds one [`Controller`] per flow. Implemented by each algorithm's
 /// `Clone`-able config type.
-pub trait ControllerFactory {
+pub(crate) trait ControllerFactory {
     /// Instantiate a controller for a flow with the given window config.
     fn build(&self, cc: &CcConfig) -> Box<dyn Controller>;
 }
@@ -253,19 +249,6 @@ impl FlowSpec {
 }
 
 impl CcAlgorithm {
-    /// Every algorithm, in display order.
-    pub const ALL: [CcAlgorithm; 9] = [
-        CcAlgorithm::Tahoe,
-        CcAlgorithm::Reno,
-        CcAlgorithm::NewReno,
-        CcAlgorithm::Pacing,
-        CcAlgorithm::Sack,
-        CcAlgorithm::Cubic,
-        CcAlgorithm::Bbr,
-        CcAlgorithm::Fast,
-        CcAlgorithm::Tfrc,
-    ];
-
     /// Canonical lower-case name.
     pub fn name(self) -> &'static str {
         match self {
@@ -279,11 +262,6 @@ impl CcAlgorithm {
             CcAlgorithm::Fast => "fast",
             CcAlgorithm::Tfrc => "tfrc",
         }
-    }
-
-    /// Parse a canonical name back to the algorithm.
-    pub fn parse(s: &str) -> Option<CcAlgorithm> {
-        CcAlgorithm::ALL.into_iter().find(|a| a.name() == s)
     }
 
     /// Whether the sender spreads packets in time (paced or equation-based)
@@ -330,14 +308,6 @@ pub(crate) fn legacy_response(variant: RenoVariant) -> reno::LossResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn algorithm_names_round_trip() {
-        for alg in CcAlgorithm::ALL {
-            assert_eq!(CcAlgorithm::parse(alg.name()), Some(alg));
-        }
-        assert_eq!(CcAlgorithm::parse("vegas"), None);
-    }
 
     #[test]
     fn rate_based_axis_matches_the_paper() {

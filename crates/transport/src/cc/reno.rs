@@ -13,7 +13,7 @@ use std::any::Any;
 
 /// How the window responds to a dupack-detected loss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LossResponse {
+pub(crate) enum LossResponse {
     /// Reno/NewReno fast recovery: `cwnd = ssthresh + 3` (the three dupacks
     /// that triggered detection have left the network).
     HalvePlus3,
@@ -26,30 +26,23 @@ pub enum LossResponse {
 
 /// Config (and [`ControllerFactory`]) for the Reno family.
 #[derive(Clone, Copy, Debug)]
-pub struct RenoConfig {
+pub(crate) struct RenoConfig {
     /// Dupack loss response.
-    pub response: LossResponse,
+    pub(crate) response: LossResponse,
 }
 
 impl RenoConfig {
     /// NewReno / classic-Reno response (go-back-N repair).
-    pub fn newreno() -> RenoConfig {
+    pub(crate) fn newreno() -> RenoConfig {
         RenoConfig {
             response: LossResponse::HalvePlus3,
         }
     }
 
     /// SACK response (scoreboard repair).
-    pub fn sack() -> RenoConfig {
+    pub(crate) fn sack() -> RenoConfig {
         RenoConfig {
             response: LossResponse::Halve,
-        }
-    }
-
-    /// Tahoe response.
-    pub fn tahoe() -> RenoConfig {
-        RenoConfig {
-            response: LossResponse::CollapseToOne,
         }
     }
 }
@@ -68,7 +61,7 @@ impl ControllerFactory for RenoConfig {
 
 /// AIMD window law with a pluggable loss response.
 #[derive(Clone, Debug)]
-pub struct RenoCc {
+pub(crate) struct RenoCc {
     cfg: RenoConfig,
     cwnd: f64,
     ssthresh: f64,
@@ -77,7 +70,7 @@ pub struct RenoCc {
 
 impl RenoCc {
     /// A fresh controller seeded from the flow config.
-    pub fn new(cfg: RenoConfig, cc: &CcConfig) -> RenoCc {
+    pub(crate) fn new(cfg: RenoConfig, cc: &CcConfig) -> RenoCc {
         RenoCc {
             cfg,
             cwnd: cc.initial_cwnd,
@@ -184,7 +177,6 @@ mod tests {
             initial_cwnd: 2.0,
             initial_ssthresh: 4.0,
             max_cwnd: 1e9,
-            mss: 1000,
         };
         let mut c = RenoCc::new(RenoConfig::newreno(), &cc);
         c.on_ack(&open_ack(1)); // 3.0

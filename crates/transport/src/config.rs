@@ -56,7 +56,7 @@ impl Default for TcpConfig {
 impl TcpConfig {
     /// Bytes on the wire for one full-sized data segment.
     #[inline]
-    pub fn segment_bytes(&self) -> u32 {
+    pub(crate) fn segment_bytes(&self) -> u32 {
         self.mss + self.header_bytes
     }
 }

@@ -12,10 +12,10 @@
 //!
 //! | Controller | Class | Module |
 //! |---|---|---|
-//! | Tahoe / Reno / NewReno | window-based (bursty) | [`cc::reno`] |
+//! | Tahoe / Reno / NewReno | window-based (bursty) | `cc::reno` |
 //! | CUBIC (RFC 8312) | window-based, cubic growth | [`cc::cubic`] |
 //! | BBR v1 | model/rate-based | [`cc::bbr`] |
-//! | FAST-style delay-based | delay-signal extension | [`cc::fast`] |
+//! | FAST-style delay-based | delay-signal extension | `cc::fast` |
 //! | TFRC (RFC 5348) | equation/rate-based | [`tfrc`] (own sender) |
 //! | CBR probe | constant rate | [`cbr`] |
 //! | Exponential on-off noise | background load | [`onoff`] |
@@ -55,7 +55,7 @@ pub mod onoff;
 pub mod receiver;
 #[cfg(test)]
 mod reference;
-pub mod rtt;
+pub(crate) mod rtt;
 mod runset;
 pub mod sender;
 #[cfg(test)]
@@ -68,13 +68,9 @@ pub mod timer;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::cbr::Cbr;
-    pub use crate::cc::{
-        AckEvent, AckPhase, CcAlgorithm, CcConfig, CongestionEvent, CongestionKind, Controller,
-        ControllerFactory, FlowSpec,
-    };
     pub use crate::config::TcpConfig;
-    pub use crate::onoff::{FluidOnOff, OnOff};
+    pub use crate::onoff::OnOff;
     pub use crate::rtt::RttEstimator;
-    pub use crate::sender::{RenoVariant, RepairKind, SendMode, Sender};
+    pub use crate::sender::{RenoVariant, SendMode, Sender};
     pub use crate::tfrc::{tcp_throughput_eq, TfrcSender};
 }

@@ -86,16 +86,6 @@ impl OnOff {
         )
     }
 
-    /// Packets emitted so far.
-    pub fn sent(&self) -> u64 {
-        self.packets_sent
-    }
-
-    /// Whether the source is currently in an ON period.
-    pub fn is_on(&self) -> bool {
-        self.on
-    }
-
     fn schedule_toggle(&mut self, ctx: &mut Ctx) {
         let mean = if self.on { self.mean_on } else { self.mean_off };
         let d = Sampler::exponential_duration(ctx.rng, mean);
@@ -184,7 +174,7 @@ pub struct FluidOnOff {
 
 impl FluidOnOff {
     /// A fluid source with the given *peak* rate feeding `link`.
-    pub fn new(
+    pub(crate) fn new(
         link: LinkId,
         peak_rate_bps: f64,
         mean_on: SimDuration,
@@ -212,23 +202,6 @@ impl FluidOnOff {
     ) -> FluidOnOff {
         let duty = mean_on.as_secs_f64() / (mean_on.as_secs_f64() + mean_off.as_secs_f64());
         FluidOnOff::new(link, avg_rate_bps / duty, mean_on, mean_off)
-    }
-
-    /// The long-run average rate this envelope converges to.
-    pub fn expected_avg_rate_bps(&self) -> f64 {
-        let on = self.mean_on.as_secs_f64();
-        let off = self.mean_off.as_secs_f64();
-        self.peak_rate_bps * on / (on + off)
-    }
-
-    /// ON/OFF transitions applied so far.
-    pub fn toggles(&self) -> u64 {
-        self.toggles
-    }
-
-    /// Whether the source is currently in an ON period.
-    pub fn is_on(&self) -> bool {
-        self.on
     }
 
     fn schedule_toggle(&mut self, ctx: &mut Ctx) {
@@ -315,7 +288,7 @@ mod tests {
             .as_any()
             .downcast_ref::<OnOff>()
             .unwrap();
-        let rate = onoff.sent() as f64 * 500.0 * 8.0 / horizon;
+        let rate = onoff.packets_sent as f64 * 500.0 * 8.0 / horizon;
         assert!(
             (rate - 1e6).abs() < 0.15e6,
             "measured average {rate:.0} bps, wanted ~1 Mbps"
@@ -354,7 +327,7 @@ mod tests {
             .as_any()
             .downcast_ref::<OnOff>()
             .unwrap();
-        let measured = onoff.sent() as f64 * 1000.0 * 8.0 / horizon;
+        let measured = onoff.packets_sent as f64 * 1000.0 * 8.0 / horizon;
         let expected = peak * 0.25;
         let rel = (measured - expected).abs() / expected;
         assert!(
@@ -384,7 +357,6 @@ mod tests {
         let mean_on = SimDuration::from_millis(100);
         let mean_off = SimDuration::from_millis(300);
         let f = FluidOnOff::new(ab, peak, mean_on, mean_off);
-        assert!((f.expected_avg_rate_bps() - 1_000_000.0).abs() < 1e-6);
         let flow = bld.flow(a, b, SimTime::ZERO, Box::new(f));
         let mut sim = bld.build();
         let horizon = 500.0;
@@ -405,10 +377,10 @@ mod tests {
             .as_any()
             .downcast_ref::<FluidOnOff>()
             .unwrap();
-        assert!(src.toggles() > 100, "toggle process barely ran");
+        assert!(src.toggles > 100, "toggle process barely ran");
         assert_eq!(
             sim.event_counts().rate_changes,
-            src.toggles(),
+            src.toggles,
             "every toggle must reach the link as a rate change"
         );
     }
@@ -447,7 +419,7 @@ mod tests {
             .unwrap();
         // Roughly half the time ON at 2500 pkt/s -> ~25k packets in 20 s;
         // if OFF periods were ignored we'd see ~50k.
-        let sent = onoff.sent();
+        let sent = onoff.packets_sent;
         assert!(
             (15_000..=35_000).contains(&sent),
             "sent {sent}, duty cycle looks wrong"

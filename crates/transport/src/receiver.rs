@@ -12,9 +12,9 @@ pub struct AckInfo {
     /// Cumulative acknowledgment (next expected sequence).
     pub ack: u64,
     /// Timestamp echo for the sender's RTT sample.
-    pub echo: SimTime,
+    pub(crate) echo: SimTime,
     /// ECN-echo flag.
-    pub ecn_echo: bool,
+    pub(crate) ecn_echo: bool,
     /// Up to three SACK blocks `[start, end)` describing out-of-order data
     /// held by the receiver (`(0,0)` = empty slot).
     pub sack: [(u64, u64); 3],
@@ -31,7 +31,7 @@ pub struct TcpReceiver {
     unacked: u32,
     sack_rotation: usize,
     /// Data packets received (including duplicates).
-    pub packets_received: u64,
+    pub(crate) packets_received: u64,
 }
 
 impl TcpReceiver {
@@ -95,7 +95,7 @@ impl TcpReceiver {
     /// most recently received segment first, then the remaining ranges in
     /// rotation — so over consecutive ACKs every range gets reported even
     /// when more than three holes exist.
-    pub fn sack_blocks_for(&mut self, recent_seq: u64) -> [(u64, u64); 3] {
+    pub(crate) fn sack_blocks_for(&mut self, recent_seq: u64) -> [(u64, u64); 3] {
         let ranges = self.out_of_order.runs();
         let mut blocks = [(0u64, 0u64); 3];
         if ranges.is_empty() {
@@ -116,15 +116,6 @@ impl TcpReceiver {
             n += 1;
         }
         self.sack_rotation = self.sack_rotation.wrapping_add(1) % ranges.len().max(1);
-        blocks
-    }
-
-    /// The lowest up-to-three ranges (stable view, used by tests).
-    pub fn sack_blocks(&self) -> [(u64, u64); 3] {
-        let mut blocks = [(0u64, 0u64); 3];
-        for (slot, &run) in blocks.iter_mut().zip(self.out_of_order.runs()) {
-            *slot = run;
-        }
         blocks
     }
 }
@@ -207,8 +198,6 @@ mod tests {
         assert_eq!(ack.sack[0], (7, 8));
         let rest: Vec<_> = ack.sack[1..].to_vec();
         assert!(rest.contains(&(2, 4)) && rest.contains(&(5, 6)), "{rest:?}");
-        // The stable lowest-three view is still available.
-        assert_eq!(rx.sack_blocks()[0], (2, 4));
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl RttEstimator {
     }
 
     /// Double the RTO (called on each retransmission timeout).
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.backoff = (self.backoff + 1).min(16);
     }
 }

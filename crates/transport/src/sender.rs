@@ -5,7 +5,7 @@
 //! duplicate-ACK and SACK-scoreboard loss detection, the RTT estimator,
 //! the retransmission and pacing timers — and translates wire events into
 //! the [`crate::cc`] event vocabulary. Composing it with a controller and
-//! a [`RepairKind`] reproduces every classic sender:
+//! a `RepairKind` reproduces every classic sender:
 //!
 //! | constructor        | controller | repair            | mode   |
 //! |--------------------|------------|-------------------|--------|
@@ -65,7 +65,7 @@ pub enum SendMode {
 
 /// How the sender repairs detected losses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RepairKind {
+pub(crate) enum RepairKind {
     /// Cumulative-ACK-only loss detection with NS-2-style go-back-N after
     /// an RTO; the variant picks the fast-recovery flavour.
     GoBackN(RenoVariant),
@@ -203,7 +203,7 @@ pub struct Sender {
 
 impl Sender {
     /// Compose a sender from an already-built controller.
-    pub fn with_controller(
+    pub(crate) fn with_controller(
         src: NodeId,
         dst: NodeId,
         cfg: TcpConfig,
@@ -253,7 +253,7 @@ impl Sender {
     }
 
     /// Compose a sender, building the controller through its factory.
-    pub fn from_factory(
+    pub(crate) fn from_factory(
         src: NodeId,
         dst: NodeId,
         cfg: TcpConfig,
@@ -271,12 +271,12 @@ impl Sender {
     }
 
     /// A Reno flow in the window-based implementation.
-    pub fn reno(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
+    pub(crate) fn reno(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
         Sender::new(src, dst, cfg, RenoVariant::Reno, SendMode::Burst)
     }
 
     /// A Tahoe flow (historical baseline: slow start after every loss).
-    pub fn tahoe(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
+    pub(crate) fn tahoe(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
         Sender::new(src, dst, cfg, RenoVariant::Tahoe, SendMode::Burst)
     }
 
@@ -369,23 +369,8 @@ impl Sender {
         self.ctrl.window()
     }
 
-    /// Current slow-start threshold in packets, if the controller has one.
-    pub fn ssthresh(&self) -> f64 {
-        self.ctrl.ssthresh()
-    }
-
-    /// Smoothed RTT, if sampled.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
-    /// Minimum RTT observed, if sampled.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
-        self.min_rtt
-    }
-
     /// Whether the sender is currently in loss recovery.
-    pub fn in_recovery(&self) -> bool {
+    pub(crate) fn in_recovery(&self) -> bool {
         self.recover.is_some()
             || self
                 .sack
@@ -1024,7 +1009,6 @@ mod tests {
             "bottleneck estimate {} too low",
             bbr.btlbw()
         );
-        assert!(bbr.rtprop().is_some());
     }
 
     #[test]

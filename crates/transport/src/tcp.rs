@@ -79,7 +79,6 @@ mod tests {
             "cwnd {} after ~4 RTTs",
             tcp.cwnd()
         );
-        assert!(tcp.srtt().is_some());
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn main() {
     cfg.duration = SimDuration::from_secs(30);
 
     println!("running 30 s of the Fig 1 dumbbell (8 TCP flows + noise)...");
-    let res = testbed::run(&cfg);
+    let res = testbed::run_streaming(&cfg);
     println!(
         "bottleneck: {} drops, utilization {:.0}%, mean flow RTT {:.0} ms",
         res.drops,

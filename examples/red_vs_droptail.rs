@@ -20,7 +20,7 @@ fn burstiness_under(disc: QueueDisc, label: &str) {
     let mut cfg = TestbedConfig::ns2_baseline(16, 312, 11);
     cfg.bottleneck_disc = disc;
     cfg.duration = SimDuration::from_secs(30);
-    let res = testbed::run(&cfg);
+    let res = testbed::run_streaming(&cfg);
     let iv = intervals::normalized_intervals(&res.loss_times, res.mean_rtt.as_secs_f64());
     let rep = burstiness::analyze(&iv);
     println!(

@@ -36,16 +36,3 @@ pub use lossburst_emu as emu;
 pub use lossburst_inet as inet;
 pub use lossburst_netsim as netsim;
 pub use lossburst_transport as transport;
-
-/// Everything, one import away.
-pub mod prelude {
-    pub use lossburst_analysis::prelude::*;
-    pub use lossburst_core::prelude::*;
-    // Both preludes name an Error/Result pair; the experiment-driver one
-    // wins here (it wraps the analysis one).
-    pub use lossburst_core::error::{Error, Result};
-    pub use lossburst_emu::prelude::*;
-    pub use lossburst_inet::prelude::*;
-    pub use lossburst_netsim::prelude::*;
-    pub use lossburst_transport::prelude::*;
-}

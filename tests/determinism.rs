@@ -21,7 +21,7 @@ fn testbed_runs_replay_bit_identically() {
     let run = || {
         let mut cfg = TestbedConfig::ns2_baseline(6, 200, 1234);
         cfg.duration = SimDuration::from_secs(8);
-        let res = testbed::run(&cfg);
+        let res = testbed::run_streaming(&cfg);
         (
             res.drops,
             res.loss_times.clone(),
@@ -82,7 +82,7 @@ fn different_seeds_explore_different_executions() {
     let run = |seed| {
         let mut cfg = TestbedConfig::ns2_baseline(6, 200, seed);
         cfg.duration = SimDuration::from_secs(8);
-        testbed::run(&cfg).loss_times
+        testbed::run_streaming(&cfg).loss_times
     };
     let a = run(1);
     let b = run(2);

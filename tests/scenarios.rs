@@ -64,7 +64,7 @@ fn red_reduces_sub_rtt_clustering() {
         let mut cfg = TestbedConfig::ns2_baseline(12, 312, 19);
         cfg.bottleneck_disc = disc;
         cfg.duration = SimDuration::from_secs(10);
-        let res = testbed::run(&cfg);
+        let res = testbed::run_streaming(&cfg);
         let iv = lossburst::analysis::intervals::normalized_intervals(
             &res.loss_times,
             res.mean_rtt.as_secs_f64(),
