@@ -44,9 +44,9 @@ impl ClockedLossSink {
         &self.stats
     }
 
-    /// The clock-stamped drop times recorded so far.
-    pub(crate) fn times(&self) -> &[f64] {
-        &self.times
+    /// Move the clock-stamped drop times out, leaving none behind.
+    pub(crate) fn take_times(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.times)
     }
 }
 
@@ -89,8 +89,9 @@ mod tests {
         s.on_loss(&rec(3, 1_700_000)); // 1.7 ms -> 1 ms
         s.on_loss(&rec(9, 2_000_000)); // other link: ignored
         s.on_loss(&rec(3, 2_300_000)); // 2.3 ms -> 2 ms
-        assert_eq!(s.times(), &[0.001, 0.002]);
         assert_eq!(s.stats().n_losses(), 2);
+        assert_eq!(s.take_times(), [0.001, 0.002]);
+        assert!(s.times.is_empty());
     }
 
     #[test]

@@ -354,11 +354,11 @@ pub fn run_streaming_limited(
         .collect();
     let sink = sim
         .trace
-        .sink::<ClockedLossSink>(sink_idx)
+        .sink_mut::<ClockedLossSink>(sink_idx)
         .expect("loss sink attached above");
     Ok(StreamTestbedResult {
         stats: sink.stats().clone(),
-        loss_times: sink.times().to_vec(),
+        loss_times: sink.take_times(),
         pair_rtts,
         mean_rtt,
         drops,

@@ -167,7 +167,10 @@ impl DropScript {
     }
 }
 
-/// A queue discipline plus its mutable state.
+/// A queue discipline plus its mutable state. Every buffer is limited in
+/// packets. A variant's payload beyond its limit and a word or two of
+/// state is behind a `Box`, so that a link, which holds its discipline by
+/// value, pays for RED or a drop script only where one is configured.
 #[derive(Clone, Debug)]
 pub enum QueueDisc {
     /// Plain FIFO tail-drop with a buffer limit in packets.
@@ -175,35 +178,28 @@ pub enum QueueDisc {
         /// Buffer capacity in packets.
         limit: usize,
     },
-    /// FIFO tail-drop limited by buffered *bytes* rather than packets —
-    /// how most real router line cards are provisioned, and material when
-    /// small probe packets share a queue with full-sized data segments.
-    DropTailBytes {
-        /// Buffer capacity in bytes.
-        limit_bytes: usize,
-    },
     /// Random Early Detection.
     Red {
         /// Hard buffer capacity in packets (forced drop above this).
         limit: usize,
         /// Static parameters.
-        config: RedConfig,
+        config: Box<RedConfig>,
         /// Estimator state.
-        state: RedState,
+        state: Box<RedState>,
     },
     /// DropTail plus a deterministic drop script (failure injection).
     Scripted {
         /// Buffer capacity in packets.
         limit: usize,
         /// The injection script.
-        script: DropScript,
+        script: Box<DropScript>,
     },
     /// Persistent ECN marking over DropTail.
     PersistentEcn {
         /// Hard buffer capacity in packets.
         limit: usize,
         /// Static parameters.
-        config: PersistentEcnConfig,
+        config: Box<PersistentEcnConfig>,
         /// End of the current marking epoch, if one is active.
         epoch_until: Option<SimTime>,
     },
@@ -219,7 +215,7 @@ impl QueueDisc {
     pub fn scripted(limit_pkts: usize, script: DropScript) -> QueueDisc {
         QueueDisc::Scripted {
             limit: limit_pkts,
-            script,
+            script: Box::new(script),
         }
     }
 
@@ -227,8 +223,8 @@ impl QueueDisc {
     pub fn red(limit_pkts: usize) -> QueueDisc {
         QueueDisc::Red {
             limit: limit_pkts,
-            config: RedConfig::for_buffer(limit_pkts),
-            state: RedState::default(),
+            config: Box::new(RedConfig::for_buffer(limit_pkts)),
+            state: Box::default(),
         }
     }
 
@@ -245,8 +241,8 @@ impl QueueDisc {
         }
         QueueDisc::Red {
             limit: limit_pkts,
-            config,
-            state: RedState::default(),
+            config: Box::new(config),
+            state: Box::default(),
         }
     }
 
@@ -259,35 +255,29 @@ impl QueueDisc {
     ) -> QueueDisc {
         QueueDisc::PersistentEcn {
             limit: limit_pkts,
-            config: PersistentEcnConfig {
+            config: Box::new(PersistentEcnConfig {
                 mark_threshold,
                 epoch,
-            },
+            }),
             epoch_until: None,
         }
     }
 
-    /// Hard buffer capacity in packets (`usize::MAX` for byte-limited
-    /// queues, which have no packet cap).
+    /// Hard buffer capacity in packets.
     pub(crate) fn limit(&self) -> usize {
         match self {
             QueueDisc::DropTail { limit } => *limit,
             QueueDisc::Scripted { limit, .. } => *limit,
-            QueueDisc::DropTailBytes { .. } => usize::MAX,
             QueueDisc::Red { limit, .. } => *limit,
             QueueDisc::PersistentEcn { limit, .. } => *limit,
         }
     }
 
-    /// Hard buffer capacity in bytes, given the mean packet size used to
-    /// convert packet-denominated limits. Byte-limited queues answer
-    /// exactly; the others scale their packet cap. Used by the fluid model
-    /// to clip the virtual backlog at the buffer boundary.
+    /// Hard buffer capacity in bytes: the packet cap at the given mean
+    /// packet size. Used by the fluid model to clip the virtual backlog at
+    /// the buffer boundary.
     pub(crate) fn capacity_bytes(&self, mean_pkt_bytes: f64) -> f64 {
-        match self {
-            QueueDisc::DropTailBytes { limit_bytes } => *limit_bytes as f64,
-            _ => self.limit() as f64 * mean_pkt_bytes,
-        }
+        self.limit() as f64 * mean_pkt_bytes
     }
 
     /// The mean packet size this discipline reasons in (RED's configured
@@ -302,47 +292,34 @@ impl QueueDisc {
     }
 
     /// Decide admission for `pkt` arriving at `now` with `occupancy` packets
-    /// (`occupancy_bytes` bytes) already buffered, including any packet in
-    /// service. `service_rate_pps` is the link's drain rate in
-    /// packets/second, used by RED to age its average across idle periods.
+    /// already buffered, including any packet in service.
+    /// `service_rate_pps` is the link's drain rate in packets/second, used
+    /// by RED to age its average across idle periods.
     pub fn decide(
         &mut self,
         now: SimTime,
         pkt: &Packet,
         occupancy: usize,
-        occupancy_bytes: usize,
         service_rate_pps: f64,
         rng: &mut SmallRng,
     ) -> Verdict {
-        self.decide_hybrid(
-            now,
-            pkt,
-            occupancy,
-            occupancy_bytes,
-            0.0,
-            0.0,
-            service_rate_pps,
-            rng,
-        )
+        self.decide_hybrid(now, pkt, occupancy, 0.0, service_rate_pps, rng)
     }
 
     /// [`QueueDisc::decide`] with an additional fluid background backlog
-    /// (`fluid_pkts` mean-sized packets, `fluid_bytes` bytes) sharing the
-    /// buffer: every occupancy comparison — droptail overflow, RED average
-    /// and forced drop, persistent-ECN thresholds — sees the *combined*
-    /// occupancy `packets + fluid`. With both fluid terms zero this is
-    /// arithmetically identical to the packet-only path (integer
-    /// comparisons become exact `f64` comparisons on integer values), which
-    /// keeps packet-mode golden fixtures byte-identical.
-    #[allow(clippy::too_many_arguments)]
+    /// of `fluid_pkts` mean-sized packets sharing the buffer: every
+    /// occupancy comparison — droptail overflow, RED average and forced
+    /// drop, persistent-ECN thresholds — sees the *combined* occupancy
+    /// `packets + fluid`. With no fluid this is arithmetically identical to
+    /// the packet-only path (integer comparisons become exact `f64`
+    /// comparisons on integer values), which keeps packet-mode golden
+    /// fixtures byte-identical.
     pub(crate) fn decide_hybrid(
         &mut self,
         now: SimTime,
         pkt: &Packet,
         occupancy: usize,
-        occupancy_bytes: usize,
         fluid_pkts: f64,
-        fluid_bytes: f64,
         service_rate_pps: f64,
         rng: &mut SmallRng,
     ) -> Verdict {
@@ -350,14 +327,6 @@ impl QueueDisc {
         match self {
             QueueDisc::DropTail { limit } => {
                 if occ >= *limit as f64 {
-                    Verdict::Drop
-                } else {
-                    Verdict::Enqueue
-                }
-            }
-            QueueDisc::DropTailBytes { limit_bytes } => {
-                let occ_bytes = occupancy_bytes as f64 + fluid_bytes;
-                if occ_bytes + pkt.size_bytes as f64 > *limit_bytes as f64 {
                     Verdict::Drop
                 } else {
                     Verdict::Enqueue
@@ -523,51 +492,21 @@ mod tests {
         let mut r = rng();
         let p = pkt();
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 0, 0, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 0, 1000.0, &mut r),
             Verdict::Enqueue
         );
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 2, 2 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 2, 1000.0, &mut r),
             Verdict::Enqueue
         );
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 3, 3 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 3, 1000.0, &mut r),
             Verdict::Drop
         );
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 10, 10 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 10, 1000.0, &mut r),
             Verdict::Drop
         );
-    }
-
-    #[test]
-    fn droptail_bytes_limits_by_size() {
-        let mut q = QueueDisc::DropTailBytes { limit_bytes: 2500 };
-        let mut r = rng();
-        let big = pkt(); // 1000 bytes
-        let mut small = Packet::data(FlowId(0), NodeId(0), NodeId(1), 100, 0);
-        small.size_bytes = 100;
-        // Two 1000-byte packets buffered (2000 bytes): a third 1000-byte
-        // packet exceeds 2500 and drops, but a 100-byte packet fits.
-        assert_eq!(
-            q.decide(SimTime::ZERO, &big, 2, 2000, 1000.0, &mut r),
-            Verdict::Drop
-        );
-        assert_eq!(
-            q.decide(SimTime::ZERO, &small, 2, 2000, 1000.0, &mut r),
-            Verdict::Enqueue
-        );
-        // Exactly filling the limit is allowed.
-        assert_eq!(
-            q.decide(SimTime::ZERO, &small, 3, 2400, 1000.0, &mut r),
-            Verdict::Enqueue
-        );
-        assert_eq!(
-            q.decide(SimTime::ZERO, &small, 3, 2401, 1000.0, &mut r),
-            Verdict::Drop
-        );
-        // Packet cap is absent.
-        assert_eq!(q.limit(), usize::MAX);
     }
 
     #[test]
@@ -576,7 +515,7 @@ mod tests {
         let mut r = rng();
         let p = pkt();
         let verdicts: Vec<Verdict> = (0..5)
-            .map(|_| q.decide(SimTime::ZERO, &p, 0, 0, 1000.0, &mut r))
+            .map(|_| q.decide(SimTime::ZERO, &p, 0, 1000.0, &mut r))
             .collect();
         assert_eq!(
             verdicts,
@@ -598,21 +537,21 @@ mod tests {
         p.seq = 7;
         // First two copies of seq 7 dropped, third passes.
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 0, 0, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 0, 1000.0, &mut r),
             Verdict::Drop
         );
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 0, 0, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 0, 1000.0, &mut r),
             Verdict::Drop
         );
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 0, 0, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 0, 1000.0, &mut r),
             Verdict::Enqueue
         );
         // Other seqs pass.
         let other = pkt();
         assert_eq!(
-            q.decide(SimTime::ZERO, &other, 0, 0, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &other, 0, 1000.0, &mut r),
             Verdict::Enqueue
         );
     }
@@ -623,7 +562,7 @@ mod tests {
         let mut r = rng();
         let p = pkt();
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 2, 2000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 2, 1000.0, &mut r),
             Verdict::Drop
         );
     }
@@ -644,14 +583,7 @@ mod tests {
         let p = pkt();
         for occ in 0..5 {
             assert_eq!(
-                q.decide(
-                    SimTime::from_nanos(occ),
-                    &p,
-                    occ as usize,
-                    occ as usize * 1000,
-                    1000.0,
-                    &mut r
-                ),
+                q.decide(SimTime::from_nanos(occ), &p, occ as usize, 1000.0, &mut r,),
                 Verdict::Enqueue
             );
         }
@@ -674,7 +606,7 @@ mod tests {
         // avg follows occupancy with w_q = 1; at occupancy 50 >= max_th the
         // packet must be dropped.
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 50, 50 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 50, 1000.0, &mut r),
             Verdict::Drop
         );
     }
@@ -699,7 +631,7 @@ mod tests {
         let mut drops = 0;
         let n = 20000;
         for i in 0..n {
-            if q.decide(SimTime::from_nanos(i), &p, 5, 5 * 1000, 1000.0, &mut r) == Verdict::Drop {
+            if q.decide(SimTime::from_nanos(i), &p, 5, 1000.0, &mut r) == Verdict::Drop {
                 drops += 1;
             }
         }
@@ -727,7 +659,7 @@ mod tests {
         p.ecn_capable = true;
         let mut marked = 0;
         for i in 0..100 {
-            match q.decide(SimTime::from_nanos(i), &p, 9, 9 * 1000, 1000.0, &mut r) {
+            match q.decide(SimTime::from_nanos(i), &p, 9, 1000.0, &mut r) {
                 Verdict::EnqueueMarked => marked += 1,
                 Verdict::Drop => panic!("ECN-capable packet dropped in early region"),
                 Verdict::Enqueue => {}
@@ -752,7 +684,7 @@ mod tests {
         let p = pkt();
         // Pump the average up.
         for i in 0..5000 {
-            q.decide(SimTime::from_nanos(i), &p, 14, 14 * 1000, 1000.0, &mut r);
+            q.decide(SimTime::from_nanos(i), &p, 14, 1000.0, &mut r);
         }
         let avg_before = match &q {
             QueueDisc::Red { state, .. } => state.avg,
@@ -764,7 +696,6 @@ mod tests {
         q.decide(
             SimTime::from_nanos(5000) + crate::time::SimDuration::from_secs(10),
             &p,
-            0,
             0,
             10000.0,
             &mut r,
@@ -788,26 +719,20 @@ mod tests {
         p.ecn_capable = true;
         // Below threshold: plain enqueue.
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 3, 3 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 3, 1000.0, &mut r),
             Verdict::Enqueue
         );
         // Cross the threshold: epoch starts, packet marked.
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 8, 8 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 8, 1000.0, &mut r),
             Verdict::EnqueueMarked
         );
         // Still inside the epoch even though occupancy fell: keep marking.
         let mid = SimTime::ZERO + SimDuration::from_millis(20);
-        assert_eq!(
-            q.decide(mid, &p, 1, 1000, 1000.0, &mut r),
-            Verdict::EnqueueMarked
-        );
+        assert_eq!(q.decide(mid, &p, 1, 1000.0, &mut r), Verdict::EnqueueMarked);
         // After the epoch ends with low occupancy, marking stops.
         let late = SimTime::ZERO + SimDuration::from_millis(60);
-        assert_eq!(
-            q.decide(late, &p, 1, 1000, 1000.0, &mut r),
-            Verdict::Enqueue
-        );
+        assert_eq!(q.decide(late, &p, 1, 1000.0, &mut r), Verdict::Enqueue);
     }
 
     #[test]
@@ -817,7 +742,7 @@ mod tests {
         let mut p = pkt();
         p.ecn_capable = true;
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 5, 5 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 5, 1000.0, &mut r),
             Verdict::Drop
         );
     }
@@ -828,7 +753,7 @@ mod tests {
         let mut r = rng();
         let p = pkt(); // ecn_capable = false
         assert_eq!(
-            q.decide(SimTime::ZERO, &p, 5, 5 * 1000, 1000.0, &mut r),
+            q.decide(SimTime::ZERO, &p, 5, 1000.0, &mut r),
             Verdict::Enqueue
         );
     }
@@ -914,37 +839,19 @@ mod tests {
         let p = pkt();
         // 2 packets + 0.5 fluid packets: combined 2.5 < 3, admit.
         assert_eq!(
-            q.decide_hybrid(SimTime::ZERO, &p, 2, 2000, 0.5, 500.0, 1000.0, &mut r),
+            q.decide_hybrid(SimTime::ZERO, &p, 2, 0.5, 1000.0, &mut r),
             Verdict::Enqueue
         );
         // 2 packets + exactly 1.0 fluid packet: combined == limit, drop —
         // same closed boundary as the integer comparison.
         assert_eq!(
-            q.decide_hybrid(SimTime::ZERO, &p, 2, 2000, 1.0, 1000.0, 1000.0, &mut r),
+            q.decide_hybrid(SimTime::ZERO, &p, 2, 1.0, 1000.0, &mut r),
             Verdict::Drop
         );
         // 0 packets + 2.999 fluid: still room for one real packet.
         assert_eq!(
-            q.decide_hybrid(SimTime::ZERO, &p, 0, 0, 2.999, 2999.0, 1000.0, &mut r),
+            q.decide_hybrid(SimTime::ZERO, &p, 0, 2.999, 1000.0, &mut r),
             Verdict::Enqueue
-        );
-    }
-
-    #[test]
-    fn hybrid_droptail_bytes_adds_fluid_bytes() {
-        let mut q = QueueDisc::DropTailBytes { limit_bytes: 2500 };
-        let mut r = rng();
-        let p = pkt(); // 1000 bytes
-                       // 1000 buffered + 499.9 fluid + 1000 arriving = 2499.9 <= 2500.
-        assert_eq!(
-            q.decide_hybrid(SimTime::ZERO, &p, 1, 1000, 0.5, 499.9, 1000.0, &mut r),
-            Verdict::Enqueue
-        );
-        // 1000 + 500.1 + 1000 = 2500.1 > 2500: the fractional fluid residue
-        // must not be rounded away at the overflow comparison.
-        assert_eq!(
-            q.decide_hybrid(SimTime::ZERO, &p, 1, 1000, 0.5, 500.1, 1000.0, &mut r),
-            Verdict::Drop
         );
     }
 
@@ -965,7 +872,7 @@ mod tests {
         // 3 real packets alone would pass the hard cap; 7.5 fluid packets
         // push the combined occupancy over limit = 10.
         assert_eq!(
-            q.decide_hybrid(SimTime::ZERO, &p, 3, 3000, 7.5, 7500.0, 1000.0, &mut r),
+            q.decide_hybrid(SimTime::ZERO, &p, 3, 7.5, 1000.0, &mut r),
             Verdict::Drop
         );
     }
@@ -986,7 +893,7 @@ mod tests {
         let p = pkt();
         // Zero real packets but 8 packets of fluid: the estimator must see
         // a busy queue (avg 8 > min_th 5), not take the idle-decay branch.
-        q.decide_hybrid(SimTime::ZERO, &p, 0, 0, 8.0, 8000.0, 1000.0, &mut r);
+        q.decide_hybrid(SimTime::ZERO, &p, 0, 8.0, 1000.0, &mut r);
         match &q {
             QueueDisc::Red { state, .. } => {
                 assert!(
@@ -1011,17 +918,8 @@ mod tests {
         let p = pkt();
         for i in 0..2000u64 {
             let occ = (i % 40) as usize;
-            let va = a.decide(SimTime::from_nanos(i), &p, occ, occ * 1000, 1000.0, &mut ra);
-            let vb = b.decide_hybrid(
-                SimTime::from_nanos(i),
-                &p,
-                occ,
-                occ * 1000,
-                0.0,
-                0.0,
-                1000.0,
-                &mut rb,
-            );
+            let va = a.decide(SimTime::from_nanos(i), &p, occ, 1000.0, &mut ra);
+            let vb = b.decide_hybrid(SimTime::from_nanos(i), &p, occ, 0.0, 1000.0, &mut rb);
             assert_eq!(va, vb, "diverged at arrival {i}");
         }
     }
@@ -1029,10 +927,6 @@ mod tests {
     #[test]
     fn capacity_and_mean_pkt_helpers() {
         assert_eq!(QueueDisc::drop_tail(7).capacity_bytes(1000.0), 7000.0);
-        assert_eq!(
-            QueueDisc::DropTailBytes { limit_bytes: 4096 }.capacity_bytes(1000.0),
-            4096.0
-        );
         assert_eq!(QueueDisc::red(10).capacity_bytes(500.0), 5000.0);
         assert_eq!(QueueDisc::drop_tail(7).mean_pkt_bytes(), 1000.0);
         let mut cfg = RedConfig::for_buffer(100);
@@ -1060,7 +954,7 @@ mod tests {
         // make `rng < pa` always false, silently disabling early drops).
         let mut q = QueueDisc::Red {
             limit: 100,
-            config: RedConfig {
+            config: Box::new(RedConfig {
                 min_th: 10.0,
                 max_th: 10.0,
                 max_p: 1.0,
@@ -1068,16 +962,15 @@ mod tests {
                 gentle: true,
                 ecn: false,
                 mean_pkt_bytes: 1000.0,
-            },
-            state: RedState::default(),
+            }),
+            state: Box::default(),
         };
         let mut r = rng();
         let p = pkt();
         let mut early_drops = 0;
         for i in 0..200 {
             // Hold avg exactly at the degenerate threshold (w_q = 1).
-            if q.decide(SimTime::from_nanos(i), &p, 10, 10 * 1000, 1000.0, &mut r) == Verdict::Drop
-            {
+            if q.decide(SimTime::from_nanos(i), &p, 10, 1000.0, &mut r) == Verdict::Drop {
                 early_drops += 1;
             }
         }

@@ -11,6 +11,7 @@ use crate::trace::{CompletionRecord, LossRecord, MarkRecord, QueueSample, TraceC
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// One row of [`Simulator::flow_summaries`].
 #[derive(Clone, Copy, Debug)]
@@ -268,8 +269,9 @@ impl Simulator {
         id
     }
 
-    /// Fill every node's next-hop table with shortest (hop-count) paths.
-    /// Ties are broken toward the lower link id so routing is deterministic.
+    /// Set every node's routes, once, to shortest (hop-count) paths over
+    /// the finished topology. Ties are broken toward the lower link id so
+    /// routing is deterministic.
     pub(crate) fn compute_routes(&mut self) {
         let n = self.nodes.len();
         // Adjacency: for each node, outgoing (link, to) in link-id order.
@@ -277,14 +279,11 @@ impl Simulator {
         for l in &self.links {
             adj[l.from.index()].push((l.id, l.to));
         }
-        for node in &mut self.nodes {
-            node.clear_routes();
-        }
         // A node with one way out reaches its neighbour and whatever the
         // neighbour reaches, all by that one link. When the neighbour runs
         // its own search (it has another way out, or none) the node's
         // routes follow from the neighbour's: no search from the node, and
-        // no per-destination fill.
+        // one route set per neighbour, shared by every node behind it.
         let derives_from = |src: usize| match adj[src][..] {
             [(link, nbr)] if adj[nbr.index()].len() != 1 => Some((link, nbr.index())),
             _ => None,
@@ -307,25 +306,20 @@ impl Simulator {
                     }
                 }
             }
-            for (dst, hop) in first_hop.iter().enumerate() {
-                if let Some(link) = hop {
-                    self.nodes[src].set_route(NodeId(dst as u32), *link);
-                }
-            }
+            self.nodes[src].set_routes(&first_hop);
         }
         let words = n.div_ceil(64);
-        let mut reached_by: HashMap<usize, Vec<u64>> = HashMap::new();
+        let mut reached_by: HashMap<usize, Arc<[u64]>> = HashMap::new();
         for src in 0..n {
             let Some((link, nbr)) = derives_from(src) else {
                 continue;
             };
-            let mut dsts = reached_by
-                .entry(nbr)
-                .or_insert_with(|| self.nodes[nbr].routed_dsts(words))
-                .clone();
-            dsts[nbr / 64] |= 1 << (nbr % 64);
-            dsts[src / 64] &= !(1 << (src % 64));
-            self.nodes[src].set_routes_via(link, dsts);
+            let dsts = reached_by.entry(nbr).or_insert_with(|| {
+                let mut dsts = self.nodes[nbr].routed_dsts(words);
+                dsts[nbr / 64] |= 1 << (nbr % 64);
+                dsts.into()
+            });
+            self.nodes[src].set_routes_via(link, Arc::clone(dsts));
         }
     }
 

@@ -222,6 +222,12 @@ impl TraceSet {
         self.sinks.get(idx)?.as_any().downcast_ref()
     }
 
+    /// Downcast the sink at `idx` to its concrete type, mutably — to move
+    /// what it accumulated out after the run instead of copying it.
+    pub fn sink_mut<T: TraceSink + 'static>(&mut self, idx: usize) -> Option<&mut T> {
+        self.sinks.get_mut(idx)?.as_any_mut().downcast_mut()
+    }
+
     /// Record a drop.
     #[inline]
     pub fn loss(&mut self, rec: LossRecord) {
@@ -484,6 +490,8 @@ mod tests {
     fn wrong_type_sink_downcast_is_none() {
         let mut t2 = TraceSet::new(TraceConfig::default());
         let i2 = t2.add_sink(Box::<Counter>::default());
+        t2.sink_mut::<Counter>(i2).expect("right type").losses = 7;
+        assert_eq!(t2.sink::<Counter>(i2).map(|c| c.losses), Some(7));
         struct Other;
         impl TraceSink for Other {
             fn as_any(&self) -> &dyn std::any::Any {
@@ -494,6 +502,7 @@ mod tests {
             }
         }
         assert!(t2.sink::<Other>(i2).is_none());
+        assert!(t2.sink_mut::<Other>(i2).is_none());
     }
 
     #[test]

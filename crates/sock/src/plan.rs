@@ -131,7 +131,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         for (i, &drop) in plan.decisions.iter().enumerate() {
             let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, i as u64);
-            let verdict = q.decide(SimTime::ZERO, &pkt, 0, 0, 1000.0, &mut rng);
+            let verdict = q.decide(SimTime::ZERO, &pkt, 0, 1000.0, &mut rng);
             assert_eq!(
                 verdict == Verdict::Drop,
                 drop,
