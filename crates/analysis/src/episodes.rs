@@ -12,7 +12,7 @@
 //!   function of Δ, compared to the unconditional Poisson value
 //!   `1 − e^(−λΔ)`.
 
-use crate::stats;
+use crate::intervals::in_time_order;
 
 /// One loss episode.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -35,39 +35,43 @@ impl Episode {
 /// Cluster sorted-or-unsorted loss timestamps into episodes separated by
 /// gaps larger than `gap`.
 pub fn episodes(times: &[f64], gap: f64) -> Vec<Episode> {
-    assert!(gap >= 0.0, "gap must be non-negative");
-    if times.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = times.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN timestamp"));
     let mut out = Vec::new();
-    let mut start = sorted[0];
-    let mut last = sorted[0];
-    let mut size = 1usize;
-    for &t in &sorted[1..] {
-        if t - last > gap {
-            out.push(Episode {
-                start,
-                end: last,
-                size,
-            });
-            start = t;
-            size = 0;
-        }
-        last = t;
-        size += 1;
-    }
-    out.push(Episode {
-        start,
-        end: last,
-        size,
-    });
+    for_each_episode(times, gap, |e| out.push(e));
     out
 }
 
-/// Summary of an episode decomposition.
-#[derive(Clone, Copy, Debug)]
+/// Hand `f` each episode of `times`, in the
+/// [time order](crate::intervals#time-order): the one pass behind
+/// [`episodes`] and [`episode_report`]. A gap from or to a NaN is NaN and
+/// exceeds no `gap`, so a NaN joins the episode it sorts into.
+fn for_each_episode(times: &[f64], gap: f64, mut f: impl FnMut(Episode)) {
+    assert!(gap >= 0.0, "gap must be non-negative");
+    let times = in_time_order(times);
+    let Some((&first, rest)) = times.split_first() else {
+        return;
+    };
+    let mut ep = Episode {
+        start: first,
+        end: first,
+        size: 1,
+    };
+    for &t in rest {
+        if t - ep.end > gap {
+            f(ep);
+            ep = Episode {
+                start: t,
+                end: t,
+                size: 0,
+            };
+        }
+        ep.end = t;
+        ep.size += 1;
+    }
+    f(ep);
+}
+
+/// Summary of an episode decomposition (all zero for an empty trace).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EpisodeReport {
     /// Number of episodes.
     pub count: usize,
@@ -81,44 +85,44 @@ pub struct EpisodeReport {
     pub fraction_in_bursts: f64,
 }
 
-/// Summarize the episodes of a trace.
+/// Summarize the episodes of a trace, folding them as they are found.
 pub fn episode_report(times: &[f64], gap: f64) -> EpisodeReport {
-    let eps = episodes(times, gap);
-    if eps.is_empty() {
-        return EpisodeReport {
-            count: 0,
-            mean_size: 0.0,
-            max_size: 0,
-            mean_duration: 0.0,
-            fraction_in_bursts: 0.0,
-        };
+    let mut rep = EpisodeReport::default();
+    let (mut losses, mut in_bursts) = (0usize, 0usize);
+    // Both sums start where `Iterator::sum` does and add in episode order,
+    // so the means keep the bits of `stats::mean` over per-episode vectors.
+    let (mut sizes, mut durations) = (-0.0, -0.0);
+    for_each_episode(times, gap, |e| {
+        rep.count += 1;
+        rep.max_size = rep.max_size.max(e.size);
+        sizes += e.size as f64;
+        durations += e.duration();
+        losses += e.size;
+        if e.size >= 2 {
+            in_bursts += e.size;
+        }
+    });
+    if rep.count > 0 {
+        rep.mean_size = sizes / rep.count as f64;
+        rep.mean_duration = durations / rep.count as f64;
+        rep.fraction_in_bursts = in_bursts as f64 / losses as f64;
     }
-    let sizes: Vec<f64> = eps.iter().map(|e| e.size as f64).collect();
-    let durs: Vec<f64> = eps.iter().map(|e| e.duration()).collect();
-    let total: usize = eps.iter().map(|e| e.size).sum();
-    let in_bursts: usize = eps.iter().filter(|e| e.size >= 2).map(|e| e.size).sum();
-    EpisodeReport {
-        count: eps.len(),
-        mean_size: stats::mean(&sizes),
-        max_size: eps.iter().map(|e| e.size).max().unwrap_or(0),
-        mean_duration: stats::mean(&durs),
-        fraction_in_bursts: in_bursts as f64 / total.max(1) as f64,
-    }
+    rep
 }
 
 /// `P(next loss within delta | loss)` for each Δ in `deltas`, estimated
-/// over consecutive loss pairs. The Poisson baseline at the trace's rate is
-/// `1 − e^(−λΔ)`.
+/// over consecutive loss pairs in the
+/// [time order](crate::intervals#time-order); a gap from or to a NaN is
+/// within no Δ. The Poisson baseline at the trace's rate is `1 − e^(−λΔ)`.
 pub fn conditional_loss_probability(times: &[f64], deltas: &[f64]) -> Vec<f64> {
     if times.len() < 2 {
         return vec![0.0; deltas.len()];
     }
-    let mut sorted = times.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN timestamp"));
-    let gaps: Vec<f64> = sorted.windows(2).map(|w| w[1] - w[0]).collect();
+    let times = in_time_order(times);
+    let pairs = (times.len() - 1) as f64;
     deltas
         .iter()
-        .map(|&d| gaps.iter().filter(|&&g| g <= d).count() as f64 / gaps.len() as f64)
+        .map(|&d| times.windows(2).filter(|w| w[1] - w[0] <= d).count() as f64 / pairs)
         .collect()
 }
 
@@ -175,6 +179,44 @@ mod tests {
             assert!(w[1] >= w[0]);
         }
         assert!(p.last().copied().unwrap() <= 1.0);
+    }
+
+    #[test]
+    fn a_nan_timestamp_joins_the_episode_it_sorts_into() {
+        let nan = f64::NAN;
+        // Length 1 and 2.
+        let one = episodes(&[nan], 1.0);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].size, 1);
+        assert!(one[0].duration().is_nan());
+        assert_eq!(episodes(&[nan, 0.5], 1.0).len(), 1);
+        assert_eq!(episodes(&[0.5, nan], 1.0).len(), 1);
+        // First, middle, last: +NaN sorts last and joins the last episode,
+        // −NaN sorts first and joins the first.
+        for times in [[nan, 0.0, 5.0], [0.0, nan, 5.0], [0.0, 5.0, nan]] {
+            let eps = episodes(&times, 1.0);
+            assert_eq!(eps.iter().map(|e| e.size).collect::<Vec<_>>(), [1, 2]);
+            assert_eq!(eps[0].start, 0.0);
+            assert!(eps[1].end.is_nan());
+            let rep = episode_report(&times, 1.0);
+            assert_eq!((rep.count, rep.max_size), (2, 2));
+            assert!(rep.mean_duration.is_nan());
+            assert!((rep.fraction_in_bursts - 2.0 / 3.0).abs() < 1e-12);
+        }
+        let eps = episodes(&[5.0, -nan, 0.0], 1.0);
+        assert_eq!(eps.iter().map(|e| e.size).collect::<Vec<_>>(), [2, 1]);
+        assert!(eps[0].start.is_nan());
+    }
+
+    #[test]
+    fn a_gap_to_a_nan_is_within_no_delta() {
+        let nan = f64::NAN;
+        assert_eq!(conditional_loss_probability(&[nan], &[1.0]), [0.0]);
+        assert_eq!(conditional_loss_probability(&[nan, 0.5], &[1.0]), [0.0]);
+        for times in [[nan, 0.0, 0.5], [0.0, nan, 0.5], [0.0, 0.5, nan]] {
+            let p = conditional_loss_probability(&times, &[0.1, 1.0, f64::INFINITY]);
+            assert_eq!(p, [0.0, 0.5, 0.5], "{times:?}");
+        }
     }
 
     #[test]

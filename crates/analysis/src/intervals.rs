@@ -3,33 +3,59 @@
 //! "For each loss trace, we calculate the time interval between each two
 //! consecutive lost packets … In analysis, we normalize the loss interval by
 //! the RTT of the path."
+//!
+//! # Time order
+//!
+//! Every batch function that takes loss timestamps — here, in
+//! [`crate::burstiness`] and in [`crate::episodes`] — takes them in one
+//! order: numeric, equal values (−0 and +0 among them) in input order, and
+//! NaN where [`f64::total_cmp`] puts it, after +∞ (or before −∞ when its
+//! sign bit is set). Input already in that order is read where it lies;
+//! other input is sorted into a copy. The order is total, so no timestamp
+//! panics a sort or a count.
+//!
+//! The two difference functions here, [`inter_event_intervals`] and
+//! [`normalized_intervals`], sort unordered input by [`f64::total_cmp`]
+//! instead, which puts −0 before +0, so the zero interval between them is
+//! +0.
 
-/// Whether the timestamps are already non-decreasing. NaN compares as
-/// out-of-order, so NaN-bearing input falls through to the sorting path.
-#[inline]
-fn is_sorted(times: &[f64]) -> bool {
-    times.windows(2).all(|w| w[0] <= w[1])
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
+/// The module's time order.
+pub(crate) fn time_order(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).unwrap_or_else(|| a.total_cmp(b))
 }
 
-/// Time intervals between consecutive events. Router traces arrive already
-/// time-ordered, so the common case takes a single subtraction pass with no
-/// intermediate clone; only genuinely unordered input (e.g. merged
-/// multi-queue traces) pays for a defensive sort.
+/// `times` in [`time_order`].
+pub(crate) fn in_time_order(times: &[f64]) -> Cow<'_, [f64]> {
+    in_order(times, time_order)
+}
+
+/// `times` sorted by `order`. Router traces arrive already time-ordered and
+/// are borrowed; only genuinely unordered input (e.g. merged multi-queue
+/// traces) pays for a sorted copy. NaN compares as out of order, so
+/// NaN-bearing input takes the copy.
+fn in_order(times: &[f64], order: fn(&f64, &f64) -> Ordering) -> Cow<'_, [f64]> {
+    if times.windows(2).all(|w| w[0] <= w[1]) {
+        return Cow::Borrowed(times);
+    }
+    let mut sorted = times.to_vec();
+    sorted.sort_by(order);
+    Cow::Owned(sorted)
+}
+
+/// Time intervals between consecutive events.
 ///
-/// The sort uses [`f64::total_cmp`], so a NaN timestamp never panics here:
-/// NaNs order after every finite time and the poison propagates into the
-/// output intervals, where a campaign supervisor can detect it (via
-/// [`has_nan`]) and fail the one trace instead of aborting the process.
+/// A NaN timestamp never panics here: it orders after every finite time
+/// and the poison propagates into the output intervals, where a campaign
+/// supervisor can detect it (via [`has_nan`]) and fail the one trace
+/// instead of aborting the process.
 pub fn inter_event_intervals(times: &[f64]) -> Vec<f64> {
-    if times.len() < 2 {
-        return Vec::new();
-    }
-    if is_sorted(times) {
-        return times.windows(2).map(|w| w[1] - w[0]).collect();
-    }
-    let mut sorted: Vec<f64> = times.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted.windows(2).map(|w| w[1] - w[0]).collect()
+    in_order(times, f64::total_cmp)
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .collect()
 }
 
 /// Whether any value in a trace is NaN — the check campaign supervisors run
@@ -50,21 +76,16 @@ pub fn normalize_by_rtt_in_place(intervals: &mut [f64], rtt_secs: f64) {
 }
 
 /// Convenience: loss timestamps (seconds) → RTT-normalized inter-loss
-/// intervals. Sorted input (the common case) is differenced and normalized
-/// in one pass with a single output allocation; each element is computed as
-/// `(t[i+1] − t[i]) / rtt`, the exact operation sequence of the two-pass
-/// version, so results are bit-identical.
+/// intervals, differenced and normalized in one pass with a single output
+/// allocation; each element is computed as `(t[i+1] − t[i]) / rtt`, the
+/// exact operation sequence of the two-pass version, so results are
+/// bit-identical.
 pub fn normalized_intervals(times: &[f64], rtt_secs: f64) -> Vec<f64> {
     assert!(rtt_secs > 0.0, "RTT must be positive");
-    if times.len() < 2 {
-        return Vec::new();
-    }
-    if is_sorted(times) {
-        return times.windows(2).map(|w| (w[1] - w[0]) / rtt_secs).collect();
-    }
-    let mut iv = inter_event_intervals(times);
-    normalize_by_rtt_in_place(&mut iv, rtt_secs);
-    iv
+    in_order(times, f64::total_cmp)
+        .windows(2)
+        .map(|w| (w[1] - w[0]) / rtt_secs)
+        .collect()
 }
 
 #[cfg(test)]

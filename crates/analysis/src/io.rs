@@ -32,29 +32,38 @@ fn write_file(
 
 /// Parse a loss trace: one timestamp (seconds, f64) per line. Empty lines
 /// and lines starting with `#` are skipped. Returns an error naming the
-/// first malformed line.
-pub fn read_loss_trace<R: BufRead>(reader: R) -> Result<Vec<f64>> {
+/// first malformed line (1-based) — a token that is not a finite number —
+/// and an I/O error for input that is not UTF-8. Every line is read
+/// through one reused buffer.
+pub fn read_loss_trace<R: BufRead>(mut reader: R) -> Result<Vec<f64>> {
     let mut out = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut line = String::new();
+    let mut number = 0;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(out);
+        }
+        number += 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
         }
         // Accept "<time>" or "<time> <anything else>" (extra columns are
         // common in router logs).
-        let first = t.split_whitespace().next().unwrap();
+        let first = t
+            .split_once(char::is_whitespace)
+            .map_or(t, |(first, _)| first);
         match first.parse::<f64>() {
             Ok(v) if v.is_finite() => out.push(v),
             _ => {
                 return Err(Error::Parse {
-                    line: idx + 1,
+                    line: number,
                     token: first.to_string(),
                 })
             }
         }
     }
-    Ok(out)
 }
 
 /// Parse a loss trace from a file on disk; see [`read_loss_trace`].

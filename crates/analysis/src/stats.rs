@@ -103,14 +103,6 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
     }
 }
 
-/// Fraction of observations strictly below `threshold`.
-pub(crate) fn fraction_below(xs: &[f64], threshold: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().filter(|&&x| x < threshold).count() as f64 / xs.len() as f64
-}
-
 /// Kolmogorov–Smirnov statistic between the empirical distribution of
 /// `xs` and a continuous reference CDF: `sup_x |F_n(x) − F(x)|`.
 ///
@@ -186,7 +178,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(quantile(&[], 0.5), 0.0);
-        assert_eq!(fraction_below(&[], 1.0), 0.0);
     }
 
     #[test]
@@ -308,13 +299,6 @@ mod tests {
         // Non-positive median: ratio undefined.
         assert_eq!(tail_mass(&[0.0, 0.0, 5.0]), None);
         assert_eq!(tail_mass(&[-1.0, -1.0, -1.0]), None);
-    }
-
-    #[test]
-    fn fraction_below_counts_strictly() {
-        let xs = [0.005, 0.01, 0.5, 1.5];
-        assert!((fraction_below(&xs, 0.01) - 0.25).abs() < 1e-12);
-        assert!((fraction_below(&xs, 1.0) - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Single-pass, constant-memory loss analysis.
 //!
 //! The batch pipeline ([`crate::burstiness::analyze`], [`crate::episodes`],
-//! [`crate::gilbert::fit`], [`crate::autocorr`]) materializes the full
-//! interval vector and re-scans (and re-sorts) it per statistic, so campaign
-//! memory and post-processing time scale with packet count. Every statistic
+//! [`crate::gilbert::fit`], [`crate::autocorr`]) reads the whole trace where
+//! it lies, one pass per statistic, so campaign memory scales with packet
+//! count: the caller holds every interval. Every statistic
 //! the paper derives from a loss trace is, however, computable *online*: the
 //! accumulators in this module consume one loss event at a time, hold
 //! O(bins + lags) state, and reproduce the batch results to within rounding
@@ -13,8 +13,7 @@
 //! The types mirror the batch decomposition:
 //!
 //! * `IntervalHist` — the RTT-normalized inter-loss-interval histogram
-//!   with running mean/variance (Welford) and the paper's cluster
-//!   fractions;
+//!   with a running sum and count and the paper's cluster fractions;
 //! * `EpisodeTracker` — gap-based loss episodes;
 //! * `WindowCounter` — per-window loss counts driving the index of
 //!   dispersion and the loss-count autocorrelation;
@@ -105,8 +104,8 @@ impl Welford {
 }
 
 /// Streaming RTT-normalized inter-loss-interval histogram: the paper's PDF
-/// geometry plus the cluster fractions and a running mean/variance, all in
-/// one pass. The histogram bins are integer counts and match
+/// geometry plus the cluster fractions and a running mean, all in one
+/// pass. The histogram bins are integer counts and match
 /// [`Histogram::from_values`] exactly; the mean accumulates a plain running
 /// sum in push order, so it is bit-identical to [`crate::stats::mean`] over
 /// the same sequence.
@@ -114,7 +113,7 @@ impl Welford {
 pub(crate) struct IntervalHist {
     hist: Histogram,
     sum: f64,
-    welford: Welford,
+    n: u64,
     below_001: u64,
     below_01: u64,
     below_025: u64,
@@ -133,7 +132,7 @@ impl IntervalHist {
         IntervalHist {
             hist: Histogram::new(bin_width, max),
             sum: 0.0,
-            welford: Welford::new(),
+            n: 0,
             below_001: 0,
             below_01: 0,
             below_025: 0,
@@ -146,7 +145,7 @@ impl IntervalHist {
     pub(crate) fn push(&mut self, iv_rtt: f64) {
         self.hist.add(iv_rtt);
         self.sum += iv_rtt;
-        self.welford.push(iv_rtt);
+        self.n += 1;
         if iv_rtt < 0.01 {
             self.below_001 += 1;
         }
@@ -163,7 +162,7 @@ impl IntervalHist {
 
     /// Intervals consumed so far.
     pub(crate) fn count(&self) -> u64 {
-        self.welford.count()
+        self.n
     }
 
     /// Mean interval, accumulated as a running sum in push order
@@ -178,7 +177,7 @@ impl IntervalHist {
 
     /// Fraction of intervals strictly below `0.01/0.1/0.25/1.0` RTT, in
     /// that order (all 0 when empty), matching
-    /// [`crate::stats::fraction_below`].
+    /// [`crate::burstiness::analyze`].
     pub(crate) fn fractions(&self) -> [f64; 4] {
         let n = self.count();
         if n == 0 {
@@ -201,14 +200,13 @@ impl IntervalHist {
     /// Fold `other` into `self`, as if `other`'s intervals had been pushed
     /// after `self`'s. Integer state (histogram bins, overflow/total, the
     /// cluster-fraction counters, the count) is bit-exact versus single-pass
-    /// accumulation over the concatenated sequence; `sum` and the Welford
-    /// moments agree up to float reassociation (see the crate-level merge
-    /// contract). Merging with an empty operand is bit-exact. Panics if the
+    /// accumulation over the concatenated sequence; `sum` agrees up to float
+    /// reassociation (see the crate-level merge contract). Merging with an empty operand is bit-exact. Panics if the
     /// histogram geometries differ.
     pub(crate) fn merge(&mut self, other: &IntervalHist) {
         self.hist.merge(&other.hist);
         self.sum += other.sum;
-        self.welford.merge(&other.welford);
+        self.n += other.n;
         self.below_001 += other.below_001;
         self.below_01 += other.below_01;
         self.below_025 += other.below_025;
@@ -350,13 +348,7 @@ impl EpisodeTracker {
         let mut fin = self.clone();
         fin.close();
         if fin.count == 0 {
-            return EpisodeReport {
-                count: 0,
-                mean_size: 0.0,
-                max_size: 0,
-                mean_duration: 0.0,
-                fraction_in_bursts: 0.0,
-            };
+            return EpisodeReport::default();
         }
         EpisodeReport {
             count: fin.count,
@@ -1368,7 +1360,6 @@ mod tests {
             assert_eq!(a.count(), whole.count());
             assert_eq!(a.fractions(), whole.fractions(), "fractions split {split}");
             assert_close(a.mean(), whole.mean(), "mean");
-            assert_close(a.welford.variance(), whole.welford.variance(), "variance");
         }
     }
 

@@ -152,11 +152,7 @@ pub(crate) fn lane_stats(
     let intervals = normalized_intervals(loss_times, rtt_secs);
     let report = burstiness::analyze(&intervals);
     let times_rtt: Vec<f64> = loss_times.iter().map(|t| t / rtt_secs).collect();
-    let episodes = if times_rtt.is_empty() {
-        0
-    } else {
-        episodes::episodes(&times_rtt, EPISODE_GAP_RTT).len()
-    };
+    let episodes = episodes::episodes(&times_rtt, EPISODE_GAP_RTT).len();
     let seen = (arrivals as usize).min(plan.len());
     let fit = gilbert::fit(&plan.decisions[..seen]);
     LaneStats {

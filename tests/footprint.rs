@@ -6,10 +6,17 @@
 //! under a counting global allocator, so a per-host copy of a route set
 //! (O(pairs²) in all) or a ring allocated up front fails on a byte count.
 //!
+//! Batch loss analysis allocates per window, not per loss: it reads its
+//! trace where it lies. A high-water mark of the same count catches a
+//! copy, a sort or a rebuilt timeline that is freed before the call
+//! returns.
+//!
 //! Counts are per thread: each test measures what its own thread allocates
 //! and frees, so tests running beside it, and the harness printing their
 //! results, do not enter its windows.
 
+use lossburst::analysis::burstiness::{analyze, counts_in_windows};
+use lossburst::analysis::episodes::episode_report;
 use lossburst::netsim::link::Link;
 use lossburst::netsim::prelude::*;
 use rand::rngs::SmallRng;
@@ -20,17 +27,22 @@ use std::cell::Cell;
 thread_local! {
     /// Bytes this thread has allocated less the bytes it has freed.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since [`peak_above`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Forwards to [`System`], adding each request's size to the calling
-/// thread's `LIVE` and subtracting it on free. `realloc` and
+/// thread's `LIVE` (and raising its `PEAK`) and subtracting it on free. `realloc` and
 /// `alloc_zeroed` keep their default bodies, which go through `alloc` /
 /// `dealloc` here, so a buffer that grows is counted at its new size.
 struct CountingAlloc;
 
 fn count(bytes: isize) {
     // A thread being torn down has no `LIVE` left; its frees go uncounted.
-    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: both methods pass their arguments unchanged to `System`, whose
@@ -56,6 +68,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn live() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Run `f`, returning its result and the most heap this thread held at
+/// once during it beyond what it held before.
+fn peak_above<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = live();
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    (out, PEAK.with(Cell::get) - before)
 }
 
 /// Heap bytes left live by building a `pairs`-pair dumbbell simulator, and
@@ -118,4 +139,57 @@ fn a_link_that_never_queued_holds_no_ring() {
     );
     drop(link);
     assert_eq!(live(), before);
+}
+
+/// 10⁶ RTT-normalized intervals: clusters of sub-RTT losses a few RTTs
+/// apart, as the Fig 2–4 pooled studies hold them.
+fn clustered_intervals() -> Vec<f64> {
+    (0..1_000_000)
+        .map(|i| {
+            if i % 50 == 49 {
+                3.0 + (i % 7) as f64
+            } else {
+                0.002
+            }
+        })
+        .collect()
+}
+
+/// The loss instants of those intervals, first at 0.
+fn timeline(intervals: &[f64]) -> Vec<f64> {
+    let mut t = 0.0;
+    std::iter::once(0.0)
+        .chain(intervals.iter().map(|iv| {
+            t += iv;
+            t
+        }))
+        .collect()
+}
+
+#[test]
+fn batch_analysis_allocates_per_window_not_per_loss() {
+    let intervals = clustered_intervals();
+    let windows = counts_in_windows(&timeline(&intervals), 1.0).len();
+    let (report, peak) = peak_above(|| analyze(&intervals));
+    assert_eq!(report.n_intervals, intervals.len());
+    let bound = 8 * windows as isize + 4096;
+    assert!(
+        peak <= bound,
+        "analyze held {peak} B at once over 10^6 intervals and {windows} windows; \
+         the window counts explain {bound} B"
+    );
+}
+
+#[test]
+fn sorted_input_is_read_where_it_lies() {
+    let times = timeline(&clustered_intervals());
+    let (report, peak) = peak_above(|| episode_report(&times, 1.0));
+    assert!(report.count > 1);
+    assert_eq!(peak, 0, "episode_report allocated on sorted input");
+    let (counts, peak) = peak_above(|| counts_in_windows(&times, 1.0));
+    let output = (counts.capacity() * std::mem::size_of::<u64>()) as isize;
+    assert_eq!(
+        peak, output,
+        "counts_in_windows held more than its {output} B of counts"
+    );
 }
