@@ -65,24 +65,6 @@ impl Histogram {
         self.bins[idx] += 1;
     }
 
-    /// Fold `other`'s counts into `self`. All state is integer counts, so
-    /// the merge is exact: merging per-shard histograms yields bit-for-bit
-    /// the histogram a single pass over the concatenated observations
-    /// builds. Panics if the two histograms' geometries differ.
-    pub(crate) fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.bin_width == other.bin_width
-                && self.max == other.max
-                && self.bins.len() == other.bins.len(),
-            "histogram merge requires identical geometry"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-    }
-
     /// Probability mass per bin (sums to 1 − overflow fraction).
     pub fn pdf(&self) -> Vec<f64> {
         let n = self.total.max(1) as f64;

@@ -1,14 +1,14 @@
 //! Single-pass, constant-memory loss analysis.
 //!
 //! The batch pipeline ([`crate::burstiness::analyze`], [`crate::episodes`],
-//! [`crate::gilbert::fit`], [`crate::autocorr`]) reads the whole trace where
-//! it lies, one pass per statistic, so campaign memory scales with packet
-//! count: the caller holds every interval. Every statistic
-//! the paper derives from a loss trace is, however, computable *online*: the
-//! accumulators in this module consume one loss event at a time, hold
-//! O(bins + lags) state, and reproduce the batch results to within rounding
-//! (integer counts exactly; means bit-for-bit, since they accumulate in the
-//! same order; variance-like quantities to ~1e-12 relative).
+//! [`crate::autocorr`]) reads the whole trace where it lies, one pass per
+//! statistic, so campaign memory scales with packet count: the caller holds
+//! every interval. Every statistic the paper derives from a loss trace is,
+//! however, computable *online*: the accumulators in this module consume
+//! one loss event at a time, hold O(bins + lags) state, and reproduce the
+//! batch results to within rounding (integer counts exactly; means
+//! bit-for-bit, since they accumulate in the same order; variance-like
+//! quantities to ~1e-12 relative).
 //!
 //! The types mirror the batch decomposition:
 //!
@@ -18,21 +18,29 @@
 //! * `WindowCounter` — per-window loss counts driving the index of
 //!   dispersion and the loss-count autocorrelation;
 //! * `AutocorrRing` — fixed-lag autocorrelation over a ring buffer;
-//! * `GilbertFit` — two-state (Gilbert) transition counting from a
-//!   per-packet deliver/drop stream;
-//! * [`LossStreamStats`] — the fused accumulator a trace sink drives.
+//! * [`LossStreamStats`] — the fused accumulator a trace sink drives, on
+//!   the fixed geometry [`WINDOW_RTT`], [`EPISODE_GAP_RTT`] and
+//!   [`MAX_LAG`].
 //!
-//! Every accumulator additionally supports `merge`, folding a second
-//! accumulator in as if its stream had been pushed afterwards — the basis
-//! for sharded campaign execution. See [`LossStreamStats::merge`] for the
-//! exactness contract (integer state bit-exact, float moments to
-//! reassociation rounding, windowed statistics per-segment).
+//! An accumulator belongs to one stream and is never merged with another.
+//! Campaigns pool by feeding one accumulator every path's intervals in path
+//! order, and sharded campaigns replay their checkpointed intervals the
+//! same way, so a K-shard campaign pools exactly as one process does.
 
 use crate::burstiness::BurstinessReport;
 use crate::episodes::EpisodeReport;
-use crate::gilbert::GilbertParams;
 use crate::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use crate::poisson;
+
+/// Window width (RTT units) for the index of dispersion and the loss-count
+/// autocorrelation — the batch pipeline's 1 RTT.
+pub const WINDOW_RTT: f64 = 1.0;
+
+/// Episode gap threshold (RTT units), the one the golden summaries use.
+pub const EPISODE_GAP_RTT: f64 = 1.0;
+
+/// Autocorrelation lag budget over per-window loss counts.
+pub const MAX_LAG: usize = 8;
 
 /// Welford's online mean/variance accumulator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -80,27 +88,6 @@ impl Welford {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Fold `other` into `self` (Chan's parallel combination), as if
-    /// `other`'s observations had been pushed after `self`'s. The count is
-    /// exact; `mean`/`m2` agree with single-pass accumulation up to float
-    /// reassociation (≲ 1 ulp per merge — see the module-level merge
-    /// contract). Merging with an empty operand is bit-exact.
-    pub(crate) fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let nf = n as f64;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64 / nf);
-        self.mean += d * (other.n as f64 / nf);
-        self.n = n;
-    }
 }
 
 /// Streaming RTT-normalized inter-loss-interval histogram: the paper's PDF
@@ -124,13 +111,8 @@ impl IntervalHist {
     /// An empty accumulator on the paper's geometry (0.02 RTT bins, 0–2
     /// RTT).
     pub(crate) fn paper_geometry() -> IntervalHist {
-        IntervalHist::new(PAPER_BIN_WIDTH, PAPER_RANGE)
-    }
-
-    /// An empty accumulator over `[0, max)` with the given bin width.
-    pub(crate) fn new(bin_width: f64, max: f64) -> IntervalHist {
         IntervalHist {
-            hist: Histogram::new(bin_width, max),
+            hist: Histogram::new(PAPER_BIN_WIDTH, PAPER_RANGE),
             sum: 0.0,
             n: 0,
             below_001: 0,
@@ -197,22 +179,6 @@ impl IntervalHist {
         &self.hist
     }
 
-    /// Fold `other` into `self`, as if `other`'s intervals had been pushed
-    /// after `self`'s. Integer state (histogram bins, overflow/total, the
-    /// cluster-fraction counters, the count) is bit-exact versus single-pass
-    /// accumulation over the concatenated sequence; `sum` agrees up to float
-    /// reassociation (see the crate-level merge contract). Merging with an empty operand is bit-exact. Panics if the
-    /// histogram geometries differ.
-    pub(crate) fn merge(&mut self, other: &IntervalHist) {
-        self.hist.merge(&other.hist);
-        self.sum += other.sum;
-        self.n += other.n;
-        self.below_001 += other.below_001;
-        self.below_01 += other.below_01;
-        self.below_025 += other.below_025;
-        self.below_1 += other.below_1;
-    }
-
     /// Implied Poisson rate `1 / mean` (0 when empty or degenerate),
     /// matching [`crate::poisson::rate_from_intervals`].
     pub(crate) fn lambda(&self) -> f64 {
@@ -244,14 +210,6 @@ pub(crate) struct EpisodeTracker {
     max_size: usize,
     total_losses: usize,
     in_bursts: usize,
-    // Snapshot of the *first* episode (frozen once it closes) plus the max
-    // size over closed episodes *excluding* the first. Together these let
-    // `merge_impl` stitch another tracker's first episode
-    // into this tracker's open one and still account the remainder exactly.
-    first_start: f64,
-    first_last: f64,
-    first_size: usize,
-    max_size_rest: usize,
 }
 
 impl EpisodeTracker {
@@ -271,23 +229,12 @@ impl EpisodeTracker {
             max_size: 0,
             total_losses: 0,
             in_bursts: 0,
-            first_start: 0.0,
-            first_last: 0.0,
-            first_size: 0,
-            max_size_rest: 0,
         }
     }
 
     fn close(&mut self) {
         if !self.open {
             return;
-        }
-        if self.count == 0 {
-            self.first_start = self.start;
-            self.first_last = self.last;
-            self.first_size = self.size;
-        } else {
-            self.max_size_rest = self.max_size_rest.max(self.size);
         }
         self.count += 1;
         self.sum_sizes += self.size as f64;
@@ -298,28 +245,6 @@ impl EpisodeTracker {
             self.in_bursts += self.size;
         }
         self.open = false;
-    }
-
-    /// The first episode seen — `(start, last, size)` — whether already
-    /// closed or still the open one. `None` while no event has arrived.
-    fn first_episode(&self) -> Option<(f64, f64, usize)> {
-        if self.count >= 1 {
-            Some((self.first_start, self.first_last, self.first_size))
-        } else if self.open {
-            Some((self.start, self.last, self.size))
-        } else {
-            None
-        }
-    }
-
-    /// A copy with every absolute-time field translated by `offset`.
-    fn shifted(&self, offset: f64) -> EpisodeTracker {
-        let mut c = self.clone();
-        c.start += offset;
-        c.last += offset;
-        c.first_start += offset;
-        c.first_last += offset;
-        c
     }
 
     /// Consume one event time (non-decreasing).
@@ -357,83 +282,6 @@ impl EpisodeTracker {
             mean_duration: fin.sum_durations / fin.count as f64,
             fraction_in_bursts: fin.in_bursts as f64 / fin.total_losses.max(1) as f64,
         }
-    }
-
-    /// `drop_anchor` skips `other`'s very first event (the synthetic t = 0
-    /// anchor [`LossStreamStats::push_interval`] injects), which dissolves
-    /// into the merged timeline: its would-be position coincides with the
-    /// gap decision already encoded in `other`'s first-episode size.
-    fn merge_impl(&mut self, other: &EpisodeTracker, offset: f64, drop_anchor: bool) {
-        assert!(
-            self.gap == other.gap,
-            "episode merge requires identical gap"
-        );
-        let Some((fs, fl, fsz)) = other.first_episode() else {
-            return; // `other` saw no events
-        };
-        if !self.open && self.count == 0 {
-            debug_assert!(!drop_anchor, "anchor drop requires a non-empty self");
-            *self = other.shifted(offset);
-            return;
-        }
-        let fe_closed = other.count >= 1;
-        // Whether `other`'s first episode joins `self`'s open one. With the
-        // anchor dropped, the bridging gap is the anchor→second-event gap,
-        // which is the same comparison that made them one episode locally —
-        // so "first episode has ≥ 2 members" IS the sequential decision.
-        let bridge = if drop_anchor {
-            fsz >= 2
-        } else {
-            self.open && (offset + fs) - self.last <= self.gap
-        };
-        if bridge {
-            debug_assert!(self.open);
-            self.size += fsz - usize::from(drop_anchor);
-            self.last = offset + fl;
-            if !fe_closed {
-                return; // the combined episode is still open
-            }
-            // It closes where `other`'s second episode began.
-            self.close();
-        } else if drop_anchor && !fe_closed {
-            return; // `other` held only the anchor event
-        } else {
-            self.close(); // sequential: a beyond-gap event closes the open episode
-            if !fe_closed {
-                // `other`'s sole (still open) episode becomes ours.
-                self.open = true;
-                self.start = offset + fs;
-                self.last = offset + fl;
-                self.size = fsz;
-                return;
-            }
-        }
-        // Append `other`'s closed episodes — minus the first where the
-        // bridge consumed it or the anchor drop deleted it.
-        if bridge || drop_anchor {
-            self.count += other.count - 1;
-            // Sizes are integers, so these f64 subtractions are exact.
-            self.sum_sizes += other.sum_sizes - fsz as f64;
-            self.sum_durations += other.sum_durations - (fl - fs);
-            self.max_size = self.max_size.max(other.max_size_rest);
-            self.max_size_rest = self.max_size_rest.max(other.max_size_rest);
-            self.total_losses += other.total_losses - fsz;
-            self.in_bursts += other.in_bursts - if fsz >= 2 { fsz } else { 0 };
-        } else {
-            self.count += other.count;
-            self.sum_sizes += other.sum_sizes;
-            self.sum_durations += other.sum_durations;
-            self.max_size = self.max_size.max(other.max_size);
-            // `other`'s first episode is not *our* first.
-            self.max_size_rest = self.max_size_rest.max(other.max_size);
-            self.total_losses += other.total_losses;
-            self.in_bursts += other.in_bursts;
-        }
-        // Adopt `other`'s open episode (live trackers always have one).
-        self.open = other.open;
-        self.start = offset + other.start;
-        self.last = offset + other.last;
-        self.size = other.size;
     }
 }
 
@@ -487,74 +335,6 @@ impl AutocorrRing {
         }
         self.sum += x;
         self.n += 1;
-    }
-
-    /// The k-th observation from the end (k = 1 is the most recent). Only
-    /// the last `max_lag` observations are retained, so `k` must satisfy
-    /// `1 ≤ k ≤ min(n, max_lag)`.
-    fn nth_from_end(&self, k: u64) -> f64 {
-        debug_assert!(k >= 1 && k <= self.n.min(self.max_lag as u64));
-        self.ring[((self.n - k) % self.ring.len() as u64) as usize]
-    }
-
-    /// Fold `other` into `self`, as if `other`'s observations had been
-    /// pushed after `self`'s. The count, head, and ring contents are
-    /// bit-exact; `sum` and the co-moments agree up to float reassociation:
-    /// the cross-boundary products — `self`'s ring tail paired with
-    /// `other`'s head, exactly the pairs a single pass forms — are summed
-    /// in a different order. Panics if the lag budgets differ.
-    pub(crate) fn merge(&mut self, other: &AutocorrRing) {
-        assert!(
-            self.max_lag == other.max_lag,
-            "autocorr merge requires identical max_lag"
-        );
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let l = self.max_lag;
-        for lag in 1..=l {
-            // Pairs (x_i, x_{i+lag}) spanning the boundary: `self`'s t-th
-            // observation from the end pairs with `other`'s (lag − t)-th
-            // from the start.
-            let mut c = other.co[lag];
-            let t_max = (lag as u64).min(self.n);
-            let mut t = (lag as u64).saturating_sub(other.n) + 1;
-            while t <= t_max {
-                c += self.nth_from_end(t) * other.head[lag - t as usize];
-                t += 1;
-            }
-            self.co[lag] += c;
-        }
-        self.co[0] += other.co[0];
-        if l > 0 {
-            // Ring: the last `min(n, max_lag)` observations of the
-            // concatenation, re-laid-out for the merged global index.
-            let len = self.ring.len();
-            let n = self.n + other.n;
-            let mut ring = vec![0.0; len];
-            for k in 1..=(l as u64).min(n) {
-                let x = if k <= other.n {
-                    other.nth_from_end(k)
-                } else {
-                    self.nth_from_end(k - other.n)
-                };
-                ring[((n - k) % len as u64) as usize] = x;
-            }
-            self.ring = ring;
-        }
-        // Head: the first `max_lag` observations of the concatenation.
-        for &x in &other.head {
-            if self.head.len() >= l {
-                break;
-            }
-            self.head.push(x);
-        }
-        self.sum += other.sum;
-        self.n += other.n;
     }
 
     /// Sample autocorrelation at lags `0..=max_lag` (clamped to `n − 1`),
@@ -645,35 +425,6 @@ impl WindowCounter {
         self.cur_count += 1;
     }
 
-    /// Fold `other` into `self` as *adjacent segments*: `self`'s open
-    /// window closes and emits, `other`'s emitted window-count series is
-    /// appended, and `other`'s open window becomes the merged open window.
-    /// This concatenates the two per-window count series exactly; it is NOT
-    /// a time-translation of `other`'s events onto `self`'s window grid —
-    /// window phase is not recoverable from O(1) state (see the
-    /// [`LossStreamStats::merge`] contract). Pushing further events after a
-    /// merge is unsupported. Panics if the window widths or lag budgets
-    /// differ.
-    pub(crate) fn merge(&mut self, other: &WindowCounter) {
-        assert!(
-            self.window == other.window,
-            "window merge requires identical widths"
-        );
-        if other.t0.is_none() {
-            return;
-        }
-        if self.t0.is_none() {
-            *self = other.clone();
-            return;
-        }
-        let c = self.cur_count;
-        self.emit(c);
-        self.counts.merge(&other.counts);
-        self.acf.merge(&other.acf);
-        self.cur_win += 1 + other.cur_win;
-        self.cur_count = other.cur_count;
-    }
-
     /// Index of dispersion for counts (variance/mean of per-window counts,
     /// the open window included), matching
     /// [`crate::burstiness::index_of_dispersion`]: 0 with fewer than two
@@ -708,106 +459,11 @@ impl WindowCounter {
     }
 }
 
-/// Streaming two-state Gilbert-model transition counting over a per-packet
-/// deliver/drop stream. [`GilbertFit::fit`] reproduces
-/// [`crate::gilbert::fit`] exactly (the counts are integers).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct GilbertFit {
-    /// First packet state seen — lets [`GilbertFit::merge`] reconstruct the
-    /// boundary transition when two segment accumulators are concatenated.
-    first: Option<bool>,
-    prev: Option<bool>,
-    good_to_bad: u64,
-    good_stay: u64,
-    bad_to_good: u64,
-    bad_stay: u64,
-}
-
-impl GilbertFit {
-    /// An empty accumulator.
-    pub(crate) fn new() -> GilbertFit {
-        GilbertFit::default()
-    }
-
-    /// Consume one per-packet indicator (`true` = lost).
-    #[inline]
-    pub(crate) fn push(&mut self, lost: bool) {
-        if let Some(prev) = self.prev {
-            match (prev, lost) {
-                (false, true) => self.good_to_bad += 1,
-                (false, false) => self.good_stay += 1,
-                (true, false) => self.bad_to_good += 1,
-                (true, true) => self.bad_stay += 1,
-            }
-        } else {
-            self.first = Some(lost);
-        }
-        self.prev = Some(lost);
-    }
-
-    /// Fold `other` into `self`, as if `other`'s packet stream had been
-    /// pushed after `self`'s. All state is integer transition counts plus
-    /// the remembered first/last states, so the merge is *fully* bit-exact:
-    /// the boundary transition (`self`'s last packet → `other`'s first) is
-    /// counted exactly as a single pass over the concatenated stream would.
-    pub(crate) fn merge(&mut self, other: &GilbertFit) {
-        let Some(first) = other.first else {
-            return; // `other` saw no packets
-        };
-        // Counts the self.prev → other.first boundary transition (or just
-        // records `first` when `self` is empty).
-        self.push(first);
-        self.good_to_bad += other.good_to_bad;
-        self.good_stay += other.good_stay;
-        self.bad_to_good += other.bad_to_good;
-        self.bad_stay += other.bad_stay;
-        self.prev = other.prev;
-    }
-
-    /// Maximum-likelihood parameters, or `None` while a state is unvisited
-    /// (identical to [`crate::gilbert::fit`]).
-    pub fn fit(&self) -> Option<GilbertParams> {
-        let from_good = self.good_to_bad + self.good_stay;
-        let from_bad = self.bad_to_good + self.bad_stay;
-        if from_good == 0 || from_bad == 0 {
-            return None;
-        }
-        Some(GilbertParams {
-            p: self.good_to_bad as f64 / from_good as f64,
-            r: self.bad_to_good as f64 / from_bad as f64,
-        })
-    }
-}
-
-/// Configuration for [`LossStreamStats`].
-#[derive(Clone, Copy, Debug)]
-pub struct StreamConfig {
-    /// Window width (RTT units) for the index of dispersion and the
-    /// loss-count autocorrelation (the batch pipeline uses 1 RTT).
-    pub window_rtt: f64,
-    /// Episode gap threshold (RTT units; the golden summaries use 1 RTT).
-    pub episode_gap_rtt: f64,
-    /// Autocorrelation lag budget over per-window loss counts.
-    pub max_lag: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> StreamConfig {
-        StreamConfig {
-            window_rtt: 1.0,
-            episode_gap_rtt: 1.0,
-            max_lag: 8,
-        }
-    }
-}
-
 /// The fused single-pass loss analyzer: one of these per loss trace
 /// replaces the buffered `Vec<f64>` + multi-pass batch pipeline. Drive it
 /// with loss timestamps ([`LossStreamStats::push_loss_at`]) or
-/// pre-normalized intervals ([`LossStreamStats::push_interval`]), and
-/// optionally with every packet outcome ([`LossStreamStats::push_packet`])
-/// for the Gilbert fit. State is O(bins + lags), independent of trace
-/// length.
+/// pre-normalized intervals ([`LossStreamStats::push_interval`]). State is
+/// O(bins + lags), independent of trace length.
 ///
 /// All statistics operate on the *stitched RTT-normalized timeline* — the
 /// cumulative sum of normalized intervals with the first loss at 0 —
@@ -817,11 +473,9 @@ impl Default for StreamConfig {
 #[derive(Clone, Debug)]
 pub struct LossStreamStats {
     rtt_secs: f64,
-    cfg: StreamConfig,
     intervals: IntervalHist,
     episodes: EpisodeTracker,
     windows: WindowCounter,
-    gilbert: GilbertFit,
     /// Stitched time of the latest loss (RTT units).
     t_rtt: f64,
     /// Raw timestamp of the latest loss (seconds).
@@ -831,25 +485,19 @@ pub struct LossStreamStats {
 
 impl LossStreamStats {
     /// A fresh accumulator for a path with the given RTT (seconds), on the
-    /// paper's histogram geometry.
-    pub(crate) fn new(rtt_secs: f64, cfg: StreamConfig) -> LossStreamStats {
+    /// paper's histogram geometry, [`WINDOW_RTT`] windows, an
+    /// [`EPISODE_GAP_RTT`] episode gap and [`MAX_LAG`] autocorrelation lags.
+    pub fn with_rtt(rtt_secs: f64) -> LossStreamStats {
         assert!(rtt_secs > 0.0, "RTT must be positive");
         LossStreamStats {
             rtt_secs,
-            cfg,
             intervals: IntervalHist::paper_geometry(),
-            episodes: EpisodeTracker::new(cfg.episode_gap_rtt),
-            windows: WindowCounter::new(cfg.window_rtt, cfg.max_lag),
-            gilbert: GilbertFit::new(),
+            episodes: EpisodeTracker::new(EPISODE_GAP_RTT),
+            windows: WindowCounter::new(WINDOW_RTT, MAX_LAG),
             t_rtt: 0.0,
             last_secs: None,
             n_losses: 0,
         }
-    }
-
-    /// A fresh accumulator with the default [`StreamConfig`].
-    pub fn with_rtt(rtt_secs: f64) -> LossStreamStats {
-        LossStreamStats::new(rtt_secs, StreamConfig::default())
     }
 
     fn push_event_rtt(&mut self, t_rtt: f64) {
@@ -890,76 +538,6 @@ impl LossStreamStats {
         self.push_event_rtt(t);
     }
 
-    /// Consume one per-packet outcome (`true` = lost) for the Gilbert fit.
-    /// Independent of the loss-timing stream: drive it from a per-packet
-    /// source (receiver arrival order, or enqueue/drop order at a queue).
-    #[inline]
-    pub fn push_packet(&mut self, lost: bool) {
-        self.gilbert.push(lost);
-    }
-
-    /// Fold `other` into `self`, as if `other`'s pooled interval stream had
-    /// been replayed through [`LossStreamStats::push_interval`] after
-    /// `self`'s own. `other`'s synthetic anchor event (its first loss,
-    /// injected at local t = 0) dissolves into the merged timeline, so the
-    /// merged loss count is `a + b − 1` when both operands are non-empty.
-    ///
-    /// Merge contract (shared by every accumulator in this module):
-    ///
-    /// * **Bit-exact:** all integer state — histogram bins, overflow/total,
-    ///   cluster-fraction counters, Gilbert transition counts (including
-    ///   the shard-boundary transition), episode counts/sizes/max (their
-    ///   `f64` size sums hold integers, so they are exact too), and every
-    ///   count. Merging with an empty operand is bit-exact in *all* state.
-    /// * **Reassociation-rounding:** float moments (interval sum, Welford
-    ///   mean/m2, episode duration sums, autocorrelation co-moments) match
-    ///   single-pass accumulation up to float reassociation, ≲ 1e-12
-    ///   relative per merge.
-    /// * **Segment semantics:** windowed statistics (index of dispersion,
-    ///   loss-count ACF) concatenate each operand's per-window count
-    ///   series — each anchored at that operand's own first event,
-    ///   including its anchor — rather than re-phasing `other`'s events
-    ///   onto `self`'s window grid, which O(1) state cannot do.
-    ///
-    /// Campaign-level *byte*-identity across shards is therefore not built
-    /// on these merges: `core`'s shard driver replays checkpointed per-path
-    /// intervals through the ordinary aggregation path instead (same
-    /// operation order as one process), and uses these merges only where
-    /// the contract above suffices.
-    ///
-    /// Designed for interval-fed (pooled) accumulators: merging discards
-    /// the seconds-clock anchor, so `push_loss_at` must not be used
-    /// afterwards (`push_interval` remains fine). Panics if the RTTs or
-    /// stream configurations differ.
-    pub fn merge(&mut self, other: &LossStreamStats) {
-        assert!(
-            self.rtt_secs == other.rtt_secs
-                && self.cfg.window_rtt == other.cfg.window_rtt
-                && self.cfg.episode_gap_rtt == other.cfg.episode_gap_rtt
-                && self.cfg.max_lag == other.cfg.max_lag,
-            "stream-stats merge requires identical RTT and config"
-        );
-        // The per-packet Gilbert stream is independent of the loss-timing
-        // stream, so it merges unconditionally — an operand with packets
-        // but no losses still contributes transitions.
-        self.gilbert.merge(&other.gilbert);
-        if other.n_losses == 0 {
-            return;
-        }
-        if self.n_losses == 0 {
-            let gilbert = self.gilbert;
-            *self = other.clone();
-            self.gilbert = gilbert;
-            return;
-        }
-        self.intervals.merge(&other.intervals);
-        self.episodes.merge_impl(&other.episodes, self.t_rtt, true);
-        self.windows.merge(&other.windows);
-        self.n_losses += other.n_losses - 1;
-        self.t_rtt += other.t_rtt;
-        self.last_secs = None;
-    }
-
     /// Losses consumed so far.
     pub fn n_losses(&self) -> u64 {
         self.n_losses
@@ -968,11 +546,6 @@ impl LossStreamStats {
     /// Intervals consumed so far (`n_losses − 1`, or 0).
     pub fn n_intervals(&self) -> u64 {
         self.intervals.count()
-    }
-
-    /// The window/gap/lag configuration this accumulator was built with.
-    pub fn config(&self) -> StreamConfig {
-        self.cfg
     }
 
     /// The interval histogram accumulated so far.
@@ -989,11 +562,6 @@ impl LossStreamStats {
     /// Episodes so far (matches `LossStudy::episode_count`).
     pub fn episode_count(&self) -> usize {
         self.episodes.count()
-    }
-
-    /// Gilbert parameters from the per-packet stream, if identifiable.
-    pub fn gilbert(&self) -> Option<GilbertParams> {
-        self.gilbert.fit()
     }
 
     /// Autocorrelation of per-window loss counts.
@@ -1056,7 +624,6 @@ mod tests {
     use crate::autocorr::autocorrelation;
     use crate::burstiness::{self, counts_in_windows};
     use crate::episodes;
-    use crate::gilbert;
     use crate::intervals::normalized_intervals;
 
     fn assert_close(a: f64, b: f64, what: &str) {
@@ -1106,20 +673,23 @@ mod tests {
                 t += x;
                 stitched.push(t);
             }
-            let be = episodes::episode_report(&stitched, 1.0);
+            let be = episodes::episode_report(&stitched, EPISODE_GAP_RTT);
             let se = s.episode_report();
             assert_eq!(se.count, be.count);
             assert_eq!(se.max_size, be.max_size);
             assert_eq!(se.mean_size, be.mean_size);
             assert_close(se.mean_duration, be.mean_duration, "mean_duration");
             assert_eq!(se.fraction_in_bursts, be.fraction_in_bursts);
-            assert_eq!(s.episode_count(), episodes::episodes(&stitched, 1.0).len());
+            assert_eq!(
+                s.episode_count(),
+                episodes::episodes(&stitched, EPISODE_GAP_RTT).len()
+            );
             // Loss-count autocorrelation.
-            let counts: Vec<f64> = counts_in_windows(&stitched, 1.0)
+            let counts: Vec<f64> = counts_in_windows(&stitched, WINDOW_RTT)
                 .iter()
                 .map(|&c| c as f64)
                 .collect();
-            let ba = autocorrelation(&counts, 8);
+            let ba = autocorrelation(&counts, MAX_LAG);
             let sa = s.acf();
             assert_eq!(sa.len(), ba.len());
             for (i, (x, y)) in sa.iter().zip(ba.iter()).enumerate() {
@@ -1187,29 +757,6 @@ mod tests {
             by_iv.report().index_of_dispersion
         );
         assert_eq!(by_time.episode_count(), by_iv.episode_count());
-    }
-
-    #[test]
-    fn gilbert_streaming_matches_batch_fit() {
-        let mut s = 0x2006_u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let seq = gilbert::generate(GilbertParams { p: 0.03, r: 0.4 }, 5000, &mut next);
-        let mut g = GilbertFit::new();
-        for &lost in &seq {
-            g.push(lost);
-        }
-        assert_eq!(g.fit(), gilbert::fit(&seq));
-        // Unidentifiable streams mirror the batch `None`s.
-        let mut never_lost = GilbertFit::new();
-        never_lost.push(false);
-        never_lost.push(false);
-        assert!(never_lost.fit().is_none());
-        assert!(GilbertFit::new().fit().is_none());
     }
 
     #[test]
@@ -1288,324 +835,9 @@ mod tests {
         let before = s.state_bytes();
         for i in 0..200_000 {
             s.push_loss_at(i as f64 * 0.001);
-            s.push_packet(i % 17 == 0);
         }
         assert_eq!(s.state_bytes(), before, "accumulator grew with the trace");
         assert!(before < 4096, "state unexpectedly large: {before} bytes");
-    }
-
-    /// Deterministic xorshift for merge sweeps.
-    fn rng(seed: u64) -> impl FnMut() -> f64 {
-        let mut s = seed.max(1);
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
-    #[test]
-    fn welford_merge_matches_single_pass() {
-        let mut next = rng(7);
-        let xs: Vec<f64> = (0..257).map(|_| next() * 3.0 - 1.0).collect();
-        for split in [0, 1, 100, 256, 257] {
-            let mut a = Welford::new();
-            let mut b = Welford::new();
-            let mut whole = Welford::new();
-            for (i, &x) in xs.iter().enumerate() {
-                if i < split {
-                    a.push(x);
-                } else {
-                    b.push(x);
-                }
-                whole.push(x);
-            }
-            a.merge(&b);
-            assert_eq!(a.count(), whole.count(), "split {split}");
-            assert_close(a.mean(), whole.mean(), &format!("mean split {split}"));
-            assert_close(
-                a.variance(),
-                whole.variance(),
-                &format!("var split {split}"),
-            );
-            // Empty-operand merges are bit-exact.
-            if split == 0 || split == xs.len() {
-                assert_eq!(a.mean().to_bits(), whole.mean().to_bits());
-                assert_eq!(a.variance().to_bits(), whole.variance().to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn interval_hist_merge_is_integer_exact() {
-        let mut next = rng(2006);
-        let iv: Vec<f64> = (0..400).map(|_| next() * 2.5).collect();
-        for split in [0, 3, 200, 400] {
-            let mut a = IntervalHist::paper_geometry();
-            let mut b = IntervalHist::paper_geometry();
-            let mut whole = IntervalHist::paper_geometry();
-            for (i, &x) in iv.iter().enumerate() {
-                if i < split {
-                    a.push(x);
-                } else {
-                    b.push(x);
-                }
-                whole.push(x);
-            }
-            a.merge(&b);
-            assert_eq!(a.histogram().bins, whole.histogram().bins, "split {split}");
-            assert_eq!(a.histogram().overflow, whole.histogram().overflow);
-            assert_eq!(a.histogram().total, whole.histogram().total);
-            assert_eq!(a.count(), whole.count());
-            assert_eq!(a.fractions(), whole.fractions(), "fractions split {split}");
-            assert_close(a.mean(), whole.mean(), "mean");
-        }
-    }
-
-    #[test]
-    fn gilbert_merge_is_fully_exact() {
-        let mut next = rng(42);
-        let seq: Vec<bool> = (0..1000).map(|_| next() < 0.2).collect();
-        for split in [0, 1, 500, 999, 1000] {
-            let mut a = GilbertFit::new();
-            let mut b = GilbertFit::new();
-            let mut whole = GilbertFit::new();
-            for (i, &lost) in seq.iter().enumerate() {
-                if i < split {
-                    a.push(lost);
-                } else {
-                    b.push(lost);
-                }
-                whole.push(lost);
-            }
-            a.merge(&b);
-            // The boundary transition is reconstructed, so ALL state
-            // matches, not just totals.
-            assert_eq!(a.fit(), whole.fit(), "split {split}");
-            assert_eq!(a.good_to_bad, whole.good_to_bad);
-            assert_eq!(a.good_stay, whole.good_stay);
-            assert_eq!(a.bad_to_good, whole.bad_to_good);
-            assert_eq!(a.bad_stay, whole.bad_stay);
-            assert_eq!(a.prev, whole.prev);
-            assert_eq!(a.first, whole.first);
-        }
-    }
-
-    #[test]
-    fn autocorr_merge_matches_single_pass() {
-        let mut next = rng(11);
-        let xs: Vec<f64> = (0..300).map(|_| (next() * 6.0).floor()).collect();
-        for max_lag in [0, 1, 4, 8] {
-            for split in [0, 2, 5, 150, 299, 300] {
-                let mut a = AutocorrRing::new(max_lag);
-                let mut b = AutocorrRing::new(max_lag);
-                let mut whole = AutocorrRing::new(max_lag);
-                for (i, &x) in xs.iter().enumerate() {
-                    if i < split {
-                        a.push(x);
-                    } else {
-                        b.push(x);
-                    }
-                    whole.push(x);
-                }
-                a.merge(&b);
-                assert_eq!(a.n, whole.n);
-                // Head and ring are reconstructions, not approximations.
-                assert_eq!(a.head, whole.head, "head lag {max_lag} split {split}");
-                assert_eq!(a.ring, whole.ring, "ring lag {max_lag} split {split}");
-                let (ma, mw) = (a.acf(), whole.acf());
-                assert_eq!(ma.len(), mw.len());
-                for (i, (x, y)) in ma.iter().zip(mw.iter()).enumerate() {
-                    assert_close(
-                        *x,
-                        *y,
-                        &format!("acf lag {i} (max {max_lag}, split {split})"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn episode_merge_matches_sequential_pushes() {
-        // Clustered times with inter-cluster gaps around the threshold.
-        let mut next = rng(9);
-        let mut times = Vec::new();
-        let mut t = 0.0;
-        for _ in 0..120 {
-            t += if next() < 0.6 {
-                next() * 0.8
-            } else {
-                1.0 + next() * 4.0
-            };
-            times.push(t);
-        }
-        for split in [0, 1, 60, 119, 120] {
-            for offset in [0.0, 7.5] {
-                let mut a = EpisodeTracker::new(1.0);
-                let mut whole = EpisodeTracker::new(1.0);
-                let mut b = EpisodeTracker::new(1.0);
-                for (i, &x) in times.iter().enumerate() {
-                    if i < split {
-                        a.push(x);
-                        whole.push(x);
-                    } else {
-                        // b sees its own local clock; the merge translates.
-                        b.push(x - offset);
-                        whole.push(x);
-                    }
-                }
-                a.merge_impl(&b, offset, false);
-                assert_eq!(a.count(), whole.count(), "split {split} off {offset}");
-                let (ra, rw) = (a.report(), whole.report());
-                assert_eq!(ra.count, rw.count);
-                assert_eq!(ra.max_size, rw.max_size);
-                assert_eq!(ra.mean_size, rw.mean_size, "sizes are integer-exact");
-                assert_eq!(ra.fraction_in_bursts, rw.fraction_in_bursts);
-                assert_close(ra.mean_duration, rw.mean_duration, "mean_duration");
-            }
-        }
-    }
-
-    #[test]
-    fn episode_merge_chains_across_three_shards() {
-        let times: Vec<f64> = vec![0.0, 0.2, 0.4, 3.0, 3.1, 3.2, 3.3, 9.0, 9.05, 20.0];
-        let mut whole = EpisodeTracker::new(1.0);
-        for &t in &times {
-            whole.push(t);
-        }
-        let mut acc = EpisodeTracker::new(1.0);
-        for chunk in times.chunks(3) {
-            let mut part = EpisodeTracker::new(1.0);
-            for &t in chunk {
-                part.push(t);
-            }
-            acc.merge_impl(&part, 0.0, false);
-        }
-        let (ra, rw) = (acc.report(), whole.report());
-        assert_eq!(ra.count, rw.count);
-        assert_eq!(ra.max_size, rw.max_size);
-        assert_eq!(ra.mean_size, rw.mean_size);
-        assert_eq!(ra.fraction_in_bursts, rw.fraction_in_bursts);
-        assert_close(ra.mean_duration, rw.mean_duration, "mean_duration");
-    }
-
-    #[test]
-    fn window_merge_concatenates_segments() {
-        let mut a = WindowCounter::new(1.0, 4);
-        let mut b = WindowCounter::new(1.0, 4);
-        let mut whole = WindowCounter::new(1.0, 4);
-        let first = [0.0, 0.1, 1.5, 2.2, 2.3];
-        let second = [0.0, 0.4, 0.5, 3.0];
-        for &t in &first {
-            a.push(t);
-            whole.push(t);
-        }
-        for &t in &second {
-            b.push(t);
-            // The segment contract: b's series re-anchors at its own first
-            // event, so the equivalent single counter sees b's windows
-            // appended after a's open window closes (a spans windows 0–2,
-            // so b's local window w lands at global window 3 + w).
-            whole.push(3.0 + t);
-        }
-        a.merge(&b);
-        assert_eq!(a.cur_win, whole.cur_win);
-        assert_close(
-            a.index_of_dispersion(),
-            whole.index_of_dispersion(),
-            "merged idc",
-        );
-        let (ma, mw) = (a.acf(), whole.acf());
-        assert_eq!(ma.len(), mw.len());
-        for (i, (x, y)) in ma.iter().zip(mw.iter()).enumerate() {
-            assert_close(*x, *y, &format!("merged acf lag {i}"));
-        }
-    }
-
-    /// Merge two pooled (interval-fed) accumulators and compare against one
-    /// accumulator that consumed the concatenated interval stream.
-    fn check_pooled_merge(iv_a: &[f64], iv_b: &[f64]) {
-        let rtt = 0.1;
-        let mut a = LossStreamStats::with_rtt(rtt);
-        let mut b = LossStreamStats::with_rtt(rtt);
-        let mut whole = LossStreamStats::with_rtt(rtt);
-        for &x in iv_a {
-            a.push_interval(x);
-            whole.push_interval(x);
-        }
-        for &x in iv_b {
-            b.push_interval(x);
-            whole.push_interval(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.n_losses(), whole.n_losses());
-        assert_eq!(a.n_intervals(), whole.n_intervals());
-        assert_eq!(a.histogram().bins, whole.histogram().bins);
-        assert_eq!(a.histogram().overflow, whole.histogram().overflow);
-        let (ea, ew) = (a.episode_report(), whole.episode_report());
-        assert_eq!(ea.count, ew.count);
-        assert_eq!(ea.max_size, ew.max_size);
-        assert_eq!(ea.mean_size, ew.mean_size);
-        assert_eq!(ea.fraction_in_bursts, ew.fraction_in_bursts);
-        assert_close(ea.mean_duration, ew.mean_duration, "mean_duration");
-        let (ra, rw) = (a.report(), whole.report());
-        assert_eq!(ra.n_losses, rw.n_losses);
-        assert_eq!(ra.frac_below_001, rw.frac_below_001);
-        assert_eq!(ra.frac_below_1, rw.frac_below_1);
-        assert_close(ra.mean_interval_rtt, rw.mean_interval_rtt, "mean iv");
-        assert_close(ra.burstiness_ratio, rw.burstiness_ratio, "ratio");
-    }
-
-    #[test]
-    fn stream_stats_merge_matches_concatenated_stream() {
-        let mut next = rng(1);
-        let iv: Vec<f64> = (0..200)
-            .map(|_| {
-                if next() < 0.5 {
-                    next() * 0.3
-                } else {
-                    next() * 30.0
-                }
-            })
-            .collect();
-        for split in [0, 1, 100, 199, 200] {
-            check_pooled_merge(&iv[..split], &iv[split..]);
-        }
-        // Degenerate operands.
-        check_pooled_merge(&[], &[]);
-        check_pooled_merge(&[0.0], &[0.0]); // all losses at one instant
-        check_pooled_merge(&[5.0], &[]);
-        check_pooled_merge(&[], &[5.0]);
-    }
-
-    #[test]
-    fn stream_stats_merge_with_empty_operand_is_bit_exact() {
-        let mut s = LossStreamStats::with_rtt(0.1);
-        for iv in [0.01, 4.0, 0.2, 0.02] {
-            s.push_interval(iv);
-        }
-        s.push_packet(true);
-        s.push_packet(false);
-        let reference = s.clone();
-        s.merge(&LossStreamStats::with_rtt(0.1));
-        assert_eq!(s.n_losses(), reference.n_losses());
-        assert_eq!(
-            s.report().index_of_dispersion.to_bits(),
-            reference.report().index_of_dispersion.to_bits()
-        );
-        assert_eq!(
-            s.intervals.mean().to_bits(),
-            reference.intervals.mean().to_bits()
-        );
-        let mut empty = LossStreamStats::with_rtt(0.1);
-        empty.merge(&reference);
-        assert_eq!(empty.n_losses(), reference.n_losses());
-        assert_eq!(
-            empty.report().index_of_dispersion.to_bits(),
-            reference.report().index_of_dispersion.to_bits()
-        );
     }
 
     #[test]

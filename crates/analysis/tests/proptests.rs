@@ -6,7 +6,7 @@ use lossburst_analysis::burstiness::{counts_in_windows, BurstinessReport};
 use lossburst_analysis::episodes::{Episode, EpisodeReport};
 use lossburst_analysis::intervals::inter_event_intervals;
 use lossburst_analysis::prelude::*;
-use lossburst_analysis::streaming::LossStreamStats;
+use lossburst_analysis::streaming::{LossStreamStats, EPISODE_GAP_RTT, MAX_LAG, WINDOW_RTT};
 use lossburst_testkit::sweep::{sweep, with_rng, RngExt, SmallRng};
 
 fn times(gen: &mut SmallRng, lo: usize, hi: usize, span: f64) -> Vec<f64> {
@@ -323,9 +323,8 @@ fn sink_fed_stream_stats_equal_the_batch_analysis() {
                 Some(*t)
             }))
             .collect();
-        let cfg = stats.config();
         let (be, se) = (
-            episode_report(&stitched, cfg.episode_gap_rtt),
+            episode_report(&stitched, EPISODE_GAP_RTT),
             stats.episode_report(),
         );
         assert_eq!(
@@ -336,10 +335,10 @@ fn sink_fed_stream_stats_equal_the_batch_analysis() {
         assert_close(se.mean_size, be.mean_size, "mean_size");
         assert_close(se.mean_duration, be.mean_duration, "mean_duration");
         assert_close(se.fraction_in_bursts, be.fraction_in_bursts, "in_bursts");
-        let counts: Vec<f64> = (counts_in_windows(&stitched, cfg.window_rtt).iter())
+        let counts: Vec<f64> = (counts_in_windows(&stitched, WINDOW_RTT).iter())
             .map(|&c| c as f64)
             .collect();
-        let (ba, sa) = (autocorrelation(&counts, cfg.max_lag), stats.acf());
+        let (ba, sa) = (autocorrelation(&counts, MAX_LAG), stats.acf());
         assert_eq!(ba.len(), sa.len(), "acf length, case {case}");
         for (lag, (x, y)) in sa.iter().zip(&ba).enumerate() {
             assert_close(*x, *y, &format!("acf[{lag}], case {case}"));

@@ -71,6 +71,7 @@ use rayon::prelude::*;
 
 use crate::error::{Error, Result};
 use crate::shard::{shard_indices, ShardSpec};
+use crate::supervisor::Tokens;
 
 /// Path alternatives derived per worker (alternative 0 is the default
 /// path; diversity and redundancy may use the others).
@@ -793,30 +794,40 @@ pub fn encode_outcomes(outcomes: &[WorkerOutcome]) -> String {
     out
 }
 
-/// Parse [`encode_outcomes`] output back into outcomes.
-pub fn decode_outcomes(text: &str) -> Result<Vec<WorkerOutcome>> {
-    let bad = |line: &str| Error::Config(format!("malformed outcome line: {line:?}"));
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut t = line.split_ascii_whitespace();
-        let mut next = || t.next().ok_or_else(|| bad(line));
-        let worker: usize = next()?.parse().map_err(|_| bad(line))?;
-        let alt: usize = next()?.parse().map_err(|_| bad(line))?;
-        let chunk_bytes: u64 = next()?.parse().map_err(|_| bad(line))?;
-        let secs = f64::from_bits(u64::from_str_radix(next()?, 16).map_err(|_| bad(line))?);
-        let slowdown = f64::from_bits(u64::from_str_radix(next()?, 16).map_err(|_| bad(line))?);
-        out.push(WorkerOutcome {
-            worker,
-            secs,
-            slowdown,
-            alt,
-            chunk_bytes,
-        });
-    }
-    Ok(out)
+/// One [`encode_outcomes`] line: exactly its five fields, floats as 16 hex
+/// digits.
+fn decode_outcome(line: &str) -> Option<WorkerOutcome> {
+    let mut t = Tokens::new(line);
+    let worker = t.usize()?;
+    let alt = t.usize()?;
+    let chunk_bytes = t.u64()?;
+    let secs = t.f64()?;
+    let slowdown = t.f64()?;
+    t.end()?;
+    Some(WorkerOutcome {
+        worker,
+        secs,
+        slowdown,
+        alt,
+        chunk_bytes,
+    })
+}
+
+/// Parse [`encode_outcomes`] output for a machine of `n_workers` workers
+/// back into outcomes. A short, long or torn line, or one naming a worker
+/// `≥ n_workers`, is an error quoting the line.
+pub fn decode_outcomes(text: &str, n_workers: usize) -> Result<Vec<WorkerOutcome>> {
+    text.lines()
+        .filter(|line| !line.is_empty())
+        .map(|line| match decode_outcome(line) {
+            Some(o) if o.worker < n_workers => Ok(o),
+            Some(o) => Err(Error::Config(format!(
+                "outcome line names worker {} of {n_workers}: {line:?}",
+                o.worker
+            ))),
+            None => Err(Error::Config(format!("malformed outcome line: {line:?}"))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1130,9 +1141,21 @@ mod tests {
     fn outcome_codec_round_trips_bit_exactly() {
         let cfg = tiny(5);
         let (outcomes, _) = run_superstep(&cfg, 0).unwrap();
-        let decoded = decode_outcomes(&encode_outcomes(&outcomes)).unwrap();
+        let text = encode_outcomes(&outcomes);
+        let decoded = decode_outcomes(&text, cfg.n_workers).unwrap();
         assert_eq!(outcomes, decoded);
-        assert!(decode_outcomes("not a line").is_err());
-        assert!(decode_outcomes("1 0 10 zz zz").is_err());
+        let n = cfg.n_workers;
+        assert!(decode_outcomes("not a line", n).is_err());
+        assert!(decode_outcomes("1 0 10 zz zz", n).is_err());
+        // A torn final float, a sixth field and an out-of-range worker are
+        // errors, never a wrong value or a panic downstream.
+        let torn = text.trim_end_matches('\n');
+        assert!(decode_outcomes(&torn[..torn.len() - 3], n).is_err());
+        let last = torn.lines().last().unwrap();
+        assert!(decode_outcomes(&format!("{last} 0"), n).is_err());
+        let plus = format!("{}+{}", &last[..last.len() - 16], &last[last.len() - 15..]);
+        assert!(decode_outcomes(&plus, n).is_err(), "{plus}");
+        let err = decode_outcomes(&text, n - 1).unwrap_err();
+        assert!(err.to_string().contains("names worker"), "{err}");
     }
 }

@@ -35,7 +35,6 @@
 
 use crate::campaign::{lab_cell, lab_cells, lab_label, LabCampaignConfig, LossStudy};
 use lossburst_analysis::intervals;
-use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_emu::testbed::EventBudgetExceeded;
 use lossburst_inet::campaign::{StreamCampaignResult, StreamPathMeasurement};
 use lossburst_inet::probe::{validate_streaming, ProbeError};
@@ -357,16 +356,19 @@ fn w_vec_f64(out: &mut String, v: &[f64]) {
     }
 }
 
-struct Tokens<'a>(std::str::SplitAsciiWhitespace<'a>);
+/// The whitespace-separated fields of one record line, read strictly. The
+/// checkpoint records and `bsp`'s outcome lines both parse through it, so
+/// the torn-write rule for floats lives here alone.
+pub(crate) struct Tokens<'a>(std::str::SplitAsciiWhitespace<'a>);
 
 impl<'a> Tokens<'a> {
-    fn new(line: &'a str) -> Tokens<'a> {
+    pub(crate) fn new(line: &'a str) -> Tokens<'a> {
         Tokens(line.split_ascii_whitespace())
     }
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         self.0.next()?.parse().ok()
     }
-    fn usize(&mut self) -> Option<usize> {
+    pub(crate) fn usize(&mut self) -> Option<usize> {
         self.0.next()?.parse().ok()
     }
     fn bool(&mut self) -> Option<bool> {
@@ -376,12 +378,13 @@ impl<'a> Tokens<'a> {
             _ => None,
         }
     }
-    fn f64(&mut self) -> Option<f64> {
+    pub(crate) fn f64(&mut self) -> Option<f64> {
         // Floats are always written as exactly 16 hex digits (`{:016x}`);
         // a shorter token means a torn write, and accepting it would
-        // silently restore a wrong value.
+        // silently restore a wrong value. `from_str_radix` alone would
+        // also take a leading `+`.
         let tok = self.0.next()?;
-        if tok.len() != 16 {
+        if tok.len() != 16 || !tok.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
@@ -389,6 +392,11 @@ impl<'a> Tokens<'a> {
     fn vec_f64(&mut self) -> Option<Vec<f64>> {
         let n = self.usize()?;
         (0..n).map(|_| self.f64()).collect()
+    }
+    /// `Some` when no field is left: a trailing field is as corrupt as a
+    /// missing one.
+    pub(crate) fn end(mut self) -> Option<()> {
+        self.0.next().is_none().then_some(())
     }
 }
 
@@ -402,10 +410,7 @@ fn encode_stream_outcome(out: &mut String, p: &lossburst_inet::probe::StreamProb
     w_vec_f64(out, &p.intervals_rtt);
 }
 
-fn decode_stream_outcome(
-    t: &mut Tokens<'_>,
-    rtt_secs: f64,
-) -> Option<lossburst_inet::probe::StreamProbeOutcome> {
+fn decode_stream_outcome(t: &mut Tokens<'_>) -> Option<lossburst_inet::probe::StreamProbeOutcome> {
     let sent = t.u64()?;
     let received = t.u64()?;
     let n_lost = t.u64()? as usize;
@@ -413,20 +418,6 @@ fn decode_stream_outcome(
     let events = t.u64()?;
     let trace_bytes = t.u64()? as usize;
     let intervals_rtt = t.vec_f64()?;
-    // Rebuild the online accumulator from the checkpointed intervals,
-    // anchoring the first loss at t = 0. Interval-derived statistics are
-    // identical to the original's; absolute-time quantities shift with the
-    // anchor. Campaign pooling consumes only `intervals_rtt`, so pooled
-    // results are byte-identical either way.
-    let mut stats = LossStreamStats::with_rtt(rtt_secs);
-    if n_lost > 0 {
-        let mut t_abs = 0.0;
-        stats.push_loss_at(t_abs);
-        for &iv in &intervals_rtt {
-            t_abs += iv * rtt_secs;
-            stats.push_loss_at(t_abs);
-        }
-    }
     Some(lossburst_inet::probe::StreamProbeOutcome {
         sent,
         received,
@@ -435,7 +426,6 @@ fn decode_stream_outcome(
         events,
         trace_bytes,
         intervals_rtt,
-        stats,
         // The lost sequence numbers and the per-kind event breakdown are
         // fresh-run detail, not the measurement; neither is checkpointed,
         // so they restore empty.
@@ -466,14 +456,13 @@ impl PathRecord for StreamPathMeasurement {
         let dst = t.usize()?;
         let rtt = SimDuration::from_nanos(t.u64()?);
         let validated = t.bool()?;
-        let rtt_secs = rtt.as_secs_f64();
         Some(StreamPathMeasurement {
             src,
             dst,
             rtt,
             validated,
-            small: decode_stream_outcome(&mut t, rtt_secs)?,
-            large: decode_stream_outcome(&mut t, rtt_secs)?,
+            small: decode_stream_outcome(&mut t)?,
+            large: decode_stream_outcome(&mut t)?,
         })
     }
 
@@ -482,14 +471,12 @@ impl PathRecord for StreamPathMeasurement {
     }
 
     fn clear_losses(&mut self) {
-        let rtt_secs = self.rtt.as_secs_f64();
         for p in [&mut self.small, &mut self.large] {
             p.intervals_rtt.clear();
             p.lost.clear();
             p.n_lost = 0;
             p.loss_rate = 0.0;
             p.received = p.sent;
-            p.stats = LossStreamStats::with_rtt(rtt_secs);
         }
         self.validated = validate_streaming(&self.small, &self.large);
     }
@@ -557,13 +544,20 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
+/// [`hex_encode`]'s inverse over bytes, not chars: a record may hold any
+/// UTF-8, and every byte must be a hex digit (`from_str_radix` alone would
+/// also take a `+`).
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    fn digit(b: u8) -> Option<u8> {
+        (b as char).to_digit(16).map(|d| d as u8)
+    }
+    let bytes = s.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
         .collect()
 }
 
@@ -1498,6 +1492,31 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_failure_reason_fails_loudly() {
+        // A reason is hex of UTF-8 bytes. A multi-byte char where a digit
+        // pair belongs must not panic a byte-offset slice, and a `+` is no
+        // hex digit, whatever `from_str_radix` accepts.
+        let utf8 = "aéb".as_bytes();
+        assert_eq!(hex_decode(&hex_encode(utf8)).as_deref(), Some(utf8));
+        for (i, reason) in ["aéb", "é", "+a"].into_iter().enumerate() {
+            let contents = format!("{}\nfailed 0 0 {reason}\n", header(7));
+            let err = open_crafted(&format!("reason{i}"), &contents, 7, 3)
+                .expect_err(&format!("reason {reason:?} must not open"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 2"), "{err}");
+            let dir = tmpdir(&format!("reason_merge{i}"));
+            let shard = dir.join("shard.ckpt");
+            std::fs::write(&shard, &contents).unwrap();
+            let err =
+                CampaignCheckpoint::merge::<LabCellRecord>(&[shard], &dir.join("m.ckpt"), 7, 3)
+                    .expect_err(&format!("reason {reason:?} must not merge"));
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 2"), "{err}");
+        }
+    }
+
+    #[test]
     fn out_of_range_index_fails_loudly() {
         let err = open_crafted(
             "badidx",
@@ -1548,21 +1567,16 @@ mod tests {
     fn path_measurement_roundtrip_and_faults() {
         use lossburst_inet::probe::StreamProbeOutcome;
         let rtt = SimDuration::from_millis(50);
-        let mk = |lost: Vec<u64>, times: Vec<f64>| {
-            let mut stats = LossStreamStats::with_rtt(rtt.as_secs_f64());
-            times.iter().for_each(|&t| stats.push_loss_at(t));
-            StreamProbeOutcome {
-                sent: 1000,
-                received: 1000 - lost.len() as u64,
-                n_lost: lost.len(),
-                loss_rate: lost.len() as f64 / 1000.0,
-                intervals_rtt: times.windows(2).map(|w| (w[1] - w[0]) / 0.05).collect(),
-                lost,
-                stats,
-                events: 5000,
-                counts: Default::default(),
-                trace_bytes: 777,
-            }
+        let mk = |lost: Vec<u64>, times: Vec<f64>| StreamProbeOutcome {
+            sent: 1000,
+            received: 1000 - lost.len() as u64,
+            n_lost: lost.len(),
+            loss_rate: lost.len() as f64 / 1000.0,
+            intervals_rtt: times.windows(2).map(|w| (w[1] - w[0]) / 0.05).collect(),
+            lost,
+            events: 5000,
+            counts: Default::default(),
+            trace_bytes: 777,
         };
         let m = StreamPathMeasurement {
             src: 3,
@@ -1584,7 +1598,6 @@ mod tests {
         );
         // The count is checkpointed; the sequence numbers are not.
         assert!(back.small.lost.is_empty());
-        assert_eq!(back.small.stats.n_losses(), 3);
         // NaN poisoning is detected.
         let mut poisoned = back;
         assert!(!poisoned.has_nan());

@@ -8,7 +8,6 @@
 //! end-to-end without TCP's self-induced burstiness.
 
 use crate::path::PathScenario;
-use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::packet::FlowId;
@@ -68,8 +67,10 @@ impl ProbeConfig {
     }
 }
 
-/// What one probe run measured: loss accounting plus burstiness statistics
-/// accumulated online by a [`LossStreamStats`] as losses surfaced.
+/// What one probe run measured: loss accounting plus the RTT-normalized
+/// inter-loss intervals, the input of every burstiness statistic
+/// ([`lossburst_analysis::burstiness::analyze`] for one run, the campaign's
+/// pooled accumulator for many).
 #[derive(Clone, Debug)]
 pub struct StreamProbeOutcome {
     /// Probe packets sent (within the counted window).
@@ -86,8 +87,6 @@ pub struct StreamProbeOutcome {
     /// Inter-loss intervals normalized by the path RTT (kept for campaign
     /// pooling; O(losses), not O(packets)).
     pub intervals_rtt: Vec<f64>,
-    /// The online accumulator, ready to [`LossStreamStats::report`].
-    pub stats: LossStreamStats,
     /// Bytes committed to run-long buffers (trace streams + receiver gap
     /// list): a constant plus O(losses), independent of run duration.
     pub trace_bytes: usize,
@@ -95,8 +94,7 @@ pub struct StreamProbeOutcome {
     /// the campaign benchmark).
     pub events: u64,
     /// Per-kind breakdown of those events (timers, arrivals, transmit
-    /// completions, fluid rate changes) — the accounting behind the
-    /// hybrid-mode speedup claims.
+    /// completions, fluid rate changes).
     pub counts: EventCounts,
 }
 
@@ -299,9 +297,9 @@ impl std::fmt::Display for ProbeError {
 
 impl std::error::Error for ProbeError {}
 
-/// Run one CBR probe in constant memory: trace buffering off, the receiver
-/// detecting sequence gaps online, and burstiness statistics folded into a
-/// [`LossStreamStats`] as losses surface.
+/// Run one CBR probe in constant memory: trace buffering off and the
+/// receiver detecting sequence gaps online, so the run holds O(losses), not
+/// O(packets).
 pub fn run_probe_streaming(scenario: &PathScenario, probe: &ProbeConfig) -> StreamProbeOutcome {
     run_probe_streaming_limited(scenario, probe, RunLimits::NONE)
         .expect("unlimited run cannot exhaust")
@@ -330,13 +328,11 @@ pub fn run_probe_streaming_limited(
     let sent = cbr.sent();
     let lost = cbr.lost_seqs();
     let rtt_s = scenario.rtt.as_secs_f64();
-    let mut stats = LossStreamStats::with_rtt(rtt_s);
     let mut intervals_rtt = Vec::with_capacity(lost.len().saturating_sub(1));
     let mut prev: Option<f64> = None;
     for &s in &lost {
         if let Some(t) = cbr.nominal_send_time(s) {
             let t = t.as_secs_f64();
-            stats.push_loss_at(t);
             if let Some(p) = prev {
                 intervals_rtt.push((t - p) / rtt_s);
             }
@@ -356,7 +352,6 @@ pub fn run_probe_streaming_limited(
         },
         lost,
         intervals_rtt,
-        stats,
         trace_bytes,
         events: sim.events_processed,
         counts: sim.event_counts(),
@@ -418,7 +413,6 @@ mod tests {
         assert!(out.sent > 1000);
         assert_eq!(out.sent, out.received + out.lost.len() as u64);
         assert_eq!(out.n_lost, out.lost.len());
-        assert_eq!(out.stats.n_losses() as usize, out.n_lost);
         if out.lost.len() >= 2 {
             assert_eq!(out.intervals_rtt.len(), out.lost.len() - 1);
             assert!(out.intervals_rtt.iter().all(|&x| x >= 0.0));
@@ -450,7 +444,6 @@ mod tests {
             lost: (0..losses as u64).collect(),
             loss_rate: losses as f64 / sent as f64,
             intervals_rtt: vec![],
-            stats: LossStreamStats::with_rtt(0.05),
             events: 0,
             counts: EventCounts::default(),
             trace_bytes: 0,

@@ -70,7 +70,6 @@ fn validation_is_symmetric() {
         lost: (0..losses as u64).collect(),
         loss_rate: losses as f64 / 10_000.0,
         intervals_rtt: vec![],
-        stats: lossburst_analysis::streaming::LossStreamStats::with_rtt(0.05),
         events: 0,
         counts: Default::default(),
         trace_bytes: 0,

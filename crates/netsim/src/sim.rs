@@ -81,9 +81,9 @@ impl RunLimits {
 /// Per-kind event accounting, incremented as the loop dispatches.
 ///
 /// Cheap enough to keep always-on (one integer add per event), and the
-/// basis for BENCH_HYBRID.json's attribution of where a run's events went:
-/// in packet mode background traffic shows up as arrivals + transmission
-/// completions, in fluid mode it collapses into `rate_changes`.
+/// attribution of where a run's events went: in packet mode background
+/// traffic shows up as arrivals + transmission completions, in fluid mode
+/// it collapses into `rate_changes`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Flow start events.

@@ -128,10 +128,10 @@ pub fn check_internet_shape(report: &BurstinessReport) -> Result<(), String> {
 }
 
 /// Tolerances for the hybrid fluid/packet background conformance gate
-/// ([`check_hybrid_agreement`]). The defaults are the gate both the
-/// `hybrid_conformance` suite and the `hybrid_perf` bench enforce: the
-/// fluid model replaces individual background packets with a rate process,
-/// so runs agree statistically, not sample for sample.
+/// ([`check_hybrid_agreement`]). The defaults are the gate the
+/// `hybrid_conformance` suite enforces: the fluid model replaces individual
+/// background packets with a rate process, so runs agree statistically,
+/// not sample for sample.
 #[derive(Clone, Copy, Debug)]
 pub struct HybridTolerance {
     /// Largest allowed multiplicative disagreement in loss-event counts
@@ -159,7 +159,7 @@ impl Default for HybridTolerance {
 }
 
 /// Largest additive disagreement across the four interval-distribution
-/// fractions — the "max stat delta" BENCH_HYBRID.json records.
+/// fractions — the "max stat delta" the hybrid gate bounds.
 pub fn hybrid_max_frac_delta(a: &BurstinessReport, b: &BurstinessReport) -> f64 {
     [
         a.frac_below_001 - b.frac_below_001,

@@ -24,8 +24,9 @@ use std::sync::OnceLock;
 /// The reference seed for all cached scenario runs (the measurement year).
 pub const QUICK_SEED: u64 = 2006;
 
-/// Episode gap used by golden summaries, in RTT units.
-pub const EPISODE_GAP_RTT: f64 = 1.0;
+/// Episode gap used by golden summaries, in RTT units: the streaming
+/// accumulator's own.
+pub use lossburst_analysis::streaming::EPISODE_GAP_RTT;
 
 /// How many 0.02-RTT bins are pooled per coarse golden-PDF bin.
 pub const COARSE_GROUP: usize = 10;

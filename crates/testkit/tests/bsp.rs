@@ -100,7 +100,7 @@ fn codec_round_trip_through_shard_stripes_is_bit_exact() {
     for i in 0..shards {
         let indices = shard_indices(cfg.n_workers, ShardSpec::new(i, shards));
         let outcomes = superstep_workers(&cfg, 0, &indices).unwrap();
-        let decoded = decode_outcomes(&encode_outcomes(&outcomes)).unwrap();
+        let decoded = decode_outcomes(&encode_outcomes(&outcomes), cfg.n_workers).unwrap();
         for o in decoded {
             let slot = o.worker;
             slots[slot] = Some(o);

@@ -3,10 +3,8 @@
 //! byte-identical to the same campaign run in one process — for K
 //! including counts that do not divide the path count, for every seed in
 //! `SEED_MATRIX`, and across a mid-shard interruption + resume. Plus the
-//! checkpoint-merge edge cases and a seeded property sweep over the
-//! streaming-accumulator merges the shard layer leans on.
+//! checkpoint-merge edge cases.
 
-use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_core::prelude::*;
 use lossburst_core::shard::{merged_checkpoint_path, shard_checkpoint_path};
 use lossburst_core::supervisor::PathRecord;
@@ -280,156 +278,4 @@ fn shard_and_merged_checkpoints_coexist_in_one_dir() {
     merge_shards_streaming(&cfg, &dir, 2).unwrap();
     assert!(merged_checkpoint_path(&dir).exists());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-// --- accumulator-merge property sweep --------------------------------------
-
-/// Every integer-state statistic of a merged accumulator pair, bit-for-bit
-/// against the single-pass accumulator over the concatenated stream; float
-/// moments to reassociation rounding. Cases include empty, single-loss,
-/// and all-losses-coincident operands on both sides of the split.
-#[test]
-fn stream_merge_matches_single_pass_property_sweep() {
-    sweep(0xA11CE, 24, |case, gen| {
-        // Interval streams of varying burstiness; cases 0-5 exercise the
-        // degenerate shapes explicitly.
-        let intervals: Vec<f64> = match case {
-            0 => vec![],              // empty stream
-            1 => vec![0.0],           // a single coincident pair
-            2 => vec![0.0, 0.0, 0.0], // all losses in one burst
-            _ => {
-                let n = 2 + (gen.next_u64() % 40) as usize;
-                (0..n)
-                    .map(|_| {
-                        let u = (gen.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                        if gen.next_u64() % 3 == 0 {
-                            u * 0.004 // sub-gap: extends an episode
-                        } else {
-                            0.2 + u * 2.0 // super-gap: closes it
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let split_at = if intervals.is_empty() {
-            0
-        } else {
-            (gen.next_u64() as usize) % (intervals.len() + 1)
-        };
-        let packets: Vec<bool> = (0..40).map(|_| gen.next_u64() % 4 == 0).collect();
-        let packet_split = (gen.next_u64() as usize) % (packets.len() + 1);
-
-        let mut single = LossStreamStats::with_rtt(1.0);
-        for &iv in &intervals {
-            single.push_interval(iv);
-        }
-        for &p in &packets {
-            single.push_packet(p);
-        }
-
-        let feed = |ivs: &[f64], pkts: &[bool]| {
-            let mut s = LossStreamStats::with_rtt(1.0);
-            for &iv in ivs {
-                s.push_interval(iv);
-            }
-            for &p in pkts {
-                s.push_packet(p);
-            }
-            s
-        };
-        let mut merged = feed(&intervals[..split_at], &packets[..packet_split]);
-        merged.merge(&feed(&intervals[split_at..], &packets[packet_split..]));
-
-        // Integer state: bit-for-bit.
-        assert_eq!(merged.n_losses(), single.n_losses(), "case {case}");
-        assert_eq!(merged.n_intervals(), single.n_intervals(), "case {case}");
-        assert_eq!(
-            merged.histogram().bins,
-            single.histogram().bins,
-            "case {case}"
-        );
-        assert_eq!(merged.histogram().overflow, single.histogram().overflow);
-        assert_eq!(merged.histogram().total, single.histogram().total);
-        assert_eq!(
-            merged.episode_count(),
-            single.episode_count(),
-            "case {case}"
-        );
-        let (me, se) = (merged.episode_report(), single.episode_report());
-        assert_eq!(me.count, se.count, "case {case}");
-        assert_eq!(me.max_size, se.max_size, "case {case}");
-        // mean_size and fraction_in_bursts derive from integer-valued
-        // sums: exact.
-        assert_eq!(
-            me.mean_size.to_bits(),
-            se.mean_size.to_bits(),
-            "case {case}"
-        );
-        assert_eq!(
-            me.fraction_in_bursts.to_bits(),
-            se.fraction_in_bursts.to_bits(),
-            "case {case}"
-        );
-        // Gilbert transition counts are integers, so the fit is bit-exact.
-        assert_eq!(
-            merged.gilbert().map(|g| (g.p.to_bits(), g.r.to_bits())),
-            single.gilbert().map(|g| (g.p.to_bits(), g.r.to_bits())),
-            "case {case}"
-        );
-        // Interval-count fractions divide integer counters: exact.
-        let (mr, sr) = (merged.report(), single.report());
-        assert_eq!(mr.frac_below_001.to_bits(), sr.frac_below_001.to_bits());
-        assert_eq!(mr.frac_below_1.to_bits(), sr.frac_below_1.to_bits());
-        // Float moments: reassociation rounding only.
-        assert!(
-            (mr.mean_interval_rtt - sr.mean_interval_rtt).abs()
-                <= 1e-12 * sr.mean_interval_rtt.abs().max(1.0),
-            "case {case}: mean {} vs {}",
-            mr.mean_interval_rtt,
-            sr.mean_interval_rtt
-        );
-        assert!(
-            (me.mean_duration - se.mean_duration).abs() <= 1e-12 * se.mean_duration.abs().max(1.0),
-            "case {case}: duration {} vs {}",
-            me.mean_duration,
-            se.mean_duration
-        );
-    });
-}
-
-/// Merging with an empty operand — either side — is bit-exact in *all*
-/// state, floats included (the non-degenerate operand passes through).
-#[test]
-fn merge_with_empty_operand_is_fully_bit_exact() {
-    let feed = |ivs: &[f64]| {
-        let mut s = LossStreamStats::with_rtt(1.0);
-        for &iv in ivs {
-            s.push_interval(iv);
-        }
-        s
-    };
-    let ivs = [0.003, 0.7, 0.001, 0.0, 1.4, 0.02];
-    let reference = feed(&ivs);
-    let dump = |s: &LossStreamStats| {
-        let r = s.report();
-        let e = s.episode_report();
-        format!(
-            "{} {} {:?} {:016x} {:016x} {:016x} {:016x} {} {:016x}",
-            s.n_losses(),
-            s.n_intervals(),
-            s.histogram().bins,
-            r.mean_interval_rtt.to_bits(),
-            r.index_of_dispersion.to_bits(),
-            e.mean_duration.to_bits(),
-            e.mean_size.to_bits(),
-            e.count,
-            r.frac_below_001.to_bits(),
-        )
-    };
-    let mut left = feed(&ivs);
-    left.merge(&feed(&[]));
-    assert_eq!(dump(&left), dump(&reference), "non-empty . empty");
-    let mut right = feed(&[]);
-    right.merge(&feed(&ivs));
-    assert_eq!(dump(&right), dump(&reference), "empty . non-empty");
 }

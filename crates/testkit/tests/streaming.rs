@@ -8,8 +8,8 @@ use lossburst_analysis::burstiness::{self, BurstinessReport};
 use lossburst_analysis::episodes::episode_report;
 use lossburst_analysis::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use lossburst_analysis::intervals::normalized_intervals;
-use lossburst_analysis::streaming::LossStreamStats;
-use lossburst_analysis::{autocorr, gilbert, poisson};
+use lossburst_analysis::streaming::{LossStreamStats, MAX_LAG, WINDOW_RTT};
+use lossburst_analysis::{autocorr, poisson};
 use lossburst_core::campaign::LossStudy;
 use lossburst_testkit::scenarios::{
     fig2_data, fig3_study, fig4_data, COARSE_GROUP, EPISODE_GAP_RTT,
@@ -143,8 +143,7 @@ fn check_trace(times: &[f64], rtt: f64) {
         t_acc += iv;
         times_rtt.push(t_acc);
     }
-    let cfg = stats.config();
-    let b_ep = episode_report(&times_rtt, cfg.episode_gap_rtt);
+    let b_ep = episode_report(&times_rtt, EPISODE_GAP_RTT);
     let s_ep = stats.episode_report();
     assert_eq!(b_ep.count, s_ep.count, "episode count");
     assert_eq!(b_ep.max_size, s_ep.max_size, "episode max_size");
@@ -159,11 +158,11 @@ fn check_trace(times: &[f64], rtt: f64) {
         s_ep.fraction_in_bursts,
         "episode fraction_in_bursts",
     );
-    let b_counts: Vec<f64> = burstiness::counts_in_windows(&times_rtt, cfg.window_rtt)
+    let b_counts: Vec<f64> = burstiness::counts_in_windows(&times_rtt, WINDOW_RTT)
         .iter()
         .map(|&c| c as f64)
         .collect();
-    let b_acf = autocorr::autocorrelation(&b_counts, cfg.max_lag);
+    let b_acf = autocorr::autocorrelation(&b_counts, MAX_LAG);
     let s_acf = stats.acf();
     assert_eq!(b_acf.len(), s_acf.len(), "acf length");
     for (i, (a, b)) in b_acf.iter().zip(&s_acf).enumerate() {
@@ -201,36 +200,6 @@ fn streaming_matches_batch_on_random_traces() {
             }
         };
         check_trace(&times, rtt);
-    });
-}
-
-#[test]
-fn streaming_gilbert_fit_matches_batch_on_random_sequences() {
-    sweep(0x61_1B, 16, |case, gen| {
-        let seq: Vec<bool> = match case {
-            0 => Vec::new(),
-            1 => vec![true],       // single packet, lost
-            2 => vec![true; 300],  // all-loss
-            3 => vec![false; 300], // loss-free
-            _ => {
-                let p = gen.random::<f64>() * 0.5;
-                (0..500).map(|_| gen.random::<f64>() < p).collect()
-            }
-        };
-        let mut stats = LossStreamStats::with_rtt(0.1);
-        for &lost in &seq {
-            stats.push_packet(lost);
-        }
-        let batch = gilbert::fit(&seq);
-        let stream = stats.gilbert();
-        match (batch, stream) {
-            (None, None) => {}
-            (Some(b), Some(s)) => {
-                assert_close(b.p, s.p, "gilbert p");
-                assert_close(b.r, s.r, "gilbert r");
-            }
-            (b, s) => panic!("gilbert fit disagrees: batch {b:?} vs streaming {s:?}"),
-        }
     });
 }
 

@@ -6,6 +6,7 @@
 //! cargo run --release --example internet_probe
 //! ```
 
+use lossburst::analysis::burstiness;
 use lossburst::inet::path::PathScenario;
 use lossburst::inet::probe::{run_probe_streaming, validate_streaming, ProbeConfig};
 use lossburst::inet::sites::SITES;
@@ -43,7 +44,7 @@ fn main() {
             out.sent, out.n_lost, out.loss_rate
         );
         if out.intervals_rtt.len() > 2 {
-            let rep = out.stats.report();
+            let rep = burstiness::analyze(&out.intervals_rtt);
             println!(
                 "    inter-loss intervals: {:.0}% < 0.01 RTT, {:.0}% < 1 RTT",
                 rep.frac_below_001 * 100.0,

@@ -220,7 +220,7 @@ fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
             let spec = ShardSpec::new(i, args.shards);
             let text = std::fs::read_to_string(outcome_path(&args.dir, s, spec))
                 .map_err(lossburst::core::error::Error::from)?;
-            for o in decode_outcomes(&text)? {
+            for o in decode_outcomes(&text, cfg.n_workers)? {
                 let slot = o.worker;
                 slots[slot] = Some(o);
             }

@@ -42,6 +42,8 @@ const GONE: &[(&str, u32)] = &[
     ("inet::report", 24),
     ("topology::full_mesh", 24),
     ("dummynet_study_supervised", 24),
+    ("hybrid_perf", 27),
+    ("BENCH_HYBRID.json", 27),
 ];
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken

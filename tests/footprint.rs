@@ -11,12 +11,18 @@
 //! copy, a sort or a rebuilt timeline that is freed before the call
 //! returns.
 //!
+//! A path restored from a campaign checkpoint holds its intervals and
+//! nothing else.
+//!
 //! Counts are per thread: each test measures what its own thread allocates
 //! and frees, so tests running beside it, and the harness printing their
 //! results, do not enter its windows.
 
 use lossburst::analysis::burstiness::{analyze, counts_in_windows};
 use lossburst::analysis::episodes::episode_report;
+use lossburst::core::supervisor::PathRecord;
+use lossburst::inet::campaign::StreamPathMeasurement;
+use lossburst::inet::probe::StreamProbeOutcome;
 use lossburst::netsim::link::Link;
 use lossburst::netsim::prelude::*;
 use rand::rngs::SmallRng;
@@ -192,4 +198,48 @@ fn sorted_input_is_read_where_it_lies() {
         peak, output,
         "counts_in_windows held more than its {output} B of counts"
     );
+}
+
+/// One probe run with `n` inter-loss intervals, as a checkpoint holds it.
+fn probe_run(n: usize) -> StreamProbeOutcome {
+    let n_lost = if n == 0 { 0 } else { n + 1 };
+    StreamProbeOutcome {
+        sent: 1000,
+        received: 1000 - n_lost as u64,
+        n_lost,
+        lost: Vec::new(),
+        loss_rate: n_lost as f64 / 1000.0,
+        intervals_rtt: (0..n).map(|i| 0.003 * i as f64).collect(),
+        trace_bytes: 4096,
+        events: 50_000,
+        counts: Default::default(),
+    }
+}
+
+#[test]
+fn restored_path_holds_its_intervals_only() {
+    for (small, large) in [(0, 0), (3, 5), (40, 1)] {
+        let line = StreamPathMeasurement {
+            src: 3,
+            dst: 17,
+            rtt: SimDuration::from_millis(50),
+            small: probe_run(small),
+            large: probe_run(large),
+            validated: true,
+        }
+        .encode();
+        let before = live();
+        let restored = StreamPathMeasurement::decode(&line).expect("own encoding decodes");
+        let held = live() - before;
+        assert_eq!(restored.small.intervals_rtt.len(), small);
+        assert_eq!(restored.large.intervals_rtt.len(), large);
+        // A `Vec` collected one float at a time holds at most twice its
+        // length.
+        let bound = 16 * (small + large) as isize + 256;
+        assert!(
+            held <= bound,
+            "a restored path with {small} + {large} intervals holds {held} B; \
+             its intervals explain {bound} B"
+        );
+    }
 }
