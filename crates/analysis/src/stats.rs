@@ -1,5 +1,7 @@
 //! Basic descriptive statistics used throughout the analysis toolkit.
 
+use std::collections::BTreeSet;
+
 /// Mean of a sample (0 for an empty one).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -17,30 +19,19 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// `q`-quantile (0 ≤ q ≤ 1) by linear interpolation on the sorted sample.
-pub(crate) fn quantile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// NaN-rejecting quantiles, one per entry of `qs` and in that order:
-/// `quantile`'s interpolation rule, but the sort uses `f64::total_cmp`
-/// and any NaN in the sample makes the whole estimate `None` instead of
-/// panicking (or silently mis-sorting). The sample is scanned and sorted
-/// once however many quantiles are asked for.
+/// NaN-rejecting quantiles, one per entry of `qs` and in that order, by
+/// linear interpolation between order statistics: `q` is clamped to
+/// [0, 1] (a NaN `q` reads rank 0), `pos = q·(n − 1)`, and the result
+/// interpolates the `floor(pos)`-th and `ceil(pos)`-th smallest values
+/// under `f64::total_cmp`. Any NaN in the sample makes the whole estimate
+/// `None`.
+///
+/// Nothing is sorted. The wanted ranks are visited in ascending order and
+/// each is found by selection (`select_nth_unstable_by`) in the part of
+/// one scratch copy right of the previous rank, so the cost is linear in
+/// the sample however many quantiles are asked for. `total_cmp` calls two
+/// values equal only when their bits are, so every order statistic — and
+/// with it every result — is the bit pattern a full sort would give.
 ///
 /// This is the estimator the straggler statistics are built on: a single
 /// NaN completion time must surface as a rejected estimate, never as a
@@ -49,21 +40,35 @@ pub fn try_quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
     if xs.is_empty() || xs.iter().any(|x| x.is_nan()) {
         return None;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    // `total_cmp` calls two values equal only when their bits are, so the
-    // unstable sort yields the same sequence a stable one would.
-    sorted.sort_unstable_by(f64::total_cmp);
+    let last = (xs.len() - 1) as f64;
+    let bracket = |q: &f64| {
+        let pos = q.clamp(0.0, 1.0) * last;
+        (pos, pos.floor() as usize, pos.ceil() as usize)
+    };
+    let ranks: BTreeSet<usize> = qs
+        .iter()
+        .flat_map(|q| {
+            let (_, lo, hi) = bracket(q);
+            [lo, hi]
+        })
+        .collect();
+    let mut order: Vec<f64> = xs.to_vec();
+    let mut start = 0;
+    for k in ranks {
+        // Everything left of `start` is at or below the statistic found
+        // last, so rank `k` lies at `k − start` of what is right of it.
+        order[start..].select_nth_unstable_by(k - start, f64::total_cmp);
+        start = k + 1;
+    }
     Some(
         qs.iter()
             .map(|q| {
-                let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-                let lo = pos.floor() as usize;
-                let hi = pos.ceil() as usize;
+                let (pos, lo, hi) = bracket(q);
                 if lo == hi {
-                    sorted[lo]
+                    order[lo]
                 } else {
                     let frac = pos - lo as f64;
-                    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+                    order[lo] * (1.0 - frac) + order[hi] * frac
                 }
             })
             .collect(),
@@ -109,12 +114,19 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 /// The conformance suite uses this to measure how far a loss-interval
 /// sample sits from the rate-matched Poisson (exponential-interval)
 /// reference — the paper's central "≫ Poisson" claim as one number.
+///
+/// A sample holding a NaN has no empirical distribution: the result is
+/// NaN, a rejected estimate as in [`try_quantiles`], never a
+/// plausible-looking distance.
 pub fn ks_statistic(xs: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
+    if xs.iter().any(|x| x.is_nan()) {
+        return f64::NAN;
+    }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    sorted.sort_unstable_by(f64::total_cmp);
     let n = sorted.len() as f64;
     let mut d = 0.0f64;
     for (i, &x) in sorted.iter().enumerate() {
@@ -129,8 +141,12 @@ pub fn ks_statistic(xs: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
 /// Resamples `xs` with replacement `resamples` times using a deterministic
 /// xorshift stream seeded by `seed`, computes `stat` on each resample, and
 /// returns the `(lo, hi)` quantiles at `1−level` (e.g. `level = 0.95` gives
-/// the 2.5th and 97.5th percentiles). Used to put error bars on the
-/// cluster-fraction numbers in EXPERIMENTS.md.
+/// the 2.5th and 97.5th percentiles) by [`try_quantiles`]. Used to put
+/// error bars on the cluster-fraction numbers in EXPERIMENTS.md.
+///
+/// If `stat` returns NaN on any resample (say, a ratio whose denominator
+/// can resample to zero), the interval is `(NaN, NaN)`: no bracket is
+/// honest when part of the bootstrap distribution is undefined.
 pub fn bootstrap_ci(
     xs: &[f64],
     level: f64,
@@ -158,12 +174,30 @@ pub fn bootstrap_ci(
         stats.push(stat(&buf));
     }
     let alpha = (1.0 - level.clamp(0.0, 1.0)) / 2.0;
-    (quantile(&stats, alpha), quantile(&stats, 1.0 - alpha))
+    match try_quantiles(&stats, &[alpha, 1.0 - alpha]) {
+        Some(q) => (q[0], q[1]),
+        None => (f64::NAN, f64::NAN),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The copy-sort-interpolate formula [`try_quantiles`] replaced by
+    /// selection, kept as the oracle it must equal bit for bit.
+    fn sorted_quantile(xs: &[f64], q: f64) -> f64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
 
     #[test]
     fn mean_and_variance_known_values() {
@@ -177,42 +211,42 @@ mod tests {
     fn empty_inputs_do_not_panic() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
-        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 
     #[test]
     fn quantiles_interpolate() {
+        // The oracle itself, against hand computation.
         let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 1.0), 4.0);
-        assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
+        assert_eq!(sorted_quantile(&xs, 0.0), 1.0);
+        assert_eq!(sorted_quantile(&xs, 1.0), 4.0);
+        assert!((sorted_quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
         // Order must not matter.
         let sh = [3.0, 1.0, 4.0, 2.0];
-        assert!((quantile(&sh, 0.5) - 2.5).abs() < 1e-12);
+        assert!((sorted_quantile(&sh, 0.5) - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn try_quantile_is_exact_on_known_samples() {
-        // Same interpolation rule as `quantile`, verified against hand
-        // computation on small samples.
+        // Same interpolation rule as the sorted oracle, verified against
+        // hand computation on small samples.
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(try_quantile(&xs, 0.0), Some(1.0));
         assert_eq!(try_quantile(&xs, 1.0), Some(4.0));
         assert!((try_quantile(&xs, 0.5).unwrap() - 2.5).abs() < 1e-12);
         // P99 of 4 points: pos = 0.99 * 3 = 2.97 → 3 + 0.97 * (4 − 3).
         assert!((try_quantile(&xs, 0.99).unwrap() - 3.97).abs() < 1e-12);
-        // Order must not matter (total_cmp sort).
+        // Order must not matter (selection under total_cmp).
         let sh = [3.0, 1.0, 4.0, 2.0];
         assert_eq!(try_quantile(&sh, 0.99), try_quantile(&xs, 0.99));
-        // Agrees with the legacy estimator on clean data.
-        assert_eq!(try_quantile(&xs, 0.37), Some(quantile(&xs, 0.37)));
+        // Agrees with the sorted oracle on clean data.
+        assert_eq!(try_quantile(&xs, 0.37), Some(sorted_quantile(&xs, 0.37)));
     }
 
     #[test]
     fn try_quantiles_equals_per_call_estimates_bit_for_bit() {
-        // One scan and one sort for many quantiles must change no bit of
-        // any of them. `quantile` sorts and interpolates on its own, one
-        // call per quantile; samples cover ties, length 1 and length 2.
+        // One selection pass for many quantiles must change no bit of any
+        // of them. The oracle sorts and interpolates on its own, one call
+        // per quantile; samples cover ties, length 1 and length 2.
         let mut s = 2006u64;
         let mut noisy: Vec<f64> = (0..997)
             .map(|_| {
@@ -235,13 +269,13 @@ mod tests {
         for xs in samples {
             let together = try_quantiles(xs, &qs).unwrap();
             for (&q, &got) in qs.iter().zip(&together) {
-                assert_eq!(got.to_bits(), quantile(xs, q).to_bits(), "q = {q}");
+                assert_eq!(got.to_bits(), sorted_quantile(xs, q).to_bits(), "q = {q}");
                 assert_eq!(got.to_bits(), try_quantile(xs, q).unwrap().to_bits());
             }
             let tail = tail_mass(xs).unwrap();
             assert_eq!(
                 tail.to_bits(),
-                (quantile(xs, 0.99) / quantile(xs, 0.5)).to_bits()
+                (sorted_quantile(xs, 0.99) / sorted_quantile(xs, 0.5)).to_bits()
             );
         }
         assert_eq!(try_quantiles(&[], &qs), None);
@@ -331,6 +365,14 @@ mod tests {
     }
 
     #[test]
+    fn bootstrap_ci_of_a_nan_statistic_is_nan() {
+        // 0 / 0 on most resamples: the bootstrap distribution is partly
+        // undefined, so no interval is returned.
+        let (lo, hi) = bootstrap_ci(&[0.0, 0.0, 1.0], 0.9, 50, 3, |v| v[0] / v[1]);
+        assert!(lo.is_nan() && hi.is_nan(), "[{lo}, {hi}]");
+    }
+
+    #[test]
     fn ks_statistic_of_matching_sample_is_small() {
         // Exponential quantiles against the exponential CDF: the only
         // deviation is the 1/n staircase granularity.
@@ -353,5 +395,18 @@ mod tests {
         let a = ks_statistic(&[0.3, 0.1, 0.9], |x| x);
         let b = ks_statistic(&[0.1, 0.3, 0.9], |x| x);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ks_statistic_rejects_a_nan_sample() {
+        for xs in [
+            [f64::NAN, 0.3, 0.9],
+            [0.1, f64::NAN, 0.9],
+            [0.1, 0.3, -f64::NAN],
+        ] {
+            assert!(ks_statistic(&xs, |x| x).is_nan(), "{xs:?}");
+        }
+        // Infinities are ordered values, not rejections.
+        assert_eq!(ks_statistic(&[0.5, f64::INFINITY], |x| x.min(1.0)), 0.5);
     }
 }

@@ -648,7 +648,7 @@ fn close_barrier(
         }
     }
     let slow: Vec<f64> = outcomes.iter().map(|o| o.slowdown).collect();
-    // One sorted copy answers every order statistic, the barrier's max
+    // One selection pass answers every order statistic, the barrier's max
     // included.
     let q = try_quantiles(&secs, &[0.5, 0.99, 1.0]).ok_or_else(nan_secs)?;
     let tail = tail_mass(&slow).ok_or_else(|| Error::Config("slowdowns are degenerate".into()))?;

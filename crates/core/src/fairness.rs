@@ -190,7 +190,7 @@ pub fn fairness_cell(
     noise: f64,
     cell_seed: u64,
 ) -> FairnessCell {
-    let mut b = SimBuilder::new(cell_seed).trace(TraceConfig::all());
+    let mut b = SimBuilder::new(cell_seed).trace(TraceConfig::none());
     let n_noise = if noise > 0.0 { 4 } else { 0 };
     let pairs = 2 * cfg.flows_per_class + n_noise;
     let dcfg = DumbbellConfig {

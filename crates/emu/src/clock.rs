@@ -71,6 +71,11 @@ pub struct ClockAblationRow {
 
 /// Re-record one loss trace (seconds) under several clock resolutions and
 /// report how the headline fraction moves. `rtt_secs` normalizes.
+///
+/// The stamped trace is put in time order by `f64::total_cmp`, which puts
+/// a NaN timestamp last (a negative NaN first). Its interval is NaN and
+/// counts toward the denominator of both fractions, the numerator of
+/// neither.
 pub fn clock_ablation(
     times: &[f64],
     rtt_secs: f64,
@@ -80,9 +85,8 @@ pub fn clock_ablation(
         .iter()
         .map(|&tick| {
             let clock = ClockModel { tick };
-            let stamped = clock.stamp_secs(times);
-            let mut sorted = stamped;
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
+            let mut sorted = clock.stamp_secs(times);
+            sorted.sort_by(f64::total_cmp);
             let intervals: Vec<f64> = sorted.windows(2).map(|w| w[1] - w[0]).collect();
             let n = intervals.len().max(1) as f64;
             let zero = intervals.iter().filter(|&&x| x == 0.0).count() as f64 / n;
@@ -167,5 +171,22 @@ mod tests {
         for r in &rows {
             assert!(r.frac_below_001 > 0.7, "{r:?}");
         }
+    }
+
+    #[test]
+    fn clock_ablation_orders_a_nan_timestamp_last() {
+        // 0.5 ms, 0.5 ms, then NaN: the NaN interval counts in both
+        // denominators and neither numerator, on every clock.
+        let times = [0.0005, f64::NAN, 0.0, 0.001];
+        let rows = clock_ablation(
+            &times,
+            1.0,
+            &[SimDuration::ZERO, SimDuration::from_millis(1)],
+        );
+        assert_eq!(rows[0].zero_fraction, 0.0);
+        assert_eq!(rows[0].frac_below_001, 2.0 / 3.0);
+        // The 1 ms clock folds 0 and 0.5 ms onto one tick.
+        assert_eq!(rows[1].zero_fraction, 1.0 / 3.0);
+        assert_eq!(rows[1].frac_below_001, 2.0 / 3.0);
     }
 }

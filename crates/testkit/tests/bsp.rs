@@ -13,6 +13,7 @@ use lossburst_core::impact::{try_parallel_once, try_theoretic_lower_bound};
 use lossburst_core::shard::{shard_indices, ShardSpec};
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
+use lossburst_testkit::sweep::{RngExt, SmallRng};
 
 fn small(seed: u64) -> BspConfig {
     BspConfig {
@@ -65,26 +66,67 @@ fn bsp_is_byte_identical_across_execution_policies() {
     }
 }
 
+/// A generated configuration: worker counts from 1 to past a shard's
+/// stripe, 1 B to 4 MiB transfers, any admissible mean loss, bursts from
+/// Bernoulli to 5 000 packets, and every mitigation with its parameter at
+/// both ends of its range.
+fn generated(gen: &mut SmallRng) -> BspConfig {
+    fn one_of<T: Copy>(gen: &mut SmallRng, xs: &[T]) -> T {
+        xs[gen.random_range(0..xs.len())]
+    }
+    let n_workers = one_of(gen, &[1, 2, 3, 7, 64, 97, 150]);
+    let bytes_per_worker = one_of(gen, &[1, 1500, 4096, 64 << 10, 1 << 20, 4 << 20]);
+    let mean_burst_pkts = one_of(gen, &[1.0, 1.5, 4.0, 16.0, 200.0, 5000.0]);
+    let mitigation = match gen.random_range(0..4u64) {
+        0 => Mitigation::None,
+        1 => Mitigation::Diversity {
+            alts: gen.random_range(2..5usize),
+        },
+        2 => Mitigation::Redundancy {
+            fraction: if gen.random::<bool>() {
+                gen.random_range(1e-6..0.02)
+            } else {
+                0.5 - gen.random_range(0.0..0.02)
+            },
+        },
+        _ => Mitigation::BurstAware,
+    };
+    BspConfig {
+        n_workers,
+        supersteps: gen.random_range(1..4usize),
+        bytes_per_worker,
+        mean_loss_rate: gen.random_range(1e-4..0.4999),
+        mean_burst_pkts,
+        seed: gen.random(),
+        mitigation,
+    }
+}
+
 /// Striping the workers over K shards — including K = 7, which does not
-/// divide the worker count — must reproduce the 1-process run bit for bit,
-/// for every seed.
+/// divide the worker count, and K beyond the worker count — must
+/// reproduce the 1-process run bit for bit: on `small` for every seed of
+/// the matrix, and on 400 generated configurations.
 #[test]
 fn sharded_bsp_matches_one_process_at_ragged_shard_counts() {
-    for seed in SEED_MATRIX {
-        let cfg = small(seed);
+    let fixed = SEED_MATRIX
+        .into_iter()
+        .flat_map(|seed| [2usize, 4, 7].map(|shards| (small(seed), shards)));
+    let mut cases: Vec<(BspConfig, usize)> = fixed.collect();
+    sweep(0xB5B_5EED, 400, |_, gen| {
+        cases.push((generated(gen), gen.random_range(1..13usize)));
+    });
+    for (cfg, shards) in cases {
         let reference = run_bsp(&cfg).unwrap();
-        for shards in [2usize, 4, 7] {
-            let sharded = run_bsp_sharded(&cfg, shards).unwrap();
-            assert_eq!(
-                sharded.fingerprint, reference.fingerprint,
-                "seed {seed}: {shards}-shard run diverges from 1-process"
-            );
-            assert_eq!(
-                sharded.pooled_tail_mass.to_bits(),
-                reference.pooled_tail_mass.to_bits(),
-                "seed {seed}: tail mass must be bit-equal, not just close"
-            );
-        }
+        let sharded = run_bsp_sharded(&cfg, shards).unwrap();
+        assert_eq!(
+            sharded.fingerprint, reference.fingerprint,
+            "{cfg:?}: {shards}-shard run diverges from 1-process"
+        );
+        assert_eq!(
+            sharded.pooled_tail_mass.to_bits(),
+            reference.pooled_tail_mass.to_bits(),
+            "{cfg:?}: {shards}-shard tail mass must be bit-equal, not just close"
+        );
     }
 }
 

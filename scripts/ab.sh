@@ -2,8 +2,15 @@
 # A/B the benchmark: <parent-rev> against the working tree, in alternating
 # pairs of the contract form (`BENCHMARK.json`'s command, one workload,
 # time-boxed). Prints every end-to-end metric as median [q1, q3], ratio,
-# wins and every run in pair order; exits non-zero if a fingerprint or
-# exact count differs between the sides or any operation failed.
+# wins, a verdict and every run in pair order; exits non-zero if a
+# fingerprint or exact count differs between the sides or any operation
+# failed. The verdict is informational and leaves the exit status alone:
+#   gain          the change wins >= 9/10 of the pairs and the medians differ
+#                 by more than the parent's IQR
+#   worse         the change's median is worse by more than the metric's
+#                 BENCHMARK.json bound
+#   unresolved    either side's IQR is wider than that bound
+#   within bound  otherwise
 #
 #   scripts/ab.sh HEAD~1                                   # every workload, 10 pairs
 #   scripts/ab.sh 486dc86 --pairs 4 --workload lab_dense --workload bsp_barrier
@@ -69,7 +76,20 @@ def load(workload, pair, side):
 
 def spread(values):
     q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]", q[1]
+    return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]", q
+
+def relative(delta, base):
+    return abs(delta) / abs(base) if base else (0.0 if delta == 0 else float("inf"))
+
+def verdict(m, wins, n, qa, qb):
+    sign = 1 if m["better"] == "lower" else -1
+    if wins * 10 >= 9 * n and sign * (qa[1] - qb[1]) > qa[2] - qa[0]:
+        return "gain"      # >= 9/10 pairs won, medians apart by more than the parent's IQR
+    if sign * (qb[1] - qa[1]) > 0 and relative(qb[1] - qa[1], qa[1]) > m["bound"]:
+        return "worse"     # median worse by more than BENCHMARK.json's bound
+    if any(relative(q[2] - q[0], q[1]) > m["bound"] for q in (qa, qb)):
+        return "unresolved"  # a side's IQR is wider than the bound
+    return "within bound"
 
 for workload in workloads:
     sides = {s: [load(workload, p, s) for p in range(1, int(pairs) + 1)] for s in ("parent", "change")}
@@ -78,9 +98,10 @@ for workload in workloads:
         a, b = ([r["metrics"][m["name"]]["value"] for r, _ in sides[s]] for s in ("parent", "change"))
         better = (lambda x, y: x < y) if m["better"] == "lower" else (lambda x, y: x > y)
         wins, losses = sum(better(y, x) for x, y in zip(a, b)), sum(better(x, y) for x, y in zip(a, b))
-        (text_a, med_a), (text_b, med_b) = spread(a), spread(b)
+        (text_a, qa), (text_b, qb) = spread(a), spread(b)
         print(f"{m['name']} [{m['unit']}, {m['better']} is better]: {text_a} -> {text_b}, "
-              f"ratio {med_b / med_a:.3f}, change wins {wins}, loses {losses} of {len(a)}")
+              f"ratio {qb[1] / qa[1]:.3f}, change wins {wins}, loses {losses} of {len(a)}: "
+              f"{verdict(m, wins, len(a), qa, qb)}")
         for side, values in (("parent", a), ("change", b)):
             print(f"  {side} runs: " + " ".join(f"{v:.4g}" for v in values))
     outputs = {out for s in sides.values() for _, out in s}

@@ -4,9 +4,12 @@
 //! of its seed).
 
 use lossburst::analysis::prelude::*;
+use lossburst::analysis::stats::{tail_mass, try_quantile, try_quantiles};
 use lossburst::netsim::prelude::*;
 use lossburst::transport::prelude::*;
+use lossburst_testkit::prelude::sweep;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
 /// Every link conserves packets under a randomized dumbbell workload:
@@ -160,6 +163,103 @@ fn gilbert_fit_matches_empirical_rate() {
             );
         }
     }
+}
+
+/// The copy-sort-interpolate quantile: the oracle the selection-based
+/// estimator must equal bit for bit.
+fn sorted_quantile(xs: &[f64], q: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+/// `try_quantiles`, `try_quantile` and `tail_mass` equal the sorted
+/// formula to the bit on generated samples — ties, ±0.0, ±∞, subnormals,
+/// lengths 1–3 and 10⁴, in sorted, reversed and shuffled order — for
+/// quantile lists that are unsorted, duplicated, out of range and NaN;
+/// and a NaN anywhere in the sample rejects all three.
+#[test]
+fn quantiles_by_selection_equal_the_sorted_formula() {
+    const SPECIAL: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -1e-310,
+        f64::MIN_POSITIVE,
+        1.0,
+    ];
+    const QS: [f64; 12] = [
+        0.99,
+        0.5,
+        0.5,
+        1.0,
+        0.0,
+        0.99,
+        -0.25,
+        1.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.37,
+    ];
+    sweep(0x5E1EC7, 120, |case, gen| {
+        let n = [1, 2, 3, 10_000, gen.random_range(4..300usize)][case as usize % 5];
+        let mut xs: Vec<f64> = (0..n)
+            .map(|_| match (case / 5) % 4 {
+                // Coarse positive values: a sample full of ties.
+                0 => gen.random_range(1..9u64) as f64,
+                // Signed zeros, infinities and subnormals among plain values.
+                1 if gen.random_range(0..3u64) == 0 => SPECIAL[gen.random_range(0..8usize)],
+                1 => gen.random_range(-1e3..1e3),
+                // Every value special: ties between ±0.0 and between infinities.
+                2 => SPECIAL[gen.random_range(0..8usize)],
+                _ => gen.random_range(0.5..50.0),
+            })
+            .collect();
+        match (case / 20) % 3 {
+            0 => xs.sort_unstable_by(f64::total_cmp),
+            1 => xs.sort_unstable_by(|a, b| b.total_cmp(a)),
+            _ => xs.shuffle(gen),
+        }
+        let mut qs = QS.to_vec();
+        qs.extend((0..4).map(|_| gen.random_range(-0.1..1.1)));
+        qs.shuffle(gen);
+
+        let got = try_quantiles(&xs, &qs).expect("no NaN in the sample");
+        assert_eq!(got.len(), qs.len());
+        for (&q, &g) in qs.iter().zip(&got) {
+            let want = sorted_quantile(&xs, q);
+            assert_eq!(g.to_bits(), want.to_bits(), "case {case}: q {q}");
+            assert_eq!(try_quantile(&xs, q).map(f64::to_bits), Some(want.to_bits()));
+        }
+        let (p99, median) = (sorted_quantile(&xs, 0.99), sorted_quantile(&xs, 0.5));
+        let want = if median <= 0.0 {
+            None
+        } else {
+            Some(p99 / median)
+        };
+        assert_eq!(
+            tail_mass(&xs).map(f64::to_bits),
+            want.map(f64::to_bits),
+            "case {case}"
+        );
+
+        let nan = [f64::NAN, -f64::NAN, f64::from_bits(0x7ff8_0000_dead_beef)][case as usize % 3];
+        xs.insert(gen.random_range(0..=xs.len()), nan);
+        assert_eq!(try_quantiles(&xs, &qs), None, "case {case}");
+        assert_eq!(try_quantile(&xs, 0.5), None);
+        assert_eq!(tail_mass(&xs), None);
+    });
+    assert_eq!(try_quantiles(&[], &QS), None);
 }
 
 /// The TFRC throughput equation is monotone decreasing in loss rate and
