@@ -93,17 +93,42 @@ pub fn generate(params: GilbertParams, n: usize, mut next_u01: impl FnMut() -> f
 ///
 /// The verbs may be interleaved on one chain: both leave `is_bad` naming
 /// the state of the next packet not yet emitted.
+///
+/// A chain carries its run-length law — the stationary loss rate and each
+/// state's `ln(1 − q)` — computed once by [`Chain::new`], so a `sojourn`
+/// takes one logarithm. [`Chain::restart`] redraws the start state and
+/// keeps the law: many independent walks of one parameter set (the
+/// lossy-BSP engine's transfers) copy one chain and restart it.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Chain {
     params: GilbertParams,
+    /// `ln(1 − p)` and `ln(1 − r)`: the sojourn's inverse-CDF denominator
+    /// in Good and in Bad.
+    ln_stay: [f64; 2],
+    /// Stationary loss rate: the start state's law.
+    loss_rate: f64,
     bad: bool,
 }
 
 impl Chain {
     /// Start the chain from its stationary distribution, consuming one
     /// u01 draw exactly like `generate` does.
-    pub fn new(params: GilbertParams, mut next_u01: impl FnMut() -> f64) -> Chain {
-        let bad = next_u01() < params.loss_rate();
-        Chain { params, bad }
+    pub fn new(params: GilbertParams, next_u01: impl FnMut() -> f64) -> Chain {
+        let mut chain = Chain {
+            params,
+            ln_stay: [(-params.p).ln_1p(), (-params.r).ln_1p()],
+            loss_rate: params.loss_rate(),
+            bad: false,
+        };
+        chain.restart(next_u01);
+        chain
+    }
+
+    /// Redraw the start state from the stationary distribution, consuming
+    /// one u01 draw: the chain is then the one [`Chain::new`] would start
+    /// on the same draw, without recomputing its law.
+    pub fn restart(&mut self, mut next_u01: impl FnMut() -> f64) {
+        self.bad = next_u01() < self.loss_rate;
     }
 
     /// The loss indicator of the next packet: what `step` would emit, and
@@ -132,14 +157,16 @@ impl Chain {
     /// The chain leaves its state with probability `q` per packet (`p` in
     /// Good, `r` in Bad), so the run length is geometric on `{1, 2, …}`:
     /// `P(len > k) = (1 − q)^k`, drawn by inverse CDF as
-    /// `1 + ⌊ln(1 − u) / ln(1 − q)⌋`. `q ≥ 1` always gives 1; `q ≤ 0` (an
-    /// absorbing state) and lengths past `u64::MAX` saturate.
+    /// `1 + ⌊ln(1 − u) / ln(1 − q)⌋`, the denominator the chain's law
+    /// holds. `q ≥ 1` always gives 1; `q ≤ 0` (an absorbing state) and
+    /// lengths past `u64::MAX` saturate.
     pub fn sojourn(&mut self, mut next_u01: impl FnMut() -> f64) -> u64 {
         let q = if self.bad {
             self.params.r
         } else {
             self.params.p
         };
+        let ln_stay = self.ln_stay[self.bad as usize];
         let u = next_u01();
         self.bad = !self.bad;
         if q >= 1.0 {
@@ -150,7 +177,7 @@ impl Chain {
         }
         // Both logarithms are ≤ 0, so the ratio is in [0, +inf]; the cast
         // saturates (+inf → MAX) and maps a NaN from a u outside [0, 1] to 0.
-        let extra = ((1.0 - u).ln() / (-q).ln_1p()) as u64;
+        let extra = ((1.0 - u).ln() / ln_stay) as u64;
         extra.saturating_add(1)
     }
 }
@@ -291,8 +318,14 @@ mod tests {
 
     #[test]
     fn sojourn_edge_cases_saturate_and_never_return_zero() {
-        let bad_first = |params| Chain { params, bad: true };
-        let good_first = |params| Chain { params, bad: false };
+        let bad_first = |params| Chain {
+            bad: true,
+            ..Chain::new(params, || 0.5)
+        };
+        let good_first = |params| Chain {
+            bad: false,
+            ..Chain::new(params, || 0.5)
+        };
         // Every draw the u01 contract allows, its closed upper end, and
         // values outside it.
         let draws = [

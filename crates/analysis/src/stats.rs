@@ -37,6 +37,13 @@ pub fn variance(xs: &[f64]) -> f64 {
 /// NaN completion time must surface as a rejected estimate, never as a
 /// plausible-looking percentile.
 pub fn try_quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
+    try_quantiles_in_place(&mut xs.to_vec(), qs)
+}
+
+/// [`try_quantiles`] on a sample the caller owns and no longer needs in
+/// its order: the same selection and the same bits, without the scratch
+/// copy. `xs` is left permuted.
+pub fn try_quantiles_in_place(xs: &mut [f64], qs: &[f64]) -> Option<Vec<f64>> {
     if xs.is_empty() || xs.iter().any(|x| x.is_nan()) {
         return None;
     }
@@ -52,12 +59,11 @@ pub fn try_quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
             [lo, hi]
         })
         .collect();
-    let mut order: Vec<f64> = xs.to_vec();
     let mut start = 0;
     for k in ranks {
         // Everything left of `start` is at or below the statistic found
         // last, so rank `k` lies at `k − start` of what is right of it.
-        order[start..].select_nth_unstable_by(k - start, f64::total_cmp);
+        xs[start..].select_nth_unstable_by(k - start, f64::total_cmp);
         start = k + 1;
     }
     Some(
@@ -65,10 +71,10 @@ pub fn try_quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
             .map(|q| {
                 let (pos, lo, hi) = bracket(q);
                 if lo == hi {
-                    order[lo]
+                    xs[lo]
                 } else {
                     let frac = pos - lo as f64;
-                    order[lo] * (1.0 - frac) + order[hi] * frac
+                    xs[lo] * (1.0 - frac) + xs[hi] * frac
                 }
             })
             .collect(),
@@ -85,7 +91,13 @@ pub fn try_quantile(xs: &[f64], q: f64) -> Option<f64> {
 /// mean the slowest 1% dominate the barrier. `None` on an empty sample,
 /// any NaN, or a non-positive median (the ratio would be meaningless).
 pub fn tail_mass(xs: &[f64]) -> Option<f64> {
-    let q = try_quantiles(xs, &[0.99, 0.5])?;
+    tail_mass_in_place(&mut xs.to_vec())
+}
+
+/// [`tail_mass`] through [`try_quantiles_in_place`]: no copy, `xs` is left
+/// permuted.
+pub fn tail_mass_in_place(xs: &mut [f64]) -> Option<f64> {
+    let q = try_quantiles_in_place(xs, &[0.99, 0.5])?;
     let (p99, median) = (q[0], q[1]);
     if median <= 0.0 {
         return None;

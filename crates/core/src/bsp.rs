@@ -60,10 +60,11 @@
 //! from a stream keyed by `(seed, superstep, worker, alt)` coordinates alone.
 //! Striping workers across shards therefore reproduces the 1-shard run
 //! byte-for-byte at any shard count; [`run_bsp_sharded`] and the
-//! `bsp_study` multi-process driver both rely on this.
+//! `bsp_study` multi-process driver both rely on this, and both put a
+//! superstep back together through [`stitch_outcomes`].
 
 use lossburst_analysis::gilbert::{Chain, GilbertParams};
-use lossburst_analysis::stats::{tail_mass, try_quantile, try_quantiles};
+use lossburst_analysis::stats::{tail_mass_in_place, try_quantile, try_quantiles_in_place};
 use lossburst_inet::campaign::GridSample;
 use lossburst_netsim::rng::Sampler;
 use rand::RngExt;
@@ -302,17 +303,14 @@ fn rto_secs(rtt: f64) -> f64 {
 /// Loss-free transfer time: every packet's wire time plus one RTT of
 /// handshake per chunk. This is the automaton with the chain forced Good.
 fn base_secs(bytes: u64, chunk_bytes: u64, path: &WorkerPath) -> f64 {
-    let (n_pkts, pkts_per_chunk) = packetize(bytes, chunk_bytes);
-    let n_chunks = n_pkts.div_ceil(pkts_per_chunk);
+    let n_pkts = packets(bytes);
+    let n_chunks = n_pkts.div_ceil(packets(chunk_bytes));
     n_pkts as f64 * pkt_wire_secs(path.bps) + n_chunks as f64 * path.rtt
 }
 
-/// Packets in the transfer and packets per chunk (≥ 1).
-fn packetize(bytes: u64, chunk_bytes: u64) -> (u64, u64) {
-    (
-        bytes.div_ceil(MTU_BYTES),
-        chunk_bytes.div_ceil(MTU_BYTES).max(1),
-    )
+/// Packets that carry `bytes` (≥ 1): a transfer's, or a chunk's.
+fn packets(bytes: u64) -> u64 {
+    bytes.div_ceil(MTU_BYTES).max(1)
 }
 
 /// What one transfer cost, in the automaton's four integer currencies.
@@ -326,14 +324,6 @@ struct TransferCounts {
     rtos: u64,
     /// Packets re-sent by go-back after timeouts: one wire time each.
     goback_pkts: u64,
-}
-
-impl TransferCounts {
-    fn secs(&self, path: &WorkerPath) -> f64 {
-        self.attempts.saturating_add(self.goback_pkts) as f64 * pkt_wire_secs(path.bps)
-            + self.rtts as f64 * path.rtt
-            + self.rtos as f64 * rto_secs(path.rtt)
-    }
 }
 
 /// The transfer automaton: deliver `n_pkts` packets over a loss process
@@ -398,30 +388,48 @@ fn walk_sojourns(
     c
 }
 
-/// Walk the automaton over a Gilbert chain drawn from `next_u01`: one draw
-/// for the initial state, one per run.
-fn transfer_counts(
-    n_pkts: u64,
+/// Everything a transfer over one path in one chunking reads that no draw
+/// changes, computed once: the path's run-length law (a [`Chain`] whose
+/// start state every transfer redraws), its RTT, wire time and RTO, and
+/// the packets per chunk. A transfer then only draws and prices.
+#[derive(Clone, Copy, Debug)]
+struct Transfer {
+    law: Chain,
+    rtt: f64,
+    wire_secs: f64,
+    rto_secs: f64,
     pkts_per_chunk: u64,
-    gilbert: GilbertParams,
-    mut next_u01: impl FnMut() -> f64,
-) -> TransferCounts {
-    let mut chain = Chain::new(gilbert, &mut next_u01);
-    let starts_bad = chain.is_bad();
-    walk_sojourns(n_pkts, pkts_per_chunk, starts_bad, || {
-        chain.sojourn(&mut next_u01)
-    })
 }
 
-/// Completion time of one transfer over a chain seeded from `rng`.
-fn transfer_secs(
-    bytes: u64,
-    chunk_bytes: u64,
-    path: &WorkerPath,
-    rng: &mut rand::rngs::SmallRng,
-) -> f64 {
-    let (n_pkts, pkts_per_chunk) = packetize(bytes, chunk_bytes);
-    transfer_counts(n_pkts, pkts_per_chunk, path.gilbert, || rng.random::<f64>()).secs(path)
+impl Transfer {
+    fn new(path: &WorkerPath, chunk_bytes: u64) -> Transfer {
+        Transfer {
+            // Started Good on a u = 1 draw; each walk restarts it.
+            law: Chain::new(path.gilbert, || 1.0),
+            rtt: path.rtt,
+            wire_secs: pkt_wire_secs(path.bps),
+            rto_secs: rto_secs(path.rtt),
+            pkts_per_chunk: packets(chunk_bytes),
+        }
+    }
+
+    /// Walk the automaton over the law drawn from `next_u01`: one draw for
+    /// the start state, one per run.
+    fn counts(&self, n_pkts: u64, mut next_u01: impl FnMut() -> f64) -> TransferCounts {
+        let mut chain = self.law;
+        chain.restart(&mut next_u01);
+        walk_sojourns(n_pkts, self.pkts_per_chunk, chain.is_bad(), || {
+            chain.sojourn(&mut next_u01)
+        })
+    }
+
+    /// Completion time of `n_pkts` packets over a chain seeded from `rng`.
+    fn secs(&self, n_pkts: u64, rng: &mut rand::rngs::SmallRng) -> f64 {
+        let c = self.counts(n_pkts, || rng.random::<f64>());
+        c.attempts.saturating_add(c.goback_pkts) as f64 * self.wire_secs
+            + c.rtts as f64 * self.rtt
+            + c.rtos as f64 * self.rto_secs
+    }
 }
 
 /// Closed-form pilot of the automaton's expected time, used by the
@@ -485,17 +493,21 @@ fn chunk_candidates(bytes: u64) -> Vec<u64> {
 }
 
 /// Everything about a worker's primary transfer that is decided before a
-/// chain draw: the path and chunking its mitigation chose, and what the
-/// cost model expects of them. Pure in `(cfg, worker)` — the superstep
-/// only keys the loss draws — so a run plans each worker once.
+/// chain draw: the path and chunking its mitigation chose, the transfer
+/// over them, and what the cost model expects of it. Pure in
+/// `(cfg, worker)` — the superstep only keys the loss draws — so a run
+/// plans each worker once.
 #[derive(Clone, Copy, Debug)]
 struct WorkerPlan {
-    path: WorkerPath,
+    transfer: Transfer,
     alt: usize,
     chunk_bytes: u64,
     /// Model-expected time of this plan: the slowdown denominator.
     expected_secs: f64,
 }
+
+// A run holds one plan per worker; a field added inline fails the build.
+const _: () = assert!(std::mem::size_of::<WorkerPlan>() <= 104);
 
 fn plan_worker(book: &GridSample, cfg: &BspConfig, worker: usize) -> WorkerPlan {
     let default_path = worker_path(book, cfg, worker, 0);
@@ -532,7 +544,7 @@ fn plan_worker(book: &GridSample, cfg: &BspConfig, worker: usize) -> WorkerPlan 
         }
     };
     WorkerPlan {
-        path,
+        transfer: Transfer::new(&path, chunk_bytes),
         alt,
         chunk_bytes,
         expected_secs: expected_secs(cfg.bytes_per_worker, chunk_bytes, &path),
@@ -559,7 +571,7 @@ fn run_planned(
     plan: &WorkerPlan,
 ) -> WorkerOutcome {
     let mut rng = Sampler::child_rng(cfg.seed, walk_stream(superstep, worker, plan.alt, 0));
-    let secs = transfer_secs(cfg.bytes_per_worker, plan.chunk_bytes, &plan.path, &mut rng);
+    let secs = plan.transfer.secs(packets(cfg.bytes_per_worker), &mut rng);
     // Denominator: the model-expected time of the plan the scheduler
     // actually executed (chosen path, chosen chunking). The ratio is then
     // pure residual unpredictability — exactly what a barrier converts
@@ -630,15 +642,9 @@ fn close_barrier(
             }
             // Straggler: start a duplicate on the backup path (alt 1) at
             // the quantile instant; the first copy to finish wins.
-            let backup_path = worker_path(book, cfg, o.worker, 1);
+            let backup = Transfer::new(&worker_path(book, cfg, o.worker, 1), cfg.bytes_per_worker);
             let mut rng = Sampler::child_rng(cfg.seed, walk_stream(superstep, o.worker, 1, 1));
-            let backup = tau
-                + transfer_secs(
-                    cfg.bytes_per_worker,
-                    cfg.bytes_per_worker,
-                    &backup_path,
-                    &mut rng,
-                );
+            let backup = tau + backup.secs(packets(cfg.bytes_per_worker), &mut rng);
             if backup < o.secs {
                 let base = o.secs / o.slowdown;
                 o.secs = backup;
@@ -647,18 +653,20 @@ fn close_barrier(
             }
         }
     }
-    let slow: Vec<f64> = outcomes.iter().map(|o| o.slowdown).collect();
-    // One selection pass answers every order statistic, the barrier's max
-    // included.
-    let q = try_quantiles(&secs, &[0.5, 0.99, 1.0]).ok_or_else(nan_secs)?;
-    let tail = tail_mass(&slow).ok_or_else(|| Error::Config("slowdowns are degenerate".into()))?;
+    // The mean sums in worker order; then one selection pass, in place,
+    // answers every order statistic, the barrier's max included.
+    let mean_secs = secs.iter().sum::<f64>() / secs.len() as f64;
+    let q = try_quantiles_in_place(&mut secs, &[0.5, 0.99, 1.0]).ok_or_else(nan_secs)?;
+    let mut slow: Vec<f64> = outcomes.iter().map(|o| o.slowdown).collect();
+    let tail = tail_mass_in_place(&mut slow)
+        .ok_or_else(|| Error::Config("slowdowns are degenerate".into()))?;
     Ok(SuperstepStats {
         n_workers: outcomes.len(),
         barrier_secs: q[2],
         median_secs: q[0],
         p99_secs: q[1],
         tail_mass: tail,
-        mean_secs: secs.iter().sum::<f64>() / secs.len() as f64,
+        mean_secs,
     })
 }
 
@@ -674,13 +682,75 @@ pub fn run_superstep(
     Ok((outcomes, stats))
 }
 
+/// Stitch per-shard outcome stripes back into global worker order. Of `K`
+/// stripes, stripe `i` must hold exactly the workers `i, i + K, i + 2K, …`
+/// below `n_workers`, in ascending order — what [`shard_indices`] deals
+/// shard `i`. A worker missing from its stripe, listed twice, or found in
+/// another shard's stripe is an error naming the worker and the shard.
+///
+/// The one stitch: the in-process shards of [`run_bsp_sharded`] (one
+/// stripe when unsharded) and `bsp_study`'s shard files both go through
+/// it. A lone stripe is already in worker order and is returned as it is;
+/// otherwise each outcome is moved once, into its worker's place.
+pub fn stitch_outcomes(
+    n_workers: usize,
+    mut stripes: Vec<Vec<WorkerOutcome>>,
+) -> Result<Vec<WorkerOutcome>> {
+    let k = stripes.len();
+    if k == 0 {
+        return Err(Error::Config("no shard stripes to stitch".into()));
+    }
+    for (shard, stripe) in stripes.iter().enumerate() {
+        let at = format!("shard {shard} of {k}");
+        let mut dealt = (shard..n_workers).step_by(k);
+        for o in stripe {
+            let expected = dealt.next();
+            if expected == Some(o.worker) {
+                continue;
+            }
+            let found = o.worker;
+            let why = if found % k != shard {
+                format!(
+                    "worker {found} found in {at}; it belongs to shard {}",
+                    found % k
+                )
+            } else if let Some(w) = expected.filter(|&w| found > w) {
+                format!("worker {w} missing from {at} (worker {found} in its place)")
+            } else if found < n_workers {
+                // Every worker of this stripe below the expected one is
+                // already in place, so this one is listed a second time.
+                format!("worker {found} listed twice in {at}")
+            } else {
+                format!("worker {found} in {at} is beyond the {n_workers} workers")
+            };
+            return Err(Error::Config(why));
+        }
+        if let Some(w) = dealt.next() {
+            return Err(Error::Config(format!("worker {w} missing from {at}")));
+        }
+    }
+    if let [only] = &mut stripes[..] {
+        return Ok(std::mem::take(only));
+    }
+    let mut stripes: Vec<_> = stripes.into_iter().map(Vec::into_iter).collect();
+    let mut out = Vec::with_capacity(n_workers);
+    // Round by round: worker `round·K + i` is stripe `i`'s next outcome.
+    while out.len() < n_workers {
+        for stripe in &mut stripes {
+            out.extend(stripe.next());
+        }
+    }
+    Ok(out)
+}
+
 /// A validated run with every worker planned: what the supersteps of one
 /// run share.
 struct Machine<'a> {
     cfg: &'a BspConfig,
-    shard_count: usize,
     book: GridSample,
     plans: Vec<WorkerPlan>,
+    /// The workers of each in-process shard, in ascending order.
+    stripes: Vec<Vec<usize>>,
 }
 
 impl Machine<'_> {
@@ -694,54 +764,71 @@ impl Machine<'_> {
             .into_par_iter()
             .map(|w| plan_worker(&book, cfg, w))
             .collect();
+        let stripes = (0..shard_count)
+            .map(|i| shard_indices(cfg.n_workers, ShardSpec::new(i, shard_count)))
+            .collect();
         Ok(Machine {
             cfg,
-            shard_count,
             book,
             plans,
+            stripes,
         })
     }
 
     /// One superstep, shard by shard, stitched and closed.
     fn superstep(&self, superstep: usize) -> Result<(Vec<WorkerOutcome>, SuperstepStats)> {
         let cfg = self.cfg;
-        let mut outcomes: Vec<Option<WorkerOutcome>> = vec![None; cfg.n_workers];
-        for i in 0..self.shard_count {
-            let indices = shard_indices(cfg.n_workers, ShardSpec::new(i, self.shard_count));
-            let stripe: Vec<WorkerOutcome> = indices
-                .par_iter()
-                .map(|&w| run_planned(cfg, superstep, w, &self.plans[w]))
-                .collect();
-            for o in stripe {
-                let slot = o.worker;
-                outcomes[slot] = Some(o);
-            }
-        }
-        let mut outcomes: Vec<WorkerOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("shards partition the workers"))
+        let stripes = self
+            .stripes
+            .iter()
+            .map(|workers| {
+                workers
+                    .par_iter()
+                    .map(|&w| run_planned(cfg, superstep, w, &self.plans[w]))
+                    .collect()
+            })
             .collect();
+        let mut outcomes = stitch_outcomes(cfg.n_workers, stripes)?;
         let stats = close_barrier(&self.book, cfg, superstep, &mut outcomes)?;
         Ok((outcomes, stats))
+    }
+}
+
+/// FNV-1a's starting state.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Feed the eight little-endian bytes of `word` to the FNV-1a state `h`.
+fn fnv_eat(h: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x100_0000_01b3);
     }
 }
 
 /// Order-sensitive FNV-1a over the bit patterns of every completion time;
 /// two runs agree on this iff their outcome vectors are byte-identical.
 pub fn fingerprint_outcomes(outcomes: &[WorkerOutcome]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for o in outcomes {
-        eat(o.worker as u64);
-        eat(o.secs.to_bits());
-        eat(o.slowdown.to_bits());
-    }
+    let [h] = fingerprint_lanes([outcomes]);
     h
+}
+
+/// [`fingerprint_outcomes`] of `L` vectors at once. Each hash is one
+/// serial chain of 24 multiplies per outcome; walking the vectors in
+/// lockstep lets the CPU overlap the chains, so two supersteps hash in
+/// about the time of one.
+fn fingerprint_lanes<const L: usize>(lanes: [&[WorkerOutcome]; L]) -> [u64; L] {
+    let mut hs = [FNV_OFFSET; L];
+    let rounds = lanes.iter().map(|lane| lane.len()).max().unwrap_or(0);
+    for i in 0..rounds {
+        for (h, lane) in hs.iter_mut().zip(lanes) {
+            if let Some(o) = lane.get(i) {
+                fnv_eat(h, o.worker as u64);
+                fnv_eat(h, o.secs.to_bits());
+                fnv_eat(h, o.slowdown.to_bits());
+            }
+        }
+    }
+    hs
 }
 
 /// Run the full lossy-BSP machine: `cfg.supersteps` supersteps in
@@ -756,19 +843,27 @@ pub fn run_bsp_sharded(cfg: &BspConfig, shard_count: usize) -> Result<BspReport>
     let machine = Machine::plan(cfg, shard_count)?;
     let mut stats = Vec::with_capacity(cfg.supersteps);
     let mut pooled: Vec<f64> = Vec::with_capacity(cfg.supersteps * cfg.n_workers);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    // Chain the per-superstep fingerprints order-sensitively, hashing the
+    // supersteps two at a time (`fingerprint_lanes`).
+    let mut h = FNV_OFFSET;
+    let mut held: Option<Vec<WorkerOutcome>> = None;
     for s in 0..cfg.supersteps {
         let (outcomes, st) = machine.superstep(s)?;
         pooled.extend(outcomes.iter().map(|o| o.slowdown));
-        // Chain the per-superstep fingerprints order-sensitively.
-        let fp = fingerprint_outcomes(&outcomes);
-        for b in fp.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
         stats.push(st);
+        match held.take() {
+            None => held = Some(outcomes),
+            Some(prev) => {
+                for fp in fingerprint_lanes([&prev, &outcomes]) {
+                    fnv_eat(&mut h, fp);
+                }
+            }
+        }
     }
-    let pooled_tail = tail_mass(&pooled)
+    if let Some(last) = held {
+        fnv_eat(&mut h, fingerprint_outcomes(&last));
+    }
+    let pooled_tail = tail_mass_in_place(&mut pooled)
         .ok_or_else(|| Error::Config("pooled slowdowns are degenerate".into()))?;
     Ok(BspReport {
         stats,
@@ -855,12 +950,23 @@ mod tests {
         };
         let mut rng = Sampler::child_rng(1, 0);
         let bytes = 100 * MTU_BYTES;
-        let secs = transfer_secs(bytes, bytes, &path, &mut rng);
+        let secs = Transfer::new(&path, bytes).secs(packets(bytes), &mut rng);
         let base = base_secs(bytes, bytes, &path);
         assert!((secs - base).abs() < 1e-12, "{secs} vs {base}");
         // Chunking only adds handshakes when loss-free.
-        let chunked = transfer_secs(bytes, 10 * MTU_BYTES, &path, &mut rng);
+        let chunked = Transfer::new(&path, 10 * MTU_BYTES).secs(packets(bytes), &mut rng);
         assert!((chunked - (base + 9.0 * path.rtt)).abs() < 1e-9);
+    }
+
+    /// A transfer over a 10 Mbps, 50 ms path with loss law `gilbert`,
+    /// `pkts_per_chunk` packets a chunk.
+    fn transfer(gilbert: GilbertParams, pkts_per_chunk: u64) -> Transfer {
+        let path = WorkerPath {
+            rtt: 0.05,
+            bps: 10e6,
+            gilbert,
+        };
+        Transfer::new(&path, pkts_per_chunk * MTU_BYTES)
     }
 
     #[test]
@@ -1002,7 +1108,7 @@ mod tests {
 
     #[test]
     fn chain_driven_transfers_equal_the_per_packet_walk_exactly() {
-        // The same identity through `transfer_counts`, on runs the chain
+        // The same identity through `Transfer::counts`, on runs the chain
         // itself draws: record the draws, replay them through a second
         // chain to recover the runs, expand, and walk packet by packet.
         let workload = GilbertParams {
@@ -1018,7 +1124,7 @@ mod tests {
             for seed in 0..200 {
                 let mut rng = Sampler::child_rng(seed, 1);
                 let mut draws = Vec::new();
-                let fast = transfer_counts(n_pkts, pkts_per_chunk, gilbert, || {
+                let fast = transfer(gilbert, pkts_per_chunk).counts(n_pkts, || {
                     draws.push(rng.random::<f64>());
                     *draws.last().expect("just pushed")
                 });
@@ -1047,12 +1153,13 @@ mod tests {
             p: 0.01 / 16.0,
             r: 1.0 / 16.0,
         };
-        let (n_pkts, pkts_per_chunk) = packetize(1024 * 1024, 64 * 1024);
+        let (n_pkts, pkts_per_chunk) = (packets(1024 * 1024), packets(64 * 1024));
+        let law = transfer(gilbert, pkts_per_chunk);
         let mut most = 0;
         for seed in 0..500 {
             let mut rng = Sampler::child_rng(seed, 2);
             let mut draws = 0u64;
-            let c = transfer_counts(n_pkts, pkts_per_chunk, gilbert, || {
+            let c = law.counts(n_pkts, || {
                 draws += 1;
                 rng.random::<f64>()
             });
@@ -1157,5 +1264,216 @@ mod tests {
         assert!(decode_outcomes(&plus, n).is_err(), "{plus}");
         let err = decode_outcomes(&text, n - 1).unwrap_err();
         assert!(err.to_string().contains("names worker"), "{err}");
+    }
+
+    /// One superstep of `tiny(5)` and a dealer of its outcomes into `k`
+    /// stripes the way `shard_indices` deals workers.
+    type Dealt = (
+        Vec<WorkerOutcome>,
+        Box<dyn Fn(usize) -> Vec<Vec<WorkerOutcome>>>,
+    );
+
+    fn dealt() -> Result<Dealt> {
+        let (outcomes, _) = run_superstep(&tiny(5), 0)?;
+        let deal = {
+            let outcomes = outcomes.clone();
+            move |k: usize| {
+                (0..k)
+                    .map(|i| {
+                        shard_indices(outcomes.len(), ShardSpec::new(i, k))
+                            .into_iter()
+                            .map(|w| outcomes[w].clone())
+                            .collect()
+                    })
+                    .collect()
+            }
+        };
+        Ok((outcomes, Box::new(deal)))
+    }
+
+    fn stitch_error(n_workers: usize, stripes: Vec<Vec<WorkerOutcome>>) -> String {
+        stitch_outcomes(n_workers, stripes)
+            .expect_err("a bad stripe must not stitch")
+            .to_string()
+    }
+
+    #[test]
+    fn stitch_restores_worker_order_at_any_shard_count() -> Result<()> {
+        let (outcomes, deal) = dealt()?;
+        let n = outcomes.len();
+        for k in [1, 2, 3, 7, n - 1, n, n + 5] {
+            assert_eq!(stitch_outcomes(n, deal(k))?, outcomes, "K = {k}");
+        }
+        assert!(stitch_outcomes(n, Vec::new()).is_err());
+        let err = stitch_error(0, deal(2));
+        assert!(
+            err.contains("worker 0 in shard 0 of 2 is beyond the 0 workers"),
+            "{err}"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn stitch_rejects_a_missing_worker_naming_it_and_its_shard() -> Result<()> {
+        let (outcomes, deal) = dealt()?;
+        let n = outcomes.len();
+        // Stripe 1 of 3 holds 1, 4, 7, …: drop worker 7 from its middle.
+        let mut stripes = deal(3);
+        stripes[1].remove(2);
+        let err = stitch_error(n, stripes);
+        assert!(err.contains("worker 7 missing from shard 1 of 3"), "{err}");
+        // And the last worker of a stripe, whose absence no later worker
+        // exposes.
+        let mut stripes = deal(3);
+        stripes[2].pop();
+        let err = stitch_error(n, stripes);
+        assert!(err.contains("worker 59 missing from shard 2 of 3"), "{err}");
+        Ok(())
+    }
+
+    #[test]
+    fn stitch_rejects_a_duplicated_worker_naming_it_and_its_shard() -> Result<()> {
+        let (outcomes, deal) = dealt()?;
+        let n = outcomes.len();
+        // Worker 6 listed twice in a row in stripe 0.
+        let mut stripes = deal(3);
+        stripes[0].insert(3, outcomes[6].clone());
+        let err = stitch_error(n, stripes);
+        assert!(
+            err.contains("worker 6 listed twice in shard 0 of 3"),
+            "{err}"
+        );
+        // A second copy after the stripe's last worker.
+        let mut stripes = deal(3);
+        stripes[1].push(outcomes[1].clone());
+        let err = stitch_error(n, stripes);
+        assert!(
+            err.contains("worker 1 listed twice in shard 1 of 3"),
+            "{err}"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn stitch_rejects_a_misplaced_worker_naming_it_and_its_shard() -> Result<()> {
+        let (outcomes, deal) = dealt()?;
+        let n = outcomes.len();
+        // Workers 3 and 4 trade stripes: every worker is present once.
+        let mut stripes = deal(3);
+        stripes[0][1] = outcomes[4].clone();
+        stripes[1][1] = outcomes[3].clone();
+        let err = stitch_error(n, stripes);
+        assert!(
+            err.contains("worker 4 found in shard 0 of 3; it belongs to shard 1"),
+            "{err}"
+        );
+        // A copy of another shard's worker appended to a stripe.
+        let mut stripes = deal(3);
+        stripes[2].push(outcomes[30].clone());
+        let err = stitch_error(n, stripes);
+        assert!(
+            err.contains("worker 30 found in shard 2 of 3; it belongs to shard 0"),
+            "{err}"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn lockstep_fingerprints_equal_one_at_a_time() -> Result<()> {
+        let (outcomes, deal) = dealt()?;
+        let short = &deal(4)[1];
+        for (a, b) in [
+            (&outcomes[..], &outcomes[..]),
+            (&outcomes, short),
+            (short, &[]),
+        ] {
+            let want = [fingerprint_outcomes(a), fingerprint_outcomes(b)];
+            assert_eq!(fingerprint_lanes([a, b]), want);
+        }
+        Ok(())
+    }
+
+    /// The iid limit, an oracle that owes nothing to the automaton's walk:
+    /// with `r = 1 − p` every transmission attempt is an independent
+    /// Bernoulli(p) loss, so the run of losses in front of each delivered
+    /// packet is geometric and independent of the others, and the four
+    /// counts have closed forms. Handshakes are exact; the means lie within
+    /// 4 standard errors.
+    #[test]
+    fn iid_loss_meets_the_closed_forms() {
+        const TRANSFERS: usize = 20_000;
+        let n = packets(1024 * 1024);
+        assert_eq!(n, 1049);
+        let t = TRANSFERS as f64;
+        for (i, p) in [0.001, 0.01, 0.05].into_iter().enumerate() {
+            let gilbert = GilbertParams { p, r: 1.0 - p };
+            for c in [n, 8] {
+                let law = transfer(gilbert, c);
+                let handshakes = n.div_ceil(c);
+                let mut rng = Sampler::child_rng(2006, (i as u64) << 16 | c);
+                let (mut attempts, mut fast, mut rtos) = (0u64, 0u64, 0u64);
+                let mut goback = Vec::with_capacity(TRANSFERS);
+                for _ in 0..TRANSFERS {
+                    let mut draws = Vec::new();
+                    let counts = law.counts(n, || {
+                        let u = rng.random::<f64>();
+                        draws.push(u);
+                        u
+                    });
+                    // Replay the draws to read the loss runs the walk paid
+                    // for: each precedes a delivered packet.
+                    let mut chain = Chain::new(gilbert, || draws[0]);
+                    let (mut short, mut long) = (0, 0);
+                    for &u in &draws[1..] {
+                        let bad = chain.is_bad();
+                        let len = chain.sojourn(|| u);
+                        if bad && len <= DUPACK_RUN {
+                            short += 1;
+                        } else if bad {
+                            long += 1;
+                        }
+                    }
+                    assert_eq!(counts.rtts - short, handshakes, "p {p} c {c}");
+                    assert_eq!(counts.rtos, long, "p {p} c {c}");
+                    attempts += counts.attempts;
+                    fast += short;
+                    rtos += counts.rtos;
+                    goback.push(counts.goback_pkts as f64);
+                }
+                let nf = n as f64;
+                let within = |what: &str, sum: f64, mean: f64, sd: f64| {
+                    let z = (sum / t - mean) / (sd / t.sqrt());
+                    assert!(z.abs() < 4.0, "p {p} c {c} {what}: z = {z:.2}");
+                };
+                // Attempts: n independent geometric trial counts.
+                within(
+                    "attempts",
+                    attempts as f64,
+                    nf / (1.0 - p),
+                    (nf * p).sqrt() / (1.0 - p),
+                );
+                // A loss run of 1–2 is a fast recovery, ≥ 3 a timeout.
+                let q_fast = (1.0 - p) * (p + p * p);
+                let binomial = |q: f64| (nf * q * (1.0 - q)).sqrt();
+                within(
+                    "fast recoveries",
+                    fast as f64,
+                    nf * q_fast,
+                    binomial(q_fast),
+                );
+                let q_rto = p.powi(3);
+                within("timeouts", rtos as f64, nf * q_rto, binomial(q_rto));
+                // Go-back: a timeout at packet i re-sends the unbroken run
+                // of first-try deliveries behind it, back to its chunk's
+                // start: E = Σ_k (1 − p)^k over k = 1..(i mod c).
+                if t * nf * q_rto >= 10.0 {
+                    let a = 1.0 - p;
+                    let window: f64 = (0..n).map(|i| a * (1.0 - a.powi((i % c) as i32)) / p).sum();
+                    let mean = goback.iter().sum::<f64>() / t;
+                    let var = goback.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / (t - 1.0);
+                    within("go-back", mean * t, q_rto * window, var.sqrt());
+                }
+            }
+        }
     }
 }

@@ -18,8 +18,9 @@
 
 use lossburst::core::bsp::{
     decode_outcomes, encode_outcomes, finalize_superstep, fingerprint_outcomes, run_bsp,
-    superstep_workers, BspConfig, Mitigation, WorkerOutcome,
+    stitch_outcomes, superstep_workers, BspConfig, Mitigation,
 };
+use lossburst::core::error::{Error, Result};
 use lossburst::core::shard::{shard_indices, spawn_shards, ShardSpec};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -162,13 +163,13 @@ fn outcome_path(dir: &Path, superstep: usize, spec: ShardSpec) -> PathBuf {
     ))
 }
 
-fn worker(args: &Args, spec: ShardSpec) -> lossburst::core::error::Result<()> {
+fn worker(args: &Args, spec: ShardSpec) -> Result<()> {
     let started = Instant::now();
     let indices = shard_indices(args.cfg.n_workers, spec);
     for s in 0..args.cfg.supersteps {
         let outcomes = superstep_workers(&args.cfg, s, &indices)?;
         std::fs::write(outcome_path(&args.dir, s, spec), encode_outcomes(&outcomes))
-            .map_err(lossburst::core::error::Error::from)?;
+            .map_err(Error::from)?;
     }
     eprintln!(
         "shard {spec}: {} workers x {} supersteps in {:.1}s",
@@ -179,10 +180,10 @@ fn worker(args: &Args, spec: ShardSpec) -> lossburst::core::error::Result<()> {
     Ok(())
 }
 
-fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
+fn coordinator(args: &Args) -> Result<()> {
     let cfg = &args.cfg;
-    std::fs::create_dir_all(&args.dir).map_err(lossburst::core::error::Error::from)?;
-    let exe = std::env::current_exe().map_err(lossburst::core::error::Error::from)?;
+    std::fs::create_dir_all(&args.dir).map_err(Error::from)?;
+    let exe = std::env::current_exe().map_err(Error::from)?;
     let started = Instant::now();
     spawn_shards(&exe, args.shards, |spec| {
         vec![
@@ -206,7 +207,7 @@ fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
             args.dir.display().to_string(),
         ]
     })
-    .map_err(lossburst::core::error::Error::from)?;
+    .map_err(Error::from)?;
     let workers_done = started.elapsed();
 
     // Stitch every superstep back into global worker order and close its
@@ -215,27 +216,15 @@ fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
     let mut pooled: Vec<f64> = Vec::with_capacity(cfg.supersteps * cfg.n_workers);
     let mut chain = 0xcbf2_9ce4_8422_2325u64;
     for s in 0..cfg.supersteps {
-        let mut slots: Vec<Option<WorkerOutcome>> = vec![None; cfg.n_workers];
-        for i in 0..args.shards {
-            let spec = ShardSpec::new(i, args.shards);
-            let text = std::fs::read_to_string(outcome_path(&args.dir, s, spec))
-                .map_err(lossburst::core::error::Error::from)?;
-            for o in decode_outcomes(&text, cfg.n_workers)? {
-                let slot = o.worker;
-                slots[slot] = Some(o);
-            }
-        }
-        let mut outcomes: Vec<WorkerOutcome> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(w, o)| {
-                o.unwrap_or_else(|| {
-                    die(&format!(
-                        "worker {w} missing from superstep {s} shard files"
-                    ))
-                })
+        let stripes = (0..args.shards)
+            .map(|i| {
+                let path = outcome_path(&args.dir, s, ShardSpec::new(i, args.shards));
+                let text = std::fs::read_to_string(path).map_err(Error::from)?;
+                decode_outcomes(&text, cfg.n_workers)
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
+        let mut outcomes = stitch_outcomes(cfg.n_workers, stripes)
+            .map_err(|e| Error::Config(format!("superstep {s}: {e}")))?;
         let stats = finalize_superstep(cfg, s, &mut outcomes)?;
         pooled.extend(outcomes.iter().map(|o| o.slowdown));
         let fp = fingerprint_outcomes(&outcomes);
@@ -248,7 +237,7 @@ fn coordinator(args: &Args) -> lossburst::core::error::Result<()> {
             stats.barrier_secs, stats.median_secs, stats.p99_secs, stats.tail_mass
         );
     }
-    let pooled_tail = lossburst::analysis::stats::tail_mass(&pooled)
+    let pooled_tail = lossburst::analysis::stats::tail_mass_in_place(&mut pooled)
         .unwrap_or_else(|| die("pooled slowdowns are degenerate"));
     let elapsed = started.elapsed().as_secs_f64();
     println!(

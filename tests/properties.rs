@@ -3,8 +3,11 @@
 //! topologies and workloads (deterministic: every case is a fixed function
 //! of its seed).
 
+use lossburst::analysis::gilbert::Chain;
 use lossburst::analysis::prelude::*;
-use lossburst::analysis::stats::{tail_mass, try_quantile, try_quantiles};
+use lossburst::analysis::stats::{
+    tail_mass, tail_mass_in_place, try_quantile, try_quantiles, try_quantiles_in_place,
+};
 use lossburst::netsim::prelude::*;
 use lossburst::transport::prelude::*;
 use lossburst_testkit::prelude::sweep;
@@ -165,6 +168,86 @@ fn gilbert_fit_matches_empirical_rate() {
     }
 }
 
+/// The inverse-CDF run length as `Chain::sojourn` computed it before the
+/// chain held its law, both logarithms per call: `q` is the exit
+/// probability of the state the run is in.
+fn inline_sojourn(q: f64, u: f64) -> u64 {
+    if q >= 1.0 {
+        return 1;
+    }
+    if q <= 0.0 {
+        return u64::MAX;
+    }
+    (((1.0 - u).ln() / (-q).ln_1p()) as u64).saturating_add(1)
+}
+
+/// `Chain` against its definitions on generated parameters — 0, 1, 1e-300,
+/// a subnormal, 1 − ε and random values for each of `p` and `r` — and
+/// draw streams salted with 0, 1 − ε/2, 1 and NaN: (a) `Chain::new` then
+/// `step` is `generate` bit for bit; (b) every `sojourn` is the inline
+/// formula for the state it leaves, saturating alike; (c) `restart`
+/// consumes one draw and leaves the chain equal to a fresh `Chain::new` on
+/// that draw.
+#[test]
+fn gilbert_chain_equals_its_definitions() {
+    const EDGES: [f64; 5] = [0.0, 1.0, 1e-300, 5e-324, 1.0 - f64::EPSILON];
+    const DRAWS: [f64; 4] = [0.0, 1.0 - f64::EPSILON / 2.0, 1.0, f64::NAN];
+    sweep(0x61_1BE7, 300, |case, gen| {
+        let mut param = || match gen.random_range(0..3usize) {
+            0 => gen.random::<f64>(),
+            _ => EDGES[gen.random_range(0..EDGES.len())],
+        };
+        let params = GilbertParams {
+            p: param(),
+            r: param(),
+        };
+        let draws: Vec<f64> = (0..300)
+            .map(|_| match gen.random_range(0..6usize) {
+                0 => DRAWS[gen.random_range(0..DRAWS.len())],
+                _ => gen.random::<f64>(),
+            })
+            .collect();
+        let stream = || {
+            let mut it = draws.iter().copied();
+            move || it.next().expect("the stream outlasts the walk")
+        };
+
+        // (a)
+        let n = draws.len() - 1;
+        let mut u = stream();
+        let mut chain = Chain::new(params, &mut u);
+        let stepped: Vec<bool> = (0..n).map(|_| chain.step(&mut u)).collect();
+        assert_eq!(
+            gilbert_generate(params, n, stream()),
+            stepped,
+            "case {case}: {params:?}"
+        );
+
+        // (b) and (c), interleaved on one chain.
+        let mut chain = Chain::new(params, || draws[0]);
+        for (i, &u) in draws.iter().enumerate().skip(1) {
+            if i % 5 == 0 {
+                let mut used = 0;
+                chain.restart(|| {
+                    used += 1;
+                    u
+                });
+                assert_eq!(used, 1, "case {case}");
+                assert_eq!(chain, Chain::new(params, || u), "case {case}: u {u}");
+                continue;
+            }
+            let bad = chain.is_bad();
+            let q = if bad { params.r } else { params.p };
+            assert_eq!(
+                chain.sojourn(|| u),
+                inline_sojourn(q, u),
+                "case {case}: {params:?}, bad {bad}, u {u}"
+            );
+            assert_eq!(chain.is_bad(), !bad);
+        }
+    });
+}
+
 /// The copy-sort-interpolate quantile: the oracle the selection-based
 /// estimator must equal bit for bit.
 fn sorted_quantile(xs: &[f64], q: f64) -> f64 {
@@ -236,6 +319,16 @@ fn quantiles_by_selection_equal_the_sorted_formula() {
 
         let got = try_quantiles(&xs, &qs).expect("no NaN in the sample");
         assert_eq!(got.len(), qs.len());
+        // The in-place forms select on the caller's vector: same bits.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            try_quantiles_in_place(&mut xs.clone(), &qs).map(bits),
+            Some(bits(got.clone()))
+        );
+        assert_eq!(
+            tail_mass_in_place(&mut xs.clone()).map(f64::to_bits),
+            tail_mass(&xs).map(f64::to_bits)
+        );
         for (&q, &g) in qs.iter().zip(&got) {
             let want = sorted_quantile(&xs, q);
             assert_eq!(g.to_bits(), want.to_bits(), "case {case}: q {q}");
@@ -258,6 +351,8 @@ fn quantiles_by_selection_equal_the_sorted_formula() {
         assert_eq!(try_quantiles(&xs, &qs), None, "case {case}");
         assert_eq!(try_quantile(&xs, 0.5), None);
         assert_eq!(tail_mass(&xs), None);
+        assert_eq!(try_quantiles_in_place(&mut xs.clone(), &qs), None);
+        assert_eq!(tail_mass_in_place(&mut xs), None);
     });
     assert_eq!(try_quantiles(&[], &QS), None);
 }
