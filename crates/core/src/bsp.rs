@@ -59,20 +59,33 @@
 //! `try_measure_path_grid_streaming` uses — and every random draw comes
 //! from a stream keyed by `(seed, superstep, worker, alt)` coordinates alone.
 //! Striping workers across shards therefore reproduces the 1-shard run
-//! byte-for-byte at any shard count; [`run_bsp_sharded`] and the
-//! `bsp_study` multi-process driver both rely on this, and both put a
-//! superstep back together through [`stitch_outcomes`].
+//! byte-for-byte at any shard count.
+//!
+//! A sharded run is a supervised campaign whose paths are records: worker
+//! `w` of superstep `s` is record `s·n_workers + w`, a [`WorkerOutcome`]
+//! ([`crate::supervisor::PathRecord`]). A shard ([`run_bsp_shard`]) plans
+//! its stripe of workers once and supervises its records into its own
+//! checkpoint; [`collect_bsp`] merges the shard files, restores every
+//! record (re-running any a shard did not finish) and closes the run
+//! through the same [`run_bsp`] close. [`run_bsp_sharded`] is that
+//! shard → merge → collect sequence in one process, and the `shard` bin's
+//! `bsp` verb runs it across processes.
 
 use lossburst_analysis::gilbert::{Chain, GilbertParams};
 use lossburst_analysis::stats::{tail_mass_in_place, try_quantile, try_quantiles_in_place};
 use lossburst_inet::campaign::GridSample;
 use lossburst_netsim::rng::Sampler;
+use lossburst_netsim::sim::RunLimits;
 use rand::RngExt;
 use rayon::prelude::*;
+use std::path::Path;
 
 use crate::error::{Error, Result};
-use crate::shard::{shard_indices, ShardSpec};
+use crate::shard::{merge_shard_files, merged_checkpoint_path, shard_checkpoint_path};
+use crate::shard::{shard_indices, ShardReport, ShardSpec};
 use crate::supervisor::Tokens;
+use crate::supervisor::{campaign_fingerprint, supervise, supervise_subset, SupervisedRun};
+use crate::supervisor::{LedgerEntry, PathFailure, PathOutcome, PathRecord, SupervisorConfig};
 
 /// Path alternatives derived per worker (alternative 0 is the default
 /// path; diversity and redundancy may use the others).
@@ -129,6 +142,49 @@ impl Mitigation {
             }
             Mitigation::BurstAware => "burstaware".into(),
         }
+    }
+}
+
+/// The exact argument form, which [`Mitigation`]'s `FromStr` reads back
+/// bit for bit: [`Mitigation::label`] but for redundancy, which writes its
+/// fraction (`redundancy=0.004`) where the label rounds a percentage.
+impl std::fmt::Display for Mitigation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Mitigation::Redundancy { fraction } => write!(f, "redundancy={fraction}"),
+            m => f.write_str(&m.label()),
+        }
+    }
+}
+
+impl std::str::FromStr for Mitigation {
+    type Err = String;
+
+    /// Parse `none`, `diversityK`, `redundancyPCT` (a percentage),
+    /// `redundancy=F` (the fraction itself, as `Display` writes it) or
+    /// `burstaware`. Ranges are [`BspConfig::validate`]'s to check.
+    fn from_str(label: &str) -> std::result::Result<Mitigation, String> {
+        let diversity = |alts: &str| {
+            Some(Mitigation::Diversity {
+                alts: alts.parse().ok()?,
+            })
+        };
+        let redundancy = |amount: &str| {
+            let fraction = match amount.strip_prefix('=') {
+                Some(fraction) => fraction.parse().ok()?,
+                None => amount.parse::<f64>().ok()? / 100.0,
+            };
+            Some(Mitigation::Redundancy { fraction })
+        };
+        match label {
+            "none" => Some(Mitigation::None),
+            "burstaware" => Some(Mitigation::BurstAware),
+            _ => (label.strip_prefix("diversity").and_then(diversity))
+                .or_else(|| label.strip_prefix("redundancy").and_then(redundancy)),
+        }
+        .ok_or_else(|| {
+            format!("unknown mitigation {label:?}; try none, diversity3, redundancy10, burstaware")
+        })
     }
 }
 
@@ -551,19 +607,9 @@ fn plan_worker(book: &GridSample, cfg: &BspConfig, worker: usize) -> WorkerPlan 
     }
 }
 
-/// Run one worker's primary transfer of one superstep. Pure in the
-/// coordinates `(cfg, superstep, worker)` — never in scheduling or
-/// sharding.
-fn run_worker(
-    book: &GridSample,
-    cfg: &BspConfig,
-    superstep: usize,
-    worker: usize,
-) -> WorkerOutcome {
-    run_planned(cfg, superstep, worker, &plan_worker(book, cfg, worker))
-}
-
-/// [`run_worker`] for a worker already planned.
+/// Run one worker's primary transfer of one superstep over its `plan`.
+/// Pure in the coordinates `(cfg, superstep, worker)` — never in
+/// scheduling or sharding.
 fn run_planned(
     cfg: &BspConfig,
     superstep: usize,
@@ -588,12 +634,12 @@ fn run_planned(
 }
 
 /// Run the primary transfers of the given *global* worker indices for one
-/// superstep, fanning out over the worker pool. This is the shardable
-/// phase: outcomes depend only on `(cfg, superstep, worker)`, so any
-/// striping of indices across processes stitches back byte-identically.
+/// superstep, fanning out over the worker pool. Outcomes depend only on
+/// `(cfg, superstep, worker)`, so any split of the indices reassembles
+/// byte-identically.
 ///
-/// Stateless, so it plans every worker it is given; [`run_bsp`] plans once
-/// per run instead.
+/// Stateless, so it plans every worker it is given; [`run_bsp`] and a
+/// shard ([`run_bsp_shard`]) plan once per run instead.
 pub fn superstep_workers(
     cfg: &BspConfig,
     superstep: usize,
@@ -603,11 +649,11 @@ pub fn superstep_workers(
     let book = GridSample::new(cfg.seed);
     Ok(workers
         .par_iter()
-        .map(|&w| run_worker(&book, cfg, superstep, w))
+        .map(|&w| run_planned(cfg, superstep, w, &plan_worker(&book, cfg, w)))
         .collect())
 }
 
-/// Close the barrier over the stitched global outcome vector: apply the
+/// Close the barrier over the global outcome vector: apply the
 /// redundancy rescue (the only mitigation that needs a global quantile)
 /// and summarize the distribution. Deterministic in the outcomes alone,
 /// so it gives the same result whether the vector came from one process
@@ -682,118 +728,6 @@ pub fn run_superstep(
     Ok((outcomes, stats))
 }
 
-/// Stitch per-shard outcome stripes back into global worker order. Of `K`
-/// stripes, stripe `i` must hold exactly the workers `i, i + K, i + 2K, …`
-/// below `n_workers`, in ascending order — what [`shard_indices`] deals
-/// shard `i`. A worker missing from its stripe, listed twice, or found in
-/// another shard's stripe is an error naming the worker and the shard.
-///
-/// The one stitch: the in-process shards of [`run_bsp_sharded`] (one
-/// stripe when unsharded) and `bsp_study`'s shard files both go through
-/// it. A lone stripe is already in worker order and is returned as it is;
-/// otherwise each outcome is moved once, into its worker's place.
-pub fn stitch_outcomes(
-    n_workers: usize,
-    mut stripes: Vec<Vec<WorkerOutcome>>,
-) -> Result<Vec<WorkerOutcome>> {
-    let k = stripes.len();
-    if k == 0 {
-        return Err(Error::Config("no shard stripes to stitch".into()));
-    }
-    for (shard, stripe) in stripes.iter().enumerate() {
-        let at = format!("shard {shard} of {k}");
-        let mut dealt = (shard..n_workers).step_by(k);
-        for o in stripe {
-            let expected = dealt.next();
-            if expected == Some(o.worker) {
-                continue;
-            }
-            let found = o.worker;
-            let why = if found % k != shard {
-                format!(
-                    "worker {found} found in {at}; it belongs to shard {}",
-                    found % k
-                )
-            } else if let Some(w) = expected.filter(|&w| found > w) {
-                format!("worker {w} missing from {at} (worker {found} in its place)")
-            } else if found < n_workers {
-                // Every worker of this stripe below the expected one is
-                // already in place, so this one is listed a second time.
-                format!("worker {found} listed twice in {at}")
-            } else {
-                format!("worker {found} in {at} is beyond the {n_workers} workers")
-            };
-            return Err(Error::Config(why));
-        }
-        if let Some(w) = dealt.next() {
-            return Err(Error::Config(format!("worker {w} missing from {at}")));
-        }
-    }
-    if let [only] = &mut stripes[..] {
-        return Ok(std::mem::take(only));
-    }
-    let mut stripes: Vec<_> = stripes.into_iter().map(Vec::into_iter).collect();
-    let mut out = Vec::with_capacity(n_workers);
-    // Round by round: worker `round·K + i` is stripe `i`'s next outcome.
-    while out.len() < n_workers {
-        for stripe in &mut stripes {
-            out.extend(stripe.next());
-        }
-    }
-    Ok(out)
-}
-
-/// A validated run with every worker planned: what the supersteps of one
-/// run share.
-struct Machine<'a> {
-    cfg: &'a BspConfig,
-    book: GridSample,
-    plans: Vec<WorkerPlan>,
-    /// The workers of each in-process shard, in ascending order.
-    stripes: Vec<Vec<usize>>,
-}
-
-impl Machine<'_> {
-    fn plan(cfg: &BspConfig, shard_count: usize) -> Result<Machine<'_>> {
-        cfg.validate()?;
-        if shard_count == 0 {
-            return Err(Error::Config("shard_count must be positive".into()));
-        }
-        let book = GridSample::new(cfg.seed);
-        let plans = (0..cfg.n_workers)
-            .into_par_iter()
-            .map(|w| plan_worker(&book, cfg, w))
-            .collect();
-        let stripes = (0..shard_count)
-            .map(|i| shard_indices(cfg.n_workers, ShardSpec::new(i, shard_count)))
-            .collect();
-        Ok(Machine {
-            cfg,
-            book,
-            plans,
-            stripes,
-        })
-    }
-
-    /// One superstep, shard by shard, stitched and closed.
-    fn superstep(&self, superstep: usize) -> Result<(Vec<WorkerOutcome>, SuperstepStats)> {
-        let cfg = self.cfg;
-        let stripes = self
-            .stripes
-            .iter()
-            .map(|workers| {
-                workers
-                    .par_iter()
-                    .map(|&w| run_planned(cfg, superstep, w, &self.plans[w]))
-                    .collect()
-            })
-            .collect();
-        let mut outcomes = stitch_outcomes(cfg.n_workers, stripes)?;
-        let stats = close_barrier(&self.book, cfg, superstep, &mut outcomes)?;
-        Ok((outcomes, stats))
-    }
-}
-
 /// FNV-1a's starting state.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -831,16 +765,15 @@ fn fingerprint_lanes<const L: usize>(lanes: [&[WorkerOutcome]; L]) -> [u64; L] {
     hs
 }
 
-/// Run the full lossy-BSP machine: `cfg.supersteps` supersteps in
-/// sequence, each closing with a barrier.
-pub fn run_bsp(cfg: &BspConfig) -> Result<BspReport> {
-    run_bsp_sharded(cfg, 1)
-}
-
-/// [`run_bsp`] with every superstep striped over `shard_count` in-process
-/// shards. Byte-identical to `run_bsp` for any shard count.
-pub fn run_bsp_sharded(cfg: &BspConfig, shard_count: usize) -> Result<BspReport> {
-    let machine = Machine::plan(cfg, shard_count)?;
+/// Close a run's supersteps in order: take each superstep's
+/// outcomes from `superstep`, close its barrier, pool its slowdowns and
+/// chain its fingerprint. The one close of [`run_bsp`] and
+/// [`collect_bsp`], so a sharded run is byte-identical to a 1-process one.
+fn close_run(
+    book: &GridSample,
+    cfg: &BspConfig,
+    mut superstep: impl FnMut(usize) -> Result<Vec<WorkerOutcome>>,
+) -> Result<BspReport> {
     let mut stats = Vec::with_capacity(cfg.supersteps);
     let mut pooled: Vec<f64> = Vec::with_capacity(cfg.supersteps * cfg.n_workers);
     // Chain the per-superstep fingerprints order-sensitively, hashing the
@@ -848,9 +781,9 @@ pub fn run_bsp_sharded(cfg: &BspConfig, shard_count: usize) -> Result<BspReport>
     let mut h = FNV_OFFSET;
     let mut held: Option<Vec<WorkerOutcome>> = None;
     for s in 0..cfg.supersteps {
-        let (outcomes, st) = machine.superstep(s)?;
+        let mut outcomes = superstep(s)?;
+        stats.push(close_barrier(book, cfg, s, &mut outcomes)?);
         pooled.extend(outcomes.iter().map(|o| o.slowdown));
-        stats.push(st);
         match held.take() {
             None => held = Some(outcomes),
             Some(prev) => {
@@ -872,57 +805,231 @@ pub fn run_bsp_sharded(cfg: &BspConfig, shard_count: usize) -> Result<BspReport>
     })
 }
 
-/// Serialize outcomes for the `bsp_study` multi-process driver: one line
-/// per worker, f64s as bit-exact hex so the merge is byte-faithful.
-pub fn encode_outcomes(outcomes: &[WorkerOutcome]) -> String {
-    let mut out = String::with_capacity(outcomes.len() * 48);
-    for o in outcomes {
-        out.push_str(&format!(
-            "{} {} {} {:016x} {:016x}\n",
-            o.worker,
-            o.alt,
-            o.chunk_bytes,
-            o.secs.to_bits(),
-            o.slowdown.to_bits()
-        ));
-    }
-    out
-}
-
-/// One [`encode_outcomes`] line: exactly its five fields, floats as 16 hex
-/// digits.
-fn decode_outcome(line: &str) -> Option<WorkerOutcome> {
-    let mut t = Tokens::new(line);
-    let worker = t.usize()?;
-    let alt = t.usize()?;
-    let chunk_bytes = t.u64()?;
-    let secs = t.f64()?;
-    let slowdown = t.f64()?;
-    t.end()?;
-    Some(WorkerOutcome {
-        worker,
-        secs,
-        slowdown,
-        alt,
-        chunk_bytes,
+/// Run the full lossy-BSP machine in one process: every worker planned
+/// once, then `cfg.supersteps` supersteps in sequence, each closing with a
+/// barrier.
+pub fn run_bsp(cfg: &BspConfig) -> Result<BspReport> {
+    cfg.validate()?;
+    let book = GridSample::new(cfg.seed);
+    let workers: Vec<usize> = (0..cfg.n_workers).collect();
+    let plans: Vec<WorkerPlan> = workers
+        .par_iter()
+        .map(|&w| plan_worker(&book, cfg, w))
+        .collect();
+    close_run(&book, cfg, |s| {
+        Ok(workers
+            .par_iter()
+            .map(|&w| run_planned(cfg, s, w, &plans[w]))
+            .collect())
     })
 }
 
-/// Parse [`encode_outcomes`] output for a machine of `n_workers` workers
-/// back into outcomes. A short, long or torn line, or one naming a worker
-/// `≥ n_workers`, is an error quoting the line.
-pub fn decode_outcomes(text: &str, n_workers: usize) -> Result<Vec<WorkerOutcome>> {
-    text.lines()
-        .filter(|line| !line.is_empty())
-        .map(|line| match decode_outcome(line) {
-            Some(o) if o.worker < n_workers => Ok(o),
-            Some(o) => Err(Error::Config(format!(
-                "outcome line names worker {} of {n_workers}: {line:?}",
-                o.worker
-            ))),
-            None => Err(Error::Config(format!("malformed outcome line: {line:?}"))),
-        })
-        .collect()
+// ---------------------------------------------------------------------------
+// Sharded runs: workers as supervised checkpoint records
+// ---------------------------------------------------------------------------
+
+/// A sharded run's checkpoint record, `bsp <worker> <alt> <chunk_bytes>
+/// <secs> <slowdown>` with the floats as the 16 hex digits of their bits,
+/// at index `superstep·n_workers + worker`. A transfer leaves no loss
+/// trace: [`FaultKind::NanTrace`] poisons its completion time, and
+/// [`FaultKind::EmptyTrace`] leaves it as it is.
+///
+/// [`FaultKind::NanTrace`]: crate::supervisor::FaultKind::NanTrace
+/// [`FaultKind::EmptyTrace`]: crate::supervisor::FaultKind::EmptyTrace
+impl PathRecord for WorkerOutcome {
+    fn encode(&self) -> String {
+        format!(
+            "bsp {} {} {} {:016x} {:016x}",
+            self.worker,
+            self.alt,
+            self.chunk_bytes,
+            self.secs.to_bits(),
+            self.slowdown.to_bits()
+        )
+    }
+
+    fn decode(line: &str) -> Option<WorkerOutcome> {
+        let mut t = Tokens::new(line.strip_prefix("bsp ")?);
+        let outcome = WorkerOutcome {
+            worker: t.usize()?,
+            alt: t.usize()?,
+            chunk_bytes: t.u64()?,
+            secs: t.f64()?,
+            slowdown: t.f64()?,
+        };
+        t.end()?;
+        Some(outcome)
+    }
+
+    fn poison_nan(&mut self) {
+        self.secs = f64::NAN;
+    }
+
+    fn clear_losses(&mut self) {}
+
+    fn has_nan(&self) -> bool {
+        self.secs.is_nan() || self.slowdown.is_nan()
+    }
+}
+
+/// Records in a sharded run: one per worker and superstep.
+fn records(cfg: &BspConfig) -> usize {
+    cfg.supersteps * cfg.n_workers
+}
+
+/// A sharded run's checkpoint identity: every [`BspConfig`] field, the
+/// floats by their bits, so no checkpoint of another run restores.
+fn bsp_fingerprint(cfg: &BspConfig) -> u64 {
+    let fraction = match cfg.mitigation {
+        Mitigation::Redundancy { fraction } => fraction.to_bits(),
+        _ => 0,
+    };
+    let label = format!(
+        "bsp {} {} {} {:016x} {:016x} {} {fraction:016x}",
+        cfg.n_workers,
+        cfg.supersteps,
+        cfg.bytes_per_worker,
+        cfg.mean_loss_rate.to_bits(),
+        cfg.mean_burst_pkts.to_bits(),
+        cfg.mitigation.label(),
+    );
+    campaign_fingerprint(&label, cfg.seed, records(cfg))
+}
+
+/// Record `index`'s primary transfer, over its worker's `plan`. The walk
+/// has no event loop for an injected [`FaultKind::Panic`] to fire in, so
+/// it fires here.
+///
+/// [`FaultKind::Panic`]: crate::supervisor::FaultKind::Panic
+fn run_record(
+    cfg: &BspConfig,
+    index: usize,
+    limits: RunLimits,
+    plan: &WorkerPlan,
+) -> std::result::Result<WorkerOutcome, PathFailure> {
+    if limits.panic_at_event.is_some() {
+        panic!("injected panic at record {index}");
+    }
+    let (superstep, worker) = (index / cfg.n_workers, index % cfg.n_workers);
+    Ok(run_planned(cfg, superstep, worker, plan))
+}
+
+/// Run shard `spec` of a sharded run: plan its stripe of workers once,
+/// then supervise its records — every superstep of each stripe worker —
+/// into its checkpoint under `dir`. Records already there are restored,
+/// not re-run, so a killed shard resumes where it stopped, and a worker
+/// that fails every attempt is one `Failed` row while the shard finishes
+/// the rest.
+pub fn run_bsp_shard(
+    cfg: &BspConfig,
+    sup: &SupervisorConfig,
+    spec: ShardSpec,
+    dir: &Path,
+) -> Result<ShardReport> {
+    cfg.validate()?;
+    let book = GridSample::new(cfg.seed);
+    let stripe = shard_indices(cfg.n_workers, spec);
+    let plans: Vec<WorkerPlan> = stripe
+        .par_iter()
+        .map(|&w| plan_worker(&book, cfg, w))
+        .collect();
+    let n = cfg.n_workers;
+    let subset: Vec<usize> = (0..cfg.supersteps)
+        .flat_map(|s| stripe.iter().map(move |&w| s * n + w))
+        .collect();
+    let mut sup = sup.clone();
+    sup.checkpoint = Some(shard_checkpoint_path(dir, spec));
+    let run = supervise_subset(
+        records(cfg),
+        &subset,
+        bsp_fingerprint(cfg),
+        &sup,
+        |i, limits| {
+            // Worker `w` is entry `w / count` of its stripe.
+            run_record(cfg, i, limits, &plans[i % n / spec.count])
+        },
+    )?;
+    Ok(ShardReport {
+        owned: subset.len(),
+        counts: run.counts(),
+        restored: run.restored,
+    })
+}
+
+/// What a sharded run produced.
+#[derive(Debug)]
+pub struct ShardedBsp {
+    /// The run's report, fingerprint included: [`run_bsp`]'s, bit for bit.
+    pub report: BspReport,
+    /// Per-record outcomes, at index `superstep·n_workers + worker`.
+    pub ledger: Vec<LedgerEntry>,
+    /// Records restored from the merged checkpoint instead of run.
+    pub restored: usize,
+}
+
+/// Collect a sharded run: merge the `count` shard checkpoints under `dir`,
+/// restore every record from the merged file through [`supervise`] (a
+/// record no shard finished runs here, under `sup`), and close the run as
+/// [`run_bsp`] does. A record that failed every attempt, or whose worker
+/// is not its index's, is an error naming the superstep and the worker.
+pub fn collect_bsp(
+    cfg: &BspConfig,
+    sup: &SupervisorConfig,
+    count: usize,
+    dir: &Path,
+) -> Result<ShardedBsp> {
+    cfg.validate()?;
+    let fp = bsp_fingerprint(cfg);
+    merge_shard_files::<WorkerOutcome>(dir, count, fp, records(cfg))?;
+    let book = GridSample::new(cfg.seed);
+    let n = cfg.n_workers;
+    let mut sup = sup.clone();
+    sup.checkpoint = Some(merged_checkpoint_path(dir));
+    let SupervisedRun {
+        results,
+        ledger,
+        restored,
+    } = supervise(records(cfg), fp, &sup, |i, limits| {
+        run_record(cfg, i, limits, &plan_worker(&book, cfg, i % n))
+    })?;
+    let mut results = results.into_iter();
+    let report = close_run(&book, cfg, |s| {
+        (0..n)
+            .map(|w| match results.next().flatten() {
+                Some(o) if o.worker == w => Ok(o),
+                Some(o) => Err(Error::Config(format!(
+                    "checkpoint record {} (superstep {s}, worker {w}) holds worker {}",
+                    s * n + w,
+                    o.worker
+                ))),
+                None => Err(Error::Config(match &ledger[s * n + w].outcome {
+                    PathOutcome::Failed(reason) => format!("superstep {s} worker {w}: {reason}"),
+                    _ => format!("superstep {s} worker {w} did not run"),
+                })),
+            })
+            .collect()
+    })?;
+    Ok(ShardedBsp {
+        report,
+        ledger,
+        restored,
+    })
+}
+
+/// [`run_bsp`] as a sharded run in one process: each of `count` shards in
+/// turn ([`run_bsp_shard`]), then [`collect_bsp`], all under `dir` — the
+/// steps the `shard` bin's `bsp` verb runs across processes. Byte-identical
+/// to `run_bsp` at any shard count.
+pub fn run_bsp_sharded(
+    cfg: &BspConfig,
+    sup: &SupervisorConfig,
+    count: usize,
+    dir: &Path,
+) -> Result<ShardedBsp> {
+    for i in 0..count {
+        run_bsp_shard(cfg, sup, ShardSpec::new(i, count), dir)?;
+    }
+    collect_bsp(cfg, sup, count, dir)
 }
 
 #[cfg(test)]
@@ -976,7 +1083,7 @@ mod tests {
         let book = GridSample::new(cfg.seed);
         for w in 0..10 {
             let path = worker_path(&book, &cfg, w, 0);
-            let o = run_worker(&book, &cfg, 0, w);
+            let o = run_planned(&cfg, 0, w, &plan_worker(&book, &cfg, w));
             let wire_bound = cfg.bytes_per_worker as f64 * 8.0 * WIRE_OVERHEAD / path.bps;
             assert!(
                 o.secs > wire_bound,
@@ -1245,147 +1352,91 @@ mod tests {
     }
 
     #[test]
-    fn outcome_codec_round_trips_bit_exactly() {
-        let cfg = tiny(5);
-        let (outcomes, _) = run_superstep(&cfg, 0).unwrap();
-        let text = encode_outcomes(&outcomes);
-        let decoded = decode_outcomes(&text, cfg.n_workers).unwrap();
-        assert_eq!(outcomes, decoded);
-        let n = cfg.n_workers;
-        assert!(decode_outcomes("not a line", n).is_err());
-        assert!(decode_outcomes("1 0 10 zz zz", n).is_err());
-        // A torn final float, a sixth field and an out-of-range worker are
-        // errors, never a wrong value or a panic downstream.
-        let torn = text.trim_end_matches('\n');
-        assert!(decode_outcomes(&torn[..torn.len() - 3], n).is_err());
-        let last = torn.lines().last().unwrap();
-        assert!(decode_outcomes(&format!("{last} 0"), n).is_err());
-        let plus = format!("{}+{}", &last[..last.len() - 16], &last[last.len() - 15..]);
-        assert!(decode_outcomes(&plus, n).is_err(), "{plus}");
-        let err = decode_outcomes(&text, n - 1).unwrap_err();
-        assert!(err.to_string().contains("names worker"), "{err}");
-    }
-
-    /// One superstep of `tiny(5)` and a dealer of its outcomes into `k`
-    /// stripes the way `shard_indices` deals workers.
-    type Dealt = (
-        Vec<WorkerOutcome>,
-        Box<dyn Fn(usize) -> Vec<Vec<WorkerOutcome>>>,
-    );
-
-    fn dealt() -> Result<Dealt> {
-        let (outcomes, _) = run_superstep(&tiny(5), 0)?;
-        let deal = {
-            let outcomes = outcomes.clone();
-            move |k: usize| {
-                (0..k)
-                    .map(|i| {
-                        shard_indices(outcomes.len(), ShardSpec::new(i, k))
-                            .into_iter()
-                            .map(|w| outcomes[w].clone())
-                            .collect()
-                    })
-                    .collect()
-            }
-        };
-        Ok((outcomes, Box::new(deal)))
-    }
-
-    fn stitch_error(n_workers: usize, stripes: Vec<Vec<WorkerOutcome>>) -> String {
-        stitch_outcomes(n_workers, stripes)
-            .expect_err("a bad stripe must not stitch")
-            .to_string()
-    }
-
-    #[test]
-    fn stitch_restores_worker_order_at_any_shard_count() -> Result<()> {
-        let (outcomes, deal) = dealt()?;
-        let n = outcomes.len();
-        for k in [1, 2, 3, 7, n - 1, n, n + 5] {
-            assert_eq!(stitch_outcomes(n, deal(k))?, outcomes, "K = {k}");
+    fn mitigation_argument_form_reads_back_bit_for_bit() {
+        let mut gen = Sampler::child_rng(31, 0);
+        let fractions = (0..2_000).map(|_| 0.5 - gen.random_range(0.0..0.5));
+        let redundancy = [0.004, 0.125, 0.5, f64::MIN_POSITIVE, 0.1]
+            .into_iter()
+            .chain(fractions)
+            .map(|fraction| Mitigation::Redundancy { fraction });
+        let others = [Mitigation::None, Mitigation::Diversity { alts: 3 }];
+        for m in redundancy.chain(others).chain([Mitigation::BurstAware]) {
+            // `PartialEq` on the fraction is bit equality for non-NaN values.
+            assert_eq!(m.to_string().parse(), Ok(m));
         }
-        assert!(stitch_outcomes(n, Vec::new()).is_err());
-        let err = stitch_error(0, deal(2));
-        assert!(
-            err.contains("worker 0 in shard 0 of 2 is beyond the 0 workers"),
-            "{err}"
+        // The typed form is a percentage; the label stays a rounded one.
+        let typed = |s: &str| s.parse::<Mitigation>();
+        assert_eq!(
+            typed("redundancy0.4"),
+            Ok(Mitigation::Redundancy { fraction: 0.004 })
         );
-        Ok(())
+        assert_eq!(
+            typed("redundancy12.5").map(|m| m.label()),
+            Ok("redundancy13".into())
+        );
+        for bad in [
+            "",
+            "diversity",
+            "redundancy",
+            "redundancy=",
+            "redundancyx",
+            "fast",
+        ] {
+            assert!(typed(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
+    /// Shard files and the merged checkpoint are read by one strict field
+    /// reader. A torn final float, a sixth field, a `+`, an out-of-range
+    /// index or a record holding another index's worker is an error, never
+    /// a wrong value or a panic downstream.
     #[test]
-    fn stitch_rejects_a_missing_worker_naming_it_and_its_shard() -> Result<()> {
-        let (outcomes, deal) = dealt()?;
-        let n = outcomes.len();
-        // Stripe 1 of 3 holds 1, 4, 7, …: drop worker 7 from its middle.
-        let mut stripes = deal(3);
-        stripes[1].remove(2);
-        let err = stitch_error(n, stripes);
-        assert!(err.contains("worker 7 missing from shard 1 of 3"), "{err}");
-        // And the last worker of a stripe, whose absence no later worker
-        // exposes.
-        let mut stripes = deal(3);
-        stripes[2].pop();
-        let err = stitch_error(n, stripes);
-        assert!(err.contains("worker 59 missing from shard 2 of 3"), "{err}");
-        Ok(())
-    }
-
-    #[test]
-    fn stitch_rejects_a_duplicated_worker_naming_it_and_its_shard() -> Result<()> {
-        let (outcomes, deal) = dealt()?;
-        let n = outcomes.len();
-        // Worker 6 listed twice in a row in stripe 0.
-        let mut stripes = deal(3);
-        stripes[0].insert(3, outcomes[6].clone());
-        let err = stitch_error(n, stripes);
-        assert!(
-            err.contains("worker 6 listed twice in shard 0 of 3"),
-            "{err}"
-        );
-        // A second copy after the stripe's last worker.
-        let mut stripes = deal(3);
-        stripes[1].push(outcomes[1].clone());
-        let err = stitch_error(n, stripes);
-        assert!(
-            err.contains("worker 1 listed twice in shard 1 of 3"),
-            "{err}"
-        );
-        Ok(())
-    }
-
-    #[test]
-    fn stitch_rejects_a_misplaced_worker_naming_it_and_its_shard() -> Result<()> {
-        let (outcomes, deal) = dealt()?;
-        let n = outcomes.len();
-        // Workers 3 and 4 trade stripes: every worker is present once.
-        let mut stripes = deal(3);
-        stripes[0][1] = outcomes[4].clone();
-        stripes[1][1] = outcomes[3].clone();
-        let err = stitch_error(n, stripes);
-        assert!(
-            err.contains("worker 4 found in shard 0 of 3; it belongs to shard 1"),
-            "{err}"
-        );
-        // A copy of another shard's worker appended to a stripe.
-        let mut stripes = deal(3);
-        stripes[2].push(outcomes[30].clone());
-        let err = stitch_error(n, stripes);
-        assert!(
-            err.contains("worker 30 found in shard 2 of 3; it belongs to shard 0"),
-            "{err}"
-        );
+    fn worker_records_round_trip_and_are_read_strictly() -> Result<()> {
+        let dir = std::env::temp_dir().join(format!("lossburst_bsp_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (cfg, sup, spec) = (tiny(5), SupervisorConfig::default(), ShardSpec::new(0, 1));
+        run_bsp_shard(&cfg, &sup, spec, &dir)?;
+        let file = shard_checkpoint_path(&dir, spec);
+        let text = std::fs::read_to_string(&file)?;
+        let (outcomes, _) = run_superstep(&cfg, 0)?;
+        for o in &outcomes {
+            assert_eq!(WorkerOutcome::decode(&o.encode()).as_ref(), Some(o));
+        }
+        let clean = collect_bsp(&cfg, &sup, 1, &dir)?;
+        assert_eq!(clean.report.fingerprint, run_bsp(&cfg)?.fingerprint);
+        assert_eq!(clean.restored, cfg.n_workers);
+        let last = format!("ok 7 0 {}", outcomes[7].encode());
+        let plus = format!("{}+{}", &last[..last.len() - 16], &last[last.len() - 15..]);
+        let misplaced = format!("ok 3 0 {}", outcomes[4].encode());
+        for (line, why) in [
+            (&last[..last.len() - 3], "undecodable payload"),
+            (&format!("{last} 0"), "undecodable payload"),
+            (&plus, "undecodable payload"),
+            ("ok 1 0 not a record", "undecodable payload"),
+            (&format!("ok 60 0 {}", outcomes[0].encode()), "out of range"),
+            (
+                &misplaced,
+                "record 3 (superstep 0, worker 3) holds worker 4",
+            ),
+        ] {
+            std::fs::write(&file, format!("{text}{line}\n"))?;
+            let err = collect_bsp(&cfg, &sup, 1, &dir)
+                .expect_err(line)
+                .to_string();
+            assert!(err.contains(why), "{line}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn lockstep_fingerprints_equal_one_at_a_time() -> Result<()> {
-        let (outcomes, deal) = dealt()?;
-        let short = &deal(4)[1];
+        let (outcomes, _) = run_superstep(&tiny(5), 0)?;
+        let short: Vec<WorkerOutcome> = outcomes.iter().skip(1).step_by(4).cloned().collect();
         for (a, b) in [
             (&outcomes[..], &outcomes[..]),
-            (&outcomes, short),
-            (short, &[]),
+            (&outcomes, &short),
+            (&short, &[]),
         ] {
             let want = [fingerprint_outcomes(a), fingerprint_outcomes(b)];
             assert_eq!(fingerprint_lanes([a, b]), want);

@@ -30,9 +30,11 @@
 //!   aggregation replays per-path intervals in the same order either way).
 //!
 //! Process orchestration is deliberately thin: [`spawn_shards`] runs one
-//! worker per shard via `std::process::Command` (the `shard_campaign` CLI
+//! worker per shard via `std::process::Command` (the `shard` bin
 //! self-execs with `--shard i/N`), and [`run_campaign_sharded_streaming`]
-//! runs the same shard loop in-process for tests and library callers.
+//! runs the same shard loop in-process for tests and library callers. The
+//! lossy-BSP engine shards through the same files: its workers are
+//! checkpoint records too ([`crate::bsp::run_bsp_sharded`]).
 //!
 //! Every verb here measures through the one sink-driven path
 //! ([`lossburst_inet::campaign::try_measure_path_grid_streaming`]); the
@@ -41,7 +43,7 @@
 
 use crate::supervisor::{
     campaign_fingerprint, supervise_subset, CampaignCheckpoint, MergeReport, OutcomeCounts,
-    SupervisedStreamCampaign, SupervisorConfig,
+    PathRecord, SupervisedStreamCampaign, SupervisorConfig,
 };
 use lossburst_inet::campaign::{
     aggregate_streaming, grid_pairs, try_measure_path_grid_streaming, CampaignConfig,
@@ -122,8 +124,6 @@ pub fn merged_checkpoint_path(dir: &Path) -> PathBuf {
 /// What one shard worker did.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardReport {
-    /// The shard that ran.
-    pub shard: ShardSpec,
     /// Paths this shard owns.
     pub owned: usize,
     /// Outcome totals over the full ledger (paths outside the shard count
@@ -154,7 +154,6 @@ pub fn run_shard_streaming(
         Ok(try_measure_path_grid_streaming(cfg, i, src, dst, limits)?)
     })?;
     Ok(ShardReport {
-        shard: spec,
         owned: subset.len(),
         counts: run.counts(),
         restored: run.restored,
@@ -171,15 +170,23 @@ pub fn merge_shards_streaming(
     count: usize,
 ) -> std::io::Result<MergeReport> {
     let fp = campaign_fingerprint(STREAM_LABEL, cfg.seed, cfg.n_paths);
+    merge_shard_files::<StreamPathMeasurement>(dir, count, fp, cfg.n_paths)
+}
+
+/// Merge the `count` shard checkpoints under `dir` of a job with
+/// `fingerprint` and `n_paths` records into [`merged_checkpoint_path`]
+/// ([`CampaignCheckpoint::merge`]): the campaign's merge and the lossy-BSP
+/// one.
+pub(crate) fn merge_shard_files<T: PathRecord>(
+    dir: &Path,
+    count: usize,
+    fingerprint: u64,
+    n_paths: usize,
+) -> std::io::Result<MergeReport> {
     let inputs: Vec<PathBuf> = (0..count)
         .map(|i| shard_checkpoint_path(dir, ShardSpec::new(i, count)))
         .collect();
-    CampaignCheckpoint::merge::<StreamPathMeasurement>(
-        &inputs,
-        &merged_checkpoint_path(dir),
-        fp,
-        cfg.n_paths,
-    )
+    CampaignCheckpoint::merge::<T>(&inputs, &merged_checkpoint_path(dir), fingerprint, n_paths)
 }
 
 /// The supervised Internet campaign (Fig 4) at any path count: the paths,
@@ -241,8 +248,8 @@ pub fn run_campaign_sharded_streaming(
 }
 
 /// Spawn one OS process per shard and wait for all of them. `make_args`
-/// builds each worker's argv (the `shard_campaign` CLI passes
-/// `--shard i/N` plus the campaign flags). All workers are spawned before
+/// builds each worker's argv (the `shard` bin passes its verb,
+/// `--shard i/N` and the job's flags). All workers are spawned before
 /// any is waited on, so shards genuinely overlap.
 ///
 /// Failure is fail-fast: the coordinator polls every live worker, and as

@@ -59,17 +59,20 @@ use std::time::{Duration, Instant};
 pub enum FaultKind {
     /// Panic out of the simulator's event loop (via
     /// [`RunLimits::panic_at_event`]), exactly where a genuine simulator
-    /// bug would surface — on whatever worker thread runs the path.
+    /// bug would surface — on whatever worker thread runs the path. A
+    /// lossy-BSP worker, which has no event loop, panics before its walk.
     Panic,
     /// A wall-clock budget overrun. Synthesized deterministically, without
     /// sleeping: a real sleep would make which attempt trips the budget
     /// depend on machine speed, and the ledger must not.
     Timeout,
     /// Poison the path's loss trace with a NaN timestamp after the run —
-    /// the failure mode that used to panic `inter_event_intervals`.
+    /// the failure mode that used to panic `inter_event_intervals`. A
+    /// lossy-BSP worker record has no trace; its completion time turns NaN.
     NanTrace,
     /// Empty the path's loss trace after the run (a loss-free path is a
-    /// valid measurement, so this must yield `Ok`, not a failure).
+    /// valid measurement, so this must yield `Ok`, not a failure). A
+    /// lossy-BSP worker record has no trace to empty and stays as it is.
     EmptyTrace,
 }
 
@@ -356,9 +359,9 @@ fn w_vec_f64(out: &mut String, v: &[f64]) {
     }
 }
 
-/// The whitespace-separated fields of one record line, read strictly. The
-/// checkpoint records and `bsp`'s outcome lines both parse through it, so
-/// the torn-write rule for floats lives here alone.
+/// The whitespace-separated fields of one record line, read strictly. Every
+/// checkpoint record (a campaign path, a lab cell, a lossy-BSP worker)
+/// parses through it, so the torn-write rule for floats lives here alone.
 pub(crate) struct Tokens<'a>(std::str::SplitAsciiWhitespace<'a>);
 
 impl<'a> Tokens<'a> {

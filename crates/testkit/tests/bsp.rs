@@ -1,19 +1,22 @@
 //! Lossy-BSP conformance contract: the superstep engine must be
-//! byte-identical across execution policies, shard counts, and processes;
+//! byte-identical across execution policies, shard counts, and processes,
+//! and a sharded run must resume and isolate faults as a campaign does;
 //! its automaton must respect the same wire physics as the packet-level
 //! `impact` path; its headline claims (burstiness fattens the straggler
 //! tail at fixed mean loss, mitigations shrink it) must hold at test
 //! scale; and its degenerate configurations must fail loudly.
 
 use lossburst_core::bsp::{
-    decode_outcomes, encode_outcomes, finalize_superstep, fingerprint_outcomes, run_bsp,
-    run_bsp_sharded, run_superstep, superstep_workers, BspConfig, Mitigation,
+    collect_bsp, finalize_superstep, fingerprint_outcomes, run_bsp, run_bsp_shard, run_bsp_sharded,
+    run_superstep, superstep_workers, BspConfig, Mitigation,
 };
 use lossburst_core::impact::{try_parallel_once, try_theoretic_lower_bound};
-use lossburst_core::shard::{shard_indices, ShardSpec};
+use lossburst_core::prelude::*;
+use lossburst_core::supervisor::PathRecord;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
 use lossburst_testkit::sweep::{RngExt, SmallRng};
+use std::path::PathBuf;
 
 fn small(seed: u64) -> BspConfig {
     BspConfig {
@@ -27,13 +30,17 @@ fn small(seed: u64) -> BspConfig {
     }
 }
 
-/// Render a full run to bytes: every superstep's bit-exact outcome lines
-/// plus the chained fingerprint. Equal dumps mean bit-identical machines.
+/// Render a full run to bytes: every superstep's bit-exact checkpoint
+/// records plus the chained fingerprint. Equal dumps mean bit-identical
+/// machines.
 fn bsp_bytes(cfg: &BspConfig) -> Vec<u8> {
     let mut out = String::new();
     for s in 0..cfg.supersteps {
         let (outcomes, stats) = run_superstep(cfg, s).expect("valid config");
-        out.push_str(&encode_outcomes(&outcomes));
+        for o in &outcomes {
+            out.push_str(&o.encode());
+            out.push('\n');
+        }
         out.push_str(&format!(
             "stats {} {:016x} {:016x} {:016x}\n",
             stats.n_workers,
@@ -102,8 +109,15 @@ fn generated(gen: &mut SmallRng) -> BspConfig {
     }
 }
 
+fn scratch_dir(tag: &str) -> PathBuf {
+    let p = std::env::temp_dir().join(format!("lossburst_bsp_{}_{tag}", std::process::id()));
+    std::fs::remove_dir_all(&p).ok();
+    p
+}
+
 /// Striping the workers over K shards — including K = 7, which does not
-/// divide the worker count, and K beyond the worker count — must
+/// divide the worker count, and K beyond the worker count — and passing
+/// every record through shard checkpoints, a merge and a collect must
 /// reproduce the 1-process run bit for bit: on `small` for every seed of
 /// the matrix, and on 400 generated configurations.
 #[test]
@@ -115,9 +129,12 @@ fn sharded_bsp_matches_one_process_at_ragged_shard_counts() {
     sweep(0xB5B_5EED, 400, |_, gen| {
         cases.push((generated(gen), gen.random_range(1..13usize)));
     });
-    for (cfg, shards) in cases {
+    let sup = SupervisorConfig::default();
+    for (case, (cfg, shards)) in cases.into_iter().enumerate() {
+        let dir = scratch_dir(&format!("ragged_{case}"));
         let reference = run_bsp(&cfg).unwrap();
-        let sharded = run_bsp_sharded(&cfg, shards).unwrap();
+        let sharded = run_bsp_sharded(&cfg, &sup, shards, &dir).unwrap().report;
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             sharded.fingerprint, reference.fingerprint,
             "{cfg:?}: {shards}-shard run diverges from 1-process"
@@ -130,30 +147,69 @@ fn sharded_bsp_matches_one_process_at_ragged_shard_counts() {
     }
 }
 
-/// The outcome codec `bsp_study` ships shard results through is bit-exact:
-/// stitching decoded shard stripes reproduces the in-process superstep,
-/// fingerprint included.
+/// The resume drill: shard 1 of 3 stops mid-stripe (`stop_after`), is run
+/// again, restores the workers it had finished instead of re-running them,
+/// and the collected run still equals the 1-process one bit for bit.
 #[test]
-fn codec_round_trip_through_shard_stripes_is_bit_exact() {
+fn an_interrupted_bsp_shard_resumes_with_its_finished_workers_restored() {
     let cfg = small(2006);
-    let (reference, _) = run_superstep(&cfg, 0).unwrap();
-    let shards = 3;
-    let mut slots = vec![None; cfg.n_workers];
-    for i in 0..shards {
-        let indices = shard_indices(cfg.n_workers, ShardSpec::new(i, shards));
-        let outcomes = superstep_workers(&cfg, 0, &indices).unwrap();
-        let decoded = decode_outcomes(&encode_outcomes(&outcomes), cfg.n_workers).unwrap();
-        for o in decoded {
-            let slot = o.worker;
-            slots[slot] = Some(o);
-        }
+    let dir = scratch_dir("resume");
+    let sup = SupervisorConfig::default();
+    let spec = ShardSpec::new(1, 3);
+    let interrupted = SupervisorConfig {
+        stop_after: Some(17),
+        ..sup.clone()
+    };
+    let cut = run_bsp_shard(&cfg, &interrupted, spec, &dir).unwrap();
+    assert_eq!(cut.counts.ok, 17);
+    let resumed = run_bsp_shard(&cfg, &sup, spec, &dir).unwrap();
+    assert_eq!(resumed.restored, 17);
+    assert_eq!(resumed.counts.ok, resumed.owned);
+    for i in [0, 2] {
+        run_bsp_shard(&cfg, &sup, ShardSpec::new(i, 3), &dir).unwrap();
     }
-    let mut stitched: Vec<_> = slots.into_iter().map(|o| o.unwrap()).collect();
-    assert_eq!(
-        fingerprint_outcomes(&stitched),
-        fingerprint_outcomes(&reference)
+    let run = collect_bsp(&cfg, &sup, 3, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(run.restored, cfg.supersteps * cfg.n_workers);
+    assert_eq!(run.report.fingerprint, run_bsp(&cfg).unwrap().fingerprint);
+}
+
+/// Faults are ledgered, not fatal. A worker that times out once is retried
+/// and the run is unchanged; a worker that panics on every attempt is one
+/// `Failed` row, its shard finishes every other worker, and the collect is
+/// an error naming the superstep and the worker.
+#[test]
+fn a_faulty_bsp_worker_is_ledgered_not_fatal() {
+    let cfg = small(2006);
+    // Superstep 1, worker 7: shard 1 of 3 owns it.
+    let index = cfg.n_workers + 7;
+    let dir = scratch_dir("fault_once");
+    let sup = SupervisorConfig {
+        faults: FaultPlan::new(9).once(index, FaultKind::Timeout),
+        ..SupervisorConfig::default()
+    };
+    let run = run_bsp_sharded(&cfg, &sup, 3, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(run.ledger[index].outcome, PathOutcome::Retried(1));
+    assert_eq!(run.report.fingerprint, run_bsp(&cfg).unwrap().fingerprint);
+
+    let dir = scratch_dir("fault_always");
+    let sup = SupervisorConfig {
+        faults: FaultPlan::new(9).always(index, FaultKind::Panic),
+        ..SupervisorConfig::default()
+    };
+    for i in 0..3 {
+        let shard = run_bsp_shard(&cfg, &sup, ShardSpec::new(i, 3), &dir).unwrap();
+        let failed = usize::from(i == 1);
+        assert_eq!(shard.counts.failed, failed, "shard {i}");
+        assert_eq!(shard.counts.ok, shard.owned - failed, "shard {i}");
+    }
+    let err = collect_bsp(&cfg, &sup, 3, &dir).unwrap_err().to_string();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        err.contains("superstep 1 worker 7: panic: injected panic"),
+        "{err}"
     );
-    finalize_superstep(&cfg, 0, &mut stitched).unwrap();
 }
 
 /// The netsim anchor: the automaton shares its wire physics with the

@@ -44,6 +44,11 @@ const GONE: &[(&str, u32)] = &[
     ("dummynet_study_supervised", 24),
     ("hybrid_perf", 27),
     ("BENCH_HYBRID.json", 27),
+    ("bsp_study", 31),
+    ("shard_campaign", 31),
+    ("encode_outcomes", 31),
+    ("decode_outcomes", 31),
+    ("stitch_outcomes", 31),
 ];
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
