@@ -166,8 +166,6 @@ pub fn multi_bottleneck(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> 
             for k in 0..4u64 {
                 let start = SimTime::ZERO + SimDuration::from_millis(k * 37);
                 b.flow(
-                    pl.long_src,
-                    pl.long_dst,
                     start,
                     Box::new(Sender::newreno(
                         pl.long_src,
@@ -181,8 +179,6 @@ pub fn multi_bottleneck(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> 
                 for k in 0..4u64 {
                     let start = SimTime::ZERO + SimDuration::from_millis(100 + k * 53);
                     b.flow(
-                        pl.local_srcs[i],
-                        pl.local_dsts[i],
                         start,
                         Box::new(Sender::newreno(
                             pl.local_srcs[i],

@@ -5,7 +5,7 @@
 //! flow — not just the unlucky ones whose packets sat at the overflow
 //! instant — observes each congestion event. This module compares a
 //! DropTail bottleneck against a persistent-ECN bottleneck on three axes:
-//! drops, fairness, and uniformity of congestion detection across flows.
+//! drops, utilization, and uniformity of congestion detection across flows.
 
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::queue::QueueDisc;
@@ -55,10 +55,6 @@ impl EcnConfig {
 /// Per-discipline outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupStats {
-    /// Jain fairness index over per-flow delivered bytes (1 = perfectly fair).
-    pub jain_fairness: f64,
-    /// Mean congestion (loss or ECN) events detected per flow.
-    pub detections_mean: f64,
     /// Mean per-congestion-episode *signal coverage*: the fraction of flows
     /// whose packets were dropped/marked in each episode (episodes are
     /// router-side drop/mark records clustered at one-RTT gaps). This is
@@ -105,8 +101,6 @@ pub struct EcnComparison {
     pub persistent_ecn: GroupStats,
 }
 
-use lossburst_analysis::stats::jain_fairness as jain;
-
 fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
     let mut b = SimBuilder::new(cfg.seed).trace(TraceConfig::all());
     let disc = if ecn {
@@ -130,7 +124,6 @@ fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
         rtt: RttAssignment::Uniform(cfg.min_rtt, cfg.max_rtt),
     };
     let db = build_dumbbell(&mut b, &dcfg);
-    let mut ids = Vec::new();
     for i in 0..cfg.flows {
         let (s, r) = (db.senders[i], db.receivers[i]);
         let tcp_cfg = TcpConfig {
@@ -141,20 +134,11 @@ fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
         // steady-state congestion episodes rather than a synchronized
         // slow-start pile-up (which trivially touches every flow).
         let start = SimTime::ZERO + SimDuration::from_millis(i as u64 * 300);
-        ids.push(b.flow(s, r, start, Box::new(Sender::newreno(s, r, tcp_cfg))));
+        b.flow(start, Box::new(Sender::newreno(s, r, tcp_cfg)));
     }
     let mut sim = b.build();
     sim.run_until(SimTime::ZERO + cfg.duration);
 
-    let delivered: Vec<f64> = ids
-        .iter()
-        .map(|id| sim.flows[id.index()].transport.progress().bytes_delivered as f64)
-        .collect();
-    let detections: Vec<f64> = ids
-        .iter()
-        .map(|id| sim.flows[id.index()].transport.progress().loss_events as f64)
-        .collect();
-    let dm = lossburst_analysis::stats::mean(&detections);
     // Router-side signal records: drops for DropTail, marks for ECN.
     // Only steady-state episodes count (skip the start-up third of the run).
     let warmup = cfg.duration.as_secs_f64() / 3.0;
@@ -176,8 +160,6 @@ fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
     let coverage = signal_coverage(records, cfg.flows, cfg.max_rtt.as_secs_f64());
     let bl = &sim.links[db.bottleneck.index()];
     GroupStats {
-        jain_fairness: jain(&delivered),
-        detections_mean: dm,
         signal_coverage: coverage,
         drops: bl.stats.dropped,
         utilization: bl.stats.transmitted_bytes as f64 * 8.0
@@ -204,14 +186,6 @@ mod tests {
         let c = signal_coverage(recs, 4, 0.1);
         assert!((c - (0.5 + 0.25) / 2.0).abs() < 1e-12, "coverage {c}");
         assert_eq!(signal_coverage(vec![], 4, 0.1), 0.0);
-    }
-
-    #[test]
-    fn jain_index_basics() {
-        assert!((jain(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        // One flow hogging everything among n gives 1/n.
-        assert!((jain(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        assert_eq!(jain(&[]), 0.0);
     }
 
     #[test]
@@ -248,16 +222,5 @@ mod tests {
             "utilization {}",
             cmp.persistent_ecn.utilization
         );
-    }
-
-    #[test]
-    fn fairness_is_reported_in_unit_range() {
-        let mut cfg = EcnConfig::default_setup(29);
-        cfg.flows = 8;
-        cfg.duration = SimDuration::from_secs(10);
-        let cmp = ecn_vs_droptail(&cfg);
-        for g in [cmp.droptail, cmp.persistent_ecn] {
-            assert!((0.0..=1.0 + 1e-9).contains(&g.jain_fairness));
-        }
     }
 }

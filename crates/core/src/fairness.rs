@@ -14,8 +14,9 @@
 
 use lossburst_analysis::stats::jain_fairness;
 use lossburst_netsim::builder::SimBuilder;
-use lossburst_netsim::packet::FlowId;
+use lossburst_netsim::iface::Transport;
 use lossburst_netsim::queue::QueueDisc;
+use lossburst_netsim::sim::FlowHandle;
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
 use lossburst_netsim::trace::TraceConfig;
@@ -204,8 +205,8 @@ pub fn fairness_cell(
     let db = build_dumbbell(&mut b, &dcfg);
 
     let spec = FlowSpec::new(cfg.rtt);
-    let mut ids_a: Vec<FlowId> = Vec::new();
-    let mut ids_b: Vec<FlowId> = Vec::new();
+    let mut ids_a = Vec::new();
+    let mut ids_b = Vec::new();
     // Interleave classes across pairs (as in the Fig 7 competition) so
     // construction order cannot privilege either class; stagger starts so
     // slow starts do not synchronize.
@@ -217,7 +218,7 @@ pub fn fairness_cell(
         } else {
             (alg_b, &mut ids_b)
         };
-        ids.push(b.flow(s, r, start, alg.build_flow(s, r, &spec)));
+        ids.push(b.flow(start, alg.build_flow(s, r, &spec)));
     }
     // Exponential on-off noise on dedicated pairs: bursty arrivals that
     // cluster the queue's overflow episodes.
@@ -227,8 +228,6 @@ pub fn fairness_cell(
             db.receivers[2 * cfg.flows_per_class + j],
         );
         b.flow(
-            s,
-            r,
             SimTime::ZERO + SimDuration::from_millis(5 * j as u64),
             Box::new(OnOff::with_average_rate(
                 s,
@@ -244,11 +243,11 @@ pub fn fairness_cell(
     sim.run_until(SimTime::ZERO + cfg.duration);
 
     let secs = cfg.duration.as_secs_f64();
-    let goodput_mbps = |id: &FlowId| -> f64 {
-        sim.flows[id.index()].transport.progress().bytes_delivered as f64 * 8.0 / secs / 1e6
+    let goodput_mbps = |&h: &FlowHandle<dyn Transport>| -> f64 {
+        sim.flow(h).progress().bytes_delivered as f64 * 8.0 / secs / 1e6
     };
     let per_flow: Vec<f64> = ids_a.iter().chain(&ids_b).map(goodput_mbps).collect();
-    let mean = |ids: &[FlowId]| -> f64 {
+    let mean = |ids: &[FlowHandle<dyn Transport>]| -> f64 {
         ids.iter().map(goodput_mbps).sum::<f64>() / ids.len().max(1) as f64
     };
     let bl = &sim.links[db.bottleneck.index()];

@@ -2,6 +2,7 @@
 //! parallel-transfer latency predictability (Fig 8).
 
 use lossburst_netsim::builder::SimBuilder;
+use lossburst_netsim::iface::Transport;
 use lossburst_netsim::packet::FlowId;
 use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::rng::Sampler;
@@ -92,21 +93,11 @@ pub fn competition(cfg: &CompetitionConfig) -> CompetitionResult {
                 cfg.rtt,
             );
         if i % 2 == 0 {
-            let id = b.flow(
-                s,
-                r,
-                start,
-                Box::new(Sender::newreno(s, r, TcpConfig::default())),
-            );
-            newreno_ids.push(id);
+            let tcp = Sender::newreno(s, r, TcpConfig::default());
+            newreno_ids.push(b.flow(start, Box::new(tcp)).id());
         } else {
-            let id = b.flow(
-                s,
-                r,
-                start,
-                Box::new(Sender::pacing(s, r, TcpConfig::default(), cfg.rtt)),
-            );
-            pacing_ids.push(id);
+            let tcp = Sender::pacing(s, r, TcpConfig::default(), cfg.rtt);
+            pacing_ids.push(b.flow(start, Box::new(tcp)).id());
         }
     }
     let mut sim = b.build();
@@ -272,29 +263,27 @@ pub fn protocol_mix(cfg: &MixConfig) -> MixResult {
                 cfg.rtt,
             );
         if i % 2 == 0 {
-            tfrc_ids.push(b.flow(s, r, start, Box::new(TfrcSender::new(s, r, 1000, cfg.rtt))));
+            tfrc_ids.push(b.flow(start, Box::new(TfrcSender::new(s, r, 1000, cfg.rtt))));
         } else {
-            let tcp: Box<dyn lossburst_netsim::iface::Transport> = if cfg.paced_tcp {
+            let tcp: Box<dyn Transport> = if cfg.paced_tcp {
                 Box::new(Sender::pacing(s, r, TcpConfig::default(), cfg.rtt))
             } else {
                 Box::new(Sender::newreno(s, r, TcpConfig::default()))
             };
-            tcp_ids.push(b.flow(s, r, start, tcp));
+            tcp_ids.push(b.flow(start, tcp));
         }
     }
     let mut sim = b.build();
     sim.run_until(SimTime::ZERO + cfg.duration);
     let secs = cfg.duration.as_secs_f64();
-    let rate = |ids: &[FlowId]| -> f64 {
-        ids.iter()
-            .map(|id| sim.flows[id.index()].transport.progress().bytes_delivered)
-            .sum::<u64>() as f64
-            * 8.0
-            / secs
-            / 1e6
-    };
-    let tfrc_mbps = rate(&tfrc_ids);
-    let tcp_mbps = rate(&tcp_ids);
+    let mbps = |bytes: u64| bytes as f64 * 8.0 / secs / 1e6;
+    let tfrc = tfrc_ids
+        .iter()
+        .map(|&h| sim.flow(h).progress().bytes_delivered);
+    let tcp = tcp_ids
+        .iter()
+        .map(|&h| sim.flow(h).progress().bytes_delivered);
+    let (tfrc_mbps, tcp_mbps) = (mbps(tfrc.sum()), mbps(tcp.sum()));
     MixResult {
         tfrc_mbps,
         tcp_mbps,
@@ -517,18 +506,19 @@ pub(crate) fn completion_times(x: &ChunkedTransfer, seed: u64) -> Vec<f64> {
         limit_bytes: Some(x.chunk_bytes),
     };
     let mut stagger = Sampler::child_rng(seed, x.stagger.0);
+    let mut flows = Vec::with_capacity(x.flows);
     for i in 0..x.flows {
         let (s, r) = (db.senders[i], db.receivers[i]);
         let start =
             SimTime::ZERO + Sampler::uniform_duration(&mut stagger, SimDuration::ZERO, x.stagger.1);
-        b.flow(s, r, start, x.cc.build_flow(s, r, &spec));
+        flows.push(b.flow(start, x.cc.build_flow(s, r, &spec)));
     }
     let horizon = SimTime::ZERO + x.horizon;
     let mut sim = b.build();
     sim.run_until(horizon);
-    sim.flows
-        .iter()
-        .map(|f| f.completed_at.unwrap_or(horizon).as_secs_f64())
+    flows
+        .into_iter()
+        .map(|h| sim.completed_at(h).unwrap_or(horizon).as_secs_f64())
         .collect()
 }
 

@@ -13,7 +13,6 @@ use crate::clock::ClockModel;
 use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_netsim::packet::LinkId;
 use lossburst_netsim::trace::{LossRecord, TraceSink};
-use std::any::Any;
 
 /// A [`TraceSink`] that streams one link's drop timeline through a
 /// recording clock into an online burstiness accumulator.
@@ -57,14 +56,6 @@ impl TraceSink for ClockedLossSink {
             self.stats.push_loss_at(t);
             self.times.push(t);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -21,12 +21,11 @@ use crate::sink::ClockedLossSink;
 use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::fluid::BackgroundMode;
-use lossburst_netsim::iface::FlowProgress;
+use lossburst_netsim::iface::{FlowProgress, Transport};
 use lossburst_netsim::link::JitterModel;
-use lossburst_netsim::packet::FlowId;
 use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::rng::Sampler;
-use lossburst_netsim::sim::{RunLimits, Simulator};
+use lossburst_netsim::sim::{FlowHandle, RunLimits, Simulator};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_dumbbell, Dumbbell, DumbbellConfig, RttAssignment};
 use lossburst_netsim::trace::TraceConfig;
@@ -158,7 +157,7 @@ pub struct StreamTestbedResult {
 
 /// Build the testbed simulation — topology, jitter, and the full workload
 /// — ready to run, with trace buffering off (drops reach a sink instead).
-fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowId>) {
+fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowHandle<dyn Transport>>) {
     let mut b = SimBuilder::new(cfg.seed).trace(TraceConfig::none());
     let pairs = cfg.tcp_flows + cfg.noise_flows + cfg.short_flows.as_ref().map(|_| 1).unwrap_or(0);
     let dcfg = DumbbellConfig {
@@ -189,7 +188,7 @@ fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowId>) {
             limit_bytes: None,
         };
         let t = cfg.cc.build_flow(db.senders[i], db.receivers[i], &spec);
-        let id = sim.add_flow(db.senders[i], db.receivers[i], start, t);
+        let id = sim.add_flow(start, t);
         tcp_flow_ids.push(id);
     }
 
@@ -218,7 +217,7 @@ fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowId>) {
                         cfg.noise_mean_on,
                         cfg.noise_mean_off,
                     );
-                    sim.add_flow(src, dst, SimTime::ZERO, Box::new(noise));
+                    sim.add_flow(SimTime::ZERO, Box::new(noise));
                 }
                 BackgroundMode::Fluid => {
                     let noise = FluidOnOff::with_average_rate(
@@ -227,7 +226,7 @@ fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowId>) {
                         cfg.noise_mean_on,
                         cfg.noise_mean_off,
                     );
-                    sim.add_flow(src, dst, SimTime::ZERO, Box::new(noise));
+                    sim.add_flow(SimTime::ZERO, Box::new(noise));
                 }
             }
         }
@@ -255,7 +254,7 @@ fn build_testbed(cfg: &TestbedConfig) -> (Simulator, Dumbbell, Vec<FlowId>) {
             let flow = cfg
                 .cc
                 .build_flow(db.senders[pair], db.receivers[pair], &spec);
-            sim.add_flow(db.senders[pair], db.receivers[pair], t, flow);
+            sim.add_flow(t, flow);
         }
         // Shuffle nothing: arrival order is already the schedule.
         let _ = wiring_rng.random::<u64>();
@@ -350,7 +349,7 @@ pub fn run_streaming_limited(
     let trace_bytes = sim.trace.buffer_bytes();
     let tcp_progress: Vec<FlowProgress> = tcp_flow_ids
         .iter()
-        .map(|id| sim.flows[id.index()].transport.progress())
+        .map(|&h| sim.flow(h).progress())
         .collect();
     let sink = sim
         .trace

@@ -10,10 +10,9 @@
 use crate::path::PathScenario;
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::fluid::BackgroundMode;
-use lossburst_netsim::packet::FlowId;
 use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::rng::Sampler;
-use lossburst_netsim::sim::{EventCounts, RunLimits, Simulator};
+use lossburst_netsim::sim::{EventCounts, FlowHandle, RunLimits, Simulator};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_chain, ChainConfig};
 use lossburst_netsim::trace::TraceConfig;
@@ -101,7 +100,7 @@ pub struct StreamProbeOutcome {
 /// Build the probe simulation: chain topology, cross traffic, and the CBR
 /// probe flow, in the constant-memory configuration — no trace record
 /// buffering and the gap-detecting probe receiver.
-fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, FlowId) {
+fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, FlowHandle<Cbr>) {
     let mut b = SimBuilder::new(probe.seed).trace(TraceConfig::none());
 
     // Cross-flow access delays: each long flow i gets access segments that
@@ -143,12 +142,7 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
             RenoVariant::NewReno,
             SendMode::Burst,
         );
-        b.flow(
-            chain.cross_senders[i],
-            chain.cross_receivers[i],
-            start,
-            Box::new(t),
-        );
+        b.flow(start, Box::new(t));
     }
 
     // On-off noise: packet-by-packet, or as a fluid rate process whose
@@ -171,12 +165,7 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
                         scenario.noise_mean_on,
                         scenario.noise_mean_off,
                     );
-                    b.flow(
-                        chain.cross_senders[idx],
-                        chain.cross_receivers[idx],
-                        SimTime::ZERO,
-                        Box::new(noise),
-                    );
+                    b.flow(SimTime::ZERO, Box::new(noise));
                 }
                 BackgroundMode::Fluid => {
                     let noise = FluidOnOff::with_average_rate(
@@ -185,12 +174,7 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
                         scenario.noise_mean_on,
                         scenario.noise_mean_off,
                     );
-                    b.flow(
-                        chain.cross_senders[idx],
-                        chain.cross_receivers[idx],
-                        SimTime::ZERO,
-                        Box::new(noise),
-                    );
+                    b.flow(SimTime::ZERO, Box::new(noise));
                 }
             }
         }
@@ -212,12 +196,7 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
                 scenario.episodic_on,
                 scenario.episodic_off,
             );
-            b.flow(
-                chain.cross_senders[idx],
-                chain.cross_receivers[idx],
-                SimTime::ZERO,
-                Box::new(heavy),
-            );
+            b.flow(SimTime::ZERO, Box::new(heavy));
         }
     }
 
@@ -235,12 +214,7 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
                 SendMode::Burst,
             )
             .with_limit_bytes(bytes);
-            b.flow(
-                chain.cross_senders[lane],
-                chain.cross_receivers[lane],
-                t,
-                Box::new(f),
-            );
+            b.flow(t, Box::new(f));
             t += Sampler::exponential_duration(
                 &mut wiring,
                 SimDuration::from_secs_f64(1.0 / scenario.short_flow_rate),
@@ -258,17 +232,9 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
     let cbr = Cbr::with_interval(chain.src, chain.dst, probe.packet_bytes, interval)
         .with_limit(count)
         .streaming();
-    let probe_flow = b.flow(chain.src, chain.dst, SimTime::ZERO + warmup, Box::new(cbr));
+    let probe_flow = b.flow(SimTime::ZERO + warmup, Box::new(cbr));
 
     (b.build(), probe_flow)
-}
-
-fn probe_cbr(sim: &Simulator, probe_flow: FlowId) -> &Cbr {
-    sim.flows[probe_flow.index()]
-        .transport
-        .as_any()
-        .downcast_ref::<Cbr>()
-        .expect("probe flow is CBR")
 }
 
 /// Why a limited probe run did not produce a measurement.
@@ -324,7 +290,7 @@ pub fn run_probe_streaming_limited(
         });
     }
 
-    let cbr = probe_cbr(&sim, probe_flow);
+    let cbr = sim.flow(probe_flow);
     let sent = cbr.sent();
     let lost = cbr.lost_seqs();
     let rtt_s = scenario.rtt.as_secs_f64();
@@ -471,8 +437,11 @@ mod tests {
                     sim.trace.buffer_bytes(),
                     sim.trace.completions.capacity() * std::mem::size_of::<CompletionRecord>()
                 );
-                assert!(sim.trace.completions.len() <= sim.flows.len());
-                let cbr = probe_cbr(&sim, flow);
+                let mut finished: Vec<_> = sim.trace.completions.iter().map(|c| c.flow).collect();
+                finished.sort();
+                finished.dedup();
+                assert_eq!(finished.len(), sim.trace.completions.len());
+                let cbr = sim.flow(flow);
                 let n_lost = cbr.lost_seqs().len();
                 assert!(
                     cbr.receiver_buffer_bytes() <= 16 * n_lost.max(4),

@@ -21,19 +21,17 @@
 //! sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 //! ```
 
-use crate::iface::Transport;
+use crate::iface::{FlowType, Transport};
 use crate::link::Link;
 use crate::node::NodeKind;
 use crate::packet::{FlowId, LinkId, NodeId};
 use crate::queue::QueueDisc;
-use crate::sim::Simulator;
+use crate::sim::{FlowHandle, Simulator};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceConfig, TraceSet};
 use rand::rngs::SmallRng;
 
 struct PendingFlow {
-    src: NodeId,
-    dst: NodeId,
     start_at: SimTime,
     transport: Box<dyn Transport>,
 }
@@ -112,23 +110,20 @@ impl SimBuilder {
         self.link_mut(id).enable_fluid(mean_pkt_bytes);
     }
 
-    /// Register a flow from `src` to `dst` starting at `start_at`. The
-    /// flow's start event is scheduled at [`SimBuilder::build`].
-    pub fn flow(
+    /// Register a flow starting at `start_at`; the handle reads it back as
+    /// `T` once built. The flow's start event is scheduled at
+    /// [`SimBuilder::build`].
+    pub fn flow<T: FlowType + ?Sized>(
         &mut self,
-        src: NodeId,
-        dst: NodeId,
         start_at: SimTime,
-        transport: Box<dyn Transport>,
-    ) -> FlowId {
+        transport: Box<T>,
+    ) -> FlowHandle<T> {
         let id = FlowId((self.sim.flows.len() + self.pending_flows.len()) as u32);
         self.pending_flows.push(PendingFlow {
-            src,
-            dst,
             start_at,
-            transport,
+            transport: T::boxed(transport),
         });
-        id
+        self.sim.handle(id)
     }
 
     /// The simulation RNG, for topology builders that draw randomized
@@ -145,7 +140,7 @@ impl SimBuilder {
     pub fn build(mut self) -> Simulator {
         self.sim.compute_routes();
         for f in self.pending_flows.drain(..) {
-            self.sim.add_flow(f.src, f.dst, f.start_at, f.transport);
+            self.sim.add_flow(f.start_at, f.transport);
         }
         self.sim
     }
@@ -181,9 +176,6 @@ mod tests {
         fn progress(&self) -> FlowProgress {
             FlowProgress::default()
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -207,8 +199,6 @@ mod tests {
             QueueDisc::drop_tail(32),
         );
         let f = b.flow(
-            a,
-            c,
             SimTime::ZERO,
             Box::new(Pinger {
                 src: a,
@@ -222,10 +212,7 @@ mod tests {
             "routes not computed"
         );
         sim.run_to_quiescence();
-        assert!(
-            sim.flows[f.index()].transport.is_done(),
-            "packet never delivered"
-        );
+        assert!(sim.flow(f).is_done(), "packet never delivered");
     }
 
     #[test]
@@ -237,8 +224,6 @@ mod tests {
         let a = b.host();
         let c = b.host();
         let f = b.flow(
-            a,
-            c,
             SimTime::ZERO,
             Box::new(Pinger {
                 src: a,
@@ -255,7 +240,7 @@ mod tests {
         );
         let mut sim = b.build();
         sim.run_to_quiescence();
-        assert!(sim.flows[f.index()].transport.is_done());
+        assert!(sim.flow(f).is_done());
     }
 
     #[test]
@@ -271,8 +256,6 @@ mod tests {
             QueueDisc::drop_tail(32),
         );
         let f0 = b.flow(
-            a,
-            c,
             SimTime::ZERO,
             Box::new(Pinger {
                 src: a,
@@ -281,8 +264,6 @@ mod tests {
             }),
         );
         let f1 = b.flow(
-            c,
-            a,
             SimTime::ZERO,
             Box::new(Pinger {
                 src: c,
@@ -290,7 +271,7 @@ mod tests {
                 got: 0,
             }),
         );
-        assert_eq!((f0, f1), (FlowId(0), FlowId(1)));
+        assert_eq!((f0.id(), f1.id()), (FlowId(0), FlowId(1)));
         let sim = b.build();
         assert_eq!(sim.flows.len(), 2);
     }

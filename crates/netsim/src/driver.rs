@@ -165,9 +165,6 @@ mod tests {
         fn progress(&self) -> FlowProgress {
             FlowProgress::default()
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     #[test]

@@ -86,7 +86,11 @@ pub struct FlowProgress {
 }
 
 /// A per-flow protocol state machine.
-pub trait Transport {
+///
+/// `Any` is a supertrait so that a run can hand a flow back as the type it
+/// was registered with: [`crate::sim::Simulator::flow`] reads it through
+/// the [`crate::sim::FlowHandle`] that registering it returned.
+pub trait Transport: Any {
     /// The flow begins (scheduled start time reached).
     fn on_start(&mut self, ctx: &mut Ctx);
 
@@ -104,8 +108,40 @@ pub trait Transport {
 
     /// Progress counters.
     fn progress(&self) -> FlowProgress;
+}
 
-    /// Downcast support so experiments can read protocol-specific results
-    /// (for example a probe receiver's arrival log) after a run.
-    fn as_any(&self) -> &dyn Any;
+mod sealed {
+    pub trait Sealed {}
+    impl<T: super::Transport> Sealed for T {}
+    impl Sealed for dyn super::Transport {}
+}
+
+/// What a flow can be registered and read back as: a concrete
+/// [`Transport`], or `dyn Transport` for a caller holding a
+/// `Box<dyn Transport>`. Sealed: those are the only two kinds, and
+/// [`FlowType::view`] holds the crate's one flow downcast.
+pub trait FlowType: sealed::Sealed {
+    /// The flow as the simulator stores it.
+    fn boxed(flow: Box<Self>) -> Box<dyn Transport>;
+    /// The stored flow as `Self`; `None` if it was registered as another
+    /// type.
+    fn view(flow: &dyn Transport) -> Option<&Self>;
+}
+
+impl<T: Transport> FlowType for T {
+    fn boxed(flow: Box<T>) -> Box<dyn Transport> {
+        flow
+    }
+    fn view(flow: &dyn Transport) -> Option<&T> {
+        (flow as &dyn Any).downcast_ref()
+    }
+}
+
+impl FlowType for dyn Transport {
+    fn boxed(flow: Box<dyn Transport>) -> Box<dyn Transport> {
+        flow
+    }
+    fn view(flow: &dyn Transport) -> Option<&dyn Transport> {
+        Some(flow)
+    }
 }

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::packet::{FlowId, LinkId, NodeId, Packet};
     pub use crate::queue::{DropScript, QueueDisc, Verdict};
     pub use crate::rng::Sampler;
-    pub use crate::sim::{RunLimits, Simulator};
+    pub use crate::sim::{FlowHandle, RunLimits, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{
         build_chain, build_dumbbell, build_star, ChainConfig, DumbbellConfig, RttAssignment,

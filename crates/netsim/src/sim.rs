@@ -1,7 +1,7 @@
 //! The simulator: topology ownership, the event loop, and routing.
 
 use crate::event::{Event, EventQueue, SchedulerStats, TimerToken};
-use crate::iface::{Ctx, Transport};
+use crate::iface::{Ctx, FlowType, Transport};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
 use crate::packet::{FlowId, LinkId, NodeId, Packet};
@@ -11,24 +11,38 @@ use crate::trace::{CompletionRecord, LossRecord, MarkRecord, QueueSample, TraceC
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One row of [`Simulator::flow_summaries`].
-#[derive(Clone, Copy, Debug)]
-pub struct FlowSummary {
-    /// The flow.
-    pub flow: FlowId,
-    /// Application bytes confirmed delivered.
-    pub bytes_delivered: u64,
-    /// Data packets sent, including retransmissions.
-    pub packets_sent: u64,
-    /// Retransmitted packets.
-    pub retransmits: u64,
-    /// Congestion events the sender detected.
-    pub loss_events: u64,
-    /// Completion instant, if the flow finished.
-    pub completed_at: Option<SimTime>,
+/// A flow registered with a [`Simulator`], typed as it was registered:
+/// `Box::new(Cbr …)` gives a `FlowHandle<Cbr>`, a `Box<dyn Transport>` a
+/// `FlowHandle<dyn Transport>`. [`Simulator::flow`] and
+/// [`Simulator::completed_at`] read the flow back on the simulator that
+/// issued the handle.
+pub struct FlowHandle<T: ?Sized> {
+    id: FlowId,
+    sim: u64,
+    ty: PhantomData<fn() -> *const T>,
 }
+
+impl<T: ?Sized> FlowHandle<T> {
+    /// The flow's id, as its packets and trace records carry it.
+    pub fn id(&self) -> FlowId {
+        self.id
+    }
+}
+
+impl<T: ?Sized> Clone for FlowHandle<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: ?Sized> Copy for FlowHandle<T> {}
+
+/// Serial numbers of simulators, so a handle knows which one issued it.
+static NEXT_SIMULATOR: AtomicU64 = AtomicU64::new(0);
 
 /// Execution limits enforced by the event loop.
 ///
@@ -110,17 +124,11 @@ impl EventCounts {
 }
 
 /// A flow registered with the simulator.
-pub struct FlowEntry {
+pub(crate) struct FlowEntry {
     /// The protocol state machine.
-    pub transport: Box<dyn Transport>,
-    /// Sender host.
-    pub src: NodeId,
-    /// Receiver host.
-    pub dst: NodeId,
-    /// Scheduled start time.
-    pub start_at: SimTime,
+    transport: Box<dyn Transport>,
     /// When the flow completed, if it has.
-    pub completed_at: Option<SimTime>,
+    completed_at: Option<SimTime>,
 }
 
 /// A deterministic discrete-event network simulator.
@@ -137,7 +145,7 @@ pub struct Simulator {
     /// All links, dense by id.
     pub links: Vec<Link>,
     /// All flows, dense by id.
-    pub flows: Vec<FlowEntry>,
+    pub(crate) flows: Vec<FlowEntry>,
     /// Collected traces.
     pub trace: TraceSet,
     /// The simulation RNG (all randomness flows through this).
@@ -154,6 +162,7 @@ pub struct Simulator {
     limits: RunLimits,
     limit_at: u64,
     budget_exhausted: bool,
+    serial: u64,
 }
 
 impl Simulator {
@@ -177,6 +186,7 @@ impl Simulator {
             limits: RunLimits::NONE,
             limit_at: u64::MAX,
             budget_exhausted: false,
+            serial: NEXT_SIMULATOR.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -248,25 +258,57 @@ impl Simulator {
         (ab, ba)
     }
 
-    /// Register a flow between `src` and `dst`, starting at `start_at`.
-    pub fn add_flow(
+    /// Register a flow starting at `start_at`; the handle reads it back as
+    /// `T`.
+    pub fn add_flow<T: FlowType + ?Sized>(
         &mut self,
-        src: NodeId,
-        dst: NodeId,
         start_at: SimTime,
-        transport: Box<dyn Transport>,
-    ) -> FlowId {
+        transport: Box<T>,
+    ) -> FlowHandle<T> {
         let id = FlowId(self.flows.len() as u32);
         self.flows.push(FlowEntry {
-            transport,
-            src,
-            dst,
-            start_at,
+            transport: T::boxed(transport),
             completed_at: None,
         });
         self.events
             .schedule(start_at, Event::FlowStart { flow: id });
-        id
+        self.handle(id)
+    }
+
+    /// The handle for flow `id` of this simulator.
+    pub(crate) fn handle<T: ?Sized>(&self, id: FlowId) -> FlowHandle<T> {
+        FlowHandle {
+            id,
+            sim: self.serial,
+            ty: PhantomData,
+        }
+    }
+
+    fn entry<T: ?Sized>(&self, h: FlowHandle<T>) -> &FlowEntry {
+        assert!(
+            h.sim == self.serial,
+            "flow handle read on a simulator that did not issue it"
+        );
+        &self.flows[h.id.index()]
+    }
+
+    /// The flow `h` names, as the type it was registered with.
+    ///
+    /// # Panics
+    ///
+    /// If another simulator issued `h` ("flow handle read on a simulator
+    /// that did not issue it").
+    pub fn flow<T: FlowType + ?Sized>(&self, h: FlowHandle<T>) -> &T {
+        T::view(self.entry(h).transport.as_ref()).expect("a flow reads back as its registered type")
+    }
+
+    /// When the flow `h` names completed, if it has.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::flow`].
+    pub fn completed_at<T: ?Sized>(&self, h: FlowHandle<T>) -> Option<SimTime> {
+        self.entry(h).completed_at
     }
 
     /// Set every node's routes, once, to shortest (hop-count) paths over
@@ -509,26 +551,6 @@ impl Simulator {
         self.with_transport(flow, |tr, ctx| tr.on_timer(token, ctx));
     }
 
-    /// Per-flow end-of-run summary: `(flow, bytes delivered, packets sent,
-    /// retransmits, loss events, completion time)`.
-    pub fn flow_summaries(&self) -> Vec<FlowSummary> {
-        self.flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let p = f.transport.progress();
-                FlowSummary {
-                    flow: FlowId(i as u32),
-                    bytes_delivered: p.bytes_delivered,
-                    packets_sent: p.packets_sent,
-                    retransmits: p.retransmits,
-                    loss_events: p.loss_events,
-                    completed_at: f.completed_at,
-                }
-            })
-            .collect()
-    }
-
     /// Per-kind event accounting for the run so far.
     pub fn event_counts(&self) -> EventCounts {
         self.event_counts
@@ -551,7 +573,6 @@ mod tests {
     use crate::builder::SimBuilder;
     use crate::iface::FlowProgress;
     use crate::packet::PacketKind;
-    use std::any::Any;
 
     /// A toy transport: sends `n` packets at start, counts echoes.
     struct Blaster {
@@ -586,9 +607,6 @@ mod tests {
                 packets_sent: self.n,
                 ..Default::default()
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 
@@ -625,8 +643,6 @@ mod tests {
     fn packets_flow_end_to_end() {
         let (mut sim, a, b) = two_hosts_one_router();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -637,9 +653,7 @@ mod tests {
             }),
         );
         sim.run_to_quiescence();
-        let entry = &sim.flows[flow.index()];
-        assert!(entry.transport.is_done());
-        assert!(entry.completed_at.is_some());
+        assert!(sim.flow(flow).is_done());
         assert_eq!(sim.trace.completions.len(), 1);
         assert_eq!(sim.trace.completions[0].bytes, 10_000);
         assert!(sim.all_links_conserve());
@@ -647,7 +661,7 @@ mod tests {
         // pipelined through the second, plus 2 ms propagation. The last
         // packet leaves link 1 at 10 ms, arrives router at 11 ms, leaves
         // link 2 at 12 ms, arrives at 13 ms.
-        let done = entry.completed_at.unwrap();
+        let done = sim.completed_at(flow).unwrap();
         assert_eq!(done.as_nanos(), 13_000_000);
     }
 
@@ -666,8 +680,6 @@ mod tests {
         );
         let mut sim = bld.build();
         sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -690,8 +702,6 @@ mod tests {
     fn run_until_respects_horizon() {
         let (mut sim, a, b) = two_hosts_one_router();
         sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -711,34 +721,72 @@ mod tests {
     }
 
     #[test]
-    fn flow_summaries_report_each_flow() {
-        let (mut sim, a, b) = two_hosts_one_router();
-        sim.add_flow(
+    fn handles_read_flows_back_as_registered() {
+        let mut bld = SimBuilder::new(1);
+        let a = bld.host();
+        let b = bld.host();
+        bld.duplex(
             a,
             b,
-            SimTime::ZERO,
-            Box::new(Blaster {
-                src: a,
-                dst: b,
-                n: 5,
-                received: 0,
-                size: 1000,
-            }),
+            8_000_000.0,
+            SimDuration::from_millis(1),
+            QueueDisc::drop_tail(100),
         );
+        let blaster = |n| Blaster {
+            src: a,
+            dst: b,
+            n,
+            received: 0,
+            size: 1000,
+        };
+        let concrete: FlowHandle<Blaster> = bld.flow(SimTime::ZERO, Box::new(blaster(5)));
+        let mut sim = bld.build();
+        let erased: Box<dyn Transport> = Box::new(blaster(3));
+        let erased: FlowHandle<dyn Transport> = sim.add_flow(SimTime::ZERO, erased);
+        assert_eq!((concrete.id(), erased.id()), (FlowId(0), FlowId(1)));
+        assert_eq!(sim.completed_at(concrete), None);
+        assert_eq!(sim.completed_at(erased), None);
+
         sim.run_to_quiescence();
-        let rows = sim.flow_summaries();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].packets_sent, 5);
-        assert_eq!(rows[0].bytes_delivered, 5000);
-        assert!(rows[0].completed_at.is_some());
+        let t: &Blaster = sim.flow(concrete);
+        assert_eq!((t.n, t.received), (5, 5));
+        let d: &dyn Transport = sim.flow(erased);
+        assert_eq!(d.progress().bytes_delivered, 3000);
+        let recorded = |id| {
+            sim.trace
+                .completions
+                .iter()
+                .find(|c| c.flow == id)
+                .map(|c| c.time)
+        };
+        assert!(sim.completed_at(concrete).is_some());
+        assert!(sim.completed_at(erased).is_some());
+        assert_eq!(sim.completed_at(concrete), recorded(concrete.id()));
+        assert_eq!(sim.completed_at(erased), recorded(erased.id()));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow handle read on a simulator that did not issue it")]
+    fn a_handle_read_on_another_simulator_panics() {
+        let blaster = |src, dst| Blaster {
+            src,
+            dst,
+            n: 1,
+            received: 0,
+            size: 1000,
+        };
+        let (mut issuer, a, b) = two_hosts_one_router();
+        let h = issuer.add_flow(SimTime::ZERO, Box::new(blaster(a, b)));
+        // Same type at the same index: only the issuer tells them apart.
+        let (mut other, a, b) = two_hosts_one_router();
+        other.add_flow(SimTime::ZERO, Box::new(blaster(a, b)));
+        other.flow(h);
     }
 
     #[test]
     fn queue_monitoring_samples_periodically() {
         let (mut sim, a, b) = two_hosts_one_router();
         sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -776,12 +824,6 @@ mod tests {
             fn on_loss(&mut self, rec: &LossRecord) {
                 self.times.push(rec.time.as_secs_f64());
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
 
         let build = |streaming: bool| {
@@ -802,8 +844,6 @@ mod tests {
             let mut sim = bld.build();
             let idx = sim.trace.add_sink(Box::<DropTimes>::default());
             sim.add_flow(
-                a,
-                b,
                 SimTime::ZERO,
                 Box::new(Blaster {
                     src: a,
@@ -840,8 +880,6 @@ mod tests {
     fn event_budget_aborts_mid_run() {
         let (mut sim, a, b) = two_hosts_one_router();
         sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -864,8 +902,6 @@ mod tests {
     fn unlimited_run_never_reports_exhaustion() {
         let (mut sim, a, b) = two_hosts_one_router();
         sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -884,8 +920,6 @@ mod tests {
     fn injected_panic_fires_inside_the_event_loop() {
         let (mut sim, a, b) = two_hosts_one_router();
         sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -907,8 +941,6 @@ mod tests {
         let run = || {
             let (mut sim, a, b) = two_hosts_one_router();
             sim.add_flow(
-                a,
-                b,
                 SimTime::ZERO,
                 Box::new(Blaster {
                     src: a,

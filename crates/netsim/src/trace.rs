@@ -119,10 +119,9 @@ impl TraceConfig {
 /// O(packets) of trace.
 ///
 /// All methods default to no-ops; implement the ones you care about.
-/// `as_any`/`as_any_mut` allow retrieving a concrete sink back from the
-/// simulator after the run (the same downcast idiom as
-/// [`crate::iface::Transport`]).
-pub trait TraceSink {
+/// `Any` is a supertrait, so [`TraceSet::sink`] / [`TraceSet::sink_mut`]
+/// hand a sink back as its concrete type after the run.
+pub trait TraceSink: Any {
     /// A packet was dropped.
     fn on_loss(&mut self, _rec: &LossRecord) {}
     /// A packet was ECN-marked.
@@ -133,10 +132,21 @@ pub trait TraceSink {
     fn on_queue_sample(&mut self, _rec: &QueueSample) {}
     /// A bulk transfer finished.
     fn on_complete(&mut self, _rec: &CompletionRecord) {}
-    /// Self as `Any`, for post-run downcast retrieval.
-    fn as_any(&self) -> &dyn Any;
-    /// Self as mutable `Any`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Self as `Any`. Nothing needs to call or implement this:
+    /// [`TraceSet::sink`] upcasts. Kept for sinks that still override it.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
+    /// Self as mutable `Any`; see [`TraceSink::as_any`].
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// The collected streams of one simulation run, plus any attached
@@ -218,14 +228,16 @@ impl TraceSet {
     }
 
     /// Downcast the sink at `idx` to its concrete type.
-    pub fn sink<T: TraceSink + 'static>(&self, idx: usize) -> Option<&T> {
-        self.sinks.get(idx)?.as_any().downcast_ref()
+    pub fn sink<T: TraceSink>(&self, idx: usize) -> Option<&T> {
+        let sink: &dyn Any = &**self.sinks.get(idx)?;
+        sink.downcast_ref()
     }
 
     /// Downcast the sink at `idx` to its concrete type, mutably — to move
     /// what it accumulated out after the run instead of copying it.
-    pub fn sink_mut<T: TraceSink + 'static>(&mut self, idx: usize) -> Option<&mut T> {
-        self.sinks.get_mut(idx)?.as_any_mut().downcast_mut()
+    pub fn sink_mut<T: TraceSink>(&mut self, idx: usize) -> Option<&mut T> {
+        let sink: &mut dyn Any = &mut **self.sinks.get_mut(idx)?;
+        sink.downcast_mut()
     }
 
     /// Record a drop.
@@ -435,12 +447,6 @@ mod tests {
         fn on_complete(&mut self, _rec: &CompletionRecord) {
             self.completions += 1;
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -493,14 +499,7 @@ mod tests {
         t2.sink_mut::<Counter>(i2).expect("right type").losses = 7;
         assert_eq!(t2.sink::<Counter>(i2).map(|c| c.losses), Some(7));
         struct Other;
-        impl TraceSink for Other {
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-        }
+        impl TraceSink for Other {}
         assert!(t2.sink::<Other>(i2).is_none());
         assert!(t2.sink_mut::<Other>(i2).is_none());
     }

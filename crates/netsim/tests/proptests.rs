@@ -142,9 +142,6 @@ impl Transport for Burst {
     fn progress(&self) -> FlowProgress {
         FlowProgress::default()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A DropTail queue never exceeds its limit and conserves packets under
@@ -167,12 +164,7 @@ fn droptail_occupancy_bounded() {
             SimDuration::from_millis(1),
             QueueDisc::drop_tail(limit),
         );
-        b.flow(
-            src,
-            dst,
-            SimTime::ZERO,
-            Box::new(Burst { src, dst, n: count }),
-        );
+        b.flow(SimTime::ZERO, Box::new(Burst { src, dst, n: count }));
         let mut sim = b.build();
         sim.monitor_queues(&[link], SimDuration::from_millis(5));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
@@ -264,9 +256,6 @@ fn links_deliver_in_order() {
         fn progress(&self) -> FlowProgress {
             FlowProgress::default()
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     sweep(0xF1F0, 30, |case, gen| {
@@ -284,8 +273,6 @@ fn links_deliver_in_order() {
             QueueDisc::drop_tail(10_000),
         );
         let f = b.flow(
-            src,
-            dst,
             SimTime::ZERO,
             Box::new(Order {
                 src,
@@ -296,11 +283,7 @@ fn links_deliver_in_order() {
         );
         let mut sim = b.build();
         sim.run_to_quiescence();
-        let t = sim.flows[f.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Order>()
-            .unwrap();
+        let t = sim.flow(f);
         assert_eq!(t.got.len(), sizes.len());
         for (i, &seq) in t.got.iter().enumerate() {
             assert_eq!(seq, i as u64, "delivery out of order (case {case})");

@@ -208,13 +208,13 @@ fn simulate_netsim_lane(sc: &CrossLaneScenario, plan: &LossPlan) -> NetsimRun {
         limit_bytes: None,
     };
     let t = sc.controller.build_flow(src, dst, &spec);
-    b.flow(src, dst, SimTime::ZERO, t);
+    let flow = b.flow(SimTime::ZERO, t);
     let mut sim = b.build();
     sim.run_until(SimTime::ZERO + sc.duration);
     NetsimRun {
         loss_times: sim.trace.loss_times_on(fwd),
         arrivals: sim.links[fwd.index()].stats.arrived,
-        bytes_delivered: sim.flow_summaries()[0].bytes_delivered,
+        bytes_delivered: sim.flow(flow).progress().bytes_delivered,
     }
 }
 

@@ -46,8 +46,6 @@ pub fn dumbbell_trace(seed: u64) -> Vec<u8> {
     for i in 0..6 {
         let (s, r) = (db.senders[i], db.receivers[i]);
         b.flow(
-            s,
-            r,
             SimTime::ZERO + SimDuration::from_millis(11 * i as u64),
             Box::new(Sender::newreno(s, r, TcpConfig::default())),
         );

@@ -26,7 +26,7 @@ fn wheel_fits_the_dumbbell_at_three_scales() {
             let (s, r) = (db.senders[i], db.receivers[i]);
             let start = SimTime::ZERO + SimDuration::from_millis(7 * i as u64);
             let bulk = Sender::newreno(s, r, TcpConfig::default());
-            b.flow(s, r, start, Box::new(bulk));
+            b.flow(start, Box::new(bulk));
             let noise = OnOff::with_average_rate(
                 r,
                 s,
@@ -35,7 +35,7 @@ fn wheel_fits_the_dumbbell_at_three_scales() {
                 SimDuration::from_millis(100),
                 SimDuration::from_millis(100),
             );
-            b.flow(r, s, start, Box::new(noise));
+            b.flow(start, Box::new(noise));
         }
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(sim_secs));

@@ -12,7 +12,6 @@ use lossburst_netsim::event::TimerToken;
 use lossburst_netsim::iface::{Ctx, FlowProgress, Transport};
 use lossburst_netsim::packet::{NodeId, Packet, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
-use std::any::Any;
 
 /// A CBR flow: fixed-size packets at fixed intervals.
 pub struct Cbr {
@@ -182,10 +181,6 @@ impl Transport for Cbr {
             ..Default::default()
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -216,17 +211,11 @@ mod tests {
         let (mut sim, a, b) = net();
         // 400-byte packets at 64 kbps -> one packet per 50 ms.
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(20).streaming()),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        let cbr = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Cbr>()
-            .unwrap();
+        let cbr = sim.flow(flow);
         // t=0,50ms,...,950ms -> 20 packets.
         assert_eq!(cbr.sent(), 20);
         assert_eq!(cbr.received(), 20);
@@ -237,17 +226,11 @@ mod tests {
     fn limit_stops_the_source() {
         let (mut sim, a, b) = net();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(5)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        let cbr = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Cbr>()
-            .unwrap();
+        let cbr = sim.flow(flow);
         assert_eq!(cbr.sent(), 5);
         assert_eq!(cbr.received(), 5);
     }
@@ -267,17 +250,11 @@ mod tests {
         );
         let mut sim = bld.build();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Cbr::new(a, b, 400, 1_000_000.0).with_limit(50).streaming()),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-        let cbr = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Cbr>()
-            .unwrap();
+        let cbr = sim.flow(flow);
         assert_eq!(cbr.sent(), 50);
         let lost = cbr.lost_seqs();
         assert!(!lost.is_empty());
@@ -302,17 +279,11 @@ mod tests {
         );
         let mut sim = bld.build();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(10).streaming()),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        let cbr = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Cbr>()
-            .unwrap();
+        let cbr = sim.flow(flow);
         assert_eq!(cbr.sent(), 10);
         assert_eq!(cbr.received(), 0);
         assert_eq!(cbr.lost_seqs(), (0..10).collect::<Vec<u64>>());
@@ -322,18 +293,9 @@ mod tests {
     fn nominal_send_times_reconstruct() {
         let (mut sim, a, b) = net();
         let start = SimTime::ZERO + SimDuration::from_millis(123);
-        let flow = sim.add_flow(
-            a,
-            b,
-            start,
-            Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(3)),
-        );
+        let flow = sim.add_flow(start, Box::new(Cbr::new(a, b, 400, 64_000.0).with_limit(3)));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        let cbr = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Cbr>()
-            .unwrap();
+        let cbr = sim.flow(flow);
         assert_eq!(cbr.nominal_send_time(0), Some(start));
         assert_eq!(
             cbr.nominal_send_time(2),

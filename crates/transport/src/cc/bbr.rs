@@ -19,7 +19,6 @@
 
 use super::{AckEvent, CcConfig, CongestionEvent, Controller, ControllerFactory};
 use lossburst_netsim::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::collections::VecDeque;
 
 /// The ProbeBW pacing-gain cycle (RFC-draft BBR v1).
@@ -294,10 +293,6 @@ impl Controller for BbrCc {
 
     fn name(&self) -> &'static str {
         "bbr"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -15,7 +15,6 @@
 
 use super::{AckEvent, AckPhase, CcConfig, CongestionEvent, Controller, ControllerFactory};
 use lossburst_netsim::time::SimTime;
-use std::any::Any;
 
 /// Config (and [`ControllerFactory`]) for CUBIC.
 #[derive(Clone, Copy, Debug)]
@@ -168,10 +167,6 @@ impl Controller for CubicCc {
 
     fn name(&self) -> &'static str {
         "cubic"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

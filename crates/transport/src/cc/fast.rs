@@ -13,7 +13,6 @@
 
 use super::{AckEvent, CcConfig, CongestionEvent, Controller, ControllerFactory};
 use lossburst_netsim::time::{SimDuration, SimTime};
-use std::any::Any;
 
 /// Config (and [`ControllerFactory`]) for FAST.
 #[derive(Clone, Copy, Debug)]
@@ -109,10 +108,6 @@ impl Controller for FastCc {
 
     fn name(&self) -> &'static str {
         "fast"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

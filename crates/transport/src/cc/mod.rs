@@ -128,7 +128,7 @@ pub struct CongestionEvent {
 
 /// A congestion-control algorithm: owns the window/rate law and nothing
 /// else. See the [module docs](self) for the event contract.
-pub trait Controller {
+pub trait Controller: Any {
     /// A cumulative ACK advanced; grow (or model) as the phase allows.
     fn on_ack(&mut self, ev: &AckEvent);
 
@@ -186,9 +186,6 @@ pub trait Controller {
 
     /// Short algorithm name (`"newreno"`, `"cubic"`, …).
     fn name(&self) -> &'static str;
-
-    /// Downcast support for tests and diagnostics.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Builds one [`Controller`] per flow. Implemented by each algorithm's

@@ -9,7 +9,6 @@
 
 use super::{AckEvent, AckPhase, CcConfig, CongestionEvent, Controller, ControllerFactory};
 use lossburst_netsim::time::SimTime;
-use std::any::Any;
 
 /// How the window responds to a dupack-detected loss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,10 +144,6 @@ impl Controller for RenoCc {
             LossResponse::Halve => "sack",
             LossResponse::CollapseToOne => "tahoe",
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -14,6 +14,7 @@ use crate::sender::Sender;
 mod tests {
     use super::*;
     use lossburst_netsim::builder::SimBuilder;
+    use lossburst_netsim::iface::Transport;
     use lossburst_netsim::queue::QueueDisc;
     use lossburst_netsim::time::{SimDuration, SimTime};
     use lossburst_netsim::trace::TraceConfig;
@@ -33,17 +34,11 @@ mod tests {
         );
         let mut sim = bld.build();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::fast(a, b, TcpConfig::default(), 10.0, 0.5)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
-        let t = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Sender>()
-            .unwrap();
+        let t = sim.flow(flow);
         // Equilibrium window ≈ BDP + alpha ≈ 48 + 10. Allow slack.
         assert!(
             (40.0..80.0).contains(&t.cwnd()),
@@ -68,16 +63,11 @@ mod tests {
         );
         let mut sim = bld.build();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::fast(a, b, TcpConfig::default(), 8.0, 0.5).with_limit_bytes(500_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-        assert!(sim.flows[flow.index()].transport.is_done());
-        assert_eq!(
-            sim.flows[flow.index()].transport.progress().bytes_delivered,
-            500_000
-        );
+        assert!(sim.flow(flow).is_done());
+        assert_eq!(sim.flow(flow).progress().bytes_delivered, 500_000);
     }
 }

@@ -37,11 +37,14 @@
 //! let src = b.host();
 //! let dst = b.host();
 //! b.duplex(src, dst, 2e6, SimDuration::from_millis(10), QueueDisc::drop_tail(8));
-//! let f = b.flow(src, dst, SimTime::ZERO,
+//! let f = b.flow(SimTime::ZERO,
 //!     Box::new(Sender::newreno(src, dst, TcpConfig::default()).with_limit_bytes(50_000)));
 //! let mut sim = b.build();
 //! sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-//! assert!(sim.flows[f.index()].transport.is_done());
+//! // `f` is a `FlowHandle<Sender>`: the flow reads back as its own type.
+//! let tcp: &Sender = sim.flow(f);
+//! assert_eq!(tcp.progress().bytes_delivered, 50_000);
+//! assert!(sim.completed_at(f).is_some());
 //! ```
 
 #![warn(missing_docs)]

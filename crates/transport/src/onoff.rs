@@ -19,7 +19,6 @@ use lossburst_netsim::iface::{Ctx, FlowProgress, Transport};
 use lossburst_netsim::packet::{LinkId, NodeId, Packet, PacketKind};
 use lossburst_netsim::rng::Sampler;
 use lossburst_netsim::time::SimDuration;
-use std::any::Any;
 
 /// An exponential on-off source.
 pub struct OnOff {
@@ -147,10 +146,6 @@ impl Transport for OnOff {
             ..Default::default()
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// The fluid twin of [`OnOff`]: instead of emitting packets during ON
@@ -240,10 +235,6 @@ impl Transport for FluidOnOff {
     fn progress(&self) -> FlowProgress {
         FlowProgress::default()
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -269,8 +260,6 @@ mod tests {
         let mut sim = bld.build();
         // Target 1 Mbps average with 100/100 ms on/off.
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(OnOff::with_average_rate(
                 a,
@@ -283,11 +272,7 @@ mod tests {
         );
         let horizon = 200.0;
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(horizon as u64));
-        let onoff = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<OnOff>()
-            .unwrap();
+        let onoff = sim.flow(flow);
         let rate = onoff.packets_sent as f64 * 500.0 * 8.0 / horizon;
         assert!(
             (rate - 1e6).abs() < 0.15e6,
@@ -315,18 +300,12 @@ mod tests {
         let mean_on = SimDuration::from_millis(100);
         let mean_off = SimDuration::from_millis(300); // asymmetric duty: 25%
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(OnOff::new(a, b, 1000, peak, mean_on, mean_off)),
         );
         let horizon = 500.0;
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(horizon as u64));
-        let onoff = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<OnOff>()
-            .unwrap();
+        let onoff = sim.flow(flow);
         let measured = onoff.packets_sent as f64 * 1000.0 * 8.0 / horizon;
         let expected = peak * 0.25;
         let rel = (measured - expected).abs() / expected;
@@ -357,7 +336,7 @@ mod tests {
         let mean_on = SimDuration::from_millis(100);
         let mean_off = SimDuration::from_millis(300);
         let f = FluidOnOff::new(ab, peak, mean_on, mean_off);
-        let flow = bld.flow(a, b, SimTime::ZERO, Box::new(f));
+        let flow = bld.flow(SimTime::ZERO, Box::new(f));
         let mut sim = bld.build();
         let horizon = 500.0;
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(horizon as u64));
@@ -372,11 +351,7 @@ mod tests {
             "fluid arrived {measured:.0} bps vs expected 1 Mbps ({:.1}% off)",
             rel * 100.0
         );
-        let src = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<FluidOnOff>()
-            .unwrap();
+        let src = sim.flow(flow);
         assert!(src.toggles > 100, "toggle process barely ran");
         assert_eq!(
             sim.event_counts().rate_changes,
@@ -399,8 +374,6 @@ mod tests {
         );
         let mut sim = bld.build();
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(OnOff::new(
                 a,
@@ -412,11 +385,7 @@ mod tests {
             )),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
-        let onoff = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<OnOff>()
-            .unwrap();
+        let onoff = sim.flow(flow);
         // Roughly half the time ON at 2500 pkt/s -> ~25k packets in 20 s;
         // if OFF periods were ignored we'd see ~50k.
         let sent = onoff.packets_sent;

@@ -35,7 +35,6 @@ use lossburst_netsim::iface::{Ctx, FlowProgress, Transport};
 use lossburst_netsim::packet::{NodeId, Packet, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::trace::GoodputEvent;
-use std::any::Any;
 
 /// Which fast-recovery algorithm a go-back-N sender runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -935,10 +934,6 @@ impl Transport for Sender {
             timeouts: self.timeouts,
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -950,6 +945,7 @@ mod tests {
     use lossburst_netsim::queue::QueueDisc;
     use lossburst_netsim::sim::Simulator;
     use lossburst_netsim::trace::TraceConfig;
+    use std::any::Any;
 
     fn simple_net(buffer: usize) -> (Simulator, NodeId, NodeId) {
         let mut bld = SimBuilder::new(11).trace(TraceConfig::all());
@@ -970,18 +966,16 @@ mod tests {
     fn cubic_flow_completes_a_lossy_transfer() {
         let (mut sim, a, b) = simple_net(10);
         let f = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::cubic(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-        let e = &sim.flows[f.index()];
-        assert!(e.transport.is_done(), "CUBIC transfer stalled");
-        assert_eq!(e.transport.progress().bytes_delivered, 2_000_000);
+        let s = sim.flow(f);
+        assert!(s.is_done(), "CUBIC transfer stalled");
+        assert_eq!(s.progress().bytes_delivered, 2_000_000);
         assert!(sim.total_drops() > 0, "buffer should have overflowed");
-        let s = e.transport.as_any().downcast_ref::<Sender>().unwrap();
-        assert!(s.controller().as_any().downcast_ref::<CubicCc>().is_some());
+        let cc: &dyn Any = s.controller();
+        assert!(cc.is::<CubicCc>());
         assert!(s.loss_events > 0);
     }
 
@@ -989,8 +983,6 @@ mod tests {
     fn bbr_flow_completes_and_builds_a_model() {
         let (mut sim, a, b) = simple_net(100);
         let f = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(
                 Sender::bbr(a, b, TcpConfig::default(), SimDuration::from_millis(20))
@@ -998,10 +990,10 @@ mod tests {
             ),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        let e = &sim.flows[f.index()];
-        assert!(e.transport.is_done(), "BBR transfer stalled");
-        let s = e.transport.as_any().downcast_ref::<Sender>().unwrap();
-        let bbr = s.controller().as_any().downcast_ref::<BbrCc>().unwrap();
+        let s = sim.flow(f);
+        assert!(s.is_done(), "BBR transfer stalled");
+        let cc: &dyn Any = s.controller();
+        let bbr = cc.downcast_ref::<BbrCc>().unwrap();
         // 8 Mbps / 1040-byte frames ≈ 960 pps; the windowed max should land
         // in that neighbourhood once the pipe fills.
         assert!(
@@ -1027,17 +1019,11 @@ mod tests {
         );
         let mut sim = bld.build();
         let f = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::fast(a, b, TcpConfig::default(), 20.0, 0.5)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
-        let s = sim.flows[f.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Sender>()
-            .unwrap();
+        let s = sim.flow(f);
         assert_eq!(sim.total_drops(), 0, "delay law should not overflow");
         // BDP ≈ 38 packets; fixed point sits at BDP + alpha-ish.
         assert!(

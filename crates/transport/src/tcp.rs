@@ -44,15 +44,13 @@ mod tests {
     fn lossless_bulk_transfer_completes() {
         let (mut sim, a, b) = simple_net(1000);
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(200_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-        let entry = &sim.flows[flow.index()];
-        assert!(entry.transport.is_done(), "transfer did not finish");
-        let p = entry.transport.progress();
+        let tcp = sim.flow(flow);
+        assert!(tcp.is_done(), "transfer did not finish");
+        let p = tcp.progress();
         assert_eq!(p.bytes_delivered, 200_000);
         assert_eq!(p.retransmits, 0, "no losses expected");
         assert_eq!(sim.total_drops(), 0);
@@ -62,18 +60,12 @@ mod tests {
     fn slow_start_doubles_window_each_rtt() {
         let (mut sim, a, b) = simple_net(1000);
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::newreno(a, b, TcpConfig::default())),
         );
         // RTT ≈ 21 ms. After ~4 RTTs of slow start cwnd should be ≈ 2^5.
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(90));
-        let tcp = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Sender>()
-            .unwrap();
+        let tcp = sim.flow(flow);
         assert!(
             tcp.cwnd() >= 16.0 && tcp.cwnd() <= 64.0,
             "cwnd {} after ~4 RTTs",
@@ -86,15 +78,12 @@ mod tests {
         // Small buffer so slow start overflows it quickly.
         let (mut sim, a, b) = simple_net(10);
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        let entry = &sim.flows[flow.index()];
-        assert!(entry.transport.is_done());
-        let tcp = entry.transport.as_any().downcast_ref::<Sender>().unwrap();
+        let tcp = sim.flow(flow);
+        assert!(tcp.is_done());
         assert!(sim.total_drops() > 0, "buffer should have overflowed");
         assert!(tcp.retransmits > 0);
         assert!(
@@ -114,15 +103,13 @@ mod tests {
         let (mut sim, a, b) = simple_net(100);
         // 8 Mbps * 10 s = 10 MB ceiling; ask for 4 MB.
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(4_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        let entry = &sim.flows[flow.index()];
-        assert!(entry.transport.is_done());
-        let secs = entry.completed_at.unwrap().as_secs_f64();
+        let tcp = sim.flow(flow);
+        assert!(tcp.is_done());
+        let secs = sim.completed_at(flow).unwrap().as_secs_f64();
         let rate = 4_000_000.0 * 8.0 / secs;
         // Expect at least 60% of the 8 Mbps link (overheads + recovery).
         assert!(
@@ -157,8 +144,6 @@ mod tests {
                 ..Default::default()
             };
             sim.add_flow(
-                a,
-                b,
                 SimTime::ZERO,
                 Box::new(Sender::new(a, b, cfg, RenoVariant::NewReno, mode)),
             );
@@ -201,8 +186,6 @@ mod tests {
         let run = |variant: RenoVariant| {
             let (mut sim, a, b) = simple_net(6);
             let flow = sim.add_flow(
-                a,
-                b,
                 SimTime::ZERO,
                 Box::new(
                     Sender::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
@@ -210,10 +193,9 @@ mod tests {
                 ),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-            let entry = &sim.flows[flow.index()];
-            assert!(entry.transport.is_done(), "{variant:?} did not finish");
-            let tcp = entry.transport.as_any().downcast_ref::<Sender>().unwrap();
-            (tcp.timeouts(), entry.completed_at.unwrap())
+            let tcp = sim.flow(flow);
+            assert!(tcp.is_done(), "{variant:?} did not finish");
+            (tcp.timeouts(), sim.completed_at(flow).unwrap())
         };
         let (nr_timeouts, _) = run(RenoVariant::NewReno);
         let (r_timeouts, _) = run(RenoVariant::Reno);
@@ -227,18 +209,15 @@ mod tests {
     fn tahoe_completes_and_slow_starts_after_loss() {
         let (mut sim, a, b) = simple_net(8);
         let flow = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::tahoe(a, b, TcpConfig::default()).with_limit_bytes(1_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-        let entry = &sim.flows[flow.index()];
-        assert!(entry.transport.is_done(), "Tahoe transfer stalled");
-        let tcp = entry.transport.as_any().downcast_ref::<Sender>().unwrap();
+        let tcp = sim.flow(flow);
+        assert!(tcp.is_done(), "Tahoe transfer stalled");
         assert!(tcp.loss_events > 0);
         assert!(!tcp.in_recovery(), "Tahoe must never be in fast recovery");
-        assert_eq!(entry.transport.progress().bytes_delivered, 1_000_000);
+        assert_eq!(tcp.progress().bytes_delivered, 1_000_000);
     }
 
     #[test]
@@ -246,8 +225,6 @@ mod tests {
         let run = |variant: RenoVariant| {
             let (mut sim, a, b) = simple_net(8);
             let f = sim.add_flow(
-                a,
-                b,
                 SimTime::ZERO,
                 Box::new(
                     Sender::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
@@ -255,8 +232,8 @@ mod tests {
                 ),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
-            assert!(sim.flows[f.index()].transport.is_done());
-            sim.flows[f.index()].completed_at.unwrap().as_secs_f64()
+            assert!(sim.flow(f).is_done());
+            sim.completed_at(f).unwrap().as_secs_f64()
         };
         let tahoe = run(RenoVariant::Tahoe);
         let newreno = run(RenoVariant::NewReno);
@@ -291,13 +268,9 @@ mod tests {
             ecn: true,
             ..Default::default()
         };
-        let flow = sim.add_flow(a, b, SimTime::ZERO, Box::new(Sender::newreno(a, b, cfg)));
+        let flow = sim.add_flow(SimTime::ZERO, Box::new(Sender::newreno(a, b, cfg)));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-        let tcp = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Sender>()
-            .unwrap();
+        let tcp = sim.flow(flow);
         assert!(tcp.loss_events > 0, "ECN echoes should cause back-off");
         assert_eq!(sim.total_drops(), 0, "no packets should be dropped");
         assert!(!sim.trace.marks.is_empty() || sim.links[0].stats.marked > 0);
@@ -312,13 +285,11 @@ mod tests {
                 ..Default::default()
             };
             let f = sim.add_flow(
-                a,
-                b,
                 SimTime::ZERO,
                 Box::new(Sender::newreno(a, b, cfg).with_limit_bytes(500_000)),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-            assert!(sim.flows[f.index()].transport.is_done());
+            assert!(sim.flow(f).is_done());
             // ACKs are the packets on the reverse link (link index 1).
             sim.links[1].stats.transmitted
         };

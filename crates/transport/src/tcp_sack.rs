@@ -11,6 +11,7 @@ mod tests {
     use super::*;
     use crate::sender::SackState;
     use lossburst_netsim::builder::SimBuilder;
+    use lossburst_netsim::iface::Transport;
     use lossburst_netsim::queue::QueueDisc;
     use lossburst_netsim::sim::Simulator;
     use lossburst_netsim::time::{SimDuration, SimTime};
@@ -35,32 +36,28 @@ mod tests {
     fn lossless_transfer_completes() {
         let (mut sim, a, b) = net(1000, 1);
         let f = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::sack(a, b, TcpConfig::default()).with_limit_bytes(500_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-        let e = &sim.flows[f.index()];
-        assert!(e.transport.is_done());
-        assert_eq!(e.transport.progress().retransmits, 0);
+        let tcp = sim.flow(f);
+        assert!(tcp.is_done());
+        assert_eq!(tcp.progress().retransmits, 0);
     }
 
     #[test]
     fn lossy_transfer_completes_and_uses_sack() {
         let (mut sim, a, b) = net(8, 2);
         let f = sim.add_flow(
-            a,
-            b,
             SimTime::ZERO,
             Box::new(Sender::sack(a, b, TcpConfig::default()).with_limit_bytes(2_000_000)),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-        let e = &sim.flows[f.index()];
-        assert!(e.transport.is_done(), "SACK transfer stalled");
-        assert_eq!(e.transport.progress().bytes_delivered, 2_000_000);
+        let tcp = sim.flow(f);
+        assert!(tcp.is_done(), "SACK transfer stalled");
+        assert_eq!(tcp.progress().bytes_delivered, 2_000_000);
         assert!(sim.total_drops() > 0);
-        assert!(e.transport.progress().retransmits > 0);
+        assert!(tcp.progress().retransmits > 0);
     }
 
     #[test]
@@ -86,16 +83,11 @@ mod tests {
             } else {
                 Sender::newreno(a, b, TcpConfig::default())
             };
-            let f = sim.add_flow(
-                a,
-                b,
-                SimTime::ZERO,
-                Box::new(transport.with_limit_bytes(bytes)),
-            );
+            let f = sim.add_flow(SimTime::ZERO, Box::new(transport.with_limit_bytes(bytes)));
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
-            let e = &sim.flows[f.index()];
-            assert!(e.transport.is_done(), "transfer stalled (sack={sack})");
-            e.completed_at.unwrap().as_secs_f64()
+            let tcp = sim.flow(f);
+            assert!(tcp.is_done(), "transfer stalled (sack={sack})");
+            sim.completed_at(f).unwrap().as_secs_f64()
         };
         let sack_time = run(true);
         let nr_time = run(false);

@@ -15,7 +15,6 @@ use lossburst_netsim::iface::{Ctx, FlowProgress, Transport};
 use lossburst_netsim::packet::{NodeId, Packet, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::trace::GoodputEvent;
-use std::any::Any;
 
 /// WALI weights for the last eight closed loss intervals (RFC 5348 §5.4).
 const WALI_WEIGHTS: [f64; 8] = [1.0, 1.0, 1.0, 1.0, 0.8, 0.6, 0.4, 0.2];
@@ -382,10 +381,6 @@ impl Transport for TfrcSender {
             timeouts: 0,
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -552,27 +547,17 @@ mod tests {
         );
         let mut sim = bld.build();
         let f = sim.add_flow(
-            a,
-            b,
             lossburst_netsim::time::SimTime::ZERO,
             Box::new(TfrcSender::new(a, b, 1000, SimDuration::from_millis(20))),
         );
         let initial = {
-            let t = sim.flows[f.index()]
-                .transport
-                .as_any()
-                .downcast_ref::<TfrcSender>()
-                .unwrap();
+            let t = sim.flow(f);
             t.rate_bps()
         };
         // Assert before the first packet crawls through the 1000 bps link
         // (8 s serialization) and produces real feedback.
         sim.run_until(lossburst_netsim::time::SimTime::ZERO + SimDuration::from_secs(5));
-        let t = sim.flows[f.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<TfrcSender>()
-            .unwrap();
+        let t = sim.flow(f);
         assert!(
             t.rate_bps() < initial / 4.0,
             "rate {:.0} bps did not halve repeatedly from {initial:.0}",
@@ -619,18 +604,12 @@ mod tests {
     fn tfrc_ramps_up_without_loss() {
         let (mut sim, a, b) = duplex_net(10e6, 1000);
         let flow = sim.add_flow(
-            a,
-            b,
             lossburst_netsim::time::SimTime::ZERO,
             Box::new(TfrcSender::new(a, b, 1000, SimDuration::from_millis(20))),
         );
         // Stop before slow start overshoots the 1000-packet buffer.
         sim.run_until(lossburst_netsim::time::SimTime::ZERO + SimDuration::from_secs(1));
-        let tfrc = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<TfrcSender>()
-            .unwrap();
+        let tfrc = sim.flow(flow);
         assert_eq!(
             tfrc.loss_events(),
             0,
@@ -650,17 +629,11 @@ mod tests {
         // a modest rate, not blast at the cap.
         let (mut sim, a, b) = duplex_net(2e6, 25);
         let flow = sim.add_flow(
-            a,
-            b,
             lossburst_netsim::time::SimTime::ZERO,
             Box::new(TfrcSender::new(a, b, 1000, SimDuration::from_millis(20))),
         );
         sim.run_until(lossburst_netsim::time::SimTime::ZERO + SimDuration::from_secs(30));
-        let tfrc = sim.flows[flow.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<TfrcSender>()
-            .unwrap();
+        let tfrc = sim.flow(flow);
         assert!(tfrc.loss_events() > 0, "must have seen loss reports");
         assert!(
             tfrc.rate_bps() < 6e6,

@@ -4,6 +4,7 @@
 
 use lossburst_netsim::prelude::*;
 use lossburst_transport::prelude::*;
+use std::any::Any;
 
 /// Two hosts, data path with a drop script, clean ACK path.
 fn scripted_net(script: DropScript) -> (Simulator, NodeId, NodeId) {
@@ -27,8 +28,8 @@ fn scripted_net(script: DropScript) -> (Simulator, NodeId, NodeId) {
     (bld.build(), a, b)
 }
 
-fn run_tcp(sim: &mut Simulator, a: NodeId, b: NodeId, tcp: Sender, horizon_s: u64) -> FlowId {
-    let f = sim.add_flow(a, b, SimTime::ZERO, Box::new(tcp));
+fn run_tcp(sim: &mut Simulator, tcp: Sender, horizon_s: u64) -> FlowHandle<Sender> {
+    let f = sim.add_flow(SimTime::ZERO, Box::new(tcp));
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(horizon_s));
     f
 }
@@ -40,17 +41,14 @@ fn single_loss_is_repaired_by_fast_retransmit() {
     let (mut sim, a, b) = scripted_net(DropScript::at([4]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(100_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done());
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done());
     assert_eq!(t.timeouts(), 0, "fast retransmit should have repaired it");
-    assert_eq!(e.transport.progress().retransmits, 1);
-    assert_eq!(e.transport.progress().loss_events, 1);
+    assert_eq!(t.progress().retransmits, 1);
+    assert_eq!(t.progress().loss_events, 1);
 }
 
 #[test]
@@ -61,16 +59,13 @@ fn loss_of_retransmission_falls_back_to_rto() {
     let (mut sim, a, b) = scripted_net(DropScript::seqs([(4u64, 2u32)]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(60_000),
         60,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "must recover via RTO eventually");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "must recover via RTO eventually");
     assert!(t.timeouts() >= 1, "expected an RTO fallback");
-    assert_eq!(e.transport.progress().bytes_delivered, 60_000);
+    assert_eq!(t.progress().bytes_delivered, 60_000);
 }
 
 #[test]
@@ -80,17 +75,14 @@ fn tail_loss_recovers_by_timeout() {
     let (mut sim, a, b) = scripted_net(DropScript::at([8, 9]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(10_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "tail loss not recovered");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "tail loss not recovered");
     assert!(t.timeouts() >= 1);
     // Completion takes at least the 1 s minimum RTO.
-    assert!(e.completed_at.unwrap().as_secs_f64() >= 1.0);
+    assert!(sim.completed_at(f).unwrap().as_secs_f64() >= 1.0);
 }
 
 #[test]
@@ -100,15 +92,13 @@ fn sack_survives_a_comb_loss_pattern() {
     let drops: Vec<u64> = (0..30u64).filter(|i| i % 3 == 2).collect();
     let (mut sim, a, b) = scripted_net(DropScript::at(drops));
     let f = sim.add_flow(
-        a,
-        b,
         SimTime::ZERO,
         Box::new(Sender::sack(a, b, TcpConfig::default()).with_limit_bytes(100_000)),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "SACK did not survive the comb");
-    assert_eq!(e.transport.progress().bytes_delivered, 100_000);
+    let tcp = sim.flow(f);
+    assert!(tcp.is_done(), "SACK did not survive the comb");
+    assert_eq!(tcp.progress().bytes_delivered, 100_000);
     assert_eq!(sim.total_drops(), 10);
 }
 
@@ -138,18 +128,13 @@ fn ack_path_loss_is_tolerated_by_cumulative_acks() {
     );
     let mut sim = bld.build();
     let f = sim.add_flow(
-        a,
-        b,
         SimTime::ZERO,
         Box::new(Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(100_000)),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    let e = &sim.flows[f.index()];
-    assert!(
-        e.transport.is_done(),
-        "ACK loss should not kill the transfer"
-    );
-    assert_eq!(e.transport.progress().bytes_delivered, 100_000);
+    let tcp = sim.flow(f);
+    assert!(tcp.is_done(), "ACK loss should not kill the transfer");
+    assert_eq!(tcp.progress().bytes_delivered, 100_000);
 }
 
 #[test]
@@ -160,19 +145,16 @@ fn paced_tcp_single_loss_recovers_without_timeout() {
     let (mut sim, a, b) = scripted_net(DropScript::at([4]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::pacing(a, b, TcpConfig::default(), SimDuration::from_millis(20))
             .with_limit_bytes(100_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "paced transfer stalled");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "paced transfer stalled");
     assert_eq!(t.timeouts(), 0, "fast retransmit should have repaired it");
-    assert_eq!(e.transport.progress().retransmits, 1);
-    assert_eq!(e.transport.progress().loss_events, 1);
-    assert_eq!(e.transport.progress().bytes_delivered, 100_000);
+    assert_eq!(t.progress().retransmits, 1);
+    assert_eq!(t.progress().loss_events, 1);
+    assert_eq!(t.progress().bytes_delivered, 100_000);
 }
 
 #[test]
@@ -182,18 +164,15 @@ fn paced_tcp_tail_loss_falls_back_to_rto() {
     let (mut sim, a, b) = scripted_net(DropScript::at([8, 9]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::pacing(a, b, TcpConfig::default(), SimDuration::from_millis(20))
             .with_limit_bytes(10_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "paced tail loss not recovered");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "paced tail loss not recovered");
     assert!(t.timeouts() >= 1, "expected an RTO fallback");
-    assert_eq!(e.transport.progress().bytes_delivered, 10_000);
-    assert!(e.completed_at.unwrap().as_secs_f64() >= 1.0);
+    assert_eq!(t.progress().bytes_delivered, 10_000);
+    assert!(sim.completed_at(f).unwrap().as_secs_f64() >= 1.0);
 }
 
 #[test]
@@ -204,15 +183,13 @@ fn paced_tcp_survives_a_mid_transfer_burst() {
     let (mut sim, a, b) = scripted_net(DropScript::at([10, 11, 12, 13, 14]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::pacing(a, b, TcpConfig::default(), SimDuration::from_millis(20))
             .with_limit_bytes(100_000),
         60,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "paced burst recovery failed");
-    let p = e.transport.progress();
+    let tcp = sim.flow(f);
+    assert!(tcp.is_done(), "paced burst recovery failed");
+    let p = tcp.progress();
     assert!(p.loss_events >= 1);
     assert!(p.retransmits >= 5, "every hole needs a retransmission");
     assert_eq!(p.bytes_delivered, 100_000);
@@ -226,14 +203,11 @@ fn tfrc_backs_off_and_resumes_after_a_loss_burst() {
     // and delivery continues well past the burst.
     let (mut sim, a, b) = scripted_net(DropScript::at([50, 51, 52, 53, 54, 55, 56, 57, 58]));
     let f = sim.add_flow(
-        a,
-        b,
         SimTime::ZERO,
         Box::new(TfrcSender::new(a, b, 1000, SimDuration::from_millis(20))),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-    let e = &sim.flows[f.index()];
-    let t = e.transport.as_any().downcast_ref::<TfrcSender>().unwrap();
+    let t = sim.flow(f);
     assert!(
         t.loss_events() >= 1,
         "burst never registered as a loss event"
@@ -247,7 +221,7 @@ fn tfrc_backs_off_and_resumes_after_a_loss_burst() {
         "allowed rate must stay finite and positive, got {}",
         t.rate_bps()
     );
-    let p = e.transport.progress();
+    let p = t.progress();
     assert_eq!(sim.total_drops(), 9, "the script drops exactly the burst");
     assert!(
         p.bytes_delivered > 59 * 1000,
@@ -287,15 +261,12 @@ fn tfrc_feedback_starvation_halves_the_rate() {
     );
     let mut sim = bld.build();
     let f = sim.add_flow(
-        a,
-        b,
         SimTime::ZERO,
         Box::new(TfrcSender::new(a, b, 1000, SimDuration::from_millis(20))),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
-    let e = &sim.flows[f.index()];
-    let t = e.transport.as_any().downcast_ref::<TfrcSender>().unwrap();
-    let p = e.transport.progress();
+    let t = sim.flow(f);
+    let p = t.progress();
     assert!(p.packets_sent > 0, "sender never started");
     assert!(
         t.rate_bps() < 8_000_000.0 / 2.0,
@@ -316,26 +287,22 @@ fn cubic_single_loss_backs_off_without_timeout() {
     let (mut sim, a, b) = scripted_net(DropScript::at([4]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::cubic(a, b, TcpConfig::default()).with_limit_bytes(100_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "cubic transfer stalled");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "cubic transfer stalled");
     assert_eq!(t.timeouts(), 0, "fast retransmit should have repaired it");
-    assert_eq!(e.transport.progress().loss_events, 1);
-    let cc = t
-        .controller()
-        .as_any()
+    assert_eq!(t.progress().loss_events, 1);
+    let cc: &dyn Any = t.controller();
+    let cc = cc
         .downcast_ref::<lossburst_transport::cc::cubic::CubicCc>()
         .unwrap();
     assert!(
         cc.w_max() > 0.0,
         "the loss must have anchored a cubic epoch at w_max"
     );
-    assert_eq!(e.transport.progress().bytes_delivered, 100_000);
+    assert_eq!(t.progress().bytes_delivered, 100_000);
 }
 
 #[test]
@@ -343,16 +310,13 @@ fn cubic_tail_loss_falls_back_to_rto() {
     let (mut sim, a, b) = scripted_net(DropScript::at([8, 9]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::cubic(a, b, TcpConfig::default()).with_limit_bytes(10_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "cubic tail loss not recovered");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "cubic tail loss not recovered");
     assert!(t.timeouts() >= 1, "expected an RTO fallback");
-    assert_eq!(e.transport.progress().bytes_delivered, 10_000);
+    assert_eq!(t.progress().bytes_delivered, 10_000);
 }
 
 #[test]
@@ -363,27 +327,23 @@ fn bbr_single_loss_repairs_while_the_model_keeps_pacing() {
     let (mut sim, a, b) = scripted_net(DropScript::at([4]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::bbr(a, b, TcpConfig::default(), SimDuration::from_millis(20))
             .with_limit_bytes(100_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "bbr transfer stalled");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "bbr transfer stalled");
     assert_eq!(t.timeouts(), 0, "selective repair should avoid the RTO");
-    assert!(e.transport.progress().loss_events >= 1);
-    let cc = t
-        .controller()
-        .as_any()
+    assert!(t.progress().loss_events >= 1);
+    let cc: &dyn Any = t.controller();
+    let cc = cc
         .downcast_ref::<lossburst_transport::cc::bbr::BbrCc>()
         .unwrap();
     assert!(
         cc.btlbw() > 0.0,
         "delivery-rate samples must have built a bandwidth model"
     );
-    assert_eq!(e.transport.progress().bytes_delivered, 100_000);
+    assert_eq!(t.progress().bytes_delivered, 100_000);
 }
 
 #[test]
@@ -391,17 +351,14 @@ fn bbr_tail_loss_recovers_by_timeout_and_collapses_the_window() {
     let (mut sim, a, b) = scripted_net(DropScript::at([8, 9]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::bbr(a, b, TcpConfig::default(), SimDuration::from_millis(20))
             .with_limit_bytes(10_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "bbr tail loss not recovered");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "bbr tail loss not recovered");
     assert!(t.timeouts() >= 1, "tail loss can only end in an RTO");
-    assert_eq!(e.transport.progress().bytes_delivered, 10_000);
+    assert_eq!(t.progress().bytes_delivered, 10_000);
 }
 
 #[test]
@@ -412,34 +369,29 @@ fn fast_controller_halves_its_window_on_loss() {
     let (mut sim, a, b) = scripted_net(DropScript::at([4]));
     let f = run_tcp(
         &mut sim,
-        a,
-        b,
         Sender::fast(a, b, TcpConfig::default(), 8.0, 0.5).with_limit_bytes(100_000),
         30,
     );
-    let e = &sim.flows[f.index()];
-    assert!(e.transport.is_done(), "fast transfer stalled");
-    let t = e.transport.as_any().downcast_ref::<Sender>().unwrap();
+    let t = sim.flow(f);
+    assert!(t.is_done(), "fast transfer stalled");
     assert_eq!(t.timeouts(), 0, "single loss should not need the RTO");
-    assert_eq!(e.transport.progress().loss_events, 1);
-    assert_eq!(e.transport.progress().bytes_delivered, 100_000);
+    assert_eq!(t.progress().loss_events, 1);
+    assert_eq!(t.progress().bytes_delivered, 100_000);
 }
 
 #[test]
 fn identical_scripts_yield_identical_traces() {
     let run = || {
         let (mut sim, a, b) = scripted_net(DropScript::at([3, 7, 11, 30]));
-        run_tcp(
+        let f = run_tcp(
             &mut sim,
-            a,
-            b,
             Sender::newreno(a, b, TcpConfig::default()).with_limit_bytes(80_000),
             60,
         );
         (
             sim.events_processed,
             sim.trace.losses.len(),
-            sim.flows[0].completed_at,
+            sim.completed_at(f),
         )
     };
     assert_eq!(run(), run());

@@ -128,8 +128,6 @@ fn all_variants_complete_transfers() {
         let (mut b, src, dst) = two_hosts(seed, buffer);
         let bytes = kb * 1024;
         let f = b.flow(
-            src,
-            dst,
             SimTime::ZERO,
             Box::new(
                 Sender::new(src, dst, TcpConfig::default(), variant, SendMode::Burst)
@@ -138,9 +136,9 @@ fn all_variants_complete_transfers() {
         );
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(900));
-        let e = &sim.flows[f.index()];
-        assert!(e.transport.is_done(), "{variant:?} stalled (case {case})");
-        assert!(e.transport.progress().bytes_delivered >= bytes);
+        let tcp = sim.flow(f);
+        assert!(tcp.is_done(), "{variant:?} stalled (case {case})");
+        assert!(tcp.progress().bytes_delivered >= bytes);
     });
 }
 
@@ -155,19 +153,17 @@ fn sack_always_completes() {
         let (mut b, src, dst) = two_hosts(seed, buffer);
         let bytes = kb * 1024;
         let f = b.flow(
-            src,
-            dst,
             SimTime::ZERO,
             Box::new(Sender::sack(src, dst, TcpConfig::default()).with_limit_bytes(bytes)),
         );
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(900));
-        let e = &sim.flows[f.index()];
+        let tcp = sim.flow(f);
         assert!(
-            e.transport.is_done(),
+            tcp.is_done(),
             "SACK stalled (seed {seed}, {kb} KB, buf {buffer})"
         );
-        assert!(e.transport.progress().bytes_delivered >= bytes);
+        assert!(tcp.progress().bytes_delivered >= bytes);
     });
 }
 
@@ -191,8 +187,6 @@ fn cbr_accounting() {
             QueueDisc::drop_tail(buffer),
         );
         let f = b.flow(
-            src,
-            dst,
             SimTime::ZERO,
             Box::new(
                 Cbr::new(src, dst, 200, pps * 200.0 * 8.0)
@@ -202,11 +196,7 @@ fn cbr_accounting() {
         );
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-        let cbr = sim.flows[f.index()]
-            .transport
-            .as_any()
-            .downcast_ref::<Cbr>()
-            .unwrap();
+        let cbr = sim.flow(f);
         assert_eq!(cbr.sent(), 200);
         assert_eq!(cbr.received() + cbr.lost_seqs().len() as u64, 200);
         if let (Some(t0), Some(t5)) = (cbr.nominal_send_time(0), cbr.nominal_send_time(5)) {

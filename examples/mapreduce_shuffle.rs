@@ -20,6 +20,7 @@ fn shuffle(n: usize, chunk_bytes: u64, delay_based: bool, seed: u64) -> (f64, u6
     let mut b = SimBuilder::new(seed);
     let star = build_star(&mut b, n, 1e9, SimDuration::from_micros(50), 128);
     let mut stagger = Sampler::child_rng(seed, 1);
+    let mut flows = Vec::new();
     for i in 0..n {
         for j in 0..n {
             if i == j {
@@ -40,15 +41,14 @@ fn shuffle(n: usize, chunk_bytes: u64, delay_based: bool, seed: u64) -> (f64, u6
             } else {
                 Box::new(Sender::newreno(s, r, TcpConfig::default()).with_limit_bytes(chunk_bytes))
             };
-            b.flow(s, r, start, flow);
+            flows.push(b.flow(start, flow));
         }
     }
     let mut sim = b.build();
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-    let finish = sim
-        .flows
+    let finish = flows
         .iter()
-        .map(|f| f.completed_at.map(|t| t.as_secs_f64()).unwrap_or(120.0))
+        .map(|&f| sim.completed_at(f).map_or(120.0, |t| t.as_secs_f64()))
         .fold(0.0f64, f64::max);
     (finish, sim.total_drops())
 }

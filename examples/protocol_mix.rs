@@ -35,29 +35,28 @@ fn run_mix(paced_tcp: bool) -> (f64, f64) {
         let (s, r) = (db.senders[i], db.receivers[i]);
         let start = SimTime::ZERO + SimDuration::from_millis(i as u64 * 20);
         if i % 2 == 0 {
-            tfrc_ids.push(b.flow(s, r, start, Box::new(TfrcSender::new(s, r, 1000, rtt))));
+            tfrc_ids.push(b.flow(start, Box::new(TfrcSender::new(s, r, 1000, rtt))));
         } else {
             let tcp: Box<dyn Transport> = if paced_tcp {
                 Box::new(Sender::pacing(s, r, TcpConfig::default(), rtt))
             } else {
                 Box::new(Sender::newreno(s, r, TcpConfig::default()))
             };
-            tcp_ids.push(b.flow(s, r, start, tcp));
+            tcp_ids.push(b.flow(start, tcp));
         }
     }
     let mut sim = b.build();
     sim.run_until(SimTime::ZERO + horizon);
 
     let secs = horizon.as_secs_f64();
-    let rate = |ids: &[FlowId]| -> f64 {
-        ids.iter()
-            .map(|id| sim.flows[id.index()].transport.progress().bytes_delivered)
-            .sum::<u64>() as f64
-            * 8.0
-            / secs
-            / 1e6
-    };
-    (rate(&tfrc_ids), rate(&tcp_ids))
+    let mbps = |bytes: u64| bytes as f64 * 8.0 / secs / 1e6;
+    let tfrc = tfrc_ids
+        .iter()
+        .map(|&h| sim.flow(h).progress().bytes_delivered);
+    let tcp = tcp_ids
+        .iter()
+        .map(|&h| sim.flow(h).progress().bytes_delivered);
+    (mbps(tfrc.sum()), mbps(tcp.sum()))
 }
 
 fn main() {

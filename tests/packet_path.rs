@@ -119,9 +119,12 @@ fn chain(seed: u64) -> Simulator {
 }
 
 /// [`chain`] and, beside it, one directly linked host pair per entry of
-/// `delays` with a CBR flow over that link: flow `2 + i` over the `i`th
-/// link returned.
-fn chain_beside(seed: u64, delays: &[SimDuration]) -> (Simulator, Vec<LinkId>) {
+/// `delays` with a CBR flow over that link. Returns the chain's sending
+/// host and each link beside it with its flow.
+fn chain_beside(
+    seed: u64,
+    delays: &[SimDuration],
+) -> (Simulator, NodeId, Vec<(LinkId, FlowHandle<Cbr>)>) {
     let mut b = SimBuilder::new(seed);
     let c = build_chain(
         &mut b,
@@ -135,20 +138,19 @@ fn chain_beside(seed: u64, delays: &[SimDuration]) -> (Simulator, Vec<LinkId>) {
         },
     );
     let tcp = Sender::newreno(c.src, c.dst, TcpConfig::default());
-    b.flow(c.src, c.dst, SimTime::ZERO, Box::new(tcp));
+    b.flow(SimTime::ZERO, Box::new(tcp));
     let cbr = Cbr::new(c.src, c.dst, 1000, 4e6);
-    b.flow(c.src, c.dst, SimTime::ZERO, Box::new(cbr));
+    b.flow(SimTime::ZERO, Box::new(cbr));
     let links = delays
         .iter()
         .map(|&delay| {
             let (from, to) = (b.host(), b.host());
             let link = b.link(from, to, 100e6, delay, QueueDisc::drop_tail(100));
             let cbr = Cbr::new(from, to, 1000, 4e6);
-            b.flow(from, to, SimTime::ZERO, Box::new(cbr));
-            link
+            (link, b.flow(SimTime::ZERO, Box::new(cbr)))
         })
         .collect();
-    (b.build(), links)
+    (b.build(), c.src, links)
 }
 
 /// One body per packet sent, none per hop, and every body freed when its
@@ -199,13 +201,14 @@ fn dropping_a_simulator_mid_run_frees_every_packet() {
     let _guard = exclusive();
     let before_build = live_bodies();
     let delays = [SimDuration::from_micros(2), SimDuration::from_secs(100)];
-    let (mut sim, beside) = chain_beside(2006, &delays);
+    let (mut sim, src, beside) = chain_beside(2006, &delays);
     let built = live_bodies();
     // Packets in propagation on the `i`th link beside the chain: those it
     // has transmitted less those its CBR flow has received.
     let propagating = |sim: &Simulator, i: usize| {
-        let received = sim.flows[2 + i].transport.progress().bytes_delivered / 1000;
-        sim.links[beside[i].index()].stats.transmitted - received
+        let (link, flow) = beside[i];
+        let received = sim.flow(flow).progress().bytes_delivered / 1000;
+        sim.links[link.index()].stats.transmitted - received
     };
     // The first stop past 40 000 events that has packets in all those
     // places; the budget counts lifetime events, so raising it by one
@@ -216,7 +219,7 @@ fn dropping_a_simulator_mid_run_frees_every_packet() {
         sim.run_until(SimTime::MAX);
         assert!(sim.budget_exhausted());
         let t = tally(&sim);
-        let access = sim.links.iter().find(|l| l.from == sim.flows[0].src);
+        let access = sim.links.iter().find(|l| l.from == src);
         let fresh = access.map_or(0, Link::occupancy) as u64;
         let (near, far) = (propagating(&sim, 0), propagating(&sim, 1));
         if fresh > 0 && t.queued > fresh && near > 0 && far > 0 && t.in_events > near + far {

@@ -39,8 +39,6 @@ fn links_conserve_packets() {
         for i in 0..pairs {
             let (s, r) = (db.senders[i], db.receivers[i]);
             b.flow(
-                s,
-                r,
                 SimTime::ZERO,
                 Box::new(Sender::newreno(s, r, TcpConfig::default())),
             );
@@ -78,16 +76,14 @@ fn bulk_transfers_deliver_exactly() {
         );
         let bytes = kb * 1024;
         let f = b.flow(
-            src,
-            dst,
             SimTime::ZERO,
             Box::new(Sender::newreno(src, dst, TcpConfig::default()).with_limit_bytes(bytes)),
         );
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
-        let entry = &sim.flows[f.index()];
-        assert!(entry.transport.is_done(), "transfer stalled (case {case})");
-        let delivered = entry.transport.progress().bytes_delivered;
+        let tcp = sim.flow(f);
+        assert!(tcp.is_done(), "transfer stalled (case {case})");
+        let delivered = tcp.progress().bytes_delivered;
         // Delivered counts whole segments covering the request.
         assert!(delivered >= bytes);
         assert!(delivered < bytes + 1000);

@@ -14,6 +14,7 @@ fn shuffle_scenario_delay_based_beats_loss_based() {
         let mut b = SimBuilder::new(3);
         let star = build_star(&mut b, n, 1e9, SimDuration::from_micros(50), 96);
         let mut stagger = Sampler::child_rng(3, 1);
+        let mut flows = Vec::new();
         for i in 0..n {
             for j in 0..n {
                 if i == j {
@@ -33,15 +34,14 @@ fn shuffle_scenario_delay_based_beats_loss_based() {
                 } else {
                     Box::new(Sender::newreno(s, r, TcpConfig::default()).with_limit_bytes(chunk))
                 };
-                b.flow(s, r, start, flow);
+                flows.push(b.flow(start, flow));
             }
         }
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        let finish = sim
-            .flows
+        let finish = flows
             .iter()
-            .map(|f| f.completed_at.map(|t| t.as_secs_f64()).unwrap_or(60.0))
+            .map(|&f| sim.completed_at(f).map_or(60.0, |t| t.as_secs_f64()))
             .fold(0.0f64, f64::max);
         (finish, sim.total_drops())
     };
