@@ -285,8 +285,6 @@ pub struct SuperstepStats {
     /// speed-up the plan already priced in, so the ratio isolates what
     /// the loss process itself does to the tail.
     pub tail_mass: f64,
-    /// Mean completion, seconds.
-    pub mean_secs: f64,
 }
 
 /// Aggregate report of a full lossy-BSP run.
@@ -699,9 +697,8 @@ fn close_barrier(
             }
         }
     }
-    // The mean sums in worker order; then one selection pass, in place,
-    // answers every order statistic, the barrier's max included.
-    let mean_secs = secs.iter().sum::<f64>() / secs.len() as f64;
+    // One selection pass, in place, answers every order statistic, the
+    // barrier's max included.
     let q = try_quantiles_in_place(&mut secs, &[0.5, 0.99, 1.0]).ok_or_else(nan_secs)?;
     let mut slow: Vec<f64> = outcomes.iter().map(|o| o.slowdown).collect();
     let tail = tail_mass_in_place(&mut slow)
@@ -712,7 +709,6 @@ fn close_barrier(
         median_secs: q[0],
         p99_secs: q[1],
         tail_mass: tail,
-        mean_secs,
     })
 }
 

@@ -11,7 +11,7 @@
 //!   closure, so a panicking path becomes one `Failed` ledger row instead
 //!   of tearing down the pool (the vendored pool re-propagates uncaught
 //!   worker panics; catching *inside* the closure keeps it oblivious);
-//! * **per-path retry** with deterministic seeded backoff;
+//! * **per-path retry**;
 //! * **budgets** — an event budget enforced inside the simulator's event
 //!   loop (via [`RunLimits`], threaded through `SimBuilder`) plus a
 //!   wall-clock budget checked when the path returns;
@@ -88,25 +88,15 @@ pub(crate) struct FaultSpec {
     pub(crate) attempts: u32,
 }
 
-/// A seeded, per-path-index fault schedule. Empty by default; campaigns
-/// run it unchanged in production and populated in robustness tests.
+/// A per-path-index fault schedule. Empty by default; campaigns run it
+/// empty in production and populated in robustness tests, starting from
+/// `FaultPlan::default()`.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Seed for everything randomized under supervision (currently the
-    /// retry backoff jitter).
-    pub(crate) seed: u64,
     faults: BTreeMap<usize, FaultSpec>,
 }
 
 impl FaultPlan {
-    /// An empty plan with the given seed.
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            faults: BTreeMap::new(),
-        }
-    }
-
     /// Inject `kind` at path `index` for the first `attempts` attempts.
     pub(crate) fn inject(mut self, index: usize, kind: FaultKind, attempts: u32) -> FaultPlan {
         self.faults.insert(index, FaultSpec { kind, attempts });
@@ -258,10 +248,6 @@ pub struct SupervisorConfig {
     /// Retries after the first failed attempt (so a path is tried at most
     /// `max_retries + 1` times).
     pub max_retries: u32,
-    /// Base backoff in milliseconds between retries (doubled per attempt,
-    /// plus seeded jitter below one base unit). `0` disables sleeping —
-    /// the right setting for tests and for purely CPU-bound local sweeps.
-    pub backoff_base_ms: u64,
     /// Per-path event budget, enforced inside the simulator's event loop
     /// — the defense against runaway simulations that would otherwise hang
     /// a worker forever.
@@ -285,7 +271,6 @@ impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
             max_retries: 1,
-            backoff_base_ms: 0,
             max_events_per_path: None,
             wall_budget: None,
             checkpoint: None,
@@ -300,18 +285,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The deterministic backoff before retry `attempt` (1-based) of `path`:
-/// exponential in the attempt with seeded sub-base jitter, so identical
-/// campaigns sleep identically. Zero when `base_ms` is zero.
-pub(crate) fn backoff_delay(base_ms: u64, seed: u64, path: usize, attempt: u32) -> Duration {
-    if base_ms == 0 {
-        return Duration::ZERO;
-    }
-    let exp = base_ms.saturating_mul(1u64 << attempt.min(6));
-    let jitter = splitmix64(seed ^ ((path as u64) << 8) ^ attempt as u64) % base_ms;
-    Duration::from_millis(exp.saturating_add(jitter))
 }
 
 // ---------------------------------------------------------------------------
@@ -911,7 +884,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run `n_paths` independent path measurements under supervision: fault
-/// boundary, retries with deterministic backoff, budgets, fault injection,
+/// boundary, retries, budgets, fault injection,
 /// and checkpoint/resume. `runner(index, limits)` measures one path; it
 /// must be deterministic in `index` (the supervisor may call it on any
 /// worker thread, in any order, and once per attempt).
@@ -1006,12 +979,6 @@ where
         }
         let mut attempt: u32 = 0;
         loop {
-            if attempt > 0 {
-                let delay = backoff_delay(cfg.backoff_base_ms, cfg.faults.seed, index, attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
             let fault = cfg.faults.active(index, attempt);
             let outcome: Result<T, PathFailure> = if fault == Some(FaultKind::Timeout) {
                 Err(PathFailure::WallClock { injected: true })
@@ -1145,8 +1112,6 @@ pub struct SupervisedStudy {
     /// Per-cell outcome ledger (index-aligned with
     /// [`crate::campaign::lab_cells`]).
     pub(crate) ledger: Vec<LedgerEntry>,
-    /// Cells restored from the checkpoint instead of re-run.
-    pub restored: usize,
 }
 
 impl SupervisedStudy {
@@ -1177,7 +1142,6 @@ pub fn ns2_study_supervised(
     Ok(SupervisedStudy {
         study: LossStudy::from_intervals(label, pooled),
         ledger: run.ledger,
-        restored: run.restored,
     })
 }
 
@@ -1288,7 +1252,7 @@ mod tests {
     fn fault_plan_drives_all_four_kinds() {
         let cfg = SupervisorConfig {
             max_retries: 1,
-            faults: FaultPlan::new(7)
+            faults: FaultPlan::default()
                 .always(0, FaultKind::Timeout)
                 .once(1, FaultKind::NanTrace)
                 .always(2, FaultKind::EmptyTrace)
@@ -1327,7 +1291,7 @@ mod tests {
         };
         let sup = SupervisorConfig {
             max_retries: 0,
-            faults: FaultPlan::new(5).always(0, FaultKind::Panic),
+            faults: FaultPlan::default().always(0, FaultKind::Panic),
             ..Default::default()
         };
         let out = ns2_study_supervised(&lab, &sup).unwrap();
@@ -1551,19 +1515,6 @@ mod tests {
         assert_eq!(rec.trace_bytes, back.trace_bytes);
         assert!(LabCellRecord::decode("garbage").is_none());
         assert!(LabCellRecord::decode("lab 3").is_none(), "truncated");
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let a = backoff_delay(10, 42, 3, 1);
-        let b = backoff_delay(10, 42, 3, 1);
-        assert_eq!(a, b);
-        assert_eq!(backoff_delay(0, 42, 3, 1), Duration::ZERO);
-        // Exponential envelope: attempt 3 >= 8x base, < 9x base.
-        let d3 = backoff_delay(10, 42, 3, 3);
-        assert!(d3 >= Duration::from_millis(80) && d3 < Duration::from_millis(90));
-        // Jitter differs across paths.
-        assert_ne!(backoff_delay(1000, 42, 1, 1), backoff_delay(1000, 42, 2, 1));
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub enum Event {
         /// The starting flow.
         flow: FlowId,
     },
-    /// Periodic queue-occupancy sampling tick (self-rescheduling).
-    QueueSample,
     /// Stop the simulation at this instant even if events remain.
     Horizon,
 }

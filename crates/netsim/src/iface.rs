@@ -68,8 +68,8 @@ impl Ctx<'_> {
     }
 }
 
-/// Progress counters every transport exposes, used for completion records
-/// and end-of-run summaries.
+/// Progress counters every transport exposes, read back through
+/// [`crate::sim::Simulator::flow`] for end-of-run summaries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowProgress {
     /// Application bytes confirmed delivered (acked for TCP, received for UDP).

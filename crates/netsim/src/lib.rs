@@ -16,7 +16,7 @@
 //! * **flows** driven by pluggable [`iface::Transport`] state machines (the
 //!   congestion-control protocols live in the `lossburst-transport` crate);
 //! * **traces**: per-drop records at router queues — the paper's core
-//!   instrumentation — plus goodput events and transfer completions.
+//!   instrumentation — plus ECN marks and goodput events.
 //!
 //! Determinism: integer-nanosecond time, a tie-broken event scheduler (a
 //! calendar queue popping in `(time, insertion)` order), and a single

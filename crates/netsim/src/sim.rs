@@ -7,7 +7,7 @@ use crate::node::{Node, NodeKind};
 use crate::packet::{FlowId, LinkId, NodeId, Packet};
 use crate::queue::{QueueDisc, Verdict};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CompletionRecord, LossRecord, MarkRecord, QueueSample, TraceConfig, TraceSet};
+use crate::trace::{LossRecord, MarkRecord, TraceConfig, TraceSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
@@ -108,8 +108,6 @@ pub struct EventCounts {
     pub arrivals: u64,
     /// Link serialization completions.
     pub tx_completes: u64,
-    /// Periodic queue-occupancy samples.
-    pub(crate) queue_samples: u64,
     /// Fluid background rate changes applied (these arrive inside timer
     /// events, so they are *in addition to* the loop's event total).
     pub rate_changes: u64,
@@ -119,7 +117,7 @@ impl EventCounts {
     /// Total events dispatched by the loop (rate changes excluded: they
     /// ride inside timer events rather than being scheduled themselves).
     pub fn total(&self) -> u64 {
-        self.flow_starts + self.timers + self.arrivals + self.tx_completes + self.queue_samples
+        self.flow_starts + self.timers + self.arrivals + self.tx_completes
     }
 }
 
@@ -157,8 +155,6 @@ pub struct Simulator {
     outbox: Vec<(NodeId, Packet)>,
     fluid_outbox: Vec<(LinkId, f64)>,
     event_counts: EventCounts,
-    monitored_links: Vec<LinkId>,
-    monitor_interval: SimDuration,
     limits: RunLimits,
     limit_at: u64,
     budget_exhausted: bool,
@@ -181,8 +177,6 @@ impl Simulator {
             outbox: Vec::with_capacity(64),
             fluid_outbox: Vec::new(),
             event_counts: EventCounts::default(),
-            monitored_links: Vec::new(),
-            monitor_interval: SimDuration::ZERO,
             limits: RunLimits::NONE,
             limit_at: u64::MAX,
             budget_exhausted: false,
@@ -207,18 +201,6 @@ impl Simulator {
     /// days walked per pop, rebuilds.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.events.stats()
-    }
-
-    /// Sample the occupancy of `links` every `interval` into
-    /// [`TraceSet::queue_samples`], starting now.
-    pub fn monitor_queues(&mut self, links: &[LinkId], interval: SimDuration) {
-        assert!(
-            interval > SimDuration::ZERO,
-            "monitor interval must be positive"
-        );
-        self.monitored_links = links.to_vec();
-        self.monitor_interval = interval;
-        self.events.schedule(self.now, Event::QueueSample);
     }
 
     /// Add a node; returns its id.
@@ -402,7 +384,7 @@ impl Simulator {
     }
 
     /// Run until the event queue drains completely (only safe for workloads
-    /// that terminate, e.g. bulk transfers with no periodic samplers).
+    /// that terminate, e.g. bulk transfers with no self-rearming timers).
     pub fn run_to_quiescence(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
     }
@@ -440,20 +422,6 @@ impl Simulator {
                 if let Some(next) = out.next_tx {
                     self.events
                         .schedule(self.now + next, Event::LinkTxComplete { link });
-                }
-            }
-            Event::QueueSample => {
-                self.event_counts.queue_samples += 1;
-                for &link in &self.monitored_links {
-                    self.trace.queue_sample(QueueSample {
-                        time: self.now,
-                        link,
-                        occupancy: self.links[link.index()].occupancy() as u32,
-                    });
-                }
-                if !self.monitored_links.is_empty() {
-                    self.events
-                        .schedule(self.now + self.monitor_interval, Event::QueueSample);
                 }
             }
             Event::Horizon => {}
@@ -530,12 +498,6 @@ impl Simulator {
         // Completion check (records once).
         if entry.completed_at.is_none() && entry.transport.is_done() {
             entry.completed_at = Some(self.now);
-            let bytes = entry.transport.progress().bytes_delivered;
-            self.trace.complete(CompletionRecord {
-                flow,
-                time: self.now,
-                bytes,
-            });
         }
         // Inject emitted packets in the order the transport sent them (a
         // window-based TCP's back-to-back burst must hit the access queue
@@ -654,8 +616,7 @@ mod tests {
         );
         sim.run_to_quiescence();
         assert!(sim.flow(flow).is_done());
-        assert_eq!(sim.trace.completions.len(), 1);
-        assert_eq!(sim.trace.completions[0].bytes, 10_000);
+        assert_eq!(sim.flow(flow).progress().bytes_delivered, 10_000);
         assert!(sim.all_links_conserve());
         // Timing: 10 packets of 1 ms serialization each on the first link,
         // pipelined through the second, plus 2 ms propagation. The last
@@ -701,7 +662,7 @@ mod tests {
     #[test]
     fn run_until_respects_horizon() {
         let (mut sim, a, b) = two_hosts_one_router();
-        sim.add_flow(
+        let flow = sim.add_flow(
             SimTime::ZERO,
             Box::new(Blaster {
                 src: a,
@@ -713,11 +674,11 @@ mod tests {
         );
         // Horizon before anything can arrive (first arrival at 1+1... ms).
         sim.run_until(SimTime::ZERO + SimDuration::from_micros(10));
-        assert_eq!(sim.trace.completions.len(), 0);
+        assert_eq!(sim.completed_at(flow), None);
         assert_eq!(sim.now, SimTime::ZERO + SimDuration::from_micros(10));
         // Continue to the end.
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert_eq!(sim.trace.completions.len(), 1);
+        assert!(sim.completed_at(flow).is_some());
     }
 
     #[test]
@@ -752,17 +713,8 @@ mod tests {
         assert_eq!((t.n, t.received), (5, 5));
         let d: &dyn Transport = sim.flow(erased);
         assert_eq!(d.progress().bytes_delivered, 3000);
-        let recorded = |id| {
-            sim.trace
-                .completions
-                .iter()
-                .find(|c| c.flow == id)
-                .map(|c| c.time)
-        };
         assert!(sim.completed_at(concrete).is_some());
         assert!(sim.completed_at(erased).is_some());
-        assert_eq!(sim.completed_at(concrete), recorded(concrete.id()));
-        assert_eq!(sim.completed_at(erased), recorded(erased.id()));
     }
 
     #[test]
@@ -781,34 +733,6 @@ mod tests {
         let (mut other, a, b) = two_hosts_one_router();
         other.add_flow(SimTime::ZERO, Box::new(blaster(a, b)));
         other.flow(h);
-    }
-
-    #[test]
-    fn queue_monitoring_samples_periodically() {
-        let (mut sim, a, b) = two_hosts_one_router();
-        sim.add_flow(
-            SimTime::ZERO,
-            Box::new(Blaster {
-                src: a,
-                dst: b,
-                n: 20,
-                received: 0,
-                size: 1000,
-            }),
-        );
-        let link = sim.nodes[a.index()].route_to(b).unwrap();
-        sim.monitor_queues(&[link], SimDuration::from_millis(1));
-        sim.run_until(SimTime::ZERO + SimDuration::from_millis(10));
-        let series = sim.trace.occupancy_series(link);
-        // t = 0, 1, ..., 10 ms inclusive.
-        assert_eq!(series.len(), 11);
-        // The 20-packet burst drains at 1 packet/ms: occupancy decreases.
-        assert!(series[0].1 >= series[5].1);
-        assert!(series.iter().any(|&(_, occ)| occ > 0));
-        // Samples are evenly spaced.
-        for w in series.windows(2) {
-            assert!((w[1].0 - w[0].0 - 0.001).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -940,7 +864,7 @@ mod tests {
     fn deterministic_replay() {
         let run = || {
             let (mut sim, a, b) = two_hosts_one_router();
-            sim.add_flow(
+            let flow = sim.add_flow(
                 SimTime::ZERO,
                 Box::new(Blaster {
                     src: a,
@@ -953,7 +877,7 @@ mod tests {
             sim.run_to_quiescence();
             (
                 sim.events_processed,
-                sim.trace.completions[0].time,
+                sim.completed_at(flow),
                 sim.links[0].stats.transmitted_bytes,
             )
         };

@@ -71,10 +71,6 @@ impl DumbbellConfig {
 /// The constructed dumbbell: node/link handles for wiring up flows.
 #[derive(Clone, Debug)]
 pub struct Dumbbell {
-    /// Router on the sender side.
-    pub left_router: NodeId,
-    /// Router on the receiver side.
-    pub right_router: NodeId,
     /// Sender hosts, one per pair.
     pub senders: Vec<NodeId>,
     /// Receiver hosts, one per pair.
@@ -137,8 +133,6 @@ pub fn build_dumbbell(b: &mut SimBuilder, cfg: &DumbbellConfig) -> Dumbbell {
         pair_rtts.push(rtt);
     }
     Dumbbell {
-        left_router: left,
-        right_router: right,
         senders,
         receivers,
         bottleneck,
@@ -171,10 +165,6 @@ pub struct Chain {
     pub src: NodeId,
     /// Probe receiver host.
     pub dst: NodeId,
-    /// Ingress router.
-    pub left_router: NodeId,
-    /// Egress router.
-    pub right_router: NodeId,
     /// The congested link.
     pub bottleneck: LinkId,
     /// Cross-traffic sender hosts (attached at the ingress router).
@@ -238,8 +228,6 @@ pub fn build_chain(b: &mut SimBuilder, cfg: &ChainConfig) -> Chain {
     Chain {
         src,
         dst,
-        left_router: left,
-        right_router: right,
         bottleneck,
         cross_senders,
         cross_receivers,
@@ -291,8 +279,6 @@ pub fn build_star(
 /// dumbbell.
 #[derive(Clone, Debug)]
 pub struct ParkingLot {
-    /// Routers along the chain, in order.
-    pub routers: Vec<NodeId>,
     /// The long-haul sender (enters at the first router).
     pub long_src: NodeId,
     /// The long-haul receiver (exits at the last router).
@@ -342,7 +328,6 @@ pub fn build_parking_lot(
         local_dsts.push(access(b, routers[i + 1]));
     }
     ParkingLot {
-        routers,
         long_src,
         long_dst,
         local_srcs,
@@ -431,11 +416,13 @@ mod tests {
         };
         let ch = build_chain(&mut b, &cfg);
         let sim = b.build();
-        // src routes toward dst through the left router.
+        // src routes toward dst through the ingress router, the
+        // bottleneck's tail.
+        let ingress = sim.links[ch.bottleneck.index()].from;
         let first = sim.nodes[ch.src.index()].route_to(ch.dst).unwrap();
-        assert_eq!(sim.links[first.index()].to, ch.left_router);
+        assert_eq!(sim.links[first.index()].to, ingress);
         // Cross-traffic senders route through the same bottleneck.
-        let hop = sim.nodes[ch.left_router.index()]
+        let hop = sim.nodes[ingress.index()]
             .route_to(ch.cross_receivers[0])
             .unwrap();
         assert_eq!(hop, ch.bottleneck);
@@ -470,7 +457,6 @@ mod tests {
             QueueDisc::drop_tail(64),
         );
         let sim = b.build();
-        assert_eq!(pl.routers.len(), 4);
         assert_eq!(pl.hop_links.len(), 3);
         assert_eq!(pl.local_srcs.len(), 3);
         // The long-haul path must traverse every hop link in order.

@@ -1,9 +1,10 @@
 //! Trace collection.
 //!
 //! The paper's central measurement is the *timing of every packet drop* at
-//! the bottleneck router; everything else (throughput series, completion
-//! times) supports the impact studies. Recording is gated by a
-//! [`TraceConfig`] so that long runs only pay for what an experiment needs.
+//! the bottleneck router; the mark and goodput streams support the impact
+//! studies (ECN coverage, Fig 7's throughput series). Recording is gated by
+//! a [`TraceConfig`] so that long runs only pay for what an experiment
+//! needs, and a [`TraceSink`] observes every drop whatever the gating.
 
 use crate::packet::{FlowId, LinkId};
 use crate::time::SimTime;
@@ -47,28 +48,6 @@ pub struct GoodputEvent {
     pub bytes: u64,
 }
 
-/// A periodic queue-occupancy sample.
-#[derive(Clone, Copy, Debug)]
-pub struct QueueSample {
-    /// Sample instant.
-    pub(crate) time: SimTime,
-    /// Sampled link.
-    pub(crate) link: LinkId,
-    /// Buffer occupancy in packets (including the packet in service).
-    pub(crate) occupancy: u32,
-}
-
-/// A bulk transfer finishing (Fig 8).
-#[derive(Clone, Copy, Debug)]
-pub struct CompletionRecord {
-    /// The finished flow.
-    pub flow: FlowId,
-    /// Completion instant.
-    pub time: SimTime,
-    /// Total application bytes delivered.
-    pub bytes: u64,
-}
-
 /// Which record streams to keep.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
@@ -101,7 +80,7 @@ impl TraceConfig {
     }
 
     /// Buffer nothing. The streaming mode: attached [`TraceSink`]s still
-    /// see every record, but no per-event `Vec` grows with the run.
+    /// see every drop, but no per-event `Vec` grows with the run.
     pub fn none() -> TraceConfig {
         TraceConfig {
             losses: false,
@@ -111,27 +90,18 @@ impl TraceConfig {
     }
 }
 
-/// An observer the event loop drives per record, as the record is
-/// produced — the streaming alternative to buffering a `Vec` and scanning
-/// it after the run. Sinks see every record regardless of the
-/// [`TraceConfig`] gating, so a run can stream with buffering entirely
-/// off ([`TraceConfig::none`]) and hold O(1) analysis state instead of
+/// A loss observer the event loop drives per drop, as the drop happens —
+/// the streaming alternative to buffering a `Vec` and scanning it after
+/// the run. Sinks see every drop regardless of the [`TraceConfig`]
+/// gating, so a run can stream with buffering entirely off
+/// ([`TraceConfig::none`]) and hold O(1) analysis state instead of
 /// O(packets) of trace.
 ///
-/// All methods default to no-ops; implement the ones you care about.
 /// `Any` is a supertrait, so [`TraceSet::sink`] / [`TraceSet::sink_mut`]
 /// hand a sink back as its concrete type after the run.
 pub trait TraceSink: Any {
     /// A packet was dropped.
-    fn on_loss(&mut self, _rec: &LossRecord) {}
-    /// A packet was ECN-marked.
-    fn on_mark(&mut self, _rec: &MarkRecord) {}
-    /// A sender confirmed delivery of new application bytes.
-    fn on_goodput(&mut self, _rec: &GoodputEvent) {}
-    /// A periodic queue-occupancy sample was taken.
-    fn on_queue_sample(&mut self, _rec: &QueueSample) {}
-    /// A bulk transfer finished.
-    fn on_complete(&mut self, _rec: &CompletionRecord) {}
+    fn on_loss(&mut self, rec: &LossRecord);
     /// Self as `Any`. Nothing needs to call or implement this:
     /// [`TraceSet::sink`] upcasts. Kept for sinks that still override it.
     fn as_any(&self) -> &dyn Any
@@ -161,12 +131,7 @@ pub struct TraceSet {
     pub marks: Vec<MarkRecord>,
     /// Goodput events (if enabled).
     pub goodput: Vec<GoodputEvent>,
-    /// Queue-occupancy samples (filled when monitoring is enabled on the
-    /// simulator; not gated — enabling the monitor is the opt-in).
-    pub queue_samples: Vec<QueueSample>,
-    /// Completion records (always kept; there are few).
-    pub completions: Vec<CompletionRecord>,
-    /// Attached observers, driven per record before buffering.
+    /// Attached loss observers, driven per drop before buffering.
     sinks: Vec<Box<dyn TraceSink>>,
 }
 
@@ -177,8 +142,6 @@ impl fmt::Debug for TraceSet {
             .field("losses", &self.losses)
             .field("marks", &self.marks)
             .field("goodput", &self.goodput)
-            .field("queue_samples", &self.queue_samples)
-            .field("completions", &self.completions)
             .field("sinks", &self.sinks.len())
             .finish()
     }
@@ -213,15 +176,13 @@ impl TraceSet {
             losses: sized(config.losses, records),
             marks: sized(config.marks, records),
             goodput: sized(config.goodput, records),
-            queue_samples: Vec::new(),
-            completions: Vec::with_capacity(16),
             sinks: Vec::new(),
         }
     }
 
     /// Attach an observer; returns its index for post-run retrieval via
-    /// [`TraceSet::sink`]. Sinks are driven in attachment order, before the
-    /// record is buffered.
+    /// [`TraceSet::sink`]. Sinks see each drop in attachment order, before
+    /// it is buffered.
     pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) -> usize {
         self.sinks.push(sink);
         self.sinks.len() - 1
@@ -254,9 +215,6 @@ impl TraceSet {
     /// Record an ECN mark.
     #[inline]
     pub(crate) fn mark(&mut self, rec: MarkRecord) {
-        for s in &mut self.sinks {
-            s.on_mark(&rec);
-        }
         if self.config.marks {
             self.marks.push(rec);
         }
@@ -265,31 +223,9 @@ impl TraceSet {
     /// Record sender progress.
     #[inline]
     pub fn goodput(&mut self, rec: GoodputEvent) {
-        for s in &mut self.sinks {
-            s.on_goodput(&rec);
-        }
         if self.config.goodput {
             self.goodput.push(rec);
         }
-    }
-
-    /// Record a queue-occupancy sample (the monitor's opt-in is enabling
-    /// sampling on the simulator; the buffer is not gated).
-    #[inline]
-    pub(crate) fn queue_sample(&mut self, rec: QueueSample) {
-        for s in &mut self.sinks {
-            s.on_queue_sample(&rec);
-        }
-        self.queue_samples.push(rec);
-    }
-
-    /// Record a completed transfer.
-    #[inline]
-    pub(crate) fn complete(&mut self, rec: CompletionRecord) {
-        for s in &mut self.sinks {
-            s.on_complete(&rec);
-        }
-        self.completions.push(rec);
     }
 
     /// Bytes currently committed to record buffers (capacities, i.e. what
@@ -300,17 +236,6 @@ impl TraceSet {
         self.losses.capacity() * std::mem::size_of::<LossRecord>()
             + self.marks.capacity() * std::mem::size_of::<MarkRecord>()
             + self.goodput.capacity() * std::mem::size_of::<GoodputEvent>()
-            + self.queue_samples.capacity() * std::mem::size_of::<QueueSample>()
-            + self.completions.capacity() * std::mem::size_of::<CompletionRecord>()
-    }
-
-    /// Occupancy samples for one link as `(seconds, packets)` pairs.
-    pub fn occupancy_series(&self, link: LinkId) -> Vec<(f64, u32)> {
-        self.queue_samples
-            .iter()
-            .filter(|q| q.link == link)
-            .map(|q| (q.time.as_secs_f64(), q.occupancy))
-            .collect()
     }
 
     /// Drop timestamps on one link, in seconds, in event order (the input to
@@ -383,15 +308,14 @@ mod tests {
             flow: FlowId(0),
             bytes: 100,
         });
-        assert!(t.losses.is_empty());
-        assert!(t.goodput.is_empty());
-        // Completions are never gated.
-        t.complete(CompletionRecord {
-            flow: FlowId(0),
+        t.mark(MarkRecord {
             time: SimTime::ZERO,
-            bytes: 5,
+            link: LinkId(0),
+            flow: FlowId(0),
         });
-        assert_eq!(t.completions.len(), 1);
+        assert!(t.losses.is_empty());
+        assert!(t.marks.is_empty());
+        assert!(t.goodput.is_empty());
     }
 
     #[test]
@@ -425,32 +349,16 @@ mod tests {
     #[derive(Default)]
     struct Counter {
         losses: u64,
-        marks: u64,
-        goodput_bytes: u64,
-        queue_samples: u64,
-        completions: u64,
     }
 
     impl TraceSink for Counter {
         fn on_loss(&mut self, _rec: &LossRecord) {
             self.losses += 1;
         }
-        fn on_mark(&mut self, _rec: &MarkRecord) {
-            self.marks += 1;
-        }
-        fn on_goodput(&mut self, rec: &GoodputEvent) {
-            self.goodput_bytes += rec.bytes;
-        }
-        fn on_queue_sample(&mut self, _rec: &QueueSample) {
-            self.queue_samples += 1;
-        }
-        fn on_complete(&mut self, _rec: &CompletionRecord) {
-            self.completions += 1;
-        }
     }
 
     #[test]
-    fn sinks_see_every_record_even_with_buffering_off() {
+    fn sinks_see_every_loss_even_with_buffering_off() {
         let mut t = TraceSet::new(TraceConfig::none());
         let idx = t.add_sink(Box::<Counter>::default());
         t.loss(LossRecord {
@@ -459,37 +367,18 @@ mod tests {
             flow: FlowId(0),
             seq: 0,
         });
-        t.mark(MarkRecord {
-            time: SimTime::ZERO,
-            link: LinkId(0),
+        t.loss(LossRecord {
+            time: SimTime::from_nanos(7),
+            link: LinkId(1),
             flow: FlowId(0),
+            seq: 1,
         });
-        t.goodput(GoodputEvent {
-            time: SimTime::ZERO,
-            flow: FlowId(0),
-            bytes: 123,
-        });
-        t.queue_sample(QueueSample {
-            time: SimTime::ZERO,
-            link: LinkId(0),
-            occupancy: 3,
-        });
-        t.complete(CompletionRecord {
-            flow: FlowId(0),
-            time: SimTime::ZERO,
-            bytes: 5,
-        });
-        // Buffers stayed empty (completions/queue samples are not gated)…
+        // The buffer stayed empty and committed nothing…
         assert!(t.losses.is_empty());
-        assert!(t.marks.is_empty());
-        assert!(t.goodput.is_empty());
-        // …but the sink observed everything.
+        assert_eq!(t.buffer_bytes(), 0);
+        // …but the sink observed every drop.
         let c: &Counter = t.sink(idx).expect("sink downcast");
-        assert_eq!(c.losses, 1);
-        assert_eq!(c.marks, 1);
-        assert_eq!(c.goodput_bytes, 123);
-        assert_eq!(c.queue_samples, 1);
-        assert_eq!(c.completions, 1);
+        assert_eq!(c.losses, 2);
     }
 
     #[test]
@@ -499,7 +388,9 @@ mod tests {
         t2.sink_mut::<Counter>(i2).expect("right type").losses = 7;
         assert_eq!(t2.sink::<Counter>(i2).map(|c| c.losses), Some(7));
         struct Other;
-        impl TraceSink for Other {}
+        impl TraceSink for Other {
+            fn on_loss(&mut self, _rec: &LossRecord) {}
+        }
         assert!(t2.sink::<Other>(i2).is_none());
         assert!(t2.sink_mut::<Other>(i2).is_none());
     }
@@ -509,10 +400,9 @@ mod tests {
         let t = TraceSet::with_capacity(TraceConfig::default(), 1000);
         let expected_min = 1000 * std::mem::size_of::<LossRecord>();
         assert!(t.buffer_bytes() >= expected_min);
-        // Streaming config commits (almost) nothing: just the small
-        // completions buffer.
+        // Streaming config commits nothing.
         let none = TraceSet::with_capacity(TraceConfig::none(), 1000);
-        assert!(none.buffer_bytes() <= 16 * std::mem::size_of::<CompletionRecord>());
+        assert_eq!(none.buffer_bytes(), 0);
     }
 
     #[test]

@@ -24,12 +24,14 @@ pub(crate) const POLICY_MATRIX: [ExecutionPolicy; 2] =
 /// Render every record stream to bytes. Records hold integers, ids, and
 /// f64s; Rust's shortest-round-trip Debug float formatting is injective,
 /// so equal dumps mean bit-identical traces.
+///
+/// The dump keeps its five-line format, which pinned hashes were taken
+/// over: the last two lines held queue samples and flow completions,
+/// streams the trace no longer has. In every pinned workload they read
+/// `[]` (no link was monitored, and no flow finished), so they are
+/// written as that literal.
 pub(crate) fn trace_bytes(t: &TraceSet) -> Vec<u8> {
-    format!(
-        "{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
-        t.losses, t.marks, t.goodput, t.queue_samples, t.completions
-    )
-    .into_bytes()
+    format!("{:?}\n{:?}\n{:?}\n[]\n[]", t.losses, t.marks, t.goodput).into_bytes()
 }
 
 /// The reference workload for event-loop byte-identity: a 6-pair

@@ -185,7 +185,7 @@ fn a_faulty_bsp_worker_is_ledgered_not_fatal() {
     let index = cfg.n_workers + 7;
     let dir = scratch_dir("fault_once");
     let sup = SupervisorConfig {
-        faults: FaultPlan::new(9).once(index, FaultKind::Timeout),
+        faults: FaultPlan::default().once(index, FaultKind::Timeout),
         ..SupervisorConfig::default()
     };
     let run = run_bsp_sharded(&cfg, &sup, 3, &dir).unwrap();
@@ -195,7 +195,7 @@ fn a_faulty_bsp_worker_is_ledgered_not_fatal() {
 
     let dir = scratch_dir("fault_always");
     let sup = SupervisorConfig {
-        faults: FaultPlan::new(9).always(index, FaultKind::Panic),
+        faults: FaultPlan::default().always(index, FaultKind::Panic),
         ..SupervisorConfig::default()
     };
     for i in 0..3 {

@@ -25,8 +25,8 @@ fn tiny_campaign(seed: u64) -> CampaignConfig {
 /// retry), one persistent timeout (fails), one transient NaN trace
 /// (recovers), one persistent empty trace (stays `Ok` — a loss-free path
 /// is a valid measurement).
-fn fault_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
+fn fault_plan() -> FaultPlan {
+    FaultPlan::default()
         .once(1, FaultKind::Panic)
         .always(3, FaultKind::Timeout)
         .once(2, FaultKind::NanTrace)
@@ -85,7 +85,7 @@ fn interrupted_campaign_resumes_byte_identically() {
         let cfg = tiny_campaign(seed);
         let base = SupervisorConfig {
             max_retries: 1,
-            faults: fault_plan(seed),
+            faults: fault_plan(),
             ..Default::default()
         };
 
@@ -196,7 +196,7 @@ fn lab_sweep_degrades_cell_by_cell() {
         &lab,
         &SupervisorConfig {
             max_retries: 0,
-            faults: FaultPlan::new(42).always(0, FaultKind::Panic),
+            faults: FaultPlan::default().always(0, FaultKind::Panic),
             ..Default::default()
         },
     )

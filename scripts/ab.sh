@@ -3,8 +3,9 @@
 # pairs of the contract form (`BENCHMARK.json`'s command, one workload,
 # time-boxed). Prints every end-to-end metric as median [q1, q3], ratio,
 # wins, a verdict and every run in pair order; exits non-zero if a
-# fingerprint or exact count differs between the sides or any operation
-# failed. The verdict is informational and leaves the exit status alone:
+# fingerprint or exact count differs between the sides (each differing key
+# is printed with its parent -> change values) or any operation failed.
+# The verdict is informational and leaves the exit status alone:
 #   gain          the change wins >= 9/10 of the pairs and the medians differ
 #                 by more than the parent's IQR
 #   worse         the change's median is worse by more than the metric's
@@ -81,6 +82,15 @@ def spread(values):
 def relative(delta, base):
     return abs(delta) / abs(base) if base else (0.0 if delta == 0 else float("inf"))
 
+def differences(parent, change):
+    """Each key whose value differs, as (key, parent value, change value)."""
+    (fa, ca), (fb, cb) = parent, change
+    keys = [("sim_fingerprint", fa, fb)]
+    ja, jb = json.loads(ca), json.loads(cb)
+    keys += [(f"counts.{k}", ja.get(k, "absent"), jb.get(k, "absent"))
+             for k in list(ja) + [k for k in jb if k not in ja]]
+    return [(key, a, b) for key, a, b in keys if a != b]
+
 def verdict(m, wins, n, qa, qb):
     sign = 1 if m["better"] == "lower" else -1
     if wins * 10 >= 9 * n and sign * (qa[1] - qb[1]) > qa[2] - qa[0]:
@@ -106,8 +116,16 @@ for workload in workloads:
             print(f"  {side} runs: " + " ".join(f"{v:.4g}" for v in values))
     outputs = {out for s in sides.values() for _, out in s}
     failed = [r for s in sides.values() for r, _ in s if r["failed"] or not r["correct"]]
-    print(f"fingerprint and counts: {'match' if len(outputs) == 1 else 'DIFFER'}: "
-          + "; ".join(sorted(" ".join(o) for o in outputs)))
+    if len(outputs) == 1:
+        print("fingerprint and counts: match: " + " ".join(*outputs))
+    else:
+        print("fingerprint and counts: DIFFER")
+        for side, results in sides.items():
+            if len({out for _, out in results}) > 1:
+                print(f"  {side} runs disagree among themselves: "
+                      + "; ".join(sorted({" ".join(out) for _, out in results})))
+        for key, a, b in differences(sides["parent"][0][1], sides["change"][0][1]):
+            print(f"  {key}: {a} -> {b}")
     print(f"operations failed: {sum(r['failed'] for r in failed)} in {len(failed)} runs")
     ok = ok and len(outputs) == 1 and not failed
 sys.exit(0 if ok else 1)

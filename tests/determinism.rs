@@ -197,9 +197,11 @@ fn fairness_matrix_is_identical_under_all_execution_policies() {
 #[test]
 fn calendar_and_heap_schedulers_produce_identical_traces() {
     // The event queue is an optimization, not a semantics change: for a
-    // fixed seed the entire trace — every drop, mark, goodput event, queue
-    // sample, and completion — is the one a binary-heap scheduler produces.
-    // The constants are the FNV-1a of `dumbbell_trace` captured at the last
+    // fixed seed the entire trace — every drop, mark and goodput event — is
+    // the one a binary-heap scheduler produces. The dump keeps two trailing
+    // `[]` lines where queue samples and completions were written; this
+    // workload never had either, so the pins did not move when those
+    // streams were deleted. The constants are the FNV-1a of `dumbbell_trace` captured at the last
     // commit that could still run the simulator on the heap (e139ad5),
     // where the heap-backed and calendar-backed runs gave these same three
     // values. The calendar queue of the test's name is gone too: since

@@ -49,6 +49,8 @@ const GONE: &[(&str, u32)] = &[
     ("encode_outcomes", 31),
     ("decode_outcomes", 31),
     ("stitch_outcomes", 31),
+    ("trace::QueueSample", 34),
+    ("trace::CompletionRecord", 34),
 ];
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
