@@ -8,8 +8,9 @@
 //! rate-matched Poisson process.
 
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-use lossburst_bench::{cli, verdict};
+use lossburst_bench::{cli, measured, verdict};
 use lossburst_core::campaign::{ns2_study, LabCampaignConfig};
+use lossburst_core::supervisor::SupervisorConfig;
 use lossburst_netsim::time::SimDuration;
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
         cfg.flow_counts, cfg.buffer_bdp_fractions
     );
 
-    let study = ns2_study(&cfg);
+    let study = measured("fig2", ns2_study(&cfg, &SupervisorConfig::default()));
     print!(
         "{}",
         pdf_table(

@@ -7,7 +7,7 @@
 //! smaller than 0.01 RTT".
 
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-use lossburst_bench::{cli, verdict};
+use lossburst_bench::{cli, measured, verdict};
 use lossburst_core::campaign::{dummynet_study, LabCampaignConfig};
 use lossburst_netsim::time::SimDuration;
 
@@ -22,7 +22,7 @@ fn main() {
     }
     println!("# Dummynet testbed: RTT classes 2/10/50/200 ms, 1 ms clock, processing jitter");
 
-    let study = dummynet_study(&cfg);
+    let study = measured("fig3", dummynet_study(&cfg));
     print!(
         "{}",
         pdf_table(

@@ -9,7 +9,7 @@
 
 use lossburst_analysis::poisson;
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-use lossburst_bench::{cli, verdict};
+use lossburst_bench::{cli, measured, verdict};
 use lossburst_core::campaign::internet_study;
 use lossburst_inet::campaign::CampaignConfig;
 use lossburst_netsim::time::SimDuration;
@@ -34,7 +34,7 @@ fn main() {
         cfg.duration.as_secs_f64()
     );
 
-    let study = internet_study(&cfg);
+    let study = measured("fig4", internet_study(&cfg));
     print!(
         "{}",
         pdf_table(

@@ -70,6 +70,30 @@ pub mod cli {
     }
 }
 
+/// The study of a paper sweep (Figs 2–4) whose every row measured. A
+/// sweep error, or a ledger row that failed every attempt, is named on
+/// stderr (`<label>: row <index> failed: <reason>`) and the bin exits 1.
+pub fn measured(
+    label: &str,
+    run: lossburst_core::error::Result<lossburst_core::supervisor::SupervisedStudy>,
+) -> lossburst_core::campaign::LossStudy {
+    let run = run.unwrap_or_else(|e| {
+        eprintln!("{label}: {e}");
+        std::process::exit(1)
+    });
+    let mut failed = false;
+    for row in &run.ledger {
+        if let lossburst_core::supervisor::PathOutcome::Failed(reason) = &row.outcome {
+            eprintln!("{label}: row {} failed: {reason}", row.index);
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+    run.study
+}
+
 /// Print the standard paper-vs-measured footer line.
 pub fn verdict(label: &str, paper: &str, measured: String, holds: bool) {
     println!("\n# paper-vs-measured [{label}]");

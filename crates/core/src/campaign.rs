@@ -2,16 +2,20 @@
 //! emulation, and the Internet — each producing a [`LossStudy`]: the
 //! RTT-normalized inter-loss intervals, their PDF on the paper's geometry,
 //! the rate-matched Poisson reference, and the burstiness report.
+//! Each runs through [`supervise`] alone: a cell or path that fails every
+//! attempt is a `Failed` row of the [`SupervisedStudy`] ledger, not a panic.
 
-use crate::supervisor::{LabCellRecord, PathFailure};
+use crate::shard::run_grid_streaming_supervised;
+use crate::supervisor::{
+    campaign_fingerprint, supervise, LabCellRecord, PathFailure, SupervisedStudy, SupervisorConfig,
+};
 use lossburst_analysis::burstiness::{self, BurstinessReport};
 use lossburst_analysis::histogram::Histogram;
 use lossburst_analysis::intervals;
 use lossburst_analysis::poisson;
 use lossburst_emu::testbed::{self, TestbedConfig};
-use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig};
+use lossburst_inet::campaign::CampaignConfig;
 use lossburst_netsim::fluid::BackgroundMode;
-use lossburst_netsim::sim::RunLimits;
 use lossburst_netsim::time::SimDuration;
 use lossburst_transport::cc::CcAlgorithm;
 
@@ -145,9 +149,8 @@ impl LabCampaignConfig {
 
 /// The independent execution cells of a lab sweep, in pooling order:
 /// `(flow count, buffer packets, cell seed)` per (flow count, buffer
-/// fraction) combination. Both built-in runners and the campaign
-/// supervisor enumerate work through this function, so a supervised run's
-/// cell index `i` always refers to the same experiment.
+/// fraction) combination. A lab study's cell index `i`, in its ledger and
+/// its checkpoint, always refers to entry `i` here.
 pub fn lab_cells(cfg: &LabCampaignConfig) -> Vec<(usize, usize, u64)> {
     let mut cells = Vec::new();
     let mut run_idx = 0u64;
@@ -161,76 +164,75 @@ pub fn lab_cells(cfg: &LabCampaignConfig) -> Vec<(usize, usize, u64)> {
     cells
 }
 
-/// Run cell `index` of [`lab_cells`]: one sink-driven testbed run under
-/// `limits`, reduced to the RTT-normalized intervals it pools. The plain
-/// and the supervised lab sweeps both measure through this function, so a
-/// cell is the same experiment whichever sweep runs it.
-pub(crate) fn lab_cell(
+/// A lab sweep under `sup`: every cell of [`lab_cells`] one sink-driven
+/// testbed run through [`supervise`], reduced to the RTT-normalized
+/// intervals it pools; the surviving cells' intervals pooled in cell order.
+fn lab_study(
     cfg: &LabCampaignConfig,
     dummynet: bool,
-    index: usize,
-    limits: RunLimits,
-) -> Result<LabCellRecord, PathFailure> {
-    let (flows, buffer, seed) = lab_cells(cfg)[index];
-    let mut tb = if dummynet {
-        TestbedConfig::dummynet_baseline(flows, buffer, seed)
-    } else {
-        TestbedConfig::ns2_baseline(flows, buffer, seed)
-    };
-    tb.duration = cfg.duration;
-    tb.background = cfg.background;
-    tb.cc = cfg.cc;
-    let res = testbed::run_streaming_limited(&tb, limits)?;
-    let rtt = res.mean_rtt.as_secs_f64();
-    Ok(LabCellRecord {
-        intervals_rtt: intervals::normalized_intervals(&res.loss_times, rtt),
-        trace_bytes: res.trace_bytes,
+    sup: &SupervisorConfig,
+) -> crate::error::Result<SupervisedStudy> {
+    let label = if dummynet { "dummynet" } else { "ns2" };
+    let cells = lab_cells(cfg);
+    let fp = campaign_fingerprint(label, cfg.seed, cells.len());
+    let run = supervise(cells.len(), fp, sup, |i, limits| {
+        let (flows, buffer, seed) = cells[i];
+        let mut tb = if dummynet {
+            TestbedConfig::dummynet_baseline(flows, buffer, seed)
+        } else {
+            TestbedConfig::ns2_baseline(flows, buffer, seed)
+        };
+        tb.duration = cfg.duration;
+        tb.background = cfg.background;
+        tb.cc = cfg.cc;
+        let res = testbed::run_streaming_limited(&tb, limits).map_err(PathFailure::from)?;
+        let rtt = res.mean_rtt.as_secs_f64();
+        Ok(LabCellRecord {
+            intervals_rtt: intervals::normalized_intervals(&res.loss_times, rtt),
+            trace_bytes: res.trace_bytes,
+        })
+    })?;
+    let pooled: Vec<f64> = run
+        .results
+        .iter()
+        .flatten()
+        .flat_map(|c| c.intervals_rtt.iter().copied())
+        .collect();
+    Ok(SupervisedStudy {
+        study: LossStudy::from_intervals(label, pooled),
+        ledger: run.ledger,
     })
 }
 
-/// The lab sweeps' campaign label.
-pub(crate) fn lab_label(dummynet: bool) -> &'static str {
-    if dummynet {
-        "dummynet"
-    } else {
-        "ns2"
-    }
-}
-
-fn run_lab(cfg: &LabCampaignConfig, dummynet: bool) -> LossStudy {
-    use rayon::prelude::*;
-    // One independent, seeded cell per (flow count, buffer); cells fan out
-    // over the persistent worker pool and land in input-order result
-    // slots, so the pooled result is identical to a serial run.
-    let per_cell: Vec<Vec<f64>> = (0..lab_cells(cfg).len())
-        .into_par_iter()
-        .map(|i| {
-            lab_cell(cfg, dummynet, i, RunLimits::NONE)
-                .expect("unlimited run cannot exhaust")
-                .intervals_rtt
-        })
-        .collect();
-    let all_intervals: Vec<f64> = per_cell.into_iter().flatten().collect();
-    LossStudy::from_intervals(lab_label(dummynet), all_intervals)
-}
-
 /// The NS-2 simulation campaign (Fig 2): ideal DropTail bottleneck, random
-/// access latencies 2–200 ms, flow-count and buffer sweeps.
-pub fn ns2_study(cfg: &LabCampaignConfig) -> LossStudy {
-    run_lab(cfg, false)
+/// access latencies 2–200 ms, flow-count and buffer sweeps. `sup` sets the
+/// retries, budgets, checkpoint and fault plan of the cell sweep
+/// (`SupervisorConfig::default()` for a plain run).
+pub fn ns2_study(
+    cfg: &LabCampaignConfig,
+    sup: &SupervisorConfig,
+) -> crate::error::Result<SupervisedStudy> {
+    lab_study(cfg, false, sup)
 }
 
 /// The Dummynet emulation campaign (Fig 3): fixed RTT classes, 1 ms
-/// recording clock, processing jitter.
-pub fn dummynet_study(cfg: &LabCampaignConfig) -> LossStudy {
-    run_lab(cfg, true)
+/// recording clock, processing jitter. Cells run under
+/// `SupervisorConfig::default()`.
+pub fn dummynet_study(cfg: &LabCampaignConfig) -> crate::error::Result<SupervisedStudy> {
+    lab_study(cfg, true, &SupervisorConfig::default())
 }
 
 /// The Internet campaign (Fig 4): CBR probes over synthetic heterogeneous
-/// paths with paired-packet-size validation.
-pub fn internet_study(cfg: &CampaignConfig) -> LossStudy {
-    let res = run_campaign_streaming(cfg);
-    LossStudy::from_intervals("internet", res.intervals_rtt())
+/// paths with paired-packet-size validation, measured by
+/// [`run_grid_streaming_supervised`] under `SupervisorConfig::default()`.
+/// The ledger is index-aligned with
+/// [`lossburst_inet::campaign::grid_pairs`].
+pub fn internet_study(cfg: &CampaignConfig) -> crate::error::Result<SupervisedStudy> {
+    let run = run_grid_streaming_supervised(cfg, &SupervisorConfig::default())?;
+    Ok(SupervisedStudy {
+        study: LossStudy::from_intervals("internet", run.result.intervals_rtt()),
+        ledger: run.ledger,
+    })
 }
 
 #[cfg(test)]
@@ -250,8 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn ns2_study_is_sub_rtt_bursty() {
-        let study = ns2_study(&tiny_lab());
+    fn ns2_study_is_sub_rtt_bursty() -> crate::error::Result<()> {
+        let run = ns2_study(&tiny_lab(), &SupervisorConfig::default())?;
+        assert_eq!(run.counts().ok, 1);
+        let study = run.study;
         assert!(
             study.report.n_losses > 50,
             "losses {}",
@@ -272,15 +276,17 @@ mod tests {
             "index of dispersion {:.1}",
             study.report.index_of_dispersion
         );
+        Ok(())
     }
 
     #[test]
-    fn dummynet_study_quantized_but_still_bursty() {
-        let study = dummynet_study(&tiny_lab());
+    fn dummynet_study_quantized_but_still_bursty() -> crate::error::Result<()> {
+        let study = dummynet_study(&tiny_lab())?.study;
         assert!(study.report.n_losses > 50);
         // 1 ms quantization collapses many sub-tick intervals to exactly 0,
         // which still lands in the first bin.
         assert!(study.report.frac_below_1 > 0.5);
+        Ok(())
     }
 
     #[test]

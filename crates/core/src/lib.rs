@@ -5,9 +5,10 @@
 //! reproduced end-to-end on the `lossburst-*` substrates.
 //!
 //! * [`campaign`] — the three measurement campaigns (Figs 2–4): NS-2
-//!   simulation, Dummynet emulation, synthetic Internet, each yielding a
-//!   [`campaign::LossStudy`] with the RTT-normalized inter-loss PDF, the
-//!   rate-matched Poisson reference, and burstiness metrics.
+//!   simulation, Dummynet emulation, synthetic Internet, each supervised
+//!   and yielding a [`campaign::LossStudy`] with the RTT-normalized
+//!   inter-loss PDF, the rate-matched Poisson reference, and burstiness
+//!   metrics, beside its outcome ledger.
 //! * [`model`] — equations (1) and (2) of Section 4.1 (the Fig 5/6
 //!   intuition) with Monte-Carlo validation.
 //! * [`impact`] — Fig 7 (TCP Pacing vs NewReno competition) and Fig 8
@@ -19,7 +20,7 @@
 //! * [`advisor`] — Section 5's implications as a decision procedure.
 //! * [`ablation`] — robustness sweeps behind the paper's claims (buffer,
 //!   multiplexing, burstiness sources, RED tuning, straggler mechanics).
-//! * [`supervisor`] — the campaign harness layer: per-path fault
+//! * [`supervisor`] — the one runner of every paper sweep: per-path fault
 //!   isolation, retries, budgets, fault injection, and checkpoint/resume.
 //! * [`shard`] — multi-process campaign execution: the path grid striped
 //!   across shard workers, per-shard checkpoints merged back into one
@@ -66,7 +67,7 @@ pub mod prelude {
         run_grid_streaming_supervised, run_shard_streaming, spawn_shards, ShardSpec,
     };
     pub use crate::supervisor::{
-        ns2_study_supervised, CampaignCheckpoint, FaultKind, FaultPlan, LabCellRecord, PathOutcome,
+        CampaignCheckpoint, FaultKind, FaultPlan, LabCellRecord, PathOutcome,
         SupervisedStreamCampaign, SupervisorConfig,
     };
 }

@@ -1,6 +1,6 @@
 //! Sharded multi-process campaign execution: 10^5–10^6 paths.
 //!
-//! The supervised campaign runners ([`crate::supervisor`]) scale across the
+//! The supervised campaign runner ([`crate::supervisor`]) scales across the
 //! worker pool's threads, but only within one OS process. This module
 //! partitions a campaign's path grid across *processes* and merges the
 //! per-shard results back into the single artifact a 1-process run would
@@ -41,6 +41,7 @@
 //! `_streaming` suffixes are historical (see the `lossburst-inet` crate
 //! docs).
 
+use crate::error::Error;
 use crate::supervisor::{
     campaign_fingerprint, supervise_subset, CampaignCheckpoint, MergeReport, OutcomeCounts,
     PathRecord, SupervisedStreamCampaign, SupervisorConfig,
@@ -189,13 +190,13 @@ pub(crate) fn merge_shard_files<T: PathRecord>(
     CampaignCheckpoint::merge::<T>(&inputs, &merged_checkpoint_path(dir), fingerprint, n_paths)
 }
 
-/// The supervised Internet campaign (Fig 4) at any path count: the paths,
-/// seeds, and per-path measurements of `run_campaign_streaming` (extended
-/// past 650 paths by [`grid_pairs`]), but each path runs inside the fault
-/// boundary and the sweep checkpoints, retries, and degrades gracefully per
+/// The supervised Internet campaign (Fig 4) at any path count: the paths
+/// of [`grid_pairs`], each measured inside the fault boundary, while the
+/// sweep checkpoints, retries, and degrades gracefully per
 /// [`SupervisorConfig`]. With `sup.checkpoint` pointing at a merged shard
 /// file, every path restores and this is the sharded campaign's *collect*
-/// step.
+/// step. A restored record whose directed pair is not its index's grid
+/// pair is an error naming the index, never pooled.
 pub fn run_grid_streaming_supervised(
     cfg: &CampaignConfig,
     sup: &SupervisorConfig,
@@ -206,7 +207,18 @@ pub fn run_grid_streaming_supervised(
         let (src, dst) = pairs[i];
         Ok(try_measure_path_grid_streaming(cfg, i, src, dst, limits)?)
     })?;
-    let measurements: Vec<StreamPathMeasurement> = run.results.into_iter().flatten().collect();
+    let mut measurements = Vec::with_capacity(pairs.len());
+    for (i, m) in run.results.into_iter().enumerate() {
+        let Some(m) = m else { continue };
+        if (m.src, m.dst) != pairs[i] {
+            return Err(Error::Config(format!(
+                "checkpoint record {i} holds path {:?}, not its grid pair {:?}",
+                (m.src, m.dst),
+                pairs[i]
+            )));
+        }
+        measurements.push(m);
+    }
     Ok(SupervisedStreamCampaign {
         result: aggregate_streaming(measurements),
         ledger: run.ledger,
@@ -219,7 +231,8 @@ pub fn run_grid_streaming_supervised(
 /// ordinary supervised-resume machinery and aggregate the restored paths
 /// in path order. Any path no shard completed (a crashed shard, an
 /// interrupted run) is simply re-measured here — the merge/collect pair
-/// doubles as the recovery path.
+/// doubles as the recovery path. A merged record that holds another
+/// index's path is an error naming the index.
 pub fn collect_campaign_streaming(
     cfg: &CampaignConfig,
     sup: &SupervisorConfig,

@@ -2,10 +2,10 @@
 //!
 //! The paper's Internet study probed 650 directed PlanetLab paths and was
 //! built around partial failure — paths whose paired traces disagreed were
-//! simply discarded. The built-in campaign runners, by contrast, assume
-//! every path run succeeds: one panic (a NaN timestamp, a simulator bug on
-//! one scenario) aborts the whole sweep, and an interrupted multi-hour run
-//! restarts from zero. This module adds the missing harness layer:
+//! simply discarded. A sweep that assumed every path run succeeds would
+//! abort on one panic (a NaN timestamp, a simulator bug on one scenario)
+//! and restart an interrupted multi-hour run from zero. This module is the
+//! harness layer every paper sweep runs through:
 //!
 //! * a **fault boundary** per path — `catch_unwind` inside the worker
 //!   closure, so a panicking path becomes one `Failed` ledger row instead
@@ -26,14 +26,15 @@
 //!   empty-trace on chosen path indices) so all of the above is testable
 //!   byte-for-byte.
 //!
-//! The generic engine is [`supervise`]. [`crate::shard`] applies it to the
-//! Internet campaign ([`crate::shard::run_grid_streaming_supervised`] is
-//! the supervised campaign at any path count), and
-//! [`ns2_study_supervised`] applies it to the `emu::testbed` lab sweep.
-//! Each sweep has one measurement path — the sink-driven probe or testbed
-//! run — whether supervised or not.
+//! The generic engine is [`supervise`], and it is the only runner of the
+//! Fig 2–4 sweeps. [`crate::shard`] applies it to the Internet campaign
+//! ([`crate::shard::run_grid_streaming_supervised`] is the campaign at any
+//! path count), and [`crate::campaign::ns2_study`] /
+//! [`crate::campaign::dummynet_study`] apply it to the `emu::testbed` lab
+//! sweep. Each sweep has one measurement path — the sink-driven probe or
+//! testbed run.
 
-use crate::campaign::{lab_cell, lab_cells, lab_label, LabCampaignConfig, LossStudy};
+use crate::campaign::LossStudy;
 use lossburst_analysis::intervals;
 use lossburst_emu::testbed::EventBudgetExceeded;
 use lossburst_inet::campaign::{StreamCampaignResult, StreamPathMeasurement};
@@ -43,7 +44,7 @@ use lossburst_netsim::time::SimDuration;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -309,7 +310,8 @@ pub trait PathRecord: Sized + Send {
     fn clear_losses(&mut self);
     /// Whether the record carries any NaN — checked on every successful
     /// attempt, so genuinely NaN-poisoned traces surface as
-    /// [`PathFailure::NanTrace`] instead of panicking downstream analysis.
+    /// [`PathFailure::NanTrace`] instead of panicking downstream analysis,
+    /// and on every restored `ok` record, which is corrupt if it holds one.
     fn has_nan(&self) -> bool;
 }
 
@@ -585,9 +587,9 @@ pub enum RestoredPath<T> {
 /// loses at most the paths in flight. On open, a matching-fingerprint file
 /// is parsed strictly (last record per index wins); a malformed header
 /// fingerprint or any malformed record — unknown tag, unparseable index
-/// or retry count, out-of-range index, undecodable payload, a final line
-/// truncated by a crash mid-write — is an [`InvalidData`] error rather
-/// than a silent partial resume. A missing or empty file, or one whose
+/// or retry count, out-of-range index, undecodable or NaN-bearing
+/// payload, a final line truncated by a crash mid-write — is an
+/// [`InvalidData`] error rather than a silent partial resume. A missing or empty file, or one whose
 /// (well-formed) fingerprint belongs to a different campaign, starts
 /// fresh.
 ///
@@ -607,11 +609,33 @@ fn corrupt_record(path: &Path, line_no: usize, line: &str, why: &str) -> std::io
     )
 }
 
+/// The fingerprint in the header of checkpoint file `contents`; `None` when
+/// its first line lacks the magic (not a checkpoint), an `InvalidData`
+/// error when the magic is there and the fingerprint after it is not hex.
+fn header_fingerprint(path: &Path, contents: &str) -> std::io::Result<Option<u64>> {
+    let first = contents.lines().next().unwrap_or("");
+    let Some(token) = first.strip_prefix(CHECKPOINT_MAGIC) else {
+        return Ok(None);
+    };
+    let fp = u64::from_str_radix(token.trim(), 16);
+    fp.map(Some)
+        .map_err(|_| corrupt_record(path, 1, first, "corrupt fingerprint"))
+}
+
+/// Create the directory `path` is to be written in, if it names one.
+fn create_parent_dir(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
+    }
+}
+
 /// Strictly parse the record lines of a checkpoint file body (everything
 /// after the header), calling `sink(index, restored, raw_line)` per record
 /// in file order. Shared between [`CampaignCheckpoint::open`] (resume) and
 /// [`CampaignCheckpoint::merge`] (shard interchange); any malformed record
-/// is an `InvalidData` error naming the line.
+/// is an `InvalidData` error naming the line. An `ok` payload holding a NaN
+/// is malformed: a fresh attempt with one is failed, never recorded `ok`.
 fn parse_checkpoint_records<T, F>(
     path: &Path,
     contents: &str,
@@ -647,6 +671,9 @@ where
             "ok" => {
                 let value = T::decode(rest)
                     .ok_or_else(|| corrupt_record(path, line_no, line, "undecodable payload"))?;
+                if value.has_nan() {
+                    return Err(corrupt_record(path, line_no, line, "NaN in payload"));
+                }
                 sink(idx, RestoredPath::Ok { retries, value }, line);
             }
             "failed" => {
@@ -687,67 +714,36 @@ impl CampaignCheckpoint {
     ) -> std::io::Result<(CampaignCheckpoint, Vec<Option<RestoredPath<T>>>)> {
         let mut restored: Vec<Option<RestoredPath<T>>> = Vec::new();
         restored.resize_with(n_paths, || None);
-        let header = format!("{CHECKPOINT_MAGIC} {fingerprint:016x}");
-
-        let existing = match std::fs::File::open(path) {
-            Ok(mut f) => {
-                let mut s = String::new();
-                f.read_to_string(&mut s)?;
-                Some(s)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        let existing = match std::fs::read_to_string(path) {
+            Ok(s) => s,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(e),
         };
-
         // A file whose first line carries the magic IS a checkpoint and is
         // parsed strictly: resuming past corruption would silently re-run
         // (or worse, mis-attribute) completed paths. Anything else —
         // missing, empty, not ours — starts fresh.
-        let first_line = existing.as_deref().and_then(|s| s.lines().next());
-        let resumable = match first_line {
-            Some(l) if l.starts_with(CHECKPOINT_MAGIC) => {
-                let token = l[CHECKPOINT_MAGIC.len()..].trim();
-                let fp = u64::from_str_radix(token, 16)
-                    .map_err(|_| corrupt_record(path, 1, l, "corrupt fingerprint"))?;
-                fp == fingerprint
-            }
-            _ => false,
-        };
+        //
         // Buffered with an explicit flush per record: one write syscall per
         // append instead of one per format fragment, with crash-safety
         // unchanged (a record is durable before its result is reported).
-        if resumable {
-            parse_checkpoint_records::<T, _>(
-                path,
-                existing.as_deref().unwrap_or(""),
-                n_paths,
-                |idx, rp, _| restored[idx] = Some(rp),
-            )?;
-            let file = OpenOptions::new().append(true).open(path)?;
-            Ok((
-                CampaignCheckpoint {
-                    file: Mutex::new(std::io::BufWriter::new(file)),
-                    warned: AtomicBool::new(false),
-                },
-                restored,
-            ))
+        let file = if header_fingerprint(path, &existing)? == Some(fingerprint) {
+            parse_checkpoint_records::<T, _>(path, &existing, n_paths, |idx, rp, _| {
+                restored[idx] = Some(rp)
+            })?;
+            std::io::BufWriter::new(OpenOptions::new().append(true).open(path)?)
         } else {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)?;
-                }
-            }
+            create_parent_dir(path)?;
             let mut file = std::io::BufWriter::new(File::create(path)?);
-            writeln!(file, "{header}")?;
+            writeln!(file, "{CHECKPOINT_MAGIC} {fingerprint:016x}")?;
             file.flush()?;
-            Ok((
-                CampaignCheckpoint {
-                    file: Mutex::new(file),
-                    warned: AtomicBool::new(false),
-                },
-                restored,
-            ))
-        }
+            file
+        };
+        let checkpoint = CampaignCheckpoint {
+            file: Mutex::new(file),
+            warned: AtomicBool::new(false),
+        };
+        Ok((checkpoint, restored))
     }
 
     fn append(&self, line: &str) {
@@ -802,24 +798,23 @@ impl CampaignCheckpoint {
         let mut superseded = 0usize;
         for p in inputs {
             let contents = std::fs::read_to_string(p)?;
-            let first = contents.lines().next().unwrap_or("");
-            if !first.starts_with(CHECKPOINT_MAGIC) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("not a checkpoint (missing header): {}", p.display()),
-                ));
-            }
-            let token = first[CHECKPOINT_MAGIC.len()..].trim();
-            let fp = u64::from_str_radix(token, 16)
-                .map_err(|_| corrupt_record(p, 1, first, "corrupt fingerprint"))?;
-            if fp != fingerprint {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
+            match header_fingerprint(p, &contents)? {
+                None => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("not a checkpoint (missing header): {}", p.display()),
+                    ))
+                }
+                Some(fp) if fp != fingerprint => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
                         "checkpoint fingerprint mismatch in {}: {fp:016x} != {fingerprint:016x}",
                         p.display()
                     ),
-                ));
+                    ))
+                }
+                Some(_) => {}
             }
             parse_checkpoint_records::<T, _>(p, &contents, n_paths, |idx, _, raw| {
                 if lines[idx].replace(raw.to_string()).is_some() {
@@ -827,11 +822,7 @@ impl CampaignCheckpoint {
                 }
             })?;
         }
-        if let Some(dir) = out.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
+        create_parent_dir(out)?;
         let tmp = out.with_extension("tmp");
         {
             let mut w = std::io::BufWriter::new(File::create(&tmp)?);
@@ -1043,8 +1034,7 @@ where
     let mut results: Vec<Option<T>> = Vec::new();
     results.resize_with(n_paths, || None);
     let mut ledger: Vec<LedgerEntry> = Vec::with_capacity(n_paths);
-    let mut fresh_it = fresh.iter().zip(fresh_results);
-    let mut next_fresh = fresh_it.next();
+    let mut fresh = fresh.iter().zip(fresh_results).peekable();
     for index in 0..n_paths {
         let outcome = match restored[index].take() {
             Some(RestoredPath::Ok { retries, value }) => {
@@ -1056,15 +1046,13 @@ where
                 }
             }
             Some(RestoredPath::Failed { reason, .. }) => PathOutcome::Failed(reason),
-            None => match next_fresh.as_ref() {
-                Some((&fi, _)) if fi == index => {
-                    let (_, (value, outcome)) = next_fresh.take().expect("checked above");
-                    next_fresh = fresh_it.next();
+            None => match fresh.next_if(|&(&fi, _)| fi == index) {
+                Some((_, (value, outcome))) => {
                     results[index] = value;
                     outcome
                 }
                 // Outside this invocation's subset: another shard's path.
-                _ => PathOutcome::Skipped,
+                None => PathOutcome::Skipped,
             },
         };
         ledger.push(LedgerEntry { index, outcome });
@@ -1085,8 +1073,7 @@ where
 #[derive(Debug)]
 pub struct SupervisedStreamCampaign {
     /// Aggregated result over the successfully measured paths, in path
-    /// order — exactly what `run_campaign_streaming` would produce
-    /// restricted to those paths.
+    /// order ([`lossburst_inet::campaign::aggregate_streaming`] of them).
     pub result: StreamCampaignResult,
     /// Per-path outcome ledger (index-aligned with `pairs`).
     pub ledger: Vec<LedgerEntry>,
@@ -1103,15 +1090,16 @@ impl SupervisedStreamCampaign {
     }
 }
 
-/// A supervised lab sweep's product: the pooled study over surviving
-/// cells plus the cell outcome ledger.
+/// A paper sweep's product (Figs 2–4): the pooled study over the rows
+/// that measured plus the row outcome ledger.
 #[derive(Debug)]
 pub struct SupervisedStudy {
-    /// The pooled study over successful cells, in cell order.
+    /// The pooled study over successful rows, in row order.
     pub study: LossStudy,
-    /// Per-cell outcome ledger (index-aligned with
-    /// [`crate::campaign::lab_cells`]).
-    pub(crate) ledger: Vec<LedgerEntry>,
+    /// Per-row outcome ledger: index-aligned with
+    /// [`crate::campaign::lab_cells`] for a lab study and with
+    /// [`lossburst_inet::campaign::grid_pairs`] for the Internet study.
+    pub ledger: Vec<LedgerEntry>,
 }
 
 impl SupervisedStudy {
@@ -1119,30 +1107,6 @@ impl SupervisedStudy {
     pub fn counts(&self) -> OutcomeCounts {
         count_outcomes(&self.ledger)
     }
-}
-
-/// The supervised NS-2 lab sweep (Fig 2): `ns2_study` with per-cell fault
-/// isolation, budgets, and checkpoint/resume.
-pub fn ns2_study_supervised(
-    cfg: &LabCampaignConfig,
-    sup: &SupervisorConfig,
-) -> crate::error::Result<SupervisedStudy> {
-    let n_cells = lab_cells(cfg).len();
-    let label = lab_label(false);
-    let fp = campaign_fingerprint(label, cfg.seed, n_cells);
-    let run = supervise(n_cells, fp, sup, |i, limits| {
-        lab_cell(cfg, false, i, limits)
-    })?;
-    let pooled: Vec<f64> = run
-        .results
-        .iter()
-        .flatten()
-        .flat_map(|c| c.intervals_rtt.iter().copied())
-        .collect();
-    Ok(SupervisedStudy {
-        study: LossStudy::from_intervals(label, pooled),
-        ledger: run.ledger,
-    })
 }
 
 #[cfg(test)]
@@ -1280,7 +1244,7 @@ mod tests {
         // End-to-end: FaultKind::Panic must produce the event-loop panic
         // message, proving the fault is threaded through RunLimits into
         // netsim rather than synthesized at the supervisor layer.
-        let lab = LabCampaignConfig {
+        let lab = crate::campaign::LabCampaignConfig {
             flow_counts: vec![4],
             buffer_bdp_fractions: vec![0.25],
             reference_rtt: SimDuration::from_millis(100),
@@ -1294,7 +1258,7 @@ mod tests {
             faults: FaultPlan::default().always(0, FaultKind::Panic),
             ..Default::default()
         };
-        let out = ns2_study_supervised(&lab, &sup).unwrap();
+        let out = crate::campaign::ns2_study(&lab, &sup).unwrap();
         match &out.ledger[0].outcome {
             PathOutcome::Failed(reason) => assert!(
                 reason.contains("injected fault: simulator panic at event"),
@@ -1481,6 +1445,41 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("line 2"), "{err}");
         }
+    }
+
+    /// Open and merge a crafted checkpoint whose record 0 is `payload`:
+    /// both must refuse it as `InvalidData` over a NaN, naming line 2.
+    fn nan_refused<T: PathRecord>(tag: &str, payload: &str) -> std::io::Result<()> {
+        let dir = tmpdir(tag);
+        let file = dir.join("nan.ckpt");
+        std::fs::write(&file, format!("{}\nok 0 0 {payload}\n", header(7)))?;
+        let open = CampaignCheckpoint::open::<T>(&file, 7, 3).map(|_| ());
+        let out = dir.join("m.ckpt");
+        let merge = CampaignCheckpoint::merge::<T>(std::slice::from_ref(&file), &out, 7, 3);
+        std::fs::remove_dir_all(&dir).ok();
+        for err in [open.expect_err(payload), merge.expect_err(payload)] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 2 (NaN in payload)"), "{err}");
+        }
+        Ok(())
+    }
+
+    /// A restored `ok` record passes the NaN check a fresh attempt gets: a
+    /// hand-made NaN payload, of a lab cell or a campaign path, is
+    /// `InvalidData` naming the line on open and on merge, never a NaN
+    /// handed to the pooled analysis.
+    #[test]
+    fn a_nan_payload_is_refused_on_open_and_merge() -> std::io::Result<()> {
+        nan_refused::<LabCellRecord>("nan_lab", "lab 0 1 7ff8000000000000")?;
+        let negative = format!("lab 0 2 3ff0000000000000 {:016x}", (-f64::NAN).to_bits());
+        nan_refused::<LabCellRecord>("nan_neg", &negative)?;
+        let mut path = StreamPathMeasurement::decode(&format!(
+            "spm 3 17 50000000 1 {0} {0}",
+            "10 10 0 0000000000000000 40 0 1 3ff0000000000000"
+        ))
+        .ok_or(std::io::ErrorKind::InvalidData)?;
+        path.poison_nan();
+        nan_refused::<StreamPathMeasurement>("nan_spm", &path.encode())
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! keep only validated measurements, and pool the RTT-normalized
 //! inter-loss intervals.
 //!
-//! Paths are independent, so the campaign fans out over the vendored
-//! rayon shim's persistent worker pool: per-path cost varies wildly with
-//! RTT, loss rate, and duration, and the pool's dynamic work dealing keeps
-//! every core busy where static chunking would straggle on the expensive
-//! paths. Each path's simulation stays single-threaded and deterministic,
-//! and results land in input-order slots, so scheduling is invisible in
-//! the output (tests/determinism.rs pins the campaign under every
-//! execution policy).
+//! This module owns the campaign's pieces, not its runner: the path grid
+//! ([`grid_pairs`], [`GridSample`]), the per-path measurement
+//! ([`try_measure_path_grid_streaming`], single-threaded and seeded by the
+//! path's grid coordinate alone) and the pooling rule
+//! ([`aggregate_streaming`]). The one runner is the campaign supervisor in
+//! `lossburst-core` (`core::shard::run_grid_streaming_supervised`), which
+//! fans the paths out over the worker pool inside a per-path fault
+//! boundary and hands the measurements back in path order.
 
 use crate::path::PathScenario;
 use crate::probe::{
@@ -23,7 +23,6 @@ use lossburst_netsim::rng::Sampler;
 use lossburst_netsim::sim::RunLimits;
 use lossburst_netsim::time::SimDuration;
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 
 /// Campaign parameters.
 #[derive(Clone, Debug)]
@@ -91,29 +90,16 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// The effective campaign seed of grid replica `replica`. Replica 0 keeps
-/// the campaign seed untouched — so a grid campaign over at most
-/// [`DIRECTED_PATHS`] paths runs byte-identically to the classic
-/// [`campaign_pairs`] sample — and each later replica derives a fresh seed,
-/// turning the same 650 directed pairs into new synthetic paths (new
-/// scenarios, new run seeds).
+/// the campaign seed untouched — so the first [`DIRECTED_PATHS`] grid
+/// paths are the campaign seed's own scenarios — and each later replica
+/// derives a fresh seed, turning the same 650 directed pairs into new
+/// synthetic paths (new scenarios, new run seeds).
 pub(crate) fn replica_seed(seed: u64, replica: usize) -> u64 {
     if replica == 0 {
         seed
     } else {
         seed ^ splitmix64(0x9E1D_C0DE ^ replica as u64)
     }
-}
-
-/// The deterministic random path sample a campaign with this config will
-/// measure, in execution order. Exposed so external supervisors can
-/// enumerate the same work list the built-in runners use (index `i` here
-/// is the path index in checkpoint ledgers).
-pub fn campaign_pairs(cfg: &CampaignConfig) -> Vec<(usize, usize)> {
-    let mut pairs = all_directed_pairs();
-    let mut rng = Sampler::child_rng(cfg.seed, 0xCA3F);
-    pairs.shuffle(&mut rng);
-    pairs.truncate(cfg.n_paths.min(pairs.len()));
-    pairs
 }
 
 /// The shuffled directed-pair sample a seed induces, queryable at any grid
@@ -129,9 +115,7 @@ pub struct GridSample {
 }
 
 impl GridSample {
-    /// Shuffle the [`DIRECTED_PATHS`] directed pairs once under `seed`
-    /// (the exact [`campaign_pairs`] shuffle: same stream constant, same
-    /// RNG walk).
+    /// Shuffle the [`DIRECTED_PATHS`] directed pairs once under `seed`.
     pub fn new(seed: u64) -> GridSample {
         let mut base = all_directed_pairs();
         let mut rng = Sampler::child_rng(seed, 0xCA3F);
@@ -158,9 +142,8 @@ impl GridSample {
 /// The synthetic path grid for campaigns beyond the [`DIRECTED_PATHS`]
 /// directed pairs: the shuffled pair sample cycles, and path index `i`
 /// belongs to replica `i / 650`, whose scenarios and run seeds derive from
-/// `replica_seed`. For `cfg.n_paths ≤ 650` this IS [`campaign_pairs`] —
-/// same shuffle, same truncation — so grid campaigns at classic scale stay
-/// byte-identical to the classic runners. Path identity depends only on
+/// `replica_seed`. For `cfg.n_paths ≤ 650` it is the seed's shuffled
+/// sample truncated to `n_paths` pairs. Path identity depends only on
 /// `(cfg.seed, i)`, never on how the grid is sharded.
 pub fn grid_pairs(cfg: &CampaignConfig) -> Vec<(usize, usize)> {
     let sample = GridSample::new(cfg.seed);
@@ -168,9 +151,11 @@ pub fn grid_pairs(cfg: &CampaignConfig) -> Vec<(usize, usize)> {
 }
 
 /// Measure grid path `index` (whose directed pair is `(src, dst)` from
-/// [`grid_pairs`]) under execution limits: `try_measure_path_streaming`
-/// with the index's replica seed. Replica 0 is bit-identical to the classic
-/// per-path measurement.
+/// [`grid_pairs`]): paired 48 B / 400 B runs plus validation, seeded by
+/// `(replica seed, src, dst)` alone, never by scheduling. The limits apply
+/// to each of the paired runs independently; the first run to exhaust its
+/// event budget fails the whole path measurement. This is the per-path
+/// primitive the `core` campaign supervisor wraps in its fault boundary.
 pub fn try_measure_path_grid_streaming(
     cfg: &CampaignConfig,
     index: usize,
@@ -178,9 +163,30 @@ pub fn try_measure_path_grid_streaming(
     dst: usize,
     limits: RunLimits,
 ) -> Result<StreamPathMeasurement, ProbeError> {
-    let mut sub = cfg.clone();
-    sub.seed = replica_seed(cfg.seed, index / DIRECTED_PATHS);
-    try_measure_path_streaming(&sub, src, dst, limits)
+    let seed = replica_seed(cfg.seed, index / DIRECTED_PATHS);
+    let scenario = PathScenario::derive(seed, src, dst);
+    let base = (src as u64) << 32 | dst as u64;
+    let run = |packet_bytes, salt| {
+        let probe = ProbeConfig {
+            packet_bytes,
+            pps: cfg.probe_pps,
+            duration: cfg.duration,
+            seed: seed ^ base ^ salt,
+            background: cfg.background,
+        };
+        run_probe_streaming_limited(&scenario, &probe, limits)
+    };
+    let small = run(48, 0x5A11)?;
+    let large = run(400, 0x1A46E)?;
+    let validated = validate_streaming(&small, &large);
+    Ok(StreamPathMeasurement {
+        src,
+        dst,
+        rtt: scenario.rtt,
+        small,
+        large,
+        validated,
+    })
 }
 
 /// One path's paired measurement.
@@ -259,81 +265,10 @@ fn pooled_intervals(measurements: &[StreamPathMeasurement]) -> impl Iterator<Ite
         .copied()
 }
 
-/// Measure one directed path: paired 48 B / 400 B runs plus validation.
-/// Seeding depends only on `(cfg.seed, src, dst)`, never on scheduling.
-pub(crate) fn measure_path_streaming(
-    cfg: &CampaignConfig,
-    src: usize,
-    dst: usize,
-) -> StreamPathMeasurement {
-    try_measure_path_streaming(cfg, src, dst, RunLimits::NONE)
-        .expect("unlimited run cannot exhaust")
-}
-
-/// [`measure_path_streaming`] under execution limits. The limits apply to
-/// each of the paired runs independently; the first run to exhaust its
-/// event budget fails the whole path measurement. This is the per-path
-/// primitive the `core` campaign supervisor wraps in its fault boundary.
-pub(crate) fn try_measure_path_streaming(
-    cfg: &CampaignConfig,
-    src: usize,
-    dst: usize,
-    limits: RunLimits,
-) -> Result<StreamPathMeasurement, ProbeError> {
-    let scenario = PathScenario::derive(cfg.seed, src, dst);
-    let base = (src as u64) << 32 | dst as u64;
-    let small = run_probe_streaming_limited(
-        &scenario,
-        &ProbeConfig {
-            packet_bytes: 48,
-            pps: cfg.probe_pps,
-            duration: cfg.duration,
-            seed: cfg.seed ^ base ^ 0x5A11,
-            background: cfg.background,
-        },
-        limits,
-    )?;
-    let large = run_probe_streaming_limited(
-        &scenario,
-        &ProbeConfig {
-            packet_bytes: 400,
-            pps: cfg.probe_pps,
-            duration: cfg.duration,
-            seed: cfg.seed ^ base ^ 0x1A46E,
-            background: cfg.background,
-        },
-        limits,
-    )?;
-    let validated = validate_streaming(&small, &large);
-    Ok(StreamPathMeasurement {
-        src,
-        dst,
-        rtt: scenario.rtt,
-        small,
-        large,
-        validated,
-    })
-}
-
-/// Run the campaign, fanning paths out across the worker pool
-/// (`LOSSBURST_THREADS` overrides the fan-out width; `1` runs inline).
-/// Each run analyzes its loss process online with trace buffering off, and
-/// the aggregation step folds validated intervals into one pooled
-/// [`LossStreamStats`].
-pub fn run_campaign_streaming(cfg: &CampaignConfig) -> StreamCampaignResult {
-    let pairs = campaign_pairs(cfg);
-    let measurements: Vec<StreamPathMeasurement> = pairs
-        .par_iter()
-        .map(|&(src, dst)| measure_path_streaming(cfg, src, dst))
-        .collect();
-    aggregate_streaming(measurements)
-}
-
 /// Fold per-path measurements (in path order) into a
 /// [`StreamCampaignResult`], pooling validated intervals into one
-/// [`LossStreamStats`]. Public so supervised runs can aggregate a mix of
-/// freshly measured and checkpoint-restored measurements exactly as the
-/// built-in runner does.
+/// [`LossStreamStats`]. Public so the supervised runner can aggregate a
+/// mix of freshly measured and checkpoint-restored measurements.
 pub fn aggregate_streaming(measurements: Vec<StreamPathMeasurement>) -> StreamCampaignResult {
     // rtt = 1.0: campaign intervals are already RTT-normalized per path.
     let mut pooled = LossStreamStats::with_rtt(1.0);
@@ -359,8 +294,21 @@ pub fn aggregate_streaming(measurements: Vec<StreamPathMeasurement>) -> StreamCa
 mod tests {
     use super::*;
 
+    /// Every grid path measured in turn and pooled: the campaign a
+    /// supervised run with nothing going wrong produces.
+    fn measure_grid(cfg: &CampaignConfig) -> Result<StreamCampaignResult, ProbeError> {
+        let measurements = grid_pairs(cfg)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, dst))| {
+                try_measure_path_grid_streaming(cfg, i, src, dst, RunLimits::NONE)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(aggregate_streaming(measurements))
+    }
+
     #[test]
-    fn small_campaign_produces_validated_intervals() {
+    fn small_campaign_produces_validated_intervals() -> Result<(), ProbeError> {
         let cfg = CampaignConfig {
             seed: 6,
             n_paths: 6,
@@ -368,7 +316,7 @@ mod tests {
             duration: SimDuration::from_secs(10),
             background: BackgroundMode::Packet,
         };
-        let res = run_campaign_streaming(&cfg);
+        let res = measure_grid(&cfg)?;
         assert_eq!(res.measurements.len(), 6);
         assert_eq!(res.validated + res.rejected, 6);
         assert!(res.validated >= 1, "everything rejected");
@@ -383,22 +331,23 @@ mod tests {
         let rates = res.loss_rates();
         assert_eq!(rates.len(), 6);
         assert!(rates.iter().all(|r| (0.0..=1.0).contains(r)));
+        Ok(())
     }
 
     #[test]
-    fn per_path_buffers_do_not_grow_with_run_duration() {
+    fn per_path_buffers_do_not_grow_with_run_duration() -> Result<(), ProbeError> {
         // Constant-memory claim: at 10 s and at 20 s alike a path commits a
         // few kB of finished-flow records plus its receivers' O(losses) gap
         // lists — where a buffered arrival log alone would cost
         // 16 B x pps x duration x 2 runs: 320 kB at 10 s, 640 kB at 20 s.
         for secs in [10, 20] {
-            let res = run_campaign_streaming(&CampaignConfig {
+            let res = measure_grid(&CampaignConfig {
                 seed: 6,
                 n_paths: 6,
                 probe_pps: 1000.0,
                 duration: SimDuration::from_secs(secs),
                 background: BackgroundMode::Packet,
-            });
+            })?;
             for m in &res.measurements {
                 let bytes = m.small.trace_bytes + m.large.trace_bytes;
                 let lost = m.small.n_lost + m.large.n_lost;
@@ -409,14 +358,18 @@ mod tests {
                 assert!(bytes <= res.peak_trace_bytes);
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn grid_extends_campaign_pairs_beyond_650() {
+    fn grid_cycles_the_seed_shuffle_beyond_650() {
         let mut cfg = CampaignConfig::quick(11);
         cfg.n_paths = 30;
-        // At classic scale the grid IS the classic sample.
-        assert_eq!(grid_pairs(&cfg), campaign_pairs(&cfg));
+        // Below 650 the grid is the seed's shuffle of the directed pairs,
+        // truncated: the sample the golden Fig 4 fixture was measured on.
+        let mut shuffled = all_directed_pairs();
+        shuffled.shuffle(&mut Sampler::child_rng(cfg.seed, 0xCA3F));
+        assert_eq!(grid_pairs(&cfg), shuffled[..30]);
         // Beyond 650 the sample cycles, replica by replica.
         cfg.n_paths = DIRECTED_PATHS + 3;
         let grid = grid_pairs(&cfg);
@@ -440,7 +393,7 @@ mod tests {
             assert_eq!(sample.pair(i), pair, "index {i}");
         }
         // scenario() uses the replica-seed rule the grid measurement uses:
-        // replica 0 is the classic scenario, replica 1 a fresh one.
+        // replica 0 is the campaign seed's scenario, replica 1 a fresh one.
         let (src, dst) = sample.pair(0);
         let classic = PathScenario::derive(cfg.seed, src, dst);
         let s0 = sample.scenario(0);
@@ -460,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_replica_zero_is_classic_and_replicas_differ() {
+    fn grid_replica_zero_is_classic_and_replicas_differ() -> Result<(), ProbeError> {
         let cfg = CampaignConfig {
             seed: 4,
             n_paths: 2,
@@ -468,26 +421,23 @@ mod tests {
             duration: SimDuration::from_secs(5),
             background: BackgroundMode::Packet,
         };
-        let (src, dst) = campaign_pairs(&cfg)[0];
-        let grid = |index| {
-            try_measure_path_grid_streaming(&cfg, index, src, dst, RunLimits::NONE).unwrap()
-        };
-        let classic = measure_path_streaming(&cfg, src, dst);
-        let grid0 = grid(0);
-        assert_eq!(classic.rtt, grid0.rtt);
-        assert_eq!(classic.small.loss_rate, grid0.small.loss_rate);
-        assert_eq!(classic.small.intervals_rtt, grid0.small.intervals_rtt);
-        assert_eq!(classic.large.intervals_rtt, grid0.large.intervals_rtt);
+        let (src, dst) = grid_pairs(&cfg)[0];
+        let grid = |index| try_measure_path_grid_streaming(&cfg, index, src, dst, RunLimits::NONE);
+        // Replica 0 probes the campaign seed's own scenario.
+        let grid0 = grid(0)?;
+        assert_eq!(grid0.rtt, PathScenario::derive(cfg.seed, src, dst).rtt);
+        assert_eq!((grid0.src, grid0.dst), (src, dst));
         // The same pair one replica later is a different synthetic path.
-        let grid1 = grid(DIRECTED_PATHS);
+        let grid1 = grid(DIRECTED_PATHS)?;
         assert!(
             grid1.rtt != grid0.rtt || grid1.small.intervals_rtt != grid0.small.intervals_rtt,
             "replica 1 should derive a fresh scenario"
         );
+        Ok(())
     }
 
     #[test]
-    fn campaign_is_deterministic() {
+    fn campaign_is_deterministic() -> Result<(), ProbeError> {
         let cfg = CampaignConfig {
             seed: 8,
             n_paths: 3,
@@ -495,12 +445,13 @@ mod tests {
             duration: SimDuration::from_secs(6),
             background: BackgroundMode::Packet,
         };
-        let a = run_campaign_streaming(&cfg);
-        let b = run_campaign_streaming(&cfg);
+        let a = measure_grid(&cfg)?;
+        let b = measure_grid(&cfg)?;
         assert_eq!(a.intervals_rtt(), b.intervals_rtt());
         assert_eq!(a.validated, b.validated);
         let pa: Vec<(usize, usize)> = a.measurements.iter().map(|m| (m.src, m.dst)).collect();
         let pb: Vec<(usize, usize)> = b.measurements.iter().map(|m| (m.src, m.dst)).collect();
         assert_eq!(pa, pb);
+        Ok(())
     }
 }

@@ -17,8 +17,9 @@
 //!   Internet's Fig 4 from the lab's Figs 2–3);
 //! * [`probe`] — the CBR probe methodology, including the paired-size
 //!   validation rule;
-//! * [`campaign`] — the randomized multi-path campaign, rayon-parallel
-//!   across paths.
+//! * [`campaign`] — the randomized multi-path campaign's path grid,
+//!   per-path measurement and pooling (`lossburst-core`'s supervisor runs
+//!   the sweep).
 //!
 //! There is one measurement path: a probe runs sink-driven in constant
 //! memory (trace buffering off, a gap-detecting receiver, statistics folded

@@ -15,8 +15,10 @@ use lossburst_core::impact::{
     MixResult, ParallelCell, ParallelConfig,
 };
 use lossburst_core::model::DetectionRow;
+use lossburst_core::shard::run_grid_streaming_supervised;
+use lossburst_core::supervisor::{LedgerEntry, SupervisedStudy, SupervisorConfig};
 use lossburst_emu::testbed::{self, TestbedConfig};
-use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig, StreamCampaignResult};
+use lossburst_inet::campaign::{CampaignConfig, StreamCampaignResult};
 use lossburst_netsim::fluid::BackgroundMode;
 use lossburst_netsim::time::SimDuration;
 use std::sync::OnceLock;
@@ -63,11 +65,31 @@ pub fn fig2_lab_config(seed: u64) -> LabCampaignConfig {
     cfg
 }
 
+/// A reference run's ledger, held to "every row measured": a reference
+/// scenario that lost a cell or a path is a broken fixture, not a sample.
+fn assert_all_measured(label: &str, ledger: &[LedgerEntry]) {
+    let failed: Vec<&LedgerEntry> = ledger.iter().filter(|e| !e.outcome.is_ok()).collect();
+    assert!(
+        failed.is_empty(),
+        "{label}: rows did not measure: {failed:?}"
+    );
+}
+
+/// The study of a paper sweep (Figs 2–4) whose every row measured.
+pub fn measured_study(
+    label: &str,
+    run: lossburst_core::error::Result<SupervisedStudy>,
+) -> LossStudy {
+    let run = run.unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_all_measured(label, &run.ledger);
+    run.study
+}
+
 /// Quick-scale NS-2 campaign (Fig 2): two flow counts, one buffer, 10 s
 /// runs, plus an 8-flow baseline for per-flow throughput.
 pub(crate) fn fig2_quick(seed: u64) -> Fig2Data {
     let cfg = fig2_lab_config(seed);
-    let study = ns2_study(&cfg);
+    let study = measured_study("fig2", ns2_study(&cfg, &SupervisorConfig::default()));
 
     let mut tb = TestbedConfig::ns2_baseline(8, 200, seed);
     tb.duration = SimDuration::from_secs(10);
@@ -96,7 +118,7 @@ pub fn fig3_lab_config(seed: u64) -> LabCampaignConfig {
 /// Quick-scale Dummynet campaign (Fig 3): one 8-flow cell through the
 /// 1 ms recording clock and processing jitter.
 pub(crate) fn fig3_quick(seed: u64) -> LossStudy {
-    dummynet_study(&fig3_lab_config(seed))
+    measured_study("fig3", dummynet_study(&fig3_lab_config(seed)))
 }
 
 /// The quick-scale Fig 4 Internet-campaign configuration: 16 paths,
@@ -111,12 +133,21 @@ pub fn fig4_campaign_config(seed: u64) -> CampaignConfig {
     }
 }
 
+/// The campaign of a supervised Internet sweep whose every path measured:
+/// the runner `internet_study` pools, with the per-path measurements its
+/// study drops.
+pub fn measured_campaign(cfg: &CampaignConfig) -> StreamCampaignResult {
+    let run = run_grid_streaming_supervised(cfg, &SupervisorConfig::default())
+        .unwrap_or_else(|e| panic!("internet campaign: {e}"));
+    assert_all_measured("internet campaign", &run.ledger);
+    run.result
+}
+
 /// Quick-scale Internet campaign (Fig 4): 16 paths, paired 48 B / 400 B
 /// probes at 2000 pps for 12 s each — the smallest sweep whose pooled
 /// intervals still show the paper's intermediate burstiness band.
 pub(crate) fn fig4_quick(seed: u64) -> Fig4Data {
-    let cfg = fig4_campaign_config(seed);
-    let campaign = run_campaign_streaming(&cfg);
+    let campaign = measured_campaign(&fig4_campaign_config(seed));
     let study = LossStudy::from_intervals("internet", campaign.intervals_rtt());
     Fig4Data { campaign, study }
 }

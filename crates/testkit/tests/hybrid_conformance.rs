@@ -13,7 +13,7 @@
 
 use lossburst_analysis::gilbert::{self, GilbertParams};
 use lossburst_core::campaign::{dummynet_study, ns2_study, LossStudy};
-use lossburst_inet::campaign::run_campaign_streaming;
+use lossburst_core::supervisor::SupervisorConfig;
 use lossburst_inet::path::{LoadTier, PathScenario};
 use lossburst_inet::probe::{run_probe_streaming, ProbeConfig, StreamProbeOutcome};
 use lossburst_netsim::fluid::BackgroundMode;
@@ -21,7 +21,7 @@ use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
 use lossburst_testkit::scenarios::{
     fig2_data, fig2_lab_config, fig3_lab_config, fig3_study, fig4_campaign_config, fig4_data,
-    EPISODE_GAP_RTT, QUICK_SEED,
+    measured_campaign, measured_study, EPISODE_GAP_RTT, QUICK_SEED,
 };
 use lossburst_transport::cc::CcAlgorithm;
 
@@ -43,7 +43,7 @@ fn hybrid_fig2_ns2_campaign_passes_the_gate() {
     let packet = &fig2_data().study;
     let mut cfg = fig2_lab_config(QUICK_SEED);
     cfg.background = BackgroundMode::Fluid;
-    let fluid = ns2_study(&cfg);
+    let fluid = measured_study("fig2-fluid", ns2_study(&cfg, &SupervisorConfig::default()));
     gate("fig2", packet, &fluid).unwrap();
     check_lab_clustering("fig2-fluid", &fluid.report, 0.9, 50.0).unwrap();
     check_poisson_divergence(&fluid.intervals_rtt, 0.5).unwrap();
@@ -56,11 +56,14 @@ fn hybrid_fig2_ns2_campaign_passes_the_gate() {
 fn fig2_gate_with(cc: CcAlgorithm) {
     let mut pcfg = fig2_lab_config(QUICK_SEED);
     pcfg.cc = cc;
-    let packet = ns2_study(&pcfg);
+    let packet = measured_study(
+        "fig2-packet",
+        ns2_study(&pcfg, &SupervisorConfig::default()),
+    );
     let mut fcfg = fig2_lab_config(QUICK_SEED);
     fcfg.cc = cc;
     fcfg.background = BackgroundMode::Fluid;
-    let fluid = ns2_study(&fcfg);
+    let fluid = measured_study("fig2-fluid", ns2_study(&fcfg, &SupervisorConfig::default()));
     gate(&format!("fig2-{}", cc.name()), &packet, &fluid).unwrap();
 }
 
@@ -83,7 +86,7 @@ fn hybrid_fig3_dummynet_campaign_passes_the_gate() {
     let packet = fig3_study();
     let mut cfg = fig3_lab_config(QUICK_SEED);
     cfg.background = BackgroundMode::Fluid;
-    let fluid = dummynet_study(&cfg);
+    let fluid = measured_study("fig3-fluid", dummynet_study(&cfg));
     gate("fig3", packet, &fluid).unwrap();
     check_lab_clustering("fig3-fluid", &fluid.report, 0.5, 10.0).unwrap();
 }
@@ -95,7 +98,7 @@ fn hybrid_fig4_internet_campaign_passes_the_gate() {
     let packet = &fig4_data().study;
     let mut cfg = fig4_campaign_config(QUICK_SEED);
     cfg.background = BackgroundMode::Fluid;
-    let campaign = run_campaign_streaming(&cfg);
+    let campaign = measured_campaign(&cfg);
     assert!(
         campaign.validated_fraction() >= 0.75,
         "fluid mode broke probe validation: {:.2}",

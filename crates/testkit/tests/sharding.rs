@@ -8,10 +8,16 @@
 use lossburst_core::prelude::*;
 use lossburst_core::shard::{merged_checkpoint_path, shard_checkpoint_path};
 use lossburst_core::supervisor::PathRecord;
-use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig, StreamCampaignResult};
+use lossburst_inet::campaign::{
+    aggregate_streaming, try_measure_path_grid_streaming, CampaignConfig, StreamCampaignResult,
+};
+use lossburst_inet::sites::all_directed_pairs;
 use lossburst_netsim::fluid::BackgroundMode;
+use lossburst_netsim::rng::Sampler;
+use lossburst_netsim::sim::RunLimits;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
+use rand::seq::SliceRandom;
 use std::path::PathBuf;
 
 /// The micro-scale per-path recipe the 10^5-path benches use, at a path
@@ -97,15 +103,28 @@ fn sharded_campaign_is_byte_identical_to_one_process() {
 }
 
 /// The grid runner is the classic campaign at classic scale: for n ≤ 650
-/// the supervised grid measures the very paths `run_campaign_streaming`
-/// does, in the same order, to the same bits.
+/// the supervised grid measures the seed's shuffle of the directed pairs,
+/// truncated, in that order, to the bits a serial loop over them gives.
 #[test]
 fn grid_campaign_matches_classic_below_650() {
     let cfg = grid_campaign(2006, 8);
     let grid = run_grid_streaming_supervised(&cfg, &SupervisorConfig::default()).unwrap();
-    let classic = run_campaign_streaming(&cfg);
-    assert_eq!(grid.pairs, lossburst_inet::campaign::campaign_pairs(&cfg));
-    assert_eq!(result_dump(&grid.result), result_dump(&classic));
+    let mut classic = all_directed_pairs();
+    classic.shuffle(&mut Sampler::child_rng(cfg.seed, 0xCA3F));
+    classic.truncate(cfg.n_paths);
+    assert_eq!(grid.pairs, classic);
+    let serial = classic
+        .iter()
+        .enumerate()
+        .map(|(i, &(src, dst))| {
+            try_measure_path_grid_streaming(&cfg, i, src, dst, RunLimits::NONE)
+                .expect("an unlimited run has no budget to spend")
+        })
+        .collect();
+    assert_eq!(
+        result_dump(&grid.result),
+        result_dump(&aggregate_streaming(serial))
+    );
 }
 
 /// A shard killed mid-slice and resumed (same shard file) completes its
@@ -148,6 +167,30 @@ fn interrupted_shard_resumes_and_merges_identically() {
         campaign_bytes(&reference),
         "interrupted+resumed shard diverges from 1-process"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Collect holds each merged record to its index's grid pair: a shard file
+/// whose record 0 carries record 1's path is an error naming index 0, not
+/// a path pooled under another path's identity.
+#[test]
+fn collect_rejects_a_record_holding_another_index_path() {
+    let cfg = grid_campaign(2006, 4);
+    let sup = SupervisorConfig::default();
+    let dir = scratch_dir("misplaced");
+    let spec = ShardSpec::new(0, 1);
+    run_shard_streaming(&cfg, &sup, spec, &dir).unwrap();
+    let file = shard_checkpoint_path(&dir, spec);
+    let text = std::fs::read_to_string(&file).unwrap();
+    let record1 = text.lines().find(|l| l.starts_with("ok 1 ")).unwrap();
+    // Appended last, the copy is the record index 0 restores.
+    let moved = record1.replacen("ok 1 ", "ok 0 ", 1);
+    std::fs::write(&file, format!("{text}{moved}\n")).unwrap();
+    merge_shards_streaming(&cfg, &dir, 1).unwrap();
+    let err = collect_campaign_streaming(&cfg, &sup, &dir)
+        .expect_err("record 0 holds record 1's path")
+        .to_string();
+    assert!(err.contains("checkpoint record 0 holds path"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

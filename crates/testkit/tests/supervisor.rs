@@ -3,9 +3,15 @@
 //! the same campaign run uninterrupted — for every seed in `SEED_MATRIX`,
 //! under both execution policies.
 
+use lossburst_analysis::intervals::normalized_intervals;
 use lossburst_core::prelude::*;
 use lossburst_core::supervisor::PathRecord;
-use lossburst_inet::campaign::{run_campaign_streaming, CampaignConfig, StreamCampaignResult};
+use lossburst_emu::testbed::{self, TestbedConfig};
+use lossburst_inet::campaign::{
+    aggregate_streaming, grid_pairs, try_measure_path_grid_streaming, CampaignConfig,
+    StreamCampaignResult,
+};
+use lossburst_netsim::sim::RunLimits;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
 use std::path::PathBuf;
@@ -149,20 +155,59 @@ fn interrupted_campaign_resumes_byte_identically() {
     });
 }
 
+/// The campaign written out as a serial loop, independent of the
+/// supervisor: every grid path measured in turn, then pooled.
+fn serial_campaign(cfg: &CampaignConfig) -> StreamCampaignResult {
+    let measurements = grid_pairs(cfg)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (src, dst))| {
+            try_measure_path_grid_streaming(cfg, i, src, dst, RunLimits::NONE)
+                .expect("an unlimited run has no budget to spend")
+        })
+        .collect();
+    aggregate_streaming(measurements)
+}
+
+/// The NS-2 lab sweep written out as a serial loop over `lab_cells`,
+/// independent of the product's cell runner: each cell's testbed built
+/// here, run to its end, its loss times normalized by its mean RTT.
+fn serial_lab(lab: &LabCampaignConfig) -> Vec<u64> {
+    let mut pooled = Vec::new();
+    for (flows, buffer, seed) in lab_cells(lab) {
+        let mut tb = TestbedConfig::ns2_baseline(flows, buffer, seed);
+        tb.duration = lab.duration;
+        tb.background = lab.background;
+        tb.cc = lab.cc;
+        let res = testbed::run_streaming(&tb);
+        pooled.extend(normalized_intervals(
+            &res.loss_times,
+            res.mean_rtt.as_secs_f64(),
+        ));
+    }
+    pooled.iter().map(|x| x.to_bits()).collect()
+}
+
+fn bits(study: &LossStudy) -> Vec<u64> {
+    study.intervals_rtt.iter().map(|x| x.to_bits()).collect()
+}
+
 /// A clean supervised campaign (empty fault plan, no budgets) must produce
-/// exactly what the unsupervised `run_campaign_streaming` produces — the
-/// supervisor layer is observationally free when nothing goes wrong.
+/// exactly what the serial loop produces — the supervisor layer is
+/// observationally free when nothing goes wrong.
 #[test]
-fn clean_supervised_campaign_matches_unsupervised() {
+fn clean_supervised_campaign_matches_the_serial_loop() {
     let cfg = tiny_campaign(1);
     let sup = run_grid_streaming_supervised(&cfg, &SupervisorConfig::default()).unwrap();
     assert_eq!(sup.counts().ok, cfg.n_paths);
-    let plain = run_campaign_streaming(&cfg);
-    assert_eq!(result_dump(&sup.result), result_dump(&plain));
+    assert_eq!(
+        result_dump(&sup.result),
+        result_dump(&serial_campaign(&cfg))
+    );
 }
 
-/// The supervised lab sweep pools exactly the cells that survive, and an
-/// event budget that kills one cell removes only that cell's intervals.
+/// The supervised lab sweep pools exactly the cells that survive, and a
+/// fault that kills one cell removes only that cell's intervals.
 #[test]
 fn lab_sweep_degrades_cell_by_cell() {
     let lab = LabCampaignConfig {
@@ -174,25 +219,12 @@ fn lab_sweep_degrades_cell_by_cell() {
         background: lossburst_netsim::fluid::BackgroundMode::Packet,
         cc: lossburst_transport::cc::CcAlgorithm::NewReno,
     };
-    let clean = ns2_study_supervised(&lab, &SupervisorConfig::default()).unwrap();
+    let clean = ns2_study(&lab, &SupervisorConfig::default()).unwrap();
     assert_eq!(clean.counts().ok, lab_cells(&lab).len());
-    let reference = ns2_study(&lab);
-    assert_eq!(
-        clean
-            .study
-            .intervals_rtt
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        reference
-            .intervals_rtt
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>()
-    );
+    assert_eq!(bits(&clean.study), serial_lab(&lab));
 
     // Panic cell 0's simulator: it must fail alone.
-    let starved = ns2_study_supervised(
+    let starved = ns2_study(
         &lab,
         &SupervisorConfig {
             max_retries: 0,
@@ -206,7 +238,7 @@ fn lab_sweep_degrades_cell_by_cell() {
     assert!(starved.study.intervals_rtt.len() < clean.study.intervals_rtt.len());
 }
 
-/// The supervised lab sweep measures the cells the plain sweep does — the
+/// The lab sweep measures the cells a hand-built testbed loop does — the
 /// configured congestion controller and background model included.
 #[test]
 fn supervised_lab_sweep_honours_cc_and_background() {
@@ -225,16 +257,13 @@ fn supervised_lab_sweep_honours_cc_and_background() {
             background,
             cc,
         };
-        let bits = |study: &LossStudy| -> Vec<u64> {
-            study.intervals_rtt.iter().map(|x| x.to_bits()).collect()
-        };
-        let plain = ns2_study(&lab);
-        let supervised = ns2_study_supervised(&lab, &SupervisorConfig::default()).unwrap();
-        assert!(!plain.intervals_rtt.is_empty(), "want a lossy cell");
+        let oracle = serial_lab(&lab);
+        let supervised = ns2_study(&lab, &SupervisorConfig::default()).unwrap();
+        assert!(!oracle.is_empty(), "want a lossy cell");
         assert_eq!(
             bits(&supervised.study),
-            bits(&plain),
-            "supervised sweep diverges under {cc:?} / {background:?}"
+            oracle,
+            "the lab sweep diverges under {cc:?} / {background:?}"
         );
     }
 }

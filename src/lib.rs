@@ -19,15 +19,18 @@
 //!
 //! ```
 //! use lossburst::core::campaign::{ns2_study, LabCampaignConfig};
+//! use lossburst::core::supervisor::SupervisorConfig;
 //! use lossburst::netsim::time::SimDuration;
 //!
 //! let mut cfg = LabCampaignConfig::quick(42);
 //! cfg.flow_counts = vec![8];            // one cell of the paper's sweep
 //! cfg.buffer_bdp_fractions = vec![0.25];
 //! cfg.duration = SimDuration::from_secs(10);
-//! let study = ns2_study(&cfg);
+//! let run = ns2_study(&cfg, &SupervisorConfig::default())?;
+//! assert_eq!(run.counts().failed, 0);
 //! // The headline result: losses cluster at sub-RTT timescale.
-//! assert!(study.report.frac_below_1 > 0.5);
+//! assert!(run.study.report.frac_below_1 > 0.5);
+//! # Ok::<(), lossburst::core::error::Error>(())
 //! ```
 
 pub use lossburst_analysis as analysis;

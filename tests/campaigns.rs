@@ -2,8 +2,10 @@
 //! paper's qualitative ordering of burstiness.
 
 use lossburst::core::campaign::{dummynet_study, internet_study, ns2_study, LabCampaignConfig};
+use lossburst::core::supervisor::SupervisorConfig;
 use lossburst::inet::campaign::CampaignConfig;
 use lossburst::netsim::time::SimDuration;
+use lossburst_testkit::scenarios::measured_study;
 
 fn small_lab(seed: u64) -> LabCampaignConfig {
     LabCampaignConfig {
@@ -19,8 +21,11 @@ fn small_lab(seed: u64) -> LabCampaignConfig {
 
 #[test]
 fn lab_campaigns_are_sub_rtt_bursty_and_ordered() {
-    let ns2 = ns2_study(&small_lab(42));
-    let dummynet = dummynet_study(&small_lab(42));
+    let ns2 = measured_study(
+        "ns2",
+        ns2_study(&small_lab(42), &SupervisorConfig::default()),
+    );
+    let dummynet = measured_study("dummynet", dummynet_study(&small_lab(42)));
 
     // Both far burstier than Poisson would allow.
     assert!(ns2.report.frac_below_001 > 0.8, "ns2 {:?}", ns2.report);
@@ -48,7 +53,7 @@ fn internet_campaign_sits_between_lab_and_poisson() {
         duration: SimDuration::from_secs(12),
         background: lossburst::netsim::fluid::BackgroundMode::Packet,
     };
-    let inet = internet_study(&cfg);
+    let inet = measured_study("internet", internet_study(&cfg));
     assert!(
         inet.report.n_intervals > 50,
         "too few intervals: {}",
@@ -79,11 +84,17 @@ fn internet_campaign_sits_between_lab_and_poisson() {
 
 #[test]
 fn campaigns_are_deterministic_end_to_end() {
-    let a = ns2_study(&small_lab(7));
-    let b = ns2_study(&small_lab(7));
+    let ns2 = |seed| {
+        measured_study(
+            "ns2",
+            ns2_study(&small_lab(seed), &SupervisorConfig::default()),
+        )
+    };
+    let a = ns2(7);
+    let b = ns2(7);
     assert_eq!(a.intervals_rtt, b.intervals_rtt);
     assert_eq!(a.report.n_losses, b.report.n_losses);
-    let c = ns2_study(&small_lab(8));
+    let c = ns2(8);
     assert_ne!(
         a.report.n_losses, c.report.n_losses,
         "different seeds should explore different traces"

@@ -7,14 +7,17 @@
 //! The seed/policy matrices and byte-dump helpers live in
 //! `lossburst-testkit::determinism`, shared with the per-crate suites.
 
-use lossburst::core::campaign::{ns2_study, LabCampaignConfig};
+use lossburst::core::campaign::{internet_study, ns2_study, LabCampaignConfig};
 use lossburst::core::impact::{competition, CompetitionConfig};
+use lossburst::core::supervisor::{FaultKind, FaultPlan, SupervisorConfig};
 use lossburst::emu::testbed::{self, TestbedConfig};
+use lossburst::inet::campaign::CampaignConfig;
 use lossburst::inet::path::PathScenario;
 use lossburst::inet::probe::{run_probe_streaming, ProbeConfig};
 use lossburst::netsim::fluid::BackgroundMode;
 use lossburst::netsim::time::SimDuration;
 use lossburst_testkit::determinism::{assert_policies_agree, dumbbell_trace, SEED_MATRIX};
+use lossburst_testkit::scenarios::{measured_campaign, measured_study};
 
 #[test]
 fn testbed_runs_replay_bit_identically() {
@@ -59,7 +62,7 @@ fn figure_pipelines_replay_bit_identically() {
         cfg.flow_counts = vec![4];
         cfg.buffer_bdp_fractions = vec![0.25];
         cfg.duration = SimDuration::from_secs(6);
-        ns2_study(&cfg)
+        measured_study("ns2", ns2_study(&cfg, &SupervisorConfig::default()))
     };
     let a = study(7);
     let b = study(7);
@@ -93,12 +96,12 @@ fn different_seeds_explore_different_executions() {
 fn parallelism_does_not_affect_results() {
     // The pool-fanned campaign must equal a single-threaded run of the same
     // configuration: each path's simulation is seeded by (seed, src, dst)
-    // alone, and `par_iter().map().collect()` preserves input order, so
-    // thread scheduling must be invisible in the output — the pooled
-    // intervals, the validation verdicts, and the path order alike.
-    use lossburst::inet::campaign::{run_campaign_streaming, CampaignConfig};
+    // alone, and the supervisor's `par_iter().map().collect()` preserves
+    // input order, so thread scheduling must be invisible in the output —
+    // the pooled intervals, the validation verdicts, and the path order
+    // alike.
     assert_policies_agree("campaign", |seed: u64| -> Vec<u8> {
-        let res = run_campaign_streaming(&CampaignConfig {
+        let res = measured_campaign(&CampaignConfig {
             seed,
             n_paths: 4,
             probe_pps: 600.0,
@@ -125,17 +128,19 @@ fn all_execution_policies_agree_byte_identically() {
     // items between workers. The policy/seed matrices live in the testkit.
     use lossburst::core::ablation;
     use lossburst::core::impact::{parallel_study, ParallelConfig};
-    use lossburst::inet::campaign::{run_campaign_streaming, CampaignConfig};
     use rayon::prelude::*;
 
     assert_policies_agree("campaign+ablation+impact", |seed: u64| -> Vec<u8> {
-        let camp = run_campaign_streaming(&CampaignConfig {
-            seed,
-            n_paths: 4,
-            probe_pps: 400.0,
-            duration: SimDuration::from_secs(3),
-            background: BackgroundMode::Packet,
-        });
+        let camp = measured_study(
+            "internet",
+            internet_study(&CampaignConfig {
+                seed,
+                n_paths: 4,
+                probe_pps: 400.0,
+                duration: SimDuration::from_secs(3),
+                background: BackgroundMode::Packet,
+            }),
+        );
 
         // Skewed fan-out: the first quarter of the paths run 4x longer,
         // so under dynamic dealing the cheap tail migrates to whichever
@@ -176,7 +181,38 @@ fn all_execution_policies_agree_byte_identically() {
             seeds: vec![seed],
         })
         .expect("valid impact grid");
-        format!("{:?}\n{skewed:?}\n{abl:?}\n{imp:?}", camp.intervals_rtt()).into_bytes()
+        format!("{:?}\n{skewed:?}\n{abl:?}\n{imp:?}", camp.intervals_rtt).into_bytes()
+    });
+}
+
+#[test]
+fn a_faulty_lab_sweep_is_identical_under_all_execution_policies() {
+    // The product runner under faults: cell 1's simulator panics on the
+    // first attempt only and recovers on the retry, cell 2's panics on
+    // every attempt and fails. Which worker runs which attempt is up to
+    // the scheduler; the ledger and the pooled intervals are not.
+    assert_policies_agree("faulty lab sweep", |seed: u64| -> Vec<u8> {
+        let mut cfg = LabCampaignConfig::quick(seed);
+        cfg.flow_counts = vec![2, 4];
+        cfg.buffer_bdp_fractions = vec![0.25, 1.0];
+        cfg.duration = SimDuration::from_secs(3);
+        let sup = SupervisorConfig {
+            faults: FaultPlan::default()
+                .once(1, FaultKind::Panic)
+                .always(2, FaultKind::Panic),
+            ..SupervisorConfig::default()
+        };
+        let run = ns2_study(&cfg, &sup).expect("no checkpoint, so no I/O to fail");
+        let c = run.counts();
+        assert_eq!((c.ok, c.retried, c.failed), (2, 1, 1), "{:?}", run.ledger);
+        let bits: Vec<u64> = run
+            .study
+            .intervals_rtt
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert!(!bits.is_empty(), "the surviving cells lose packets");
+        format!("{:?}\n{bits:?}", run.ledger).into_bytes()
     });
 }
 

@@ -3,7 +3,9 @@
 //! functions, `crate::module::item` paths and metric keys by hand; a name
 //! that no longer resolves fails here, with its line, not in front of a
 //! reader. The same index of the sources holds the public-surface floor:
-//! a `pub fn` / `const` / `static` nothing outside its crate names fails.
+//! a `pub fn` / `const` / `static` nothing outside its crate names fails,
+//! and the panic-site ratchet: the product crates' `unwrap` / `expect` /
+//! `panic!` count may fall, never rise.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -51,7 +53,28 @@ const GONE: &[(&str, u32)] = &[
     ("stitch_outcomes", 31),
     ("trace::QueueSample", 34),
     ("trace::CompletionRecord", 34),
+    ("run_campaign_streaming", 35),
+    ("campaign_pairs", 35),
+    ("ns2_study_supervised", 35),
 ];
+
+/// The product crates: the library code a paper run executes.
+const PRODUCT_CRATES: [&str; 7] = [
+    "core",
+    "transport",
+    "analysis",
+    "netsim",
+    "sock",
+    "inet",
+    "emu",
+];
+
+/// The most lines of [`PRODUCT_CRATES`]' `src/` (in-file test modules
+/// included) that may hold a `.unwrap()`, `.expect(` or `panic!(` — ROADMAP
+/// item 4(e)'s grep, one a line. Lower it with every change that removes
+/// sites; one that adds a site returns an error instead, or raises this
+/// with the reason in its change notes.
+const PANIC_SITES_CEILING: usize = 156;
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
 /// for an identifier — a test, a function, a config field, a metric key —
@@ -77,6 +100,9 @@ struct Library {
     modules: HashSet<String>,
     /// Every `pub fn` / `pub const` / `pub static`: `(file:line, name)`.
     public: Vec<(String, String)>,
+    /// Lines holding a `.unwrap()`, `.expect(` or `panic!(`, comments and
+    /// all, as a plain grep counts them.
+    panic_sites: usize,
 }
 
 /// The repo root, its package directories (root, `crates/*`, `compat/*`)
@@ -182,6 +208,12 @@ impl Repo {
                 self.elsewhere.extend(words);
                 continue;
             };
+            if [".unwrap()", ".expect(", "panic!("]
+                .iter()
+                .any(|site| line.contains(site))
+            {
+                lib.panic_sites += 1;
+            }
             let defined = words
                 .windows(2)
                 .filter(|w| DEFINERS.contains(&w[0].as_str()));
@@ -469,5 +501,24 @@ fn every_pub_item_is_named_outside_its_crate() {
         "{} public items have no caller outside their crate:\n{}",
         findings.len(),
         findings.join("\n")
+    );
+}
+
+/// The panic-site ratchet (ROADMAP item 4(e)): library code returns errors,
+/// and an internal `expect` states an invariant. The count is what
+/// `grep -rE '\.unwrap\(\)|\.expect\(|panic!\(' crates/<c>/src | wc -l`
+/// gives, summed over [`PRODUCT_CRATES`].
+#[test]
+fn panic_sites_do_not_grow() {
+    let repo = Repo::open();
+    let per_crate: Vec<(&str, usize)> = PRODUCT_CRATES
+        .iter()
+        .map(|&c| (c, repo.libraries.get(c).map_or(0, |lib| lib.panic_sites)))
+        .collect();
+    let total: usize = per_crate.iter().map(|(_, n)| n).sum();
+    assert!(
+        total <= PANIC_SITES_CEILING,
+        "{total} panic sites in the product crates, over the ceiling of \
+         {PANIC_SITES_CEILING}: {per_crate:?}"
     );
 }
