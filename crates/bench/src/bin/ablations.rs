@@ -9,7 +9,7 @@
 //! 6. the Fig 8 straggler problem under different recovery mechanics
 //!    (NewReno vs SACK vs delay-based, and the minimum RTO).
 
-use lossburst_bench::{cli, verdict};
+use lossburst_bench::{cli, or_exit, verdict};
 use lossburst_core::ablation::*;
 use lossburst_core::impact::predictability;
 use lossburst_emu::clock::clock_ablation;
@@ -95,8 +95,7 @@ fn main() {
     let seeds: Vec<u64> = (0..if args.full { 6 } else { 3 })
         .map(|i| args.seed + i)
         .collect();
-    let stragglers =
-        straggler_ablation(64 * 1024 * 1024, 4, &seeds).expect("4 flows is a valid cell");
+    let stragglers = or_exit("ablations", straggler_ablation(64 * 1024 * 1024, 4, &seeds));
     for r in &stragglers {
         println!(
             "{:<22} {:>8.1}s {:>10.2} {:>9.2}",

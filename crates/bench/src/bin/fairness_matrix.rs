@@ -11,8 +11,8 @@
 //! also writes them to `DIR/fairness_matrix.csv`.
 
 use lossburst_analysis::stats;
-use lossburst_bench::{cli, verdict};
-use lossburst_core::fairness::{fairness_matrix, write_fairness_csv, FairnessConfig};
+use lossburst_bench::{cli, or_exit, verdict};
+use lossburst_core::fairness::{fairness_matrix, FairnessConfig};
 use lossburst_transport::cc::CcAlgorithm;
 
 fn main() {
@@ -29,16 +29,15 @@ fn main() {
         cfg.noise_levels.len(),
         cfg.duration.as_secs_f64()
     );
-    let m = match &args.export {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("cannot create the export directory");
-            let path = dir.join("fairness_matrix.csv");
-            let m = write_fairness_csv(&cfg, &path).expect("export failed");
-            println!("# exported {}", path.display());
-            m
-        }
-        None => fairness_matrix(&cfg),
-    };
+    if let Some(dir) = &args.export {
+        or_exit("fairness_matrix", std::fs::create_dir_all(dir));
+    }
+    let m = fairness_matrix(&cfg);
+    if let Some(dir) = &args.export {
+        let path = dir.join("fairness_matrix.csv");
+        or_exit("fairness_matrix", std::fs::write(&path, m.to_csv()));
+        println!("# exported {}", path.display());
+    }
     print!("{}", m.to_csv());
 
     let mean_jain = |same: bool| {

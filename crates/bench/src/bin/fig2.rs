@@ -8,7 +8,7 @@
 //! rate-matched Poisson process.
 
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-use lossburst_bench::{cli, measured, verdict};
+use lossburst_bench::{cli, measured, or_exit, verdict};
 use lossburst_core::campaign::{ns2_study, LabCampaignConfig};
 use lossburst_core::supervisor::SupervisorConfig;
 use lossburst_netsim::time::SimDuration;
@@ -46,7 +46,7 @@ fn main() {
     println!("\n{}", burstiness_summary("fig2/ns2", &study.report));
 
     if let Some(dir) = &args.export {
-        study.export(dir).expect("export failed");
+        or_exit("fig2", study.export(dir));
         println!(
             "# exported {}_pdf.tsv and {}_intervals.txt to {}",
             study.label,

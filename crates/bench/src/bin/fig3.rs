@@ -7,7 +7,7 @@
 //! smaller than 0.01 RTT".
 
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-use lossburst_bench::{cli, measured, verdict};
+use lossburst_bench::{cli, measured, or_exit, verdict};
 use lossburst_core::campaign::{dummynet_study, LabCampaignConfig};
 use lossburst_netsim::time::SimDuration;
 
@@ -39,7 +39,7 @@ fn main() {
     println!("\n{}", burstiness_summary("fig3/dummynet", &study.report));
 
     if let Some(dir) = &args.export {
-        study.export(dir).expect("export failed");
+        or_exit("fig3", study.export(dir));
         println!(
             "# exported {}_pdf.tsv and {}_intervals.txt to {}",
             study.label,

@@ -9,7 +9,7 @@
 
 use lossburst_analysis::poisson;
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
-use lossburst_bench::{cli, measured, verdict};
+use lossburst_bench::{cli, measured, or_exit, verdict};
 use lossburst_core::campaign::internet_study;
 use lossburst_inet::campaign::CampaignConfig;
 use lossburst_netsim::time::SimDuration;
@@ -59,7 +59,7 @@ fn main() {
     );
 
     if let Some(dir) = &args.export {
-        study.export(dir).expect("export failed");
+        or_exit("fig4", study.export(dir));
         println!(
             "# exported {}_pdf.tsv and {}_intervals.txt to {}",
             study.label,

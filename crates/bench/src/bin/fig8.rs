@@ -9,21 +9,24 @@
 //! phase prematurely" — and the variance at (RTT=200 ms, 4 flows) is too
 //! large to display.
 
-use lossburst_bench::{cli, verdict};
-use lossburst_core::impact::{parallel_study, theoretic_lower_bound, ParallelConfig};
+use lossburst_bench::{cli, or_exit, verdict};
+use lossburst_core::impact::{parallel_study, try_theoretic_lower_bound, ParallelConfig};
 
 fn main() {
     let args = cli::parse();
     let mut cfg = ParallelConfig::paper(if args.full { 10 } else { 4 });
     cfg.seeds = cfg.seeds.iter().map(|s| s ^ args.seed).collect();
-    let bound = theoretic_lower_bound(cfg.total_bytes, cfg.bottleneck_bps);
+    let bound = or_exit(
+        "fig8",
+        try_theoretic_lower_bound(cfg.total_bytes, cfg.bottleneck_bps),
+    );
     println!(
         "# Fig 8: 64 MB over 100 Mbps, {} replications per cell; lower bound {:.2} s (paper: 5.39 s)",
         cfg.seeds.len(),
         bound
     );
 
-    let cells = parallel_study(&cfg).expect("paper grid is valid");
+    let cells = or_exit("fig8", parallel_study(&cfg));
     println!(
         "{:>6} {:>9} {:>14} {:>12} {:>16}",
         "flows", "rtt(ms)", "latency(s)", "normalized", "stddev(norm)"

@@ -70,17 +70,24 @@ pub mod cli {
     }
 }
 
+/// The value of a sweep or an export, or, on its error, `<label>: <error>`
+/// on stderr and exit 1 — never a panic.
+pub fn or_exit<T, E: std::fmt::Display>(label: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{label}: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// The study of a paper sweep (Figs 2–4) whose every row measured. A
-/// sweep error, or a ledger row that failed every attempt, is named on
-/// stderr (`<label>: row <index> failed: <reason>`) and the bin exits 1.
+/// sweep error is [`or_exit`]'s; a ledger row that failed every attempt is
+/// named on stderr (`<label>: row <index> failed: <reason>`) and the bin
+/// exits 1.
 pub fn measured(
     label: &str,
     run: lossburst_core::error::Result<lossburst_core::supervisor::SupervisedStudy>,
 ) -> lossburst_core::campaign::LossStudy {
-    let run = run.unwrap_or_else(|e| {
-        eprintln!("{label}: {e}");
-        std::process::exit(1)
-    });
+    let run = or_exit(label, run);
     let mut failed = false;
     for row in &run.ledger {
         if let lossburst_core::supervisor::PathOutcome::Failed(reason) = &row.outcome {

@@ -7,7 +7,7 @@
 //! reproduction, and add two modern ablations: what SACK and what the
 //! minimum RTO do to the Fig 8 straggler problem.
 
-use crate::impact::{completion_times, even_chunk, ChunkedTransfer};
+use crate::impact::{completion_times, ChunkedTransfer, ParallelConfig};
 use lossburst_analysis::intervals;
 use lossburst_emu::testbed::{self, ShortFlowConfig, TestbedConfig};
 use lossburst_netsim::builder::SimBuilder;
@@ -229,15 +229,25 @@ pub struct StragglerRow {
 
 /// The Fig 8 worst cell (parallel transfer at 200 ms RTT), re-run with
 /// different senders and minimum RTOs: how much of the straggler problem is
-/// the congestion controller's recovery mechanics? Zero `flows` is a
-/// configuration error.
+/// the congestion controller's recovery mechanics? The cell is checked as
+/// Fig 8 checks its grid, so zero `flows`, zero `total_bytes` or no
+/// `seeds` is a configuration error.
 pub fn straggler_ablation(
     total_bytes: u64,
     flows: usize,
     seeds: &[u64],
 ) -> crate::error::Result<Vec<StragglerRow>> {
-    let chunk_bytes = even_chunk(total_bytes, flows)?;
     let rtt = SimDuration::from_millis(200);
+    ParallelConfig {
+        total_bytes,
+        flow_counts: vec![flows],
+        rtts: vec![rtt],
+        bottleneck_bps: 100e6,
+        buffer_pkts: 625,
+        seeds: seeds.to_vec(),
+    }
+    .validate()?;
+    let chunk_bytes = total_bytes / flows as u64;
     let cases = [
         (CcAlgorithm::NewReno, SimDuration::from_secs(1)),
         (CcAlgorithm::NewReno, SimDuration::from_millis(200)),
@@ -417,7 +427,11 @@ mod tests {
 
     #[test]
     fn straggler_ablation_rejects_zero_flows() {
-        let err = straggler_ablation(8 * 1024 * 1024, 0, &[1]).unwrap_err();
-        assert!(matches!(err, crate::error::Error::Config(_)), "{err}");
+        // Zero flows, no seeds and zero bytes: each is a cell Fig 8 rejects.
+        for (total_bytes, flows, seeds) in [(8 << 20, 0, &[1][..]), (8 << 20, 4, &[]), (0, 4, &[1])]
+        {
+            let err = straggler_ablation(total_bytes, flows, seeds).unwrap_err();
+            assert!(matches!(err, crate::error::Error::Config(_)), "{err}");
+        }
     }
 }

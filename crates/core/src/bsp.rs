@@ -20,7 +20,7 @@
 //! ([`lossburst_analysis::gilbert::Chain`]):
 //!
 //! * every packet costs one wire time (`MTU · 8 · 1.04 / bottleneck_bps`,
-//!   the same 4% header overhead as [`crate::impact::theoretic_lower_bound`]);
+//!   the same 4% header overhead as [`crate::impact::try_theoretic_lower_bound`]);
 //! * each chunk costs one RTT of handshake (request + completion);
 //! * a loss run of ≤ `DUPACK_RUN` packets is repaired by fast recovery
 //!   (one extra RTT); a longer run forces a timeout —
@@ -94,7 +94,7 @@ pub(crate) const MAX_ALTS: usize = 4;
 /// Packet size of the automaton, matching the netsim MTU.
 pub(crate) const MTU_BYTES: u64 = 1000;
 
-/// Header overhead multiplier, matching `theoretic_lower_bound`'s 4%.
+/// Header overhead multiplier, matching `try_theoretic_lower_bound`'s 4%.
 pub(crate) const WIRE_OVERHEAD: f64 = 1.04;
 
 /// Loss runs up to this length are repaired by fast recovery (one RTT);

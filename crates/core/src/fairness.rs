@@ -293,16 +293,6 @@ pub fn fairness_matrix(cfg: &FairnessConfig) -> FairnessMatrix {
     FairnessMatrix { cells }
 }
 
-/// Run the grid and write `fairness_matrix.csv` at `path`.
-pub fn write_fairness_csv(
-    cfg: &FairnessConfig,
-    path: &std::path::Path,
-) -> std::io::Result<FairnessMatrix> {
-    let m = fairness_matrix(cfg);
-    std::fs::write(path, m.to_csv())?;
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -331,18 +331,16 @@ impl ParallelConfig {
     /// Reject configurations that would divide by zero (flows, bandwidth)
     /// or reduce an empty axis — the same contract `RedConfig::validate`
     /// gives the queue layer. `bsp` drives this path with generated
-    /// configs, so the failure has to be an error, not a NaN.
-    pub(crate) fn validate(&self) -> crate::error::Result<()> {
+    /// configs, so the failure has to be an error, not a NaN. A 0-flow
+    /// transfer in particular has no byte split and no straggler to time,
+    /// so it is an error, not a 0-second success. Returns the theoretic
+    /// lower bound the cells are normalized by.
+    pub(crate) fn validate(&self) -> crate::error::Result<f64> {
         let fail = |msg: String| Err(crate::error::Error::Config(msg));
         if self.total_bytes == 0 {
             return fail("total_bytes must be positive".into());
         }
-        if !(self.bottleneck_bps.is_finite() && self.bottleneck_bps > 0.0) {
-            return fail(format!(
-                "bottleneck_bps must be finite and positive, got {}",
-                self.bottleneck_bps
-            ));
-        }
+        let bound = try_theoretic_lower_bound(self.total_bytes, self.bottleneck_bps)?;
         if self.flow_counts.is_empty() {
             return fail("flow_counts must be non-empty".into());
         }
@@ -355,7 +353,31 @@ impl ParallelConfig {
         if self.seeds.is_empty() {
             return fail("seeds must be non-empty".into());
         }
-        Ok(())
+        Ok(bound)
+    }
+
+    /// One replication of one cell on a validated config: `flows` NewReno
+    /// senders each move an even share of `total_bytes`, and the latency
+    /// is the time the last one finishes (the horizon, 60 × `bound`, if a
+    /// straggler never does).
+    fn replication(&self, flows: usize, rtt: SimDuration, bound: f64, seed: u64) -> f64 {
+        let transfer = ChunkedTransfer {
+            flows,
+            chunk_bytes: self.total_bytes / flows as u64,
+            rtt,
+            bottleneck_bps: self.bottleneck_bps,
+            buffer_pkts: self.buffer_pkts,
+            cc: CcAlgorithm::NewReno,
+            tcp: TcpConfig::default(),
+            // Start jitter within one RTT: real cluster nodes never launch
+            // in the same microsecond, and without it every replication is
+            // identical.
+            stagger: (0xF168, rtt.max(SimDuration::from_millis(10))),
+            horizon: SimDuration::from_secs_f64(bound * 60.0),
+        };
+        completion_times(&transfer, seed)
+            .into_iter()
+            .fold(0.0f64, f64::max)
     }
 }
 
@@ -378,15 +400,9 @@ pub struct ParallelCell {
 /// The theoretic lower bound: the wire time of the payload at bottleneck
 /// rate (the paper's "5.39 seconds" for 64 MB over 100 Mbps, which includes
 /// its header overhead; with our 4% headers the bound is
-/// `total · 8 · 1.04 / rate`).
-pub fn theoretic_lower_bound(total_bytes: u64, bottleneck_bps: f64) -> f64 {
-    try_theoretic_lower_bound(total_bytes, bottleneck_bps)
-        .expect("theoretic_lower_bound: invalid bandwidth")
-}
-
-/// Fallible form of [`theoretic_lower_bound`]: zero/negative/NaN bandwidth
-/// is a configuration error, not an inf/NaN that silently propagates into
-/// Fig 8 cell ratios.
+/// `total · 8 · 1.04 / rate`). Zero/negative/NaN bandwidth is a
+/// configuration error, not an inf/NaN that silently propagates into Fig 8
+/// cell ratios.
 pub fn try_theoretic_lower_bound(
     total_bytes: u64,
     bottleneck_bps: f64,
@@ -400,24 +416,9 @@ pub fn try_theoretic_lower_bound(
 }
 
 /// Run one replication of one cell; returns the completion latency in
-/// seconds (or the horizon if a straggler never finished). Panics on an
-/// invalid cell; use [`try_parallel_once`] when the inputs are generated.
-pub fn parallel_once(
-    total_bytes: u64,
-    flows: usize,
-    rtt: SimDuration,
-    bottleneck_bps: f64,
-    buffer_pkts: usize,
-    seed: u64,
-) -> f64 {
-    try_parallel_once(total_bytes, flows, rtt, bottleneck_bps, buffer_pkts, seed)
-        .expect("parallel_once: invalid cell")
-}
-
-/// Fallible form of [`parallel_once`]: rejects `flows == 0` (the even byte
-/// split would divide by zero and the final straggler `max` would reduce an
-/// empty set to 0.0 — a 0-worker transfer must be an error, not a
-/// zero-latency success) and `total_bytes == 0` / bad bandwidth likewise.
+/// seconds (or the horizon if a straggler never finished). The cell is
+/// checked as a one-cell, one-seed [`ParallelConfig`] and run exactly as
+/// [`parallel_study`] runs its replications, with `seed` used as given.
 pub fn try_parallel_once(
     total_bytes: u64,
     flows: usize,
@@ -426,47 +427,16 @@ pub fn try_parallel_once(
     buffer_pkts: usize,
     seed: u64,
 ) -> crate::error::Result<f64> {
-    let chunk_bytes = even_chunk(total_bytes, flows)?;
-    if total_bytes == 0 {
-        return Err(crate::error::Error::Config(
-            "total_bytes must be positive".into(),
-        ));
-    }
-    // Validate the bandwidth before the topology is built: the link layer
-    // panics on a non-positive rate, and the bound divides by it.
-    let bound = try_theoretic_lower_bound(total_bytes, bottleneck_bps)?;
-    let times = completion_times(
-        &ChunkedTransfer {
-            flows,
-            chunk_bytes,
-            rtt,
-            bottleneck_bps,
-            buffer_pkts,
-            cc: CcAlgorithm::NewReno,
-            tcp: TcpConfig::default(),
-            // Start jitter within one RTT: real cluster nodes never launch
-            // in the same microsecond, and without it every replication is
-            // identical.
-            stagger: (0xF168, rtt.max(SimDuration::from_millis(10))),
-            horizon: SimDuration::from_secs_f64(bound * 60.0),
-        },
-        seed,
-    );
-    // `flows > 0` was checked above, so this max is over a non-empty set
-    // and cannot silently report a 0-second transfer.
-    Ok(times.into_iter().fold(0.0f64, f64::max))
-}
-
-/// `total_bytes` split evenly over `flows`. Zero flows is a configuration
-/// error: the split would divide by zero, and the straggler `max` would
-/// reduce an empty set to a 0-second transfer.
-pub(crate) fn even_chunk(total_bytes: u64, flows: usize) -> crate::error::Result<u64> {
-    if flows == 0 {
-        return Err(crate::error::Error::Config(
-            "flows must be positive (a 0-flow transfer has no straggler to time)".into(),
-        ));
-    }
-    Ok(total_bytes / flows as u64)
+    let cfg = ParallelConfig {
+        total_bytes,
+        flow_counts: vec![flows],
+        rtts: vec![rtt],
+        bottleneck_bps,
+        buffer_pkts,
+        seeds: vec![seed],
+    };
+    let bound = cfg.validate()?;
+    Ok(cfg.replication(flows, rtt, bound, seed))
 }
 
 /// One replication of the Fig 8 experiment: `flows` senders of one
@@ -522,44 +492,38 @@ pub(crate) fn completion_times(x: &ChunkedTransfer, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Run the full Fig 8 grid (cells × seeds over the worker pool; the inner
-/// per-seed fan-out nests inside the per-cell one, which the pool supports
-/// without deadlock — the submitting worker helps drive the inner job).
+/// Run the full Fig 8 grid: every (cell, seed) replication in one fan-out
+/// over the worker pool, then each cell's row, in flow-count-major order.
+/// A replication runs on `seed ^ (flows << 20) ^ rtt` in nanoseconds.
 pub fn parallel_study(cfg: &ParallelConfig) -> crate::error::Result<Vec<ParallelCell>> {
-    cfg.validate()?;
-    let bound = try_theoretic_lower_bound(cfg.total_bytes, cfg.bottleneck_bps)?;
-    let mut cells: Vec<(usize, SimDuration)> = Vec::new();
-    for &f in &cfg.flow_counts {
-        for &r in &cfg.rtts {
-            cells.push((f, r));
-        }
-    }
-    Ok(cells
+    let bound = cfg.validate()?;
+    let cells: Vec<(usize, SimDuration)> = cfg
+        .flow_counts
+        .iter()
+        .flat_map(|&f| cfg.rtts.iter().map(move |&r| (f, r)))
+        .collect();
+    let runs: Vec<(usize, SimDuration, u64)> = cells
+        .iter()
+        .flat_map(|&(f, r)| {
+            let cell_seed = ((f as u64) << 20) ^ r.as_nanos();
+            cfg.seeds.iter().map(move |&s| (f, r, s ^ cell_seed))
+        })
+        .collect();
+    let latencies: Vec<f64> = runs
         .par_iter()
-        .map(|&(flows, rtt)| {
-            let latencies: Vec<f64> = cfg
-                .seeds
-                .par_iter()
-                .map(|&seed| {
-                    parallel_once(
-                        cfg.total_bytes,
-                        flows,
-                        rtt,
-                        cfg.bottleneck_bps,
-                        cfg.buffer_pkts,
-                        seed ^ ((flows as u64) << 20) ^ rtt.as_nanos(),
-                    )
-                })
-                .collect();
+        .map(|&(flows, rtt, seed)| cfg.replication(flows, rtt, bound, seed))
+        .collect();
+    Ok(cells
+        .into_iter()
+        .zip(latencies.chunks(cfg.seeds.len()))
+        .map(|((flows, rtt), latencies)| {
             let norm: Vec<f64> = latencies.iter().map(|l| l / bound).collect();
-            let mean = lossburst_analysis::stats::mean(&norm);
-            let std = lossburst_analysis::stats::variance(&norm).sqrt();
             ParallelCell {
                 flows,
                 rtt,
-                latencies,
-                mean_normalized: mean,
-                std_normalized: std,
+                latencies: latencies.to_vec(),
+                mean_normalized: lossburst_analysis::stats::mean(&norm),
+                std_normalized: lossburst_analysis::stats::variance(&norm).sqrt(),
             }
         })
         .collect())
@@ -644,47 +608,38 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_matches_paper_number() {
+    fn lower_bound_matches_paper_number() -> crate::error::Result<()> {
         // 64 MB over 100 Mbps with 4% header overhead ≈ 5.6 s; the paper's
         // own figure (with its overheads) is 5.39 s. Same ballpark.
-        let b = theoretic_lower_bound(64 * 1024 * 1024, 100e6);
+        let b = try_theoretic_lower_bound(64 * 1024 * 1024, 100e6)?;
         assert!((5.0..6.0).contains(&b), "bound {b}");
+        Ok(())
     }
 
     #[test]
-    fn single_cell_parallel_transfer_completes_near_bound() {
+    fn single_cell_parallel_transfer_completes_near_bound() -> crate::error::Result<()> {
         // 8 flows, 10 ms RTT, small transfer for test speed.
-        let lat = parallel_once(
-            8 * 1024 * 1024,
-            8,
-            SimDuration::from_millis(10),
-            100e6,
-            625,
-            3,
-        );
-        let bound = theoretic_lower_bound(8 * 1024 * 1024, 100e6);
+        let rtt = SimDuration::from_millis(10);
+        let lat = try_parallel_once(8 * 1024 * 1024, 8, rtt, 100e6, 625, 3)?;
+        let bound = try_theoretic_lower_bound(8 * 1024 * 1024, 100e6)?;
         assert!(lat >= bound * 0.95, "faster than physics: {lat} < {bound}");
         assert!(lat < bound * 6.0, "wildly slow: {lat} vs bound {bound}");
+        Ok(())
     }
 
     #[test]
-    fn long_rtt_transfers_are_much_slower_than_bound() {
-        let lat = parallel_once(
-            8 * 1024 * 1024,
-            4,
-            SimDuration::from_millis(200),
-            100e6,
-            625,
-            5,
-        );
-        let bound = theoretic_lower_bound(8 * 1024 * 1024, 100e6);
+    fn long_rtt_transfers_are_much_slower_than_bound() -> crate::error::Result<()> {
+        let rtt = SimDuration::from_millis(200);
+        let lat = try_parallel_once(8 * 1024 * 1024, 4, rtt, 100e6, 625, 5)?;
+        let bound = try_theoretic_lower_bound(8 * 1024 * 1024, 100e6)?;
         // At 200 ms RTT slow-start alone takes ~10 RTT = 2 s; normalized
         // latency must be well above 1.
         assert!(lat / bound > 1.5, "normalized {}", lat / bound);
+        Ok(())
     }
 
     #[test]
-    fn parallel_study_grid_shape() {
+    fn parallel_study_grid_shape() -> crate::error::Result<()> {
         let cfg = ParallelConfig {
             total_bytes: 4 * 1024 * 1024,
             flow_counts: vec![2, 4],
@@ -693,12 +648,27 @@ mod tests {
             buffer_pkts: 300,
             seeds: vec![1, 2],
         };
-        let cells = parallel_study(&cfg).expect("valid grid");
+        let cells = parallel_study(&cfg)?;
         assert_eq!(cells.len(), 4);
         for c in &cells {
             assert_eq!(c.latencies.len(), 2);
             assert!(c.mean_normalized >= 0.95);
         }
+        // A one-cell, one-seed grid is `try_parallel_once` on the cell's
+        // derived seed, bit for bit.
+        let (flows, rtt, seed) = (4, SimDuration::from_millis(50), 2);
+        let one = ParallelConfig {
+            flow_counts: vec![flows],
+            rtts: vec![rtt],
+            seeds: vec![seed],
+            ..cfg.clone()
+        };
+        let cell = &parallel_study(&one)?[0];
+        let derived = seed ^ ((flows as u64) << 20) ^ rtt.as_nanos();
+        let once = try_parallel_once(cfg.total_bytes, flows, rtt, 100e6, 300, derived)?;
+        assert_eq!(cell.latencies[0].to_bits(), once.to_bits());
+        assert_eq!(cell.latencies[0].to_bits(), cells[3].latencies[1].to_bits());
+        Ok(())
     }
 
     #[test]
@@ -712,12 +682,6 @@ mod tests {
         }
         // Boundary: any strictly positive finite rate is accepted.
         assert!(try_theoretic_lower_bound(1024, f64::MIN_POSITIVE).is_ok());
-        assert!(
-            (try_theoretic_lower_bound(64 * 1024 * 1024, 100e6).unwrap()
-                - theoretic_lower_bound(64 * 1024 * 1024, 100e6))
-            .abs()
-                == 0.0
-        );
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   of tearing down the pool (the vendored pool re-propagates uncaught
 //!   worker panics; catching *inside* the closure keeps it oblivious);
 //! * **per-path retry**;
-//! * **budgets** — an event budget enforced inside the simulator's event
-//!   loop (via [`RunLimits`], threaded through `SimBuilder`) plus a
-//!   wall-clock budget checked when the path returns;
+//! * an **event budget** enforced inside the simulator's event loop (via
+//!   [`RunLimits`], threaded through `SimBuilder`);
 //! * **checkpoint/resume** — completed paths append to a
 //!   [`CampaignCheckpoint`] file as they finish, and a rerun with the same
 //!   checkpoint restores them (data, retry count, and failure reason all
@@ -47,9 +46,8 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Fault injection
@@ -63,9 +61,10 @@ pub enum FaultKind {
     /// bug would surface — on whatever worker thread runs the path. A
     /// lossy-BSP worker, which has no event loop, panics before its walk.
     Panic,
-    /// A wall-clock budget overrun. Synthesized deterministically, without
-    /// sleeping: a real sleep would make which attempt trips the budget
-    /// depend on machine speed, and the ledger must not.
+    /// A wall-clock overrun, synthesized without a clock: the supervisor
+    /// keeps no wall-clock budget, because one checked after an attempt
+    /// returns cannot stop a hang and would only make the ledger depend on
+    /// machine speed. This is the deterministic failure a retry clears.
     Timeout,
     /// Poison the path's loss trace with a NaN timestamp after the run —
     /// the failure mode that used to panic `inter_event_intervals`. A
@@ -140,12 +139,8 @@ pub enum PathFailure {
         /// Events processed when the budget tripped.
         events: u64,
     },
-    /// The per-path wall-clock budget was exceeded (`injected` marks the
-    /// deterministic [`FaultKind::Timeout`] variant).
-    WallClock {
-        /// Whether this overrun was injected by a [`FaultPlan`].
-        injected: bool,
-    },
+    /// A [`FaultKind::Timeout`] was injected.
+    WallClock,
     /// The path produced a NaN-bearing loss trace.
     NanTrace,
 }
@@ -157,12 +152,7 @@ impl std::fmt::Display for PathFailure {
             PathFailure::EventBudget { events } => {
                 write!(f, "event budget spent after {events} events")
             }
-            PathFailure::WallClock { injected: true } => {
-                write!(f, "wall-clock budget exceeded (injected)")
-            }
-            PathFailure::WallClock { injected: false } => {
-                write!(f, "wall-clock budget exceeded")
-            }
+            PathFailure::WallClock => write!(f, "wall-clock budget exceeded (injected)"),
             PathFailure::NanTrace => write!(f, "NaN in loss trace"),
         }
     }
@@ -191,8 +181,8 @@ pub enum PathOutcome {
     Retried(u32),
     /// All attempts failed; the final failure's reason string.
     Failed(String),
-    /// Not executed: the run was interrupted (see
-    /// [`SupervisorConfig::stop_after`]) before this path's turn.
+    /// Not executed by this invocation: another shard's path that the
+    /// checkpoint does not restore.
     Skipped,
 }
 
@@ -221,7 +211,7 @@ pub struct OutcomeCounts {
     pub retried: usize,
     /// Paths that failed every attempt.
     pub failed: usize,
-    /// Paths never executed (interrupted run).
+    /// Paths left to another shard.
     pub skipped: usize,
 }
 
@@ -253,19 +243,12 @@ pub struct SupervisorConfig {
     /// — the defense against runaway simulations that would otherwise hang
     /// a worker forever.
     pub max_events_per_path: Option<u64>,
-    /// Per-path wall-clock budget, checked when the attempt returns. A
-    /// path over budget is failed (and retried, subject to `max_retries`).
-    pub wall_budget: Option<Duration>,
     /// Checkpoint file. When set, completed paths are appended as they
     /// finish and restored on the next run with the same campaign
     /// fingerprint.
     pub checkpoint: Option<PathBuf>,
     /// Deterministic fault schedule (empty in production).
     pub faults: FaultPlan,
-    /// Execute at most this many paths this invocation, then mark the rest
-    /// `Skipped` — the interruption drill used by resume tests (a real
-    /// kill -9 leaves the checkpoint in the same state).
-    pub stop_after: Option<usize>,
 }
 
 impl Default for SupervisorConfig {
@@ -273,10 +256,8 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             max_retries: 1,
             max_events_per_path: None,
-            wall_budget: None,
             checkpoint: None,
             faults: FaultPlan::default(),
-            stop_after: None,
         }
     }
 }
@@ -957,22 +938,13 @@ where
             .filter(|&i| restored[i].is_none())
             .collect(),
     };
-    let executed = AtomicUsize::new(0);
 
     let run_one = |index: usize| -> (Option<T>, PathOutcome) {
-        if let Some(stop) = cfg.stop_after {
-            // Counts execution *claims*, not completions: under work
-            // stealing the skipped set varies between runs, but resume
-            // re-measures whatever was skipped, so final outputs don't.
-            if executed.fetch_add(1, Ordering::Relaxed) >= stop {
-                return (None, PathOutcome::Skipped);
-            }
-        }
         let mut attempt: u32 = 0;
         loop {
             let fault = cfg.faults.active(index, attempt);
             let outcome: Result<T, PathFailure> = if fault == Some(FaultKind::Timeout) {
-                Err(PathFailure::WallClock { injected: true })
+                Err(PathFailure::WallClock)
             } else {
                 let mut limits = RunLimits {
                     max_events: cfg.max_events_per_path,
@@ -981,7 +953,6 @@ where
                 if fault == Some(FaultKind::Panic) {
                     limits.panic_at_event = Some(1);
                 }
-                let started = Instant::now();
                 // The fault boundary. Catching here — inside the worker
                 // closure — keeps the pool's panic re-propagation machinery
                 // out of the picture entirely.
@@ -996,8 +967,6 @@ where
                         }
                         if value.has_nan() {
                             Err(PathFailure::NanTrace)
-                        } else if cfg.wall_budget.is_some_and(|b| started.elapsed() > b) {
-                            Err(PathFailure::WallClock { injected: false })
                         } else {
                             Ok(value)
                         }
@@ -1192,27 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_budget_fails_slow_paths() {
-        let cfg = SupervisorConfig {
-            max_retries: 0,
-            wall_budget: Some(Duration::from_millis(5)),
-            ..Default::default()
-        };
-        let run = supervise(2, 1, &cfg, |i, _| {
-            if i == 0 {
-                std::thread::sleep(Duration::from_millis(30));
-            }
-            Ok(payload(i))
-        })
-        .unwrap();
-        assert_eq!(
-            run.ledger[0].outcome,
-            PathOutcome::Failed("wall-clock budget exceeded".into())
-        );
-        assert_eq!(run.ledger[1].outcome, PathOutcome::Ok);
-    }
-
-    #[test]
     fn fault_plan_drives_all_four_kinds() {
         let cfg = SupervisorConfig {
             max_retries: 1,
@@ -1270,7 +1218,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_after_skips_and_checkpoint_resumes_exactly() {
+    fn killed_run_resumes_exactly_from_its_checkpoint() -> crate::error::Result<()> {
         let dir = tmpdir("resume");
         let ck = dir.join("run.ckpt");
         std::fs::remove_file(&ck).ok();
@@ -1281,51 +1229,31 @@ mod tests {
                 Ok(payload(i))
             }
         };
+        let sup = SupervisorConfig {
+            checkpoint: Some(ck.clone()),
+            ..Default::default()
+        };
         // Uninterrupted reference (no checkpoint).
-        let reference = supervise(6, 9, &SupervisorConfig::default(), runner).unwrap();
-        // Interrupted: only 2 paths execute, the rest are skipped.
-        let interrupted = supervise(
-            6,
-            9,
-            &SupervisorConfig {
-                checkpoint: Some(ck.clone()),
-                stop_after: Some(2),
-                ..Default::default()
-            },
-            runner,
-        )
-        .unwrap();
-        assert_eq!(interrupted.counts().skipped, 4);
+        let reference = supervise(6, 9, &SupervisorConfig::default(), runner)?;
+        // A run killed after two paths leaves the header and their two
+        // records.
+        supervise(6, 9, &sup, runner)?;
+        let text = std::fs::read_to_string(&ck)?;
+        let kept: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&ck, kept)?;
         // Resume: restored paths come from the file, the rest run fresh.
-        let resumed = supervise(
-            6,
-            9,
-            &SupervisorConfig {
-                checkpoint: Some(ck.clone()),
-                ..Default::default()
-            },
-            runner,
-        )
-        .unwrap();
+        let resumed = supervise(6, 9, &sup, runner)?;
         assert_eq!(resumed.restored, 2);
         assert_eq!(resumed.ledger, reference.ledger);
         for (a, b) in resumed.results.iter().zip(&reference.results) {
             assert_eq!(a, b, "restored result differs from fresh");
         }
         // A third run restores everything and runs nothing.
-        let third = supervise(
-            6,
-            9,
-            &SupervisorConfig {
-                checkpoint: Some(ck.clone()),
-                ..Default::default()
-            },
-            runner,
-        )
-        .unwrap();
+        let third = supervise(6, 9, &sup, runner)?;
         assert_eq!(third.restored, 6);
         assert_eq!(third.ledger, reference.ledger);
         std::fs::remove_dir_all(&dir).ok();
+        Ok(())
     }
 
     #[test]

@@ -10,6 +10,7 @@ use lossburst_netsim::trace::{TraceConfig, TraceSet};
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::sender::Sender;
 use rayon::{execution_policy, set_execution_policy, ExecutionPolicy};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// The canonical replay seeds: a small seed, the paper's year, and the
@@ -92,6 +93,15 @@ pub fn assert_policies_agree(label: &str, workload: impl Fn(u64) -> Vec<u8>) {
         );
         assert!(!serial.is_empty(), "{label}: seed {seed}: empty dump");
     }
+}
+
+/// Leave the finished supervisor checkpoint at `path` as a kill -9 would
+/// have left it after `k` records: the header line and the first `k`
+/// record lines. The resume drills restore exactly `k` paths from it.
+pub fn kill_after(path: &Path, k: usize) -> std::io::Result<()> {
+    let text = std::fs::read_to_string(path)?;
+    let kept: String = text.lines().take(1 + k).map(|l| format!("{l}\n")).collect();
+    std::fs::write(path, kept)
 }
 
 #[cfg(test)]

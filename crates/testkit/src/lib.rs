@@ -47,6 +47,6 @@ pub mod prelude {
         check_cross_lane_agreement, check_stepped_lane_equals_netsim, run_emu_lane,
         run_netsim_lane, run_sock_lane, CrossLaneScenario, CrossLaneTolerance,
     };
-    pub use crate::determinism::{assert_policies_agree, SEED_MATRIX};
+    pub use crate::determinism::{assert_policies_agree, kill_after, SEED_MATRIX};
     pub use crate::sweep::{sweep, with_rng};
 }

@@ -12,6 +12,7 @@ use lossburst_core::bsp::{
 };
 use lossburst_core::impact::{try_parallel_once, try_theoretic_lower_bound};
 use lossburst_core::prelude::*;
+use lossburst_core::shard::shard_checkpoint_path;
 use lossburst_core::supervisor::PathRecord;
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::prelude::*;
@@ -147,21 +148,18 @@ fn sharded_bsp_matches_one_process_at_ragged_shard_counts() {
     }
 }
 
-/// The resume drill: shard 1 of 3 stops mid-stripe (`stop_after`), is run
-/// again, restores the workers it had finished instead of re-running them,
-/// and the collected run still equals the 1-process one bit for bit.
+/// The resume drill: shard 1 of 3 is cut back to what a kill mid-stripe
+/// leaves (17 records), is run again, restores the workers it had finished
+/// instead of re-running them, and the collected run still equals the
+/// 1-process one bit for bit.
 #[test]
 fn an_interrupted_bsp_shard_resumes_with_its_finished_workers_restored() {
     let cfg = small(2006);
     let dir = scratch_dir("resume");
     let sup = SupervisorConfig::default();
     let spec = ShardSpec::new(1, 3);
-    let interrupted = SupervisorConfig {
-        stop_after: Some(17),
-        ..sup.clone()
-    };
-    let cut = run_bsp_shard(&cfg, &interrupted, spec, &dir).unwrap();
-    assert_eq!(cut.counts.ok, 17);
+    run_bsp_shard(&cfg, &sup, spec, &dir).unwrap();
+    kill_after(&shard_checkpoint_path(&dir, spec), 17).unwrap();
     let resumed = run_bsp_shard(&cfg, &sup, spec, &dir).unwrap();
     assert_eq!(resumed.restored, 17);
     assert_eq!(resumed.counts.ok, resumed.owned);
@@ -214,7 +212,7 @@ fn a_faulty_bsp_worker_is_ledgered_not_fatal() {
 
 /// The netsim anchor: the automaton shares its wire physics with the
 /// packet-level `impact` path. No worker may beat
-/// `theoretic_lower_bound` at the fastest grid bottleneck (30 Mbps), and
+/// `try_theoretic_lower_bound` at the fastest grid bottleneck (30 Mbps), and
 /// the automaton's median at burst 1 must sit within an order of magnitude
 /// of a real packet-level single-flow transfer of the same size — the two
 /// models disagree on protocol detail, not on physics.

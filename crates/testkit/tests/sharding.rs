@@ -142,16 +142,14 @@ fn interrupted_shard_resumes_and_merges_identically() {
     for i in 0..shards {
         let spec = ShardSpec::new(i, shards);
         if i == 1 {
-            // Kill shard 1 after a single path...
-            let interrupted = SupervisorConfig {
-                stop_after: Some(1),
-                ..sup.clone()
-            };
-            let rep = run_shard_streaming(&cfg, &interrupted, spec, &dir).unwrap();
-            assert_eq!(rep.counts.ok, 1);
-            assert!(rep.counts.skipped > 0, "interruption must leave work");
-            // ...then resume it: the finished path restores from the shard
+            // Shard 1 runs its slice and leaves the rest to the others...
+            let rep = run_shard_streaming(&cfg, &sup, spec, &dir).unwrap();
+            assert_eq!(rep.counts.ok, rep.owned);
+            assert_eq!(rep.counts.skipped, cfg.n_paths - rep.owned);
+            // ...is cut back to what a kill after a single path leaves,
+            // then resumed: the finished path restores from the shard
             // checkpoint, the rest of the slice runs now.
+            kill_after(&shard_checkpoint_path(&dir, spec), 1).unwrap();
             let resumed = run_shard_streaming(&cfg, &sup, spec, &dir).unwrap();
             assert_eq!(resumed.restored, 1, "one path restores after the kill");
             assert_eq!(resumed.counts.ok, rep.owned);

@@ -113,26 +113,16 @@ fn interrupted_campaign_resumes_byte_identically() {
         assert!(!reference.result.intervals_rtt().is_empty());
 
         let ck = scratch_checkpoint(RUN.fetch_add(1, Ordering::Relaxed));
-        let interrupted = run_grid_streaming_supervised(
-            &cfg,
-            &SupervisorConfig {
-                checkpoint: Some(ck.clone()),
-                stop_after: Some(3),
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(interrupted.counts().skipped, cfg.n_paths - 3);
+        let checkpointed = SupervisorConfig {
+            checkpoint: Some(ck.clone()),
+            ..base.clone()
+        };
+        // Killed after three records: the checkpoint keeps just those.
+        run_grid_streaming_supervised(&cfg, &checkpointed).unwrap();
+        kill_after(&ck, 3).unwrap();
 
-        let resumed = run_grid_streaming_supervised(
-            &cfg,
-            &SupervisorConfig {
-                checkpoint: Some(ck.clone()),
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert!(resumed.restored >= 1, "checkpoint restored something");
+        let resumed = run_grid_streaming_supervised(&cfg, &checkpointed).unwrap();
+        assert_eq!(resumed.restored, 3, "the three records restore");
         assert_eq!(
             campaign_bytes(&resumed),
             campaign_bytes(&reference),
@@ -140,14 +130,7 @@ fn interrupted_campaign_resumes_byte_identically() {
         );
         // On the finished checkpoint nothing is measured again, failures
         // included.
-        let restored = run_grid_streaming_supervised(
-            &cfg,
-            &SupervisorConfig {
-                checkpoint: Some(ck.clone()),
-                ..base.clone()
-            },
-        )
-        .unwrap();
+        let restored = run_grid_streaming_supervised(&cfg, &checkpointed).unwrap();
         assert_eq!(restored.restored, cfg.n_paths);
         assert_eq!(campaign_bytes(&restored), campaign_bytes(&reference));
         std::fs::remove_file(&ck).ok();

@@ -8,12 +8,12 @@
 //! ```
 
 use lossburst::core::advisor::{advise, AppProfile};
-use lossburst::core::impact::{parallel_once, theoretic_lower_bound};
+use lossburst::core::impact::{try_parallel_once, try_theoretic_lower_bound};
 use lossburst::netsim::time::SimDuration;
 
-fn main() {
+fn main() -> lossburst::core::error::Result<()> {
     let total = 64 * 1024 * 1024u64;
-    let bound = theoretic_lower_bound(total, 100e6);
+    let bound = try_theoretic_lower_bound(total, 100e6)?;
     println!("64 MB over 100 Mbps; theoretic lower bound {bound:.2} s\n");
     println!(
         "{:>6} {:>9} {:>12} {:>12}",
@@ -22,7 +22,7 @@ fn main() {
     for &rtt_ms in &[10u64, 50, 200] {
         for &flows in &[4usize, 16] {
             let rtt = SimDuration::from_millis(rtt_ms);
-            let lat = parallel_once(total, flows, rtt, 100e6, 625, 42);
+            let lat = try_parallel_once(total, flows, rtt, 100e6, 625, 42)?;
             println!("{flows:>6} {rtt_ms:>9} {lat:>12.2} {:>12.2}", lat / bound);
         }
     }
@@ -44,4 +44,5 @@ fn main() {
     for rec in advise(&profile) {
         println!("  - {rec:?}: {}", rec.rationale());
     }
+    Ok(())
 }

@@ -56,6 +56,11 @@ const GONE: &[(&str, u32)] = &[
     ("run_campaign_streaming", 35),
     ("campaign_pairs", 35),
     ("ns2_study_supervised", 35),
+    ("stop_after", 36),
+    ("wall_budget", 36),
+    ("write_fairness_csv", 36),
+    ("even_chunk", 36),
+    ("stop_after_skips_and_checkpoint_resumes_exactly", 36),
 ];
 
 /// The product crates: the library code a paper run executes.
@@ -74,7 +79,7 @@ const PRODUCT_CRATES: [&str; 7] = [
 /// item 4(e)'s grep, one a line. Lower it with every change that removes
 /// sites; one that adds a site returns an error instead, or raises this
 /// with the reason in its change notes.
-const PANIC_SITES_CEILING: usize = 156;
+const PANIC_SITES_CEILING: usize = 147;
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
 /// for an identifier — a test, a function, a config field, a metric key —

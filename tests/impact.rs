@@ -1,8 +1,9 @@
 //! Cross-crate integration: the impact studies (Figs 7 and 8) and the
 //! detection model agree with the paper's directions.
 
+use lossburst::core::error::Result;
 use lossburst::core::impact::{
-    competition, parallel_once, theoretic_lower_bound, CompetitionConfig,
+    competition, try_parallel_once, try_theoretic_lower_bound, CompetitionConfig,
 };
 use lossburst::core::model::{rate_based_detections, window_based_detections, DetectionRow};
 use lossburst::netsim::time::SimDuration;
@@ -22,21 +23,15 @@ fn fig7_pacing_loses_to_newreno() {
 }
 
 #[test]
-fn fig8_latency_grows_with_rtt_and_shrinks_with_flows() {
+fn fig8_latency_grows_with_rtt_and_shrinks_with_flows() -> Result<()> {
     let total = 16 * 1024 * 1024u64;
-    let bound = theoretic_lower_bound(total, 100e6);
+    let bound = try_theoretic_lower_bound(total, 100e6)?;
     let lat = |flows: usize, rtt_ms: u64, seed: u64| {
-        parallel_once(
-            total,
-            flows,
-            SimDuration::from_millis(rtt_ms),
-            100e6,
-            625,
-            seed,
-        )
+        let rtt = SimDuration::from_millis(rtt_ms);
+        try_parallel_once(total, flows, rtt, 100e6, 625, seed)
     };
-    let fast = lat(8, 2, 1);
-    let slow = lat(8, 200, 1);
+    let fast = lat(8, 2, 1)?;
+    let slow = lat(8, 200, 1)?;
     assert!(fast >= bound * 0.95, "beat the bound: {fast} < {bound}");
     assert!(fast < bound * 2.0, "small-RTT run too slow: {fast}");
     assert!(
@@ -45,11 +40,12 @@ fn fig8_latency_grows_with_rtt_and_shrinks_with_flows() {
     );
     // More parallel flows tame the 200 ms case (smaller per-flow windows,
     // faster recovery), as in the paper's Fig 8 trend.
-    let slow_many = lat(32, 200, 1);
+    let slow_many = lat(32, 200, 1)?;
     assert!(
         slow_many < slow * 1.2,
         "32 flows ({slow_many}) should not be much worse than 8 ({slow})"
     );
+    Ok(())
 }
 
 #[test]
