@@ -167,6 +167,10 @@ fn main() {
             delay_row.mean,
             newreno_row.mean
         ),
-        min_cluster > 0.5 && red_best < min_cluster && delay_row.mean < newreno_row.mean,
+        (min_cluster > 0.5 && red_best < min_cluster && delay_row.mean < newreno_row.mean)
+            .then_some(())
+            .ok_or_else(|| {
+                "clustering > 50 %, RED below it and delay-based below NewReno".into()
+            }),
     );
 }

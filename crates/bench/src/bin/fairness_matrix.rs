@@ -72,6 +72,8 @@ fn main() {
             m.min_jain(),
             m.cells.len(),
         ),
-        mean_jain(true) >= 0.9 && 2 * spread_loses >= spread_vs_burst.len(),
+        (mean_jain(true) >= 0.9 && 2 * spread_loses >= spread_vs_burst.len())
+            .then_some(())
+            .ok_or_else(|| "self-pair Jain ≥ 0.9 and spread loses ≥ half its pairs".into()),
     );
 }

@@ -10,6 +10,7 @@
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
 use lossburst_bench::{cli, measured, or_exit, verdict};
 use lossburst_core::campaign::{ns2_study, LabCampaignConfig};
+use lossburst_core::registry;
 use lossburst_core::supervisor::SupervisorConfig;
 use lossburst_netsim::time::SimDuration;
 
@@ -64,6 +65,6 @@ fn main() {
             f * 100.0,
             study.report.index_of_dispersion
         ),
-        f > 0.90 && study.report.index_of_dispersion > 10.0,
+        registry::fig2(&study),
     );
 }

@@ -9,6 +9,7 @@
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
 use lossburst_bench::{cli, measured, or_exit, verdict};
 use lossburst_core::campaign::{dummynet_study, LabCampaignConfig};
+use lossburst_core::registry;
 use lossburst_netsim::time::SimDuration;
 
 fn main() {
@@ -57,6 +58,6 @@ fn main() {
             f * 100.0,
             study.report.index_of_dispersion
         ),
-        (0.5..=1.0).contains(&f) && study.report.index_of_dispersion > 10.0,
+        registry::fig3(&study),
     );
 }

@@ -11,6 +11,7 @@ use lossburst_analysis::poisson;
 use lossburst_analysis::report::{ascii_pdf_plot, burstiness_summary, pdf_table};
 use lossburst_bench::{cli, measured, or_exit, verdict};
 use lossburst_core::campaign::internet_study;
+use lossburst_core::registry;
 use lossburst_inet::campaign::CampaignConfig;
 use lossburst_netsim::time::SimDuration;
 
@@ -80,7 +81,6 @@ fn main() {
             study.report.frac_below_025,
             poisson_below_025
         ),
-        f001 > 0.15 && f001 < 0.85 && f1 > f001 + 0.05
-            && study.report.frac_below_025 > poisson_below_025,
+        registry::fig4(&study),
     );
 }

@@ -3,8 +3,8 @@
 //! have a range from 2ms to more than 200ms").
 
 use lossburst_bench::verdict;
-use lossburst_inet::geo::base_rtt;
-use lossburst_inet::sites::{all_directed_pairs, Region, DIRECTED_PATHS, SITES};
+use lossburst_core::registry;
+use lossburst_inet::sites::{Region, DIRECTED_PATHS, SITES};
 
 fn main() {
     println!("# Table 1: PlanetLab sites in measurement");
@@ -28,18 +28,14 @@ fn main() {
         count(Region::Asia) + count(Region::Europe) + count(Region::SouthAmerica),
     );
 
-    let pairs = all_directed_pairs();
-    let rtts_ms: Vec<f64> = pairs
-        .iter()
-        .map(|&(a, b)| base_rtt(&SITES[a], &SITES[b]).as_secs_f64() * 1000.0)
-        .collect();
+    let rtts_ms = registry::path_rtts_ms();
     let min = rtts_ms.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = rtts_ms.iter().cloned().fold(0.0f64, f64::max);
     let mean = rtts_ms.iter().sum::<f64>() / rtts_ms.len() as f64;
     let above_200 = rtts_ms.iter().filter(|&&r| r > 200.0).count();
     println!(
         "# derived path RTTs over {} directed paths: min {:.1} ms, mean {:.1} ms, max {:.1} ms, {} paths above 200 ms",
-        pairs.len(),
+        rtts_ms.len(),
         min,
         mean,
         max,
@@ -53,6 +49,6 @@ fn main() {
             "26 sites, {} paths, RTTs {:.1}–{:.1} ms",
             DIRECTED_PATHS, min, max
         ),
-        SITES.len() == 26 && pairs.len() == 650 && min <= 3.0 && max > 200.0,
+        registry::table1(),
     );
 }

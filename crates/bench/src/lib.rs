@@ -7,6 +7,8 @@
 //! paper-scale run and ends with a `paper-vs-measured` footer comparing
 //! the reproduction against the numbers the paper states.
 
+use lossburst_core::registry::Verdict;
+
 /// Minimal flag parsing shared by the figure binaries.
 pub mod cli {
     /// Parsed common flags.
@@ -101,10 +103,14 @@ pub fn measured(
     run.study
 }
 
-/// Print the standard paper-vs-measured footer line.
-pub fn verdict(label: &str, paper: &str, measured: String, holds: bool) {
+/// Print the standard paper-vs-measured footer: `shape holds: YES`, or
+/// `shape holds: NO (<the broken bound>)`.
+pub fn verdict(label: &str, paper: &str, measured: String, holds: Verdict) {
     println!("\n# paper-vs-measured [{label}]");
     println!("#   paper:    {paper}");
     println!("#   measured: {measured}");
-    println!("#   shape holds: {}", if holds { "YES" } else { "NO" });
+    match holds {
+        Ok(()) => println!("#   shape holds: YES"),
+        Err(bound) => println!("#   shape holds: NO ({bound})"),
+    }
 }

@@ -61,11 +61,6 @@ pub enum FaultKind {
     /// bug would surface — on whatever worker thread runs the path. A
     /// lossy-BSP worker, which has no event loop, panics before its walk.
     Panic,
-    /// A wall-clock overrun, synthesized without a clock: the supervisor
-    /// keeps no wall-clock budget, because one checked after an attempt
-    /// returns cannot stop a hang and would only make the ledger depend on
-    /// machine speed. This is the deterministic failure a retry clears.
-    Timeout,
     /// Poison the path's loss trace with a NaN timestamp after the run —
     /// the failure mode that used to panic `inter_event_intervals`. A
     /// lossy-BSP worker record has no trace; its completion time turns NaN.
@@ -139,8 +134,6 @@ pub enum PathFailure {
         /// Events processed when the budget tripped.
         events: u64,
     },
-    /// A [`FaultKind::Timeout`] was injected.
-    WallClock,
     /// The path produced a NaN-bearing loss trace.
     NanTrace,
 }
@@ -152,7 +145,6 @@ impl std::fmt::Display for PathFailure {
             PathFailure::EventBudget { events } => {
                 write!(f, "event budget spent after {events} events")
             }
-            PathFailure::WallClock => write!(f, "wall-clock budget exceeded (injected)"),
             PathFailure::NanTrace => write!(f, "NaN in loss trace"),
         }
     }
@@ -943,33 +935,26 @@ where
         let mut attempt: u32 = 0;
         loop {
             let fault = cfg.faults.active(index, attempt);
-            let outcome: Result<T, PathFailure> = if fault == Some(FaultKind::Timeout) {
-                Err(PathFailure::WallClock)
-            } else {
-                let mut limits = RunLimits {
-                    max_events: cfg.max_events_per_path,
-                    panic_at_event: None,
-                };
-                if fault == Some(FaultKind::Panic) {
-                    limits.panic_at_event = Some(1);
-                }
-                // The fault boundary. Catching here — inside the worker
-                // closure — keeps the pool's panic re-propagation machinery
-                // out of the picture entirely.
-                match catch_unwind(AssertUnwindSafe(|| runner(index, limits))) {
-                    Err(payload) => Err(PathFailure::Panic(panic_message(payload))),
-                    Ok(Err(failure)) => Err(failure),
-                    Ok(Ok(mut value)) => {
-                        match fault {
-                            Some(FaultKind::NanTrace) => value.poison_nan(),
-                            Some(FaultKind::EmptyTrace) => value.clear_losses(),
-                            _ => {}
-                        }
-                        if value.has_nan() {
-                            Err(PathFailure::NanTrace)
-                        } else {
-                            Ok(value)
-                        }
+            let limits = RunLimits {
+                max_events: cfg.max_events_per_path,
+                panic_at_event: (fault == Some(FaultKind::Panic)).then_some(1),
+            };
+            // The fault boundary. Catching here — inside the worker closure
+            // — keeps the pool's panic re-propagation machinery out of the
+            // picture entirely.
+            let outcome = match catch_unwind(AssertUnwindSafe(|| runner(index, limits))) {
+                Err(payload) => Err(PathFailure::Panic(panic_message(payload))),
+                Ok(Err(failure)) => Err(failure),
+                Ok(Ok(mut value)) => {
+                    match fault {
+                        Some(FaultKind::NanTrace) => value.poison_nan(),
+                        Some(FaultKind::EmptyTrace) => value.clear_losses(),
+                        _ => {}
+                    }
+                    if value.has_nan() {
+                        Err(PathFailure::NanTrace)
+                    } else {
+                        Ok(value)
                     }
                 }
             };
@@ -1117,22 +1102,24 @@ mod tests {
         assert_eq!(run.restored, 0);
     }
 
+    /// A runner with no simulator: `payload(index)`, or a panic where
+    /// the plan injects one through [`RunLimits::panic_at_event`].
+    fn run_payload(index: usize, limits: RunLimits) -> Result<LabCellRecord, PathFailure> {
+        if limits.panic_at_event.is_some() {
+            panic!("synthetic worker panic");
+        }
+        Ok(payload(index))
+    }
+
     #[test]
     fn panics_are_contained_and_retried() {
-        use std::sync::atomic::AtomicU32;
-        let attempts = AtomicU32::new(0);
         let cfg = SupervisorConfig {
             max_retries: 1,
+            // Path 2 panics on its first attempt only.
+            faults: FaultPlan::default().once(2, FaultKind::Panic),
             ..Default::default()
         };
-        // Path 2 panics on its first attempt only.
-        let run = supervise(4, 1, &cfg, |i, _| {
-            if i == 2 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("synthetic worker panic");
-            }
-            Ok(payload(i))
-        })
-        .unwrap();
+        let run = supervise(4, 1, &cfg, run_payload).unwrap();
         assert_eq!(run.ledger[2].outcome, PathOutcome::Retried(1));
         assert!(run.results[2].is_some());
         let c = run.counts();
@@ -1161,20 +1148,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_drives_all_four_kinds() {
+    fn fault_plan_drives_all_three_kinds() {
         let cfg = SupervisorConfig {
             max_retries: 1,
             faults: FaultPlan::default()
-                .always(0, FaultKind::Timeout)
+                .always(0, FaultKind::Panic)
                 .once(1, FaultKind::NanTrace)
                 .always(2, FaultKind::EmptyTrace)
                 .always(3, FaultKind::NanTrace),
             ..Default::default()
         };
-        let run = supervise(5, 1, &cfg, |i, _| Ok(payload(i))).unwrap();
+        let run = supervise(5, 1, &cfg, run_payload).unwrap();
         assert_eq!(
             run.ledger[0].outcome,
-            PathOutcome::Failed("wall-clock budget exceeded (injected)".into())
+            PathOutcome::Failed("panic: synthetic worker panic".into())
         );
         assert_eq!(run.ledger[1].outcome, PathOutcome::Retried(1));
         // EmptyTrace is not a failure: a loss-free path is a valid result.

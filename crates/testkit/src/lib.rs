@@ -8,10 +8,9 @@
 //!   summaries of reference runs (coarse loss-interval PDFs, per-flow
 //!   throughputs, episode counts) with tolerance-aware diffs that name the
 //!   drifted bin. Regenerate with `LOSSBURST_BLESS=1`.
-//! * `conformance` — every EXPERIMENTS.md shape verdict as a reusable
-//!   assertion over plain data (KS distance vs rate-matched Poisson,
-//!   dispersion bounds, Gilbert recovery, the `min(M,N)` vs `max(M/K,1)`
-//!   detection asymmetry, pacing deficit, straggler latency).
+//! * `conformance` — the gates that judge one run against another over
+//!   plain data: hybrid fluid/packet agreement and Gilbert parameter
+//!   recovery. The paper rows' shape claims are `lossburst_core::registry`'s.
 //! * `cross_lane` — three-way sim/emu/socket cross-validation: the
 //!   same (controller, seed, loss-plan) triple through the netsim
 //!   dumbbell, the `emu::Testbed`, and the `lossburst-sock` loopback
@@ -39,9 +38,7 @@ pub mod sweep;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::conformance::{
-        check_competition, check_detection_asymmetry, check_detection_row, check_gilbert_recovery,
-        check_hybrid_agreement, check_internet_shape, check_lab_clustering, check_parallel_grid,
-        check_poisson_divergence, check_table1, hybrid_max_frac_delta, HybridTolerance,
+        check_gilbert_recovery, check_hybrid_agreement, hybrid_max_frac_delta, HybridTolerance,
     };
     pub use crate::cross_lane::{
         check_cross_lane_agreement, check_stepped_lane_equals_netsim, run_emu_lane,

@@ -7,7 +7,6 @@
 //! so a test binary that checks both conformance and golden fixtures pays
 //! for each scenario once.
 
-use crate::conformance::ks_vs_rate_matched_poisson;
 use crate::golden::GoldenSummary;
 use lossburst_core::campaign::{dummynet_study, ns2_study, LabCampaignConfig, LossStudy};
 use lossburst_core::impact::{
@@ -15,6 +14,7 @@ use lossburst_core::impact::{
     MixResult, ParallelCell, ParallelConfig,
 };
 use lossburst_core::model::DetectionRow;
+use lossburst_core::registry::ks_vs_rate_matched_poisson;
 use lossburst_core::shard::run_grid_streaming_supervised;
 use lossburst_core::supervisor::{LedgerEntry, SupervisedStudy, SupervisorConfig};
 use lossburst_emu::testbed::{self, TestbedConfig};

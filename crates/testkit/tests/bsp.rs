@@ -172,7 +172,7 @@ fn an_interrupted_bsp_shard_resumes_with_its_finished_workers_restored() {
     assert_eq!(run.report.fingerprint, run_bsp(&cfg).unwrap().fingerprint);
 }
 
-/// Faults are ledgered, not fatal. A worker that times out once is retried
+/// Faults are ledgered, not fatal. A worker that panics once is retried
 /// and the run is unchanged; a worker that panics on every attempt is one
 /// `Failed` row, its shard finishes every other worker, and the collect is
 /// an error naming the superstep and the worker.
@@ -183,7 +183,7 @@ fn a_faulty_bsp_worker_is_ledgered_not_fatal() {
     let index = cfg.n_workers + 7;
     let dir = scratch_dir("fault_once");
     let sup = SupervisorConfig {
-        faults: FaultPlan::default().once(index, FaultKind::Timeout),
+        faults: FaultPlan::default().once(index, FaultKind::Panic),
         ..SupervisorConfig::default()
     };
     let run = run_bsp_sharded(&cfg, &sup, 3, &dir).unwrap();

@@ -1,10 +1,11 @@
 //! The seven EXPERIMENTS.md shape verdicts as named pass/fail tests on the
-//! shared quick-scale scenarios, plus Gilbert parameter recovery. Each test
-//! name is referenced from the EXPERIMENTS.md results table.
+//! shared quick-scale scenarios, plus Gilbert parameter recovery. Each
+//! paper row asserts its claim in `lossburst_core::registry`, the same
+//! function the row's figure bin prints; each test name is referenced
+//! from the EXPERIMENTS.md results table.
 
 use lossburst_analysis::gilbert::{self, GilbertParams};
-use lossburst_inet::geo::base_rtt;
-use lossburst_inet::sites::{all_directed_pairs, SITES};
+use lossburst_core::registry;
 use lossburst_testkit::prelude::*;
 use lossburst_testkit::scenarios::{
     fig2_data, fig3_study, fig4_data, fig56_rows, fig7_result, fig8_cells,
@@ -15,33 +16,21 @@ use lossburst_testkit::sweep::RngExt;
 /// ≤3 ms to beyond 200 ms.
 #[test]
 fn conformance_table1_sites_and_path_rtts() {
-    let pairs = all_directed_pairs();
-    let rtts_ms: Vec<f64> = pairs
-        .iter()
-        .map(|&(a, b)| base_rtt(&SITES[a], &SITES[b]).as_secs_f64() * 1000.0)
-        .collect();
-    let min = rtts_ms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = rtts_ms.iter().cloned().fold(0.0f64, f64::max);
-    let above_200 = rtts_ms.iter().filter(|&&r| r > 200.0).count();
-    check_table1(SITES.len(), pairs.len(), min, max, above_200).unwrap();
+    registry::table1().unwrap();
 }
 
 /// Fig 2: NS-2 campaign losses cluster far below one RTT and diverge
 /// strongly from the rate-matched Poisson process.
 #[test]
 fn conformance_fig2_ns2_sub_rtt_clustering() {
-    let study = &fig2_data().study;
-    check_lab_clustering("fig2", &study.report, 0.9, 50.0).unwrap();
-    check_poisson_divergence(&study.intervals_rtt, 0.5).unwrap();
+    registry::fig2(&fig2_data().study).unwrap();
 }
 
 /// Fig 3: the Dummynet campaign keeps its sub-RTT clustering through the
 /// 1 ms recording clock and processing jitter.
 #[test]
 fn conformance_fig3_dummynet_clustering_survives_quantization() {
-    let study = fig3_study();
-    check_lab_clustering("fig3", &study.report, 0.5, 10.0).unwrap();
-    check_poisson_divergence(&study.intervals_rtt, 0.5).unwrap();
+    registry::fig3(fig3_study()).unwrap();
 }
 
 /// Fig 4: the Internet campaign sits between the lab traces and Poisson —
@@ -50,7 +39,7 @@ fn conformance_fig3_dummynet_clustering_survives_quantization() {
 #[test]
 fn conformance_fig4_internet_intermediate_burstiness() {
     let data = fig4_data();
-    check_internet_shape(&data.study.report).unwrap();
+    registry::fig4(&data.study).unwrap();
     assert!(
         data.campaign.validated_fraction() >= 0.75,
         "too few paths passed small/large-probe validation: {:.2}",
@@ -67,27 +56,22 @@ fn conformance_fig4_internet_intermediate_burstiness() {
 /// detection asymmetry between the two estimators is large.
 #[test]
 fn conformance_fig56_rate_window_asymmetry() {
-    let rows = fig56_rows();
-    for row in rows.iter() {
-        check_detection_row(row).unwrap();
-    }
-    let m32 = rows.iter().find(|r| r.m == 32).expect("M=32 row");
-    check_detection_asymmetry(m32, 8.0).unwrap();
+    registry::fig56(fig56_rows()).unwrap();
 }
 
 /// Fig 7: paced flows lose throughput to NewReno flows sharing the
 /// bottleneck.
 #[test]
 fn conformance_fig7_pacing_throughput_deficit() {
-    check_competition(fig7_result(), 0.1, 60.0).unwrap();
+    registry::fig7(fig7_result()).unwrap();
 }
 
 /// Fig 8: parallel transfers approach the theoretic lower bound at short
-/// RTT, sit far above it at long RTT, and concentrate run-to-run
-/// dispersion in the long-RTT cells.
+/// RTT, sit far above it at long RTT, slow down as RTT grows, and
+/// concentrate run-to-run dispersion in the long-RTT cells.
 #[test]
 fn conformance_fig8_parallel_straggler_latency() {
-    check_parallel_grid(fig8_cells(), 2.5, 5.0).unwrap();
+    registry::fig8(fig8_cells()).unwrap();
 }
 
 /// The Gilbert–Elliott fitter recovers the generating parameters from a

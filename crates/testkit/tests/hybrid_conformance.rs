@@ -13,6 +13,7 @@
 
 use lossburst_analysis::gilbert::{self, GilbertParams};
 use lossburst_core::campaign::{dummynet_study, ns2_study, LossStudy};
+use lossburst_core::registry;
 use lossburst_core::supervisor::SupervisorConfig;
 use lossburst_inet::path::{LoadTier, PathScenario};
 use lossburst_inet::probe::{run_probe_streaming, ProbeConfig, StreamProbeOutcome};
@@ -45,8 +46,7 @@ fn hybrid_fig2_ns2_campaign_passes_the_gate() {
     cfg.background = BackgroundMode::Fluid;
     let fluid = measured_study("fig2-fluid", ns2_study(&cfg, &SupervisorConfig::default()));
     gate("fig2", packet, &fluid).unwrap();
-    check_lab_clustering("fig2-fluid", &fluid.report, 0.9, 50.0).unwrap();
-    check_poisson_divergence(&fluid.intervals_rtt, 0.5).unwrap();
+    registry::fig2(&fluid).unwrap();
 }
 
 /// The Fig 2 gate again with a non-default congestion controller on the
@@ -88,7 +88,7 @@ fn hybrid_fig3_dummynet_campaign_passes_the_gate() {
     cfg.background = BackgroundMode::Fluid;
     let fluid = measured_study("fig3-fluid", dummynet_study(&cfg));
     gate("fig3", packet, &fluid).unwrap();
-    check_lab_clustering("fig3-fluid", &fluid.report, 0.5, 10.0).unwrap();
+    registry::fig3(&fluid).unwrap();
 }
 
 /// Fig 4 (Internet campaign): fluid noise preserves the intermediate
@@ -106,7 +106,7 @@ fn hybrid_fig4_internet_campaign_passes_the_gate() {
     );
     let fluid = LossStudy::from_intervals("internet-fluid", campaign.intervals_rtt());
     gate("fig4", packet, &fluid).unwrap();
-    check_internet_shape(&fluid.report).unwrap();
+    registry::fig4(&fluid).unwrap();
 }
 
 /// Fit a Gilbert model to the probe's own loss indicator sequence.

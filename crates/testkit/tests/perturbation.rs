@@ -1,28 +1,34 @@
-//! Deliberate-perturbation suite: every conformance check must *fail* when
-//! its statistic is broken, and the golden diff must name the drifted bin.
-//! This is what makes the conformance tests evidence rather than
-//! tautologies.
+//! Deliberate-perturbation suite: every paper row's shape claim in
+//! `lossburst_core::registry` and every conformance gate must *fail* when
+//! one of its bounds is broken, naming that bound, and the golden diff
+//! must name the drifted bin. This is what makes the conformance tests
+//! evidence rather than tautologies.
 
 use lossburst_analysis::gilbert::GilbertParams;
 use lossburst_core::campaign::LossStudy;
 use lossburst_core::impact::{CompetitionResult, ParallelCell};
 use lossburst_core::model::DetectionRow;
+use lossburst_core::registry::{self, Verdict};
 use lossburst_netsim::time::SimDuration;
 use lossburst_testkit::golden::{compare, GoldenSummary, Tolerance};
 use lossburst_testkit::prelude::*;
 
-/// A strongly clustered synthetic sample: most intervals far below 0.01
-/// RTT, a few long gaps between episodes.
-fn clustered_intervals() -> Vec<f64> {
-    let mut v = vec![0.004; 380];
-    v.extend(std::iter::repeat_n(1.5, 20));
-    v
+/// Assert that `verdict` holds, or, given a `broken` bound, that it fails
+/// naming that bound.
+fn judged(verdict: Verdict, broken: Option<&str>) {
+    match (verdict, broken) {
+        (Ok(()), None) => {}
+        (Err(e), Some(bound)) if e.contains(bound) => {}
+        (v, b) => panic!("expected the claim to break {b:?}, got {v:?}"),
+    }
 }
 
-/// A regular (dispersion-free) sample: one loss every RTT, nothing below
-/// 0.01 RTT.
-fn regular_intervals() -> Vec<f64> {
-    vec![1.0; 400]
+/// A study of the intervals `parts` lists as `(count, interval)` runs,
+/// repeated `reps` times.
+fn study(reps: usize, parts: &[(usize, f64)]) -> LossStudy {
+    let one = parts.iter().flat_map(|&(n, x)| std::iter::repeat_n(x, n));
+    let iv: Vec<f64> = one.collect();
+    LossStudy::from_intervals("synthetic", iv.repeat(reps))
 }
 
 /// Exponential quantile grid — the rate-matched Poisson process itself.
@@ -34,48 +40,48 @@ fn exponential_intervals() -> Vec<f64> {
 }
 
 #[test]
-fn lab_clustering_check_rejects_a_regular_trace() {
-    let good = LossStudy::from_intervals("good", clustered_intervals());
-    check_lab_clustering("good", &good.report, 0.9, 5.0).unwrap();
-
-    let flat = LossStudy::from_intervals("flat", regular_intervals());
-    assert!(check_lab_clustering("flat", &flat.report, 0.9, 5.0).is_err());
-
-    let tiny = LossStudy::from_intervals("tiny", vec![0.004; 10]);
-    assert!(
-        check_lab_clustering("tiny", &tiny.report, 0.9, 5.0).is_err(),
-        "too few losses must not pass"
-    );
+fn lab_claims_fail_on_each_bound() {
+    let frac = Some("frac below 0.01 RTT");
+    let dispersion = Some("index of dispersion");
+    for (s, fig2, fig3) in [
+        // Four bursts of 100 losses 10 RTT apart: index of dispersion ≈ 77.
+        (study(4, &[(99, 0.004), (1, 10.0)]), None, None),
+        (study(1, &[(10, 0.004)]), Some("too few"), Some("too few")),
+        // Two thirds of the intervals below 0.01 RTT.
+        (study(4, &[(66, 0.004), (33, 0.05), (1, 10.0)]), frac, None),
+        (study(10, &[(39, 0.02), (1, 3.0)]), frac, frac),
+        // Ten bursts of 40, 3 RTT apart: index of dispersion ≈ 25.
+        (study(10, &[(39, 0.004), (1, 3.0)]), dispersion, None),
+        // Twenty bursts of 20, 1.5 RTT apart: index of dispersion ≈ 7.
+        (study(20, &[(19, 0.004), (1, 1.5)]), dispersion, dispersion),
+    ] {
+        judged(registry::fig2(&s), fig2);
+        judged(registry::fig3(&s), fig3);
+    }
 }
 
 #[test]
-fn poisson_divergence_check_rejects_the_poisson_process_itself() {
-    check_poisson_divergence(&clustered_intervals(), 0.5).unwrap();
-    let err = check_poisson_divergence(&exponential_intervals(), 0.5).unwrap_err();
-    assert!(err.contains("Poisson-like"), "unexpected message: {err}");
-}
-
-#[test]
-fn internet_shape_check_rejects_lab_and_poisson_extremes() {
-    // A mid-band mixture: 30 % sub-0.01, extra mass to 1 RTT, heavy tail.
-    let mut mid = vec![0.004; 120];
-    mid.extend(std::iter::repeat_n(0.1, 160));
-    mid.extend(std::iter::repeat_n(0.5, 80));
-    mid.extend(std::iter::repeat_n(3.0, 40));
-    let mid = LossStudy::from_intervals("mid", mid);
-    check_internet_shape(&mid.report).unwrap();
-
-    let lab = LossStudy::from_intervals("lab", vec![0.004; 400]);
-    assert!(
-        check_internet_shape(&lab.report).is_err(),
-        "a fully clustered lab trace must not pass as Internet-like"
-    );
-
+fn internet_claim_fails_on_each_bound() {
     let poisson = LossStudy::from_intervals("poisson", exponential_intervals());
-    assert!(
-        check_internet_shape(&poisson.report).is_err(),
-        "the Poisson process must not pass as Internet-like"
-    );
+    for (s, broken) in [
+        // 30 % below 0.01 RTT, extra mass to 1 RTT, a heavy tail.
+        (
+            study(1, &[(120, 0.004), (160, 0.1), (80, 0.5), (40, 3.0)]),
+            None,
+        ),
+        (study(1, &[(400, 0.004)]), Some("intermediate band")),
+        (poisson, Some("intermediate band")),
+        // Half below 0.01 RTT, the other half beyond 1 RTT.
+        (study(1, &[(200, 0.004), (200, 2.0)]), Some("no extra mass")),
+        // A 0.24-RTT mean interval puts 65 % of the Poisson mass below
+        // 0.25 RTT, where this sample has 20 %.
+        (
+            study(1, &[(80, 0.004), (320, 0.3)]),
+            Some("rate-matched Poisson"),
+        ),
+    ] {
+        judged(registry::fig4(&s), broken);
+    }
 }
 
 #[test]
@@ -86,72 +92,56 @@ fn gilbert_recovery_check_rejects_off_parameters() {
     assert!(check_gilbert_recovery(truth, GilbertParams { p: 0.02, r: 0.45 }, 0.01, 0.05).is_err());
 }
 
-fn good_row() -> DetectionRow {
+/// An M = 32 row of the N = 16 model with `k` packets a flow per RTT.
+fn row(k: u64, rate_simulated: f64, window_simulated: f64) -> DetectionRow {
     DetectionRow {
         m: 32,
         n: 16,
-        k: 50,
+        k,
         rate_analytic: 16.0,
-        rate_simulated: 16.0,
-        window_analytic: 1.0,
-        window_simulated: 1.5,
+        rate_simulated,
+        window_analytic: (32.0 / k as f64).max(1.0),
+        window_simulated,
     }
 }
 
 #[test]
-fn detection_row_check_rejects_perturbed_estimates() {
-    check_detection_row(&good_row()).unwrap();
-
-    let mut low_rate = good_row();
-    low_rate.rate_simulated = 10.0;
-    assert!(check_detection_row(&low_rate).is_err());
-
-    let mut wide_window = good_row();
-    wide_window.window_simulated = 2.5;
-    assert!(check_detection_row(&wide_window).is_err());
-
-    let mut sub_analytic = good_row();
-    sub_analytic.window_simulated = 0.9;
-    assert!(
-        check_detection_row(&sub_analytic).is_err(),
-        "a window estimate below max(M/K, 1) is impossible and must fail"
-    );
+fn detection_claim_fails_on_each_bound() {
+    let m16 = DetectionRow {
+        m: 16,
+        ..row(50, 16.0, 1.5)
+    };
+    let weak = DetectionRow {
+        rate_analytic: 4.0,
+        ..row(50, 4.0, 1.0)
+    };
+    for (r, broken) in [
+        (row(50, 16.0, 1.5), None),
+        (row(50, 10.0, 1.5), Some("simulated L_rate")),
+        (row(50, 16.0, 2.5), Some("simulated L_win")),
+        // A window estimate below max(M/K, 1) is impossible.
+        (row(50, 16.0, 0.9), Some("simulated L_win")),
+        (m16, Some("no M=32 row")),
+        (weak, Some("analytic asymmetry")),
+        // K = 16: analytic 16 / 2 = 8x holds, simulated 15 / 2.5 = 6x not.
+        (row(16, 15.0, 2.5), Some("simulated asymmetry")),
+    ] {
+        judged(registry::fig56(&[r]), broken);
+    }
 }
 
 #[test]
-fn detection_asymmetry_check_rejects_a_fair_pair() {
-    check_detection_asymmetry(&good_row(), 8.0).unwrap();
-
-    let mut fair = good_row();
-    fair.window_simulated = 8.0;
-    assert!(check_detection_asymmetry(&fair, 8.0).is_err());
-
-    let mut weak = good_row();
-    weak.rate_analytic = 4.0;
-    weak.rate_simulated = 4.0;
-    assert!(check_detection_asymmetry(&weak, 8.0).is_err());
-}
-
-#[test]
-fn competition_check_rejects_missing_deficit_and_idle_links() {
-    let good = CompetitionResult {
+fn competition_claim_fails_on_each_bound() {
+    let run = |pacing: f64, newreno: f64| CompetitionResult {
         pacing_series_mbps: vec![],
         newreno_series_mbps: vec![],
-        pacing_mean_mbps: 40.0,
-        newreno_mean_mbps: 56.0,
-        pacing_deficit: 1.0 - 40.0 / 56.0,
+        pacing_mean_mbps: pacing,
+        newreno_mean_mbps: newreno,
+        pacing_deficit: 1.0 - pacing / newreno,
     };
-    check_competition(&good, 0.1, 60.0).unwrap();
-
-    let mut no_deficit = good.clone();
-    no_deficit.pacing_mean_mbps = 55.0;
-    no_deficit.pacing_deficit = 1.0 - 55.0 / 56.0;
-    assert!(check_competition(&no_deficit, 0.1, 60.0).is_err());
-
-    let mut idle = good.clone();
-    idle.pacing_mean_mbps = 10.0;
-    idle.newreno_mean_mbps = 14.0;
-    assert!(check_competition(&idle, 0.1, 60.0).is_err());
+    judged(registry::fig7(&run(40.0, 56.0)), None);
+    judged(registry::fig7(&run(55.0, 56.0)), Some("pacing deficit"));
+    judged(registry::fig7(&run(10.0, 14.0)), Some("link underused"));
 }
 
 fn cell(flows: usize, rtt_ms: u64, mean: f64, std: f64) -> ParallelCell {
@@ -165,22 +155,34 @@ fn cell(flows: usize, rtt_ms: u64, mean: f64, std: f64) -> ParallelCell {
 }
 
 #[test]
-fn parallel_grid_check_rejects_flat_and_degenerate_grids() {
-    let good = vec![cell(8, 10, 1.9, 0.004), cell(8, 200, 16.0, 0.3)];
-    check_parallel_grid(&good, 2.5, 5.0).unwrap();
-
-    let never_near_bound = vec![cell(8, 10, 3.5, 0.004), cell(8, 200, 16.0, 0.3)];
-    assert!(check_parallel_grid(&never_near_bound, 2.5, 5.0).is_err());
-
-    let no_straggler = vec![cell(8, 10, 1.9, 0.004), cell(8, 200, 2.1, 0.3)];
-    assert!(check_parallel_grid(&no_straggler, 2.5, 5.0).is_err());
-
-    let dispersion_at_short = vec![cell(8, 10, 1.9, 0.5), cell(8, 200, 16.0, 0.3)];
-    assert!(check_parallel_grid(&dispersion_at_short, 2.5, 5.0).is_err());
-
-    let one_column = vec![cell(2, 10, 1.9, 0.004), cell(8, 10, 1.9, 0.004)];
-    assert!(check_parallel_grid(&one_column, 2.5, 5.0).is_err());
-    assert!(check_parallel_grid(&[], 2.5, 5.0).is_err());
+fn parallel_claim_fails_on_each_bound() {
+    // The quick grid's shape (`fig8.golden`).
+    let grid = |short_mean: f64, long_mean: f64, short_std: f64| {
+        vec![
+            cell(2, 10, 2.0, 0.002),
+            cell(2, 200, 27.0, 0.003),
+            cell(8, 10, short_mean, short_std),
+            cell(8, 200, long_mean, 0.3),
+        ]
+    };
+    let mut falls = grid(1.9, 16.0, 0.004);
+    // Eight flows slow down from 10 to 50 ms, then speed up to 200 ms.
+    falls.push(cell(8, 50, 17.0, 0.01));
+    let mut never_near = grid(3.5, 16.0, 0.004);
+    never_near[0].mean_normalized = 3.5;
+    let mut no_straggler = grid(1.9, 2.1, 0.004);
+    no_straggler[1].mean_normalized = 2.1;
+    for (cells, broken) in [
+        (grid(1.9, 16.0, 0.004), None),
+        (falls, Some("falls as RTT grows")),
+        (never_near, Some("never approach")),
+        (no_straggler, Some("no straggler penalty")),
+        (grid(1.9, 16.0, 0.5), Some("dispersion")),
+        (vec![cell(2, 10, 1.9, 0.004)], Some("two RTT columns")),
+        (vec![], Some("empty")),
+    ] {
+        judged(registry::fig8(&cells), broken);
+    }
 }
 
 #[test]

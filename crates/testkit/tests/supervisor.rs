@@ -28,13 +28,13 @@ fn tiny_campaign(seed: u64) -> CampaignConfig {
 }
 
 /// The fault schedule used throughout: one transient panic (recovers on
-/// retry), one persistent timeout (fails), one transient NaN trace
+/// retry), one persistent panic (fails), one transient NaN trace
 /// (recovers), one persistent empty trace (stays `Ok` — a loss-free path
 /// is a valid measurement).
 fn fault_plan() -> FaultPlan {
     FaultPlan::default()
         .once(1, FaultKind::Panic)
-        .always(3, FaultKind::Timeout)
+        .always(3, FaultKind::Panic)
         .once(2, FaultKind::NanTrace)
         .always(4, FaultKind::EmptyTrace)
 }
@@ -98,11 +98,11 @@ fn interrupted_campaign_resumes_byte_identically() {
         let reference = run_grid_streaming_supervised(&cfg, &base).unwrap();
         let counts = reference.counts();
         assert_eq!(counts.retried, 2, "panic + NaN paths recover on retry");
-        assert_eq!(counts.failed, 1, "persistent timeout path fails");
+        assert_eq!(counts.failed, 1, "persistent panic path fails");
         assert_eq!(counts.ok, cfg.n_paths - 3);
         assert_eq!(
             reference.ledger[3].outcome,
-            PathOutcome::Failed("wall-clock budget exceeded (injected)".into())
+            PathOutcome::Failed("panic: injected fault: simulator panic at event 1".into())
         );
         assert!(reference.ledger[4].outcome.is_ok(), "empty trace is valid");
         assert_eq!(

@@ -10,8 +10,12 @@
 //! against the rate-matched Poisson reference.
 
 use lossburst::analysis::prelude::*;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::process::exit;
+
+/// The most 1-RTT windows a trace may span. The index of dispersion keeps
+/// one 8-byte counter a window, so the cap holds it to 80 MB.
+const MAX_WINDOWS: f64 = 1e7;
 
 struct Args {
     path: String,
@@ -30,7 +34,8 @@ fn parse_args() -> Args {
                 rtt_ms = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--rtt-ms requires a number"));
+                    .filter(|ms: &f64| ms.is_finite() && ms / 1000.0 > 0.0)
+                    .unwrap_or_else(|| die("--rtt-ms requires a finite, positive number"));
             }
             "--tsv" => tsv = true,
             "--help" | "-h" => {
@@ -64,7 +69,27 @@ fn main() {
         die("need at least 3 loss timestamps");
     }
     let rtt = args.rtt_ms / 1000.0;
-    let intervals = normalized_intervals(&times, rtt);
+    let finite = || times.iter().copied().filter(|t| t.is_finite());
+    let span = finite().fold(f64::NEG_INFINITY, f64::max) - finite().fold(f64::INFINITY, f64::min);
+    if span / rtt > MAX_WINDOWS {
+        die(&format!(
+            "the trace spans {:.3e} RTTs, more than the {MAX_WINDOWS:e} windows the analysis counts",
+            span / rtt
+        ));
+    }
+    if let Err(e) = print_analysis(&mut std::io::stdout().lock(), &args, &times, rtt) {
+        eprintln!("error: cannot write the analysis: {e}");
+        exit(1)
+    }
+}
+
+fn print_analysis(
+    out: &mut impl Write,
+    args: &Args,
+    times: &[f64],
+    rtt: f64,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let intervals = normalized_intervals(times, rtt);
     let report = analyze(&intervals);
     let hist = Histogram::from_values(&intervals, PAPER_BIN_WIDTH, PAPER_RANGE);
     let lambda = rate_from_intervals(&intervals);
@@ -80,36 +105,38 @@ fn main() {
             .map(|((c, m), p)| vec![*c, *m, *p])
             .collect();
         write_series_to(
-            std::io::stdout().lock(),
+            &mut *out,
             &format!("{} normalized by RTT {} ms", args.path, args.rtt_ms),
             &["interval_rtt", "pdf_measured", "pdf_poisson"],
             &rows,
-        )
-        .unwrap();
-        return;
+        )?;
+        return Ok(out.flush()?);
     }
 
-    println!("{}", burstiness_summary(&args.path, &report));
-    let eps = episode_report(&times, rtt);
-    println!(
+    writeln!(out, "{}", burstiness_summary(&args.path, &report))?;
+    let eps = episode_report(times, rtt);
+    writeln!(
+        out,
         "episodes (gap > 1 RTT): {} episodes, mean size {:.1} losses, max {}, {:.0}% of losses in bursts",
         eps.count,
         eps.mean_size,
         eps.max_size,
         eps.fraction_in_bursts * 100.0
-    );
+    )?;
     let deltas = [0.01 * rtt, 0.1 * rtt, rtt, 10.0 * rtt];
-    let cond = conditional_loss_probability(&times, &deltas);
-    println!("P(next loss within Δ | loss):");
+    let cond = conditional_loss_probability(times, &deltas);
+    writeln!(out, "P(next loss within Δ | loss):")?;
     for (d, p) in deltas.iter().zip(cond.iter()) {
         let pois = reference_cdf(lambda / rtt, *d);
-        println!(
+        writeln!(
+            out,
             "  Δ = {:>9.4}s: {:>5.1}%   (Poisson: {:>5.1}%)",
             d,
             p * 100.0,
             pois * 100.0
-        );
+        )?;
     }
-    println!("\nPDF (log scale) vs Poisson at the same rate:\n");
-    print!("{}", ascii_pdf_plot(&hist, &poisson, 20));
+    writeln!(out, "\nPDF (log scale) vs Poisson at the same rate:\n")?;
+    write!(out, "{}", ascii_pdf_plot(&hist, &poisson, 20))?;
+    Ok(out.flush()?)
 }

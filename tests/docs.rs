@@ -61,6 +61,16 @@ const GONE: &[(&str, u32)] = &[
     ("write_fairness_csv", 36),
     ("even_chunk", 36),
     ("stop_after_skips_and_checkpoint_resumes_exactly", 36),
+    ("check_table1", 37),
+    ("check_lab_clustering", 37),
+    ("check_poisson_divergence", 37),
+    ("check_internet_shape", 37),
+    ("check_detection_row", 37),
+    ("check_detection_asymmetry", 37),
+    ("check_competition", 37),
+    ("check_parallel_grid", 37),
+    ("FaultKind::Timeout", 37),
+    ("PathFailure::WallClock", 37),
 ];
 
 /// The product crates: the library code a paper run executes.

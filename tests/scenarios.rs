@@ -137,3 +137,13 @@ fn registry_module_paths_are_plausible() {
         assert!(!e.paper_claim.is_empty() && !e.description.is_empty());
     }
 }
+
+/// Two paper rows' shape claims, cheap enough for every run: Table 1 on the
+/// site list, and Figs 5/6 on the detection model's Monte-Carlo grid
+/// (M ∈ {4, 16, 32, 64, 140}, N = 16, K = 50, 2 000 trials).
+#[test]
+fn table1_and_fig56_claims_hold() {
+    use lossburst::core::registry;
+    registry::table1().unwrap();
+    registry::fig56(lossburst_testkit::scenarios::fig56_rows()).unwrap();
+}
