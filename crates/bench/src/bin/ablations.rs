@@ -116,12 +116,15 @@ fn main() {
     for paced in [false, true] {
         let runs: Vec<_> = (0..3)
             .map(|s| {
-                predictability(
-                    8,
-                    paced,
-                    8 * 1024 * 1024,
-                    SimDuration::from_millis(200),
-                    args.seed + s,
+                or_exit(
+                    "ablations",
+                    predictability(
+                        8,
+                        paced,
+                        8 * 1024 * 1024,
+                        SimDuration::from_millis(200),
+                        args.seed + s,
+                    ),
                 )
             })
             .collect();

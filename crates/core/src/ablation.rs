@@ -426,6 +426,26 @@ mod tests {
     }
 
     #[test]
+    fn straggler_ablation_is_pinned_to_the_bit() -> crate::error::Result<()> {
+        // Each row's latencies over seeds 1 and 2 as `f64::to_bits`, for
+        // 16 MB over 4 flows, in the rows' order (25.90 / 25.86 s, 26.55 /
+        // 26.49 s, 3.96 / 3.94 s, 6.27 / 6.28 s).
+        const PINNED: [[u64; 2]; 4] = [
+            [0x4039_e79a_5a4d_9829, 0x4039_dcbf_f3fe_f36f],
+            [0x403a_8bc9_b02f_29b1, 0x403a_7d10_58f1_3b75],
+            [0x400f_b40c_f0a0_b3e2, 0x400f_8a57_02b4_ffec],
+            [0x4019_1296_5a38_ca66, 0x4019_20d6_6d3d_22d4],
+        ];
+        let rows = straggler_ablation(16 << 20, 4, &[1, 2])?;
+        let got: Vec<Vec<u64>> = rows
+            .iter()
+            .map(|r| r.latencies.iter().map(|l| l.to_bits()).collect())
+            .collect();
+        assert_eq!(got, PINNED, "moved to {rows:?} ({got:#x?})");
+        Ok(())
+    }
+
+    #[test]
     fn straggler_ablation_rejects_zero_flows() {
         // Zero flows, no seeds and zero bytes: each is a cell Fig 8 rejects.
         for (total_bytes, flows, seeds) in [(8 << 20, 0, &[1][..]), (8 << 20, 4, &[]), (0, 4, &[1])]

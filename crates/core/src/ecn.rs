@@ -189,6 +189,28 @@ mod tests {
     }
 
     #[test]
+    fn ecn_vs_droptail_is_pinned_to_the_bit() {
+        // `(signal_coverage, utilization)` as `f64::to_bits` and the
+        // bottleneck's drops, DropTail then persistent ECN, for 8 flows
+        // over 6 s (0.625 / 0.438 / 3849 drops, 1.0 / 0.341 / none).
+        const PINNED: [([u64; 2], u64); 2] = [
+            ([0x3fe4_0000_0000_0000, 0x3fdc_03fa_efae_318f], 3849),
+            ([0x3ff0_0000_0000_0000, 0x3fd5_cd69_aabe_850b], 0),
+        ];
+        let mut cfg = EcnConfig::default_setup(23);
+        cfg.flows = 8;
+        cfg.duration = SimDuration::from_secs(6);
+        let cmp = ecn_vs_droptail(&cfg);
+        let got = [cmp.droptail, cmp.persistent_ecn].map(|g| {
+            (
+                [g.signal_coverage, g.utilization].map(f64::to_bits),
+                g.drops,
+            )
+        });
+        assert_eq!(got, PINNED, "moved to {cmp:?} ({got:#x?})");
+    }
+
+    #[test]
     fn persistent_ecn_eliminates_drops_and_improves_coverage() {
         let mut cfg = EcnConfig::default_setup(23);
         cfg.duration = SimDuration::from_secs(15);

@@ -153,14 +153,25 @@ pub struct PredictabilityResult {
 
 /// Run the predictability experiment: `flows` senders (all NewReno if
 /// `paced` is false, all Pacing otherwise) each transfer `chunk_bytes`
-/// over a shared 100 Mbps bottleneck at `rtt`.
+/// over a shared 100 Mbps bottleneck at `rtt`. The cell is checked as
+/// Fig 8 checks its grid, so zero `flows` or zero `chunk_bytes` is a
+/// configuration error, not a 0-second transfer.
 pub fn predictability(
     flows: usize,
     paced: bool,
     chunk_bytes: u64,
     rtt: SimDuration,
     seed: u64,
-) -> PredictabilityResult {
+) -> crate::error::Result<PredictabilityResult> {
+    ParallelConfig {
+        total_bytes: chunk_bytes,
+        flow_counts: vec![flows],
+        rtts: vec![rtt],
+        bottleneck_bps: 100e6,
+        buffer_pkts: 625,
+        seeds: vec![seed],
+    }
+    .validate()?;
     let times = completion_times(
         &ChunkedTransfer {
             flows,
@@ -185,10 +196,10 @@ pub fn predictability(
     } else {
         0.0
     };
-    PredictabilityResult {
+    Ok(PredictabilityResult {
         mean_completion: mean,
         completion_cv: cv,
-    }
+    })
 }
 
 /// TFRC-vs-TCP mix (Section 5, lesson 1; Rhee & Xu's observation): equal
@@ -553,24 +564,24 @@ mod tests {
     }
 
     #[test]
-    fn pacing_makes_long_rtt_transfers_predictable() {
+    fn pacing_makes_long_rtt_transfers_predictable() -> crate::error::Result<()> {
         // Section 5, lesson 2, in the Fig 8 regime (200 ms RTT): paced
         // flows slow down together, so completion dispersion collapses —
         // even though the mean is higher. At long RTTs window-based flows
         // straggle (some halve/time out, others do not).
         let rtt = SimDuration::from_millis(200);
         let chunk = 8 * 1024 * 1024;
-        let avg = |paced: bool| {
-            let runs: Vec<PredictabilityResult> = (0..3)
+        let avg = |paced: bool| -> crate::error::Result<(f64, f64)> {
+            let runs = (0..3)
                 .map(|s| predictability(8, paced, chunk, rtt, 700 + s))
-                .collect();
-            (
+                .collect::<crate::error::Result<Vec<_>>>()?;
+            Ok((
                 runs.iter().map(|r| r.mean_completion).sum::<f64>() / runs.len() as f64,
                 runs.iter().map(|r| r.completion_cv).sum::<f64>() / runs.len() as f64,
-            )
+            ))
         };
-        let (win_mean, win_cv) = avg(false);
-        let (rate_mean, rate_cv) = avg(true);
+        let (win_mean, win_cv) = avg(false)?;
+        let (rate_mean, rate_cv) = avg(true)?;
         assert!(
             rate_cv < win_cv * 0.7,
             "pacing should collapse completion dispersion: {rate_cv:.3} vs {win_cv:.3}"
@@ -580,6 +591,36 @@ mod tests {
             rate_mean > win_mean * 0.8,
             "sanity: paced mean {rate_mean:.1}s vs window {win_mean:.1}s"
         );
+        Ok(())
+    }
+
+    #[test]
+    fn predictability_is_pinned_to_the_bit() -> crate::error::Result<()> {
+        // `(mean_completion, completion_cv)` as `f64::to_bits` for 4 × 1 MB
+        // at 50 ms, window-based then paced (2.19 s / 0.050, 5.66 s / 0.046).
+        const PINNED: [[u64; 2]; 2] = [
+            [0x4001_81b8_036f_a9ba, 0x3fa9_b3a9_5280_68a8],
+            [0x4016_a10e_90d6_4058, 0x3fa7_ba84_da4c_a30a],
+        ];
+        let rtt = SimDuration::from_millis(50);
+        let mut got = [[0; 2]; 2];
+        for (paced, bits) in [false, true].into_iter().zip(&mut got) {
+            let r = predictability(4, paced, 1 << 20, rtt, 9)?;
+            *bits = [r.mean_completion, r.completion_cv].map(f64::to_bits);
+        }
+        assert_eq!(got, PINNED, "moved to {got:#x?}");
+        Ok(())
+    }
+
+    #[test]
+    fn predictability_rejects_degenerate_cells() {
+        // Zero flows have no straggler to time and zero bytes no transfer:
+        // each is a configuration error, not a 0-second success.
+        let rtt = SimDuration::from_millis(200);
+        for (flows, chunk_bytes) in [(0, 8 << 20), (8, 0)] {
+            let err = predictability(flows, false, chunk_bytes, rtt, 1).unwrap_err();
+            assert!(matches!(err, crate::error::Error::Config(_)), "{err}");
+        }
     }
 
     #[test]
