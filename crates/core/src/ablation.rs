@@ -7,7 +7,7 @@
 //! reproduction, and add two modern ablations: what SACK and what the
 //! minimum RTO do to the Fig 8 straggler problem.
 
-use crate::impact::{completion_times, ChunkedTransfer, ParallelConfig};
+use crate::impact::{completion_times, utilization, ChunkedTransfer, ParallelConfig};
 use lossburst_analysis::intervals;
 use lossburst_emu::testbed::{self, ShortFlowConfig, TestbedConfig};
 use lossburst_netsim::builder::SimBuilder;
@@ -35,80 +35,73 @@ pub struct BurstinessRow {
     pub utilization: f64,
 }
 
-fn testbed_row(cfg: &TestbedConfig, label: String) -> BurstinessRow {
-    let res = testbed::run_streaming(cfg);
-    let iv = intervals::normalized_intervals(&res.loss_times, res.mean_rtt.as_secs_f64());
-    let rep = lossburst_analysis::burstiness::analyze(&iv);
-    BurstinessRow {
-        label,
-        losses: rep.n_losses,
-        frac_below_001: rep.frac_below_001,
-        index_of_dispersion: rep.index_of_dispersion,
-        utilization: res.utilization,
-    }
+/// Run each labelled testbed for `duration` over the worker pool. All the
+/// testbed sweeps in this module fan out here; rows come back in list
+/// order regardless of which worker ran which cell.
+fn testbed_rows(duration: SimDuration, cases: Vec<(String, TestbedConfig)>) -> Vec<BurstinessRow> {
+    cases
+        .into_par_iter()
+        .map(|(label, mut cfg)| {
+            cfg.duration = duration;
+            let res = testbed::run_streaming(&cfg);
+            let iv = intervals::normalized_intervals(&res.loss_times, res.mean_rtt.as_secs_f64());
+            let rep = lossburst_analysis::burstiness::analyze(&iv);
+            BurstinessRow {
+                label,
+                losses: rep.n_losses,
+                frac_below_001: rep.frac_below_001,
+                index_of_dispersion: rep.index_of_dispersion,
+                utilization: res.utilization,
+            }
+        })
+        .collect()
 }
 
 /// Claim: buffer size does not remove sub-RTT burstiness. Sweep ⅛–2 BDP.
-/// (All sweeps in this module fan out over the worker pool; rows come back
-/// in sweep order regardless of which worker ran which cell.)
 pub fn buffer_sweep(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> {
-    let fractions = [0.125, 0.25, 0.5, 1.0, 2.0];
-    fractions
-        .par_iter()
-        .map(|&f| {
-            let bdp = bdp_packets(100e6, SimDuration::from_millis(100), 1000);
-            let buffer = ((bdp as f64 * f) as usize).max(8);
-            let mut cfg = TestbedConfig::ns2_baseline(16, buffer, seed);
-            cfg.duration = duration;
-            testbed_row(&cfg, format!("{f:.3} BDP ({buffer} pkts)"))
-        })
-        .collect()
+    let bdp = bdp_packets(100e6, SimDuration::from_millis(100), 1000);
+    let cases = [0.125, 0.25, 0.5, 1.0, 2.0].map(|f| {
+        let buffer = ((bdp as f64 * f) as usize).max(8);
+        let cfg = TestbedConfig::ns2_baseline(16, buffer, seed);
+        (format!("{f:.3} BDP ({buffer} pkts)"), cfg)
+    });
+    testbed_rows(duration, cases.into())
 }
 
 /// Claim: multiplexing level does not remove sub-RTT burstiness.
 /// Sweep the paper's flow counts.
 pub fn flow_sweep(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> {
-    [2usize, 4, 8, 16, 32]
-        .par_iter()
-        .map(|&n| {
-            let mut cfg = TestbedConfig::ns2_baseline(n, 312, seed);
-            cfg.duration = duration;
-            testbed_row(&cfg, format!("{n} flows"))
-        })
-        .collect()
+    let cases = [2usize, 4, 8, 16, 32].map(|n| {
+        let cfg = TestbedConfig::ns2_baseline(n, 312, seed);
+        (format!("{n} flows"), cfg)
+    });
+    testbed_rows(duration, cases.into())
 }
 
 /// Section 3.3's two sources of burstiness, isolated: long flows only
 /// (DropTail + window bursts), short flows only (slow-start overshoot),
 /// and the combination.
 pub fn source_decomposition(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> {
-    let base = || {
-        let mut cfg = TestbedConfig::ns2_baseline(8, 312, seed);
-        cfg.duration = duration;
+    // Long-lived flows only, short flows only (slow start dominates), both;
+    // a short-flow case gives its arrival rate per second.
+    let case = |label: &str, tcp_flows, short_rate: Option<f64>| {
+        let mut cfg = TestbedConfig::ns2_baseline(tcp_flows, 312, seed);
         cfg.noise_flows = 0;
-        cfg
+        cfg.short_flows = short_rate.map(|rate_per_sec| ShortFlowConfig {
+            rate_per_sec,
+            min_bytes: 30_000.0,
+            alpha: 1.2,
+        });
+        (label.to_string(), cfg)
     };
-    let mut rows = Vec::new();
-    // Long-lived flows only.
-    rows.push(testbed_row(&base(), "long flows only".into()));
-    // Short flows only (slow start dominates).
-    let mut short_only = base();
-    short_only.tcp_flows = 0;
-    short_only.short_flows = Some(ShortFlowConfig {
-        rate_per_sec: 40.0,
-        min_bytes: 30_000.0,
-        alpha: 1.2,
-    });
-    rows.push(testbed_row(&short_only, "short flows only".into()));
-    // Both.
-    let mut both = base();
-    both.short_flows = Some(ShortFlowConfig {
-        rate_per_sec: 20.0,
-        min_bytes: 30_000.0,
-        alpha: 1.2,
-    });
-    rows.push(testbed_row(&both, "long + short flows".into()));
-    rows
+    testbed_rows(
+        duration,
+        vec![
+            case("long flows only", 8, None),
+            case("short flows only", 0, Some(40.0)),
+            case("long + short flows", 8, Some(20.0)),
+        ],
+    )
 }
 
 /// Claim: RED works but is touchy to tune. Sweep `max_p` and the threshold
@@ -116,11 +109,11 @@ pub fn source_decomposition(duration: SimDuration, seed: u64) -> Vec<BurstinessR
 /// two is the tuning difficulty.
 pub fn red_sensitivity(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> {
     let buffer = 312;
-    let mut variants: Vec<(String, QueueDisc)> =
-        vec![("DropTail (reference)".into(), QueueDisc::drop_tail(buffer))];
+    let droptail = TestbedConfig::ns2_baseline(16, buffer, seed);
+    let mut cases = vec![("DropTail (reference)".to_string(), droptail.clone())];
     for max_p in [0.02, 0.1, 0.5] {
         for (lo, hi) in [(0.1, 0.4), (0.25, 0.75)] {
-            let cfg = RedConfig {
+            let red = RedConfig {
                 min_th: buffer as f64 * lo,
                 max_th: buffer as f64 * hi,
                 max_p,
@@ -129,21 +122,12 @@ pub fn red_sensitivity(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> {
                 ecn: false,
                 mean_pkt_bytes: 1000.0,
             };
-            variants.push((
-                format!("RED p={max_p} th=[{lo},{hi}]xB"),
-                QueueDisc::red_with(buffer, cfg),
-            ));
+            let mut cfg = droptail.clone();
+            cfg.bottleneck_disc = QueueDisc::red_with(buffer, red);
+            cases.push((format!("RED p={max_p} th=[{lo},{hi}]xB"), cfg));
         }
     }
-    variants
-        .into_par_iter()
-        .map(|(label, disc)| {
-            let mut cfg = TestbedConfig::ns2_baseline(16, buffer, seed);
-            cfg.bottleneck_disc = disc;
-            cfg.duration = duration;
-            testbed_row(&cfg, label)
-        })
-        .collect()
+    testbed_rows(duration, cases)
 }
 
 /// The paper measures a *single* ideal bottleneck. Does sub-RTT clustering
@@ -199,14 +183,12 @@ pub fn multi_bottleneck(duration: SimDuration, seed: u64) -> Vec<BurstinessRow> 
             let rtt = 2.0 * (hops as f64 * 0.010 + 0.0002);
             let iv = intervals::normalized_intervals(&times, rtt);
             let rep = lossburst_analysis::burstiness::analyze(&iv);
-            let bl = &sim.links[pl.hop_links[0].index()];
             BurstinessRow {
                 label: format!("{hops} bottleneck hop(s)"),
                 losses: rep.n_losses,
                 frac_below_001: rep.frac_below_001,
                 index_of_dispersion: rep.index_of_dispersion,
-                utilization: bl.stats.transmitted_bytes as f64 * 8.0
-                    / (30e6 * duration.as_secs_f64()),
+                utilization: utilization(&sim, pl.hop_links[0], 30e6, duration.as_secs_f64()),
             }
         })
         .collect()

@@ -7,13 +7,14 @@
 //! DropTail bottleneck against a persistent-ECN bottleneck on three axes:
 //! drops, utilization, and uniformity of congestion detection across flows.
 
+use crate::impact::{shared_bottleneck, utilization};
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::time::{SimDuration, SimTime};
-use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
+use lossburst_netsim::topology::RttAssignment;
 use lossburst_netsim::trace::TraceConfig;
+use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::config::TcpConfig;
-use lossburst_transport::sender::Sender;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -74,7 +75,7 @@ pub(crate) fn signal_coverage(mut records: Vec<(f64, u32)>, n_flows: usize, gap_
     if records.is_empty() || n_flows == 0 {
         return 0.0;
     }
-    records.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN time"));
+    records.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut fractions = Vec::new();
     let mut current: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut last_t = records[0].0;
@@ -102,7 +103,6 @@ pub struct EcnComparison {
 }
 
 fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
-    let mut b = SimBuilder::new(cfg.seed).trace(TraceConfig::all());
     let disc = if ecn {
         // Mark early (30% occupancy): the signal needs a full RTT of lead
         // time, because between the mark and the senders' reaction another
@@ -115,34 +115,33 @@ fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
     } else {
         QueueDisc::drop_tail(cfg.buffer_pkts)
     };
-    let dcfg = DumbbellConfig {
-        pairs: cfg.flows,
-        bottleneck_bps: cfg.bottleneck_bps,
-        access_bps: 1e9,
-        bottleneck_disc: disc,
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Uniform(cfg.min_rtt, cfg.max_rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
-    for i in 0..cfg.flows {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let tcp_cfg = TcpConfig {
+    // Stagger starts widely so the coverage measurement reflects
+    // steady-state congestion episodes rather than a synchronized
+    // slow-start pile-up (which trivially touches every flow).
+    let starts: Vec<SimTime> = (0..cfg.flows)
+        .map(|i| SimTime::ZERO + SimDuration::from_millis(i as u64 * 300))
+        .collect();
+    let spec = FlowSpec {
+        tcp: TcpConfig {
             ecn,
             ..Default::default()
-        };
-        // Stagger starts widely so the coverage measurement reflects
-        // steady-state congestion episodes rather than a synchronized
-        // slow-start pile-up (which trivially touches every flow).
-        let start = SimTime::ZERO + SimDuration::from_millis(i as u64 * 300);
-        b.flow(start, Box::new(Sender::newreno(s, r, tcp_cfg)));
-    }
-    let mut sim = b.build();
-    sim.run_until(SimTime::ZERO + cfg.duration);
+        },
+        ..FlowSpec::new(cfg.max_rtt)
+    };
+    let (sim, _, bottleneck) = shared_bottleneck(
+        SimBuilder::new(cfg.seed).trace(TraceConfig::all()),
+        cfg.bottleneck_bps,
+        RttAssignment::Uniform(cfg.min_rtt, cfg.max_rtt),
+        disc,
+        cfg.duration,
+        &starts,
+        |_, s, r| CcAlgorithm::NewReno.build_flow(s, r, &spec),
+    );
 
     // Router-side signal records: drops for DropTail, marks for ECN.
     // Only steady-state episodes count (skip the start-up third of the run).
-    let warmup = cfg.duration.as_secs_f64() / 3.0;
-    let bottleneck = db.bottleneck;
+    let secs = cfg.duration.as_secs_f64();
+    let warmup = secs / 3.0;
     let mut records: Vec<(f64, u32)> = sim
         .trace
         .losses
@@ -158,12 +157,10 @@ fn run_one(cfg: &EcnConfig, ecn: bool) -> GroupStats {
             .map(|m| (m.time.as_secs_f64(), m.flow.0)),
     );
     let coverage = signal_coverage(records, cfg.flows, cfg.max_rtt.as_secs_f64());
-    let bl = &sim.links[db.bottleneck.index()];
     GroupStats {
         signal_coverage: coverage,
-        drops: bl.stats.dropped,
-        utilization: bl.stats.transmitted_bytes as f64 * 8.0
-            / (cfg.bottleneck_bps * cfg.duration.as_secs_f64()),
+        drops: sim.links[bottleneck.index()].stats.dropped,
+        utilization: utilization(&sim, bottleneck, cfg.bottleneck_bps, secs),
     }
 }
 

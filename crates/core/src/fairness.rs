@@ -12,13 +12,12 @@
 //! on-off noise to modulate how bursty the loss process is, and reports
 //! Jain's fairness index over all foreground flows plus per-class goodput.
 
+use crate::impact::{class, goodput_mbps, shared_bottleneck, utilization};
 use lossburst_analysis::stats::jain_fairness;
 use lossburst_netsim::builder::SimBuilder;
-use lossburst_netsim::iface::Transport;
 use lossburst_netsim::queue::QueueDisc;
-use lossburst_netsim::sim::FlowHandle;
 use lossburst_netsim::time::{SimDuration, SimTime};
-use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
+use lossburst_netsim::topology::RttAssignment;
 use lossburst_netsim::trace::TraceConfig;
 use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::onoff::OnOff;
@@ -191,44 +190,30 @@ pub fn fairness_cell(
     noise: f64,
     cell_seed: u64,
 ) -> FairnessCell {
-    let mut b = SimBuilder::new(cell_seed).trace(TraceConfig::none());
-    let n_noise = if noise > 0.0 { 4 } else { 0 };
-    let pairs = 2 * cfg.flows_per_class + n_noise;
-    let dcfg = DumbbellConfig {
-        pairs,
-        bottleneck_bps: cfg.bottleneck_bps,
-        access_bps: 1e9,
-        bottleneck_disc: discipline.queue(cfg.buffer_pkts),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(cfg.rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
-
-    let spec = FlowSpec::new(cfg.rtt);
-    let mut ids_a = Vec::new();
-    let mut ids_b = Vec::new();
     // Interleave classes across pairs (as in the Fig 7 competition) so
-    // construction order cannot privilege either class; stagger starts so
-    // slow starts do not synchronize.
-    for i in 0..2 * cfg.flows_per_class {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start = SimTime::ZERO + SimDuration::from_millis(13 * i as u64);
-        let (alg, ids) = if i % 2 == 0 {
-            (alg_a, &mut ids_a)
-        } else {
-            (alg_b, &mut ids_b)
-        };
-        ids.push(b.flow(start, alg.build_flow(s, r, &spec)));
-    }
-    // Exponential on-off noise on dedicated pairs: bursty arrivals that
-    // cluster the queue's overflow episodes.
-    for j in 0..n_noise {
-        let (s, r) = (
-            db.senders[2 * cfg.flows_per_class + j],
-            db.receivers[2 * cfg.flows_per_class + j],
-        );
-        b.flow(
-            SimTime::ZERO + SimDuration::from_millis(5 * j as u64),
+    // construction order cannot privilege either class, and stagger starts
+    // so slow starts do not synchronize. Exponential on-off noise runs on
+    // dedicated pairs after them: bursty arrivals that cluster the queue's
+    // overflow episodes.
+    let foreground = 2 * cfg.flows_per_class;
+    let n_noise = if noise > 0.0 { 4 } else { 0 };
+    let starts: Vec<SimTime> = (0..foreground)
+        .map(|i| SimDuration::from_millis(13 * i as u64))
+        .chain((0..n_noise).map(|j| SimDuration::from_millis(5 * j as u64)))
+        .map(|d| SimTime::ZERO + d)
+        .collect();
+    let spec = FlowSpec::new(cfg.rtt);
+    let (sim, flows, bottleneck) = shared_bottleneck(
+        SimBuilder::new(cell_seed).trace(TraceConfig::none()),
+        cfg.bottleneck_bps,
+        RttAssignment::Fixed(cfg.rtt),
+        discipline.queue(cfg.buffer_pkts),
+        cfg.duration,
+        &starts,
+        |i, s, r| {
+            if i < foreground {
+                return [alg_a, alg_b][i % 2].build_flow(s, r, &spec);
+            }
             Box::new(OnOff::with_average_rate(
                 s,
                 r,
@@ -236,31 +221,26 @@ pub fn fairness_cell(
                 cfg.bottleneck_bps * noise / n_noise as f64,
                 SimDuration::from_millis(100),
                 SimDuration::from_millis(300),
-            )),
-        );
-    }
-    let mut sim = b.build();
-    sim.run_until(SimTime::ZERO + cfg.duration);
-
+            ))
+        },
+    );
     let secs = cfg.duration.as_secs_f64();
-    let goodput_mbps = |&h: &FlowHandle<dyn Transport>| -> f64 {
-        sim.flow(h).progress().bytes_delivered as f64 * 8.0 / secs / 1e6
+    let class_mbps = |k| -> Vec<f64> {
+        let bytes = class(&flows[..foreground], k).map(|h| sim.flow(h).progress().bytes_delivered);
+        bytes.map(|b| goodput_mbps(b, secs)).collect()
     };
-    let per_flow: Vec<f64> = ids_a.iter().chain(&ids_b).map(goodput_mbps).collect();
-    let mean = |ids: &[FlowHandle<dyn Transport>]| -> f64 {
-        ids.iter().map(goodput_mbps).sum::<f64>() / ids.len().max(1) as f64
-    };
-    let bl = &sim.links[db.bottleneck.index()];
+    let (a, b) = (class_mbps(0), class_mbps(1));
+    let mean = |g: &[f64]| g.iter().sum::<f64>() / g.len().max(1) as f64;
     FairnessCell {
         alg_a,
         alg_b,
         discipline,
         noise,
-        jain: jain_fairness(&per_flow),
-        goodput_a_mbps: mean(&ids_a),
-        goodput_b_mbps: mean(&ids_b),
-        drops: bl.stats.dropped,
-        utilization: bl.stats.transmitted_bytes as f64 * 8.0 / (cfg.bottleneck_bps * secs),
+        jain: jain_fairness(&[a.as_slice(), &b].concat()),
+        goodput_a_mbps: mean(&a),
+        goodput_b_mbps: mean(&b),
+        drops: sim.links[bottleneck.index()].stats.dropped,
+        utilization: utilization(&sim, bottleneck, cfg.bottleneck_bps, secs),
     }
 }
 

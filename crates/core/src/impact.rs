@@ -3,16 +3,76 @@
 
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::iface::Transport;
-use lossburst_netsim::packet::FlowId;
+use lossburst_netsim::packet::{FlowId, LinkId, NodeId};
 use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::rng::Sampler;
+use lossburst_netsim::sim::{FlowHandle, Simulator};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_dumbbell, DumbbellConfig, RttAssignment};
 use lossburst_netsim::trace::TraceConfig;
 use lossburst_transport::cc::{CcAlgorithm, FlowSpec};
 use lossburst_transport::config::TcpConfig;
-use lossburst_transport::sender::Sender;
 use rayon::prelude::*;
+
+/// The one shared-bottleneck run of Sections 4–5: Fig 7's [`competition`],
+/// the [`protocol_mix`], Fig 8's transfers, the fairness cell and the ECN
+/// comparison. It builds the Fig 1 dumbbell in `b` (which carries the seed
+/// and the trace streams) on [`DumbbellConfig::paper_baseline`]'s access
+/// links, with a `bottleneck_bps` bottleneck under `disc`, and one flow per
+/// pair: pair `i` runs `flow(i, sender, receiver)` from `starts[i]`. The
+/// run lasts `horizon`. Returns the simulator, the flow handles in pair
+/// order and the forward bottleneck.
+pub(crate) fn shared_bottleneck(
+    mut b: SimBuilder,
+    bottleneck_bps: f64,
+    rtt: RttAssignment,
+    disc: QueueDisc,
+    horizon: SimDuration,
+    starts: &[SimTime],
+    mut flow: impl FnMut(usize, NodeId, NodeId) -> Box<dyn Transport>,
+) -> (Simulator, Vec<FlowHandle<dyn Transport>>, LinkId) {
+    let dcfg = DumbbellConfig {
+        bottleneck_bps,
+        bottleneck_disc: disc,
+        ..DumbbellConfig::paper_baseline(starts.len(), 0, rtt)
+    };
+    let db = build_dumbbell(&mut b, &dcfg);
+    let flows = starts
+        .iter()
+        .enumerate()
+        .map(|(i, &start)| b.flow(start, flow(i, db.senders[i], db.receivers[i])))
+        .collect();
+    let mut sim = b.build();
+    sim.run_until(SimTime::ZERO + horizon);
+    (sim, flows, db.bottleneck)
+}
+
+/// `n` start times drawn uniformly from `[0, span]` on child stream `tag`
+/// of `seed`: start jitter, so different seeds explore different loss
+/// phasings.
+fn staggered_starts(seed: u64, tag: u64, span: SimDuration, n: usize) -> Vec<SimTime> {
+    let mut rng = Sampler::child_rng(seed, tag);
+    (0..n)
+        .map(|_| SimTime::ZERO + Sampler::uniform_duration(&mut rng, SimDuration::ZERO, span))
+        .collect()
+}
+
+/// Class `k` (0 or 1) of two classes interleaved across pairs: every
+/// second item from `k`.
+pub(crate) fn class<T: Copy>(flows: &[T], k: usize) -> impl Iterator<Item = T> + '_ {
+    flows.iter().skip(k).step_by(2).copied()
+}
+
+/// `bytes` delivered over `secs`, in Mbps.
+pub(crate) fn goodput_mbps(bytes: u64, secs: f64) -> f64 {
+    bytes as f64 * 8.0 / secs / 1e6
+}
+
+/// The share of `link`'s capacity `bps` that its transmissions used over
+/// `secs`.
+pub(crate) fn utilization(sim: &Simulator, link: LinkId, bps: f64, secs: f64) -> f64 {
+    sim.links[link.index()].stats.transmitted_bytes as f64 * 8.0 / (bps * secs)
+}
 
 /// Fig 7 setup: equal populations of TCP Pacing and TCP NewReno flows
 /// sharing one bottleneck.
@@ -66,47 +126,26 @@ pub struct CompetitionResult {
 
 /// Run the Fig 7 competition experiment.
 pub fn competition(cfg: &CompetitionConfig) -> CompetitionResult {
-    let mut b = SimBuilder::new(cfg.seed).trace(TraceConfig::all());
-    let pairs = 2 * cfg.flows_per_class;
-    let dcfg = DumbbellConfig {
-        pairs,
-        bottleneck_bps: cfg.bottleneck_bps,
-        access_bps: 1e9,
-        bottleneck_disc: QueueDisc::drop_tail(cfg.buffer_pkts),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(cfg.rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
-
-    let mut newreno_ids: Vec<FlowId> = Vec::new();
-    let mut pacing_ids: Vec<FlowId> = Vec::new();
-    let mut stagger_rng = lossburst_netsim::rng::Sampler::child_rng(cfg.seed, 0xF1607);
-    for i in 0..pairs {
-        // Interleave classes across pairs so construction order cannot
-        // privilege either class; random start offsets within one RTT so
-        // different seeds explore different loss phasings.
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start = SimTime::ZERO
-            + lossburst_netsim::rng::Sampler::uniform_duration(
-                &mut stagger_rng,
-                SimDuration::ZERO,
-                cfg.rtt,
-            );
-        if i % 2 == 0 {
-            let tcp = Sender::newreno(s, r, TcpConfig::default());
-            newreno_ids.push(b.flow(start, Box::new(tcp)).id());
-        } else {
-            let tcp = Sender::pacing(s, r, TcpConfig::default(), cfg.rtt);
-            pacing_ids.push(b.flow(start, Box::new(tcp)).id());
-        }
-    }
-    let mut sim = b.build();
-    sim.run_until(SimTime::ZERO + cfg.duration);
-
+    // Interleave classes across pairs (NewReno on even pairs) so
+    // construction order cannot privilege either class; random start
+    // offsets within one RTT.
+    let spec = FlowSpec::new(cfg.rtt);
+    let (sim, flows, _) = shared_bottleneck(
+        SimBuilder::new(cfg.seed).trace(TraceConfig::all()),
+        cfg.bottleneck_bps,
+        RttAssignment::Fixed(cfg.rtt),
+        QueueDisc::drop_tail(cfg.buffer_pkts),
+        cfg.duration,
+        &staggered_starts(cfg.seed, 0xF1607, cfg.rtt, 2 * cfg.flows_per_class),
+        |i, s, r| [CcAlgorithm::NewReno, CcAlgorithm::Pacing][i % 2].build_flow(s, r, &spec),
+    );
     let end = cfg.duration.as_secs_f64();
-    let to_mbps = |series: Vec<f64>| -> Vec<f64> { series.iter().map(|b| b / 1e6).collect() };
-    let pacing_series_mbps = to_mbps(sim.trace.throughput_series(&pacing_ids, cfg.bin_secs, end));
-    let newreno_series_mbps = to_mbps(sim.trace.throughput_series(&newreno_ids, cfg.bin_secs, end));
+    let series_mbps = |k| -> Vec<f64> {
+        let ids: Vec<FlowId> = class(&flows, k).map(|h| h.id()).collect();
+        let series = sim.trace.throughput_series(&ids, cfg.bin_secs, end);
+        series.iter().map(|b| b / 1e6).collect()
+    };
+    let (newreno_series_mbps, pacing_series_mbps) = (series_mbps(0), series_mbps(1));
 
     let skip = (5.0 / cfg.bin_secs) as usize;
     let mean_after = |s: &[f64]| -> f64 {
@@ -250,51 +289,29 @@ pub struct MixResult {
 
 /// Run the TFRC/TCP mix experiment.
 pub fn protocol_mix(cfg: &MixConfig) -> MixResult {
-    use lossburst_transport::tfrc::TfrcSender;
-    let mut b = SimBuilder::new(cfg.seed).trace(TraceConfig::all());
-    let pairs = 2 * cfg.flows_per_class;
-    let dcfg = DumbbellConfig {
-        pairs,
-        bottleneck_bps: cfg.bottleneck_bps,
-        access_bps: 1e9,
-        bottleneck_disc: QueueDisc::drop_tail(cfg.buffer_pkts),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(cfg.rtt),
+    // TFRC on even pairs, TCP on odd ones, with the competition's start
+    // jitter.
+    let tcp = if cfg.paced_tcp {
+        CcAlgorithm::Pacing
+    } else {
+        CcAlgorithm::NewReno
     };
-    let db = build_dumbbell(&mut b, &dcfg);
-    let mut tfrc_ids = Vec::new();
-    let mut tcp_ids = Vec::new();
-    let mut stagger = lossburst_netsim::rng::Sampler::child_rng(cfg.seed, 0x317C);
-    for i in 0..pairs {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start = SimTime::ZERO
-            + lossburst_netsim::rng::Sampler::uniform_duration(
-                &mut stagger,
-                SimDuration::ZERO,
-                cfg.rtt,
-            );
-        if i % 2 == 0 {
-            tfrc_ids.push(b.flow(start, Box::new(TfrcSender::new(s, r, 1000, cfg.rtt))));
-        } else {
-            let tcp: Box<dyn Transport> = if cfg.paced_tcp {
-                Box::new(Sender::pacing(s, r, TcpConfig::default(), cfg.rtt))
-            } else {
-                Box::new(Sender::newreno(s, r, TcpConfig::default()))
-            };
-            tcp_ids.push(b.flow(start, tcp));
-        }
-    }
-    let mut sim = b.build();
-    sim.run_until(SimTime::ZERO + cfg.duration);
+    let spec = FlowSpec::new(cfg.rtt);
+    let (sim, flows, _) = shared_bottleneck(
+        SimBuilder::new(cfg.seed).trace(TraceConfig::all()),
+        cfg.bottleneck_bps,
+        RttAssignment::Fixed(cfg.rtt),
+        QueueDisc::drop_tail(cfg.buffer_pkts),
+        cfg.duration,
+        &staggered_starts(cfg.seed, 0x317C, cfg.rtt, 2 * cfg.flows_per_class),
+        |i, s, r| [CcAlgorithm::Tfrc, tcp][i % 2].build_flow(s, r, &spec),
+    );
     let secs = cfg.duration.as_secs_f64();
-    let mbps = |bytes: u64| bytes as f64 * 8.0 / secs / 1e6;
-    let tfrc = tfrc_ids
-        .iter()
-        .map(|&h| sim.flow(h).progress().bytes_delivered);
-    let tcp = tcp_ids
-        .iter()
-        .map(|&h| sim.flow(h).progress().bytes_delivered);
-    let (tfrc_mbps, tcp_mbps) = (mbps(tfrc.sum()), mbps(tcp.sum()));
+    let class_mbps = |k| {
+        let bytes = class(&flows, k).map(|h| sim.flow(h).progress().bytes_delivered);
+        goodput_mbps(bytes.sum(), secs)
+    };
+    let (tfrc_mbps, tcp_mbps) = (class_mbps(0), class_mbps(1));
     MixResult {
         tfrc_mbps,
         tcp_mbps,
@@ -471,32 +488,21 @@ pub(crate) struct ChunkedTransfer {
 /// [`predictability`] and [`crate::ablation::straggler_ablation`] each
 /// reduce their own way.
 pub(crate) fn completion_times(x: &ChunkedTransfer, seed: u64) -> Vec<f64> {
-    let mut b = SimBuilder::new(seed);
-    let dcfg = DumbbellConfig {
-        pairs: x.flows,
-        bottleneck_bps: x.bottleneck_bps,
-        access_bps: 1e9,
-        bottleneck_disc: QueueDisc::drop_tail(x.buffer_pkts),
-        access_buffer_pkts: 10_000,
-        rtt: RttAssignment::Fixed(x.rtt),
-    };
-    let db = build_dumbbell(&mut b, &dcfg);
     let spec = FlowSpec {
         tcp: x.tcp.clone(),
         rtt_hint: x.rtt,
         limit_bytes: Some(x.chunk_bytes),
     };
-    let mut stagger = Sampler::child_rng(seed, x.stagger.0);
-    let mut flows = Vec::with_capacity(x.flows);
-    for i in 0..x.flows {
-        let (s, r) = (db.senders[i], db.receivers[i]);
-        let start =
-            SimTime::ZERO + Sampler::uniform_duration(&mut stagger, SimDuration::ZERO, x.stagger.1);
-        flows.push(b.flow(start, x.cc.build_flow(s, r, &spec)));
-    }
+    let (sim, flows, _) = shared_bottleneck(
+        SimBuilder::new(seed),
+        x.bottleneck_bps,
+        RttAssignment::Fixed(x.rtt),
+        QueueDisc::drop_tail(x.buffer_pkts),
+        x.horizon,
+        &staggered_starts(seed, x.stagger.0, x.stagger.1, x.flows),
+        |_, s, r| x.cc.build_flow(s, r, &spec),
+    );
     let horizon = SimTime::ZERO + x.horizon;
-    let mut sim = b.build();
-    sim.run_until(horizon);
     flows
         .into_iter()
         .map(|h| sim.completed_at(h).unwrap_or(horizon).as_secs_f64())

@@ -89,7 +89,7 @@ const PRODUCT_CRATES: [&str; 7] = [
 /// item 4(e)'s grep, one a line. Lower it with every change that removes
 /// sites; one that adds a site returns an error instead, or raises this
 /// with the reason in its change notes.
-const PANIC_SITES_CEILING: usize = 147;
+const PANIC_SITES_CEILING: usize = 146;
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
 /// for an identifier — a test, a function, a config field, a metric key —
