@@ -477,7 +477,7 @@ pub(crate) struct ChunkedTransfer {
     pub(crate) buffer_pkts: usize,
     pub(crate) cc: CcAlgorithm,
     pub(crate) tcp: TcpConfig,
-    /// Starts are drawn uniformly from `[0, .1)` on child stream `.0` of
+    /// Starts are drawn uniformly from `[0, .1]` on child stream `.0` of
     /// the seed.
     pub(crate) stagger: (u64, SimDuration),
     pub(crate) horizon: SimDuration,
