@@ -3,52 +3,43 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the one pattern it actually uses:
 //! `collection.par_iter().map(f).collect::<Vec<_>>()` (and the
-//! `into_par_iter` variant) — backed by a real parallel-execution engine
-//! in the private `pool` module: a persistent worker pool with dynamic, order-preserving
-//! work dealing (the default), plus a serial path, selectable through
-//! [`set_execution_policy`]. Input order is preserved exactly under both
-//! policies — the guarantee real rayon's indexed parallel iterators give,
-//! which the campaign determinism tests rely on.
+//! `into_par_iter` variant) — backed by the private `pool` module: one
+//! scoped fan-out per `collect` with dynamic, order-preserving chunk
+//! dealing over a process-wide helper budget (the default), plus a serial
+//! path, selectable through [`set_execution_policy`]. Input order is
+//! preserved exactly under both policies — the guarantee real rayon's
+//! indexed parallel iterators give, which the campaign determinism tests
+//! rely on.
 //!
 //! Thread count honors the `LOSSBURST_THREADS` environment variable
 //! ([`THREADS_ENV`]); `LOSSBURST_THREADS=1` forces everything inline on
-//! the calling thread and the pool is never spawned.
+//! the calling thread and no thread is spawned.
 
 mod pool;
 
 pub use pool::{
-    current_num_threads, execution_policy, pool_launches, pool_thread_count, reset_worker_busy,
-    set_execution_policy, worker_busy_nanos, worker_cpu_nanos, ExecutionPolicy, THREADS_ENV,
+    current_num_threads, execution_policy, reset_worker_busy, set_execution_policy,
+    worker_busy_nanos, ExecutionPolicy, THREADS_ENV,
 };
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
 }
 
-/// Number of worker threads to fan out over for `len` items: the
-/// `LOSSBURST_THREADS` override when set, otherwise available parallelism,
-/// never more than one per item.
-fn worker_count(len: usize) -> usize {
-    pool::current_num_threads().min(len).max(1)
-}
-
 /// Order-preserving parallel map over an owned vector, dispatched through
-/// the current [`ExecutionPolicy`]. Worker panics are re-raised here with
-/// their original payload.
+/// the current [`ExecutionPolicy`]; inline when there is one item or one
+/// thread. Panics are re-raised here with their original payload.
 fn parallel_map<T, R, F>(items: Vec<T>, f: &F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = worker_count(items.len());
-    if workers <= 1 {
+    let threads = pool::current_num_threads();
+    if threads.min(items.len()) <= 1 || pool::execution_policy() == ExecutionPolicy::Serial {
         return items.into_iter().map(f).collect();
     }
-    match pool::execution_policy() {
-        ExecutionPolicy::Serial => items.into_iter().map(f).collect(),
-        ExecutionPolicy::WorkStealing => pool::work_stealing_map(items, f, workers),
-    }
+    pool::scoped_map(items, f, threads)
 }
 
 /// A materialized parallel iterator: items are staged in a vector, and the
@@ -73,14 +64,6 @@ impl<T: Send> ParIter<T> {
             items: self.items,
             f,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 

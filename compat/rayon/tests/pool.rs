@@ -1,15 +1,17 @@
-//! Stress tests for the persistent work-stealing pool. They live in their
-//! own integration-test binary so this process can pin `LOSSBURST_THREADS`
-//! before the pool's one-time initialization; every test calls `init()`
-//! first and serializes on `GUARD` because the execution policy and the
-//! busy counters are process-wide.
+//! Stress tests for the scoped fan-out. They live in their own
+//! integration-test binary so this process can pin `LOSSBURST_THREADS`
+//! before its first parallel call; every test calls `init()` first and
+//! serializes on `GUARD` because the execution policy, the busy counters
+//! and the helper budget are process-wide.
 
 use rayon::prelude::*;
 use rayon::{
-    current_num_threads, pool_launches, pool_thread_count, reset_worker_busy, set_execution_policy,
-    worker_busy_nanos, ExecutionPolicy, THREADS_ENV,
+    current_num_threads, reset_worker_busy, set_execution_policy, worker_busy_nanos,
+    ExecutionPolicy, THREADS_ENV,
 };
-use std::sync::{Mutex, MutexGuard, Once};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Barrier, Mutex, MutexGuard, Once};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn init() -> MutexGuard<'static, ()> {
@@ -21,27 +23,93 @@ fn init() -> MutexGuard<'static, ()> {
     g
 }
 
-#[test]
-fn pool_is_spawned_once_and_reused() {
-    let _g = init();
-    assert_eq!(current_num_threads(), 4, "env override not honored");
-    // Many collects, including from freshly spawned submitter threads: the
-    // pool must be built exactly once and sized from LOSSBURST_THREADS.
-    for round in 0..20u64 {
-        let v: Vec<u64> = (0..64).map(|i| i + round).collect();
-        let out: Vec<u64> = v.par_iter().map(|&x| x * 3).collect();
-        assert_eq!(out, v.iter().map(|x| x * 3).collect::<Vec<_>>());
+fn distinct(ids: &[ThreadId]) -> usize {
+    ids.iter().collect::<HashSet<_>>().len()
+}
+
+/// Threads running an item right now (with their nesting depth), and the
+/// most threads outside `submitters` seen running items at once.
+#[derive(Default)]
+struct Running {
+    depth: HashMap<ThreadId, usize>,
+    submitters: HashSet<ThreadId>,
+    peak_helpers: usize,
+}
+
+impl Running {
+    /// Run `item` on the calling thread as one tracked item; returns the
+    /// thread's id.
+    fn track(running: &Mutex<Running>, item: impl FnOnce()) -> ThreadId {
+        let me = std::thread::current().id();
+        {
+            let mut r = running.lock().unwrap();
+            *r.depth.entry(me).or_insert(0) += 1;
+            let helpers = r
+                .depth
+                .keys()
+                .filter(|id| !r.submitters.contains(id))
+                .count();
+            r.peak_helpers = r.peak_helpers.max(helpers);
+        }
+        item();
+        let mut r = running.lock().unwrap();
+        let depth = r.depth.get_mut(&me).unwrap();
+        *depth -= 1;
+        if *depth == 0 {
+            r.depth.remove(&me);
+        }
+        me
     }
+}
+
+#[test]
+fn helpers_stay_within_the_budget_under_concurrent_nested_submitters() {
+    let _g = init();
+    let threads = current_num_threads();
+    assert_eq!(threads, 4, "env override not honored");
+    let running = Mutex::new(Running::default());
+    let ready = Barrier::new(4);
+    let nap = || std::thread::sleep(Duration::from_millis(2));
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
-                let out: Vec<usize> = (0..100usize).into_par_iter().map(|x| x + 1).collect();
-                assert_eq!(out.len(), 100);
+                running
+                    .lock()
+                    .unwrap()
+                    .submitters
+                    .insert(std::thread::current().id());
+                ready.wait();
+                let outer: Vec<ThreadId> = (0..8usize)
+                    .into_par_iter()
+                    .map(|_| {
+                        Running::track(&running, || {
+                            let inner: Vec<ThreadId> = (0..6usize)
+                                .into_par_iter()
+                                .map(|_| Running::track(&running, nap))
+                                .collect();
+                            assert!(distinct(&inner) <= threads, "inner fan-out: {inner:?}");
+                        })
+                    })
+                    .collect();
+                assert!(distinct(&outer) <= threads, "outer fan-out: {outer:?}");
             });
         }
     });
-    assert_eq!(pool_launches(), 1, "pool must be constructed exactly once");
-    assert_eq!(pool_thread_count(), 4, "pool must be sized from the env");
+    let peak = running.lock().unwrap().peak_helpers;
+    assert!(
+        (1..threads).contains(&peak),
+        "{peak} helpers ran items at once; the budget is {}",
+        threads - 1
+    );
+    // Every helper was handed back: a fresh fan-out gets all of them.
+    let ids: Vec<ThreadId> = (0..4usize)
+        .into_par_iter()
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(200));
+            std::thread::current().id()
+        })
+        .collect();
+    assert_eq!(distinct(&ids), 4, "{ids:?}");
 }
 
 #[test]
@@ -66,7 +134,6 @@ fn nested_three_levels_deep() {
         .flat_map(|i| (0..3).flat_map(move |j| (0..5).map(move |k| i * 100 + j * 10 + k)))
         .collect();
     assert_eq!(flat, expect);
-    assert_eq!(pool_launches(), 1);
 }
 
 #[test]

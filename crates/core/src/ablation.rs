@@ -35,7 +35,7 @@ pub struct BurstinessRow {
     pub utilization: f64,
 }
 
-/// Run each labelled testbed for `duration` over the worker pool. All the
+/// Run each labelled testbed for `duration` over `par_iter`. All the
 /// testbed sweeps in this module fan out here; rows come back in list
 /// order regardless of which worker ran which cell.
 fn testbed_rows(duration: SimDuration, cases: Vec<(String, TestbedConfig)>) -> Vec<BurstinessRow> {

@@ -632,7 +632,7 @@ fn run_planned(
 }
 
 /// Run the primary transfers of the given *global* worker indices for one
-/// superstep, fanning out over the worker pool. Outcomes depend only on
+/// superstep, fanning out over `par_iter`. Outcomes depend only on
 /// `(cfg, superstep, worker)`, so any split of the indices reassembles
 /// byte-identically.
 ///

@@ -510,7 +510,7 @@ pub(crate) fn completion_times(x: &ChunkedTransfer, seed: u64) -> Vec<f64> {
 }
 
 /// Run the full Fig 8 grid: every (cell, seed) replication in one fan-out
-/// over the worker pool, then each cell's row, in flow-count-major order.
+/// over `par_iter`, then each cell's row, in flow-count-major order.
 /// A replication runs on `seed ^ (flows << 20) ^ rtt` in nanoseconds.
 pub fn parallel_study(cfg: &ParallelConfig) -> crate::error::Result<Vec<ParallelCell>> {
     let bound = cfg.validate()?;
@@ -631,26 +631,32 @@ mod tests {
 
     #[test]
     fn tfrc_fares_better_against_pacing_than_against_newreno() {
-        // Section 5, lesson 1, quantified: TFRC's share of the link is
-        // closer to fair when the TCP class is rate-based.
-        let mut shares = [0.0f64; 2];
-        for (k, paced) in [false, true].into_iter().enumerate() {
-            let mut cfg = MixConfig::default_setup(paced, 77);
+        // Section 5, lesson 1, quantified over seeds 1..=10 (ROADMAP 7(a)'s
+        // rule): TFRC's share of the link is closer to fair when the TCP
+        // class is rate-based. The first two claims reverse on an
+        // occasional seed (seed 5 gives TFRC 0.549 against NewReno), so
+        // each must hold on 9 of 10; the third holds on all 10.
+        let share = |paced, seed| {
+            let mut cfg = MixConfig::default_setup(paced, seed);
             cfg.duration = SimDuration::from_secs(25);
-            shares[k] = protocol_mix(&cfg).tfrc_share;
-        }
-        let (vs_newreno, vs_pacing) = (shares[0], shares[1]);
+            protocol_mix(&cfg).tfrc_share
+        };
+        let runs: Vec<(f64, f64)> = (1..=10)
+            .map(|seed| (share(false, seed), share(true, seed)))
+            .collect();
+        let holds = |claim: fn(f64, f64) -> bool| runs.iter().filter(|r| claim(r.0, r.1)).count();
         assert!(
-            vs_newreno < 0.5,
-            "TFRC should under-share against window-based TCP ({vs_newreno:.2})"
+            holds(|vs_newreno, _| vs_newreno < 0.5) >= 9,
+            "TFRC should under-share against window-based TCP: {runs:.3?}"
         );
         assert!(
-            vs_pacing > vs_newreno,
-            "pacing should improve TFRC's share: {vs_pacing:.2} vs {vs_newreno:.2}"
+            holds(|vs_newreno, vs_pacing| vs_pacing > vs_newreno) >= 9,
+            "pacing should improve TFRC's share: {runs:.3?}"
         );
-        assert!(
-            (vs_pacing - 0.5).abs() < 0.15,
-            "against pacing the share should be near fair ({vs_pacing:.2})"
+        assert_eq!(
+            holds(|_, vs_pacing| (vs_pacing - 0.5).abs() < 0.15),
+            10,
+            "against pacing the share should be near fair: {runs:.3?}"
         );
     }
 

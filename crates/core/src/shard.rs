@@ -1,7 +1,7 @@
 //! Sharded multi-process campaign execution: 10^5–10^6 paths.
 //!
 //! The supervised campaign runner ([`crate::supervisor`]) scales across the
-//! worker pool's threads, but only within one OS process. This module
+//! `par_iter` threads, but only within one OS process. This module
 //! partitions a campaign's path grid across *processes* and merges the
 //! per-shard results back into the single artifact a 1-process run would
 //! have produced — byte-identically:

@@ -1,4 +1,4 @@
-//! The campaign supervisor: fault-isolated, budgeted, resumable sweeps.
+//! The campaign supervisor: fault-isolated, resumable sweeps.
 //!
 //! The paper's Internet study probed 650 directed PlanetLab paths and was
 //! built around partial failure — paths whose paired traces disagreed were
@@ -9,11 +9,14 @@
 //!
 //! * a **fault boundary** per path — `catch_unwind` inside the worker
 //!   closure, so a panicking path becomes one `Failed` ledger row instead
-//!   of tearing down the pool (the vendored pool re-propagates uncaught
-//!   worker panics; catching *inside* the closure keeps it oblivious);
+//!   of tearing down the fan-out (the vendored `par_iter` re-raises an
+//!   uncaught panic on its caller; catching *inside* the closure keeps it
+//!   oblivious);
 //! * **per-path retry**;
-//! * an **event budget** enforced inside the simulator's event loop (via
-//!   [`RunLimits`], threaded through `SimBuilder`);
+//! * **run limits** handed to each attempt ([`RunLimits`], threaded
+//!   through `SimBuilder`): the injected panic of a [`FaultPlan`], and a
+//!   runner whose simulation spends an event budget reports
+//!   [`PathFailure::EventBudget`];
 //! * **checkpoint/resume** — completed paths append to a
 //!   [`CampaignCheckpoint`] file as they finish, and a rerun with the same
 //!   checkpoint restores them (data, retry count, and failure reason all
@@ -21,7 +24,7 @@
 //!   resumed output is byte-identical to an uninterrupted run;
 //! * a structured [`PathOutcome`] **ledger** instead of all-or-nothing
 //!   output;
-//! * a deterministic **[`FaultPlan`]** (panic / timeout / NaN-trace /
+//! * a deterministic **[`FaultPlan`]** (panic / NaN-trace /
 //!   empty-trace on chosen path indices) so all of the above is testable
 //!   byte-for-byte.
 //!
@@ -231,10 +234,6 @@ pub struct SupervisorConfig {
     /// Retries after the first failed attempt (so a path is tried at most
     /// `max_retries + 1` times).
     pub max_retries: u32,
-    /// Per-path event budget, enforced inside the simulator's event loop
-    /// — the defense against runaway simulations that would otherwise hang
-    /// a worker forever.
-    pub max_events_per_path: Option<u64>,
     /// Checkpoint file. When set, completed paths are appended as they
     /// finish and restored on the next run with the same campaign
     /// fingerprint.
@@ -247,7 +246,6 @@ impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
             max_retries: 1,
-            max_events_per_path: None,
             checkpoint: None,
             faults: FaultPlan::default(),
         }
@@ -848,8 +846,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run `n_paths` independent path measurements under supervision: fault
-/// boundary, retries, budgets, fault injection,
-/// and checkpoint/resume. `runner(index, limits)` measures one path; it
+/// boundary, retries, fault injection and checkpoint/resume. `runner(index, limits)` measures one path; it
 /// must be deterministic in `index` (the supervisor may call it on any
 /// worker thread, in any order, and once per attempt).
 ///
@@ -936,12 +933,12 @@ where
         loop {
             let fault = cfg.faults.active(index, attempt);
             let limits = RunLimits {
-                max_events: cfg.max_events_per_path,
                 panic_at_event: (fault == Some(FaultKind::Panic)).then_some(1),
+                ..RunLimits::NONE
             };
             // The fault boundary. Catching here — inside the worker closure
-            // — keeps the pool's panic re-propagation machinery out of the
-            // picture entirely.
+            // — keeps the fan-out's panic re-propagation out of the picture
+            // entirely.
             let outcome = match catch_unwind(AssertUnwindSafe(|| runner(index, limits))) {
                 Err(payload) => Err(PathFailure::Panic(panic_message(payload))),
                 Ok(Err(failure)) => Err(failure),

@@ -9,7 +9,7 @@
 //! path's grid coordinate alone) and the pooling rule
 //! ([`aggregate_streaming`]). The one runner is the campaign supervisor in
 //! `lossburst-core` (`core::shard::run_grid_streaming_supervised`), which
-//! fans the paths out over the worker pool inside a per-path fault
+//! fans the paths out over `par_iter` inside a per-path fault
 //! boundary and hands the measurements back in path order.
 
 use crate::path::PathScenario;

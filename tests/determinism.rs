@@ -94,7 +94,7 @@ fn different_seeds_explore_different_executions() {
 
 #[test]
 fn parallelism_does_not_affect_results() {
-    // The pool-fanned campaign must equal a single-threaded run of the same
+    // The fanned-out campaign must equal a single-threaded run of the same
     // configuration: each path's simulation is seeded by (seed, src, dst)
     // alone, and the supervisor's `par_iter().map().collect()` preserves
     // input order, so thread scheduling must be invisible in the output —
