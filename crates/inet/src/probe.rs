@@ -19,7 +19,7 @@ use lossburst_netsim::trace::TraceConfig;
 use lossburst_transport::cbr::Cbr;
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::onoff::{FluidOnOff, OnOff};
-use lossburst_transport::sender::{RenoVariant, SendMode, Sender};
+use lossburst_transport::sender::Sender;
 
 /// One probe run's parameters.
 #[derive(Clone, Debug)]
@@ -136,12 +136,10 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
                 SimDuration::ZERO,
                 SimDuration::from_millis(500),
             );
-        let t = Sender::new(
+        let t = Sender::newreno(
             chain.cross_senders[i],
             chain.cross_receivers[i],
             TcpConfig::default(),
-            RenoVariant::NewReno,
-            SendMode::Burst,
         );
         b.flow(start, Box::new(t));
     }
@@ -207,12 +205,10 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
         let mut t = SimTime::ZERO + SimDuration::from_millis(200);
         while t.since(SimTime::ZERO) < probe.duration {
             let bytes = Sampler::pareto(&mut wiring, 15_000.0, 1.2).min(5e7) as u64;
-            let f = Sender::new(
+            let f = Sender::newreno(
                 chain.cross_senders[lane],
                 chain.cross_receivers[lane],
                 TcpConfig::default(),
-                RenoVariant::NewReno,
-                SendMode::Burst,
             )
             .with_limit_bytes(bytes);
             b.flow(t, Box::new(f));

@@ -17,54 +17,28 @@
 //! the flow keeps pacing at the estimated bottleneck rate straight through
 //! an episode, and only an RTO collapses it to a conservative window.
 
-use super::{AckEvent, CcConfig, CongestionEvent, Controller, ControllerFactory};
+use super::{AckEvent, CongestionEvent, Controller, INITIAL_CWND, MAX_CWND};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// The ProbeBW pacing-gain cycle (RFC-draft BBR v1).
 pub(crate) const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-
-/// Config (and [`ControllerFactory`]) for BBR.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BbrConfig {
-    /// Startup pacing gain (2/ln 2 ≈ 2.885: doubles the rate each round).
-    pub(crate) startup_gain: f64,
-    /// Drain pacing gain (the reciprocal: empties the startup queue).
-    pub(crate) drain_gain: f64,
-    /// Window gain over the estimated BDP.
-    pub(crate) cwnd_gain: f64,
-    /// Rounds of < 25 % bandwidth growth that declare the pipe full.
-    pub(crate) full_bw_rounds: u32,
-    /// Rounds the bottleneck-bandwidth max filter spans.
-    pub(crate) btlbw_filter_rounds: u64,
-    /// Age after which the rtprop estimate is considered stale.
-    pub(crate) rtprop_filter: SimDuration,
-    /// Floor window during ProbeRTT (and after an RTO), packets.
-    pub(crate) min_pipe_cwnd: f64,
-    /// How long ProbeRTT sits at the floor window.
-    pub(crate) probe_rtt_duration: SimDuration,
-}
-
-impl Default for BbrConfig {
-    fn default() -> BbrConfig {
-        BbrConfig {
-            startup_gain: 2.885,
-            drain_gain: 1.0 / 2.885,
-            cwnd_gain: 2.0,
-            full_bw_rounds: 3,
-            btlbw_filter_rounds: 10,
-            rtprop_filter: SimDuration::from_secs(10),
-            min_pipe_cwnd: 4.0,
-            probe_rtt_duration: SimDuration::from_millis(200),
-        }
-    }
-}
-
-impl ControllerFactory for BbrConfig {
-    fn build(&self, cc: &CcConfig) -> Box<dyn Controller> {
-        Box::new(BbrCc::new(*self, cc))
-    }
-}
+/// Startup pacing gain (2/ln 2 ≈ 2.885: doubles the rate each round).
+const STARTUP_GAIN: f64 = 2.885;
+/// Drain pacing gain (the reciprocal: empties the startup queue).
+const DRAIN_GAIN: f64 = 1.0 / 2.885;
+/// Window gain over the estimated BDP.
+const CWND_GAIN: f64 = 2.0;
+/// Rounds of < 25 % bandwidth growth that declare the pipe full.
+const FULL_BW_ROUNDS: u32 = 3;
+/// Rounds the bottleneck-bandwidth max filter spans.
+const BTLBW_FILTER_ROUNDS: u64 = 10;
+/// Age after which the rtprop estimate is considered stale.
+const RTPROP_FILTER: SimDuration = SimDuration::from_secs(10);
+/// Floor window during ProbeRTT (and after an RTO), packets.
+const MIN_PIPE_CWND: f64 = 4.0;
+/// How long ProbeRTT sits at the floor window.
+const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 
 /// The probing state machine's current state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,7 +59,6 @@ pub(crate) enum BbrState {
 /// BBR-v1-style bandwidth/RTT probing controller.
 #[derive(Clone, Debug)]
 pub struct BbrCc {
-    cfg: BbrConfig,
     state: BbrState,
     /// (round, rate) delivery-rate samples; max over the filter window is
     /// the bottleneck-bandwidth estimate.
@@ -103,14 +76,12 @@ pub struct BbrCc {
     cycle_stamp: SimTime,
     probe_rtt_done: Option<SimTime>,
     cwnd: f64,
-    max_cwnd: f64,
 }
 
 impl BbrCc {
-    /// A fresh controller seeded from the flow config.
-    pub(crate) fn new(cfg: BbrConfig, cc: &CcConfig) -> BbrCc {
+    /// A fresh controller in Startup, at the floor window.
+    pub(crate) fn new() -> BbrCc {
         BbrCc {
-            cfg,
             state: BbrState::Startup,
             btlbw_samples: VecDeque::new(),
             rtprop: None,
@@ -121,11 +92,10 @@ impl BbrCc {
             full_bw: 0.0,
             full_bw_count: 0,
             filled_pipe: false,
-            pacing_gain: cfg.startup_gain,
+            pacing_gain: STARTUP_GAIN,
             cycle_stamp: SimTime::ZERO,
             probe_rtt_done: None,
-            cwnd: cc.initial_cwnd.max(cfg.min_pipe_cwnd),
-            max_cwnd: cc.max_cwnd,
+            cwnd: INITIAL_CWND.max(MIN_PIPE_CWND),
         }
     }
 
@@ -157,13 +127,13 @@ impl BbrCc {
     fn update_model(&mut self, ev: &AckEvent) {
         if let Some(rate) = ev.delivery_rate {
             self.btlbw_samples.push_back((self.round, rate));
-            let horizon = self.round.saturating_sub(self.cfg.btlbw_filter_rounds);
+            let horizon = self.round.saturating_sub(BTLBW_FILTER_ROUNDS);
             while matches!(self.btlbw_samples.front(), Some(&(r, _)) if r < horizon) {
                 self.btlbw_samples.pop_front();
             }
         }
         if let Some(rtt) = ev.rtt_sample {
-            let stale = ev.now - self.rtprop_stamp > self.cfg.rtprop_filter;
+            let stale = ev.now - self.rtprop_stamp > RTPROP_FILTER;
             if self.rtprop.is_none() || stale || Some(rtt) <= self.rtprop {
                 self.rtprop = Some(rtt);
                 self.rtprop_stamp = ev.now;
@@ -182,7 +152,7 @@ impl BbrCc {
             return;
         }
         self.full_bw_count += 1;
-        if self.full_bw_count >= self.cfg.full_bw_rounds {
+        if self.full_bw_count >= FULL_BW_ROUNDS {
             self.filled_pipe = true;
         }
     }
@@ -201,7 +171,7 @@ impl BbrCc {
                 self.check_full_pipe();
                 if self.filled_pipe {
                     self.state = BbrState::Drain;
-                    self.pacing_gain = self.cfg.drain_gain;
+                    self.pacing_gain = DRAIN_GAIN;
                 }
             }
             BbrState::Drain => {
@@ -219,8 +189,8 @@ impl BbrCc {
                 }
             }
             BbrState::ProbeRtt => {
-                if self.probe_rtt_done.is_none() && (ev.flight as f64) <= self.cfg.min_pipe_cwnd {
-                    self.probe_rtt_done = Some(ev.now + self.cfg.probe_rtt_duration);
+                if self.probe_rtt_done.is_none() && (ev.flight as f64) <= MIN_PIPE_CWND {
+                    self.probe_rtt_done = Some(ev.now + PROBE_RTT_DURATION);
                 }
                 if matches!(self.probe_rtt_done, Some(t) if ev.now >= t) {
                     self.probe_rtt_done = None;
@@ -229,7 +199,7 @@ impl BbrCc {
                         self.enter_probe_bw(ev.now);
                     } else {
                         self.state = BbrState::Startup;
-                        self.pacing_gain = self.cfg.startup_gain;
+                        self.pacing_gain = STARTUP_GAIN;
                     }
                 }
             }
@@ -237,7 +207,7 @@ impl BbrCc {
         // rtprop stale and not already re-probing: dip the window.
         if self.state != BbrState::ProbeRtt
             && self.rtprop.is_some()
-            && ev.now - self.rtprop_stamp > self.cfg.rtprop_filter
+            && ev.now - self.rtprop_stamp > RTPROP_FILTER
         {
             self.state = BbrState::ProbeRtt;
             self.probe_rtt_done = None;
@@ -246,15 +216,15 @@ impl BbrCc {
 
     fn update_cwnd(&mut self) {
         self.cwnd = match self.state {
-            BbrState::ProbeRtt => self.cfg.min_pipe_cwnd,
+            BbrState::ProbeRtt => MIN_PIPE_CWND,
             BbrState::Startup if self.bdp() <= 0.0 => {
                 // No model yet: grow like slow start off the ack clock.
-                (self.cwnd + 1.0).min(self.max_cwnd)
+                (self.cwnd + 1.0).min(MAX_CWND)
             }
-            BbrState::Startup => (self.cfg.startup_gain * self.bdp()).max(self.cfg.min_pipe_cwnd),
-            _ => (self.cfg.cwnd_gain * self.bdp()).max(self.cfg.min_pipe_cwnd),
+            BbrState::Startup => (STARTUP_GAIN * self.bdp()).max(MIN_PIPE_CWND),
+            _ => (CWND_GAIN * self.bdp()).max(MIN_PIPE_CWND),
         }
-        .min(self.max_cwnd);
+        .min(MAX_CWND);
     }
 }
 
@@ -275,7 +245,7 @@ impl Controller for BbrCc {
     fn on_rto(&mut self, _now: SimTime, _flight: f64, _in_recovery: bool) {
         // Conservation on timeout: collapse to the floor window and let the
         // next delivery samples rebuild the model's confidence.
-        self.cwnd = self.cfg.min_pipe_cwnd;
+        self.cwnd = MIN_PIPE_CWND;
     }
 
     fn window(&self) -> f64 {
@@ -321,7 +291,7 @@ mod tests {
     /// controller startup → drain → probe_bw.
     #[test]
     fn startup_drain_probe_bw_transitions() {
-        let mut b = BbrCc::new(BbrConfig::default(), &CcConfig::default());
+        let mut b = BbrCc::new();
         assert_eq!(b.state, BbrState::Startup);
 
         // Rounds of growing bandwidth: stay in startup. Each ack delivers
@@ -340,7 +310,7 @@ mod tests {
         // Bandwidth plateaus: after `full_bw_rounds` rounds with < 25 %
         // growth the pipe is declared full and the state drops to drain.
         let mut flight = 100;
-        for _ in 0..BbrConfig::default().full_bw_rounds {
+        for _ in 0..FULL_BW_ROUNDS {
             assert_eq!(b.state, BbrState::Startup);
             now += 50;
             delivered += 150; // enough to advance the packet-timed round
@@ -370,7 +340,7 @@ mod tests {
 
     #[test]
     fn probe_bw_cycles_through_all_gain_phases() {
-        let mut b = BbrCc::new(BbrConfig::default(), &CcConfig::default());
+        let mut b = BbrCc::new();
         // Jump straight to probe_bw via the scripted startup walk.
         b.filled_pipe = true;
         b.state = BbrState::Drain;
@@ -396,7 +366,7 @@ mod tests {
 
     #[test]
     fn stale_rtprop_forces_probe_rtt_and_recovers() {
-        let mut b = BbrCc::new(BbrConfig::default(), &CcConfig::default());
+        let mut b = BbrCc::new();
         b.filled_pipe = true;
         b.rtprop = Some(SimDuration::from_millis(10));
         b.rtprop_stamp = SimTime::ZERO;
@@ -408,7 +378,7 @@ mod tests {
         ev.rtt_sample = None; // no fresh sample on this ack
         b.on_ack(&ev);
         assert_eq!(b.state, BbrState::ProbeRtt);
-        assert_eq!(b.window(), BbrConfig::default().min_pipe_cwnd);
+        assert_eq!(b.window(), MIN_PIPE_CWND);
 
         // Flight drains to the floor; 200 ms at the floor ends the probe.
         b.on_ack(&sample(11_100, 104, 4, 1000.0, 10));
@@ -421,12 +391,12 @@ mod tests {
 
     #[test]
     fn rto_collapses_to_floor_window() {
-        let mut b = BbrCc::new(BbrConfig::default(), &CcConfig::default());
+        let mut b = BbrCc::new();
         b.btlbw_samples.push_back((0, 1000.0));
         b.rtprop = Some(SimDuration::from_millis(50));
         b.update_cwnd();
         assert!(b.window() > 4.0);
         b.on_rto(SimTime::ZERO, 10.0, false);
-        assert_eq!(b.window(), BbrConfig::default().min_pipe_cwnd);
+        assert_eq!(b.window(), MIN_PIPE_CWND);
     }
 }

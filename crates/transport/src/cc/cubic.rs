@@ -13,44 +13,21 @@
 //! short-RTT paths, and *fast convergence* releases bandwidth early when a
 //! flow's share is shrinking.
 
-use super::{AckEvent, AckPhase, CcConfig, CongestionEvent, Controller, ControllerFactory};
+use super::{
+    AckEvent, AckPhase, CongestionEvent, Controller, INITIAL_CWND, INITIAL_SSTHRESH, MAX_CWND,
+};
 use lossburst_netsim::time::SimTime;
 
-/// Config (and [`ControllerFactory`]) for CUBIC.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CubicConfig {
-    /// The cubic scaling constant `C` (RFC 8312: 0.4).
-    pub(crate) c: f64,
-    /// Multiplicative decrease factor `β` (RFC 8312: 0.7).
-    pub(crate) beta: f64,
-    /// Enable fast convergence (shrink `W_max` when losses repeat below
-    /// the previous plateau).
-    pub(crate) fast_convergence: bool,
-}
+/// The cubic scaling constant `C` (RFC 8312: 0.4).
+const C: f64 = 0.4;
+/// Multiplicative decrease factor `β` (RFC 8312: 0.7).
+const BETA: f64 = 0.7;
 
-impl Default for CubicConfig {
-    fn default() -> CubicConfig {
-        CubicConfig {
-            c: 0.4,
-            beta: 0.7,
-            fast_convergence: true,
-        }
-    }
-}
-
-impl ControllerFactory for CubicConfig {
-    fn build(&self, cc: &CcConfig) -> Box<dyn Controller> {
-        Box::new(CubicCc::new(*self, cc))
-    }
-}
-
-/// RFC 8312 CUBIC window law.
+/// RFC 8312 CUBIC window law, with fast convergence.
 #[derive(Clone, Debug)]
 pub struct CubicCc {
-    cfg: CubicConfig,
     cwnd: f64,
     ssthresh: f64,
-    max_cwnd: f64,
     /// Window just before the last reduction (the cubic plateau).
     w_max: f64,
     /// Time from epoch start to the plateau, seconds.
@@ -62,14 +39,12 @@ pub struct CubicCc {
 }
 
 impl CubicCc {
-    /// A fresh controller seeded from the flow config.
-    pub(crate) fn new(cfg: CubicConfig, cc: &CcConfig) -> CubicCc {
+    /// A fresh controller at the initial window, in slow start.
+    pub(crate) fn new() -> CubicCc {
         CubicCc {
-            cfg,
-            cwnd: cc.initial_cwnd,
-            ssthresh: cc.initial_ssthresh,
-            max_cwnd: cc.max_cwnd,
-            w_max: cc.initial_cwnd,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
+            w_max: INITIAL_CWND,
             k: 0.0,
             epoch_start: None,
             rtt_secs: 0.1,
@@ -78,14 +53,13 @@ impl CubicCc {
 
     /// The closed-form cubic window at `t` seconds into the current epoch.
     pub(crate) fn w_cubic(&self, t: f64) -> f64 {
-        self.cfg.c * (t - self.k) * (t - self.k) * (t - self.k) + self.w_max
+        C * (t - self.k) * (t - self.k) * (t - self.k) + self.w_max
     }
 
     /// The TCP-friendly (AIMD-equivalent) window at `t` seconds into the
     /// epoch (RFC 8312 §4.2).
     pub(crate) fn w_est(&self, t: f64) -> f64 {
-        let b = self.cfg.beta;
-        self.w_max * b + 3.0 * (1.0 - b) / (1.0 + b) * (t / self.rtt_secs.max(1e-6))
+        self.w_max * BETA + 3.0 * (1.0 - BETA) / (1.0 + BETA) * (t / self.rtt_secs.max(1e-6))
     }
 
     /// The current cubic plateau `W_max`, packets.
@@ -97,19 +71,19 @@ impl CubicCc {
         self.epoch_start = Some(now);
         // K = cbrt(W_max·(1 − β)/C), zero when starting above the plateau.
         let gap = (self.w_max - self.cwnd).max(0.0);
-        self.k = (gap / self.cfg.c).cbrt();
+        self.k = (gap / C).cbrt();
     }
 
     fn reduce(&mut self) {
         self.epoch_start = None;
-        if self.cfg.fast_convergence && self.cwnd < self.w_max {
-            // The share is shrinking: release the plateau early so the
-            // newcomer converges faster.
-            self.w_max = self.cwnd * (2.0 - self.cfg.beta) / 2.0;
+        if self.cwnd < self.w_max {
+            // Fast convergence: the share is shrinking, so release the
+            // plateau early and let the newcomer converge faster.
+            self.w_max = self.cwnd * (2.0 - BETA) / 2.0;
         } else {
             self.w_max = self.cwnd;
         }
-        self.cwnd = (self.cwnd * self.cfg.beta).max(2.0);
+        self.cwnd = (self.cwnd * BETA).max(2.0);
         self.ssthresh = self.cwnd;
     }
 }
@@ -123,7 +97,7 @@ impl Controller for CubicCc {
             return;
         }
         if self.cwnd < self.ssthresh {
-            self.cwnd = (self.cwnd + 1.0).min(self.max_cwnd); // slow start
+            self.cwnd = (self.cwnd + 1.0).min(MAX_CWND); // slow start
             return;
         }
         if self.epoch_start.is_none() {
@@ -142,7 +116,7 @@ impl Controller for CubicCc {
             // At or beyond target: probe very gently (RFC 8312 §4.4).
             self.cwnd += 0.01 / self.cwnd;
         }
-        self.cwnd = self.cwnd.min(self.max_cwnd);
+        self.cwnd = self.cwnd.min(MAX_CWND);
     }
 
     fn on_congestion_event(&mut self, _ev: &CongestionEvent) {
@@ -194,7 +168,7 @@ mod tests {
     /// the RFC 8312 closed form W(t) = C(t−K)³ + W_max.
     #[test]
     fn window_growth_tracks_rfc8312_closed_form() {
-        let mut c = CubicCc::new(CubicConfig::default(), &CcConfig::default());
+        let mut c = CubicCc::new();
         // Establish a plateau at 100 packets, then back off.
         c.cwnd = 100.0;
         c.ssthresh = 50.0; // force congestion avoidance
@@ -238,7 +212,7 @@ mod tests {
 
     #[test]
     fn fast_convergence_shrinks_the_plateau_on_repeat_loss() {
-        let mut c = CubicCc::new(CubicConfig::default(), &CcConfig::default());
+        let mut c = CubicCc::new();
         c.cwnd = 100.0;
         c.ssthresh = 50.0;
         c.reduce(); // w_max = 100, cwnd = 70
@@ -248,24 +222,11 @@ mod tests {
             "w_max {} should shrink below the last cwnd",
             c.w_max()
         );
-
-        let mut plain = CubicCc::new(
-            CubicConfig {
-                fast_convergence: false,
-                ..CubicConfig::default()
-            },
-            &CcConfig::default(),
-        );
-        plain.cwnd = 100.0;
-        plain.ssthresh = 50.0;
-        plain.reduce();
-        plain.reduce();
-        assert!((plain.w_max() - 70.0).abs() < 1e-12, "no shrink when off");
     }
 
     #[test]
     fn backs_off_on_congestion_and_collapses_on_rto() {
-        let mut c = CubicCc::new(CubicConfig::default(), &CcConfig::default());
+        let mut c = CubicCc::new();
         c.cwnd = 40.0;
         c.ssthresh = 20.0;
         c.on_congestion_event(&CongestionEvent {

@@ -11,53 +11,30 @@
 //! loss episodes it backs off as queues build *before* drops cluster — the
 //! delay-based point on the window-vs-rate axis.
 
-use super::{AckEvent, CcConfig, CongestionEvent, Controller, ControllerFactory};
+use super::{AckEvent, CongestionEvent, Controller, INITIAL_CWND, MAX_CWND};
 use lossburst_netsim::time::{SimDuration, SimTime};
-
-/// Config (and [`ControllerFactory`]) for FAST.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FastConfig {
-    /// Target number of packets queued at the bottleneck.
-    pub(crate) alpha: f64,
-    /// Smoothing gain `γ` of the per-RTT update.
-    pub(crate) gamma: f64,
-}
-
-impl Default for FastConfig {
-    fn default() -> FastConfig {
-        FastConfig {
-            alpha: 20.0,
-            gamma: 0.5,
-        }
-    }
-}
-
-impl ControllerFactory for FastConfig {
-    fn build(&self, cc: &CcConfig) -> Box<dyn Controller> {
-        Box::new(FastCc::new(*self, cc))
-    }
-}
 
 /// FAST window law: periodic delay-driven multiplicative smoothing.
 #[derive(Clone, Debug)]
 pub(crate) struct FastCc {
-    cfg: FastConfig,
+    /// Target number of packets queued at the bottleneck.
+    alpha: f64,
+    /// Smoothing gain `γ` of the per-RTT update.
+    gamma: f64,
     cwnd: f64,
-    initial_cwnd: f64,
-    max_cwnd: f64,
     last_rtt: Option<SimDuration>,
     base_rtt: Option<SimDuration>,
     srtt: Option<SimDuration>,
 }
 
 impl FastCc {
-    /// A fresh controller seeded from the flow config.
-    pub(crate) fn new(cfg: FastConfig, cc: &CcConfig) -> FastCc {
+    /// A fresh controller at the initial window, aiming at `alpha` queued
+    /// packets with per-RTT smoothing gain `gamma`.
+    pub(crate) fn new(alpha: f64, gamma: f64) -> FastCc {
         FastCc {
-            cfg,
-            cwnd: cc.initial_cwnd,
-            initial_cwnd: cc.initial_cwnd,
-            max_cwnd: cc.max_cwnd,
+            alpha,
+            gamma,
+            cwnd: INITIAL_CWND,
             last_rtt: None,
             base_rtt: None,
             srtt: None,
@@ -81,11 +58,11 @@ impl Controller for FastCc {
     }
 
     fn on_congestion_event(&mut self, _ev: &CongestionEvent) {
-        self.cwnd = (self.cwnd / 2.0).max(self.initial_cwnd);
+        self.cwnd = (self.cwnd / 2.0).max(INITIAL_CWND);
     }
 
     fn on_rto(&mut self, _now: SimTime, _flight: f64, _in_recovery: bool) {
-        self.cwnd = self.initial_cwnd;
+        self.cwnd = INITIAL_CWND;
     }
 
     fn window(&self) -> f64 {
@@ -101,9 +78,9 @@ impl Controller for FastCc {
             return; // no samples yet: hold the window
         };
         let ratio = base.as_secs_f64() / last.as_secs_f64().max(1e-9);
-        let target = ratio * self.cwnd + self.cfg.alpha;
-        let g = self.cfg.gamma;
-        self.cwnd = ((1.0 - g) * self.cwnd + g * target).clamp(self.initial_cwnd, self.max_cwnd);
+        let target = ratio * self.cwnd + self.alpha;
+        let g = self.gamma;
+        self.cwnd = ((1.0 - g) * self.cwnd + g * target).clamp(INITIAL_CWND, MAX_CWND);
     }
 
     fn name(&self) -> &'static str {
@@ -132,7 +109,7 @@ mod tests {
 
     #[test]
     fn converges_toward_alpha_queued_packets() {
-        let mut f = FastCc::new(FastConfig::default(), &CcConfig::default());
+        let mut f = FastCc::new(20.0, 0.5);
         f.on_ack(&ack_with_rtt(40)); // base
                                      // Queueing doubles the RTT: the fixed point is w with
                                      // base/last·w + α = w  ⇒  w = α/(1 − base/last) = 40.
@@ -149,7 +126,7 @@ mod tests {
 
     #[test]
     fn no_growth_without_samples_and_resets_on_rto() {
-        let mut f = FastCc::new(FastConfig::default(), &CcConfig::default());
+        let mut f = FastCc::new(20.0, 0.5);
         let w0 = f.window();
         f.on_update(SimTime::ZERO);
         assert_eq!(f.window(), w0, "no samples: hold");

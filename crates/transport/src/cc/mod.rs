@@ -24,9 +24,9 @@
 //! `AckPhase` so window-law controllers can ignore in-recovery ACKs while
 //! model-based controllers still absorb every delivery sample.
 //!
-//! Controllers are built per flow through `ControllerFactory`, which every
-//! `Clone`-able config type (e.g. `cubic::CubicConfig`,
-//! `bbr::BbrConfig`) implements.
+//! Each [`Sender`] constructor builds its controller directly; every
+//! tuning value is a module constant equal to the algorithm's published
+//! default.
 
 pub mod bbr;
 pub mod cubic;
@@ -38,38 +38,17 @@ use lossburst_netsim::packet::NodeId;
 use lossburst_netsim::time::{SimDuration, SimTime};
 use std::any::Any;
 
-use crate::config::TcpConfig;
-use crate::sender::{RenoVariant, Sender};
+use crate::config::{TcpConfig, MSS};
+use crate::sender::Sender;
 use crate::tfrc::TfrcSender;
 
-/// The slice of [`TcpConfig`] a controller is allowed to see: window seeds
-/// and clamps. `Clone`-able so factories can stamp one per flow.
-#[derive(Clone, Debug)]
-pub(crate) struct CcConfig {
-    /// Initial congestion window, packets.
-    pub(crate) initial_cwnd: f64,
-    /// Initial slow-start threshold, packets.
-    pub(crate) initial_ssthresh: f64,
-    /// Hard window clamp, packets.
-    pub(crate) max_cwnd: f64,
-}
-
-impl CcConfig {
-    /// Extract the controller-visible slice of a [`TcpConfig`].
-    pub(crate) fn from_tcp(cfg: &TcpConfig) -> CcConfig {
-        CcConfig {
-            initial_cwnd: cfg.initial_cwnd,
-            initial_ssthresh: cfg.initial_ssthresh,
-            max_cwnd: cfg.max_cwnd,
-        }
-    }
-}
-
-impl Default for CcConfig {
-    fn default() -> CcConfig {
-        CcConfig::from_tcp(&TcpConfig::default())
-    }
-}
+/// Initial congestion window in packets (the paper: "a TCP flow starts
+/// ... sending two packets every round trip").
+pub(crate) const INITIAL_CWND: f64 = 2.0;
+/// Initial slow-start threshold in packets (effectively unbounded).
+pub(crate) const INITIAL_SSTHRESH: f64 = 1e9;
+/// Congestion-window cap in packets (models the receiver window).
+pub(crate) const MAX_CWND: f64 = 1e9;
 
 /// Where an acknowledged advance sits relative to loss recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,23 +167,12 @@ pub trait Controller: Any {
     fn name(&self) -> &'static str;
 }
 
-/// Builds one [`Controller`] per flow. Implemented by each algorithm's
-/// `Clone`-able config type.
-pub(crate) trait ControllerFactory {
-    /// Instantiate a controller for a flow with the given window config.
-    fn build(&self, cc: &CcConfig) -> Box<dyn Controller>;
-}
-
 /// Every congestion-control algorithm the crate can instantiate, as a
 /// value — the dynamic registry the fairness grid and CLI tools iterate
 /// over. [`CcAlgorithm::build_flow`] composes the right controller,
 /// repair style, and send mode.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CcAlgorithm {
-    /// Tahoe: slow start after every loss, go-back-N repair.
-    Tahoe,
-    /// Classic Reno fast recovery, go-back-N repair.
-    Reno,
     /// RFC 2582 NewReno, go-back-N repair (the paper's window-based flow).
     #[default]
     NewReno,
@@ -225,7 +193,7 @@ pub enum CcAlgorithm {
 /// Per-flow parameters for [`CcAlgorithm::build_flow`].
 #[derive(Clone, Debug)]
 pub struct FlowSpec {
-    /// TCP-level configuration (windows, timers, segment size).
+    /// TCP-level configuration (RTO floor and seed, ECN).
     pub tcp: TcpConfig,
     /// RTT assumed before the first sample (seeds pacing and TFRC).
     pub rtt_hint: SimDuration,
@@ -249,8 +217,6 @@ impl CcAlgorithm {
     /// Canonical lower-case name.
     pub fn name(self) -> &'static str {
         match self {
-            CcAlgorithm::Tahoe => "tahoe",
-            CcAlgorithm::Reno => "reno",
             CcAlgorithm::NewReno => "newreno",
             CcAlgorithm::Pacing => "pacing",
             CcAlgorithm::Sack => "sack",
@@ -274,8 +240,6 @@ impl CcAlgorithm {
     pub fn build_flow(self, src: NodeId, dst: NodeId, spec: &FlowSpec) -> Box<dyn Transport> {
         let cfg = spec.tcp.clone();
         let sender = match self {
-            CcAlgorithm::Tahoe => Sender::tahoe(src, dst, cfg),
-            CcAlgorithm::Reno => Sender::reno(src, dst, cfg),
             CcAlgorithm::NewReno => Sender::newreno(src, dst, cfg),
             CcAlgorithm::Pacing => Sender::pacing(src, dst, cfg, spec.rtt_hint),
             CcAlgorithm::Sack => Sender::sack(src, dst, cfg),
@@ -283,7 +247,7 @@ impl CcAlgorithm {
             CcAlgorithm::Bbr => Sender::bbr(src, dst, cfg, spec.rtt_hint),
             CcAlgorithm::Fast => Sender::fast(src, dst, cfg, 20.0, 0.5),
             CcAlgorithm::Tfrc => {
-                return Box::new(TfrcSender::new(src, dst, spec.tcp.mss, spec.rtt_hint));
+                return Box::new(TfrcSender::new(src, dst, MSS, spec.rtt_hint));
             }
         };
         let sender = match spec.limit_bytes {
@@ -291,14 +255,6 @@ impl CcAlgorithm {
             None => sender,
         };
         Box::new(sender)
-    }
-}
-
-/// `RenoVariant`-to-response mapping used by the legacy constructors.
-pub(crate) fn legacy_response(variant: RenoVariant) -> reno::LossResponse {
-    match variant {
-        RenoVariant::Tahoe => reno::LossResponse::CollapseToOne,
-        RenoVariant::Reno | RenoVariant::NewReno => reno::LossResponse::HalvePlus3,
     }
 }
 

@@ -1,13 +1,14 @@
-//! The loss-based AIMD family: Tahoe, Reno/NewReno, and the SACK sender's
-//! plain-halving response, as one controller parameterised by its
-//! loss response.
+//! The loss-based AIMD family: NewReno and the SACK sender's plain-halving
+//! response, as one controller parameterised by its loss response.
 //!
 //! Every float operation here is a line-for-line transliteration of the
 //! pre-refactor `Tcp`/`SackTcp` window arithmetic: the golden fixtures pin
 //! the refactor to byte-identical traces, so the order of operations is
 //! load-bearing.
 
-use super::{AckEvent, AckPhase, CcConfig, CongestionEvent, Controller, ControllerFactory};
+use super::{
+    AckEvent, AckPhase, CongestionEvent, Controller, INITIAL_CWND, INITIAL_SSTHRESH, MAX_CWND,
+};
 use lossburst_netsim::time::SimTime;
 
 /// How the window responds to a dupack-detected loss.
@@ -19,62 +20,23 @@ pub(crate) enum LossResponse {
     /// RFC 6675 SACK: `cwnd = ssthresh`, no inflation — the scoreboard's
     /// pipe estimate already discounts delivered segments.
     Halve,
-    /// Tahoe: collapse to one packet and slow-start again.
-    CollapseToOne,
-}
-
-/// Config (and [`ControllerFactory`]) for the Reno family.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RenoConfig {
-    /// Dupack loss response.
-    pub(crate) response: LossResponse,
-}
-
-impl RenoConfig {
-    /// NewReno / classic-Reno response (go-back-N repair).
-    pub(crate) fn newreno() -> RenoConfig {
-        RenoConfig {
-            response: LossResponse::HalvePlus3,
-        }
-    }
-
-    /// SACK response (scoreboard repair).
-    pub(crate) fn sack() -> RenoConfig {
-        RenoConfig {
-            response: LossResponse::Halve,
-        }
-    }
-}
-
-impl Default for RenoConfig {
-    fn default() -> RenoConfig {
-        RenoConfig::newreno()
-    }
-}
-
-impl ControllerFactory for RenoConfig {
-    fn build(&self, cc: &CcConfig) -> Box<dyn Controller> {
-        Box::new(RenoCc::new(*self, cc))
-    }
 }
 
 /// AIMD window law with a pluggable loss response.
 #[derive(Clone, Debug)]
 pub(crate) struct RenoCc {
-    cfg: RenoConfig,
+    response: LossResponse,
     cwnd: f64,
     ssthresh: f64,
-    max_cwnd: f64,
 }
 
 impl RenoCc {
-    /// A fresh controller seeded from the flow config.
-    pub(crate) fn new(cfg: RenoConfig, cc: &CcConfig) -> RenoCc {
+    /// A fresh controller at the initial window, in slow start.
+    pub(crate) fn new(response: LossResponse) -> RenoCc {
         RenoCc {
-            cfg,
-            cwnd: cc.initial_cwnd,
-            ssthresh: cc.initial_ssthresh,
-            max_cwnd: cc.max_cwnd,
+            response,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
         }
     }
 }
@@ -92,17 +54,16 @@ impl Controller for RenoCc {
         } else {
             self.cwnd += 1.0 / self.cwnd; // congestion avoidance
         }
-        self.cwnd = self.cwnd.min(self.max_cwnd);
+        self.cwnd = self.cwnd.min(MAX_CWND);
     }
 
     fn on_congestion_event(&mut self, ev: &CongestionEvent) {
         self.ssthresh = (ev.flight / 2.0).max(2.0);
         match ev.kind {
             super::CongestionKind::Ecn => self.cwnd = self.ssthresh,
-            super::CongestionKind::DupAck => match self.cfg.response {
+            super::CongestionKind::DupAck => match self.response {
                 LossResponse::HalvePlus3 => self.cwnd = self.ssthresh + 3.0,
                 LossResponse::Halve => self.cwnd = self.ssthresh,
-                LossResponse::CollapseToOne => self.cwnd = 1.0,
             },
         }
     }
@@ -139,10 +100,9 @@ impl Controller for RenoCc {
     }
 
     fn name(&self) -> &'static str {
-        match self.cfg.response {
+        match self.response {
             LossResponse::HalvePlus3 => "newreno",
             LossResponse::Halve => "sack",
-            LossResponse::CollapseToOne => "tahoe",
         }
     }
 }
@@ -168,12 +128,8 @@ mod tests {
 
     #[test]
     fn slow_start_then_congestion_avoidance() {
-        let cc = CcConfig {
-            initial_cwnd: 2.0,
-            initial_ssthresh: 4.0,
-            max_cwnd: 1e9,
-        };
-        let mut c = RenoCc::new(RenoConfig::newreno(), &cc);
+        let mut c = RenoCc::new(LossResponse::HalvePlus3);
+        c.ssthresh = 4.0;
         c.on_ack(&open_ack(1)); // 3.0
         c.on_ack(&open_ack(2)); // 4.0
         assert_eq!(c.window(), 4.0);
@@ -183,12 +139,8 @@ mod tests {
 
     #[test]
     fn responses_differ_only_in_cwnd() {
-        for (resp, expect) in [
-            (LossResponse::HalvePlus3, 8.0),
-            (LossResponse::Halve, 5.0),
-            (LossResponse::CollapseToOne, 1.0),
-        ] {
-            let mut c = RenoCc::new(RenoConfig { response: resp }, &CcConfig::default());
+        for (resp, expect) in [(LossResponse::HalvePlus3, 8.0), (LossResponse::Halve, 5.0)] {
+            let mut c = RenoCc::new(resp);
             c.on_congestion_event(&CongestionEvent {
                 now: SimTime::ZERO,
                 kind: CongestionKind::DupAck,
@@ -201,7 +153,7 @@ mod tests {
 
     #[test]
     fn rto_in_recovery_keeps_ssthresh() {
-        let mut c = RenoCc::new(RenoConfig::newreno(), &CcConfig::default());
+        let mut c = RenoCc::new(LossResponse::HalvePlus3);
         c.on_congestion_event(&CongestionEvent {
             now: SimTime::ZERO,
             kind: CongestionKind::DupAck,
@@ -217,7 +169,7 @@ mod tests {
 
     #[test]
     fn recovery_acks_do_not_grow_the_window() {
-        let mut c = RenoCc::new(RenoConfig::newreno(), &CcConfig::default());
+        let mut c = RenoCc::new(LossResponse::HalvePlus3);
         let before = c.window();
         let mut ev = open_ack(5);
         ev.phase = AckPhase::Recovery;

@@ -12,7 +12,7 @@
 //!
 //! | Controller | Class | Module |
 //! |---|---|---|
-//! | Tahoe / Reno / NewReno | window-based (bursty) | `cc::reno` |
+//! | NewReno (and SACK's plain halving) | window-based (bursty) | `cc::reno` |
 //! | CUBIC (RFC 8312) | window-based, cubic growth | [`cc::cubic`] |
 //! | BBR v1 | model/rate-based | [`cc::bbr`] |
 //! | FAST-style delay-based | delay-signal extension | `cc::fast` |
@@ -20,7 +20,8 @@
 //! | CBR probe | constant rate | [`cbr`] |
 //! | Exponential on-off noise | background load | [`onoff`] |
 //!
-//! TCP Pacing is [`sender::SendMode::Paced`] over any window controller.
+//! TCP Pacing ([`sender::Sender::pacing`]) is the NewReno window law with
+//! its packets spread evenly over each round trip.
 //!
 //! The window/rate split is the paper's central axis: window-based senders
 //! emit sub-RTT bursts and therefore *under-sample* bursty loss, while
@@ -74,6 +75,6 @@ pub mod prelude {
     pub use crate::config::TcpConfig;
     pub use crate::onoff::OnOff;
     pub use crate::rtt::RttEstimator;
-    pub use crate::sender::{RenoVariant, SendMode, Sender};
+    pub use crate::sender::Sender;
     pub use crate::tfrc::{tcp_throughput_eq, TfrcSender};
 }

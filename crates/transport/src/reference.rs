@@ -78,28 +78,16 @@ impl SetScoreboard {
 
 /// [`TcpReceiver`] over one `BTreeSet` entry per buffered sequence,
 /// re-deriving the ranges from scratch for every ACK.
+#[derive(Default)]
 struct SetReceiver {
     rcv_nxt: u64,
     out_of_order: BTreeSet<u64>,
-    ack_every: u32,
-    unacked: u32,
     sack_rotation: usize,
 }
 
 impl SetReceiver {
-    fn new(ack_every: u32) -> SetReceiver {
-        SetReceiver {
-            rcv_nxt: 0,
-            out_of_order: BTreeSet::new(),
-            ack_every: ack_every.max(1),
-            unacked: 0,
-            sack_rotation: 0,
-        }
-    }
-
-    fn on_data(&mut self, pkt: &Packet) -> Option<AckInfo> {
-        let in_order = pkt.seq == self.rcv_nxt;
-        if in_order {
+    fn on_data(&mut self, pkt: &Packet) -> AckInfo {
+        if pkt.seq == self.rcv_nxt {
             self.rcv_nxt += 1;
             while self.out_of_order.remove(&self.rcv_nxt) {
                 self.rcv_nxt += 1;
@@ -107,24 +95,12 @@ impl SetReceiver {
         } else if pkt.seq > self.rcv_nxt {
             self.out_of_order.insert(pkt.seq);
         }
-        let emit = if in_order {
-            self.unacked += 1;
-            if self.unacked >= self.ack_every || !self.out_of_order.is_empty() {
-                self.unacked = 0;
-                true
-            } else {
-                false
-            }
-        } else {
-            self.unacked = 0;
-            true
-        };
-        emit.then_some(AckInfo {
+        AckInfo {
             ack: self.rcv_nxt,
             echo: pkt.sent_at,
             ecn_echo: pkt.ecn_ce,
             sack: self.sack_blocks_for(pkt.seq),
-        })
+        }
     }
 
     fn ooo_ranges(&self) -> Vec<(u64, u64)> {
@@ -213,9 +189,8 @@ fn receiver_and_scoreboard_match_the_btreeset_models() {
     let mut holes_repaired = 0u64;
     sweep(0x5AC4, 120, |case, gen| {
         let n = gen.random_range(50..700u64);
-        let ack_every = 1 + (case % 2) as u32;
-        let mut rx = TcpReceiver::new(ack_every);
-        let mut rx_model = SetReceiver::new(ack_every);
+        let mut rx = TcpReceiver::default();
+        let mut rx_model = SetReceiver::default();
         let mut sb = SackState::new();
         let mut sb_model = SetScoreboard::new();
         // The sender-side context the scoreboard lives in: everything has
@@ -233,7 +208,6 @@ fn receiver_and_scoreboard_match_the_btreeset_models() {
             );
             assert_eq!(rx.rcv_nxt(), rx_model.rcv_nxt);
             most_ranges = most_ranges.max(rx_model.ooo_ranges().len());
-            let Some(ack) = ack else { continue };
 
             let blocks = || ack.sack.into_iter().filter(|&(a, b)| b > a);
             let floor = high_ack.max(ack.ack);
@@ -287,8 +261,8 @@ fn receiver_and_scoreboard_match_the_btreeset_models() {
             }
         }
         assert_eq!(rx.rcv_nxt(), n, "case {case}: every sequence arrives");
-        // (A delayed ACK may withhold the last cumulative advance.)
-        assert!(high_ack < n || sb.sacked.is_empty());
+        assert_eq!(high_ack, n, "case {case}: the last ACK covers everything");
+        assert_eq!(sb.sacked.len(), 0);
     });
     assert!(most_ranges > 3, "no script made the SACK rotation wrap");
     assert!(holes_repaired > 100, "recovery path barely exercised");

@@ -2,6 +2,9 @@
 
 use lossburst_netsim::time::SimDuration;
 
+/// Upper bound on the retransmission timeout, backoff included.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+
 /// Smoothed RTT estimator with Karn-style exponential RTO backoff.
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
@@ -10,22 +13,20 @@ pub struct RttEstimator {
     rto: SimDuration,
     backoff: u32,
     min_rto: SimDuration,
-    max_rto: SimDuration,
 }
 
 impl RttEstimator {
-    /// New estimator with the given RTO clamps and initial RTO. The initial
-    /// RTO is clamped into `[min_rto, max_rto]` so a misconfigured (zero or
-    /// oversized) value cannot wedge the pre-sample timeout outside the
-    /// bounds every later computation respects.
-    pub fn new(initial_rto: SimDuration, min_rto: SimDuration, max_rto: SimDuration) -> Self {
+    /// New estimator with the given initial RTO and RTO floor (the ceiling
+    /// is 60 s). The initial RTO is clamped into `[min_rto, 60 s]` so a
+    /// misconfigured (zero or oversized) value cannot wedge the pre-sample
+    /// timeout outside the bounds every later computation respects.
+    pub fn new(initial_rto: SimDuration, min_rto: SimDuration) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: initial_rto.max(min_rto).min(max_rto),
+            rto: initial_rto.max(min_rto).min(MAX_RTO),
             backoff: 0,
             min_rto,
-            max_rto,
         }
     }
 
@@ -46,7 +47,7 @@ impl RttEstimator {
         }
         let srtt = self.srtt.unwrap();
         let var4 = self.rttvar * 4;
-        self.rto = (srtt + var4).max(self.min_rto).min(self.max_rto);
+        self.rto = (srtt + var4).max(self.min_rto).min(MAX_RTO);
         self.backoff = 0;
     }
 
@@ -60,7 +61,7 @@ impl RttEstimator {
     #[inline]
     pub fn rto(&self) -> SimDuration {
         let backed = self.rto.saturating_mul(1u64 << self.backoff.min(16));
-        backed.min(self.max_rto)
+        backed.min(MAX_RTO)
     }
 
     /// Double the RTO (called on each retransmission timeout).
@@ -74,11 +75,7 @@ mod tests {
     use super::*;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-        )
+        RttEstimator::new(SimDuration::from_secs(1), SimDuration::from_millis(200))
     }
 
     #[test]
@@ -133,18 +130,10 @@ mod tests {
         // Zero (or any sub-minimum) initial RTO must not produce a zero
         // timeout before the first sample: an RTO of zero fires instantly
         // and livelocks the sender in pure retransmission.
-        let low = RttEstimator::new(
-            SimDuration::ZERO,
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-        );
+        let low = RttEstimator::new(SimDuration::ZERO, SimDuration::from_millis(200));
         assert_eq!(low.rto(), SimDuration::from_millis(200));
-        // Oversized initial RTO is pulled down to max_rto.
-        let high = RttEstimator::new(
-            SimDuration::from_secs(600),
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-        );
+        // Oversized initial RTO is pulled down to the 60 s ceiling.
+        let high = RttEstimator::new(SimDuration::from_secs(600), SimDuration::from_millis(200));
         assert_eq!(high.rto(), SimDuration::from_secs(60));
     }
 
@@ -153,7 +142,7 @@ mod tests {
         let mut e = est();
         // No samples taken: rto is the initial 1 s. Hammer backoff far past
         // the shift cap; the multiply must saturate, not overflow, and the
-        // result must stay clamped to max_rto.
+        // result must stay clamped to the 60 s ceiling.
         for _ in 0..1000 {
             e.backoff();
         }

@@ -37,12 +37,6 @@ impl RunSet {
         self.len
     }
 
-    /// Whether the set holds nothing.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
     /// The runs, ascending.
     #[inline]
     pub(crate) fn runs(&self) -> &VecDeque<(u64, u64)> {
@@ -232,7 +226,7 @@ mod tests {
 
                 assert_well_formed(&set);
                 assert_eq!(set.len(), model.len() as u64, "{}", at("len"));
-                assert_eq!(set.is_empty(), model.is_empty());
+                assert_eq!(set.runs().is_empty(), model.is_empty());
                 assert_eq!(set.highest(), model.last().copied(), "{}", at("highest"));
                 let top = model.last().map_or(0, |&h| h + 2).max(floor + SPAN);
                 let span = floor.saturating_sub(5)..top;
@@ -268,7 +262,7 @@ mod tests {
         let mut set = RunSet::new();
         assert!(!set.insert_range(5, 5));
         assert!(!set.insert_range(9, 3));
-        assert!(set.is_empty() && set.highest().is_none());
+        assert!(set.runs().is_empty() && set.highest().is_none());
         assert_eq!(set.count_in(0, u64::MAX), 0);
         assert_eq!(set.runs().capacity(), 0, "an empty set owns no heap memory");
     }
@@ -283,6 +277,6 @@ mod tests {
         assert_eq!(set.len(), u64::MAX - 10);
         assert_eq!(set.highest(), Some(u64::MAX - 1));
         set.remove_below(u64::MAX);
-        assert!(set.is_empty());
+        assert!(set.runs().is_empty());
     }
 }

@@ -4,8 +4,8 @@
 //! [`Sender`] owns everything that is *not* a window law — sequencing,
 //! duplicate-ACK and SACK-scoreboard loss detection, the RTT estimator,
 //! the retransmission and pacing timers — and translates wire events into
-//! the [`crate::cc`] event vocabulary. Composing it with a controller and
-//! a `RepairKind` reproduces every classic sender:
+//! the [`crate::cc`] event vocabulary. Composing it with a controller, a
+//! repair style and a send mode reproduces every classic sender:
 //!
 //! | constructor        | controller | repair            | mode   |
 //! |--------------------|------------|-------------------|--------|
@@ -22,10 +22,13 @@
 //! into the controller at exactly the old mutation points.
 
 use crate::cc::{
-    bbr::BbrConfig, cubic::CubicConfig, fast::FastConfig, legacy_response, reno::RenoConfig,
-    AckEvent, AckPhase, CcConfig, CongestionEvent, CongestionKind, Controller, ControllerFactory,
+    bbr::BbrCc,
+    cubic::CubicCc,
+    fast::FastCc,
+    reno::{LossResponse, RenoCc},
+    AckEvent, AckPhase, CongestionEvent, CongestionKind, Controller,
 };
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, ACK_BYTES, MSS, SEGMENT_BYTES};
 use crate::receiver::TcpReceiver;
 use crate::rtt::RttEstimator;
 use crate::runset::RunSet;
@@ -36,22 +39,9 @@ use lossburst_netsim::packet::{NodeId, Packet, PacketKind};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::trace::GoodputEvent;
 
-/// Which fast-recovery algorithm a go-back-N sender runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RenoVariant {
-    /// Original Tahoe: no fast recovery at all — three duplicate ACKs
-    /// retransmit and fall back to slow start from a window of one.
-    Tahoe,
-    /// RFC 2581 Reno: leave fast recovery on the first partial ACK.
-    Reno,
-    /// RFC 2582 NewReno: stay in recovery, retransmitting one hole per
-    /// partial ACK, until the whole outstanding window is acknowledged.
-    NewReno,
-}
-
 /// How the sender releases packets inside an RTT.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SendMode {
+pub(crate) enum SendMode {
     /// Window-based: burst everything the window allows, back-to-back.
     Burst,
     /// Rate-based: spread transmissions evenly at `srtt / cwnd` (or the
@@ -62,18 +52,38 @@ pub enum SendMode {
     },
 }
 
-/// How the sender repairs detected losses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum RepairKind {
-    /// Cumulative-ACK-only loss detection with NS-2-style go-back-N after
-    /// an RTO; the variant picks the fast-recovery flavour.
-    GoBackN(RenoVariant),
+/// How the sender detects and repairs losses, with that style's recovery
+/// state.
+pub(crate) enum Repair {
+    /// Cumulative-ACK-only loss detection: RFC 6582 NewReno fast recovery,
+    /// and NS-2-style go-back-N after an RTO.
+    GoBackN {
+        /// In fast recovery until the cumulative ACK passes this.
+        recover: Option<u64>,
+        /// Partial ACKs seen in the current recovery.
+        partial_acks: u32,
+    },
     /// RFC 2018 SACK blocks driving an RFC 6675 scoreboard: repair a
     /// many-loss window in one round trip.
-    Sack,
+    Sack(SackState),
 }
 
-/// RFC 6675 scoreboard state (present only for SACK repair).
+impl Repair {
+    /// Go-back-N repair, not in recovery.
+    pub(crate) fn go_back_n() -> Repair {
+        Repair::GoBackN {
+            recover: None,
+            partial_acks: 0,
+        }
+    }
+
+    /// SACK repair with an empty scoreboard.
+    pub(crate) fn sack() -> Repair {
+        Repair::Sack(SackState::new())
+    }
+}
+
+/// RFC 6675 scoreboard state of [`Repair::Sack`].
 pub(crate) struct SackState {
     /// Sequences above `high_ack` known delivered, as runs: every query
     /// below costs O(holes), not O(SACKed packets).
@@ -148,14 +158,25 @@ impl SackState {
         self.rtx_next = self.rtx_next.max(high_ack);
         self.sacked.remove_below(high_ack);
     }
+
+    /// Enter loss recovery with everything below `next_seq` outstanding;
+    /// returns the first hole, marked as retransmitted. RFC 6675 sends it
+    /// at once, whatever the pipe (which right now still counts the whole
+    /// pre-loss flight and would otherwise gate everything).
+    fn enter_recovery(&mut self, next_seq: u64, high_ack: u64) -> Option<u64> {
+        self.recovery_point = Some(next_seq);
+        self.rtx_next = high_ack;
+        let hole = self.next_hole(high_ack)?;
+        self.rtx_next = hole + 1;
+        Some(hole)
+    }
 }
 
 /// A reliable flow (sender and receiver halves) driven by a pluggable
 /// congestion [`Controller`].
 pub struct Sender {
-    pub(crate) cfg: TcpConfig,
-    pub(crate) variant: RenoVariant,
-    pub(crate) mode: SendMode,
+    ecn: bool,
+    mode: SendMode,
     src: NodeId,
     dst: NodeId,
 
@@ -165,15 +186,11 @@ pub struct Sender {
     pub(crate) next_seq: u64,
     pub(crate) max_seq_sent: u64,
     pub(crate) high_ack: u64,
-    pub(crate) dupacks: u32,
-    /// Go-back-N fast recovery: in recovery until `high_ack` passes this.
-    pub(crate) recover: Option<u64>,
-    pub(crate) partial_acks: u32,
-    /// SACK scoreboard; `Some` selects SACK repair.
-    pub(crate) sack: Option<SackState>,
+    dupacks: u32,
+    pub(crate) repair: Repair,
 
     // --- clocks and timers ---
-    pub(crate) rtt: RttEstimator,
+    rtt: RttEstimator,
     min_rtt: Option<SimDuration>,
     rto_gen: u64,
     rto_armed: bool,
@@ -191,10 +208,10 @@ pub struct Sender {
     rate_epoch_dirty: bool,
 
     // --- stats ---
-    pub(crate) packets_sent: u64,
+    packets_sent: u64,
     pub(crate) retransmits: u64,
     pub(crate) loss_events: u64,
-    pub(crate) timeouts: u64,
+    timeouts: u64,
 
     // --- receiver ---
     rx: TcpReceiver,
@@ -208,15 +225,10 @@ impl Sender {
         cfg: TcpConfig,
         ctrl: Box<dyn Controller>,
         mode: SendMode,
-        repair: RepairKind,
+        repair: Repair,
     ) -> Sender {
-        let rtt = RttEstimator::new(cfg.initial_rto, cfg.min_rto, cfg.max_rto);
-        let (variant, sack) = match repair {
-            RepairKind::GoBackN(v) => (v, None),
-            RepairKind::Sack => (RenoVariant::NewReno, Some(SackState::new())),
-        };
         Sender {
-            variant,
+            ecn: cfg.ecn,
             mode,
             src,
             dst,
@@ -225,10 +237,8 @@ impl Sender {
             max_seq_sent: 0,
             high_ack: 0,
             dupacks: 0,
-            recover: None,
-            partial_acks: 0,
-            sack,
-            rtt,
+            repair,
+            rtt: RttEstimator::new(cfg.initial_rto, cfg.min_rto),
             min_rtt: None,
             rto_gen: 0,
             rto_armed: false,
@@ -246,119 +256,54 @@ impl Sender {
             retransmits: 0,
             loss_events: 0,
             timeouts: 0,
-            rx: TcpReceiver::new(cfg.ack_every),
-            cfg,
+            rx: TcpReceiver::default(),
         }
-    }
-
-    /// Compose a sender, building the controller through its factory.
-    pub(crate) fn from_factory(
-        src: NodeId,
-        dst: NodeId,
-        cfg: TcpConfig,
-        factory: &dyn ControllerFactory,
-        mode: SendMode,
-        repair: RepairKind,
-    ) -> Sender {
-        let ctrl = factory.build(&CcConfig::from_tcp(&cfg));
-        Sender::with_controller(src, dst, cfg, ctrl, mode, repair)
     }
 
     /// A NewReno flow in the classic window-based (bursty) implementation.
     pub fn newreno(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
-        Sender::new(src, dst, cfg, RenoVariant::NewReno, SendMode::Burst)
-    }
-
-    /// A Reno flow in the window-based implementation.
-    pub(crate) fn reno(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
-        Sender::new(src, dst, cfg, RenoVariant::Reno, SendMode::Burst)
-    }
-
-    /// A Tahoe flow (historical baseline: slow start after every loss).
-    pub(crate) fn tahoe(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
-        Sender::new(src, dst, cfg, RenoVariant::Tahoe, SendMode::Burst)
+        let ctrl = Box::new(RenoCc::new(LossResponse::HalvePlus3));
+        Sender::with_controller(src, dst, cfg, ctrl, SendMode::Burst, Repair::go_back_n())
     }
 
     /// TCP Pacing: NewReno congestion control with rate-based transmission.
     /// `rtt_hint` seeds the pacing interval until the first RTT sample.
     pub fn pacing(src: NodeId, dst: NodeId, cfg: TcpConfig, rtt_hint: SimDuration) -> Sender {
-        Sender::new(
-            src,
-            dst,
-            cfg,
-            RenoVariant::NewReno,
-            SendMode::Paced { rtt_hint },
-        )
-    }
-
-    /// The legacy fully explicit constructor: an AIMD controller matching
-    /// the variant, over go-back-N repair.
-    pub fn new(
-        src: NodeId,
-        dst: NodeId,
-        cfg: TcpConfig,
-        variant: RenoVariant,
-        mode: SendMode,
-    ) -> Sender {
-        let factory = RenoConfig {
-            response: legacy_response(variant),
-        };
-        Sender::from_factory(src, dst, cfg, &factory, mode, RepairKind::GoBackN(variant))
+        let ctrl = Box::new(RenoCc::new(LossResponse::HalvePlus3));
+        let mode = SendMode::Paced { rtt_hint };
+        Sender::with_controller(src, dst, cfg, ctrl, mode, Repair::go_back_n())
     }
 
     /// NewReno window law over RFC 6675 SACK repair.
     pub fn sack(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
-        Sender::from_factory(
-            src,
-            dst,
-            cfg,
-            &RenoConfig::sack(),
-            SendMode::Burst,
-            RepairKind::Sack,
-        )
+        let ctrl = Box::new(RenoCc::new(LossResponse::Halve));
+        Sender::with_controller(src, dst, cfg, ctrl, SendMode::Burst, Repair::sack())
     }
 
     /// RFC 8312 CUBIC over SACK repair, window-based.
     pub fn cubic(src: NodeId, dst: NodeId, cfg: TcpConfig) -> Sender {
-        Sender::from_factory(
-            src,
-            dst,
-            cfg,
-            &CubicConfig::default(),
-            SendMode::Burst,
-            RepairKind::Sack,
-        )
+        let ctrl = Box::new(CubicCc::new());
+        Sender::with_controller(src, dst, cfg, ctrl, SendMode::Burst, Repair::sack())
     }
 
     /// BBR-v1-style model-based control over SACK repair, paced.
     pub fn bbr(src: NodeId, dst: NodeId, cfg: TcpConfig, rtt_hint: SimDuration) -> Sender {
-        Sender::from_factory(
-            src,
-            dst,
-            cfg,
-            &BbrConfig::default(),
-            SendMode::Paced { rtt_hint },
-            RepairKind::Sack,
-        )
+        let ctrl = Box::new(BbrCc::new());
+        let mode = SendMode::Paced { rtt_hint };
+        Sender::with_controller(src, dst, cfg, ctrl, mode, Repair::sack())
     }
 
     /// FAST-style delay-based window law over go-back-N repair.
     pub fn fast(src: NodeId, dst: NodeId, cfg: TcpConfig, alpha: f64, gamma: f64) -> Sender {
-        Sender::from_factory(
-            src,
-            dst,
-            cfg,
-            &FastConfig { alpha, gamma },
-            SendMode::Burst,
-            RepairKind::GoBackN(RenoVariant::NewReno),
-        )
+        let ctrl = Box::new(FastCc::new(alpha, gamma));
+        Sender::with_controller(src, dst, cfg, ctrl, SendMode::Burst, Repair::go_back_n())
     }
 
     /// Restrict the flow to a bulk transfer of `bytes` application bytes
     /// (rounded up to whole segments). The flow reports done when all of it
     /// is acknowledged.
     pub fn with_limit_bytes(mut self, bytes: u64) -> Sender {
-        let pkts = bytes.div_ceil(self.cfg.mss as u64).max(1);
+        let pkts = bytes.div_ceil(MSS as u64).max(1);
         self.limit = Some(pkts);
         self
     }
@@ -369,12 +314,25 @@ impl Sender {
     }
 
     /// Whether the sender is currently in loss recovery.
-    pub(crate) fn in_recovery(&self) -> bool {
-        self.recover.is_some()
-            || self
-                .sack
-                .as_ref()
-                .is_some_and(|s| s.recovery_point.is_some())
+    fn in_recovery(&self) -> bool {
+        match &self.repair {
+            Repair::GoBackN { recover, .. } => recover.is_some(),
+            Repair::Sack(sb) => sb.recovery_point.is_some(),
+        }
+    }
+
+    /// Leave loss recovery, whichever repair style is running it.
+    fn leave_recovery(&mut self) {
+        match &mut self.repair {
+            Repair::GoBackN {
+                recover,
+                partial_acks,
+            } => {
+                *recover = None;
+                *partial_acks = 0;
+            }
+            Repair::Sack(sb) => sb.recovery_point = None,
+        }
     }
 
     /// Timeout count (sender stalls recovered via RTO).
@@ -396,16 +354,16 @@ impl Sender {
 
     /// Packets the repair layer counts as occupying the path.
     #[inline]
-    pub(crate) fn flight(&self) -> u64 {
-        match &self.sack {
-            Some(sb) => sb.pipe(self.next_seq, self.high_ack),
-            None => self.pif(),
+    fn flight(&self) -> u64 {
+        match &self.repair {
+            Repair::Sack(sb) => sb.pipe(self.next_seq, self.high_ack),
+            Repair::GoBackN { .. } => self.pif(),
         }
     }
 
     #[inline]
     fn window(&self) -> u64 {
-        self.ctrl.window().min(self.cfg.max_cwnd).floor() as u64
+        self.ctrl.window().floor() as u64
     }
 
     #[inline]
@@ -417,18 +375,18 @@ impl Sender {
     }
 
     fn can_send_new(&self) -> bool {
-        match &self.sack {
-            Some(sb) => {
+        match &self.repair {
+            Repair::Sack(sb) => {
                 sb.pipe(self.next_seq, self.high_ack) < self.window()
                     && (sb.next_hole(self.high_ack).is_some() || self.has_new_data())
             }
-            None => self.has_new_data() && self.pif() < self.window(),
+            Repair::GoBackN { .. } => self.has_new_data() && self.pif() < self.window(),
         }
     }
 
     fn emit(&mut self, seq: u64, retransmit: bool, ctx: &mut Ctx) {
-        let mut pkt = Packet::data(ctx.flow, self.src, self.dst, self.cfg.segment_bytes(), seq);
-        pkt.ecn_capable = self.cfg.ecn;
+        let mut pkt = Packet::data(ctx.flow, self.src, self.dst, SEGMENT_BYTES, seq);
+        pkt.ecn_capable = self.ecn;
         if let Some(srtt) = self.rtt.srtt() {
             pkt.rtt_hint = srtt;
         }
@@ -468,7 +426,7 @@ impl Sender {
             }
         }
         let rtt = self.rtt.srtt().unwrap_or(rtt_hint);
-        let w = self.ctrl.window().min(self.cfg.max_cwnd).max(1.0);
+        let w = self.ctrl.window().max(1.0);
         SimDuration::from_secs_f64(rtt.as_secs_f64() / w)
     }
 
@@ -477,28 +435,33 @@ impl Sender {
     fn take_next_send(&mut self) -> Option<(u64, bool)> {
         let win = self.window();
         let (next_seq, high_ack) = (self.next_seq, self.high_ack);
-        if let Some(sb) = self.sack.as_mut() {
-            if sb.pipe(next_seq, high_ack) >= win {
-                return None;
-            }
-            if let Some(hole) = sb.next_hole(high_ack) {
-                sb.rtx_next = hole + 1;
-                return Some((hole, true));
-            }
-            let held_until = sb.sacked.run_end(next_seq);
-            if !self.has_new_data() {
-                return None;
-            }
-            // Skip sequences the receiver already holds (possible after
-            // a pull-back).
-            if let Some(end) = held_until {
-                self.next_seq = end;
+        match &mut self.repair {
+            Repair::Sack(sb) => {
+                if sb.pipe(next_seq, high_ack) >= win {
+                    return None;
+                }
+                if let Some(hole) = sb.next_hole(high_ack) {
+                    sb.rtx_next = hole + 1;
+                    return Some((hole, true));
+                }
+                let held_until = sb.sacked.run_end(next_seq);
                 if !self.has_new_data() {
                     return None;
                 }
+                // Skip sequences the receiver already holds (possible after
+                // a pull-back).
+                if let Some(end) = held_until {
+                    self.next_seq = end;
+                    if !self.has_new_data() {
+                        return None;
+                    }
+                }
             }
-        } else if !self.has_new_data() || self.pif() >= win {
-            return None;
+            Repair::GoBackN { .. } => {
+                if !self.has_new_data() || self.pif() >= win {
+                    return None;
+                }
+            }
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -527,7 +490,7 @@ impl Sender {
                 if self.can_send_new() && !self.pace_armed {
                     self.schedule_pace(ctx);
                 }
-                if self.sack.is_some() && self.pif() > 0 && !self.rto_armed {
+                if matches!(self.repair, Repair::Sack(_)) && self.pif() > 0 && !self.rto_armed {
                     self.arm_rto(ctx);
                 }
             }
@@ -641,33 +604,9 @@ impl Sender {
         Some(sample)
     }
 
-    fn enter_fast_recovery(&mut self, ctx: &mut Ctx) {
-        let flight = self.pif() as f64;
-        self.ctrl.on_congestion_event(&CongestionEvent {
-            now: ctx.now,
-            kind: CongestionKind::DupAck,
-            flight,
-        });
-        self.loss_events += 1;
-        if self.variant == RenoVariant::Tahoe {
-            // Tahoe: retransmit and restart from slow start; go-back-N over
-            // the outstanding range (pre-fast-recovery behavior).
-            self.dupacks = 0;
-            self.next_seq = self.high_ack;
-            self.pump(ctx);
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            return;
-        }
-        self.recover = Some(self.next_seq.saturating_sub(1));
-        self.partial_acks = 0;
-        let seq = self.high_ack;
-        self.emit(seq, true, ctx);
-        self.arm_rto(ctx);
-    }
-
-    fn enter_sack_recovery(&mut self, ctx: &mut Ctx) {
+    /// A loss was detected (three duplicate ACKs, or three SACKed segments
+    /// above a hole): reduce, enter recovery and retransmit the first hole.
+    fn enter_recovery(&mut self, ctx: &mut Ctx) {
         let flight = self.flight() as f64;
         self.ctrl.on_congestion_event(&CongestionEvent {
             now: ctx.now,
@@ -675,23 +614,27 @@ impl Sender {
             flight,
         });
         self.loss_events += 1;
-        let sb = self.sack.as_mut().expect("SACK repair");
-        sb.recovery_point = Some(self.next_seq);
-        sb.rtx_next = self.high_ack;
-        // RFC 6675: the first hole is retransmitted immediately on entry,
-        // regardless of the pipe (which right now still counts the whole
-        // pre-loss flight and would otherwise gate everything).
-        if let Some(hole) = sb.next_hole(self.high_ack) {
-            sb.rtx_next = hole + 1;
+        let (next_seq, high_ack) = (self.next_seq, self.high_ack);
+        let first_hole = match &mut self.repair {
+            Repair::GoBackN {
+                recover,
+                partial_acks,
+            } => {
+                *recover = Some(next_seq.saturating_sub(1));
+                *partial_acks = 0;
+                Some(high_ack)
+            }
+            Repair::Sack(sb) => sb.enter_recovery(next_seq, high_ack),
+        };
+        if let Some(hole) = first_hole {
             self.emit(hole, true, ctx);
         }
         self.arm_rto(ctx);
-        self.pump(ctx);
     }
 
     fn on_ecn_echo(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         // ECN reaction, at most once per window of data (RFC 3168 §6.1.2).
-        if self.cfg.ecn && pkt.ecn_echo && pkt.ack >= self.cwr_until {
+        if self.ecn && pkt.ecn_echo && pkt.ack >= self.cwr_until {
             let flight = self.pif() as f64;
             self.ctrl.on_congestion_event(&CongestionEvent {
                 now: ctx.now,
@@ -703,8 +646,58 @@ impl Sender {
         }
     }
 
-    fn on_ack_gbn(&mut self, pkt: &Packet, ctx: &mut Ctx) {
+    /// The repair layer's reading of a cumulative advance to `high_ack`:
+    /// the recovery phase the ACK sits in, and whether it re-arms the RTO.
+    fn on_advance(&mut self, newly: u64, ctx: &mut Ctx) -> (AckPhase, bool) {
+        let high_ack = self.high_ack;
+        let phase = match &mut self.repair {
+            Repair::GoBackN { recover: None, .. } => AckPhase::Open,
+            Repair::GoBackN {
+                recover: Some(recover),
+                ..
+            } if high_ack > *recover => AckPhase::RecoveryExit,
+            Repair::GoBackN { partial_acks, .. } => {
+                // NewReno partial acknowledgment: retransmit the next hole,
+                // deflate, stay in. RFC 6582 "Impatient": only the FIRST
+                // partial ACK of a recovery resets the retransmit timer. A
+                // window with many losses would otherwise crawl out one
+                // hole per RTT for hundreds of RTTs; instead the RTO fires
+                // and go-back-N resynchronizes in a few round trips.
+                *partial_acks += 1;
+                let first = *partial_acks == 1;
+                self.emit(high_ack, true, ctx);
+                self.ctrl.on_partial_ack(ctx.now, newly);
+                return (AckPhase::Recovery, first);
+            }
+            Repair::Sack(sb) => {
+                sb.on_cumulative_ack(high_ack);
+                match sb.recovery_point {
+                    None => AckPhase::Open,
+                    Some(rp) if high_ack >= rp => AckPhase::RecoveryExit,
+                    Some(_) => AckPhase::Recovery, // keep repairing holes
+                }
+            }
+        };
+        match phase {
+            AckPhase::Open => self.dupacks = 0,
+            AckPhase::RecoveryExit => {
+                // Full acknowledgment: leave recovery.
+                self.ctrl.on_recovery_exit(ctx.now);
+                self.leave_recovery();
+                self.dupacks = 0;
+            }
+            AckPhase::Recovery => {}
+        }
+        (phase, true)
+    }
+
+    fn on_ack(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         self.on_ecn_echo(pkt, ctx);
+        let (floor, ceiling) = (self.high_ack.max(pkt.ack), self.max_seq_sent);
+        let new_sack_info = match &mut self.repair {
+            Repair::Sack(sb) => sb.absorb(pkt.sack_blocks(), floor, ceiling),
+            Repair::GoBackN { .. } => false,
+        };
 
         if pkt.ack > self.high_ack {
             let newly = pkt.ack - self.high_ack;
@@ -716,54 +709,10 @@ impl Sender {
             ctx.trace.goodput(GoodputEvent {
                 time: ctx.now,
                 flow: ctx.flow,
-                bytes: newly * self.cfg.mss as u64,
+                bytes: newly * MSS as u64,
             });
-
-            // RFC 6582 "Impatient": only the FIRST partial ACK of a
-            // recovery resets the retransmit timer. A window with many
-            // losses would otherwise crawl out one hole per RTT for
-            // hundreds of RTTs; instead the RTO fires and go-back-N
-            // resynchronizes in a few round trips.
-            let mut rearm_rto = true;
-            let phase = match self.recover {
-                Some(recover) if pkt.ack > recover => {
-                    // Full acknowledgment: leave recovery.
-                    self.ctrl.on_recovery_exit(ctx.now);
-                    self.recover = None;
-                    self.dupacks = 0;
-                    self.partial_acks = 0;
-                    AckPhase::RecoveryExit
-                }
-                Some(_) => {
-                    // Partial acknowledgment.
-                    match self.variant {
-                        RenoVariant::Tahoe => unreachable!("Tahoe never enters recovery"),
-                        RenoVariant::NewReno => {
-                            // Retransmit the next hole, deflate, stay in.
-                            let seq = self.high_ack;
-                            self.emit(seq, true, ctx);
-                            self.ctrl.on_partial_ack(ctx.now, newly);
-                            self.partial_acks += 1;
-                            rearm_rto = self.partial_acks == 1;
-                            AckPhase::Recovery
-                        }
-                        RenoVariant::Reno => {
-                            // Classic Reno deflates fully and leaves.
-                            self.ctrl.on_recovery_exit(ctx.now);
-                            self.recover = None;
-                            self.dupacks = 0;
-                            self.partial_acks = 0;
-                            AckPhase::RecoveryExit
-                        }
-                    }
-                }
-                None => {
-                    self.dupacks = 0;
-                    AckPhase::Open
-                }
-            };
+            let (phase, rearm_rto) = self.on_advance(newly, ctx);
             self.notify_ack(newly, rtt_sample, phase, ctx);
-
             if self.pif() > 0 {
                 if rearm_rto {
                     self.arm_rto(ctx);
@@ -773,66 +722,24 @@ impl Sender {
             }
         } else if pkt.ack == self.high_ack && self.pif() > 0 {
             // Duplicate acknowledgment.
-            self.dupacks += 1;
-            if self.recover.is_some() {
-                self.ctrl.on_dupack_in_recovery(); // inflation
-            } else if self.dupacks == 3 {
-                self.enter_fast_recovery(ctx);
-            }
-        }
-        self.pump(ctx);
-    }
-
-    fn on_ack_sack(&mut self, pkt: &Packet, ctx: &mut Ctx) {
-        self.on_ecn_echo(pkt, ctx);
-
-        let (floor, ceiling) = (self.high_ack.max(pkt.ack), self.max_seq_sent);
-        let sb = self.sack.as_mut().expect("SACK repair");
-        let new_sack_info = sb.absorb(pkt.sack_blocks(), floor, ceiling);
-
-        if pkt.ack > self.high_ack {
-            let newly = pkt.ack - self.high_ack;
-            self.high_ack = pkt.ack;
-            self.next_seq = self.next_seq.max(self.high_ack);
-            self.sack
-                .as_mut()
-                .expect("SACK repair")
-                .on_cumulative_ack(self.high_ack);
-            let rtt_sample = self.take_rtt_sample(pkt, ctx);
-            ctx.trace.goodput(GoodputEvent {
-                time: ctx.now,
-                flow: ctx.flow,
-                bytes: newly * self.cfg.mss as u64,
-            });
-            let recovery_point = self.sack.as_ref().and_then(|s| s.recovery_point);
-            let phase = match recovery_point {
-                Some(rp) if self.high_ack >= rp => {
-                    self.sack.as_mut().expect("SACK repair").recovery_point = None;
-                    self.dupacks = 0;
-                    self.ctrl.on_recovery_exit(ctx.now);
-                    AckPhase::RecoveryExit
+            match &self.repair {
+                Repair::GoBackN { recover, .. } => {
+                    self.dupacks += 1;
+                    if recover.is_some() {
+                        self.ctrl.on_dupack_in_recovery(); // inflation
+                    } else if self.dupacks == 3 {
+                        self.enter_recovery(ctx);
+                    }
                 }
-                Some(_) => AckPhase::Recovery, // keep repairing holes
-                None => {
-                    self.dupacks = 0;
-                    AckPhase::Open
+                // RFC 6675: a duplicate counts only if it SACKs something
+                // new; recovery starts at three SACKed segments.
+                Repair::Sack(sb) if new_sack_info => {
+                    self.dupacks += 1;
+                    if self.dupacks >= 3 && sb.recovery_point.is_none() {
+                        self.enter_recovery(ctx);
+                    }
                 }
-            };
-            self.notify_ack(newly, rtt_sample, phase, ctx);
-            if self.next_seq > self.high_ack {
-                self.arm_rto(ctx);
-            } else {
-                self.disarm_rto();
-            }
-        } else if pkt.ack == self.high_ack && self.next_seq > self.high_ack && new_sack_info {
-            self.dupacks += 1;
-            // RFC 6675: enter recovery on three SACKed segments.
-            let in_recovery = self
-                .sack
-                .as_ref()
-                .is_some_and(|s| s.recovery_point.is_some());
-            if self.dupacks >= 3 && !in_recovery {
-                self.enter_sack_recovery(ctx);
+                Repair::Sack(_) => {}
             }
         }
         self.pump(ctx);
@@ -840,9 +747,9 @@ impl Sender {
 
     fn on_rto(&mut self, ctx: &mut Ctx) {
         self.rto_armed = false;
-        let idle = match &self.sack {
-            Some(_) => self.next_seq == self.high_ack && !self.has_new_data(),
-            None => self.pif() == 0,
+        let idle = match &self.repair {
+            Repair::Sack(_) => self.next_seq == self.high_ack && !self.has_new_data(),
+            Repair::GoBackN { .. } => self.pif() == 0,
         };
         if idle {
             return; // nothing outstanding; leave disarmed
@@ -858,11 +765,7 @@ impl Sender {
         let flight = self.flight() as f64;
         self.ctrl.on_rto(ctx.now, flight, in_recovery);
         self.dupacks = 0;
-        self.recover = None;
-        self.partial_acks = 0;
-        if let Some(sb) = self.sack.as_mut() {
-            sb.recovery_point = None;
-        }
+        self.leave_recovery();
         self.rtt.backoff();
         // Go-back-N, as NS-2 does: pull the send pointer back to the first
         // unacked segment. Slow start then walks back over the old range;
@@ -891,20 +794,18 @@ impl Transport for Sender {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         match pkt.kind {
             PacketKind::Data => {
-                if let Some(info) = self.rx.on_data(pkt) {
-                    let mut ack =
-                        Packet::ack(ctx.flow, self.dst, self.src, self.cfg.ack_bytes, info.ack);
-                    ack.echo = info.echo;
-                    ack.ecn_echo = info.ecn_echo;
-                    ack.sack = info.sack; // advertised even if the peer ignores it
-                    ctx.send_from(self.dst, ack);
-                }
+                let info = self.rx.on_data(pkt);
+                let mut ack = Packet::ack(ctx.flow, self.dst, self.src, ACK_BYTES, info.ack);
+                ack.echo = info.echo;
+                ack.ecn_echo = info.ecn_echo;
+                ack.sack = info.sack; // advertised even if the peer ignores it
+                ctx.send_from(self.dst, ack);
             }
-            PacketKind::Ack => match self.sack {
-                Some(_) => self.on_ack_sack(pkt, ctx),
-                None => self.on_ack_gbn(pkt, ctx),
-            },
-            PacketKind::Feedback => {}
+            // An ACK beyond what was ever sent is peer input no honest
+            // receiver produces: it would claim undelivered bytes and
+            // finish a bulk transfer early. Ignore it.
+            PacketKind::Ack if pkt.ack <= self.max_seq_sent => self.on_ack(pkt, ctx),
+            PacketKind::Ack | PacketKind::Feedback => {}
         }
     }
 
@@ -927,7 +828,7 @@ impl Transport for Sender {
 
     fn progress(&self) -> FlowProgress {
         FlowProgress {
-            bytes_delivered: self.high_ack * self.cfg.mss as u64,
+            bytes_delivered: self.high_ack * MSS as u64,
             packets_sent: self.packets_sent,
             retransmits: self.retransmits,
             loss_events: self.loss_events,
@@ -1052,7 +953,9 @@ mod tests {
         let sent_before = s.max_seq_sent;
         let out = drv.deliver(&mut s, &forged, at);
 
-        let sb = s.sack.as_ref().unwrap();
+        let Repair::Sack(sb) = &s.repair else {
+            panic!("CUBIC repairs with SACK");
+        };
         assert_eq!(s.high_ack, 1);
         // Exactly what was in flight when the forgery arrived — never
         // more than `max_seq_sent - high_ack`.
@@ -1108,22 +1011,87 @@ mod tests {
         assert_eq!(sb.sacked.runs()[0], (high_ack + 750, high_ack + 1_000));
     }
 
+    /// A cumulative ACK is peer input too. One beyond what was ever sent
+    /// used to move `high_ack` and `next_seq` there, report bytes that
+    /// were never sent as delivered, and finish a bulk transfer.
     #[test]
-    fn legacy_constructor_matrix_builds() {
-        for variant in [RenoVariant::Tahoe, RenoVariant::Reno, RenoVariant::NewReno] {
-            for mode in [
-                SendMode::Burst,
-                SendMode::Paced {
-                    rtt_hint: SimDuration::from_millis(20),
-                },
-            ] {
-                let s = Sender::new(NodeId(0), NodeId(1), TcpConfig::default(), variant, mode);
-                assert_eq!(s.variant, variant);
-                assert!(s.sack.is_none());
-            }
+    fn forged_ack_beyond_what_was_sent_is_ignored() {
+        use lossburst_netsim::driver::HostDriver;
+        use lossburst_netsim::packet::FlowId;
+
+        let (a, b) = (NodeId(0), NodeId(1));
+        let build: [fn() -> Sender; 2] = [
+            || Sender::newreno(NodeId(0), NodeId(1), TcpConfig::default()),
+            || Sender::cubic(NodeId(0), NodeId(1), TcpConfig::default()),
+        ];
+        for make in build {
+            let mut s = make().with_limit_bytes(100_000);
+            let mut drv = HostDriver::new(1, FlowId(0));
+            let sent = drv.start(&mut s, SimTime::ZERO).len() as u64;
+            assert!(sent > 0 && s.max_seq_sent == sent);
+
+            let forged = Packet::ack(FlowId(0), b, a, 40, 1_000_000_000_000);
+            let at = SimTime::ZERO + SimDuration::from_millis(20);
+            let out = drv.deliver(&mut s, &forged, at);
+            let name = s.controller().name();
+            assert!(out.is_empty(), "{name}: a forged ACK releases nothing");
+            assert_eq!((s.high_ack, s.next_seq), (0, sent), "{name}");
+            assert_eq!(s.progress().bytes_delivered, 0, "{name}");
+            assert!(!s.is_done(), "{name}: the transfer is not finished");
+
+            // An honest ACK for everything sent is still taken.
+            let honest = Packet::ack(FlowId(0), b, a, 40, sent);
+            drv.deliver(&mut s, &honest, at);
+            assert_eq!(s.high_ack, sent, "{name}");
         }
-        let s = Sender::sack(NodeId(0), NodeId(1), TcpConfig::default());
-        assert!(s.sack.is_some());
-        assert_eq!(s.controller().name(), "sack");
+    }
+
+    #[test]
+    fn constructors_compose_controller_repair_and_mode() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let hint = SimDuration::from_millis(20);
+        let paced = SendMode::Paced { rtt_hint: hint };
+        for (s, name, sack, mode) in [
+            (
+                Sender::newreno(a, b, TcpConfig::default()),
+                "newreno",
+                false,
+                SendMode::Burst,
+            ),
+            (
+                Sender::pacing(a, b, TcpConfig::default(), hint),
+                "newreno",
+                false,
+                paced,
+            ),
+            (
+                Sender::sack(a, b, TcpConfig::default()),
+                "sack",
+                true,
+                SendMode::Burst,
+            ),
+            (
+                Sender::cubic(a, b, TcpConfig::default()),
+                "cubic",
+                true,
+                SendMode::Burst,
+            ),
+            (
+                Sender::bbr(a, b, TcpConfig::default(), hint),
+                "bbr",
+                true,
+                paced,
+            ),
+            (
+                Sender::fast(a, b, TcpConfig::default(), 20.0, 0.5),
+                "fast",
+                false,
+                SendMode::Burst,
+            ),
+        ] {
+            assert_eq!(s.controller().name(), name);
+            assert_eq!(matches!(s.repair, Repair::Sack(_)), sack, "{name}");
+            assert_eq!(s.mode, mode, "{name}");
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Behaviour tests for loss-based window TCP (Reno/NewReno/Tahoe and TCP
-//! Pacing) over the unified [`Sender`]: the [`crate::sender`] core owns the
+//! Behaviour tests for loss-based window TCP (NewReno and TCP Pacing) over
+//! the unified [`Sender`]: the [`crate::sender`] core owns the
 //! mechanics (sequencing, loss detection, timers) and a
 //! [`crate::cc::Controller`] owns the window law.
 //!
@@ -11,11 +11,13 @@
 //! * a **rate-based** sender ([`SendMode::Paced`]) spreads the same window
 //!   evenly over the RTT, releasing one packet every `srtt / cwnd`.
 
-use crate::sender::{RenoVariant, SendMode, Sender};
+use crate::sender::{SendMode, Sender};
 
 mod tests {
     use super::*;
+    use crate::cc::{AckEvent, CongestionEvent, Controller};
     use crate::config::TcpConfig;
+    use crate::sender::Repair;
     use lossburst_netsim::builder::SimBuilder;
     use lossburst_netsim::iface::Transport;
     use lossburst_netsim::packet::NodeId;
@@ -119,9 +121,24 @@ mod tests {
         );
     }
 
+    /// A window law frozen at a fixed number of packets.
+    struct FixedWindow(f64);
+
+    impl Controller for FixedWindow {
+        fn on_ack(&mut self, _ev: &AckEvent) {}
+        fn on_congestion_event(&mut self, _ev: &CongestionEvent) {}
+        fn on_rto(&mut self, _now: SimTime, _flight: f64, _in_recovery: bool) {}
+        fn window(&self) -> f64 {
+            self.0
+        }
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+    }
+
     #[test]
     fn paced_sender_spreads_packets() {
-        // Clamp the window to 10 packets on a fast link with RTT 20 ms.
+        // Fix the window at 10 packets on a fast link with RTT 20 ms.
         // A window-based sender then emits 10 back-to-back packets per RTT
         // (ack arrivals cluster at the bottleneck serialization time,
         // ~0.1 ms), while a paced sender spreads them ~2 ms apart. The
@@ -139,13 +156,18 @@ mod tests {
                 QueueDisc::drop_tail(4000),
             );
             let mut sim = bld.build();
-            let cfg = TcpConfig {
-                max_cwnd: 10.0,
-                ..Default::default()
-            };
+            let ctrl = Box::new(FixedWindow(10.0));
+            let repair = Repair::go_back_n();
             sim.add_flow(
                 SimTime::ZERO,
-                Box::new(Sender::new(a, b, cfg, RenoVariant::NewReno, mode)),
+                Box::new(Sender::with_controller(
+                    a,
+                    b,
+                    TcpConfig::default(),
+                    ctrl,
+                    mode,
+                    repair,
+                )),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
             let evs: Vec<f64> = sim
@@ -180,70 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn reno_and_newreno_differ_on_partial_acks() {
-        // Run both through an identical lossy start and compare recovery
-        // counters; NewReno should see fewer timeouts on multi-loss windows.
-        let run = |variant: RenoVariant| {
-            let (mut sim, a, b) = simple_net(6);
-            let flow = sim.add_flow(
-                SimTime::ZERO,
-                Box::new(
-                    Sender::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
-                        .with_limit_bytes(1_000_000),
-                ),
-            );
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-            let tcp = sim.flow(flow);
-            assert!(tcp.is_done(), "{variant:?} did not finish");
-            (tcp.timeouts(), sim.completed_at(flow).unwrap())
-        };
-        let (nr_timeouts, _) = run(RenoVariant::NewReno);
-        let (r_timeouts, _) = run(RenoVariant::Reno);
-        assert!(
-            nr_timeouts <= r_timeouts,
-            "NewReno ({nr_timeouts}) should not time out more than Reno ({r_timeouts})"
-        );
-    }
-
-    #[test]
-    fn tahoe_completes_and_slow_starts_after_loss() {
-        let (mut sim, a, b) = simple_net(8);
-        let flow = sim.add_flow(
-            SimTime::ZERO,
-            Box::new(Sender::tahoe(a, b, TcpConfig::default()).with_limit_bytes(1_000_000)),
-        );
-        sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-        let tcp = sim.flow(flow);
-        assert!(tcp.is_done(), "Tahoe transfer stalled");
-        assert!(tcp.loss_events > 0);
-        assert!(!tcp.in_recovery(), "Tahoe must never be in fast recovery");
-        assert_eq!(tcp.progress().bytes_delivered, 1_000_000);
-    }
-
-    #[test]
-    fn tahoe_is_not_faster_than_newreno_under_loss() {
-        let run = |variant: RenoVariant| {
-            let (mut sim, a, b) = simple_net(8);
-            let f = sim.add_flow(
-                SimTime::ZERO,
-                Box::new(
-                    Sender::new(a, b, TcpConfig::default(), variant, SendMode::Burst)
-                        .with_limit_bytes(1_500_000),
-                ),
-            );
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
-            assert!(sim.flow(f).is_done());
-            sim.completed_at(f).unwrap().as_secs_f64()
-        };
-        let tahoe = run(RenoVariant::Tahoe);
-        let newreno = run(RenoVariant::NewReno);
-        assert!(
-            tahoe >= newreno * 0.95,
-            "Tahoe ({tahoe:.2}s) should not beat NewReno ({newreno:.2}s)"
-        );
-    }
-
-    #[test]
     fn ecn_capable_flow_reacts_without_loss() {
         let mut bld = SimBuilder::new(5).trace(TraceConfig::all());
         let a = bld.host();
@@ -274,31 +232,6 @@ mod tests {
         assert!(tcp.loss_events > 0, "ECN echoes should cause back-off");
         assert_eq!(sim.total_drops(), 0, "no packets should be dropped");
         assert!(!sim.trace.marks.is_empty() || sim.links[0].stats.marked > 0);
-    }
-
-    #[test]
-    fn delayed_acks_halve_ack_traffic_without_breaking_transfer() {
-        let run = |ack_every: u32| {
-            let (mut sim, a, b) = simple_net(1000);
-            let cfg = TcpConfig {
-                ack_every,
-                ..Default::default()
-            };
-            let f = sim.add_flow(
-                SimTime::ZERO,
-                Box::new(Sender::newreno(a, b, cfg).with_limit_bytes(500_000)),
-            );
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-            assert!(sim.flow(f).is_done());
-            // ACKs are the packets on the reverse link (link index 1).
-            sim.links[1].stats.transmitted
-        };
-        let acks_every = run(1);
-        let acks_delayed = run(2);
-        assert!(
-            (acks_delayed as f64) < 0.7 * acks_every as f64,
-            "delayed ACKs should cut reverse traffic: {acks_delayed} vs {acks_every}"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Behaviour tests for SACK TCP (RFC 2018 blocks + an RFC 6675-style
 //! scoreboard sender): [`Sender::sack`], the unified sender core with its
-//! [`crate::sender::RepairKind::Sack`] repair path under the NewReno-style
-//! halving of [`crate::cc::reno::RenoConfig::sack`].
+//! [`crate::sender::Repair::Sack`] repair path under the plain halving of
+//! [`crate::cc::reno::LossResponse::Halve`].
 
 use crate::config::TcpConfig;
 use crate::sender::Sender;
@@ -9,7 +9,7 @@ use lossburst_netsim::packet::NodeId;
 
 mod tests {
     use super::*;
-    use crate::sender::SackState;
+    use crate::sender::Repair;
     use lossburst_netsim::builder::SimBuilder;
     use lossburst_netsim::iface::Transport;
     use lossburst_netsim::queue::QueueDisc;
@@ -102,7 +102,9 @@ mod tests {
         let mut t = Sender::sack(NodeId(0), NodeId(1), TcpConfig::default());
         t.next_seq = 10;
         t.high_ack = 2;
-        let sb: &mut SackState = t.sack.as_mut().unwrap();
+        let Repair::Sack(sb) = &mut t.repair else {
+            panic!("SACK TCP repairs with SACK");
+        };
         sb.rtx_next = 2;
         sb.sacked.insert_range(4, 6);
         sb.sacked.insert(7);

@@ -290,13 +290,15 @@ impl TfrcSender {
         self.last_data_sent_at = pkt.sent_at;
         let mut new_event = false;
         if pkt.seq >= self.highest_seq {
-            // Any skipped sequences are losses.
-            let mut lost = self.highest_seq;
-            while lost < pkt.seq {
-                new_event |= self.history.on_loss(lost, ctx.now, self.rtt_hint_rx);
-                lost += 1;
+            // Any skipped sequences are losses. They are all seen at `now`,
+            // so only the first can open a loss event: one call stands for
+            // the whole gap, however wide a peer makes it.
+            if pkt.seq > self.highest_seq {
+                new_event = self
+                    .history
+                    .on_loss(self.highest_seq, ctx.now, self.rtt_hint_rx);
             }
-            self.highest_seq = pkt.seq + 1;
+            self.highest_seq = pkt.seq.saturating_add(1);
         }
         ctx.trace.goodput(GoodputEvent {
             time: ctx.now,
@@ -647,5 +649,24 @@ mod tests {
             delivered > 1_000_000,
             "only {delivered} bytes in 30 s over a 2 Mbps link"
         );
+    }
+
+    /// A sequence number is peer input. A gap of 2⁴⁰ used to run the
+    /// loss-history loop once per missing sequence, and `u64::MAX` then
+    /// overflowed `seq + 1`; a wide gap now costs one call and one event.
+    #[test]
+    fn a_huge_sequence_gap_is_one_loss_event() {
+        use lossburst_netsim::driver::HostDriver;
+        use lossburst_netsim::packet::FlowId;
+
+        let (a, b) = (NodeId(0), NodeId(1));
+        let mut t = TfrcSender::new(a, b, 1000, SimDuration::from_millis(20));
+        let mut drv = HostDriver::new(1, FlowId(0));
+        let at = SimTime::ZERO + SimDuration::from_millis(5);
+        for seq in [0, 1 << 40, u64::MAX] {
+            drv.deliver(&mut t, &Packet::data(FlowId(0), a, b, 1040, seq), at);
+        }
+        assert_eq!(t.history.event_starts, [1]);
+        assert_eq!(t.highest_seq, u64::MAX);
     }
 }

@@ -17,11 +17,7 @@ fn rtt_estimator_bounds() {
         let n = gen.random_range(1..100usize);
         let samples: Vec<u64> = (0..n).map(|_| gen.random_range(1..2_000_000u64)).collect();
         let min_rto = SimDuration::from_millis(200);
-        let mut est = RttEstimator::new(
-            SimDuration::from_secs(1),
-            min_rto,
-            SimDuration::from_secs(60),
-        );
+        let mut est = RttEstimator::new(SimDuration::from_secs(1), min_rto);
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for &us in &samples {
             est.on_sample(SimDuration::from_micros(us));
@@ -46,25 +42,23 @@ fn receiver_ack_is_monotone() {
     sweep(0xACC0, 50, |case, gen| {
         let n = gen.random_range(1..200usize);
         let mut seqs: Vec<u64> = (0..n).map(|_| gen.random_range(0..64u64)).collect();
-        let mut rx = TcpReceiver::new(1);
+        let mut rx = TcpReceiver::default();
         let mut prev_ack = 0u64;
         let mut delivered = std::collections::HashSet::new();
         for &s in &seqs {
             delivered.insert(s);
-            if let Some(info) = rx.on_data(&Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, s))
-            {
-                assert!(info.ack >= prev_ack, "ack went backwards (case {case})");
-                prev_ack = info.ack;
-                // ack-1 must be the contiguous delivered prefix.
-                for k in 0..info.ack {
-                    assert!(delivered.contains(&k), "acked undelivered seq {k}");
-                }
-                // SACK blocks never overlap the acked prefix and are sorted
-                // within themselves.
-                for (a, b) in info.sack.iter().copied().filter(|&(a, b)| b > a) {
-                    assert!(a >= info.ack, "sack block below cumulative ack");
-                    assert!(b > a);
-                }
+            let info = rx.on_data(&Packet::data(FlowId(0), NodeId(0), NodeId(1), 1000, s));
+            assert!(info.ack >= prev_ack, "ack went backwards (case {case})");
+            prev_ack = info.ack;
+            // ack-1 must be the contiguous delivered prefix.
+            for k in 0..info.ack {
+                assert!(delivered.contains(&k), "acked undelivered seq {k}");
+            }
+            // SACK blocks never overlap the acked prefix and are sorted
+            // within themselves.
+            for (a, b) in info.sack.iter().copied().filter(|&(a, b)| b > a) {
+                assert!(a >= info.ack, "sack block below cumulative ack");
+                assert!(b > a);
             }
         }
         // Deliver everything: ack must reach max+1.
@@ -114,30 +108,29 @@ fn two_hosts(seed: u64, buffer: usize) -> (SimBuilder, NodeId, NodeId) {
     (b, src, dst)
 }
 
-/// Any TCP variant finishes any small transfer over any lossy-enough
-/// link eventually, delivering exactly the requested payload.
+/// Both go-back-N senders (NewReno, bursty and paced) finish any small
+/// transfer over any lossy-enough link eventually, delivering exactly the
+/// requested payload.
 #[test]
-fn all_variants_complete_transfers() {
-    let variants = [RenoVariant::Tahoe, RenoVariant::Reno, RenoVariant::NewReno];
+fn go_back_n_senders_complete_transfers() {
     sweep(0x7C9, 9, |case, gen| {
-        let variant = variants[case as usize % variants.len()];
+        let paced = case % 2 == 1;
         let seed = gen.random_range(0..300u64);
         let kb = gen.random_range(1..64u64);
         let buffer = gen.random_range(3..20usize);
 
         let (mut b, src, dst) = two_hosts(seed, buffer);
         let bytes = kb * 1024;
-        let f = b.flow(
-            SimTime::ZERO,
-            Box::new(
-                Sender::new(src, dst, TcpConfig::default(), variant, SendMode::Burst)
-                    .with_limit_bytes(bytes),
-            ),
-        );
+        let tcp = if paced {
+            Sender::pacing(src, dst, TcpConfig::default(), SimDuration::from_millis(10))
+        } else {
+            Sender::newreno(src, dst, TcpConfig::default())
+        };
+        let f = b.flow(SimTime::ZERO, Box::new(tcp.with_limit_bytes(bytes)));
         let mut sim = b.build();
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(900));
         let tcp = sim.flow(f);
-        assert!(tcp.is_done(), "{variant:?} stalled (case {case})");
+        assert!(tcp.is_done(), "paced {paced} stalled (case {case})");
         assert!(tcp.progress().bytes_delivered >= bytes);
     });
 }

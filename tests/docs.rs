@@ -71,6 +71,11 @@ const GONE: &[(&str, u32)] = &[
     ("check_parallel_grid", 37),
     ("FaultKind::Timeout", 37),
     ("PathFailure::WallClock", 37),
+    ("RenoVariant", 45),
+    ("ControllerFactory", 45),
+    ("CcConfig", 45),
+    ("BbrConfig", 45),
+    ("CubicConfig", 45),
 ];
 
 /// The product crates: the library code a paper run executes.
@@ -89,7 +94,7 @@ const PRODUCT_CRATES: [&str; 7] = [
 /// item 4(e)'s grep, one a line. Lower it with every change that removes
 /// sites; one that adds a site returns an error instead, or raises this
 /// with the reason in its change notes.
-const PANIC_SITES_CEILING: usize = 146;
+const PANIC_SITES_CEILING: usize = 129;
 
 /// Parts (`_`-separated) from which a backticked snake_case name is taken
 /// for an identifier — a test, a function, a config field, a metric key —
