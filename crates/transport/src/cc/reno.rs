@@ -14,7 +14,7 @@ use lossburst_netsim::time::SimTime;
 /// How the window responds to a dupack-detected loss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LossResponse {
-    /// Reno/NewReno fast recovery: `cwnd = ssthresh + 3` (the three dupacks
+    /// NewReno fast recovery: `cwnd = ssthresh + 3` (the three dupacks
     /// that triggered detection have left the network).
     HalvePlus3,
     /// RFC 6675 SACK: `cwnd = ssthresh`, no inflation — the scoreboard's
