@@ -7,10 +7,19 @@
 //! standard burstiness statistics the paper's future-work section calls
 //! for: the ratio against the Poisson process with the same rate, and the
 //! index of dispersion for counts.
+//!
+//! One engine computes them, whether the intervals come as a slice
+//! ([`analyze`]) or one loss at a time from a trace sink
+//! ([`LossStreamStats`](crate::streaming::LossStreamStats)): an
+//! `IntervalHist` folds the intervals, a `WindowSums` folds the loss
+//! instants of their stitched timeline, and `IntervalHist::report` builds
+//! every [`BurstinessReport`] from the two. Both hold O(bins + lags) state;
+//! an empty window of the span costs nothing.
 
+use crate::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use crate::intervals::time_order;
 use crate::poisson;
-use crate::stats;
+use crate::streaming::{MAX_LAG, WINDOW_RTT};
 
 /// Burstiness characterization of one RTT-normalized inter-loss-interval
 /// sample.
@@ -38,51 +47,39 @@ pub struct BurstinessReport {
     pub index_of_dispersion: f64,
 }
 
-/// Compute the report from RTT-normalized intervals. The only extra memory
-/// is the window counts of the index of dispersion.
+/// Compute the report from RTT-normalized intervals: one fold of the
+/// intervals and of their stitched timeline (the first loss at 0, each
+/// later one at its predecessor plus the interval). Time-ordered input
+/// allocates nothing but the histogram's bins, whatever its span; a
+/// timeline that steps back (a negative interval) is windowed from a copy
+/// in the [time order](crate::intervals#time-order).
 ///
 /// A NaN interval poisons what sums the intervals — the mean, the ratio and
 /// the index of dispersion read NaN — while the cluster fractions count it
 /// below no threshold.
 pub fn analyze(intervals_rtt: &[f64]) -> BurstinessReport {
-    let n_intervals = intervals_rtt.len();
-    let mean = stats::mean(intervals_rtt);
-    let mut below = [0usize; 4];
+    let mut hist = IntervalHist::paper_geometry();
+    let mut steps_back = false;
     for &iv in intervals_rtt {
-        below[0] += usize::from(iv < 0.01);
-        below[1] += usize::from(iv < 0.1);
-        below[2] += usize::from(iv < 0.25);
-        below[3] += usize::from(iv < 1.0);
+        hist.push(iv);
+        steps_back |= iv < 0.0;
     }
-    let [f001, f01, f025, f1] = below.map(|c| {
-        if n_intervals == 0 {
-            0.0
-        } else {
-            c as f64 / n_intervals as f64
-        }
-    });
-    let lambda = poisson::rate_from_intervals(intervals_rtt);
-    let poisson_f001 = poisson::reference_cdf(lambda, 0.01);
-    let ratio = if poisson_f001 <= 0.0 {
-        0.0
+    let first = (!intervals_rtt.is_empty()).then_some(0.0);
+    let timeline = first
+        .into_iter()
+        .chain(intervals_rtt.iter().scan(0.0, |t, iv| {
+            *t += iv;
+            Some(*t)
+        }));
+    let mut windows = WindowSums::default();
+    if steps_back {
+        let mut times: Vec<f64> = timeline.collect();
+        times.sort_by(time_order);
+        times.into_iter().for_each(|t| windows.push(t));
     } else {
-        f001 / poisson_f001
-    };
-    BurstinessReport {
-        n_losses: if n_intervals == 0 { 0 } else { n_intervals + 1 },
-        n_intervals,
-        mean_interval_rtt: mean,
-        frac_below_001: f001,
-        frac_below_01: f01,
-        frac_below_025: f025,
-        frac_below_1: f1,
-        burstiness_ratio: ratio,
-        index_of_dispersion: if mean.is_nan() {
-            f64::NAN
-        } else {
-            index_of_dispersion_from_intervals(intervals_rtt, 1.0)
-        },
+        timeline.for_each(|t| windows.push(t));
     }
+    hist.report(&windows)
 }
 
 /// Event counts in consecutive windows of `window` (same unit as `times`),
@@ -95,21 +92,19 @@ pub fn analyze(intervals_rtt: &[f64]) -> BurstinessReport {
 /// +∞ and NaN in the last — and with no finite instant at all every event
 /// shares one window.
 pub fn counts_in_windows(times: &[f64], window: f64) -> Vec<u64> {
-    window_counts(times.iter().copied(), window)
-}
-
-/// [`counts_in_windows`] over any sequence that can be walked twice.
-fn window_counts(times: impl Iterator<Item = f64> + Clone, window: f64) -> Vec<u64> {
     assert!(window > 0.0);
-    let mut finite = times.clone().filter(|t| t.is_finite());
+    let mut finite = times.iter().copied().filter(|t| t.is_finite());
     let Some(first) = finite.next() else {
-        let n = times.count() as u64;
-        return if n == 0 { Vec::new() } else { vec![n] };
+        return if times.is_empty() {
+            Vec::new()
+        } else {
+            vec![times.len() as u64]
+        };
     };
     let (t0, t1) = finite.fold((first, first), |(lo, hi), t| (lo.min(t), hi.max(t)));
     let nwin = ((t1 - t0) / window).floor() as usize + 1;
     let mut counts = vec![0u64; nwin];
-    for t in times {
+    for &t in times {
         let idx = if t.is_finite() {
             (((t - t0) / window) as usize).min(nwin - 1)
         } else if time_order(&t, &t0).is_lt() {
@@ -122,39 +117,247 @@ fn window_counts(times: impl Iterator<Item = f64> + Clone, window: f64) -> Vec<u
     counts
 }
 
-/// Index of dispersion for counts: variance/mean of per-window counts.
-/// Equals 1 for a Poisson process; ≫ 1 for clustered (bursty) processes.
-pub(crate) fn index_of_dispersion(counts: &[u64]) -> f64 {
-    if counts.len() < 2 {
-        return 0.0;
+/// The thresholds (RTT units) of the report's cluster fractions.
+const THRESHOLDS: [f64; 4] = [0.01, 0.1, 0.25, 1.0];
+
+/// The interval side of the engine: the RTT-normalized inter-loss-interval
+/// histogram on the paper's geometry, the interval sum and count, and how
+/// many intervals fall strictly below each of [`THRESHOLDS`]. The sum
+/// starts at −0.0, where `Iterator::sum` does, and adds in push order, so
+/// the mean keeps the bits of [`crate::stats::mean`] over the same
+/// sequence.
+#[derive(Clone, Debug)]
+pub(crate) struct IntervalHist {
+    hist: Histogram,
+    sum: f64,
+    n: u64,
+    below: [u64; 4],
+}
+
+impl IntervalHist {
+    /// An empty accumulator on the paper's geometry (0.02 RTT bins, 0–2
+    /// RTT).
+    pub(crate) fn paper_geometry() -> IntervalHist {
+        IntervalHist {
+            hist: Histogram::new(PAPER_BIN_WIDTH, PAPER_RANGE),
+            sum: -0.0,
+            n: 0,
+            below: [0; 4],
+        }
     }
-    // `stats::mean` and `stats::variance`, summing the counts as they lie.
-    let xs = counts.iter().map(|&c| c as f64);
-    let m = xs.clone().sum::<f64>() / counts.len() as f64;
-    if m <= 0.0 {
-        0.0
-    } else {
-        xs.map(|x| (x - m) * (x - m)).sum::<f64>() / (counts.len() - 1) as f64 / m
+
+    /// Add one RTT-normalized interval.
+    #[inline]
+    pub(crate) fn push(&mut self, iv_rtt: f64) {
+        self.hist.add(iv_rtt);
+        self.sum += iv_rtt;
+        self.n += 1;
+        for (below, x) in self.below.iter_mut().zip(THRESHOLDS) {
+            *below += u64::from(iv_rtt < x);
+        }
+    }
+
+    /// Intervals consumed so far.
+    pub(crate) fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// The histogram accumulated so far.
+    pub(crate) fn histogram(&self) -> &Histogram {
+        &self.hist
+    }
+
+    /// Mean interval (0 when empty).
+    fn mean(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.sum / self.n as f64
+        }
+    }
+
+    /// Implied Poisson rate `1 / mean` (0 when empty or degenerate),
+    /// matching [`crate::poisson::rate_from_intervals`].
+    pub(crate) fn lambda(&self) -> f64 {
+        let mean = self.mean();
+        if self.n == 0 || mean <= 0.0 {
+            0.0
+        } else {
+            1.0 / mean
+        }
+    }
+
+    /// The one [`BurstinessReport`] builder: these intervals' statistics
+    /// and the index of dispersion of `windows`, the windowed loss instants
+    /// of the same trace. A NaN mean makes the ratio and the dispersion
+    /// NaN.
+    pub(crate) fn report(&self, windows: &WindowSums) -> BurstinessReport {
+        let n_intervals = self.n as usize;
+        let [f001, f01, f025, f1] = self.below.map(|c| {
+            if self.n == 0 {
+                0.0
+            } else {
+                c as f64 / self.n as f64
+            }
+        });
+        let mean = self.mean();
+        let poisson_f001 = poisson::reference_cdf(self.lambda(), 0.01);
+        BurstinessReport {
+            n_losses: if n_intervals == 0 { 0 } else { n_intervals + 1 },
+            n_intervals,
+            mean_interval_rtt: mean,
+            frac_below_001: f001,
+            frac_below_01: f01,
+            frac_below_025: f025,
+            frac_below_1: f1,
+            burstiness_ratio: if poisson_f001 <= 0.0 {
+                0.0
+            } else {
+                f001 / poisson_f001
+            },
+            index_of_dispersion: if mean.is_nan() {
+                f64::NAN
+            } else {
+                windows.index_of_dispersion()
+            },
+        }
     }
 }
 
-/// Index of dispersion of the events at the intervals' cumulative sums
-/// (the first at 0). The sums are rebuilt on each pass, in the same
-/// `t += iv` order, instead of being stored.
-fn index_of_dispersion_from_intervals(intervals_rtt: &[f64], window: f64) -> f64 {
-    if intervals_rtt.is_empty() {
-        return 0.0;
+/// The window side of the engine: a time-ordered feed of loss instants,
+/// counted in [`WINDOW_RTT`] windows anchored at the first finite instant,
+/// kept as the integer sums that the index of dispersion and the lag-k
+/// autocorrelation over all `W` windows of the span need. An empty window
+/// adds nothing to any sum, so only an occupied one costs anything, and
+/// `W` is the last window's index plus one. The state is O([`MAX_LAG`]).
+///
+/// A non-finite instant joins window 0 before the first finite one and the
+/// open (last) window after it, as [`counts_in_windows`] counts a
+/// time-ordered trace; an instant that steps back joins the open window
+/// too. The sums are exact while `W·Σc²` stays below 2¹²⁷, which any span
+/// holding fewer than 2³¹ losses does.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WindowSums {
+    /// The first finite instant: where window 0 starts.
+    t0: Option<f64>,
+    /// The open window's index and loss count.
+    open: u64,
+    open_count: u64,
+    /// Σc over the closed windows.
+    sum: u64,
+    /// `co[k] = Σ cᵢ·cᵢ₊ₖ` over the closed windows (`co[0] = Σc²`).
+    co: [u128; MAX_LAG + 1],
+    /// The counts of windows `0..MAX_LAG`.
+    head: [u64; MAX_LAG],
+    /// The last `MAX_LAG` occupied windows closed, oldest first, as
+    /// (index, count); a count of 0 marks a slot not yet used.
+    recent: [(u64, u64); MAX_LAG],
+}
+
+impl WindowSums {
+    /// Consume one loss instant (RTT units).
+    #[inline]
+    pub(crate) fn push(&mut self, t: f64) {
+        if t.is_finite() {
+            let t0 = *self.t0.get_or_insert(t);
+            let win = ((t - t0) / WINDOW_RTT) as u64;
+            if win > self.open {
+                self.close();
+                self.open = win;
+            }
+        }
+        self.open_count += 1;
     }
-    let sums = intervals_rtt.iter().scan(0.0, |t, iv| {
-        *t += iv;
-        Some(*t)
-    });
-    index_of_dispersion(&window_counts(std::iter::once(0.0).chain(sums), window))
+
+    /// Fold the open window into the sums. Every window within
+    /// [`MAX_LAG`] of it is among the last `MAX_LAG` occupied ones, since
+    /// indices only grow.
+    fn close(&mut self) {
+        let (w, c) = (self.open, u128::from(self.open_count));
+        if c == 0 {
+            return;
+        }
+        self.sum += self.open_count;
+        self.co[0] += c * c;
+        for &(j, cj) in &self.recent {
+            let lag = w - j;
+            if lag <= MAX_LAG as u64 {
+                self.co[lag as usize] += u128::from(cj) * c;
+            }
+        }
+        if w < MAX_LAG as u64 {
+            self.head[w as usize] = self.open_count;
+        }
+        self.recent.rotate_left(1);
+        self.recent[MAX_LAG - 1] = (w, self.open_count);
+        self.open_count = 0;
+    }
+
+    /// The sums with the open window folded in, with `W` and `Σc`.
+    fn closed(&self) -> (WindowSums, u128, u128) {
+        let mut fin = self.clone();
+        fin.close();
+        let w = if fin.sum == 0 {
+            0
+        } else {
+            u128::from(fin.open) + 1
+        };
+        let s = u128::from(fin.sum);
+        (fin, w, s)
+    }
+
+    /// Index of dispersion of the per-window counts, variance over mean,
+    /// in closed form: `(W·Σc² − (Σc)²) / ((W − 1)·Σc)`, both integers
+    /// exact. 0 with fewer than two windows.
+    pub(crate) fn index_of_dispersion(&self) -> f64 {
+        let (fin, w, s) = self.closed();
+        if w < 2 {
+            return 0.0;
+        }
+        (w * fin.co[0] - s * s) as f64 / ((w - 1) * s) as f64
+    }
+
+    /// Sample autocorrelation of the per-window counts at lags
+    /// `0..=MAX_LAG` (clamped to `W − 1`), as
+    /// [`crate::autocorr::autocorrelation`] defines it: empty without
+    /// windows, `[1, 0, 0, …]` for a constant series.
+    pub(crate) fn acf(&self) -> Vec<f64> {
+        let (fin, w, s) = self.closed();
+        if w == 0 {
+            return Vec::new();
+        }
+        let lags = (w - 1).min(MAX_LAG as u128) as usize;
+        // W times Σ(c − m)², m = Σc / W.
+        let d = w * fin.co[0] - s * s;
+        if d == 0 {
+            let mut v = vec![0.0; lags + 1];
+            v[0] = 1.0;
+            return v;
+        }
+        // W² times Σᵢ (cᵢ − m)(cᵢ₊ₖ − m) is W·A − k·(Σc)², where
+        // A = W·co[k] + Σc·(head_k + tail_k) − (Σc)² and head_k / tail_k
+        // sum the first / last k counts.
+        let (mut head, mut tail) = (0u128, 0u128);
+        (0..=lags)
+            .map(|k| {
+                if k > 0 {
+                    head += u128::from(fin.head[k - 1]);
+                    tail += (fin.recent.iter())
+                        .filter(|&&(j, _)| u128::from(j) + k as u128 == w)
+                        .map(|&(_, c)| u128::from(c))
+                        .sum::<u128>();
+                }
+                let a = (w * fin.co[k] + s * (head + tail)) as i128 - (s * s) as i128;
+                (a as f64 - k as f64 * (s * s) as f64 / w as f64) / d as f64
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::LossStreamStats;
 
     #[test]
     fn clustered_intervals_read_as_bursty() {
@@ -212,8 +415,7 @@ mod tests {
     #[test]
     fn dispersion_of_regular_process_is_low() {
         // Perfectly regular events: variance of counts ~ 0.
-        let times: Vec<f64> = (0..1000).map(|i| i as f64 * 0.1).collect();
-        let idc = index_of_dispersion(&counts_in_windows(&times, 1.0));
+        let idc = analyze(&[0.1; 999]).index_of_dispersion;
         assert!(idc < 0.2, "IDC {idc}");
     }
 
@@ -257,30 +459,70 @@ mod tests {
         }
     }
 
+    /// `analyze` and a [`LossStreamStats`] fed the same intervals.
+    fn both(iv: &[f64]) -> [BurstinessReport; 2] {
+        let mut stream = LossStreamStats::with_rtt(1.0);
+        iv.iter().for_each(|&x| stream.push_interval(x));
+        [analyze(iv), stream.report()]
+    }
+
     #[test]
     fn a_nan_interval_poisons_the_report_instead_of_panicking() {
         for iv in [
             vec![f64::NAN],
             vec![f64::NAN, 0.5],
             vec![0.5, f64::NAN],
+            vec![0.5, f64::NAN, 0.5],
             vec![f64::NAN, 0.005, 3.0],
             vec![0.005, f64::NAN, 3.0],
             vec![0.005, 3.0, f64::NAN],
             vec![f64::INFINITY, f64::NEG_INFINITY],
         ] {
-            let rep = analyze(&iv);
-            assert_eq!(rep.n_intervals, iv.len());
-            assert!(rep.mean_interval_rtt.is_nan(), "{iv:?}");
-            assert!(rep.burstiness_ratio.is_nan(), "{iv:?}");
-            assert!(rep.index_of_dispersion.is_nan(), "{iv:?}");
-            // A NaN is below no threshold; the fractions stay counts.
-            let finite_below_1 = iv.iter().filter(|&&x| x < 1.0).count();
-            assert_eq!(rep.frac_below_1, finite_below_1 as f64 / iv.len() as f64);
+            for rep in both(&iv) {
+                assert_eq!(rep.n_intervals, iv.len());
+                assert!(rep.mean_interval_rtt.is_nan(), "{iv:?}");
+                assert!(rep.burstiness_ratio.is_nan(), "{iv:?}");
+                assert!(rep.index_of_dispersion.is_nan(), "{iv:?}");
+                // A NaN is below no threshold; the fractions stay counts.
+                let finite_below_1 = iv.iter().filter(|&&x| x < 1.0).count();
+                assert_eq!(rep.frac_below_1, finite_below_1 as f64 / iv.len() as f64);
+            }
         }
         // Infinite but not NaN: finite statistics, and still no panic.
-        let rep = analyze(&[0.5, f64::INFINITY, 0.5]);
-        assert_eq!(rep.mean_interval_rtt, f64::INFINITY);
-        assert_eq!(rep.burstiness_ratio, 0.0);
-        assert!(rep.index_of_dispersion.is_finite());
+        for rep in both(&[0.5, f64::INFINITY, 0.5]) {
+            assert_eq!(rep.mean_interval_rtt, f64::INFINITY);
+            assert_eq!(rep.burstiness_ratio, 0.0);
+            assert!(rep.index_of_dispersion.is_finite());
+        }
+    }
+
+    /// Two losses in window 0 and one in window W − 1: the index of
+    /// dispersion is (5W − 9) / (3(W − 1)) exactly, and the W − 3 empty
+    /// windows between cost nothing.
+    #[test]
+    fn a_sparse_span_costs_its_losses_not_its_windows() {
+        for w in [1_000_001u64, 100_000_001, 10_000_000_001] {
+            let exact = (5 * w - 9) as f64 / (3 * (w - 1)) as f64;
+            let start = std::time::Instant::now();
+            let reports = both(&[0.5, (w - 1) as f64 - 0.5]);
+            let elapsed = start.elapsed();
+            for rep in reports {
+                let ulps = rep.index_of_dispersion.to_bits().abs_diff(exact.to_bits());
+                assert!(ulps <= 4, "W = {w}: {} vs {exact}", rep.index_of_dispersion);
+            }
+            assert!(elapsed.as_secs_f64() < 1.0, "W = {w}: {elapsed:?}");
+        }
+    }
+
+    /// At a 10⁻³⁰³ s RTT a one-second trace spans more windows than a
+    /// `u64` counts: the window index saturates, and nothing panics.
+    #[test]
+    fn a_vanishing_rtt_timeline_returns() {
+        let times = [0.0, 0.0005, 0.001, 0.25, 0.2502, 0.6];
+        let iv: Vec<f64> = times.windows(2).map(|w| (w[1] - w[0]) / 1e-303).collect();
+        for rep in both(&iv) {
+            assert_eq!(rep.n_losses, times.len());
+            assert!(rep.index_of_dispersion.is_finite());
+        }
     }
 }

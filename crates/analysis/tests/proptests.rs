@@ -6,6 +6,7 @@ use lossburst_analysis::burstiness::{counts_in_windows, BurstinessReport};
 use lossburst_analysis::episodes::{Episode, EpisodeReport};
 use lossburst_analysis::intervals::inter_event_intervals;
 use lossburst_analysis::prelude::*;
+use lossburst_analysis::stats::variance;
 use lossburst_analysis::streaming::{LossStreamStats, EPISODE_GAP_RTT, MAX_LAG, WINDOW_RTT};
 use lossburst_testkit::sweep::{sweep, with_rng, RngExt, SmallRng};
 
@@ -118,15 +119,7 @@ fn copy_sort_analyze(iv: &[f64]) -> BurstinessReport {
         t += x;
         timeline.push(t);
     }
-    let xs: Vec<f64> = (copy_sort_counts(&timeline, 1.0).iter())
-        .map(|&c| c as f64)
-        .collect();
-    let xm = mean(&xs);
-    let idc = if n == 0 || xs.len() < 2 || xm <= 0.0 {
-        0.0
-    } else {
-        xs.iter().map(|x| (x - xm) * (x - xm)).sum::<f64>() / (xs.len() - 1) as f64 / xm
-    };
+    let idc = closed_form_dispersion(&copy_sort_counts(&timeline, 1.0));
     BurstinessReport {
         n_losses: if n == 0 { 0 } else { n + 1 },
         n_intervals: n,
@@ -138,6 +131,50 @@ fn copy_sort_analyze(iv: &[f64]) -> BurstinessReport {
         burstiness_ratio: if pf > 0.0 { below(0.01) / pf } else { 0.0 },
         index_of_dispersion: idc,
     }
+}
+
+/// Σc and Σc² of dense window counts, as exact integers.
+fn count_sums(counts: &[u64]) -> (u128, u128) {
+    let c = counts.iter().map(|&c| u128::from(c));
+    (c.clone().sum(), c.map(|c| c * c).sum())
+}
+
+/// Variance over mean of dense window counts in the engine's closed form,
+/// `(W·Σc² − (Σc)²) / ((W − 1)·Σc)` with both integers exact; 0 with fewer
+/// than two windows.
+fn closed_form_dispersion(counts: &[u64]) -> f64 {
+    let w = counts.len() as u128;
+    if w < 2 {
+        return 0.0;
+    }
+    let (s, s2) = count_sums(counts);
+    (w * s2 - s * s) as f64 / ((w - 1) * s) as f64
+}
+
+/// The autocorrelation of dense window counts at lags `0..=max_lag` in the
+/// engine's closed form: for lag k, `(A − k·(Σc)²/W) / (W·Σc² − (Σc)²)`
+/// with `A = W·Σᵢ cᵢcᵢ₊ₖ + Σc·(head_k + tail_k) − (Σc)²`, the sums of the
+/// first and last k counts, every integer exact.
+fn closed_form_acf(counts: &[u64], max_lag: usize) -> Vec<f64> {
+    let Some(lags) = counts.len().checked_sub(1).map(|l| l.min(max_lag)) else {
+        return Vec::new();
+    };
+    let c = |i: usize| u128::from(counts[i]);
+    let w = counts.len();
+    let wu = w as u128;
+    let (s, s2) = count_sums(counts);
+    let d = wu * s2 - s * s;
+    if d == 0 {
+        return (0..=lags).map(|k| if k == 0 { 1.0 } else { 0.0 }).collect();
+    }
+    (0..=lags)
+        .map(|k| {
+            let co: u128 = (0..w - k).map(|i| c(i) * c(i + k)).sum();
+            let ends: u128 = (0..k).map(c).chain((w - k..w).map(c)).sum();
+            let a = (wu * co + s * ends) as i128 - (s * s) as i128;
+            (a as f64 - k as f64 * (s * s) as f64 / wu as f64) / d as f64
+        })
+        .collect()
 }
 
 fn copy_sort_episodes(times: &[f64], gap: f64) -> Vec<Episode> {
@@ -283,15 +320,25 @@ fn batch_statistics_equal_the_copy_sort_count_formulas_bit_for_bit() {
     });
 }
 
-fn assert_close(stream: f64, batch: f64, what: &str) {
+/// The largest relative difference the closed forms may show from the
+/// mean-centred two-pass formulas (`stats::variance`-style dispersion over
+/// [`counts_in_windows`], [`autocorrelation`]): relative to the larger of
+/// the two-pass value and 1, since an autocorrelation near 0 has no
+/// relative scale of its own.
+const TWO_PASS_REL: f64 = 1e-12;
+
+fn assert_near_two_pass(closed: f64, two_pass: f64, what: &str) {
     assert!(
-        (stream - batch).abs() <= 1e-9 * batch.abs().max(1.0),
-        "{what}: streaming {stream} vs batch {batch}"
+        (closed - two_pass).abs() <= TWO_PASS_REL * two_pass.abs().max(1.0),
+        "{what}: closed form {closed} vs two-pass {two_pass}"
     );
 }
 
-/// What a trace sink computes equals the batch analysis to 1e-9 on the same
-/// generated cases, put in time order as a sink receives drops.
+/// What a trace sink computes equals the batch analysis bit for bit on the
+/// same generated cases, put in time order as a sink receives drops: every
+/// report field, the histogram, the episodes, and the autocorrelation of
+/// the dense window counts in the same closed form. The closed forms stay
+/// within [`TWO_PASS_REL`] of the two-pass formulas they replaced.
 #[test]
 fn sink_fed_stream_stats_equal_the_batch_analysis() {
     sweep(0x57AF, 240, |case, gen| {
@@ -303,19 +350,19 @@ fn sink_fed_stream_stats_equal_the_batch_analysis() {
             stats.push_loss_at(t);
         }
         let iv = normalized_intervals(&times, rtt);
-        let (b, s) = (analyze(&iv), stats.report());
-        assert_eq!((b.n_losses, b.n_intervals), (s.n_losses, s.n_intervals));
-        for (x, y, what) in [
-            (s.mean_interval_rtt, b.mean_interval_rtt, "mean"),
-            (s.frac_below_001, b.frac_below_001, "frac_001"),
-            (s.frac_below_01, b.frac_below_01, "frac_01"),
-            (s.frac_below_025, b.frac_below_025, "frac_025"),
-            (s.frac_below_1, b.frac_below_1, "frac_1"),
-            (s.burstiness_ratio, b.burstiness_ratio, "ratio"),
-            (s.index_of_dispersion, b.index_of_dispersion, "idc"),
-        ] {
-            assert_close(x, y, &format!("{what}, case {case}"));
-        }
+        let b = analyze(&iv);
+        assert_eq!(
+            report_bits(&b),
+            report_bits(&stats.report()),
+            "report, case {case}"
+        );
+        let h = Histogram::from_values(&iv, PAPER_BIN_WIDTH, PAPER_RANGE);
+        let sh = stats.histogram();
+        assert_eq!(
+            (&h.bins, h.overflow, h.total),
+            (&sh.bins, sh.overflow, sh.total),
+            "histogram, case {case}"
+        );
         // The stitched timeline the accumulator runs on: first loss at 0.
         let stitched: Vec<f64> = (times.first().map(|_| 0.0).into_iter())
             .chain(iv.iter().scan(0.0, |t, x| {
@@ -323,25 +370,27 @@ fn sink_fed_stream_stats_equal_the_batch_analysis() {
                 Some(*t)
             }))
             .collect();
-        let (be, se) = (
-            episode_report(&stitched, EPISODE_GAP_RTT),
-            stats.episode_report(),
-        );
         assert_eq!(
-            (be.count, be.max_size),
-            (se.count, se.max_size),
-            "case {case}"
+            episode_bits(&episode_report(&stitched, EPISODE_GAP_RTT)),
+            episode_bits(&stats.episode_report()),
+            "episodes, case {case}"
         );
-        assert_close(se.mean_size, be.mean_size, "mean_size");
-        assert_close(se.mean_duration, be.mean_duration, "mean_duration");
-        assert_close(se.fraction_in_bursts, be.fraction_in_bursts, "in_bursts");
-        let counts: Vec<f64> = (counts_in_windows(&stitched, WINDOW_RTT).iter())
-            .map(|&c| c as f64)
-            .collect();
-        let (ba, sa) = (autocorrelation(&counts, MAX_LAG), stats.acf());
-        assert_eq!(ba.len(), sa.len(), "acf length, case {case}");
-        for (lag, (x, y)) in sa.iter().zip(&ba).enumerate() {
-            assert_close(*x, *y, &format!("acf[{lag}], case {case}"));
+        let counts = counts_in_windows(&stitched, WINDOW_RTT);
+        let acf = stats.acf();
+        assert_eq!(
+            bits(&closed_form_acf(&counts, MAX_LAG)),
+            bits(&acf),
+            "acf, case {case}"
+        );
+        let xs: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let two_pass_acf = autocorrelation(&xs, MAX_LAG);
+        assert_eq!(acf.len(), two_pass_acf.len(), "acf length, case {case}");
+        for (lag, (x, y)) in acf.iter().zip(&two_pass_acf).enumerate() {
+            assert_near_two_pass(*x, *y, &format!("acf[{lag}], case {case}"));
+        }
+        if !iv.is_empty() && xs.len() >= 2 {
+            let two_pass_idc = variance(&xs) / mean(&xs);
+            assert_near_two_pass(b.index_of_dispersion, two_pass_idc, "dispersion");
         }
     });
 }

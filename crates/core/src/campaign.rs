@@ -9,10 +9,10 @@ use crate::shard::run_grid_streaming_supervised;
 use crate::supervisor::{
     campaign_fingerprint, supervise, LabCellRecord, PathFailure, SupervisedStudy, SupervisorConfig,
 };
-use lossburst_analysis::burstiness::{self, BurstinessReport};
+use lossburst_analysis::burstiness::BurstinessReport;
 use lossburst_analysis::histogram::Histogram;
 use lossburst_analysis::intervals;
-use lossburst_analysis::poisson;
+use lossburst_analysis::streaming::LossStreamStats;
 use lossburst_emu::testbed::{self, TestbedConfig};
 use lossburst_inet::campaign::CampaignConfig;
 use lossburst_netsim::fluid::BackgroundMode;
@@ -85,22 +85,20 @@ impl LossStudy {
         lossburst_analysis::episodes::episodes(&self.loss_times_rtt(), gap_rtt).len()
     }
 
-    /// Assemble a study from normalized intervals.
+    /// Assemble a study from normalized intervals: its histogram, Poisson
+    /// reference and report come from one fold of the intervals, the one
+    /// [`lossburst_analysis::burstiness::analyze`] runs. On intervals that
+    /// never step back (as `normalized_intervals` gives them) the report is
+    /// `analyze`'s bit for bit.
     pub fn from_intervals(label: &str, intervals_rtt: Vec<f64>) -> LossStudy {
-        let histogram = Histogram::from_values(
-            &intervals_rtt,
-            lossburst_analysis::histogram::PAPER_BIN_WIDTH,
-            lossburst_analysis::histogram::PAPER_RANGE,
-        );
-        let lambda = poisson::rate_from_intervals(&intervals_rtt);
-        let poisson_pdf = poisson::reference_pdf(lambda, &histogram);
-        let report = burstiness::analyze(&intervals_rtt);
+        let mut stats = LossStreamStats::with_rtt(1.0);
+        intervals_rtt.iter().for_each(|&iv| stats.push_interval(iv));
         LossStudy {
             label: label.to_string(),
             intervals_rtt,
-            histogram,
-            poisson_pdf,
-            report,
+            histogram: stats.histogram().clone(),
+            poisson_pdf: stats.poisson_pdf(),
+            report: stats.report(),
         }
     }
 }

@@ -334,6 +334,35 @@ mod tests {
         Ok(())
     }
 
+    /// A restored record is rejected for NaN only, so one can carry an
+    /// interval of 10¹² RTT: pooling it returns, with a finite report.
+    #[test]
+    fn a_huge_restored_interval_pools_to_a_finite_report() {
+        let run = |intervals_rtt: Vec<f64>| StreamProbeOutcome {
+            sent: 1000,
+            received: 1000 - intervals_rtt.len() as u64 - 1,
+            n_lost: intervals_rtt.len() + 1,
+            lost: Vec::new(),
+            loss_rate: (intervals_rtt.len() + 1) as f64 / 1000.0,
+            intervals_rtt,
+            trace_bytes: 0,
+            events: 0,
+            counts: Default::default(),
+        };
+        let res = aggregate_streaming(vec![StreamPathMeasurement {
+            src: 0,
+            dst: 1,
+            rtt: SimDuration::from_millis(50),
+            small: run(vec![0.5, 1e12]),
+            large: run(vec![0.001]),
+            validated: true,
+        }]);
+        let rep = res.pooled.report();
+        assert_eq!(rep.n_intervals, 3);
+        assert!(rep.mean_interval_rtt.is_finite());
+        assert!(rep.index_of_dispersion.is_finite());
+    }
+
     #[test]
     fn per_path_buffers_do_not_grow_with_run_duration() -> Result<(), ProbeError> {
         // Constant-memory claim: at 10 s and at 20 s alike a path commits a

@@ -30,8 +30,6 @@ pub struct TcpReceiver {
     /// which are exactly the SACK blocks to advertise.
     out_of_order: RunSet,
     sack_rotation: usize,
-    /// Data packets received (including duplicates).
-    pub(crate) packets_received: u64,
 }
 
 impl TcpReceiver {
@@ -43,7 +41,6 @@ impl TcpReceiver {
 
     /// Process an arriving data segment; returns the ACK to emit.
     pub fn on_data(&mut self, pkt: &Packet) -> AckInfo {
-        self.packets_received += 1;
         if pkt.seq == self.rcv_nxt {
             self.rcv_nxt += 1;
             // Consume any buffered continuation.
@@ -130,7 +127,6 @@ mod tests {
         let ack = rx.on_data(&data(0));
         assert_eq!(ack.ack, 1);
         assert_eq!(rx.rcv_nxt(), 1);
-        assert_eq!(rx.packets_received, 2);
     }
 
     #[test]

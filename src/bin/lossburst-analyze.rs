@@ -13,9 +13,11 @@ use lossburst::analysis::prelude::*;
 use std::io::{BufReader, Write};
 use std::process::exit;
 
-/// The most 1-RTT windows a trace may span. The index of dispersion keeps
-/// one 8-byte counter a window, so the cap holds it to 80 MB.
-const MAX_WINDOWS: f64 = 1e7;
+/// The most 1-RTT windows a trace may span: 2⁵³, the largest window index
+/// an `f64` holds exactly. The analysis costs per loss, not per window, so
+/// the bound is not memory: beyond it two instants a window apart can
+/// share one `f64`, and the window counts stop meaning anything.
+const MAX_WINDOWS: f64 = 9_007_199_254_740_992.0;
 
 struct Args {
     path: String,

@@ -1,6 +1,7 @@
 //! `lossburst-analyze` on hostile input: a bad `--rtt-ms`, an output that
-//! cannot be written and a trace spanning too many RTT windows each end in
-//! an `error:` line and an exit code, never a panic or an abort.
+//! cannot be written and a trace spanning more RTT windows than an `f64`
+//! tells apart each end in an `error:` line and an exit code, never a
+//! panic or an abort. A trace spanning 10^10 windows is analyzed.
 
 use std::fs::File;
 use std::path::PathBuf;
@@ -70,15 +71,33 @@ fn an_unwritable_output_is_an_error() {
     rejects(clustered("text_full"), &[], full().into(), 1);
 }
 
-/// 10^10 windows of 100 ms: the parent's window counters alone were 80 GB.
+/// 10^10 windows of 100 ms: the window counts of the dense analysis alone
+/// were 80 GB. The analysis costs per loss, so the trace is analyzed.
 #[test]
-fn a_trace_spanning_too_many_windows_is_rejected() {
-    rejects(
-        trace("span", &["0", "0.0001", "1e9"]),
-        &[],
-        Stdio::null(),
-        2,
+fn a_trace_spanning_ten_billion_windows_is_analyzed() {
+    let path = trace("span", &["0", "0.0001", "1e9"]);
+    let start = std::time::Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_lossburst-analyze"))
+        .arg(&path)
+        .output()
+        .expect("the analyze bin runs");
+    let elapsed = start.elapsed();
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let dispersion = (stdout.split("index of dispersion ").nth(1))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|v| v.parse::<f64>().ok());
+    assert!(
+        dispersion.is_some_and(f64::is_finite),
+        "no finite index of dispersion in:\n{stdout}"
+    );
+    assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
 }
 
 /// At 10^-300 ms even a one-second trace's window count overflows `usize`.

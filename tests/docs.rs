@@ -76,6 +76,8 @@ const GONE: &[(&str, u32)] = &[
     ("CcConfig", 45),
     ("BbrConfig", 45),
     ("CubicConfig", 45),
+    ("Welford", 46),
+    ("AutocorrRing", 46),
 ];
 
 /// The product crates: the library code a paper run executes.

@@ -6,10 +6,11 @@
 //! under a counting global allocator, so a per-host copy of a route set
 //! (O(pairs²) in all) or a ring allocated up front fails on a byte count.
 //!
-//! Batch loss analysis allocates per window, not per loss: it reads its
-//! trace where it lies. A high-water mark of the same count catches a
-//! copy, a sort or a rebuilt timeline that is freed before the call
-//! returns.
+//! Batch loss analysis reads its trace where it lies: on time-ordered
+//! input `analyze` holds its histogram's bins and nothing else, whatever
+//! the trace's length or span. A high-water mark of the same count catches
+//! a copy, a sort, a rebuilt timeline or a per-window vector that is freed
+//! before the call returns.
 //!
 //! A path restored from a campaign checkpoint holds its intervals and
 //! nothing else.
@@ -20,6 +21,7 @@
 
 use lossburst::analysis::burstiness::{analyze, counts_in_windows};
 use lossburst::analysis::episodes::episode_report;
+use lossburst::analysis::histogram::{Histogram, PAPER_BIN_WIDTH, PAPER_RANGE};
 use lossburst::core::supervisor::PathRecord;
 use lossburst::inet::campaign::StreamPathMeasurement;
 use lossburst::inet::probe::StreamProbeOutcome;
@@ -174,16 +176,21 @@ fn timeline(intervals: &[f64]) -> Vec<f64> {
 
 #[test]
 fn batch_analysis_allocates_per_window_not_per_loss() {
-    let intervals = clustered_intervals();
-    let windows = counts_in_windows(&timeline(&intervals), 1.0).len();
-    let (report, peak) = peak_above(|| analyze(&intervals));
-    assert_eq!(report.n_intervals, intervals.len());
-    let bound = 8 * windows as isize + 4096;
-    assert!(
-        peak <= bound,
-        "analyze held {peak} B at once over 10^6 intervals and {windows} windows; \
-         the window counts explain {bound} B"
-    );
+    let bins = Histogram::new(PAPER_BIN_WIDTH, PAPER_RANGE).bins.len();
+    let histogram = (bins * std::mem::size_of::<u64>()) as isize;
+    // 10⁶ clustered intervals over ~1.2·10⁵ windows, and four losses over
+    // 10¹⁰ windows: both hold the histogram and nothing that grows.
+    for intervals in [clustered_intervals(), vec![0.5, 1e10, 0.25]] {
+        let (report, peak) = peak_above(|| analyze(&intervals));
+        assert_eq!(report.n_intervals, intervals.len());
+        assert_eq!(
+            peak,
+            histogram,
+            "analyze held {peak} B at once over {} time-ordered intervals; \
+             its histogram's {bins} bins explain {histogram} B",
+            intervals.len()
+        );
+    }
 }
 
 #[test]
