@@ -242,10 +242,16 @@ impl LossStreamStats {
         self.windows.acf()
     }
 
+    /// Implied Poisson rate per RTT, `1 / mean interval` (0 when empty or
+    /// degenerate), matching [`crate::poisson::rate_from_intervals`].
+    pub fn poisson_rate(&self) -> f64 {
+        self.intervals.lambda()
+    }
+
     /// Rate-matched Poisson reference PDF over the histogram's bins
     /// (matches `LossStudy::poisson_pdf`).
     pub fn poisson_pdf(&self) -> Vec<f64> {
-        poisson::reference_pdf(self.intervals.lambda(), self.histogram())
+        poisson::reference_pdf(self.poisson_rate(), self.histogram())
     }
 
     /// The [`BurstinessReport`] of the losses so far, built by the same

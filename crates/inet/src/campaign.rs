@@ -71,12 +71,14 @@ impl CampaignConfig {
     /// [`Self::full`]. Statistical power per path is deliberately tiny;
     /// campaigns at this scale measure the *driver* (sharding,
     /// checkpointing, merge throughput), with the grid supplying scale.
+    /// The 3 s runs leave a probe window of 1 s less the path RTT (35–50
+    /// packets) between the 1 s warm-up and the 1 s + RTT tail guard.
     pub fn micro(seed: u64) -> CampaignConfig {
         CampaignConfig {
             seed,
             n_paths: 100_000,
             probe_pps: 50.0,
-            duration: SimDuration::from_secs(2),
+            duration: SimDuration::from_secs(3),
             background: BackgroundMode::Fluid,
         }
     }
@@ -293,6 +295,7 @@ pub fn aggregate_streaming(measurements: Vec<StreamPathMeasurement>) -> StreamCa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lossburst_netsim::time::SimTime;
 
     /// Every grid path measured in turn and pooled: the campaign a
     /// supervised run with nothing going wrong produces.
@@ -305,6 +308,39 @@ mod tests {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(aggregate_streaming(measurements))
+    }
+
+    /// Every preset's runs outlast the 1 s warm-up plus the 1 s + RTT tail
+    /// guard, so its probe sends: a run shorter than both has a probe
+    /// count of 0 and measures nothing.
+    #[test]
+    fn every_preset_sends_probe_packets() {
+        for cfg in [
+            CampaignConfig::quick(2006),
+            CampaignConfig::full(2006),
+            CampaignConfig::micro(2006),
+        ] {
+            let sample = GridSample::new(cfg.seed);
+            for index in 0..3 {
+                let probe = ProbeConfig {
+                    packet_bytes: 48,
+                    pps: cfg.probe_pps,
+                    duration: cfg.duration,
+                    seed: cfg.seed,
+                    background: cfg.background,
+                };
+                let (mut sim, flow, count) =
+                    crate::probe::build_probe(&sample.scenario(index), &probe);
+                // Past the warm-up and the first probe interval.
+                sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+                let sent = sim.flow(flow).sent();
+                assert!(
+                    count >= 1 && sent >= 1,
+                    "{:?} at {index}: {count} to send, {sent} sent",
+                    cfg.duration
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,13 @@
 use crate::path::PathScenario;
 use lossburst_netsim::builder::SimBuilder;
 use lossburst_netsim::fluid::BackgroundMode;
+use lossburst_netsim::packet::FlowId;
 use lossburst_netsim::queue::QueueDisc;
 use lossburst_netsim::rng::Sampler;
 use lossburst_netsim::sim::{EventCounts, FlowHandle, RunLimits, Simulator};
 use lossburst_netsim::time::{SimDuration, SimTime};
 use lossburst_netsim::topology::{build_chain, ChainConfig};
-use lossburst_netsim::trace::TraceConfig;
+use lossburst_netsim::trace::{LossRecord, TraceConfig, TraceSink};
 use lossburst_transport::cbr::Cbr;
 use lossburst_transport::config::TcpConfig;
 use lossburst_transport::onoff::{FluidOnOff, OnOff};
@@ -90,8 +91,9 @@ pub struct StreamProbeOutcome {
     /// is O(losses) and independent of run duration (the probe buffers no
     /// trace stream).
     pub trace_bytes: usize,
-    /// Simulator events processed by the run (throughput accounting for
-    /// the campaign benchmark).
+    /// Simulator events processed until every probe packet resolved
+    /// (delivered or dropped), or until the horizon or the event budget if
+    /// one came first (throughput accounting for the campaign benchmark).
     pub events: u64,
     /// Per-kind breakdown of those events (timers, arrivals, transmit
     /// completions, fluid rate changes).
@@ -100,8 +102,12 @@ pub struct StreamProbeOutcome {
 
 /// Build the probe simulation: chain topology, cross traffic, and the CBR
 /// probe flow, in the constant-memory configuration — no trace record
-/// buffering and the gap-detecting probe receiver.
-fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, FlowHandle<Cbr>) {
+/// buffering and the gap-detecting probe receiver. Also returns how many
+/// packets the probe sends.
+pub(crate) fn build_probe(
+    scenario: &PathScenario,
+    probe: &ProbeConfig,
+) -> (Simulator, FlowHandle<Cbr>, u64) {
     let mut b = SimBuilder::new(probe.seed).trace(TraceConfig::none());
 
     // Cross-flow access delays: each long flow i gets access segments that
@@ -220,7 +226,8 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
     }
 
     // The probe itself, started after a 1 s warm-up so the cross traffic is
-    // established, stopped early enough that in-flight packets drain.
+    // established, and stopped 1 s + RTT before the horizon: the most a
+    // run simulates, since it ends once every probe packet has resolved.
     let warmup = SimDuration::from_secs(1);
     let tail_guard = SimDuration::from_secs(1) + scenario.rtt;
     let interval = SimDuration::from_secs_f64(1.0 / probe.pps);
@@ -231,14 +238,27 @@ fn build_probe(scenario: &PathScenario, probe: &ProbeConfig) -> (Simulator, Flow
         .streaming();
     let probe_flow = b.flow(SimTime::ZERO + warmup, Box::new(cbr));
 
-    (b.build(), probe_flow)
+    (b.build(), probe_flow, count)
+}
+
+/// Counts one flow's drops. The probe's source cannot see its packets
+/// dropped, so this is how a run learns that every one has resolved.
+struct FlowDrops {
+    flow: FlowId,
+    dropped: u64,
+}
+
+impl TraceSink for FlowDrops {
+    fn on_loss(&mut self, rec: &LossRecord) {
+        self.dropped += u64::from(rec.flow == self.flow);
+    }
 }
 
 /// Why a limited probe run did not produce a measurement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProbeError {
     /// The run hit the event budget in [`RunLimits::max_events`] before
-    /// reaching the measurement horizon.
+    /// its measurement was final.
     EventBudget {
         /// Events the simulator had processed when it aborted.
         events: u64,
@@ -262,7 +282,8 @@ impl std::error::Error for ProbeError {}
 
 /// Run one CBR probe in constant memory: trace buffering off and the
 /// receiver detecting sequence gaps online, so the run holds O(losses), not
-/// O(packets).
+/// O(packets). The run ends once every probe packet is delivered or
+/// dropped; the horizon only bounds it.
 pub fn run_probe_streaming(scenario: &PathScenario, probe: &ProbeConfig) -> StreamProbeOutcome {
     run_probe_streaming_limited(scenario, probe, RunLimits::NONE)
         .expect("unlimited run cannot exhaust")
@@ -278,19 +299,45 @@ pub fn run_probe_streaming_limited(
     probe: &ProbeConfig,
     limits: RunLimits,
 ) -> Result<StreamProbeOutcome, ProbeError> {
-    let (mut sim, probe_flow) = build_probe(scenario, probe);
+    let (mut sim, probe_flow, count) = build_probe(scenario, probe);
     sim.set_run_limits(limits);
-    sim.run_until(SimTime::ZERO + probe.duration);
-    if sim.budget_exhausted() {
-        return Err(ProbeError::EventBudget {
-            events: sim.events_processed,
-        });
+    let drops = sim.trace.add_sink(Box::new(FlowDrops {
+        flow: probe_flow.id(),
+        dropped: 0,
+    }));
+    // The measurement is final once every probe packet is delivered or
+    // dropped: what the background does after that changes nothing the
+    // run reports, so stop there instead of at the horizon.
+    let horizon = SimTime::ZERO + probe.duration;
+    let interval = sim.flow(probe_flow).interval();
+    let mut until = SimTime::ZERO;
+    while until < horizon {
+        // Nothing resolves the run before its last packet is sent, and
+        // each unsent packet is at least one interval away: step over
+        // them in one call, then one interval at a time.
+        let unsent = count - sim.flow(probe_flow).sent();
+        until = (until + interval * unsent.max(1)).min(horizon);
+        sim.run_until(until);
+        if sim.budget_exhausted() {
+            return Err(ProbeError::EventBudget {
+                events: sim.events_processed,
+            });
+        }
+        let cbr = sim.flow(probe_flow);
+        let dropped = sim.trace.sink::<FlowDrops>(drops).map_or(0, |d| d.dropped);
+        if cbr.sent() == count && cbr.received() + dropped == count {
+            break;
+        }
     }
+    Ok(outcome(&sim, probe_flow, scenario.rtt))
+}
 
+/// What a finished probe run measured, read off its simulator.
+fn outcome(sim: &Simulator, probe_flow: FlowHandle<Cbr>, rtt: SimDuration) -> StreamProbeOutcome {
     let cbr = sim.flow(probe_flow);
     let sent = cbr.sent();
     let lost = cbr.lost_seqs();
-    let rtt_s = scenario.rtt.as_secs_f64();
+    let rtt_s = rtt.as_secs_f64();
     let mut intervals_rtt = Vec::with_capacity(lost.len().saturating_sub(1));
     let mut prev: Option<f64> = None;
     for &s in &lost {
@@ -304,7 +351,7 @@ pub fn run_probe_streaming_limited(
     }
     let received = cbr.received();
     let trace_bytes = sim.trace.buffer_bytes() + cbr.receiver_buffer_bytes();
-    Ok(StreamProbeOutcome {
+    StreamProbeOutcome {
         sent,
         received,
         n_lost: lost.len(),
@@ -318,7 +365,7 @@ pub fn run_probe_streaming_limited(
         trace_bytes,
         events: sim.events_processed,
         counts: sim.event_counts(),
-    })
+    }
 }
 
 /// The paper's validation rule: a measurement is accepted only if the
@@ -426,7 +473,7 @@ mod tests {
         for sc in heavy_paths(3) {
             for secs in [10, 20] {
                 let probe = config(secs, 77);
-                let (mut sim, flow) = build_probe(&sc, &probe);
+                let (mut sim, flow, _) = build_probe(&sc, &probe);
                 sim.run_until(SimTime::ZERO + probe.duration);
                 assert_eq!(sim.trace.buffer_bytes(), 0);
                 let cbr = sim.flow(flow);
@@ -463,5 +510,61 @@ mod tests {
         let b = quick(9, 5, 6);
         assert_eq!(a.lost, b.lost);
         assert_eq!(a.sent, b.sent);
+    }
+
+    /// The reference: the same probe run simulated all the way to its
+    /// horizon.
+    fn run_to_horizon(sc: &PathScenario, probe: &ProbeConfig) -> StreamProbeOutcome {
+        let (mut sim, flow, _) = build_probe(sc, probe);
+        sim.run_until(SimTime::ZERO + probe.duration);
+        outcome(&sim, flow, sc.rtt)
+    }
+
+    #[test]
+    fn early_stop_measures_what_a_run_to_the_horizon_measures() {
+        let fluid = |secs, seed| ProbeConfig {
+            background: BackgroundMode::Fluid,
+            ..config(secs, seed)
+        };
+        // (path, run, whether its last probe packet is dropped): heavy
+        // paths of seed 3 that lose their last packet, so the loss list
+        // ends in the never-seen `next_expected..sent` tail, and a long
+        // run on a quieter path.
+        let cases = [
+            (PathScenario::derive(3, 1, 10), config(3, 77), true),
+            (PathScenario::derive(3, 0, 9), fluid(4, 77), true),
+            (PathScenario::derive(3, 0, 15), config(12, 3 ^ 0xAB), false),
+            (PathScenario::derive(3, 0, 15), fluid(12, 3 ^ 0xAB), false),
+        ];
+        for (sc, probe, tail) in &cases {
+            let early = run_probe_streaming(sc, probe);
+            let full = run_to_horizon(sc, probe);
+            let at = format!("{}->{} {:?}", sc.src_site, sc.dst_site, probe);
+            assert!(full.sent > 500, "{at}: sent {}", full.sent);
+            assert_eq!(early.sent, full.sent, "{at}");
+            assert_eq!(early.received, full.received, "{at}");
+            assert_eq!(early.n_lost, full.n_lost, "{at}");
+            assert_eq!(early.lost, full.lost, "{at}");
+            assert_eq!(early.loss_rate.to_bits(), full.loss_rate.to_bits(), "{at}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&early.intervals_rtt),
+                bits(&full.intervals_rtt),
+                "{at}"
+            );
+            assert_eq!(early.trace_bytes, full.trace_bytes, "{at}");
+            assert_eq!(
+                full.lost.last() == Some(&(full.sent - 1)),
+                *tail,
+                "{at}: the last packet's fate moved"
+            );
+            // The 1 s + RTT tail guard lies past resolution: cut, not run.
+            assert!(
+                early.events < full.events,
+                "{at}: {} events, {} to the horizon",
+                early.events,
+                full.events
+            );
+        }
     }
 }

@@ -170,7 +170,9 @@ impl Transport for Cbr {
 
     fn is_done(&self) -> bool {
         // A probe over a lossy path can never confirm completion (losses are
-        // the point); runs are bounded by the simulation horizon instead.
+        // the point, and the source never sees its packets dropped). The
+        // probe runner ends a run instead, once the receiver's arrivals plus
+        // the flow's drops, counted by a trace sink, reach what was sent.
         false
     }
 

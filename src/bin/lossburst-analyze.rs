@@ -10,6 +10,7 @@
 //! against the rate-matched Poisson reference.
 
 use lossburst::analysis::prelude::*;
+use lossburst::analysis::streaming::LossStreamStats;
 use std::io::{BufReader, Write};
 use std::process::exit;
 
@@ -91,11 +92,17 @@ fn print_analysis(
     times: &[f64],
     rtt: f64,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let intervals = normalized_intervals(times, rtt);
-    let report = analyze(&intervals);
-    let hist = Histogram::from_values(&intervals, PAPER_BIN_WIDTH, PAPER_RANGE);
-    let lambda = rate_from_intervals(&intervals);
-    let poisson = reference_pdf(lambda, &hist);
+    // One fold yields the report, the histogram and the Poisson rate. The
+    // intervals come from the time-sorted trace, so none steps back and
+    // the fold equals `analyze` bit for bit.
+    let mut stats = LossStreamStats::with_rtt(1.0);
+    for iv in normalized_intervals(times, rtt) {
+        stats.push_interval(iv);
+    }
+    let report = stats.report();
+    let hist = stats.histogram();
+    let lambda = stats.poisson_rate();
+    let poisson = stats.poisson_pdf();
 
     if args.tsv {
         // Machine-readable PDF for plotting.
@@ -139,6 +146,6 @@ fn print_analysis(
         )?;
     }
     writeln!(out, "\nPDF (log scale) vs Poisson at the same rate:\n")?;
-    write!(out, "{}", ascii_pdf_plot(&hist, &poisson, 20))?;
+    write!(out, "{}", ascii_pdf_plot(hist, &poisson, 20))?;
     Ok(out.flush()?)
 }

@@ -35,6 +35,19 @@ fn three_campaign_shards_merge_to_the_one_process_checkpoint() {
     let (_, three) = shard_ok("campaign3", &[&flags[..], &["3"]].concat());
     let (_, one) = shard_ok("campaign1", &[&flags[..], &["1"]].concat());
     assert!(three == one, "3-shard merged.ckpt differs from 1-shard");
+    // Equal checkpoints prove nothing if they are empty: every path's
+    // 48 B run sent probe packets (token 9 of an `ok … spm` line), and
+    // some lost one (token 11).
+    let text = String::from_utf8_lossy(&one);
+    let runs: Vec<Vec<&str>> = text
+        .lines()
+        .map(|l| l.split(' ').collect::<Vec<_>>())
+        .filter(|t| t.len() > 10 && t[0] == "ok" && t[3] == "spm")
+        .collect();
+    let count = |i: usize| runs.iter().filter(|t| t[i] != "0").count();
+    assert_eq!(runs.len(), 36, "{text}");
+    assert_eq!(count(8), runs.len(), "a path sent no probe packet:\n{text}");
+    assert!(count(10) > 0, "no path lost a probe packet:\n{text}");
 }
 
 #[test]
